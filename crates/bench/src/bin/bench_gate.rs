@@ -25,6 +25,10 @@
 //! reports from the same machine class — cross-machine p99 comparisons
 //! gate noise, not regressions.
 //!
+//! The `audit` suite is all costs (ns or µs per call, best of several
+//! rounds), so every metric in it is always gated in that same inverted
+//! direction with the same 40%.
+//!
 //! The parser is hand-rolled for the exact `BenchReport::to_json` shape
 //! (object → object → number-or-null); it is not a general JSON reader.
 
@@ -48,8 +52,10 @@ fn default_tolerance(metric: &str) -> f64 {
     }
 }
 
-/// Tolerance (percent) for a `--gate-latency`-gated p99 metric: tails
-/// swing harder than throughput means even on one machine.
+/// Tolerance (percent) for a smaller-is-better metric — a
+/// `--gate-latency`-gated p99 or an `audit` suite cost: tails and
+/// microsecond costs swing harder than throughput means even on one
+/// machine.
 const LATENCY_TOLERANCE_PCT: f64 = 40.0;
 
 fn main() {
@@ -100,7 +106,7 @@ fn main() {
                 0.0
             };
             let throughput_gated = metric.ends_with("_ops_per_sec");
-            let latency_gated = gate_latency && metric.ends_with("_p99_us");
+            let latency_gated = suite == "audit" || (gate_latency && metric.ends_with("_p99_us"));
             let tolerance_pct = tolerance_override.unwrap_or_else(|| {
                 if latency_gated {
                     LATENCY_TOLERANCE_PCT
@@ -108,7 +114,7 @@ fn main() {
                     default_tolerance(metric)
                 }
             });
-            // Throughput regresses downward; latency regresses upward.
+            // Throughput regresses downward; latency and cost regress upward.
             let regressed = (throughput_gated
                 && new_value < old_value * (1.0 - tolerance_pct / 100.0))
                 || (latency_gated && new_value > old_value * (1.0 + tolerance_pct / 100.0));

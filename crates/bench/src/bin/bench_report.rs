@@ -226,6 +226,15 @@ fn main() {
         report.record("pagestore", &metric, point.speedup());
     }
 
+    // Suite 8: audit-trail append and read cost at the regulator
+    // workload's trail length. Smaller is better; `bench_gate` gates it
+    // in that direction.
+    let (audit_table, audit_series) = bench::experiments::audit::run();
+    println!("{}", audit_table.render());
+    for (metric, value) in &audit_series {
+        report.record("audit", metric, *value);
+    }
+
     let json = report.to_json();
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("bench_report: cannot write {out_path}: {e}");

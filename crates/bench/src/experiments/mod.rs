@@ -1,5 +1,6 @@
 //! Experiment implementations, one module per paper table/figure.
 
+pub mod audit;
 pub mod configs;
 pub mod fig3a;
 pub mod fig3b;

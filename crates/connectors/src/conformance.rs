@@ -381,6 +381,45 @@ fn regulator_gets_logs_but_never_data() {
     }
 }
 
+/// A GET-SYSTEM-LOGS inside a batch sees every batch predecessor — here
+/// more of them than one audit chunk holds — and nothing after itself,
+/// on both engines and over the wire.
+#[test]
+fn log_read_mid_batch_sees_its_predecessors() {
+    let before = gdpr_core::audit::CHUNK_LINES + 3;
+    let regulator = Session::regulator();
+    let logs = GdprQuery::GetSystemLogs {
+        from_ms: 0,
+        to_ms: u64::MAX,
+    };
+    for conn in connectors() {
+        let mut batch: Vec<(Session, GdprQuery)> = (0..before)
+            .map(|i| {
+                let probe = GdprQuery::VerifyDeletion(format!("gone-{i}"));
+                (regulator.clone(), probe)
+            })
+            .collect();
+        batch.push((regulator.clone(), logs.clone()));
+        batch.push((regulator.clone(), GdprQuery::GetSystemFeatures));
+        let results = conn.execute_batch(batch);
+        match results[before].as_ref().unwrap() {
+            GdprResponse::Logs(lines) => {
+                assert_eq!(lines.len(), before, "{}", conn.name());
+                assert!(lines.iter().all(|l| l.operation == "verify-deletion"));
+                assert_eq!(
+                    lines[before - 1].detail,
+                    format!("key=gone-{} [ok] n=1", before - 1)
+                );
+            }
+            other => panic!("{}: expected logs, got {other:?}", conn.name()),
+        }
+        match conn.execute(&regulator, &logs).unwrap() {
+            GdprResponse::Logs(lines) => assert_eq!(lines.len(), before + 2, "{}", conn.name()),
+            other => panic!("{}: expected logs, got {other:?}", conn.name()),
+        }
+    }
+}
+
 #[test]
 fn features_report_and_space_report() {
     for conn in connectors() {
@@ -1285,7 +1324,7 @@ fn sharded_audit_stream_is_unified_and_ordered() {
     let lines = conn.audit().lines_between(0, u64::MAX);
     assert_eq!(lines.len(), 7);
     // Execution order is preserved: creates first, then the reads.
-    assert!(lines[..5].iter().all(|l| l.operation == "create-record"));
+    assert!(lines.iter().take(5).all(|l| l.operation == "create-record"));
     assert_eq!(lines[5].operation, "read-data-by-usr");
     assert!(lines[6].detail.contains("access denied"));
     // GET-SYSTEM-LOGS serves the same unified stream.
@@ -1360,8 +1399,14 @@ fn remote_view_is_byte_equivalent_to_in_process() {
             other => panic!("expected logs, got {other:?}"),
         };
         assert_eq!(remote_logs.len(), local_logs.len() + 1, "{}", local.name());
-        assert_eq!(&remote_logs[..local_logs.len()], &local_logs[..]);
-        assert_eq!(remote_logs.last().unwrap().operation, "get-system-logs");
+        assert_eq!(
+            remote_logs.to_vec()[..local_logs.len()],
+            local_logs.to_vec()
+        );
+        assert_eq!(
+            remote_logs.iter().next_back().unwrap().operation,
+            "get-system-logs"
+        );
 
         // A write through the wire lands in the one shared engine.
         remote
@@ -1589,7 +1634,7 @@ fn assert_tenant_isolation(conn: &dyn GdprConnector, acme_name: &str, zeta_name:
     ));
     assert_eq!(zeta_logs.len(), 9, "{name}: zeta trail wrong size");
     assert_eq!(
-        zeta_logs.last().unwrap().operation,
+        zeta_logs.iter().next_back().unwrap().operation,
         "read-metadata-by-usr",
         "{name}"
     );

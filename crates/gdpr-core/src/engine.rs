@@ -511,7 +511,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
             .record(query, started.elapsed(), result.is_err());
         state
             .audit
-            .record_batch(vec![audit_draft(session, query, &result)]);
+            .record_batch([audit_draft(session, query, &result)]);
         result
     }
 
@@ -1038,11 +1038,11 @@ impl<S: RecordStore> ComplianceEngine<S> {
 /// The audit entry a query outcome owes — shared by the engine's execute
 /// paths and [`crate::sharded::ShardedEngine`]'s, so batched and
 /// sequential execution render byte-identical trails.
-pub(crate) fn audit_draft(
-    session: &Session,
+pub(crate) fn audit_draft<'a>(
+    session: &'a Session,
     query: &GdprQuery,
     result: &GdprResult<GdprResponse>,
-) -> AuditDraft {
+) -> AuditDraft<'a> {
     let err_text = result.as_ref().err().map(ToString::to_string);
     let outcome = match &result {
         Ok(resp) => Ok(resp.cardinality()),

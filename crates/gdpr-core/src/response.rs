@@ -2,14 +2,95 @@
 
 use crate::compliance::FeatureReport;
 use crate::record::{Metadata, PersonalRecord};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// One audit/system log line returned to a regulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogLine {
     pub timestamp_ms: u64,
     pub actor: String,
-    pub operation: String,
+    /// Query class name; static for every line the audit trail renders.
+    pub operation: Cow<'static, str>,
     pub detail: String,
+}
+
+/// An immutable run of rendered log lines, shared by reference count
+/// between the audit trail and every response that reads it.
+pub(crate) type LogChunk = Arc<Vec<LogLine>>;
+
+/// The lines of a GET-SYSTEM-LOGS response: a window over shared
+/// [`LogChunk`]s. Cloning or dropping it touches one reference count per
+/// chunk, never a line.
+#[derive(Debug, Clone, Default)]
+pub struct LogLines {
+    chunks: Vec<LogChunk>,
+    /// Where the window starts in the first chunk.
+    skip: usize,
+    /// Where the window ends in the last chunk.
+    last_end: usize,
+    len: usize,
+}
+
+impl LogLines {
+    /// The `len` lines that start `skip` lines into `chunks`: the window
+    /// starts inside the first chunk and ends inside the last.
+    pub(crate) fn window(chunks: Vec<LogChunk>, skip: usize, len: usize) -> Self {
+        let before_last: usize = chunks.iter().rev().skip(1).map(|c| c.len()).sum();
+        LogLines {
+            chunks,
+            skip,
+            last_end: skip + len - before_last,
+            len,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &LogLine> + '_ {
+        let last = self.chunks.len().wrapping_sub(1);
+        self.chunks.iter().enumerate().flat_map(move |(i, chunk)| {
+            let from = if i == 0 { self.skip } else { 0 };
+            let to = if i == last {
+                self.last_end
+            } else {
+                chunk.len()
+            };
+            chunk[from..to].iter()
+        })
+    }
+
+    pub fn to_vec(&self) -> Vec<LogLine> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl From<Vec<LogLine>> for LogLines {
+    fn from(lines: Vec<LogLine>) -> Self {
+        let len = lines.len();
+        LogLines::window(vec![Arc::new(lines)], 0, len)
+    }
+}
+
+impl std::ops::Index<usize> for LogLines {
+    type Output = LogLine;
+
+    fn index(&self, index: usize) -> &LogLine {
+        self.iter().nth(index).expect("log line index in range")
+    }
+}
+
+/// Line-by-line equality: how the lines are chunked is not observable.
+impl PartialEq for LogLines {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
 }
 
 /// The response to a [`crate::GdprQuery`].
@@ -28,7 +109,7 @@ pub enum GdprResponse {
     /// Update touched this many records.
     Updated(usize),
     /// System log lines for a time range.
-    Logs(Vec<LogLine>),
+    Logs(LogLines),
     /// Capability report (GET-SYSTEM-FEATURES).
     Features(FeatureReport),
     /// verify-deletion: true iff the key is gone.

@@ -417,7 +417,7 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
             .record(query, started.elapsed(), result.is_err());
         state
             .audit
-            .record_batch(vec![audit_draft(session, query, &result)]);
+            .record_batch([audit_draft(session, query, &result)]);
         result
     }
 
@@ -440,14 +440,16 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
         // linear probe beats a map). Each tenant's group commits with one
         // timestamp, exactly like the unsharded engine's batching.
         let mut drafts: Vec<(Arc<RouterTenantState>, Vec<AuditDraft>)> = Vec::new();
-        let push_draft = |drafts: &mut Vec<(Arc<RouterTenantState>, Vec<AuditDraft>)>,
-                          state: &Arc<RouterTenantState>,
-                          draft: AuditDraft| {
+        fn push_draft<'a>(
+            drafts: &mut Vec<(Arc<RouterTenantState>, Vec<AuditDraft<'a>>)>,
+            state: &Arc<RouterTenantState>,
+            draft: AuditDraft<'a>,
+        ) {
             match drafts.iter_mut().find(|(s, _)| Arc::ptr_eq(s, state)) {
                 Some((_, group)) => group.push(draft),
                 None => drafts.push((Arc::clone(state), vec![draft])),
             }
-        };
+        }
         let mut i = 0;
         while i < len {
             if point_key(&ops[i].1).is_some() {
@@ -842,8 +844,8 @@ fn group_update_of(query: &GdprQuery) -> Option<(RecordPredicate, &MetadataUpdat
 }
 
 /// Merge per-shard responses of one query class into the canonical form:
-/// counts sum, result sets concatenate and sort by key (timestamp for
-/// logs), so the merged response is independent of shard count and order.
+/// counts sum, result sets concatenate and sort by key, so the merged
+/// response is independent of shard count and order.
 fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
     use GdprResponse::*;
     let mut iter = results.into_iter();
@@ -866,10 +868,6 @@ fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
                 a.extend(b);
                 Records(a)
             }
-            (Logs(mut a), Logs(b)) => {
-                a.extend(b);
-                Logs(a)
-            }
             (a, b) => {
                 return Err(GdprError::Store(format!(
                     "shard response shape mismatch: {a:?} vs {b:?}"
@@ -881,7 +879,6 @@ fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
         Data(pairs) => pairs.sort(),
         Metadata(pairs) => pairs.sort_by(|x, y| x.0.cmp(&y.0)),
         Records(records) => records.sort_by(|x, y| x.key.cmp(&y.key)),
-        Logs(lines) => lines.sort_by_key(|l| l.timestamp_ms),
         _ => {}
     }
     Ok(acc)

@@ -899,7 +899,7 @@ fn decode_log_line(r: &mut Reader<'_>) -> WireResult<LogLine> {
     Ok(LogLine {
         timestamp_ms: r.u64("log timestamp")?,
         actor: r.string("log actor")?,
-        operation: r.string("log operation")?,
+        operation: r.string("log operation")?.into(),
         detail: r.string("log detail")?,
     })
 }
@@ -942,7 +942,7 @@ pub fn encode_gdpr_response(w: &mut Writer, resp: &GdprResponse) {
         Logs(lines) => {
             w.u8(6);
             w.count(lines.len());
-            for line in lines {
+            for line in lines.iter() {
                 encode_log_line(w, line);
             }
         }
@@ -993,7 +993,7 @@ pub fn decode_gdpr_response(r: &mut Reader<'_>) -> WireResult<GdprResponse> {
             for _ in 0..n {
                 lines.push(decode_log_line(r)?);
             }
-            Logs(lines)
+            Logs(lines.into())
         }
         7 => Features(decode_feature_report(r)?),
         8 => DeletionVerified(r.bool("deletion verdict")?),
@@ -1248,12 +1248,15 @@ mod tests {
         let bodies = vec![
             ResponseBody::Response(GdprResponse::Created),
             ResponseBody::Response(GdprResponse::Records(vec![record()])),
-            ResponseBody::Response(GdprResponse::Logs(vec![LogLine {
-                timestamp_ms: 12,
-                actor: "customer:neo".to_string(),
-                operation: "read-data-by-usr".to_string(),
-                detail: "usr=neo [ok] n=2".to_string(),
-            }])),
+            ResponseBody::Response(GdprResponse::Logs(
+                vec![LogLine {
+                    timestamp_ms: 12,
+                    actor: "customer:neo".to_string(),
+                    operation: "read-data-by-usr".into(),
+                    detail: "usr=neo [ok] n=2".to_string(),
+                }]
+                .into(),
+            )),
             ResponseBody::Error(GdprError::ShardMisroute {
                 key: "k".to_string(),
                 found_in: 1,
@@ -1285,6 +1288,58 @@ mod tests {
             assert_eq!(got_seq, seq as u64);
             assert_eq!(got, body);
         }
+    }
+
+    /// A `Logs` window over several shared chunks — starting inside a
+    /// sealed chunk, ending in the open tail — goes on the wire as the flat
+    /// list did (opcode, count, four fields per line) and decodes back equal.
+    #[test]
+    fn multi_chunk_logs_encode_as_the_flat_list() {
+        use gdpr_core::audit::{AuditTrail, CHUNK_LINES};
+        let sim = clock::sim();
+        let trail = AuditTrail::new(sim.clone());
+        let session = Session::customer("neo");
+        for i in 0..2 * CHUNK_LINES + 40 {
+            sim.advance(Duration::from_millis(1));
+            trail.record(&session, "read-data-by-key", format!("key=k{i}"), Ok(i));
+        }
+        let window = trail.lines_between(CHUNK_LINES as u64 / 2, u64::MAX);
+        assert_eq!(window.len(), 2 * CHUNK_LINES + 40 - (CHUNK_LINES / 2 - 1));
+
+        let mut flat = Writer::new();
+        flat.u8(6);
+        flat.count(window.len());
+        for line in window.to_vec() {
+            flat.u64(line.timestamp_ms);
+            flat.string(&line.actor);
+            flat.string(&line.operation);
+            flat.string(&line.detail);
+        }
+        let response = GdprResponse::Logs(window);
+        let mut w = Writer::new();
+        encode_gdpr_response(&mut w, &response);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, flat.into_bytes());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(decode_gdpr_response(&mut r).unwrap(), response);
+        r.finish().unwrap();
+
+        // And the bytes themselves, on a one-line trail.
+        let trail = AuditTrail::new(sim.clone());
+        trail.record(&session, "x", "k".into(), Ok(2));
+        let mut w = Writer::new();
+        encode_gdpr_response(
+            &mut w,
+            &GdprResponse::Logs(trail.lines_between(0, u64::MAX)),
+        );
+        let mut golden = vec![6, 0, 0, 0, 1];
+        golden.extend((2 * CHUNK_LINES as u64 + 40).to_be_bytes());
+        golden.extend([0, 0, 0, 12]);
+        golden.extend(b"customer:neo");
+        golden.extend([0, 0, 0, 1, b'x']);
+        golden.extend([0, 0, 0, 10]);
+        golden.extend(b"k [ok] n=2");
+        assert_eq!(w.into_bytes(), golden);
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl Oracle {
                 }
                 GdprResponse::Updated(n)
             }
-            GetSystemLogs { .. } => GdprResponse::Logs(Vec::new()),
+            GetSystemLogs { .. } => GdprResponse::Logs(Default::default()),
             GetSystemFeatures => GdprResponse::Features(Default::default()),
             VerifyDeletion(key) => GdprResponse::DeletionVerified(!self.records.contains_key(key)),
         })

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         _ => unreachable!(),
     };
     println!("audit entries in breach window: {}", lines.len());
-    for line in &lines {
+    for line in lines.iter() {
         println!("  {} {} {}", line.actor, line.operation, line.detail);
     }
 

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         logs.cardinality()
     );
     if let gdprbench_repro::gdpr_core::GdprResponse::Logs(lines) = &logs {
-        for line in lines {
+        for line in lines.iter() {
             println!(
                 "  [{:>6}ms] {:<22} {:<24} {}",
                 line.timestamp_ms, line.actor, line.operation, line.detail

@@ -22,7 +22,7 @@ fn erasure_workflow(
         &Session,
         &GdprQuery,
     ) -> Result<GdprResponse, gdprbench_repro::gdpr_core::GdprError>,
-) -> Result<Vec<gdprbench_repro::gdpr_core::response::LogLine>, Box<dyn std::error::Error>> {
+) -> Result<gdprbench_repro::gdpr_core::response::LogLines, Box<dyn std::error::Error>> {
     let controller = Session::controller();
     for (key, user, purposes) in [
         ("rec-1", "trinity", vec!["billing", "ads"]),

@@ -431,10 +431,11 @@ mod server_wire {
                         .map(|_| LogLine {
                             timestamp_ms: rng.gen::<u64>(),
                             actor: field(rng),
-                            operation: field(rng),
+                            operation: field(rng).into(),
                             detail: field(rng),
                         })
-                        .collect(),
+                        .collect::<Vec<_>>()
+                        .into(),
                 )
             }
             7 => Features(arb_feature_report(rng)),
@@ -1900,5 +1901,116 @@ mod secure_transport {
             "every interrupted connection was accepted before failing"
         );
         server.shutdown();
+    }
+}
+
+/// The chunked audit trail against a flat `Vec` filtered naively: any
+/// interleaving of single and batched appends, any `[from, to]` window.
+mod audit_trail {
+    use super::*;
+    use gdprbench_repro::clock::{self, Clock};
+    use gdprbench_repro::gdpr_core::audit::{AuditDraft, AuditTrail, CHUNK_LINES};
+    use gdprbench_repro::gdpr_core::response::LogLine;
+    use gdprbench_repro::gdpr_core::Session;
+
+    /// Append one batch per `(advance_ms, size)` — size 1 through `record`,
+    /// larger through `record_batch` — and keep the flat model beside it.
+    fn build(batches: &[(u64, usize)]) -> (AuditTrail, Vec<LogLine>) {
+        let sim = clock::sim();
+        let trail = AuditTrail::new(sim.clone());
+        let session = Session::customer("neo");
+        let mut model = Vec::new();
+        for &(advance_ms, size) in batches {
+            sim.advance(Duration::from_millis(advance_ms));
+            let next = model.len()..model.len() + size;
+            if size == 1 {
+                let i = next.start;
+                trail.record(&session, "read-data-by-key", format!("key=k{i}"), Ok(i));
+            } else {
+                trail.record_batch(next.clone().map(|i| {
+                    AuditDraft::new(&session, "read-data-by-key", format!("key=k{i}"), Ok(i))
+                }));
+            }
+            model.extend(next.map(|i| LogLine {
+                timestamp_ms: sim.now().as_millis(),
+                actor: "customer:neo".to_string(),
+                operation: "read-data-by-key".into(),
+                detail: format!("key=k{i} [ok] n={i}"),
+            }));
+        }
+        (trail, model)
+    }
+
+    fn assert_window(trail: &AuditTrail, model: &[LogLine], from: u64, to: u64) {
+        let expected: Vec<LogLine> = model
+            .iter()
+            .filter(|l| l.timestamp_ms >= from && l.timestamp_ms <= to)
+            .cloned()
+            .collect();
+        let got = trail.lines_between(from, to);
+        assert_eq!(got.len(), expected.len(), "window [{from}, {to}]");
+        assert_eq!(got.to_vec(), expected, "window [{from}, {to}]");
+        assert!(got.iter().rev().eq(expected.iter().rev()));
+        if let Some(last) = expected.len().checked_sub(1) {
+            assert_eq!(got[last], expected[last]);
+        }
+    }
+
+    #[test]
+    fn chunked_trail_matches_flat_model() {
+        run_cases(60, |rng| {
+            let batches: Vec<(u64, usize)> = (0..rng.gen_range(0usize..60))
+                .map(|_| {
+                    let size = match rng.gen_range(0u32..10) {
+                        0..=4 => 1,
+                        5..=8 => rng.gen_range(2usize..20),
+                        _ => rng.gen_range(CHUNK_LINES - 2..2 * CHUNK_LINES + 3),
+                    };
+                    (rng.gen_range(0u64..4), size)
+                })
+                .collect();
+            let (trail, model) = build(&batches);
+            assert_eq!(trail.len(), model.len());
+            assert_window(&trail, &model, 0, u64::MAX);
+            let horizon = model.last().map_or(0, |l| l.timestamp_ms) + 3;
+            for _ in 0..30 {
+                let (from, to) = (rng.gen_range(0..horizon), rng.gen_range(0..horizon));
+                assert_window(&trail, &model, from, to);
+            }
+        });
+    }
+
+    #[test]
+    fn pinned_windows() {
+        let c = CHUNK_LINES as u64;
+        // Empty trail.
+        let (trail, model) = build(&[]);
+        assert_window(&trail, &model, 0, u64::MAX);
+        assert_window(&trail, &model, 5, 3);
+        // One line per millisecond: line i is stamped i + 1.
+        let (trail, model) = build(&vec![(1, 1); 2 * CHUNK_LINES + 50]);
+        for (from, to) in [
+            (c + 10, c + 20),         // inside one sealed chunk
+            (c + 1, 2 * c),           // exactly one sealed chunk
+            (c, c + 1),               // the last line of one, the first of the next
+            (1, c),                   // ends on a chunk's last line
+            (2 * c + 1, u64::MAX),    // exactly the open tail
+            (2 * c + 10, 2 * c + 20), // inside the open tail
+            (c - 5, u64::MAX),        // sealed chunks into the open tail
+            (0, 0),                   // before the first line
+            (3 * c, u64::MAX),        // after the last line
+            (c + 20, c + 10),         // inverted
+        ] {
+            assert_window(&trail, &model, from, to);
+        }
+        // No open tail at all.
+        let (trail, model) = build(&vec![(1, 1); 2 * CHUNK_LINES]);
+        assert_window(&trail, &model, 0, u64::MAX);
+        assert_window(&trail, &model, 2 * c, 2 * c);
+        // One timestamp straddling a chunk boundary.
+        let (trail, model) = build(&[(1, CHUNK_LINES - 5), (1, 10), (1, 7)]);
+        assert_window(&trail, &model, 2, 2);
+        assert_window(&trail, &model, 2, 3);
+        assert_window(&trail, &model, 1, 2);
     }
 }
