@@ -381,43 +381,111 @@ fn regulator_gets_logs_but_never_data() {
     }
 }
 
-/// A GET-SYSTEM-LOGS inside a batch sees every batch predecessor — here
-/// more of them than one audit chunk holds — and nothing after itself,
-/// on both engines and over the wire.
+/// A batch — what a pipelined wire burst becomes — answers exactly as the
+/// same ops through `execute` one at a time: writes to one key and the
+/// point and fan-out reads between them stay ordered, a failing op fails
+/// at its own position only, and a GET-SYSTEM-LOGS inside the batch sees
+/// every batch predecessor — here more of them than one audit chunk holds — and
+/// nothing after itself. On every variant in-process and over the wire,
+/// which must also leave line-identical audit trails.
 #[test]
 fn log_read_mid_batch_sees_its_predecessors() {
-    let before = gdpr_core::audit::CHUNK_LINES + 3;
+    let controller = Session::controller();
     let regulator = Session::regulator();
     let logs = GdprQuery::GetSystemLogs {
         from_ms: 0,
         to_ms: u64::MAX,
     };
-    for conn in connectors() {
-        let mut batch: Vec<(Session, GdprQuery)> = (0..before)
-            .map(|i| {
-                let probe = GdprQuery::VerifyDeletion(format!("gone-{i}"));
-                (regulator.clone(), probe)
-            })
-            .collect();
-        batch.push((regulator.clone(), logs.clone()));
-        batch.push((regulator.clone(), GdprQuery::GetSystemFeatures));
-        let results = conn.execute_batch(batch);
+    let mut batch = vec![
+        (
+            controller.clone(),
+            GdprQuery::CreateRecord(record("b-1", "neo", &["ads"], "v1")),
+        ),
+        (
+            controller.clone(),
+            GdprQuery::UpdateDataByKey {
+                key: "b-1".into(),
+                data: "v2".into(),
+            },
+        ),
+        (
+            Session::processor("ads"),
+            GdprQuery::ReadDataByKey("b-1".into()),
+        ),
+        (
+            controller.clone(),
+            GdprQuery::CreateRecord(record("b-1", "neo", &["ads"], "v3")),
+        ),
+        (
+            Session::customer("neo"),
+            GdprQuery::ReadDataByUser("trinity".into()),
+        ),
+        (
+            Session::customer("neo"),
+            GdprQuery::ReadDataByUser("neo".into()),
+        ),
+        (controller.clone(), GdprQuery::DeleteByKey("b-1".into())),
+        (regulator.clone(), GdprQuery::VerifyDeletion("b-1".into())),
+    ];
+    batch.extend((0..gdpr_core::audit::CHUNK_LINES).map(|i| {
+        let probe = GdprQuery::VerifyDeletion(format!("gone-{i}"));
+        (regulator.clone(), probe)
+    }));
+    let before = batch.len();
+    batch.push((regulator.clone(), logs.clone()));
+    batch.push((regulator.clone(), GdprQuery::GetSystemFeatures));
+
+    // Timestamps are wall-clock and differ between instances.
+    let untimed = |lines: &gdpr_core::response::LogLines| -> Vec<(String, String, String)> {
+        lines
+            .iter()
+            .map(|l| (l.actor.clone(), l.operation.to_string(), l.detail.clone()))
+            .collect()
+    };
+    let mut trails = Vec::new();
+    for (conn, sequential) in connectors().into_iter().zip(connectors()) {
+        let name = conn.name().to_string();
+        let results = conn.execute_batch(batch.clone());
+        assert_eq!(results.len(), batch.len(), "{name}");
+        for (i, ((session, query), result)) in batch.iter().zip(&results).enumerate() {
+            match (result, sequential.execute(session, query)) {
+                (Ok(GdprResponse::Logs(got)), Ok(GdprResponse::Logs(want))) => {
+                    assert_eq!(untimed(got), untimed(&want), "{name}: op {i}")
+                }
+                (got, want) => assert_eq!(got, &want, "{name}: op {i}"),
+            }
+        }
+        assert_eq!(
+            results[2],
+            Ok(GdprResponse::Data(vec![("b-1".into(), "v2".into())])),
+            "{name}: the read must see both writes before it"
+        );
+        assert!(matches!(results[3], Err(GdprError::AlreadyExists(_))));
+        assert!(matches!(results[4], Err(GdprError::AccessDenied { .. })));
+        assert_eq!(results[5], results[2], "{name}: a fan-out mid-batch");
+        assert_eq!(results[6], Ok(GdprResponse::Deleted(1)), "{name}");
+        assert_eq!(results[7], Ok(GdprResponse::DeletionVerified(true)));
         match results[before].as_ref().unwrap() {
             GdprResponse::Logs(lines) => {
-                assert_eq!(lines.len(), before, "{}", conn.name());
-                assert!(lines.iter().all(|l| l.operation == "verify-deletion"));
+                assert_eq!(lines.len(), before, "{name}");
+                assert_eq!(lines[1].operation, "update-data-by-key");
                 assert_eq!(
                     lines[before - 1].detail,
-                    format!("key=gone-{} [ok] n=1", before - 1)
+                    format!("key=gone-{} [ok] n=1", gdpr_core::audit::CHUNK_LINES - 1)
                 );
             }
-            other => panic!("{}: expected logs, got {other:?}", conn.name()),
+            other => panic!("{name}: expected logs, got {other:?}"),
         }
         match conn.execute(&regulator, &logs).unwrap() {
-            GdprResponse::Logs(lines) => assert_eq!(lines.len(), before + 2, "{}", conn.name()),
-            other => panic!("{}: expected logs, got {other:?}", conn.name()),
+            GdprResponse::Logs(lines) => {
+                assert_eq!(lines.len(), before + 2, "{name}");
+                trails.push((name, untimed(&lines)));
+            }
+            other => panic!("{name}: expected logs, got {other:?}"),
         }
     }
+    let (in_process, over_tcp) = trails.split_at(trails.len() / 2);
+    assert_eq!(in_process, over_tcp);
 }
 
 #[test]
@@ -795,8 +863,8 @@ fn negative_predicates_resolve_via_index_on_every_indexed_variant() {
         );
         for shard in 0..shards {
             assert!(
-                sharded_conn
-                    .metadata_index(shard)
+                sharded_conn.shards()[shard]
+                    .metadata_index()
                     .unwrap()
                     .keys_for(pred)
                     .is_some(),
@@ -1243,6 +1311,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
         })
         .collect();
     let conn = ShardedRedisConnector::with_metadata_index(stores).unwrap();
+    let index = |shard: usize| conn.shards()[shard].metadata_index().unwrap();
     let controller = Session::controller();
     // Enough keys that every shard owns some; all expire at t=10s.
     let mut keys_of_shard: Vec<Vec<String>> = vec![Vec::new(); shards];
@@ -1256,7 +1325,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
     }
     for (i, keys) in keys_of_shard.iter().enumerate() {
         assert!(!keys.is_empty(), "shard {i} owns no keys; widen the corpus");
-        assert_eq!(conn.metadata_index(i).unwrap().len(), keys.len());
+        assert_eq!(index(i).len(), keys.len());
     }
 
     sim.advance(Duration::from_secs(11));
@@ -1265,12 +1334,12 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
     assert_eq!(reaped, keys_of_shard[0].len());
     for key in &keys_of_shard[0] {
         assert!(
-            conn.metadata_index(0).unwrap().fully_absent(key),
+            index(0).fully_absent(key),
             "{key} must leave shard 0's index"
         );
         for other in 1..shards {
             assert!(
-                conn.metadata_index(other).unwrap().fully_absent(key),
+                index(other).fully_absent(key),
                 "{key} must never appear in shard {other}'s index"
             );
         }
@@ -1279,7 +1348,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
     // keys are still indexed until their own shard reaps them.
     for (other, keys) in keys_of_shard.iter().enumerate().skip(1) {
         assert_eq!(
-            conn.metadata_index(other).unwrap().len(),
+            index(other).len(),
             keys.len(),
             "shard {other}'s index must not be scrubbed by shard 0's cycle"
         );
@@ -1295,17 +1364,14 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
         ),
         Err(GdprError::NotFound(_))
     ));
-    assert!(conn.metadata_index(1).unwrap().fully_absent(probe));
+    assert!(index(1).fully_absent(probe));
 
     // DELETE-RECORD-BY-TTL drains every shard's deadline set; all indexes
     // end empty with nothing stranded anywhere.
     conn.execute(&controller, &GdprQuery::DeleteExpired)
         .unwrap();
     for i in 0..shards {
-        assert!(
-            conn.metadata_index(i).unwrap().is_empty(),
-            "shard {i}'s index must end empty"
-        );
+        assert!(index(i).is_empty(), "shard {i}'s index must end empty");
     }
     assert_eq!(conn.record_count(), 0);
 }
@@ -1857,7 +1923,10 @@ fn restart_equivalence_sharded_and_remote() {
     let original =
         ShardedRedisConnector::with_metadata_index_snapshots(fleet.clone(), &dir).unwrap();
     restart_op_mix(&original);
-    assert!(original.close().unwrap() > 0, "close persists the images");
+    assert!(
+        original.engine().close().unwrap() > 0,
+        "close persists the images"
+    );
 
     let restarted_fleet: Vec<Arc<kvstore::KvStore>> = fleet
         .iter()
@@ -1870,9 +1939,12 @@ fn restart_equivalence_sharded_and_remote() {
         ShardedRedisConnector::with_metadata_index_snapshots(restarted_fleet, &dir).unwrap();
     for shard in 0..shards {
         assert!(
-            restarted.index_recovery(shard).unwrap().is_restored(),
+            restarted.shards()[shard]
+                .index_recovery()
+                .unwrap()
+                .is_restored(),
             "shard {shard} must recover through the snapshot, got {:?}",
-            restarted.index_recovery(shard)
+            restarted.shards()[shard].index_recovery()
         );
     }
     assert_restart_equivalent(&original, &restarted, "sharded in-process");
@@ -1891,7 +1963,7 @@ fn restart_equivalence_redis_mi() {
     let store = kvstore::KvStore::open_with_clock(aof_kv_config(), sim.clone()).unwrap();
     let original = RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
     restart_op_mix(&original);
-    assert!(original.close().unwrap() > 0);
+    assert!(original.engine().close().unwrap() > 0);
 
     let aof = store.aof_memory_buffer().unwrap().lock().clone();
     let replayed = kvstore::KvStore::replay(aof_kv_config(), &aof, sim.clone()).unwrap();
@@ -2007,9 +2079,12 @@ fn restart_equivalence_disk_sharded_wal_and_snapshots() {
         crate::ShardedDiskConnector::with_metadata_index_snapshots(refleet, &snaps).unwrap();
     for shard in 0..shards {
         assert!(
-            restarted.index_recovery(shard).unwrap().is_restored(),
+            restarted.shards()[shard]
+                .index_recovery()
+                .unwrap()
+                .is_restored(),
             "shard {shard} must recover through the snapshot, got {:?}",
-            restarted.index_recovery(shard)
+            restarted.shards()[shard].index_recovery()
         );
     }
     assert_restart_equivalent(&original, &restarted, "disk-sharded in-process");

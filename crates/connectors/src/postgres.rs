@@ -20,17 +20,13 @@
 //!   (inverted for the array ones), turning those scans into probes
 //!   (Figure 5c) at the Table 3 space cost (3.5× → 5.95×).
 
-use gdpr_core::audit::AuditTrail;
+use crate::Connector;
 use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::engine::ComplianceEngine;
 use gdpr_core::error::{GdprError, GdprResult};
-use gdpr_core::query::GdprQuery;
 use gdpr_core::record::{Metadata, PersonalRecord};
-use gdpr_core::response::GdprResponse;
-use gdpr_core::role::Session;
 use gdpr_core::store::{RecordPredicate, RecordStore};
-use gdpr_core::GdprConnector;
 use relstore::ttl::{SweepTarget, TtlDaemon};
 use relstore::{ColumnType, Database, Datum, Predicate, RelConfig, Statement, StatementResult};
 use std::sync::Arc;
@@ -283,6 +279,13 @@ impl RecordStore for PostgresStore {
         Some(self.db.mutation_generation())
     }
 
+    /// Graceful-shutdown flush: sync the WAL.
+    fn flush(&self) -> GdprResult<()> {
+        self.db
+            .sync_wal()
+            .map_err(|e| GdprError::Store(e.to_string()))
+    }
+
     fn select(&self, pred: &RecordPredicate) -> Option<GdprResult<Vec<PersonalRecord>>> {
         Some(self.select_records(Self::translate(pred)))
     }
@@ -344,9 +347,7 @@ impl RecordStore for PostgresStore {
 
 /// GDPR connector over [`relstore::Database`]: the shared engine driving a
 /// [`PostgresStore`] backend.
-pub struct PostgresConnector {
-    engine: ComplianceEngine<PostgresStore>,
-}
+pub type PostgresConnector = Connector<ComplianceEngine<PostgresStore>>;
 
 impl PostgresConnector {
     /// Create the connector and its `personal_data` table over an open
@@ -358,9 +359,7 @@ impl PostgresConnector {
             variant_name: "postgres",
         };
         backend.create_table()?;
-        Ok(PostgresConnector {
-            engine: ComplianceEngine::new(backend),
-        })
+        Ok(Connector::over(ComplianceEngine::new(backend)))
     }
 
     /// As [`Self::new`], then add a secondary index on every metadata
@@ -373,9 +372,7 @@ impl PostgresConnector {
         };
         backend.create_table()?;
         backend.create_metadata_indices()?;
-        Ok(PostgresConnector {
-            engine: ComplianceEngine::new(backend),
-        })
+        Ok(Connector::over(ComplianceEngine::new(backend)))
     }
 
     /// As [`Self::new`], but the *engine* additionally maintains a
@@ -397,29 +394,8 @@ impl PostgresConnector {
             variant_name: "postgres-emi",
         };
         backend.create_table()?;
-        Ok(PostgresConnector {
-            engine: ComplianceEngine::with_metadata_index_snapshot(backend, path)?,
-        })
-    }
-
-    /// How the engine index came up (snapshot-aware variant only).
-    pub fn index_recovery(&self) -> Option<&gdpr_core::IndexRecovery> {
-        self.engine.index_recovery()
-    }
-
-    /// The engine's metadata index (snapshot-aware variant only).
-    pub fn metadata_index(&self) -> Option<&Arc<gdpr_core::MetadataIndex>> {
-        self.engine.metadata_index()
-    }
-
-    /// Graceful close: snapshot the engine index when so configured, and
-    /// flush the WAL.
-    pub fn close(&self) -> GdprResult<usize> {
-        let written = self.engine.close()?;
-        self.database()
-            .sync_wal()
-            .map_err(|e| GdprError::Store(e.to_string()))?;
-        Ok(written)
+        let engine = ComplianceEngine::with_metadata_index_snapshot(backend, path)?;
+        Ok(Connector::over(engine))
     }
 
     /// Open a fully compliant in-memory database and wrap it (baseline
@@ -432,12 +408,7 @@ impl PostgresConnector {
 
     /// The underlying database (for harnesses and daemons).
     pub fn database(&self) -> &Arc<Database> {
-        &self.engine.store().db
-    }
-
-    /// The audit trail.
-    pub fn audit(&self) -> &AuditTrail {
-        self.engine.audit()
+        &self.engine().store().db
     }
 
     /// A TTL sweep daemon targeting the personal-data table (§5.2's
@@ -445,56 +416,11 @@ impl PostgresConnector {
     /// `sweep_once()` from simulated-clock harnesses.
     pub fn ttl_daemon(&self) -> TtlDaemon {
         TtlDaemon::new(
-            Arc::clone(&self.engine.store().db),
+            Arc::clone(self.database()),
             vec![SweepTarget {
                 table: TABLE.to_string(),
                 expiry_column: "expiry".to_string(),
             }],
         )
-    }
-}
-
-impl GdprConnector for PostgresConnector {
-    fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
-        self.engine.execute(session, query)
-    }
-
-    fn features(&self) -> FeatureReport {
-        self.engine.features()
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        self.engine.space_report()
-    }
-
-    fn record_count(&self) -> usize {
-        self.engine.record_count()
-    }
-
-    fn name(&self) -> &str {
-        self.engine.name()
-    }
-
-    fn op_telemetry(&self) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry()
-    }
-
-    fn op_telemetry_for(
-        &self,
-        tenant: &gdpr_core::tenant::TenantId,
-    ) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry_for(tenant)
-    }
-
-    fn tenant_telemetry(&self) -> Vec<(String, gdpr_core::telemetry::OpTelemetrySnapshot)> {
-        self.engine.tenant_telemetry()
-    }
-
-    fn provision_tenant(&self, tenant: &gdpr_core::tenant::TenantId) -> GdprResult<()> {
-        self.engine.provision_tenant(tenant)
-    }
-
-    fn close(&self) -> GdprResult<()> {
-        PostgresConnector::close(self).map(|_| ())
     }
 }

@@ -19,20 +19,15 @@
 //!   [`kvstore::KvStore::set_expiry_listener`], so the index never
 //!   advertises reaped personal data.
 
+use crate::Connector;
 use bytes::Bytes;
-use gdpr_core::audit::AuditTrail;
 use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::engine::ComplianceEngine;
 use gdpr_core::error::{GdprError, GdprResult};
-use gdpr_core::metaindex::MetadataIndex;
-use gdpr_core::query::GdprQuery;
 use gdpr_core::record::PersonalRecord;
-use gdpr_core::response::GdprResponse;
-use gdpr_core::role::Session;
 use gdpr_core::store::{ExpiryListener, RecordStore};
 use gdpr_core::wire;
-use gdpr_core::GdprConnector;
 use kvstore::expire::ExpirationMode;
 use kvstore::{Command, KvConfig, KvStore};
 use std::sync::Arc;
@@ -295,6 +290,11 @@ impl RecordStore for RedisStore {
         Some(self.store.mutation_generation())
     }
 
+    /// Graceful-shutdown flush: sync the AOF.
+    fn flush(&self) -> GdprResult<()> {
+        self.store.sync_aof().map_err(Self::store_err)
+    }
+
     fn on_expiry(&self, listener: ExpiryListener) {
         self.store
             .set_expiry_listener(Arc::new(move |storage_key: &[u8]| {
@@ -361,70 +361,34 @@ impl RecordStore for RedisStore {
 
 /// GDPR connector over [`kvstore::KvStore`]: the shared engine driving a
 /// [`RedisStore`] backend.
-pub struct RedisConnector {
-    engine: ComplianceEngine<RedisStore>,
-}
+pub type RedisConnector = Connector<ComplianceEngine<RedisStore>>;
 
 impl RedisConnector {
     /// Wrap an open store, paper-faithful (no metadata index: every
     /// metadata query scans the keyspace).
     pub fn new(store: Arc<KvStore>) -> Self {
-        RedisConnector {
-            engine: ComplianceEngine::new(RedisStore {
-                store,
-                variant_name: "redis",
-            }),
-        }
+        Connector::over(ComplianceEngine::new(RedisStore::over(store, "redis")))
     }
 
     /// Wrap an open store with an engine-maintained metadata index —
     /// O(matches) predicate lookups at index-maintenance cost on writes.
     pub fn with_metadata_index(store: Arc<KvStore>) -> GdprResult<Self> {
-        let backend = RedisStore {
-            store,
-            variant_name: "redis-mi",
-        };
-        Ok(RedisConnector {
-            engine: ComplianceEngine::with_metadata_index(backend)?,
-        })
+        let engine = ComplianceEngine::with_metadata_index(RedisStore::over(store, "redis-mi"))?;
+        Ok(Connector::over(engine))
     }
 
     /// As [`Self::with_metadata_index`], but the index recovers through
     /// the snapshot image at `path` — O(index) when the image's
     /// generation stamp matches the store's AOF position, the usual O(n)
-    /// scan-backfill (loudly) otherwise — and [`Self::close`] /
-    /// [`Self::write_index_snapshot`] persist it there again.
+    /// scan-backfill (loudly) otherwise — and `close` /
+    /// `write_index_snapshot` persist it there again.
     pub fn with_metadata_index_snapshot(
         store: Arc<KvStore>,
         path: impl Into<std::path::PathBuf>,
     ) -> GdprResult<Self> {
-        let backend = RedisStore {
-            store,
-            variant_name: "redis-mi",
-        };
-        Ok(RedisConnector {
-            engine: ComplianceEngine::with_metadata_index_snapshot(backend, path)?,
-        })
-    }
-
-    /// How the index came up (snapshot-aware variant only).
-    pub fn index_recovery(&self) -> Option<&gdpr_core::IndexRecovery> {
-        self.engine.index_recovery()
-    }
-
-    /// Persist the index snapshot now (snapshot-aware variant only).
-    pub fn write_index_snapshot(&self) -> GdprResult<usize> {
-        self.engine.write_index_snapshot()
-    }
-
-    /// Graceful close: snapshot the index when so configured, and flush
-    /// the store's AOF.
-    pub fn close(&self) -> GdprResult<usize> {
-        let written = self.engine.close()?;
-        self.store()
-            .sync_aof()
-            .map_err(|e| GdprError::Store(e.to_string()))?;
-        Ok(written)
+        let backend = RedisStore::over(store, "redis-mi");
+        let engine = ComplianceEngine::with_metadata_index_snapshot(backend, path)?;
+        Ok(Connector::over(engine))
     }
 
     /// Open a fully GDPR-compliant in-memory store (strict TTL, read
@@ -437,61 +401,6 @@ impl RedisConnector {
 
     /// The underlying store (for experiment harnesses).
     pub fn store(&self) -> &Arc<KvStore> {
-        &self.engine.store().store
-    }
-
-    /// The audit trail.
-    pub fn audit(&self) -> &AuditTrail {
-        self.engine.audit()
-    }
-
-    /// The engine's metadata index (present on the `-mi` variant).
-    pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
-        self.engine.metadata_index()
-    }
-}
-
-impl GdprConnector for RedisConnector {
-    fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
-        self.engine.execute(session, query)
-    }
-
-    fn features(&self) -> FeatureReport {
-        self.engine.features()
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        self.engine.space_report()
-    }
-
-    fn record_count(&self) -> usize {
-        self.engine.record_count()
-    }
-
-    fn name(&self) -> &str {
-        self.engine.name()
-    }
-
-    fn op_telemetry(&self) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry()
-    }
-
-    fn op_telemetry_for(
-        &self,
-        tenant: &gdpr_core::tenant::TenantId,
-    ) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry_for(tenant)
-    }
-
-    fn tenant_telemetry(&self) -> Vec<(String, gdpr_core::telemetry::OpTelemetrySnapshot)> {
-        self.engine.tenant_telemetry()
-    }
-
-    fn provision_tenant(&self, tenant: &gdpr_core::tenant::TenantId) -> GdprResult<()> {
-        self.engine.provision_tenant(tenant)
-    }
-
-    fn close(&self) -> GdprResult<()> {
-        RedisConnector::close(self).map(|_| ())
+        self.engine().store().kv()
     }
 }

@@ -21,47 +21,37 @@
 //!   owning shard's index (`redis-sharded`).
 
 use crate::redis::RedisStore;
-use gdpr_core::audit::AuditTrail;
-use gdpr_core::compliance::FeatureReport;
-use gdpr_core::connector::SpaceReport;
+use crate::Connector;
 use gdpr_core::error::{GdprError, GdprResult};
-use gdpr_core::metaindex::MetadataIndex;
-use gdpr_core::query::GdprQuery;
-use gdpr_core::response::GdprResponse;
-use gdpr_core::role::Session;
 use gdpr_core::sharded::ShardedEngine;
-use gdpr_core::GdprConnector;
 use kvstore::{KvConfig, KvStore};
 use std::sync::Arc;
 
 /// GDPR connector hash-partitioning records across N key-value stores.
-pub struct ShardedRedisConnector {
-    engine: ShardedEngine<RedisStore>,
+pub type ShardedRedisConnector = Connector<ShardedEngine<RedisStore>>;
+
+fn backends(stores: Vec<Arc<KvStore>>) -> Vec<RedisStore> {
+    stores
+        .into_iter()
+        .map(|s| RedisStore::over(s, "redis"))
+        .collect()
 }
 
 impl ShardedRedisConnector {
     /// Wrap open stores, one per shard, scan-based (paper-faithful within
     /// each shard: every metadata query scans the shard's keyspace).
     pub fn new(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
-        let backends = stores
-            .into_iter()
-            .map(|s| RedisStore::over(s, "redis"))
-            .collect();
-        Ok(ShardedRedisConnector {
-            engine: ShardedEngine::new(backends)?.named("redis-sharded-scan"),
-        })
+        Ok(Connector::over(
+            ShardedEngine::new(backends(stores))?.named("redis-sharded-scan"),
+        ))
     }
 
     /// Wrap open stores with a per-shard engine-maintained metadata index —
     /// the headline `redis-sharded` variant.
     pub fn with_metadata_index(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
-        let backends = stores
-            .into_iter()
-            .map(|s| RedisStore::over(s, "redis"))
-            .collect();
-        Ok(ShardedRedisConnector {
-            engine: ShardedEngine::with_metadata_index(backends)?.named("redis-sharded"),
-        })
+        Ok(Connector::over(
+            ShardedEngine::with_metadata_index(backends(stores))?.named("redis-sharded"),
+        ))
     }
 
     /// The snapshot-aware sharded open path: as
@@ -70,42 +60,15 @@ impl ShardedRedisConnector {
     /// shard store's AOF position and was written as shard *i* of exactly
     /// this shard count — a reopen under a different count rebuilds every
     /// index (the header records the topology), consistent with
-    /// [`Self::verify_placement`] flagging the store side.
+    /// `verify_placement` flagging the store side.
     pub fn with_metadata_index_snapshots(
         stores: Vec<Arc<KvStore>>,
         dir: impl AsRef<std::path::Path>,
     ) -> GdprResult<Self> {
-        let backends = stores
-            .into_iter()
-            .map(|s| RedisStore::over(s, "redis"))
-            .collect();
-        Ok(ShardedRedisConnector {
-            engine: ShardedEngine::with_metadata_index_snapshots(backends, dir)?
+        Ok(Connector::over(
+            ShardedEngine::with_metadata_index_snapshots(backends(stores), dir)?
                 .named("redis-sharded"),
-        })
-    }
-
-    /// How one shard's index came up (snapshot-aware variant only).
-    pub fn index_recovery(&self, shard: usize) -> Option<&gdpr_core::IndexRecovery> {
-        self.engine.shards()[shard].index_recovery()
-    }
-
-    /// Persist every shard's index snapshot now (snapshot-aware variant
-    /// only). Returns total entries written.
-    pub fn write_index_snapshots(&self) -> GdprResult<usize> {
-        self.engine.write_index_snapshots()
-    }
-
-    /// Graceful close: snapshot every shard's index when so configured,
-    /// and flush every shard's AOF.
-    pub fn close(&self) -> GdprResult<usize> {
-        let written = self.engine.close()?;
-        for i in 0..self.shard_count() {
-            self.store(i)
-                .sync_aof()
-                .map_err(|e| GdprError::Store(e.to_string()))?;
-        }
-        Ok(written)
+        ))
     }
 
     /// Open `shards` fresh in-memory stores under one config and clock and
@@ -136,98 +99,8 @@ impl ShardedRedisConnector {
         Self::open_with_clock(shards, KvConfig::default(), clock::wall())
     }
 
-    /// Open `shards` fully compliant in-memory stores (strict TTL, read
-    /// logging, encryption).
-    pub fn open_compliant(shards: usize) -> GdprResult<Self> {
-        Self::open_with_clock(shards, KvConfig::gdpr_compliant_in_memory(), clock::wall())
-    }
-
-    /// The router engine (shard inspection, placement checks).
-    pub fn engine(&self) -> &ShardedEngine<RedisStore> {
-        &self.engine
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.engine.shard_count()
-    }
-
     /// The underlying store of one shard.
     pub fn store(&self, shard: usize) -> &Arc<KvStore> {
-        self.engine.shards()[shard].store().kv()
-    }
-
-    /// The metadata index of one shard (present on the indexed variant).
-    pub fn metadata_index(&self, shard: usize) -> Option<&Arc<MetadataIndex>> {
-        self.engine.shards()[shard].metadata_index()
-    }
-
-    /// The unified audit trail.
-    pub fn audit(&self) -> &AuditTrail {
-        self.engine.audit()
-    }
-
-    /// Run one active expiration cycle on every shard, returning the total
-    /// reaped (each shard's listener scrubs its own index only).
-    pub fn run_expiration_cycles(&self) -> usize {
-        (0..self.shard_count())
-            .map(|i| self.store(i).run_expiration_cycle().reaped)
-            .sum()
-    }
-
-    /// Fail loudly if any record sits in a shard that does not own it —
-    /// the post-restart guard against a changed shard count.
-    pub fn verify_placement(&self) -> GdprResult<()> {
-        self.engine.verify_placement()
-    }
-
-    /// Migrate misplaced records to their owning shards, preserving
-    /// remaining TTL deadlines. Returns how many records moved.
-    pub fn rebalance(&self) -> GdprResult<usize> {
-        self.engine.rebalance()
-    }
-}
-
-impl GdprConnector for ShardedRedisConnector {
-    fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
-        self.engine.execute(session, query)
-    }
-
-    fn features(&self) -> FeatureReport {
-        self.engine.features()
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        self.engine.space_report()
-    }
-
-    fn record_count(&self) -> usize {
-        self.engine.record_count()
-    }
-
-    fn name(&self) -> &str {
-        GdprConnector::name(&self.engine)
-    }
-
-    fn op_telemetry(&self) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry()
-    }
-
-    fn op_telemetry_for(
-        &self,
-        tenant: &gdpr_core::tenant::TenantId,
-    ) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry_for(tenant)
-    }
-
-    fn tenant_telemetry(&self) -> Vec<(String, gdpr_core::telemetry::OpTelemetrySnapshot)> {
-        self.engine.tenant_telemetry()
-    }
-
-    fn provision_tenant(&self, tenant: &gdpr_core::tenant::TenantId) -> GdprResult<()> {
-        self.engine.provision_tenant(tenant)
-    }
-
-    fn close(&self) -> GdprResult<()> {
-        ShardedRedisConnector::close(self).map(|_| ())
+        self.shards()[shard].store().kv()
     }
 }

@@ -19,10 +19,9 @@ use std::sync::Arc;
 pub const CHUNK_LINES: usize = 256;
 
 /// A not-yet-timestamped audit entry: everything [`AuditTrail::record`]
-/// derives from a session and an outcome, minus the clock read. Batch
-/// execution builds one draft per op and commits them with
-/// [`AuditTrail::record_batch`] — one clock read and one lock acquisition
-/// per batch instead of per op.
+/// derives from a session and an outcome, minus the clock read.
+/// [`AuditTrail::record_batch`] commits any number of them under one clock
+/// read and one lock acquisition; the engines commit one per executed op.
 #[derive(Debug, Clone)]
 pub struct AuditDraft<'a> {
     role: &'static str,

@@ -44,10 +44,12 @@ pub trait GdprConnector: Send + Sync {
     /// Execute a batch of queries, in order, returning one result per op
     /// (same positions). Semantics must be indistinguishable from calling
     /// [`GdprConnector::execute`] sequentially — per-op responses, per-op
-    /// errors, audit entries in op order — but implementations may
-    /// amortize per-call overhead (lock acquisitions, audit commits,
-    /// shard routing) across the batch. The default does the sequential
-    /// thing.
+    /// errors, audit entries in op order. The default does exactly that,
+    /// and both in-process engines keep it: a batch is the unit a server
+    /// hands to an executor thread, not a different execution path. The
+    /// hook exists for connectors with a per-call cost worth amortizing —
+    /// the remote client pipelines the whole batch onto one connection —
+    /// so every wrapper must forward it.
     fn execute_batch(&self, ops: Vec<(Session, GdprQuery)>) -> Vec<GdprResult<GdprResponse>> {
         ops.iter()
             .map(|(session, query)| self.execute(session, query))
@@ -67,11 +69,11 @@ pub trait GdprConnector: Send + Sync {
     /// `postgres-mi`).
     fn name(&self) -> &str;
 
-    /// Graceful shutdown hook: flush whatever durable state the connector
-    /// keeps outside the store's own persistence — today, the metadata
-    /// index snapshot of the snapshot-aware variants. Default no-op;
-    /// callers (e.g. `gdpr-serve`) invoke it exactly once on a clean
-    /// exit, and implementations must tolerate repeated calls.
+    /// Graceful shutdown hook: persist what a clean exit owes — the
+    /// engines write the metadata index snapshot of the snapshot-aware
+    /// variants, then [`crate::RecordStore::flush`] their stores. Default
+    /// no-op; callers (e.g. `gdpr-serve`) invoke it exactly once on a
+    /// clean exit, and implementations must tolerate repeated calls.
     fn close(&self) -> GdprResult<()> {
         Ok(())
     }

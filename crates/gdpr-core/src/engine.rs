@@ -24,7 +24,7 @@
 //! forks.
 
 use crate::acl::{authorize, record_visible};
-use crate::audit::{AuditDraft, AuditTrail};
+use crate::audit::AuditTrail;
 use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
 use crate::error::{GdprError, GdprResult};
@@ -36,15 +36,11 @@ use crate::role::Session;
 use crate::snapshot::{self, IndexRecovery, SnapshotStamp};
 use crate::store::{RecordPredicate, RecordStore};
 use crate::telemetry::{OpTelemetry, OpTelemetrySnapshot};
-use crate::tenant::TenantId;
+use crate::tenant::{TenantId, TenantState, TenantTable};
 use crate::GdprConnector;
 use clock::SharedClock;
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Where (and as which shard of which topology) this engine persists its
 /// index snapshot.
@@ -52,60 +48,6 @@ struct SnapshotConfig {
     path: PathBuf,
     shard_index: u32,
     shard_count: u32,
-}
-
-/// Everything one tenant owns inside an engine: its audit trail (so
-/// GET-SYSTEM-LOGS returns only the caller's interactions), its metadata
-/// index partition (when the engine is indexed), and its telemetry table
-/// (so op/error counts and slow-op lines attribute to a tenant).
-pub(crate) struct TenantState {
-    pub(crate) audit: AuditTrail,
-    pub(crate) index: Option<Arc<MetadataIndex>>,
-    pub(crate) telemetry: Arc<OpTelemetry>,
-}
-
-/// The tenant → state table. The default tenant is a direct field (the
-/// single-tenant hot path never touches a lock); named tenants live in
-/// an RwLock'd map, created lazily on first use or restored at open.
-struct TenantTable {
-    default_state: Arc<TenantState>,
-    extra: RwLock<BTreeMap<String, Arc<TenantState>>>,
-    /// Flipped (and never unflipped) once any named tenant exists — the
-    /// cue for the write paths to stop using store-wide pushdowns that
-    /// would cross tenant boundaries.
-    multi: AtomicBool,
-}
-
-impl TenantTable {
-    fn new(clock: &SharedClock, indexed: bool) -> Arc<TenantTable> {
-        Arc::new(TenantTable {
-            default_state: Arc::new(TenantState {
-                audit: AuditTrail::new(clock.clone()),
-                index: indexed.then(|| Arc::new(MetadataIndex::new())),
-                telemetry: Arc::new(OpTelemetry::new()),
-            }),
-            extra: RwLock::new(BTreeMap::new()),
-            multi: AtomicBool::new(false),
-        })
-    }
-
-    fn get(&self, name: &str) -> Option<Arc<TenantState>> {
-        if name.is_empty() {
-            return Some(Arc::clone(&self.default_state));
-        }
-        self.extra.read().get(name).map(Arc::clone)
-    }
-
-    /// Route a store-side expiry to the owning tenant's index partition.
-    /// Looks up only — a reap never creates tenant state.
-    fn on_store_expiry(&self, storage_key: &str) {
-        let (tenant, _) = TenantId::split_storage_key(storage_key);
-        if let Some(state) = self.get(tenant) {
-            if let Some(index) = &state.index {
-                index.remove(storage_key);
-            }
-        }
-    }
 }
 
 /// The one compliance layer every backend shares.
@@ -132,7 +74,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
     fn build(store: S, indexed: bool) -> ComplianceEngine<S> {
         let clock = store.clock();
         ComplianceEngine {
-            tenants: TenantTable::new(&clock, indexed),
+            tenants: TenantTable::new(clock.clone(), indexed),
             clock,
             store,
             snapshot: None,
@@ -142,14 +84,14 @@ impl<S: RecordStore> ComplianceEngine<S> {
 
     /// Does this engine maintain metadata index partitions?
     fn indexed(&self) -> bool {
-        self.tenants.default_state.index.is_some()
+        self.tenants.indexed()
     }
 
     /// Has any named tenant ever been seen? While false, the engine is in
     /// the degenerate single-tenant mode and keeps the exact pre-tenancy
     /// fast paths (store-wide pushdown deletes and purges).
     fn multi_tenant(&self) -> bool {
-        self.tenants.multi.load(Ordering::Relaxed)
+        self.tenants.multi()
     }
 
     /// An engine maintaining a [`MetadataIndex`] over the store: inverted
@@ -318,53 +260,24 @@ impl<S: RecordStore> ComplianceEngine<S> {
     /// Resolve the state a session's tenant operates in, creating it on
     /// first use (with a scoped backfill when the engine is indexed).
     pub(crate) fn tenant_state(&self, tenant: &TenantId) -> GdprResult<Arc<TenantState>> {
-        if tenant.is_default() {
-            return Ok(Arc::clone(&self.tenants.default_state));
-        }
-        if let Some(state) = self.tenants.get(tenant.name()) {
-            return Ok(state);
-        }
         self.create_or_get_state(tenant, true)
     }
 
-    /// Install a fresh state for `tenant` (or adopt a concurrently
-    /// installed one). The state is registered *before* any backfill so
-    /// concurrent writes from the same tenant index into the installed
-    /// partition rather than a discarded one; the backfill's upserts are
-    /// idempotent against them.
+    /// The state `tenant` operates in, installed on first use (or adopted
+    /// from a concurrent installer). A freshly installed partition is
+    /// backfilled after it is registered; the backfill's upserts are
+    /// idempotent against writes that index into it meanwhile.
     fn create_or_get_state(
         &self,
         tenant: &TenantId,
         backfill: bool,
     ) -> GdprResult<Arc<TenantState>> {
-        if tenant.is_default() {
-            // The default tenant's state is pre-built; routing it through
-            // the `extra` map would shadow it (and wrongly flip `multi`).
-            return Ok(Arc::clone(&self.tenants.default_state));
-        }
-        let state = Arc::new(TenantState {
-            audit: AuditTrail::new(self.clock.clone()),
-            index: self.indexed().then(|| Arc::new(MetadataIndex::new())),
-            telemetry: Arc::new(OpTelemetry::labeled(tenant.label())),
-        });
-        {
-            let mut extra = self.tenants.extra.write();
-            match extra.entry(tenant.name().to_string()) {
-                std::collections::btree_map::Entry::Occupied(existing) => {
-                    return Ok(Arc::clone(existing.get()));
-                }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(Arc::clone(&state));
-                }
-            }
-        }
-        self.tenants.multi.store(true, Ordering::Relaxed);
-        if backfill {
+        let (state, installed) = self.tenants.get_or_install(tenant);
+        if installed && backfill {
             if let Some(index) = &state.index {
                 if let Err(e) = self.backfill_tenant(tenant, index) {
-                    // Never leave a half-built partition behind: an empty
-                    // index would silently answer predicates with misses.
-                    self.tenants.extra.write().remove(tenant.name());
+                    // Never leave a half-built partition behind.
+                    self.tenants.remove(tenant.name());
                     return Err(e);
                 }
             }
@@ -407,15 +320,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
         // every named tenant in name order — the tenant set is part of the
         // checksummed image, so a vanished partition can never be mistaken
         // for an empty-but-trusted one.
-        let mut sections: Vec<(String, Arc<MetadataIndex>)> = Vec::new();
-        if let Some(index) = &self.tenants.default_state.index {
-            sections.push((String::new(), Arc::clone(index)));
-        }
-        for (name, state) in self.tenants.extra.read().iter() {
-            if let Some(index) = &state.index {
-                sections.push((name.clone(), Arc::clone(index)));
-            }
-        }
+        let sections = self.tenants.index_sections();
         let generation = self.store.persistence_generation();
         let stamp = SnapshotStamp {
             generation,
@@ -435,15 +340,17 @@ impl<S: RecordStore> ComplianceEngine<S> {
         Ok(written)
     }
 
-    /// Graceful close: persist the index snapshot when one is configured
-    /// (no-op otherwise), returning the entries written. Safe to call
-    /// repeatedly.
+    /// Graceful close: persist the index snapshot when one is configured,
+    /// then [`RecordStore::flush`] the store. Returns the index entries
+    /// written (0 without a snapshot path). Safe to call repeatedly.
     pub fn close(&self) -> GdprResult<usize> {
-        if self.snapshot.is_some() {
-            self.write_index_snapshot()
+        let written = if self.snapshot.is_some() {
+            self.write_index_snapshot()?
         } else {
-            Ok(0)
-        }
+            0
+        };
+        self.store.flush()?;
+        Ok(written)
     }
 
     /// The backend.
@@ -454,18 +361,13 @@ impl<S: RecordStore> ComplianceEngine<S> {
     /// The default tenant's audit trail serving GET-SYSTEM-LOGS (named
     /// tenants keep their own; see [`Self::tenant_audit`]).
     pub fn audit(&self) -> &AuditTrail {
-        &self.tenants.default_state.audit
-    }
-
-    /// A tenant's full state, if that tenant has been seen.
-    pub(crate) fn tenant_state_if_seen(&self, tenant: &TenantId) -> Option<Arc<TenantState>> {
-        self.tenants.get(tenant.name())
+        &self.tenants.default_state().audit
     }
 
     /// The default tenant's metadata index partition, if this engine
     /// maintains indexes.
     pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
-        self.tenants.default_state.index.as_ref()
+        self.tenants.default_state().index.as_ref()
     }
 
     /// A named tenant's metadata index partition, if it exists.
@@ -477,7 +379,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
 
     /// The default tenant's per-opcode telemetry table.
     pub fn telemetry(&self) -> &Arc<OpTelemetry> {
-        &self.tenants.default_state.telemetry
+        &self.tenants.default_state().telemetry
     }
 
     /// Pre-provision a tenant (create its audit/index/telemetry state now
@@ -487,76 +389,12 @@ impl<S: RecordStore> ComplianceEngine<S> {
         self.tenant_state(tenant).map(|_| ())
     }
 
-    /// Every tenant's telemetry snapshot, labeled (`"default"` first).
-    pub fn tenant_telemetry_snapshots(&self) -> Vec<(String, OpTelemetrySnapshot)> {
-        let mut out = vec![(
-            "default".to_string(),
-            self.tenants.default_state.telemetry.snapshot(),
-        )];
-        for (name, state) in self.tenants.extra.read().iter() {
-            out.push((name.clone(), state.telemetry.snapshot()));
-        }
-        out
-    }
-
     /// Execute one GDPR query under a session, recording it in the
     /// session tenant's audit trail whatever the outcome (G30: every
     /// interaction is logged).
     pub fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
         let state = self.tenant_state(&session.tenant)?;
-        let started = Instant::now();
-        let result = self.dispatch_in(&state, session, query);
-        state
-            .telemetry
-            .record(query, started.elapsed(), result.is_err());
-        state
-            .audit
-            .record_batch([audit_draft(session, query, &result)]);
-        result
-    }
-
-    /// Execute a batch of queries in order — semantically identical to
-    /// calling [`ComplianceEngine::execute`] per op, but audit entries are
-    /// committed per batch per tenant (one clock read, one lock
-    /// acquisition) instead of per op. A `GetSystemLogs` inside the batch
-    /// flushes that tenant's pending entries first, so log reads observe
-    /// their batch predecessors exactly as sequential execution would —
-    /// other tenants' pending entries are invisible to it either way.
-    pub fn execute_batch(&self, ops: Vec<(Session, GdprQuery)>) -> Vec<GdprResult<GdprResponse>> {
-        let mut results = Vec::with_capacity(ops.len());
-        // Per-tenant pending drafts; batches rarely span many tenants, so
-        // a linear scan keyed by state identity beats a hash map here.
-        let mut drafts: Vec<(Arc<TenantState>, Vec<AuditDraft>)> = Vec::new();
-        for (session, query) in &ops {
-            let state = match self.tenant_state(&session.tenant) {
-                Ok(state) => state,
-                Err(e) => {
-                    results.push(Err(e));
-                    continue;
-                }
-            };
-            if matches!(query, GdprQuery::GetSystemLogs { .. }) {
-                if let Some((_, pending)) = drafts.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &state))
-                {
-                    state.audit.record_batch(std::mem::take(pending));
-                }
-            }
-            let started = Instant::now();
-            let result = self.dispatch_in(&state, session, query);
-            state
-                .telemetry
-                .record(query, started.elapsed(), result.is_err());
-            let draft = audit_draft(session, query, &result);
-            match drafts.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &state)) {
-                Some((_, pending)) => pending.push(draft),
-                None => drafts.push((state, vec![draft])),
-            }
-            results.push(result);
-        }
-        for (state, pending) in drafts {
-            state.audit.record_batch(pending);
-        }
-        results
+        state.execute(session, query, || self.dispatch_in(&state, session, query))
     }
 
     fn now_ms(&self) -> u64 {
@@ -1035,31 +873,11 @@ impl<S: RecordStore> ComplianceEngine<S> {
     }
 }
 
-/// The audit entry a query outcome owes — shared by the engine's execute
-/// paths and [`crate::sharded::ShardedEngine`]'s, so batched and
-/// sequential execution render byte-identical trails.
-pub(crate) fn audit_draft<'a>(
-    session: &'a Session,
-    query: &GdprQuery,
-    result: &GdprResult<GdprResponse>,
-) -> AuditDraft<'a> {
-    let err_text = result.as_ref().err().map(ToString::to_string);
-    let outcome = match &result {
-        Ok(resp) => Ok(resp.cardinality()),
-        Err(_) => Err(err_text.as_deref().unwrap_or("error")),
-    };
-    AuditDraft::new(session, query.name(), query.detail(), outcome)
-}
-
 /// Every engine is a connector: backends only implement [`RecordStore`],
 /// and the engine supplies the whole [`GdprConnector`] surface.
 impl<S: RecordStore> GdprConnector for ComplianceEngine<S> {
     fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
         ComplianceEngine::execute(self, session, query)
-    }
-
-    fn execute_batch(&self, ops: Vec<(Session, GdprQuery)>) -> Vec<GdprResult<GdprResponse>> {
-        ComplianceEngine::execute_batch(self, ops)
     }
 
     fn features(&self) -> FeatureReport {
@@ -1083,22 +901,15 @@ impl<S: RecordStore> GdprConnector for ComplianceEngine<S> {
     }
 
     fn op_telemetry(&self) -> Option<OpTelemetrySnapshot> {
-        // Deployment-wide view: the default tenant's counters merged with
-        // every named tenant's, preserving the pre-tenancy meaning.
-        let mut merged = self.tenants.default_state.telemetry.snapshot();
-        for state in self.tenants.extra.read().values() {
-            merged.merge(&state.telemetry.snapshot());
-        }
-        Some(merged)
+        Some(self.tenants.merged_telemetry())
     }
 
     fn op_telemetry_for(&self, tenant: &TenantId) -> Option<OpTelemetrySnapshot> {
-        self.tenant_state_if_seen(tenant)
-            .map(|state| state.telemetry.snapshot())
+        self.tenants.telemetry_for(tenant)
     }
 
     fn tenant_telemetry(&self) -> Vec<(String, OpTelemetrySnapshot)> {
-        self.tenant_telemetry_snapshots()
+        self.tenants.telemetry_snapshots()
     }
 
     fn provision_tenant(&self, tenant: &TenantId) -> GdprResult<()> {
@@ -1109,81 +920,7 @@ impl<S: RecordStore> GdprConnector for ComplianceEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Metadata;
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-    use std::time::Duration;
-
-    /// A trivial in-memory RecordStore with no TTL machinery and no
-    /// pushdown — exercises the engine's scan and index paths in isolation
-    /// from the real backends.
-    struct MemStore {
-        rows: Mutex<BTreeMap<String, PersonalRecord>>,
-        clock: SharedClock,
-    }
-
-    impl MemStore {
-        fn new() -> MemStore {
-            MemStore {
-                rows: Mutex::new(BTreeMap::new()),
-                clock: clock::sim(),
-            }
-        }
-    }
-
-    impl RecordStore for MemStore {
-        fn clock(&self) -> SharedClock {
-            self.clock.clone()
-        }
-        fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
-            Ok(self.rows.lock().get(key).cloned())
-        }
-        fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
-            let mut rows = self.rows.lock();
-            if rows.contains_key(&record.key) {
-                return Err(GdprError::AlreadyExists(record.key.clone()));
-            }
-            rows.insert(record.key.clone(), record.clone());
-            Ok(())
-        }
-        fn rewrite(&self, record: &PersonalRecord, _ttl_changed: bool) -> GdprResult<()> {
-            self.rows.lock().insert(record.key.clone(), record.clone());
-            Ok(())
-        }
-        fn delete(&self, key: &str) -> GdprResult<bool> {
-            Ok(self.rows.lock().remove(key).is_some())
-        }
-        fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
-            Ok(self.rows.lock().values().cloned().collect())
-        }
-        fn purge_expired(&self) -> GdprResult<usize> {
-            Ok(0)
-        }
-        fn space_report(&self) -> SpaceReport {
-            SpaceReport::default()
-        }
-        fn record_count(&self) -> usize {
-            self.rows.lock().len()
-        }
-        fn features(&self) -> FeatureReport {
-            FeatureReport::default()
-        }
-        fn name(&self) -> &str {
-            "mem"
-        }
-    }
-
-    fn record(key: &str, user: &str, purposes: &[&str]) -> PersonalRecord {
-        PersonalRecord::new(
-            key,
-            format!("data-{key}"),
-            Metadata::new(
-                user,
-                purposes.iter().map(|s| s.to_string()).collect(),
-                Duration::from_secs(3600),
-            ),
-        )
-    }
+    use crate::test_store::{record, MemStore};
 
     fn engines() -> Vec<ComplianceEngine<MemStore>> {
         vec![
@@ -1555,10 +1292,8 @@ mod tests {
                 &GdprQuery::CreateRecord(record("k1", "neo", &["ads"])),
             )
             .unwrap();
-        let survivor = MemStore {
-            rows: Mutex::new(engine.store().rows.lock().clone()),
-            clock: engine.store().clock.clone(),
-        };
+        let survivor = MemStore::with_clock(engine.store().clock());
+        *survivor.rows.lock() = engine.store().rows.lock().clone();
         drop(engine);
         let engine = ComplianceEngine::with_metadata_index(survivor).unwrap();
         let resp = engine

@@ -61,6 +61,8 @@ pub mod snapshot;
 pub mod store;
 pub mod telemetry;
 pub mod tenant;
+#[cfg(test)]
+pub(crate) mod test_store;
 pub mod wire;
 
 pub use compliance::{ComplianceFeature, FeatureReport};

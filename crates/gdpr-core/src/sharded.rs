@@ -37,10 +37,10 @@
 //! their owners (preserving remaining TTL deadlines via
 //! [`RecordStore::put_with_deadline`]).
 
-use crate::audit::{AuditDraft, AuditTrail};
+use crate::audit::AuditTrail;
 use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
-use crate::engine::{audit_draft, ComplianceEngine};
+use crate::engine::ComplianceEngine;
 use crate::error::{GdprError, GdprResult};
 use crate::metaindex::IndexBatch;
 use crate::query::{GdprQuery, MetadataUpdate};
@@ -48,13 +48,10 @@ use crate::response::GdprResponse;
 use crate::role::Session;
 use crate::store::{RecordPredicate, RecordStore};
 use crate::telemetry::{OpTelemetry, OpTelemetrySnapshot};
-use crate::tenant::TenantId;
+use crate::tenant::{TenantId, TenantTable};
 use crate::GdprConnector;
-use clock::SharedClock;
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use parking_lot::Mutex;
 use std::sync::{mpsc, Arc};
-use std::time::Instant;
 
 /// The stable key→shard map: FNV-1a over the key bytes, mod `shard_count`.
 /// Deliberately *not* a randomized hasher — the placement must be identical
@@ -137,65 +134,18 @@ impl Drop for FanoutPool {
     }
 }
 
-/// One tenant's router-side state: the unified audit stream (exactly one
-/// event per executed query, whatever its fan-out — shards never audit on
-/// their own) and the per-opcode telemetry table. Mirrors the unsharded
-/// engine's per-tenant partitioning, so `GET-SYSTEM-LOGS` and `GetMetrics`
-/// isolation hold identically behind a router.
-struct RouterTenantState {
-    audit: AuditTrail,
-    telemetry: Arc<OpTelemetry>,
-}
-
-/// The router's tenant table: the default tenant's state is resolved
-/// lock-free (the single-tenant hot path); named tenants go through one
-/// RwLock-guarded map. Creation never fails — a [`TenantId`] is valid by
-/// construction, and router state is just an empty trail + counters.
-struct RouterTenants {
-    clock: SharedClock,
-    default_state: Arc<RouterTenantState>,
-    extra: RwLock<BTreeMap<String, Arc<RouterTenantState>>>,
-}
-
-impl RouterTenants {
-    fn new(clock: SharedClock) -> Arc<RouterTenants> {
-        Arc::new(RouterTenants {
-            default_state: Arc::new(RouterTenantState {
-                audit: AuditTrail::new(clock.clone()),
-                telemetry: Arc::new(OpTelemetry::new()),
-            }),
-            clock,
-            extra: RwLock::new(BTreeMap::new()),
-        })
-    }
-
-    fn state(&self, tenant: &TenantId) -> Arc<RouterTenantState> {
-        if tenant.is_default() {
-            return Arc::clone(&self.default_state);
-        }
-        if let Some(state) = self.extra.read().get(tenant.name()) {
-            return Arc::clone(state);
-        }
-        let mut extra = self.extra.write();
-        Arc::clone(extra.entry(tenant.name().to_string()).or_insert_with(|| {
-            Arc::new(RouterTenantState {
-                audit: AuditTrail::new(self.clock.clone()),
-                telemetry: Arc::new(OpTelemetry::labeled(tenant.label())),
-            })
-        }))
-    }
-}
-
 /// A compliance engine hash-partitioned across N inner engines, one store
 /// (and optional metadata index) per shard.
 pub struct ShardedEngine<S: RecordStore> {
     shards: Vec<Arc<ComplianceEngine<S>>>,
     /// Per-tenant audit streams and telemetry at the router, the
     /// deployment's entry point: every op (point, fanned-out, or system)
-    /// is timed end-to-end here exactly once, under its session's tenant.
-    /// The shards' own tables stay untouched — the router reaches them
-    /// via `dispatch`, below their execute entry points.
-    tenants: Arc<RouterTenants>,
+    /// is timed and audited end-to-end here exactly once, under its
+    /// session's tenant — one event per query whatever its fan-out. The
+    /// table is unindexed (the shards hold the index partitions), and the
+    /// shards' own audit and telemetry stay untouched: the router reaches
+    /// them via `dispatch`, below their execute entry points.
+    tenants: Arc<TenantTable>,
     name: String,
     /// Workers for parallel predicate fan-out; `None` for a single shard,
     /// where fan-out degenerates to one probe.
@@ -316,7 +266,7 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
             FanoutPool::new(shards.len().min(cores.max(2)))
         });
         Ok(ShardedEngine {
-            tenants: RouterTenants::new(clock),
+            tenants: TenantTable::new(clock, false),
             name,
             fanout,
             shards,
@@ -371,14 +321,12 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
     /// The default tenant's unified audit trail serving GET-SYSTEM-LOGS
     /// (the degenerate single-tenant stream).
     pub fn audit(&self) -> &AuditTrail {
-        // The default state is never replaced, so handing out a borrow
-        // through the Arc is sound for the engine's lifetime.
-        &self.tenants.default_state.audit
+        &self.tenants.default_state().audit
     }
 
     /// The router's default-tenant per-opcode telemetry table.
     pub fn telemetry(&self) -> &Arc<OpTelemetry> {
-        &self.tenants.default_state.telemetry
+        &self.tenants.default_state().telemetry
     }
 
     /// Pre-create `tenant`'s partitions on the router and on every shard
@@ -392,195 +340,13 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
         Ok(())
     }
 
-    /// Per-tenant telemetry snapshots at the router, `"default"` first,
-    /// then named tenants in name order.
-    pub fn tenant_telemetry_snapshots(&self) -> Vec<(String, OpTelemetrySnapshot)> {
-        let mut out = vec![(
-            "default".to_string(),
-            self.tenants.default_state.telemetry.snapshot(),
-        )];
-        for (name, state) in self.tenants.extra.read().iter() {
-            out.push((name.clone(), state.telemetry.snapshot()));
-        }
-        out
-    }
-
     /// Execute one GDPR query, recording exactly one event in the
     /// caller's tenant's unified audit trail whatever the outcome or
     /// fan-out (G30).
     pub fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
-        let state = self.tenants.state(&session.tenant);
-        let started = Instant::now();
-        let result = self.route(session, query);
-        state
-            .telemetry
-            .record(query, started.elapsed(), result.is_err());
-        state
-            .audit
-            .record_batch([audit_draft(session, query, &result)]);
-        result
-    }
-
-    /// Execute a batch of queries with per-op results and audit entries in
-    /// op order — semantically identical to calling
-    /// [`ShardedEngine::execute`] per op, but the router exploits the
-    /// batch shape: consecutive *point* ops are segmented into per-shard
-    /// runs that execute in parallel on the fan-out pool (each shard's run
-    /// stays in op order, so same-key ops never reorder), while predicate
-    /// and system ops act as barriers executed in place via the normal
-    /// routing. A `GetSystemLogs` inside the batch flushes the pending
-    /// audit entries first, so log reads observe their batch predecessors
-    /// exactly as sequential execution would.
-    pub fn execute_batch(&self, ops: Vec<(Session, GdprQuery)>) -> Vec<GdprResult<GdprResponse>> {
-        let len = ops.len();
-        let ops = Arc::new(ops);
-        let mut results: Vec<Option<GdprResult<GdprResponse>>> = (0..len).map(|_| None).collect();
-        // Pending audit drafts, grouped per tenant (ptr-identity on the
-        // router state; batches hold a handful of tenants at most, so a
-        // linear probe beats a map). Each tenant's group commits with one
-        // timestamp, exactly like the unsharded engine's batching.
-        let mut drafts: Vec<(Arc<RouterTenantState>, Vec<AuditDraft>)> = Vec::new();
-        fn push_draft<'a>(
-            drafts: &mut Vec<(Arc<RouterTenantState>, Vec<AuditDraft<'a>>)>,
-            state: &Arc<RouterTenantState>,
-            draft: AuditDraft<'a>,
-        ) {
-            match drafts.iter_mut().find(|(s, _)| Arc::ptr_eq(s, state)) {
-                Some((_, group)) => group.push(draft),
-                None => drafts.push((Arc::clone(state), vec![draft])),
-            }
-        }
-        let mut i = 0;
-        while i < len {
-            if point_key(&ops[i].1).is_some() {
-                let start = i;
-                while i < len && point_key(&ops[i].1).is_some() {
-                    i += 1;
-                }
-                self.run_point_segment(&ops, start, i, &mut results);
-                for idx in start..i {
-                    let (session, query) = &ops[idx];
-                    let result = results[idx].as_ref().expect("segment filled every slot");
-                    let state = self.tenants.state(&session.tenant);
-                    push_draft(&mut drafts, &state, audit_draft(session, query, result));
-                }
-            } else {
-                let (session, query) = &ops[i];
-                let state = self.tenants.state(&session.tenant);
-                if matches!(query, GdprQuery::GetSystemLogs { .. }) {
-                    // Flush only the querying tenant's pending entries:
-                    // its log read observes its own batch predecessors,
-                    // and other tenants' drafts stay unflushed (their
-                    // trails are invisible to this caller anyway).
-                    if let Some((_, group)) =
-                        drafts.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &state))
-                    {
-                        state.audit.record_batch(std::mem::take(group));
-                    }
-                }
-                let started = Instant::now();
-                let result = self.route(session, query);
-                state
-                    .telemetry
-                    .record(query, started.elapsed(), result.is_err());
-                push_draft(&mut drafts, &state, audit_draft(session, query, &result));
-                results[i] = Some(result);
-                i += 1;
-            }
-        }
-        for (state, group) in drafts {
-            state.audit.record_batch(group);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every op answered"))
-            .collect()
-    }
-
-    /// Execute `ops[start..end]` (all point ops) grouped by owning shard:
-    /// each shard's group runs sequentially in op order (same-key ordering
-    /// is the group's ordering); distinct shards overlap on the fan-out
-    /// pool when more than one has work. Every slot in the range is filled.
-    fn run_point_segment(
-        &self,
-        ops: &Arc<Vec<(Session, GdprQuery)>>,
-        start: usize,
-        end: usize,
-        results: &mut [Option<GdprResult<GdprResponse>>],
-    ) {
-        let n = self.shards.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for idx in start..end {
-            let (session, query) = &ops[idx];
-            let key = point_key(query).expect("segment holds only point ops");
-            let shard = if session.tenant.is_default() {
-                shard_of(key, n)
-            } else {
-                shard_of(&session.tenant.storage_key(key), n)
-            };
-            groups[shard].push(idx);
-        }
-        let busy: Vec<usize> = (0..n).filter(|&s| !groups[s].is_empty()).collect();
-        match &self.fanout {
-            Some(pool) if busy.len() > 1 => {
-                let (tx, rx) = mpsc::channel();
-                for s in busy {
-                    let group = std::mem::take(&mut groups[s]);
-                    let shard = Arc::clone(&self.shards[s]);
-                    let ops = Arc::clone(ops);
-                    let tx = tx.clone();
-                    let tenants = Arc::clone(&self.tenants);
-                    pool.submit(Box::new(move || {
-                        for idx in group {
-                            let (session, query) = &ops[idx];
-                            let started = Instant::now();
-                            // A panicking op must neither hang the collector
-                            // nor take its group's successors with it.
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    shard.dispatch(session, query)
-                                }))
-                                .unwrap_or_else(|_| {
-                                    Err(GdprError::Store("shard batch worker panicked".to_string()))
-                                });
-                            tenants.state(&session.tenant).telemetry.record(
-                                query,
-                                started.elapsed(),
-                                result.is_err(),
-                            );
-                            let _ = tx.send((idx, result));
-                        }
-                    }));
-                }
-                drop(tx);
-                for (idx, result) in rx {
-                    results[idx] = Some(result);
-                }
-                for slot in results.iter_mut().take(end).skip(start) {
-                    if slot.is_none() {
-                        *slot = Some(Err(GdprError::Store(
-                            "shard batch lost a worker response".to_string(),
-                        )));
-                    }
-                }
-            }
-            _ => {
-                for idx in start..end {
-                    let (session, query) = &ops[idx];
-                    let key = point_key(query).expect("segment holds only point ops");
-                    let started = Instant::now();
-                    let result = self
-                        .shard_for_session(session, key)
-                        .dispatch(session, query);
-                    self.tenants.state(&session.tenant).telemetry.record(
-                        query,
-                        started.elapsed(),
-                        result.is_err(),
-                    );
-                    results[idx] = Some(result);
-                }
-            }
-        }
+        self.tenants
+            .state(&session.tenant)
+            .execute(session, query, || self.route(session, query))
     }
 
     /// Point ops to the owning shard; predicate ops fanned out and merged;
@@ -813,22 +579,6 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
     }
 }
 
-/// The routing key of a key-scoped (point) op, `None` for everything that
-/// must act as a batch barrier (predicate fan-outs and system queries).
-fn point_key(query: &GdprQuery) -> Option<&str> {
-    use GdprQuery::*;
-    match query {
-        CreateRecord(record) => Some(&record.key),
-        DeleteByKey(key)
-        | ReadDataByKey(key)
-        | ReadMetadataByKey(key)
-        | VerifyDeletion(key)
-        | UpdateDataByKey { key, .. }
-        | UpdateMetadataByKey { key, .. } => Some(key),
-        _ => None,
-    }
-}
-
 /// The predicate + update of a *group* metadata update — the two query
 /// classes whose validate-all-then-commit guarantee spans shards.
 fn group_update_of(query: &GdprQuery) -> Option<(RecordPredicate, &MetadataUpdate)> {
@@ -891,10 +641,6 @@ impl<S: RecordStore + 'static> GdprConnector for ShardedEngine<S> {
         ShardedEngine::execute(self, session, query)
     }
 
-    fn execute_batch(&self, ops: Vec<(Session, GdprQuery)>) -> Vec<GdprResult<GdprResponse>> {
-        ShardedEngine::execute_batch(self, ops)
-    }
-
     fn features(&self) -> FeatureReport {
         self.shards[0].store().features()
     }
@@ -922,28 +668,15 @@ impl<S: RecordStore + 'static> GdprConnector for ShardedEngine<S> {
     }
 
     fn op_telemetry(&self) -> Option<OpTelemetrySnapshot> {
-        // Deployment-wide: every tenant's router counters merged.
-        let mut merged = self.tenants.default_state.telemetry.snapshot();
-        for state in self.tenants.extra.read().values() {
-            merged.merge(&state.telemetry.snapshot());
-        }
-        Some(merged)
+        Some(self.tenants.merged_telemetry())
     }
 
     fn op_telemetry_for(&self, tenant: &TenantId) -> Option<OpTelemetrySnapshot> {
-        if tenant.is_default() {
-            return Some(self.tenants.default_state.telemetry.snapshot());
-        }
-        // Lookup only — a metrics probe must not create tenant state.
-        self.tenants
-            .extra
-            .read()
-            .get(tenant.name())
-            .map(|state| state.telemetry.snapshot())
+        self.tenants.telemetry_for(tenant)
     }
 
     fn tenant_telemetry(&self) -> Vec<(String, OpTelemetrySnapshot)> {
-        self.tenant_telemetry_snapshots()
+        self.tenants.telemetry_snapshots()
     }
 
     fn provision_tenant(&self, tenant: &TenantId) -> GdprResult<()> {
@@ -954,125 +687,10 @@ impl<S: RecordStore + 'static> GdprConnector for ShardedEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::GdprError;
-    use crate::record::{Metadata, PersonalRecord};
-    use crate::store::RecordPredicate;
-    use clock::SharedClock;
-    use parking_lot::Mutex;
+    use crate::record::PersonalRecord;
+    use crate::test_store::{record, MemStore};
     use std::collections::BTreeMap;
     use std::time::Duration;
-
-    /// The same trivial in-memory store the engine tests use, plus a
-    /// native deadline table so `put_with_deadline` is exercised.
-    struct MemStore {
-        rows: Mutex<BTreeMap<String, PersonalRecord>>,
-        deadlines: Mutex<BTreeMap<String, u64>>,
-        clock: SharedClock,
-    }
-
-    impl MemStore {
-        fn with_clock(clock: SharedClock) -> MemStore {
-            MemStore {
-                rows: Mutex::new(BTreeMap::new()),
-                deadlines: Mutex::new(BTreeMap::new()),
-                clock,
-            }
-        }
-    }
-
-    impl RecordStore for MemStore {
-        fn clock(&self) -> SharedClock {
-            self.clock.clone()
-        }
-        fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
-            Ok(self.rows.lock().get(key).cloned())
-        }
-        fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
-            let mut rows = self.rows.lock();
-            if rows.contains_key(&record.key) {
-                return Err(GdprError::AlreadyExists(record.key.clone()));
-            }
-            if let Some(ttl) = record.metadata.ttl {
-                self.deadlines.lock().insert(
-                    record.key.clone(),
-                    self.clock.now().as_millis() + ttl.as_millis() as u64,
-                );
-            }
-            rows.insert(record.key.clone(), record.clone());
-            Ok(())
-        }
-        fn put_with_deadline(
-            &self,
-            record: &PersonalRecord,
-            deadline_ms: Option<u64>,
-        ) -> GdprResult<()> {
-            let mut rows = self.rows.lock();
-            if rows.contains_key(&record.key) {
-                return Err(GdprError::AlreadyExists(record.key.clone()));
-            }
-            if let Some(at) = deadline_ms {
-                self.deadlines.lock().insert(record.key.clone(), at);
-            }
-            rows.insert(record.key.clone(), record.clone());
-            Ok(())
-        }
-        fn rewrite(&self, record: &PersonalRecord, _ttl_changed: bool) -> GdprResult<()> {
-            self.rows.lock().insert(record.key.clone(), record.clone());
-            Ok(())
-        }
-        fn delete(&self, key: &str) -> GdprResult<bool> {
-            self.deadlines.lock().remove(key);
-            Ok(self.rows.lock().remove(key).is_some())
-        }
-        fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
-            Ok(self.rows.lock().values().cloned().collect())
-        }
-        fn purge_expired(&self) -> GdprResult<usize> {
-            let now = self.clock.now().as_millis();
-            let due: Vec<String> = self
-                .deadlines
-                .lock()
-                .iter()
-                .filter(|(_, at)| **at <= now)
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in &due {
-                self.delete(key)?;
-            }
-            Ok(due.len())
-        }
-        fn deadline_ms(&self, key: &str) -> Option<u64> {
-            self.deadlines.lock().get(key).copied()
-        }
-        fn space_report(&self) -> SpaceReport {
-            let rows = self.rows.lock();
-            SpaceReport {
-                personal_data_bytes: rows.values().map(|r| r.data.len()).sum(),
-                total_bytes: rows.values().map(|r| r.data.len() + r.key.len() + 64).sum(),
-            }
-        }
-        fn record_count(&self) -> usize {
-            self.rows.lock().len()
-        }
-        fn features(&self) -> FeatureReport {
-            FeatureReport::default()
-        }
-        fn name(&self) -> &str {
-            "mem"
-        }
-    }
-
-    fn record(key: &str, user: &str, purposes: &[&str]) -> PersonalRecord {
-        PersonalRecord::new(
-            key,
-            format!("data-{key}"),
-            Metadata::new(
-                user,
-                purposes.iter().map(|s| s.to_string()).collect(),
-                Duration::from_secs(3600),
-            ),
-        )
-    }
 
     fn sharded(n: usize) -> ShardedEngine<MemStore> {
         let clock = clock::sim();
@@ -1488,144 +1106,6 @@ mod tests {
         assert_eq!(engine.record_count(), 2, "no copy may be destroyed");
     }
 
-    /// Batched execution must be indistinguishable from sequential
-    /// execution: same per-op results, same audit trail (entries in op
-    /// order, one per op), whatever the shard count.
-    #[test]
-    fn execute_batch_matches_sequential_execution() {
-        for n in [1, 2, 8] {
-            let batched = sharded(n);
-            let sequential = sharded(n);
-            let controller = Session::controller();
-            let ops: Vec<(Session, GdprQuery)> = (0..12)
-                .map(|i| {
-                    (
-                        controller.clone(),
-                        GdprQuery::CreateRecord(record(
-                            &format!("k{i}"),
-                            ["neo", "trinity"][i % 2],
-                            &["ads"],
-                        )),
-                    )
-                })
-                .chain([
-                    // A duplicate create (per-op error), a predicate
-                    // barrier, a denied op, and trailing point reads.
-                    (
-                        controller.clone(),
-                        GdprQuery::CreateRecord(record("k0", "neo", &["ads"])),
-                    ),
-                    (
-                        Session::customer("neo"),
-                        GdprQuery::ReadDataByUser("neo".into()),
-                    ),
-                    (
-                        Session::customer("neo"),
-                        GdprQuery::ReadDataByUser("trinity".into()),
-                    ),
-                    (
-                        Session::processor("ads"),
-                        GdprQuery::ReadDataByKey("k3".into()),
-                    ),
-                    (controller.clone(), GdprQuery::DeleteByKey("k5".into())),
-                    (controller.clone(), GdprQuery::VerifyDeletion("k5".into())),
-                ])
-                .collect();
-
-            let batch_results = batched.execute_batch(ops.clone());
-            let seq_results: Vec<_> = ops
-                .iter()
-                .map(|(session, query)| sequential.execute(session, query))
-                .collect();
-            assert_eq!(batch_results.len(), seq_results.len());
-            for (i, (b, s)) in batch_results.iter().zip(&seq_results).enumerate() {
-                assert_eq!(b, s, "n={n}, op {i} diverged");
-            }
-            // Audit trails render identically modulo timestamps (the batch
-            // shares one submission instant; the sim clock never advances
-            // here, so even those match).
-            let b_lines = batched.audit().lines_between(0, u64::MAX);
-            let s_lines = sequential.audit().lines_between(0, u64::MAX);
-            assert_eq!(b_lines, s_lines, "n={n}");
-        }
-    }
-
-    /// Ops on the same key inside one batch must keep their order even
-    /// when the batch is spread across the fan-out pool.
-    #[test]
-    fn same_key_ops_in_one_batch_stay_ordered() {
-        let engine = sharded(8);
-        let controller = Session::controller();
-        let mut ops: Vec<(Session, GdprQuery)> = Vec::new();
-        for i in 0..6 {
-            let key = format!("k{i}");
-            ops.push((
-                controller.clone(),
-                GdprQuery::CreateRecord(record(&key, "neo", &["ads"])),
-            ));
-            ops.push((
-                controller.clone(),
-                GdprQuery::UpdateDataByKey {
-                    key: key.clone(),
-                    data: format!("v2-{key}"),
-                },
-            ));
-            ops.push((controller.clone(), GdprQuery::DeleteByKey(key.clone())));
-            ops.push((controller.clone(), GdprQuery::VerifyDeletion(key)));
-        }
-        for (i, result) in engine.execute_batch(ops).into_iter().enumerate() {
-            match i % 4 {
-                0 => assert_eq!(result.unwrap(), GdprResponse::Created, "op {i}"),
-                1 => assert_eq!(result.unwrap(), GdprResponse::Updated(1), "op {i}"),
-                2 => assert_eq!(result.unwrap(), GdprResponse::Deleted(1), "op {i}"),
-                _ => assert_eq!(
-                    result.unwrap(),
-                    GdprResponse::DeletionVerified(true),
-                    "op {i}"
-                ),
-            }
-        }
-        assert_eq!(engine.record_count(), 0);
-    }
-
-    /// A GetSystemLogs mid-batch observes the audit entries of its batch
-    /// predecessors, exactly as sequential execution would.
-    #[test]
-    fn log_read_mid_batch_sees_predecessors() {
-        let engine = sharded(4);
-        let controller = Session::controller();
-        let ops = vec![
-            (
-                controller.clone(),
-                GdprQuery::CreateRecord(record("a", "neo", &["ads"])),
-            ),
-            (
-                controller.clone(),
-                GdprQuery::CreateRecord(record("b", "neo", &["ads"])),
-            ),
-            (
-                Session::regulator(),
-                GdprQuery::GetSystemLogs {
-                    from_ms: 0,
-                    to_ms: u64::MAX,
-                },
-            ),
-            (
-                controller.clone(),
-                GdprQuery::CreateRecord(record("c", "neo", &["ads"])),
-            ),
-        ];
-        let results = engine.execute_batch(ops);
-        match results[2].as_ref().unwrap() {
-            GdprResponse::Logs(lines) => {
-                assert_eq!(lines.len(), 2, "log read must see both predecessors");
-            }
-            other => panic!("expected logs, got {other:?}"),
-        }
-        // And the full trail holds one entry per op afterwards.
-        assert_eq!(engine.audit().len(), 4);
-    }
-
     #[test]
     fn sharded_engine_reports_aggregate_space_and_count() {
         let engine = sharded(4);
@@ -1647,16 +1127,15 @@ mod tests {
     }
 
     /// The no-double-count invariant: the router records every op exactly
-    /// once — across single-op execute, the parallel point-segment path,
-    /// and fanned-out predicates — and the shards' own tables stay empty
-    /// (the router reaches them via `dispatch`, below their telemetry).
+    /// once — across single-op execute, a batch, and fanned-out
+    /// predicates — and the shards' own tables stay empty (the router
+    /// reaches them via `dispatch`, below their telemetry).
     #[test]
     fn telemetry_counts_each_op_exactly_once() {
         for shards in [1usize, 8] {
             let engine = sharded(shards);
             let controller = Session::controller();
-            // 16 creates through the batched (parallel) path, spanning
-            // several shards.
+            // 16 creates as one batch, spanning several shards.
             let ops: Vec<_> = (0..16)
                 .map(|i| {
                     (

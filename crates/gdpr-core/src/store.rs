@@ -180,6 +180,14 @@ pub trait RecordStore: Send + Sync {
         None
     }
 
+    /// Make every write acknowledged so far durable in the backend's own
+    /// persistence (sync the AOF, sync the WAL, checkpoint the page file)
+    /// — [`crate::ComplianceEngine::close`] calls this on graceful
+    /// shutdown. Default no-op, for stores with nothing to flush.
+    fn flush(&self) -> GdprResult<()> {
+        Ok(())
+    }
+
     /// Predicate pushdown for reads: `Some(records)` if the backend can
     /// evaluate `pred` natively (e.g. relational secondary indexes),
     /// `None` to let the engine resolve it.

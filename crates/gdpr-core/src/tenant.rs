@@ -21,9 +21,26 @@
 //!   included — can craft a key that addresses another tenant's partition.
 //!
 //! Everything above the store (index partitions, audit trails, telemetry
-//! labels, snapshot sections, shard routing) keys off the same identity.
+//! labels, snapshot sections, shard routing) keys off the same identity,
+//! and is held per tenant in one `TenantTable` — the same table type in
+//! a [`crate::ComplianceEngine`] and in the [`crate::ShardedEngine`] router
+//! above it (whose table simply carries no index partitions).
 
+use crate::audit::{AuditDraft, AuditTrail};
+use crate::error::GdprResult;
+use crate::metaindex::MetadataIndex;
+use crate::query::GdprQuery;
+use crate::response::GdprResponse;
+use crate::role::Session;
+use crate::telemetry::{OpTelemetry, OpTelemetrySnapshot};
+use clock::SharedClock;
+use parking_lot::RwLock;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// ASCII GROUP SEPARATOR — joins tenant name and logical key into a
 /// storage key. Not a valid byte in tenant names or logical keys.
@@ -149,6 +166,189 @@ impl TenantId {
 impl fmt::Display for TenantId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// Everything one tenant owns inside an engine: its audit trail (so
+/// GET-SYSTEM-LOGS returns only the caller's interactions), its metadata
+/// index partition (when the table is indexed), and its telemetry table
+/// (so op/error counts and slow-op lines attribute to a tenant).
+pub(crate) struct TenantState {
+    pub(crate) audit: AuditTrail,
+    pub(crate) index: Option<Arc<MetadataIndex>>,
+    pub(crate) telemetry: Arc<OpTelemetry>,
+}
+
+impl TenantState {
+    fn new(clock: &SharedClock, indexed: bool, telemetry: OpTelemetry) -> Arc<TenantState> {
+        Arc::new(TenantState {
+            audit: AuditTrail::new(clock.clone()),
+            index: indexed.then(|| Arc::new(MetadataIndex::new())),
+            telemetry: Arc::new(telemetry),
+        })
+    }
+
+    /// Run one query under this tenant: time it into the tenant's
+    /// telemetry, then append the one audit entry its outcome owes,
+    /// whatever that outcome is (G30: every interaction is logged). Both
+    /// engines execute through this, so they render identical trails.
+    pub(crate) fn execute(
+        &self,
+        session: &Session,
+        query: &GdprQuery,
+        run: impl FnOnce() -> GdprResult<GdprResponse>,
+    ) -> GdprResult<GdprResponse> {
+        let started = Instant::now();
+        let result = run();
+        self.telemetry
+            .record(query, started.elapsed(), result.is_err());
+        let err_text = result.as_ref().err().map(ToString::to_string);
+        let outcome = match &result {
+            Ok(resp) => Ok(resp.cardinality()),
+            Err(_) => Err(err_text.as_deref().unwrap_or("error")),
+        };
+        self.audit.record_batch([AuditDraft::new(
+            session,
+            query.name(),
+            query.detail(),
+            outcome,
+        )]);
+        result
+    }
+}
+
+/// The tenant → state table. The default tenant is a direct field (the
+/// single-tenant hot path never touches a lock); named tenants live in
+/// an RwLock'd map, created lazily on first use or restored at open.
+pub(crate) struct TenantTable {
+    clock: SharedClock,
+    default_state: Arc<TenantState>,
+    extra: RwLock<BTreeMap<String, Arc<TenantState>>>,
+    /// Flipped (and never unflipped) once any named tenant exists — the
+    /// cue for the write paths to stop using store-wide pushdowns that
+    /// would cross tenant boundaries.
+    multi: AtomicBool,
+}
+
+impl TenantTable {
+    /// `indexed` gives every tenant a [`MetadataIndex`] partition; the
+    /// shard router passes `false` (its shards hold the partitions).
+    pub(crate) fn new(clock: SharedClock, indexed: bool) -> Arc<TenantTable> {
+        Arc::new(TenantTable {
+            default_state: TenantState::new(&clock, indexed, OpTelemetry::new()),
+            clock,
+            extra: RwLock::new(BTreeMap::new()),
+            multi: AtomicBool::new(false),
+        })
+    }
+
+    pub(crate) fn default_state(&self) -> &Arc<TenantState> {
+        &self.default_state
+    }
+
+    /// Does this table keep metadata index partitions?
+    pub(crate) fn indexed(&self) -> bool {
+        self.default_state.index.is_some()
+    }
+
+    /// Has any named tenant ever been seen?
+    pub(crate) fn multi(&self) -> bool {
+        self.multi.load(Ordering::Relaxed)
+    }
+
+    /// Look a tenant's state up by name — never creates one, so a metrics
+    /// probe or a store-side reap cannot fabricate tenant state.
+    pub(crate) fn get(&self, name: &str) -> Option<Arc<TenantState>> {
+        if name.is_empty() {
+            return Some(Arc::clone(&self.default_state));
+        }
+        self.extra.read().get(name).map(Arc::clone)
+    }
+
+    /// The state `tenant` operates in, installed empty on first use. The
+    /// flag is true when this call installed it — the engine then
+    /// backfills the new index partition, *after* registration, so
+    /// concurrent writes from the same tenant index into the installed
+    /// partition rather than a discarded one.
+    pub(crate) fn get_or_install(&self, tenant: &TenantId) -> (Arc<TenantState>, bool) {
+        if let Some(state) = self.get(tenant.name()) {
+            return (state, false);
+        }
+        let state = TenantState::new(
+            &self.clock,
+            self.indexed(),
+            OpTelemetry::labeled(tenant.label()),
+        );
+        match self.extra.write().entry(tenant.name().to_string()) {
+            Entry::Occupied(existing) => return (Arc::clone(existing.get()), false),
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::clone(&state));
+            }
+        }
+        self.multi.store(true, Ordering::Relaxed);
+        (state, true)
+    }
+
+    /// As [`Self::get_or_install`], for callers with nothing to backfill
+    /// (the shard router).
+    pub(crate) fn state(&self, tenant: &TenantId) -> Arc<TenantState> {
+        self.get_or_install(tenant).0
+    }
+
+    /// Drop a named tenant's state again (its backfill failed: an empty
+    /// partition would silently answer predicates with misses).
+    pub(crate) fn remove(&self, name: &str) {
+        self.extra.write().remove(name);
+    }
+
+    /// Route a store-side expiry to the owning tenant's index partition.
+    /// Looks up only — a reap never creates tenant state.
+    pub(crate) fn on_store_expiry(&self, storage_key: &str) {
+        let (tenant, _) = TenantId::split_storage_key(storage_key);
+        if let Some(state) = self.get(tenant) {
+            if let Some(index) = &state.index {
+                index.remove(storage_key);
+            }
+        }
+    }
+
+    /// Every index partition, the default tenant's first (under the empty
+    /// name), then named tenants in name order.
+    pub(crate) fn index_sections(&self) -> Vec<(String, Arc<MetadataIndex>)> {
+        let named = self.extra.read();
+        std::iter::once((String::new(), &self.default_state))
+            .chain(named.iter().map(|(name, state)| (name.clone(), state)))
+            .filter_map(|(name, state)| Some((name, Arc::clone(state.index.as_ref()?))))
+            .collect()
+    }
+
+    /// Every tenant's telemetry snapshot, labeled (`"default"` first, then
+    /// named tenants in name order).
+    pub(crate) fn telemetry_snapshots(&self) -> Vec<(String, OpTelemetrySnapshot)> {
+        let mut out = vec![(
+            "default".to_string(),
+            self.default_state.telemetry.snapshot(),
+        )];
+        for (name, state) in self.extra.read().iter() {
+            out.push((name.clone(), state.telemetry.snapshot()));
+        }
+        out
+    }
+
+    /// One tenant's telemetry, if that tenant has been seen.
+    pub(crate) fn telemetry_for(&self, tenant: &TenantId) -> Option<OpTelemetrySnapshot> {
+        self.get(tenant.name())
+            .map(|state| state.telemetry.snapshot())
+    }
+
+    /// The deployment-wide view: the default tenant's counters merged
+    /// with every named tenant's, preserving the pre-tenancy meaning.
+    pub(crate) fn merged_telemetry(&self) -> OpTelemetrySnapshot {
+        let mut merged = self.default_state.telemetry.snapshot();
+        for state in self.extra.read().values() {
+            merged.merge(&state.telemetry.snapshot());
+        }
+        merged
     }
 }
 

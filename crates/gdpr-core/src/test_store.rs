@@ -1,0 +1,132 @@
+//! The one `RecordStore` test double the engine and router unit tests
+//! share.
+
+use crate::compliance::FeatureReport;
+use crate::connector::SpaceReport;
+use crate::error::{GdprError, GdprResult};
+use crate::record::{Metadata, PersonalRecord};
+use crate::store::RecordStore;
+use clock::SharedClock;
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+/// A trivial in-memory [`RecordStore`] with no pushdown — exercises the
+/// engines' scan and index paths in isolation from the real backends —
+/// plus a native deadline table so `put_with_deadline`, `deadline_ms`
+/// and the store-side purge are exercised too.
+pub(crate) struct MemStore {
+    pub(crate) rows: Mutex<BTreeMap<String, PersonalRecord>>,
+    deadlines: Mutex<BTreeMap<String, u64>>,
+    clock: SharedClock,
+}
+
+impl MemStore {
+    /// A store on its own simulated clock.
+    pub(crate) fn new() -> MemStore {
+        MemStore::with_clock(clock::sim())
+    }
+
+    pub(crate) fn with_clock(clock: SharedClock) -> MemStore {
+        MemStore {
+            rows: Mutex::new(BTreeMap::new()),
+            deadlines: Mutex::new(BTreeMap::new()),
+            clock,
+        }
+    }
+}
+
+impl RecordStore for MemStore {
+    fn clock(&self) -> SharedClock {
+        self.clock.clone()
+    }
+    fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
+        Ok(self.rows.lock().get(key).cloned())
+    }
+    fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
+        let mut rows = self.rows.lock();
+        if rows.contains_key(&record.key) {
+            return Err(GdprError::AlreadyExists(record.key.clone()));
+        }
+        if let Some(ttl) = record.metadata.ttl {
+            self.deadlines.lock().insert(
+                record.key.clone(),
+                self.clock.now().as_millis() + ttl.as_millis() as u64,
+            );
+        }
+        rows.insert(record.key.clone(), record.clone());
+        Ok(())
+    }
+    fn put_with_deadline(
+        &self,
+        record: &PersonalRecord,
+        deadline_ms: Option<u64>,
+    ) -> GdprResult<()> {
+        let mut rows = self.rows.lock();
+        if rows.contains_key(&record.key) {
+            return Err(GdprError::AlreadyExists(record.key.clone()));
+        }
+        if let Some(at) = deadline_ms {
+            self.deadlines.lock().insert(record.key.clone(), at);
+        }
+        rows.insert(record.key.clone(), record.clone());
+        Ok(())
+    }
+    fn rewrite(&self, record: &PersonalRecord, _ttl_changed: bool) -> GdprResult<()> {
+        self.rows.lock().insert(record.key.clone(), record.clone());
+        Ok(())
+    }
+    fn delete(&self, key: &str) -> GdprResult<bool> {
+        self.deadlines.lock().remove(key);
+        Ok(self.rows.lock().remove(key).is_some())
+    }
+    fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
+        Ok(self.rows.lock().values().cloned().collect())
+    }
+    fn purge_expired(&self) -> GdprResult<usize> {
+        let now = self.clock.now().as_millis();
+        let due: Vec<String> = self
+            .deadlines
+            .lock()
+            .iter()
+            .filter(|(_, at)| **at <= now)
+            .map(|(k, _)| k.clone())
+            .collect();
+        for key in &due {
+            self.delete(key)?;
+        }
+        Ok(due.len())
+    }
+    fn deadline_ms(&self, key: &str) -> Option<u64> {
+        self.deadlines.lock().get(key).copied()
+    }
+    fn space_report(&self) -> SpaceReport {
+        let rows = self.rows.lock();
+        SpaceReport {
+            personal_data_bytes: rows.values().map(|r| r.data.len()).sum(),
+            total_bytes: rows.values().map(|r| r.data.len() + r.key.len() + 64).sum(),
+        }
+    }
+    fn record_count(&self) -> usize {
+        self.rows.lock().len()
+    }
+    fn features(&self) -> FeatureReport {
+        FeatureReport::default()
+    }
+    fn name(&self) -> &str {
+        "mem"
+    }
+}
+
+/// A record with an hour of TTL and `data-<key>` as payload.
+pub(crate) fn record(key: &str, user: &str, purposes: &[&str]) -> PersonalRecord {
+    PersonalRecord::new(
+        key,
+        format!("data-{key}"),
+        Metadata::new(
+            user,
+            purposes.iter().map(|s| s.to_string()).collect(),
+            Duration::from_secs(3600),
+        ),
+    )
+}

@@ -12,6 +12,9 @@
 //!                                     Executor: engine.execute_batch(ops)
 //! ```
 //!
+//! `execute_batch` is one executor hand-off, not a second execution path:
+//! the in-process engines run the ops in order, one audit append per op.
+//!
 //! Ordering needs no sequencer: at most one batch per connection is in
 //! flight, its responses are encoded into one buffer in op order, and the
 //! loop appends completion buffers to the connection's outbuf in

@@ -34,7 +34,8 @@ pub struct ServerTelemetry {
     /// Batch submitted to the executor → worker picks it up (per batch):
     /// pure executor queue pressure.
     pub queue_wait: AtomicHistogram,
-    /// Engine `execute_batch` service time (per batch).
+    /// Engine `execute_batch` service time (per batch): the sum over the
+    /// batch's ops, which the engine executes one after another.
     pub execute: AtomicHistogram,
     /// Responses enqueued on an empty outbuf → outbuf drained to the
     /// socket (per batch): seal + write + kernel buffer time.

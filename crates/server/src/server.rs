@@ -5,16 +5,22 @@
 //! ```text
 //! clients ══╗   ┌────────── event loop (epoll, 1 thread) ──────────┐
 //!           ╠══▶│ nonblocking reads → FrameDecoder → pending ops   │
-//!           ╠══▶│   burst of N ops ──▶ Executor: execute_batch(N)  │
+//!           ╠══▶│   burst of N ops ──▶ Executor: N ops, in order   │
 //!           ╚══▶│ completions → per-conn outbuf → write draining   │
 //!               └──────────────────────────────────────────────────┘
 //! ```
 //!
-//! Pipelined clients get their whole in-flight window executed as one
-//! engine-side batch: one executor handoff, one audit-lock acquisition,
-//! and one response write per burst instead of per op. Responses stay in
-//! request order because each connection has at most one batch in flight
-//! and a batch's responses are encoded in op order — no sequencer needed.
+//! Pipelined clients get their whole in-flight window handed to the
+//! executor as one batch: one executor hand-off and one response write per
+//! burst instead of per op. Inside the batch the engine executes the ops
+//! in order, each with its own audit append (`GdprConnector::execute_batch`
+//! is the sequential default on both in-process engines). A per-shard
+//! parallel batch path existed and never ran behind a connector; forwarded
+//! in a scratch tree it cost the `customer-wire` benchmark workload 24 %
+//! of its `ops_per_s` (crates/server/README.md has the numbers), so it
+//! was deleted rather than wired up. Responses stay in request order
+//! because each connection has at most one batch in flight and a batch's
+//! responses are encoded in op order — no sequencer needed.
 //! Slow consumers are isolated by per-connection outbound buffers with a
 //! progress-based write timeout; slow producers cost one idle epoll
 //! registration, not a parked thread, so thousands of idle connections

@@ -22,7 +22,7 @@
 //! the next start). Without them the process serves until killed, exactly
 //! as before.
 
-use gdprbench_repro::drivers::{build_connector, ConnectorSpec, DB_CHOICES};
+use gdprbench_repro::drivers::{build_connector, ConnectorSpec};
 use gdprbench_repro::gdpr_server::{GdprServer, ServerConfig};
 
 const USAGE: &str = "\
@@ -139,7 +139,7 @@ fn parse_args() -> Result<ServeArgs, String> {
     if spec.db == "remote" {
         return Err(format!(
             "gdpr-serve serves a local engine; --db must be one of {}",
-            DB_CHOICES.trim_end_matches("|remote")
+            gdprbench_repro::connectors::registry::names().join("|")
         ));
     }
     Ok(ServeArgs {

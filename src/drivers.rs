@@ -5,9 +5,13 @@
 use gdpr_core::{EngineHandle, GdprConnector};
 use std::sync::Arc;
 
-/// Databases `build_connector` accepts.
-pub const DB_CHOICES: &str =
-    "redis|redis-mi|redis-sharded|redis-sharded-scan|postgres|postgres-mi|disk|disk-sharded|remote";
+/// Databases `build_connector` accepts, `|`-separated: every in-process
+/// variant in `connectors::registry`, then `remote`.
+fn db_choices() -> String {
+    let mut names = connectors::registry::names();
+    names.push("remote");
+    names.join("|")
+}
 
 /// How to reach/configure the store behind the connector.
 #[derive(Debug, Clone)]
@@ -153,8 +157,8 @@ pub fn build_connector(spec: &ConnectorSpec) -> Result<EngineHandle, String> {
                 let conn =
                     connectors::ShardedRedisConnector::with_metadata_index_snapshots(stores, dir)
                         .map_err(|e| e.to_string())?;
-                for i in 0..conn.shard_count() {
-                    report_recovery("redis-sharded", i, conn.index_recovery(i));
+                for (i, shard) in conn.shards().iter().enumerate() {
+                    report_recovery("redis-sharded", i, shard.index_recovery());
                 }
                 Ok(conn)
             } else {
@@ -234,13 +238,11 @@ pub fn build_connector(spec: &ConnectorSpec) -> Result<EngineHandle, String> {
                 println!("disk-sharded: shard {i}: {}", store.recovery());
             }
             let conn = if let Some(dir) = &spec.snapshot_dir {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("--index-snapshot-dir {dir:?}: {e}"))?;
                 let conn =
                     connectors::ShardedDiskConnector::with_metadata_index_snapshots(stores, dir)
                         .map_err(|e| e.to_string())?;
-                for i in 0..conn.shard_count() {
-                    report_recovery("disk-sharded", i, conn.index_recovery(i));
+                for (i, shard) in conn.shards().iter().enumerate() {
+                    report_recovery("disk-sharded", i, shard.index_recovery());
                 }
                 conn
             } else {
@@ -263,7 +265,7 @@ pub fn build_connector(spec: &ConnectorSpec) -> Result<EngineHandle, String> {
                 .map_err(|e| e.to_string())?,
             )
         }
-        other => return Err(format!("unknown --db {other} (expected {DB_CHOICES})")),
+        other => return Err(format!("unknown --db {other} (expected {})", db_choices())),
     };
     for tenant in tenant_ids(spec.tenants) {
         conn.provision_tenant(&tenant)
@@ -289,14 +291,15 @@ mod tests {
             assert_eq!(conn.record_count(), 0, "{db}");
             assert_eq!(conn.name(), db, "--db {db} built the wrong variant");
         }
-        assert!(build_connector(&ConnectorSpec::new("bogus")).is_err());
+        let Err(unknown) = build_connector(&ConnectorSpec::new("bogus")) else {
+            panic!("bogus must be refused");
+        };
+        for db in connectors::registry::names() {
+            assert!(unknown.contains(db), "error text omits {db}: {unknown}");
+        }
         assert!(
             build_connector(&ConnectorSpec::new("remote")).is_err(),
             "remote without --addr must be refused"
-        );
-        assert!(
-            DB_CHOICES.contains("disk|disk-sharded"),
-            "usage text must advertise the disk variants"
         );
     }
 

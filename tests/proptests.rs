@@ -1325,7 +1325,7 @@ mod sharded_invariance {
             // count.
             for conn in &sharded {
                 for shard in 0..conn.shard_count() {
-                    let index = conn.metadata_index(shard).unwrap();
+                    let index = conn.shards()[shard].metadata_index().unwrap();
                     for pred in super::engine_index::all_predicate_shapes() {
                         assert!(
                             index.keys_for(&pred).is_some(),

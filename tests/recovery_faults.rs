@@ -437,7 +437,10 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
         conn.execute(&controller, &GdprQuery::CreateRecord(r.clone()))
             .unwrap();
     }
-    assert!(conn.close().unwrap() > 0, "close persists the images");
+    assert!(
+        conn.engine().close().unwrap() > 0,
+        "close persists the images"
+    );
     let aofs: Vec<Vec<u8>> = stores
         .iter()
         .map(|s| s.aof_memory_buffer().unwrap().lock().clone())
@@ -458,7 +461,7 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
     let same = ShardedRedisConnector::with_metadata_index_snapshots(replay_fleet(0), &dir).unwrap();
     for shard in 0..2 {
         assert!(
-            same.index_recovery(shard).unwrap().is_restored(),
+            same.shards()[shard].index_recovery().unwrap().is_restored(),
             "shard {shard} must restore under the original topology"
         );
     }
@@ -485,7 +488,7 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
     let three =
         ShardedRedisConnector::with_metadata_index_snapshots(replay_fleet(1), &dir).unwrap();
     for shard in 0..2 {
-        match three.index_recovery(shard).unwrap() {
+        match three.shards()[shard].index_recovery().unwrap() {
             IndexRecovery::Rebuilt {
                 cause: SnapshotInvalid::TopologyMismatch { snapshot, expected },
                 ..
@@ -498,7 +501,7 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
     }
     // The fresh third shard has no image at all.
     assert!(matches!(
-        three.index_recovery(2).unwrap(),
+        three.shards()[2].index_recovery().unwrap(),
         IndexRecovery::Rebuilt {
             cause: SnapshotInvalid::Missing,
             ..
