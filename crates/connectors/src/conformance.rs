@@ -1954,28 +1954,55 @@ fn restart_equivalence_sharded_and_remote() {
     assert_restart_equivalent(&original, remote.as_ref(), "sharded over TCP");
 }
 
-/// Restart equivalence, unsharded `redis-mi`.
+/// Restart equivalence, unsharded `redis-mi` — once over the stock
+/// write-only AOF and once over a `log_reads` one, whose GET / EXISTS /
+/// SCAN frames (everything `RedisStore` issues) must replay to the
+/// identical generation, or the image's stamp would stop matching.
 #[test]
 fn restart_equivalence_redis_mi() {
-    let dir = snapshot_scratch_dir("mi");
-    let path = dir.join("metaindex.snap");
-    let sim = clock::sim();
-    let store = kvstore::KvStore::open_with_clock(aof_kv_config(), sim.clone()).unwrap();
-    let original = RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
-    restart_op_mix(&original);
-    assert!(original.engine().close().unwrap() > 0);
+    for log_reads in [false, true] {
+        let config = kvstore::KvConfig {
+            log_reads,
+            ..aof_kv_config()
+        };
+        let dir = snapshot_scratch_dir("mi");
+        let path = dir.join("metaindex.snap");
+        let sim = clock::sim();
+        let store = kvstore::KvStore::open_with_clock(config.clone(), sim.clone()).unwrap();
+        let original =
+            RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
+        restart_op_mix(&original);
+        assert!(original.engine().close().unwrap() > 0);
 
-    let aof = store.aof_memory_buffer().unwrap().lock().clone();
-    let replayed = kvstore::KvStore::replay(aof_kv_config(), &aof, sim.clone()).unwrap();
-    let restarted = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
-    assert!(
-        restarted.index_recovery().unwrap().is_restored(),
-        "got {:?}",
-        restarted.index_recovery()
-    );
-    assert_restart_equivalent(&original, &restarted, "redis-mi in-process");
-    let remote = served(Arc::new(restarted));
-    assert_restart_equivalent(&original, remote.as_ref(), "redis-mi over TCP");
+        let aof = store.aof_memory_buffer().unwrap().lock().clone();
+        let mut logged: Vec<String> = kvstore::aof::decode_stream(&aof, None)
+            .unwrap()
+            .iter()
+            .map(|parts| String::from_utf8_lossy(&parts[0]).into_owned())
+            .collect();
+        logged.sort();
+        logged.dedup();
+        if log_reads {
+            assert_eq!(logged, ["DEL", "EXISTS", "EXPIREAT", "GET", "SCAN", "SET"]);
+        } else {
+            assert_eq!(logged, ["DEL", "EXPIREAT", "SET"]);
+        }
+        let replayed = kvstore::KvStore::replay(config, &aof, sim.clone()).unwrap();
+        assert_eq!(
+            replayed.mutation_generation(),
+            store.mutation_generation(),
+            "log_reads = {log_reads}"
+        );
+        let restarted = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
+        assert!(
+            restarted.index_recovery().unwrap().is_restored(),
+            "got {:?}",
+            restarted.index_recovery()
+        );
+        assert_restart_equivalent(&original, &restarted, "redis-mi in-process");
+        let remote = served(Arc::new(restarted));
+        assert_restart_equivalent(&original, remote.as_ref(), "redis-mi over TCP");
+    }
 }
 
 /// A page-store config for restart tests: pool far smaller than the

@@ -384,16 +384,6 @@ impl RemoteConnector {
         Self::connect_pool_with(addr, clients, secure::encrypt_key_from_env().as_deref())
     }
 
-    /// Connect a pool over the encrypted transport (`None` key = default
-    /// pre-shared key).
-    pub fn connect_pool_encrypted(
-        addr: &str,
-        clients: usize,
-        key: Option<&str>,
-    ) -> GdprResult<RemoteConnector> {
-        Self::connect_pool_with(addr, clients, Some(key.unwrap_or(secure::DEFAULT_PSK)))
-    }
-
     /// Connect a pool with an explicit transport choice.
     pub fn connect_pool_with(
         addr: &str,

@@ -18,76 +18,48 @@ use std::sync::Arc;
 /// per chunk plus a copy of the open tail, which is shorter than this.
 pub const CHUNK_LINES: usize = 256;
 
-/// A not-yet-timestamped audit entry: everything [`AuditTrail::record`]
-/// derives from a session and an outcome, minus the clock read.
-/// [`AuditTrail::record_batch`] commits any number of them under one clock
-/// read and one lock acquisition; the engines commit one per executed op.
-#[derive(Debug, Clone)]
-pub struct AuditDraft<'a> {
-    role: &'static str,
-    /// Customer user id or processor purpose, when present.
-    actor: &'a str,
-    /// Query class name (e.g. `read-data-by-usr`).
+/// The one rendering a line ever gets; only the timestamp is missing
+/// (it is stamped under the trail lock).
+fn render(
+    session: &Session,
     operation: &'static str,
-    /// Scope detail (key, user, purpose...).
-    detail: String,
-    /// Records touched/returned, or the error rendering.
-    outcome: Result<usize, String>,
-}
-
-impl<'a> AuditDraft<'a> {
-    pub fn new(
-        session: &'a Session,
-        operation: &'static str,
-        detail: String,
-        outcome: Result<usize, &str>,
-    ) -> Self {
-        let actor = session.user.as_deref().or(session.purpose.as_deref());
-        AuditDraft {
-            role: session.role.name(),
-            actor: actor.unwrap_or_default(),
-            operation,
+    mut detail: String,
+    outcome: Result<usize, &str>,
+) -> Rendered {
+    let role = session.role.name();
+    // Customer user id or processor purpose, when present.
+    let actor_id = session
+        .user
+        .as_deref()
+        .or(session.purpose.as_deref())
+        .unwrap_or_default();
+    let (outcome, cardinality) = match outcome {
+        Ok(n) => ("ok", n),
+        Err(e) => (e, 0),
+    };
+    let bytes = role.len() + actor_id.len() + operation.len() + detail.len() + outcome.len() + 24;
+    let splits = Splits {
+        actor_at: role.len() + 1,
+        detail_end: detail.len(),
+    };
+    let mut actor = String::with_capacity(splits.actor_at + actor_id.len());
+    actor.push_str(role);
+    actor.push(':');
+    actor.push_str(actor_id);
+    // Piecewise: one `write!` of the whole suffix is ~15 ns slower.
+    detail.push_str(" [");
+    detail.push_str(outcome);
+    detail.push_str("] n=");
+    let _ = write!(detail, "{cardinality}");
+    Rendered {
+        line: LogLine {
+            timestamp_ms: 0,
+            actor,
+            operation: operation.into(),
             detail,
-            outcome: outcome.map_err(str::to_string),
-        }
-    }
-
-    /// The one rendering a line ever gets; only the timestamp is missing.
-    fn render(self) -> Rendered {
-        let (outcome, cardinality) = match &self.outcome {
-            Ok(n) => ("ok", *n),
-            Err(e) => (e.as_str(), 0),
-        };
-        let bytes = self.role.len()
-            + self.actor.len()
-            + self.operation.len()
-            + self.detail.len()
-            + outcome.len()
-            + 24;
-        let splits = Splits {
-            actor_at: self.role.len() + 1,
-            detail_end: self.detail.len(),
-        };
-        let mut actor = String::with_capacity(splits.actor_at + self.actor.len());
-        actor.push_str(self.role);
-        actor.push(':');
-        actor.push_str(self.actor);
-        let mut detail = self.detail;
-        // Piecewise: one `write!` of the whole suffix is ~15 ns slower.
-        detail.push_str(" [");
-        detail.push_str(outcome);
-        detail.push_str("] n=");
-        let _ = write!(detail, "{cardinality}");
-        Rendered {
-            line: LogLine {
-                timestamp_ms: 0,
-                actor,
-                operation: self.operation.into(),
-                detail,
-            },
-            splits,
-            bytes,
-        }
+        },
+        splits,
+        bytes,
     }
 }
 
@@ -184,34 +156,13 @@ impl AuditTrail {
         detail: String,
         outcome: Result<usize, &str>,
     ) {
-        self.commit(
-            AuditDraft::new(session, operation, detail, outcome).render(),
-            Vec::new(),
-        );
-    }
-
-    /// Record a batch of query executions, in draft order, under one
-    /// clock read and one lock acquisition. Every event carries the same
-    /// timestamp: the batch was one submission instant.
-    pub fn record_batch<'a>(&self, drafts: impl IntoIterator<Item = AuditDraft<'a>>) {
-        // Render before taking the lock. Collecting an empty remainder
-        // allocates nothing, so a single draft costs no `Vec`.
-        let mut rendered = drafts.into_iter().map(AuditDraft::render);
-        let Some(first) = rendered.next() else {
-            return;
-        };
-        self.commit(first, rendered.collect());
-    }
-
-    fn commit(&self, first: Rendered, rest: Vec<Rendered>) {
+        // Rendered before taking the lock.
+        let rendered = render(session, operation, detail, outcome);
         let mut inner = self.inner.lock();
         // Stamped under the lock and clamped, so trail order is time
         // order whatever the threads or the clock do.
         inner.last_ms = inner.last_ms.max(self.clock.now().as_millis());
-        inner.push(first);
-        for rendered in rest {
-            inner.push(rendered);
-        }
+        inner.push(rendered);
     }
 
     /// Number of recorded events.
@@ -349,32 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_records_share_one_timestamp_in_order() {
-        let sim = clock::sim();
-        let trail = AuditTrail::new(sim.clone());
-        sim.advance(Duration::from_millis(250));
-        trail.record_batch(vec![
-            AuditDraft::new(
-                &Session::customer("neo"),
-                "read-data-by-key",
-                "key=a".into(),
-                Ok(1),
-            ),
-            AuditDraft::new(
-                &Session::controller(),
-                "create-record",
-                "key=b".into(),
-                Err("boom"),
-            ),
-        ]);
-        let lines = trail.lines_between(0, u64::MAX);
-        assert_eq!(lines.len(), 2);
-        assert!(lines.iter().all(|l| l.timestamp_ms == 250));
-        assert_eq!(lines[0].operation, "read-data-by-key");
-        assert!(lines[1].detail.contains("boom"));
-    }
-
-    #[test]
     fn size_counts_the_unrendered_fields() {
         let trail = AuditTrail::new(clock::sim());
         assert_eq!(trail.size_bytes(), 0);
@@ -449,17 +374,9 @@ mod tests {
                     let (trail, start) = (&trail, &start);
                     scope.spawn(move || {
                         start.wait();
-                        let session = Session::controller();
-                        let draft = |seq: usize| {
-                            AuditDraft::new(&session, "create-record", format!("t{t}-{seq}"), Ok(1))
-                        };
-                        // Alternate single drafts with batches of three.
-                        let mut seq = 0;
-                        while seq < PER_THREAD {
-                            let n = if seq % 2 == 0 { 1 } else { 3 }.min(PER_THREAD - seq);
-                            trail.record_batch((seq..seq + n).map(draft));
-                            seq += n;
-                            if seq % 64 == 0 {
+                        for seq in 0..PER_THREAD {
+                            append(trail, format!("t{t}-{seq}"));
+                            if seq % 64 == 63 {
                                 std::thread::yield_now(); // let the reader in on one core
                             }
                         }

@@ -110,7 +110,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
 
     /// The snapshot-aware open path: as [`Self::with_metadata_index`],
     /// but the index is recovered through
-    /// [`MetadataIndex::restore_or_rebuild`] against the image at `path`
+    /// [`snapshot::restore_or_rebuild_tenants`] against the image at `path`
     /// — O(index) when the image is trustworthy (its generation stamp
     /// equals [`RecordStore::persistence_generation`] and its topology
     /// header matches), the usual O(n) backfill otherwise. The engine
@@ -368,13 +368,6 @@ impl<S: RecordStore> ComplianceEngine<S> {
     /// maintains indexes.
     pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
         self.tenants.default_state().index.as_ref()
-    }
-
-    /// A named tenant's metadata index partition, if it exists.
-    pub fn tenant_metadata_index(&self, tenant: &TenantId) -> Option<Arc<MetadataIndex>> {
-        self.tenants
-            .get(tenant.name())
-            .and_then(|s| s.index.clone())
     }
 
     /// The default tenant's per-opcode telemetry table.

@@ -51,9 +51,9 @@ use std::sync::Arc;
 /// (its terms row, up to four inverted postings, the all-keys and
 /// eligibility sets, the deadline set) holds the same `Arc<str>`, so
 /// membership costs a refcount bump instead of a `String` allocation.
-/// That is what keeps [`MetadataIndex::load_entries`] — the snapshot
-/// restore path — allocation-light: one key allocation per entry,
-/// however many structures the key lands in.
+/// That is what keeps the snapshot restore path ([`VocabIndexBuilder`])
+/// allocation-light: one key allocation per entry, however many
+/// structures the key lands in.
 type Key = Arc<str>;
 
 /// What was indexed for one key — kept so removal needs no record fetch
@@ -74,8 +74,7 @@ struct IndexedTerms {
     /// Whether the key sits in the decision-eligibility set. Recorded here
     /// (not re-derived) so the per-key terms are a complete, dumpable image
     /// of the index — [`MetadataIndex::export_entries`] serializes exactly
-    /// this table and [`MetadataIndex::load_entries`] rebuilds every map
-    /// from it.
+    /// this table and the snapshot restore rebuilds every map from it.
     decision_eligible: bool,
     deadline_ms: Option<u64>,
 }
@@ -176,219 +175,14 @@ fn attach(map: &mut HashMap<String, BTreeSet<Key>>, term: &str, key: Key) {
     }
 }
 
-/// Convert accumulated per-term key vectors into posting sets
-/// (`FromIterator` bulk-builds each `BTreeSet` from its sorted vector).
-fn bulk_sets(map: HashMap<String, Vec<Key>>) -> HashMap<String, BTreeSet<Key>> {
-    map.into_iter()
-        .map(|(term, keys)| (term, keys.into_iter().collect()))
-        .collect()
-}
-
 /// Accumulates a whole index image off-lock, then installs it in one
-/// swap — the engine of the O(index) restore path. Per entry it performs
-/// exactly one key allocation; structure memberships are refcount bumps,
-/// and term strings are *interned* (the user/purpose/usage/party
-/// vocabulary repeats across records, so each distinct term is allocated
-/// once however many records carry it). Feed entries in key order: the
-/// accumulated vectors then arrive sorted and every `BTreeSet` below is
-/// bulk-built instead of rebalanced insert by insert.
-pub(crate) struct IndexBuilder {
-    by_user: HashMap<String, Vec<Key>>,
-    by_purpose: HashMap<String, Vec<Key>>,
-    by_objection: HashMap<String, Vec<Key>>,
-    by_sharing: HashMap<String, Vec<Key>>,
-    all_keys: Vec<Key>,
-    decision_eligible: Vec<Key>,
-    by_deadline: Vec<(u64, Key)>,
-    terms: HashMap<Key, IndexedTerms>,
-    interned: std::collections::HashSet<Key>,
-}
-
-fn intern(table: &mut std::collections::HashSet<Key>, term: &str) -> Key {
-    if let Some(known) = table.get(term) {
-        Key::clone(known)
-    } else {
-        let fresh = Key::from(term);
-        table.insert(Key::clone(&fresh));
-        fresh
-    }
-}
-
-/// Append `key` to `term`'s accumulating posting vector, allocating the
-/// term map entry only on first sight of the term.
-fn post(map: &mut HashMap<String, Vec<Key>>, term: &str, key: Key) {
-    if let Some(keys) = map.get_mut(term) {
-        keys.push(key);
-    } else {
-        map.insert(term.to_string(), vec![key]);
-    }
-}
-
-impl IndexBuilder {
-    pub(crate) fn with_capacity(n: usize) -> IndexBuilder {
-        IndexBuilder {
-            by_user: HashMap::new(),
-            by_purpose: HashMap::new(),
-            by_objection: HashMap::new(),
-            by_sharing: HashMap::new(),
-            all_keys: Vec::with_capacity(n),
-            decision_eligible: Vec::new(),
-            by_deadline: Vec::new(),
-            terms: HashMap::with_capacity(n),
-            interned: std::collections::HashSet::new(),
-        }
-    }
-
-    /// Add one key's image. A key fed twice builds inconsistent postings
-    /// — callers must deduplicate (the snapshot reader enforces strictly
-    /// ascending keys instead).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn add<'a>(
-        &mut self,
-        key: &str,
-        user: &str,
-        purposes: impl Iterator<Item = &'a str>,
-        objections: impl Iterator<Item = &'a str>,
-        sharing: impl Iterator<Item = &'a str>,
-        decision_eligible: bool,
-        deadline_ms: Option<u64>,
-    ) {
-        fn collect_terms<'a>(
-            interned: &mut std::collections::HashSet<Key>,
-            map: &mut HashMap<String, Vec<Key>>,
-            key: &Key,
-            terms: impl Iterator<Item = &'a str>,
-        ) -> Vec<Key> {
-            terms
-                .map(|term| {
-                    let term = intern(interned, term);
-                    post(map, &term, Key::clone(key));
-                    term
-                })
-                .collect()
-        }
-        let key = Key::from(key);
-        let user = intern(&mut self.interned, user);
-        post(&mut self.by_user, &user, Key::clone(&key));
-        let mut term_lists =
-            collect_terms(&mut self.interned, &mut self.by_purpose, &key, purposes);
-        let purposes_end = term_lists.len();
-        term_lists.extend(collect_terms(
-            &mut self.interned,
-            &mut self.by_objection,
-            &key,
-            objections,
-        ));
-        let objections_end = term_lists.len();
-        term_lists.extend(collect_terms(
-            &mut self.interned,
-            &mut self.by_sharing,
-            &key,
-            sharing,
-        ));
-        self.all_keys.push(Key::clone(&key));
-        if decision_eligible {
-            self.decision_eligible.push(Key::clone(&key));
-        }
-        if let Some(at) = deadline_ms {
-            self.by_deadline.push((at, Key::clone(&key)));
-        }
-        self.terms.insert(
-            key,
-            IndexedTerms::packed(
-                user,
-                term_lists,
-                purposes_end,
-                objections_end,
-                decision_eligible,
-                deadline_ms,
-            ),
-        );
-    }
-
-    /// Build every set (bulk, from the sorted vectors) and swap the
-    /// result into `index` under one brief write-lock acquisition.
-    /// Returns the number of keys installed.
-    pub(crate) fn install(self, index: &MetadataIndex) -> usize {
-        let IndexBuilder {
-            by_user,
-            by_purpose,
-            by_objection,
-            by_sharing,
-            all_keys,
-            decision_eligible,
-            by_deadline,
-            terms,
-            interned: _,
-        } = self;
-        install_built(
-            index,
-            move || {
-                (
-                    bulk_sets(by_user),
-                    bulk_sets(by_purpose),
-                    bulk_sets(by_objection),
-                    bulk_sets(by_sharing),
-                )
-            },
-            all_keys,
-            decision_eligible,
-            by_deadline,
-            terms,
-        )
-    }
-}
-
-type PostingMaps = (
-    HashMap<String, BTreeSet<Key>>,
-    HashMap<String, BTreeSet<Key>>,
-    HashMap<String, BTreeSet<Key>>,
-    HashMap<String, BTreeSet<Key>>,
-);
-
-/// Shared tail of every bulk build: run `posting_job` (the four inverted
-/// maps) on a second thread while this one bulk-builds the key-level
-/// sets, then swap the assembled [`Inner`] into `index` under one brief
-/// write-lock acquisition. The two halves share nothing but refcounts,
-/// and restore latency is restart downtime.
-fn install_built(
-    index: &MetadataIndex,
-    posting_job: impl FnOnce() -> PostingMaps + Send,
-    all_keys: Vec<Key>,
-    decision_eligible: Vec<Key>,
-    mut by_deadline: Vec<(u64, Key)>,
-    terms: HashMap<Key, IndexedTerms>,
-) -> usize {
-    let built = std::thread::scope(|scope| {
-        let postings = scope.spawn(posting_job);
-        by_deadline.sort_unstable();
-        let all_keys: BTreeSet<Key> = all_keys.into_iter().collect();
-        let decision_eligible: BTreeSet<Key> = decision_eligible.into_iter().collect();
-        let by_deadline: BTreeSet<(u64, Key)> = by_deadline.into_iter().collect();
-        let (by_user, by_purpose, by_objection, by_sharing) =
-            postings.join().expect("posting builder");
-        Inner {
-            by_user,
-            by_purpose,
-            by_objection,
-            by_sharing,
-            all_keys,
-            decision_eligible,
-            by_deadline,
-            terms,
-        }
-    });
-    let n = built.terms.len();
-    *index.inner.write() = built;
-    n
-}
-
-/// The id-addressed twin of [`IndexBuilder`], for images that carry a
-/// term table: terms arrive as indexes into a shared vocabulary, so
-/// feeding a key performs **no string hashing at all** — every
-/// membership is an array index plus a refcount bump, and the only
-/// allocation per key is the key itself. This is the hot half of the
-/// snapshot restore path.
+/// swap — the engine of the O(index) restore path. Images carry a term
+/// table, so terms arrive as indexes into a shared vocabulary and feeding
+/// a key performs **no string hashing at all**: every membership is an
+/// array index plus a refcount bump, and the only allocation per key is
+/// the key itself. Feed entries in key order: the accumulated vectors
+/// then arrive sorted and every `BTreeSet` is bulk-built instead of
+/// rebalanced insert by insert.
 pub(crate) struct VocabIndexBuilder {
     vocab: Vec<Key>,
     by_user: Vec<Vec<Key>>,
@@ -801,9 +595,9 @@ impl MetadataIndex {
     }
 
     /// Dump the whole index as per-key entries, sorted by key (one read
-    /// lock). The dump is *complete*: [`Self::load_entries`] on a fresh
-    /// index reproduces every structure exactly — this is the snapshot
-    /// write path.
+    /// lock). The dump is *complete*: restoring it into a fresh index
+    /// reproduces every structure exactly — this is the snapshot write
+    /// path.
     pub fn export_entries(&self) -> Vec<IndexEntry> {
         let inner = self.inner.read();
         let mut entries: Vec<IndexEntry> = inner
@@ -824,41 +618,6 @@ impl MetadataIndex {
             .collect();
         entries.sort_by(|a, b| a.key.cmp(&b.key));
         entries
-    }
-
-    /// Rebuild the index from a dump — the O(index) snapshot restore
-    /// path. Anything previously indexed is dropped (the new state is
-    /// swapped in whole under one brief write-lock acquisition). Returns
-    /// how many entries were loaded.
-    ///
-    /// This is a *bulk* build, an order of magnitude cheaper than
-    /// per-entry upserts: every structure is first accumulated as a
-    /// key-ordered vector (one key allocation per entry, memberships are
-    /// refcount bumps, term strings move straight out of the entries),
-    /// then converted to its `BTreeSet` via `FromIterator`, which
-    /// bulk-builds from sorted input instead of rebalancing insert by
-    /// insert.
-    pub fn load_entries(&self, entries: Vec<IndexEntry>) -> usize {
-        let mut entries = entries;
-        // Dumps are written key-sorted; tolerate (sort) anything else and
-        // drop duplicate keys rather than building inconsistent postings.
-        if !entries.windows(2).all(|w| w[0].key <= w[1].key) {
-            entries.sort_by(|a, b| a.key.cmp(&b.key));
-        }
-        entries.dedup_by(|b, a| a.key == b.key);
-        let mut builder = IndexBuilder::with_capacity(entries.len());
-        for e in &entries {
-            builder.add(
-                &e.key,
-                &e.user,
-                e.purposes.iter().map(String::as_str),
-                e.objections.iter().map(String::as_str),
-                e.sharing.iter().map(String::as_str),
-                e.decision_eligible,
-                e.deadline_ms,
-            );
-        }
-        builder.install(self)
     }
 
     /// Candidate keys for a predicate. Every [`RecordPredicate`] variant is

@@ -6,7 +6,7 @@
 //! the paper's indexed variants exist to avoid. A snapshot makes recovery
 //! O(index): the index dump is written as a checksummed image alongside
 //! the store's own persistence (AOF/WAL), and
-//! [`MetadataIndex::restore_or_rebuild`] loads it *only* when it provably
+//! [`restore_or_rebuild_tenants`] loads it *only* when it provably
 //! describes the reopened store, falling back loudly to the full rebuild
 //! in every other case. An untrustworthy image must never be trusted —
 //! a stale index can silently drop records from `READ-DATA-BY-USER`
@@ -288,7 +288,7 @@ fn encode_section(out: &mut Vec<u8>, tenant: &str, entries: &[IndexEntry]) {
 /// Serialize tenant sections under a stamp (header + sections +
 /// checksum). Callers pass sections in strictly ascending tenant order
 /// with section keys owned by the section tenant — the engine's export
-/// does so by construction, and both readers enforce it.
+/// does so by construction, and the reader enforces it.
 pub fn encode_sections(sections: &[(String, Vec<IndexEntry>)], stamp: &SnapshotStamp) -> Vec<u8> {
     let total: usize = sections.iter().map(|(_, e)| e.len()).sum();
     let mut out = Vec::with_capacity(64 + sections.len() * 16 + total * 48);
@@ -305,12 +305,6 @@ pub fn encode_sections(sections: &[(String, Vec<IndexEntry>)], stamp: &SnapshotS
     let sum = SipHash24::from_key_bytes(&CHECKSUM_KEY).hash(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
-}
-
-/// Serialize a single default-tenant entry dump — the degenerate
-/// single-tenant image (one section, empty tenant name).
-pub fn encode(entries: &[IndexEntry], stamp: &SnapshotStamp) -> Vec<u8> {
-    encode_sections(&[(String::new(), entries.to_vec())], stamp)
 }
 
 // ---- decoding (bounds-checked; never panics, never over-allocates) ----
@@ -344,9 +338,9 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// A string borrowed straight from the image buffer — the streaming
-    /// restore path reads every string this way and allocates only what
-    /// actually enters the index.
+    /// A string borrowed straight from the image buffer — the reader
+    /// takes every string this way and allocates only what actually
+    /// enters the index.
     fn str_ref(&mut self) -> Result<&'a str, SnapshotInvalid> {
         let len = self.u32()? as usize;
         // `take` bounds hostile lengths against the remaining bytes, so a
@@ -449,7 +443,7 @@ fn check_stamp(
     }
 }
 
-/// Structure-and-checksum verification shared by both readers.
+/// Structure-and-checksum verification.
 fn verify_header(data: &[u8]) -> Result<VerifiedHeader<'_>, SnapshotInvalid> {
     // Fixed header (33 bytes) + checksum (8).
     if data.len() < MAGIC.len() + 4 + 1 + 8 + 4 + 4 + 4 + 8 {
@@ -492,9 +486,8 @@ fn verify_header(data: &[u8]) -> Result<VerifiedHeader<'_>, SnapshotInvalid> {
     })
 }
 
-/// Per-section validation shared by both readers: a well-formed tenant
-/// name, strictly ascending across sections (the default tenant's empty
-/// name sorts first).
+/// Per-section validation: a well-formed tenant name, strictly ascending
+/// across sections (the default tenant's empty name sorts first).
 fn check_section_tenant(tenant: &str, prev: Option<&str>) -> Result<(), SnapshotInvalid> {
     TenantId::check_name(tenant).map_err(SnapshotInvalid::BadTenant)?;
     if prev.is_some_and(|p| p >= tenant) {
@@ -515,97 +508,6 @@ fn check_section_key(tenant: &str, key: &str) -> Result<(), SnapshotInvalid> {
         ));
     }
     Ok(())
-}
-
-/// Parse and verify an image against `expected`, materializing the
-/// sections. Validation order: structure and checksum first (is this
-/// byte string a snapshot at all?), then topology, then the generation
-/// stamp — so the error names the *first* reason the image cannot be
-/// trusted.
-pub fn decode_sections(
-    data: &[u8],
-    expected: &SnapshotStamp,
-) -> Result<Vec<(String, Vec<IndexEntry>)>, SnapshotInvalid> {
-    let header = verify_header(data)?;
-    let stamp = header.stamp();
-    let VerifiedHeader {
-        mut cur,
-        sections: section_count,
-        body_len,
-        ..
-    } = header;
-    let mut sections: Vec<(String, Vec<IndexEntry>)> = Vec::with_capacity(section_count);
-    let mut ids: Vec<u32> = Vec::new();
-    for _ in 0..section_count {
-        let tenant = cur.string()?;
-        check_section_tenant(&tenant, sections.last().map(|(t, _)| t.as_str()))?;
-        let count = cur.u64()? as usize;
-        if count > (body_len - cur.pos) / 11 {
-            // Minimum entry footprint: 2 string prefixes + 3 list
-            // prefixes + flags = 21 bytes; 11 is a safely small bound.
-            return Err(SnapshotInvalid::Malformed("hostile entry count".into()));
-        }
-        let vocab = cur.vocab()?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let key = cur.string()?;
-            // Same strictly-ascending rule as the engine's streaming
-            // reader (`parse_sections`): both readers must agree on what
-            // is a valid image, or diagnostics would accept files
-            // recovery rejects.
-            if entries
-                .last()
-                .is_some_and(|prev: &IndexEntry| prev.key >= key)
-            {
-                return Err(SnapshotInvalid::Malformed(
-                    "keys not strictly ascending".into(),
-                ));
-            }
-            check_section_key(&tenant, &key)?;
-            let user = vocab[cur.id(vocab.len())? as usize].to_string();
-            let mut resolve = |cur: &mut Cursor| -> Result<Vec<String>, SnapshotInvalid> {
-                cur.id_list(vocab.len(), &mut ids)?;
-                Ok(ids.iter().map(|&i| vocab[i as usize].to_string()).collect())
-            };
-            let purposes = resolve(&mut cur)?;
-            let objections = resolve(&mut cur)?;
-            let sharing = resolve(&mut cur)?;
-            let eflags = cur.u8()?;
-            let deadline_ms = if eflags & 2 != 0 {
-                Some(cur.u64()?)
-            } else {
-                None
-            };
-            entries.push(IndexEntry {
-                key,
-                user,
-                purposes,
-                objections,
-                sharing,
-                decision_eligible: eflags & 1 != 0,
-                deadline_ms,
-            });
-        }
-        sections.push((tenant, entries));
-    }
-    if cur.pos != body_len {
-        return Err(SnapshotInvalid::Malformed(
-            "trailing bytes after the last entry".into(),
-        ));
-    }
-    check_stamp(stamp, expected)?;
-    Ok(sections)
-}
-
-/// Parse and verify an image, flattening every tenant section into one
-/// entry list (storage keys are globally unique, so nothing collides).
-/// Diagnostics and single-tenant tooling; the recovery path streams via
-/// [`restore_or_rebuild_tenants`] instead.
-pub fn decode(data: &[u8], expected: &SnapshotStamp) -> Result<Vec<IndexEntry>, SnapshotInvalid> {
-    Ok(decode_sections(data, expected)?
-        .into_iter()
-        .flat_map(|(_, entries)| entries)
-        .collect())
 }
 
 /// The streaming restore reader: verify, then feed each tenant section
@@ -641,6 +543,8 @@ fn parse_sections(
         check_section_tenant(&tenant, staged.last().map(|(t, _)| t.as_str()))?;
         let count = cur.u64()? as usize;
         if count > (body_len - cur.pos) / 11 {
+            // Minimum entry footprint: 2 string prefixes + 3 list
+            // prefixes + flags = 21 bytes; 11 is a safely small bound.
             return Err(SnapshotInvalid::Malformed("hostile entry count".into()));
         }
         let vocab_refs = cur.vocab()?;
@@ -685,26 +589,6 @@ fn parse_sections(
         ));
     }
     Ok(staged)
-}
-
-/// Restore a **single-tenant** image into `index` — the default-tenant
-/// section only. Any named-tenant section makes the image untrustworthy
-/// for a single-index restore (nothing is installed).
-fn decode_into(
-    data: &[u8],
-    expected: &SnapshotStamp,
-    index: &MetadataIndex,
-) -> Result<usize, SnapshotInvalid> {
-    let staged = parse_sections(data, expected)?;
-    if staged.iter().any(|(tenant, _)| !tenant.is_empty()) {
-        return Err(SnapshotInvalid::BadTenant(
-            "multi-tenant image restored into a single index".into(),
-        ));
-    }
-    Ok(staged
-        .into_iter()
-        .map(|(_, builder)| builder.install(index))
-        .sum())
 }
 
 /// Write every tenant partition's dump to `path` atomically: export each
@@ -756,21 +640,15 @@ fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotInvalid> {
     }
 }
 
-/// Read and verify the image at `path` against `expected`, materializing
-/// the entries (diagnostics and tooling; the engine's recovery path
-/// streams via [`MetadataIndex::restore_or_rebuild`] instead).
-pub fn read_snapshot(
-    path: &Path,
-    expected: &SnapshotStamp,
-) -> Result<Vec<IndexEntry>, SnapshotInvalid> {
-    read_file(path).and_then(|data| decode(&data, expected))
-}
-
-/// The tenant-aware crash-recovery entry point: load the image at `path`
-/// when it is trustworthy, routing each tenant section into the index
-/// `sink` hands back for that tenant name (the engine materializes the
-/// tenant's partition there); otherwise complain on stderr and run
-/// `rebuild` (the caller's O(n) store backfill across every tenant).
+/// The crash-recovery entry point: load the image at `path` when it is
+/// trustworthy — present, structurally valid, checksum-true, written for
+/// `expected`'s shard topology, and stamped with exactly the store
+/// generation `expected` carries — in O(index), routing each tenant
+/// section into the index `sink` hands back for that tenant name (the
+/// engine materializes the tenant's partition there); otherwise complain
+/// on stderr and run `rebuild` (the caller's O(n) store backfill across
+/// every tenant). The returned [`IndexRecovery`] says which path was
+/// taken and why.
 ///
 /// Installation is all-or-nothing: every section is parsed and every
 /// sink resolved before a single partition is touched, so an image that
@@ -808,42 +686,6 @@ pub fn restore_or_rebuild_tenants<E>(
             );
             let records = rebuild()?;
             Ok(IndexRecovery::Rebuilt { records, cause })
-        }
-    }
-}
-
-impl MetadataIndex {
-    /// The crash-recovery entry point: load the snapshot at `path` into
-    /// this (fresh) index when it is trustworthy — present, structurally
-    /// valid, checksum-true, written for `expected`'s shard topology, and
-    /// stamped with exactly the store generation `expected` carries — in
-    /// O(index); otherwise complain on stderr and run `rebuild` (the
-    /// caller's O(n) store backfill) instead. The returned
-    /// [`IndexRecovery`] says which path was taken and why.
-    ///
-    /// Recovery never propagates a snapshot problem as an error: every
-    /// untrustworthy-image class degrades to the rebuild, so the only
-    /// failure surface is the rebuild's own store access.
-    pub fn restore_or_rebuild<E>(
-        &self,
-        path: &Path,
-        expected: &SnapshotStamp,
-        rebuild: impl FnOnce(&MetadataIndex) -> Result<usize, E>,
-    ) -> Result<IndexRecovery, E> {
-        let attempt = read_file(path).and_then(|data| decode_into(&data, expected, self));
-        match attempt {
-            Ok(n) => Ok(IndexRecovery::Restored {
-                entries: n,
-                generation: expected.generation.unwrap_or(0),
-            }),
-            Err(cause) => {
-                eprintln!(
-                    "gdpr-core: index snapshot {path:?} not usable ({cause}); \
-                     rebuilding the metadata index from a full store scan"
-                );
-                let records = rebuild(self)?;
-                Ok(IndexRecovery::Rebuilt { records, cause })
-            }
         }
     }
 }
@@ -901,24 +743,56 @@ mod tests {
         }
         assert_eq!(a.len(), b.len());
         assert_eq!(a.expired_keys(u64::MAX), b.expired_keys(u64::MAX));
+        assert_eq!(a.export_entries(), b.export_entries());
+    }
+
+    /// A single default-tenant image.
+    fn encode(entries: &[IndexEntry], stamp: &SnapshotStamp) -> Vec<u8> {
+        encode_sections(&[(String::new(), entries.to_vec())], stamp)
+    }
+
+    /// The reader's verdict on `data`, each accepted section installed
+    /// into a fresh index.
+    fn read(
+        data: &[u8],
+        expected: &SnapshotStamp,
+    ) -> Result<Vec<(String, MetadataIndex)>, SnapshotInvalid> {
+        Ok(parse_sections(data, expected)?
+            .into_iter()
+            .map(|(tenant, builder)| {
+                let index = MetadataIndex::new();
+                builder.install(&index);
+                (tenant, index)
+            })
+            .collect())
+    }
+
+    /// Run the recovery entry point against `path`, every section routed
+    /// into `index`; the rebuild reports `rebuilt` records.
+    fn recover(
+        path: &Path,
+        stamp: &SnapshotStamp,
+        index: &Arc<MetadataIndex>,
+        rebuilt: Result<usize, GdprError>,
+    ) -> Result<IndexRecovery, GdprError> {
+        restore_or_rebuild_tenants(path, stamp, &mut |_| Ok(Arc::clone(index)), || rebuilt)
     }
 
     #[test]
     fn export_load_roundtrip_reproduces_every_structure() {
         let idx = sample_index();
-        let restored = MetadataIndex::new();
-        assert_eq!(restored.load_entries(idx.export_entries()), 2);
-        assert_equivalent(&idx, &restored);
-        // Deterministic dump: two exports are byte-identical once encoded.
         let stamp = SnapshotStamp::unsharded(Some(7));
-        assert_eq!(
-            encode(&idx.export_entries(), &stamp),
-            encode(&idx.export_entries(), &stamp)
-        );
+        let bytes = encode(&idx.export_entries(), &stamp);
+        let restored = read(&bytes, &stamp).unwrap();
+        assert_eq!(restored.len(), 1);
+        assert_eq!(restored[0].0, "");
+        assert_equivalent(&idx, &restored[0].1);
+        // Deterministic dump: two exports are byte-identical once encoded.
+        assert_eq!(bytes, encode(&idx.export_entries(), &stamp));
     }
 
     #[test]
-    fn encode_decode_roundtrip_and_stamp_checks() {
+    fn stamp_checks() {
         let idx = sample_index();
         let stamp = SnapshotStamp {
             generation: Some(42),
@@ -926,14 +800,11 @@ mod tests {
             shard_count: 8,
         };
         let bytes = encode(&idx.export_entries(), &stamp);
-        let entries = decode(&bytes, &stamp).unwrap();
-        let restored = MetadataIndex::new();
-        restored.load_entries(entries);
-        assert_equivalent(&idx, &restored);
+        assert_equivalent(&idx, &read(&bytes, &stamp).unwrap()[0].1);
 
         // Wrong generation → stale.
         assert!(matches!(
-            decode(
+            read(
                 &bytes,
                 &SnapshotStamp {
                     generation: Some(43),
@@ -947,7 +818,7 @@ mod tests {
         ));
         // A store that cannot stamp trusts nothing.
         assert!(matches!(
-            decode(
+            read(
                 &bytes,
                 &SnapshotStamp {
                     generation: None,
@@ -965,12 +836,12 @@ mod tests {
             },
         );
         assert!(matches!(
-            decode(&unstamped, &stamp),
+            read(&unstamped, &stamp),
             Err(SnapshotInvalid::StaleGeneration { snapshot: None, .. })
         ));
         // Topology mismatch checked before generation can pass.
         assert!(matches!(
-            decode(
+            read(
                 &bytes,
                 &SnapshotStamp {
                     generation: Some(42),
@@ -989,63 +860,91 @@ mod tests {
         let bytes = encode(&idx.export_entries(), &stamp);
         for len in 0..bytes.len() {
             assert!(
-                decode(&bytes[..len], &stamp).is_err(),
+                read(&bytes[..len], &stamp).is_err(),
                 "prefix of {len} bytes must be rejected"
             );
         }
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x55;
-            assert!(
-                decode(&bad, &stamp).is_err(),
-                "flip at {i} must be rejected"
-            );
+            assert!(read(&bad, &stamp).is_err(), "flip at {i} must be rejected");
         }
         // Trailing garbage after a valid image.
         let mut padded = bytes.clone();
         padded.extend_from_slice(b"zzzz");
-        assert!(decode(&padded, &stamp).is_err());
+        assert!(read(&padded, &stamp).is_err());
         // A duplicated (self-concatenated) image is not a valid image.
         let mut doubled = bytes.clone();
         doubled.extend_from_slice(&bytes);
-        assert!(decode(&doubled, &stamp).is_err());
-        assert!(
-            decode(&bytes, &stamp).is_ok(),
-            "the intact image still loads"
-        );
+        assert!(read(&doubled, &stamp).is_err());
+        assert!(read(&bytes, &stamp).is_ok(), "the intact image still loads");
+    }
+
+    /// `bytes` with its trailing checksum recomputed — what a forger who
+    /// knows the (fixed, non-secret) checksum key would produce.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 8;
+        let sum = SipHash24::from_key_bytes(&CHECKSUM_KEY).hash(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes
     }
 
     /// A checksum-valid image whose keys are not strictly ascending is a
-    /// forgery (the writer always sorts) — both readers must reject it,
-    /// and the recovery path must degrade to the rebuild, because a
-    /// duplicate or reordered key stream can split postings and drop
-    /// records from predicate answers.
+    /// forgery (the writer always sorts) — the reader must reject it, and
+    /// the recovery path must degrade to the rebuild, because a duplicate
+    /// or reordered key stream can split postings and drop records from
+    /// predicate answers. A term table naming one term twice is the same
+    /// class of forgery.
     #[test]
-    fn forged_key_order_is_rejected_by_both_readers() {
+    fn forged_key_order_and_duplicate_terms_are_rejected() {
         let idx = sample_index();
         let stamp = SnapshotStamp::unsharded(Some(3));
         let mut entries = idx.export_entries();
         entries.reverse(); // k2 before k1: checksum-valid, order-forged
         let forged = encode(&entries, &stamp);
         assert!(matches!(
-            decode(&forged, &stamp),
+            read(&forged, &stamp),
             Err(SnapshotInvalid::Malformed(_))
         ));
-        let fresh = MetadataIndex::new();
+        let dir = std::env::temp_dir().join(format!("gidx-forged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("forged.snap");
+        std::fs::write(&path, &forged).unwrap();
+        let fresh = Arc::new(MetadataIndex::new());
         assert!(matches!(
-            decode_into(&forged, &stamp, &fresh),
-            Err(SnapshotInvalid::Malformed(_))
+            recover(&path, &stamp, &fresh, Ok(0)).unwrap(),
+            IndexRecovery::Rebuilt {
+                cause: SnapshotInvalid::Malformed(_),
+                ..
+            }
         ));
         assert!(fresh.is_empty(), "a rejected image must install nothing");
+        std::fs::remove_file(&path).unwrap();
         // Duplicated keys are equally a forgery.
         let mut entries = idx.export_entries();
         let dup = entries[0].clone();
         entries.insert(1, dup);
         let forged = encode(&entries, &stamp);
         assert!(matches!(
-            decode(&forged, &stamp),
+            read(&forged, &stamp),
             Err(SnapshotInvalid::Malformed(_))
         ));
+        // Two term-table slots naming the same term: rename "2fa" to the
+        // equally long "ads" in place (the writer lists each term once,
+        // so the table holds exactly one of each).
+        let honest = encode(&idx.export_entries(), &stamp);
+        let at = honest
+            .windows(7)
+            .position(|w| w == b"\x03\x00\x00\x002fa")
+            .expect("the term table holds 2fa");
+        let mut forged = honest.clone();
+        forged[at + 4..at + 7].copy_from_slice(b"ads");
+        assert_eq!(
+            read(&resealed(forged), &stamp).err(),
+            Some(SnapshotInvalid::Malformed(
+                "duplicate term in vocabulary table".into()
+            ))
+        );
     }
 
     #[test]
@@ -1058,11 +957,9 @@ mod tests {
         let stamp = SnapshotStamp::unsharded(Some(5));
 
         // Missing file → rebuild (closure runs).
-        let fresh = MetadataIndex::new();
-        let outcome: Result<IndexRecovery, GdprError> =
-            fresh.restore_or_rebuild(&path, &stamp, |_| Ok(9));
+        let fresh = Arc::new(MetadataIndex::new());
         assert_eq!(
-            outcome.unwrap(),
+            recover(&path, &stamp, &fresh, Ok(9)).unwrap(),
             IndexRecovery::Rebuilt {
                 records: 9,
                 cause: SnapshotInvalid::Missing
@@ -1071,17 +968,19 @@ mod tests {
 
         let sections = vec![(String::new(), Arc::new(sample_index()))];
         assert_eq!(write_snapshot(&path, &sections, &stamp).unwrap(), 2);
-        let fresh = MetadataIndex::new();
         let outcome: Result<IndexRecovery, GdprError> =
-            fresh.restore_or_rebuild(&path, &stamp, |_| panic!("must not rebuild"));
+            restore_or_rebuild_tenants(&path, &stamp, &mut |_| Ok(Arc::clone(&fresh)), || {
+                panic!("must not rebuild")
+            });
         assert!(outcome.unwrap().is_restored());
         assert_equivalent(&idx, &fresh);
 
         // A rebuild error propagates.
-        let bad: Result<IndexRecovery, GdprError> = MetadataIndex::new().restore_or_rebuild(
+        let bad = recover(
             &path,
             &SnapshotStamp::unsharded(Some(6)),
-            |_| Err(GdprError::Store("scan failed".into())),
+            &Arc::new(MetadataIndex::new()),
+            Err(GdprError::Store("scan failed".into())),
         );
         assert!(bad.is_err());
         std::fs::remove_file(&path).unwrap();
@@ -1112,13 +1011,12 @@ mod tests {
             .map(|(t, i)| (t.clone(), i.export_entries()))
             .collect();
         let bytes = encode_sections(&exported, &stamp);
-        let decoded = decode_sections(&bytes, &stamp).unwrap();
-        assert_eq!(
-            decoded.iter().map(|(t, _)| t.as_str()).collect::<Vec<_>>(),
-            vec!["", "acme", "zeta"]
-        );
-        assert_eq!(decoded[0].1.len(), 2);
-        assert_eq!(decoded[1].1.len(), 1);
+        let decoded: Vec<(String, Vec<IndexEntry>)> = read(&bytes, &stamp)
+            .unwrap()
+            .into_iter()
+            .map(|(tenant, index)| (tenant, index.export_entries()))
+            .collect();
+        assert_eq!(decoded, exported);
         assert_eq!(decoded[1].1[0].key, "acme\u{1d}k1");
 
         // The tenant-aware recovery routes each section to its partition.
@@ -1148,15 +1046,34 @@ mod tests {
         assert_eq!(restored[1].0, "acme");
         assert_eq!(restored[1].1.len(), 1);
         assert_equivalent(&sections[0].1, &restored[0].1);
-        std::fs::remove_file(&path).unwrap();
 
-        // A multi-tenant image never restores into a single bare index.
-        let single = MetadataIndex::new();
+        // An opener that cannot take a named tenant (a single bare index)
+        // gets nothing installed — not even the default section it could
+        // have taken — and rebuilds.
+        let single = Arc::new(MetadataIndex::new());
+        let outcome: Result<IndexRecovery, GdprError> = restore_or_rebuild_tenants(
+            &path,
+            &stamp,
+            &mut |tenant| {
+                if tenant.is_empty() {
+                    Ok(Arc::clone(&single))
+                } else {
+                    Err(SnapshotInvalid::BadTenant(
+                        "multi-tenant image restored into a single index".into(),
+                    ))
+                }
+            },
+            || Ok(0),
+        );
         assert!(matches!(
-            decode_into(&bytes, &stamp, &single),
-            Err(SnapshotInvalid::BadTenant(_))
+            outcome.unwrap(),
+            IndexRecovery::Rebuilt {
+                cause: SnapshotInvalid::BadTenant(_),
+                ..
+            }
         ));
         assert!(single.is_empty());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1171,7 +1088,7 @@ mod tests {
             &stamp,
         );
         assert!(matches!(
-            decode_sections(&misordered, &stamp),
+            read(&misordered, &stamp),
             Err(SnapshotInvalid::Malformed(_))
         ));
         // A key parked in the wrong tenant's section is rejected even
@@ -1181,23 +1098,20 @@ mod tests {
             &stamp,
         );
         assert!(matches!(
-            decode_sections(&leaked, &stamp),
+            read(&leaked, &stamp),
             Err(SnapshotInvalid::Malformed(_))
         ));
         // An invalid tenant name in the image is rejected.
         let bad_name = encode_sections(&[("has space".to_string(), Vec::new())], &stamp);
         assert!(matches!(
-            decode_sections(&bad_name, &stamp),
+            read(&bad_name, &stamp),
             Err(SnapshotInvalid::BadTenant(_))
         ));
         // A version this build does not read rebuilds loudly.
         let mut old = encode(&sample_index().export_entries(), &stamp);
         old[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let body_len = old.len() - 8;
-        let sum = SipHash24::from_key_bytes(&CHECKSUM_KEY).hash(&old[..body_len]);
-        old[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
-            decode(&old, &stamp),
+            read(&resealed(old), &stamp),
             Err(SnapshotInvalid::UnsupportedVersion(1))
         ));
     }

@@ -226,9 +226,6 @@ impl HistogramSnapshot {
     pub fn p50_ns(&self) -> u64 {
         self.quantile_ns(0.50)
     }
-    pub fn p90_ns(&self) -> u64 {
-        self.quantile_ns(0.90)
-    }
     pub fn p99_ns(&self) -> u64 {
         self.quantile_ns(0.99)
     }
@@ -324,8 +321,8 @@ struct OpSlot {
 /// `GDPR_SLOW_OP_MS` environment variable (unset/0 = disabled).
 pub struct OpTelemetry {
     slots: [OpSlot; QUERY_SLOTS],
-    /// Slow-op threshold in nanoseconds; 0 = disabled.
-    slow_threshold_ns: AtomicU64,
+    /// Slow-op threshold in nanoseconds (`GDPR_SLOW_OP_MS`); 0 = disabled.
+    slow_threshold_ns: u64,
     /// Tenant label stamped on slow-op log lines (`"default"` for the
     /// degenerate single-tenant table).
     label: String,
@@ -368,7 +365,7 @@ impl OpTelemetry {
                 errors: AtomicU64::new(0),
                 latency: AtomicHistogram::new(),
             }),
-            slow_threshold_ns: AtomicU64::new(slow_ms.saturating_mul(1_000_000)),
+            slow_threshold_ns: slow_ms.saturating_mul(1_000_000),
             label: label.into(),
         }
     }
@@ -376,12 +373,6 @@ impl OpTelemetry {
     /// The tenant label slow-op lines are attributed to.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// Override the slow-op threshold (`None`/zero disables).
-    pub fn set_slow_threshold(&self, threshold: Option<Duration>) {
-        let ns = threshold.map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        self.slow_threshold_ns.store(ns, Ordering::Relaxed);
     }
 
     /// Record one executed op: which query, how long its dispatch took,
@@ -398,7 +389,7 @@ impl OpTelemetry {
             slot.ok.fetch_add(1, Ordering::Relaxed);
         }
         slot.latency.record(elapsed);
-        let threshold = self.slow_threshold_ns.load(Ordering::Relaxed);
+        let threshold = self.slow_threshold_ns;
         if threshold > 0 {
             let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
             if ns >= threshold {

@@ -26,7 +26,7 @@
 //! a [`crate::ComplianceEngine`] and in the [`crate::ShardedEngine`] router
 //! above it (whose table simply carries no index partitions).
 
-use crate::audit::{AuditDraft, AuditTrail};
+use crate::audit::AuditTrail;
 use crate::error::GdprResult;
 use crate::metaindex::MetadataIndex;
 use crate::query::GdprQuery;
@@ -207,12 +207,8 @@ impl TenantState {
             Ok(resp) => Ok(resp.cardinality()),
             Err(_) => Err(err_text.as_deref().unwrap_or("error")),
         };
-        self.audit.record_batch([AuditDraft::new(
-            session,
-            query.name(),
-            query.detail(),
-            outcome,
-        )]);
+        self.audit
+            .record(session, query.name(), query.detail(), outcome);
         result
     }
 }

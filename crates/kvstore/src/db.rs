@@ -28,7 +28,7 @@ pub struct Db {
     expires: HashMap<Bytes, Timestamp>,
     /// Keys with an expiry, sampleable in O(1) — Redis' `expires` dict.
     expire_set: SampleSet<Bytes>,
-    /// All keys, dense-indexed for SCAN cursors and RANDOMKEY.
+    /// All keys, dense-indexed for SCAN cursors.
     key_index: SampleSet<Bytes>,
     clock: SharedClock,
     /// Count of keys reaped lazily on access, for INFO/stats.
@@ -105,17 +105,6 @@ impl Db {
         }
     }
 
-    /// Non-mutating read: like [`Self::get`] but without the
-    /// reap-on-access side effect — past-due keys read as absent and stay
-    /// for the expiration machinery. Snapshots use this so `&Db` suffices.
-    pub fn peek(&self, key: &[u8]) -> Option<&Value> {
-        if self.is_past_due(key) {
-            None
-        } else {
-            self.dict.get(key)
-        }
-    }
-
     /// Read access to a live (non-expired) value.
     pub fn get(&mut self, key: &[u8]) -> Option<&Value> {
         if self.reap_if_due(key) {
@@ -170,14 +159,6 @@ impl Db {
         self.dict.remove(key).is_some()
     }
 
-    /// Remove the key if its container value became empty.
-    pub fn drop_if_empty(&mut self, key: &[u8]) {
-        if self.dict.get(key).is_some_and(Value::is_empty_container) {
-            let owned = Bytes::copy_from_slice(key);
-            self.remove(&owned);
-        }
-    }
-
     /// True if `key` exists and is not past due.
     pub fn exists(&mut self, key: &[u8]) -> bool {
         self.get(key).is_some()
@@ -194,24 +175,10 @@ impl Db {
         true
     }
 
-    /// Remove any expiry from `key` (Redis `PERSIST`). Returns `true` if an
-    /// expiry was removed.
-    pub fn clear_expiry(&mut self, key: &Bytes) -> bool {
+    /// Remove any expiry from `key`.
+    fn clear_expiry(&mut self, key: &Bytes) {
         self.expire_set.remove(key);
-        self.expires.remove(key).is_some()
-    }
-
-    /// Remaining time to live: `None` if the key does not exist, `Some(None)`
-    /// if it has no expiry, `Some(Some(d))` otherwise.
-    pub fn ttl(&mut self, key: &[u8]) -> Option<Option<std::time::Duration>> {
-        if self.reap_if_due(key) || !self.dict.contains_key(key) {
-            return None;
-        }
-        Some(
-            self.expires
-                .get(key)
-                .map(|&at| at.saturating_since(self.clock.now())),
-        )
+        self.expires.remove(key);
     }
 
     /// The absolute expiry time of `key`, if any.
@@ -248,15 +215,6 @@ impl Db {
         }
     }
 
-    /// Keys matching a glob pattern (the `KEYS` command) — O(n).
-    pub fn keys_matching(&self, pattern: &[u8]) -> Vec<Bytes> {
-        self.key_index
-            .iter()
-            .filter(|k| glob_match(pattern, k))
-            .cloned()
-            .collect()
-    }
-
     /// Cursor-based iteration (the `SCAN` command). Returns matching keys in
     /// the window plus the next cursor (0 when done). The guarantee matches
     /// Redis': every key present for the whole scan is returned at least
@@ -275,19 +233,6 @@ impl Db {
         }
         let next = if idx >= self.key_index.len() { 0 } else { idx };
         (out, next)
-    }
-
-    /// Uniformly random live key (`RANDOMKEY`).
-    pub fn random_key(&self, rng: &mut XorShift64) -> Option<Bytes> {
-        self.key_index.sample(rng).cloned()
-    }
-
-    /// Remove everything (`FLUSHALL`).
-    pub fn flush(&mut self) {
-        self.dict.clear();
-        self.expires.clear();
-        self.expire_set = SampleSet::new();
-        self.key_index = SampleSet::new();
     }
 
     /// Keys reaped lazily on access since startup.
@@ -391,35 +336,14 @@ mod tests {
         db.set(b("k"), Value::Str(b("v2"))); // plain SET removes the TTL
         sim.advance(Duration::from_secs(11));
         assert!(db.exists(b"k"));
-        assert_eq!(db.ttl(b"k"), Some(None));
-    }
-
-    #[test]
-    fn ttl_reporting() {
-        let (sim, mut db) = sim_db();
-        assert_eq!(db.ttl(b"nope"), None);
-        db.set(b("k"), Value::Str(b("v")));
-        assert_eq!(db.ttl(b"k"), Some(None));
-        db.set_expiry(b"k", Timestamp::from_secs(10));
-        sim.advance(Duration::from_secs(4));
-        assert_eq!(db.ttl(b"k"), Some(Some(Duration::from_secs(6))));
+        assert_eq!(db.expiry_of(b"k"), None);
+        assert_eq!(db.expire_set_len(), 0);
     }
 
     #[test]
     fn expire_on_missing_key_fails() {
         let (_c, mut db) = sim_db();
         assert!(!db.set_expiry(b"ghost", Timestamp::from_secs(5)));
-    }
-
-    #[test]
-    fn persist_removes_expiry() {
-        let (sim, mut db) = sim_db();
-        db.set(b("k"), Value::Str(b("v")));
-        db.set_expiry(b"k", Timestamp::from_secs(1));
-        assert!(db.clear_expiry(&b("k")));
-        assert!(!db.clear_expiry(&b("k")));
-        sim.advance(Duration::from_secs(5));
-        assert!(db.exists(b"k"));
     }
 
     #[test]
@@ -470,27 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn keys_matching_glob() {
-        let (_c, mut db) = sim_db();
-        db.set(b("user:1"), Value::Str(b("a")));
-        db.set(b("user:2"), Value::Str(b("b")));
-        db.set(b("order:1"), Value::Str(b("c")));
-        assert_eq!(db.keys_matching(b"user:*").len(), 2);
-        assert_eq!(db.keys_matching(b"*").len(), 3);
-    }
-
-    #[test]
-    fn flush_empties_everything() {
-        let (_c, mut db) = sim_db();
-        db.set(b("k"), Value::Str(b("v")));
-        db.set_expiry(b"k", Timestamp::from_secs(1));
-        db.flush();
-        assert!(db.is_empty());
-        assert_eq!(db.expire_set_len(), 0);
-        assert_eq!(db.memory_usage(), 0);
-    }
-
-    #[test]
     fn memory_usage_grows_with_data() {
         let (_c, mut db) = sim_db();
         let before = db.memory_usage();
@@ -505,16 +408,16 @@ mod tests {
         let err = db
             .get_or_create(
                 b"s",
-                || Value::Hash(Default::default()),
-                |v| matches!(v, Value::Hash(_)),
+                || Value::ZSet(Default::default()),
+                |v| matches!(v, Value::ZSet(_)),
             )
             .unwrap_err();
         assert_eq!(err, KvError::WrongType);
         assert!(db
             .get_or_create(
-                b"h",
-                || Value::Hash(Default::default()),
-                |v| { matches!(v, Value::Hash(_)) }
+                b"z",
+                || Value::ZSet(Default::default()),
+                |v| { matches!(v, Value::ZSet(_)) }
             )
             .is_ok());
     }

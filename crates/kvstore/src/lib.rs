@@ -20,6 +20,25 @@
 //!   scans to produce an audit trail ([`aof`], Figure 4a's `Log` bar) and can
 //!   seal every record with the at-rest cipher (`Encrypt` bar).
 //!
+//! ## The command set is the traffic
+//!
+//! The paper's Redis client stub (§4.3) issues a fixed handful of commands,
+//! and so do this repo's callers. [`Command`] has exactly the variants some
+//! non-test caller builds; a log holding anything else fails replay with
+//! `KvError::Syntax("unknown command …")` rather than skipping the frame.
+//!
+//! | command | who issues it |
+//! |---|---|
+//! | `SET` | [`KvStore::set`] / [`KvStore::set_ex`]: the Redis connector's put / rewrite, YCSB insert and update |
+//! | `GET` | [`KvStore::get`]: the connector's fetch and scan, YCSB read |
+//! | `DEL` | [`KvStore::del`]: the connector's delete |
+//! | `EXISTS` | [`KvStore::exists`]: the connector's create-collision probe |
+//! | `EXPIRE` | [`KvStore::expire`]: the Figure 4 TTL experiment (`bench`) |
+//! | `EXPIREAT` | the connector re-arming an exact deadline after a rewrite or shard migration; the AOF form of every relative expiry |
+//! | `SCAN` | the connector's keyspace walk (every non-indexed metadata query, `expired_keys`); `benches/kv_ops.rs` |
+//! | `ZADD` | YCSB's key index (`workload::ycsb`), fed on insert |
+//! | `ZRANGEBYSCORE` | YCSB workload E's range scan over that index |
+//!
 //! ```
 //! use kvstore::{KvConfig, KvStore};
 //!
@@ -35,7 +54,6 @@ pub mod db;
 pub mod error;
 pub mod expire;
 pub mod glob;
-pub mod rdb;
 pub mod resp;
 pub mod rng;
 pub mod sampleset;

@@ -13,7 +13,6 @@ use crate::config::{AofStorage, KvConfig};
 use crate::db::Db;
 use crate::error::{KvError, KvResult};
 use crate::expire::{CycleStats, ExpirationCycle, CYCLE_PERIOD};
-use crate::rng::XorShift64;
 use bytes::Bytes;
 use clock::SharedClock;
 use crypto::channel::SecureChannel;
@@ -29,7 +28,6 @@ struct Inner {
     cycle: ExpirationCycle,
     aof: Option<Aof>,
     transit: Option<Transit>,
-    rng: XorShift64,
 }
 
 /// Both endpoints of the simulated client↔server encrypted session. Holding
@@ -88,7 +86,6 @@ impl KvStore {
                 cycle: ExpirationCycle::new(config.expiration),
                 aof,
                 transit,
-                rng: XorShift64::new(0xD15C_0B44),
             }),
             config,
             clock: clk,
@@ -134,7 +131,7 @@ impl KvStore {
         }
 
         let is_write = cmd.is_write();
-        let reply = cmd.execute(&mut inner.db, &mut inner.rng)?;
+        let reply = cmd.execute(&mut inner.db)?;
         if is_write {
             // Counted in AOF-frame units (after execution — the frame count
             // of EXPIRE depends on whether a deadline now exists) so that
@@ -307,26 +304,6 @@ impl KvStore {
             .and_then(|a| a.memory_buffer())
     }
 
-    /// Serialize the keyspace to a point-in-time snapshot (the RDB file),
-    /// sealed when encryption at rest is configured.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let volume = self
-            .config
-            .encrypt_at_rest
-            .then(|| Volume::new(&self.config.cipher_seed));
-        crate::rdb::snapshot(&self.inner.lock().db, volume.as_ref())
-    }
-
-    /// Restore a snapshot produced by [`Self::snapshot_bytes`] into this
-    /// store (overwriting clashing keys). Returns keys restored.
-    pub fn restore_snapshot(&self, data: &[u8]) -> KvResult<usize> {
-        let volume = self
-            .config
-            .encrypt_at_rest
-            .then(|| Volume::new(&self.config.cipher_seed));
-        crate::rdb::restore(&mut self.inner.lock().db, data, volume.as_ref())
-    }
-
     /// Replay an AOF byte stream into a fresh store with this configuration.
     pub fn replay(config: KvConfig, data: &[u8], clk: SharedClock) -> KvResult<Arc<Self>> {
         let volume = config
@@ -352,11 +329,13 @@ impl KvStore {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         for parts in commands {
+            // A frame this store cannot parse fails the replay: skipping it
+            // would land on a generation the log never had.
             let cmd = Command::from_wire(&parts)?;
             // Read commands may appear in GDPR audit logs; applying them
             // is harmless but pointless, so skip.
             if cmd.is_write() {
-                cmd.execute(&mut inner.db, &mut inner.rng)?;
+                cmd.execute(&mut inner.db)?;
                 self.stats
                     .mutations
                     .fetch_add(Self::aof_frame_count(&cmd, &inner.db), Ordering::Relaxed);
@@ -533,6 +512,14 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// One plaintext AOF frame holding `HSET k f v`.
+    fn foreign_frame() -> Vec<u8> {
+        let payload = crate::resp::encode_command(&[b("HSET"), b("k"), b("f"), b("v")]);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
     #[test]
     fn basic_set_get_through_server() {
         let store = KvStore::open(KvConfig::default()).unwrap();
@@ -609,24 +596,34 @@ mod tests {
         store.set(b"b", b"2").unwrap();
         store.del(b"a").unwrap();
         store
-            .execute(Command::HSet {
-                key: b("h"),
-                pairs: vec![(b("f"), b("v"))],
+            .execute(Command::ZAdd {
+                key: b("z"),
+                entries: vec![(1.0, b("m"))],
             })
             .unwrap();
-        let raw = store.aof_memory_buffer().unwrap().lock().clone();
+        let mut raw = store.aof_memory_buffer().unwrap().lock().clone();
 
-        let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
+        let replayed = KvStore::replay(config.clone(), &raw, clock::wall()).unwrap();
         assert_eq!(replayed.get(b"a").unwrap(), None);
         assert_eq!(replayed.get(b"b").unwrap().unwrap().as_ref(), b"2");
         assert_eq!(
             replayed
-                .execute(Command::HGet {
-                    key: b("h"),
-                    field: b("f")
+                .execute(Command::ZRangeByScore {
+                    key: b("z"),
+                    min: 0.0,
+                    max: 2.0,
+                    limit: None
                 })
                 .unwrap(),
-            Reply::Bulk(b("v"))
+            Reply::Array(vec![Reply::Bulk(b("m"))])
+        );
+
+        // A well-framed command this store does not speak fails the replay
+        // — it is never skipped.
+        raw.extend_from_slice(&foreign_frame());
+        assert_eq!(
+            KvStore::replay(config, &raw, clock::wall()).err(),
+            Some(KvError::Syntax("unknown command HSET".into()))
         );
     }
 
@@ -736,26 +733,61 @@ mod tests {
     /// AOF lands on the exact value the live store had — including the
     /// SET-EX → SET+EXPIREAT rewrite (2 frames) and the EXPIRE-on-missing
     /// no-op (0 frames) — and a torn tail replays to a *smaller* value.
+    /// The log is a `log_reads` one holding every command the store
+    /// speaks, so no frame a served store can write trips the replay.
     #[test]
     fn mutation_generation_matches_across_replay() {
         let config = KvConfig {
             aof: AofStorage::Memory,
             fsync: FsyncPolicy::Never,
+            log_reads: true,
             ..Default::default()
         };
         let store = KvStore::open(config.clone()).unwrap();
         store.set(b"a", b"1").unwrap(); // 1 frame
         store.set_ex(b"b", b"2", Duration::from_secs(60)).unwrap(); // 2 frames
         store.expire(b"ghost", Duration::from_secs(5)).unwrap(); // 0 frames
+        store.expire(b"a", Duration::from_secs(5)).unwrap(); // 1 frame
         store.get(b"a").unwrap(); // reads never count
+        store.exists(b"a").unwrap();
+        let scan = Command::Scan {
+            cursor: 0,
+            count: 10,
+            pattern: Some(b("*")),
+        };
+        store.execute(scan).unwrap();
+        let zadd = Command::ZAdd {
+            key: b("z"),
+            entries: vec![(1.0, b("m"))],
+        };
+        store.execute(zadd).unwrap(); // 1 frame
+        let zrange = Command::ZRangeByScore {
+            key: b("z"),
+            min: 0.0,
+            max: 1.0,
+            limit: Some(1),
+        };
+        store.execute(zrange).unwrap();
         store.del(b"a").unwrap(); // 1 frame
-        assert_eq!(store.mutation_generation(), 4);
+        assert_eq!(store.mutation_generation(), 6);
 
         let raw = store.aof_memory_buffer().unwrap().lock().clone();
+        let mut logged: Vec<String> = aof::decode_stream(&raw, None)
+            .unwrap()
+            .iter()
+            .map(|parts| String::from_utf8_lossy(&parts[0]).into_owned())
+            .collect();
+        logged.sort();
+        logged.dedup();
+        // EXPIRE itself never reaches the log: it is written as EXPIREAT.
+        assert_eq!(
+            logged.join(" "),
+            "DEL EXISTS EXPIREAT GET SCAN SET ZADD ZRANGEBYSCORE"
+        );
         let replayed = KvStore::replay(config.clone(), &raw, clock::wall()).unwrap();
         assert_eq!(
             replayed.mutation_generation(),
-            4,
+            6,
             "replay lands on the live value"
         );
 
@@ -774,7 +806,7 @@ mod tests {
         })
         .unwrap();
         torn.apply_replayed(commands).unwrap();
-        assert!(torn.mutation_generation() < 4);
+        assert!(torn.mutation_generation() < 6);
     }
 
     #[test]
@@ -824,10 +856,34 @@ mod tests {
             store.set(b"d", b"4").unwrap();
             store.sync_aof().unwrap();
         }
-        let store = KvStore::open_persistent(config, clock::wall()).unwrap();
-        assert_eq!(store.get(b"d").unwrap().unwrap().as_ref(), b"4");
-        assert_eq!(store.get(b"b").unwrap().unwrap().as_ref(), b"2");
-        assert_eq!(store.mutation_generation(), 4);
+        {
+            let store = KvStore::open_persistent(config.clone(), clock::wall()).unwrap();
+            assert_eq!(store.get(b"d").unwrap().unwrap().as_ref(), b"4");
+            assert_eq!(store.get(b"b").unwrap().unwrap().as_ref(), b"2");
+            assert_eq!(store.mutation_generation(), 4);
+        }
+
+        // A sealed, intact fifth frame holding a command this store does
+        // not speak: reopening fails loudly and leaves the file alone.
+        let before = std::fs::read(&path).unwrap();
+        let mut writer = Aof::open(
+            &config.aof,
+            FsyncPolicy::Always,
+            Some(Volume::new(&config.cipher_seed)),
+            clock::wall(),
+        )
+        .unwrap()
+        .unwrap();
+        writer.resume_after(4, before.len() as u64);
+        writer.append(&[b("HSET"), b("k"), b("f"), b("v")]).unwrap();
+        drop(writer);
+        let with_foreign = std::fs::read(&path).unwrap();
+        assert!(with_foreign.len() > before.len());
+        assert_eq!(
+            KvStore::open_persistent(config, clock::wall()).err(),
+            Some(KvError::Syntax("unknown command HSET".into()))
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), with_foreign);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -158,13 +158,9 @@ impl SkipList {
         true
     }
 
-    /// Iterate `(member, score)` in order over `min..=max` scores.
-    pub fn range_by_score(&self, min: f64, max: f64) -> Vec<(Bytes, f64)> {
-        self.range_by_score_limit(min, max, usize::MAX)
-    }
-
-    /// As [`Self::range_by_score`], stopping after `limit` members — the
-    /// `ZRANGEBYSCORE ... LIMIT` path that keeps ordered scans O(log n + k).
+    /// `(member, score)` in order over `min..=max` scores, stopping after
+    /// `limit` members — the `ZRANGEBYSCORE ... LIMIT` path that keeps
+    /// ordered scans O(log n + k).
     pub fn range_by_score_limit(&self, min: f64, max: f64, limit: usize) -> Vec<(Bytes, f64)> {
         let mut out = Vec::new();
         // Descend to the first node with score >= min.
@@ -186,26 +182,6 @@ impl SkipList {
         }
         out
     }
-
-    /// Members in rank order `[start, stop]` (inclusive, like ZRANGE).
-    pub fn range_by_rank(&self, start: usize, stop: usize) -> Vec<(Bytes, f64)> {
-        let mut out = Vec::new();
-        let mut cur = self.nodes[0].next[0];
-        let mut rank = 0usize;
-        while cur != NIL && rank <= stop {
-            if rank >= start {
-                out.push((self.nodes[cur].member.clone(), self.nodes[cur].score));
-            }
-            rank += 1;
-            cur = self.nodes[cur].next[0];
-        }
-        out
-    }
-
-    /// All members in order.
-    pub fn iter_all(&self) -> Vec<(Bytes, f64)> {
-        self.range_by_rank(0, usize::MAX)
-    }
 }
 
 impl Default for SkipList {
@@ -222,13 +198,17 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    fn all(sl: &SkipList) -> Vec<(Bytes, f64)> {
+        sl.range_by_score_limit(f64::NEG_INFINITY, f64::INFINITY, usize::MAX)
+    }
+
     #[test]
     fn insert_orders_by_score() {
         let mut sl = SkipList::new();
         sl.insert(b("c"), 3.0);
         sl.insert(b("a"), 1.0);
         sl.insert(b("b"), 2.0);
-        let members: Vec<_> = sl.iter_all().into_iter().map(|(m, _)| m).collect();
+        let members: Vec<_> = all(&sl).into_iter().map(|(m, _)| m).collect();
         assert_eq!(members, vec![b("a"), b("b"), b("c")]);
     }
 
@@ -238,7 +218,7 @@ mod tests {
         sl.insert(b("z"), 1.0);
         sl.insert(b("a"), 1.0);
         sl.insert(b("m"), 1.0);
-        let members: Vec<_> = sl.iter_all().into_iter().map(|(m, _)| m).collect();
+        let members: Vec<_> = all(&sl).into_iter().map(|(m, _)| m).collect();
         assert_eq!(members, vec![b("a"), b("m"), b("z")]);
     }
 
@@ -248,7 +228,7 @@ mod tests {
         for i in 0..10 {
             sl.insert(b(&format!("k{i}")), i as f64);
         }
-        let got = sl.range_by_score(3.0, 6.0);
+        let got = sl.range_by_score_limit(3.0, 6.0, usize::MAX);
         let scores: Vec<_> = got.iter().map(|(_, s)| *s).collect();
         assert_eq!(scores, vec![3.0, 4.0, 5.0, 6.0]);
     }
@@ -263,7 +243,7 @@ mod tests {
             assert!(sl.remove(format!("k{i:03}").as_bytes(), i as f64));
         }
         assert_eq!(sl.len(), 50);
-        let remaining = sl.range_by_score(f64::NEG_INFINITY, f64::INFINITY);
+        let remaining = all(&sl);
         assert!(remaining.iter().all(|(_, s)| (*s as u64) % 2 == 1));
         assert_eq!(remaining.len(), 50);
     }
@@ -287,19 +267,7 @@ mod tests {
         assert!(sl.remove(b"a".as_ref(), 1.0));
         sl.insert(b("a"), 9.0);
         assert_eq!(sl.len(), 1);
-        assert_eq!(sl.iter_all(), vec![(b("a"), 9.0)]);
-    }
-
-    #[test]
-    fn rank_range() {
-        let mut sl = SkipList::new();
-        for i in 0..10 {
-            sl.insert(b(&format!("k{i}")), i as f64);
-        }
-        let got = sl.range_by_rank(2, 4);
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0].1, 2.0);
-        assert_eq!(got[2].1, 4.0);
+        assert_eq!(all(&sl), vec![(b("a"), 9.0)]);
     }
 
     #[test]
@@ -324,7 +292,7 @@ mod tests {
             }
         }
         assert_eq!(sl.len(), model.len());
-        let all = sl.iter_all();
+        let all = all(&sl);
         assert!(all
             .windows(2)
             .all(|w| { w[0].1 < w[1].1 || (w[0].1 == w[1].1 && w[0].0 <= w[1].0) }));

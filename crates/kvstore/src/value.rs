@@ -1,13 +1,14 @@
-//! The value types a key can hold: string, list, hash, set, sorted set —
-//! the five core Redis data types.
+//! The value types a key can hold: string (every GDPR record and YCSB row)
+//! and sorted set (the YCSB key index workload E scans through).
 
 use crate::error::{KvError, KvResult};
 use crate::skiplist::SkipList;
 use bytes::Bytes;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
-/// A sorted set: a skiplist for order plus a member→score map for O(1) score
-/// lookup, mirroring Redis' dual representation.
+/// A sorted set: a skiplist for order plus a member→score map (an update
+/// needs the old score to unlink the old node), mirroring Redis' dual
+/// representation.
 #[derive(Default)]
 pub struct ZSet {
     list: SkipList,
@@ -36,21 +37,6 @@ impl ZSet {
         }
     }
 
-    /// Remove a member. Returns `true` if it was present.
-    pub fn remove(&mut self, member: &[u8]) -> bool {
-        match self.scores.remove(member) {
-            Some(score) => {
-                self.list.remove(member, score);
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub fn score(&self, member: &[u8]) -> Option<f64> {
-        self.scores.get(member).copied()
-    }
-
     pub fn len(&self) -> usize {
         self.scores.len()
     }
@@ -59,19 +45,10 @@ impl ZSet {
         self.scores.is_empty()
     }
 
-    /// Members with `min <= score <= max`, in score order.
-    pub fn range_by_score(&self, min: f64, max: f64) -> Vec<(Bytes, f64)> {
-        self.list.range_by_score(min, max)
-    }
-
-    /// As [`Self::range_by_score`], stopping after `limit` members.
+    /// Members with `min <= score <= max`, in score order, stopping after
+    /// `limit` members.
     pub fn range_by_score_limit(&self, min: f64, max: f64, limit: usize) -> Vec<(Bytes, f64)> {
         self.list.range_by_score_limit(min, max, limit)
-    }
-
-    /// Members with rank in `[start, stop]`, in score order.
-    pub fn range_by_rank(&self, start: usize, stop: usize) -> Vec<(Bytes, f64)> {
-        self.list.range_by_rank(start, stop)
     }
 
     /// Approximate heap footprint in bytes, for the space-overhead metric.
@@ -92,9 +69,6 @@ impl std::fmt::Debug for ZSet {
 /// A value stored at a key.
 pub enum Value {
     Str(Bytes),
-    List(VecDeque<Bytes>),
-    Hash(HashMap<Bytes, Bytes>),
-    Set(HashSet<Bytes>),
     ZSet(ZSet),
 }
 
@@ -102,71 +76,15 @@ impl std::fmt::Debug for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Value::Str(b) => f.debug_tuple("Str").field(b).finish(),
-            Value::List(l) => f.debug_tuple("List").field(&l.len()).finish(),
-            Value::Hash(h) => f.debug_tuple("Hash").field(&h.len()).finish(),
-            Value::Set(s) => f.debug_tuple("Set").field(&s.len()).finish(),
             Value::ZSet(z) => z.fmt(f),
         }
     }
 }
 
 impl Value {
-    /// Human-readable type name (as returned by Redis' `TYPE`).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "string",
-            Value::List(_) => "list",
-            Value::Hash(_) => "hash",
-            Value::Set(_) => "set",
-            Value::ZSet(_) => "zset",
-        }
-    }
-
     pub fn as_str(&self) -> KvResult<&Bytes> {
         match self {
             Value::Str(b) => Ok(b),
-            _ => Err(KvError::WrongType),
-        }
-    }
-
-    pub fn as_hash(&self) -> KvResult<&HashMap<Bytes, Bytes>> {
-        match self {
-            Value::Hash(h) => Ok(h),
-            _ => Err(KvError::WrongType),
-        }
-    }
-
-    pub fn as_hash_mut(&mut self) -> KvResult<&mut HashMap<Bytes, Bytes>> {
-        match self {
-            Value::Hash(h) => Ok(h),
-            _ => Err(KvError::WrongType),
-        }
-    }
-
-    pub fn as_list_mut(&mut self) -> KvResult<&mut VecDeque<Bytes>> {
-        match self {
-            Value::List(l) => Ok(l),
-            _ => Err(KvError::WrongType),
-        }
-    }
-
-    pub fn as_list(&self) -> KvResult<&VecDeque<Bytes>> {
-        match self {
-            Value::List(l) => Ok(l),
-            _ => Err(KvError::WrongType),
-        }
-    }
-
-    pub fn as_set(&self) -> KvResult<&HashSet<Bytes>> {
-        match self {
-            Value::Set(s) => Ok(s),
-            _ => Err(KvError::WrongType),
-        }
-    }
-
-    pub fn as_set_mut(&mut self) -> KvResult<&mut HashSet<Bytes>> {
-        match self {
-            Value::Set(s) => Ok(s),
             _ => Err(KvError::WrongType),
         }
     }
@@ -185,26 +103,11 @@ impl Value {
         }
     }
 
-    /// True when a container value has become empty and the key should be
-    /// removed from the keyspace (Redis deletes empty aggregates).
-    pub fn is_empty_container(&self) -> bool {
-        match self {
-            Value::Str(_) => false,
-            Value::List(l) => l.is_empty(),
-            Value::Hash(h) => h.is_empty(),
-            Value::Set(s) => s.is_empty(),
-            Value::ZSet(z) => z.is_empty(),
-        }
-    }
-
     /// Approximate heap footprint in bytes, for the space-overhead metric
     /// (Table 3 of the paper).
     pub fn memory_usage(&self) -> usize {
         match self {
             Value::Str(b) => b.len(),
-            Value::List(l) => l.iter().map(|b| b.len() + 16).sum(),
-            Value::Hash(h) => h.iter().map(|(k, v)| k.len() + v.len() + 48).sum(),
-            Value::Set(s) => s.iter().map(|m| m.len() + 48).sum(),
             Value::ZSet(z) => z.memory_usage(),
         }
     }
@@ -218,16 +121,18 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    fn all(z: &ZSet) -> Vec<(Bytes, f64)> {
+        z.range_by_score_limit(f64::NEG_INFINITY, f64::INFINITY, usize::MAX)
+    }
+
     #[test]
-    fn zset_add_update_remove() {
+    fn zset_add_and_update() {
         let mut z = ZSet::new();
+        assert!(z.is_empty());
         assert!(z.add(b("a"), 1.0));
         assert!(!z.add(b("a"), 2.0), "update is not an add");
-        assert_eq!(z.score(b"a"), Some(2.0));
+        assert_eq!(all(&z), [(b("a"), 2.0)]);
         assert_eq!(z.len(), 1);
-        assert!(z.remove(b"a"));
-        assert!(!z.remove(b"a"));
-        assert!(z.is_empty());
     }
 
     #[test]
@@ -236,9 +141,7 @@ mod tests {
         z.add(b("a"), 1.0);
         z.add(b("b"), 2.0);
         z.add(b("a"), 3.0); // a moves after b
-        let members: Vec<_> = z.range_by_score(f64::NEG_INFINITY, f64::INFINITY);
-        assert_eq!(members[0].0, b("b"));
-        assert_eq!(members[1].0, b("a"));
+        assert_eq!(all(&z), [(b("b"), 2.0), (b("a"), 3.0)]);
     }
 
     #[test]
@@ -246,29 +149,17 @@ mod tests {
         let mut z = ZSet::new();
         z.add(b("a"), 1.0);
         assert!(!z.add(b("a"), 1.0));
-        assert_eq!(z.range_by_score(1.0, 1.0).len(), 1);
+        assert_eq!(z.range_by_score_limit(1.0, 1.0, usize::MAX).len(), 1);
     }
 
     #[test]
     fn wrong_type_errors() {
-        let v = Value::Str(b("x"));
-        assert_eq!(v.as_hash().unwrap_err(), KvError::WrongType);
-        assert_eq!(v.as_set().unwrap_err(), KvError::WrongType);
+        let mut v = Value::Str(b("x"));
         assert_eq!(v.as_zset().unwrap_err(), KvError::WrongType);
-        let mut v = Value::Hash(HashMap::new());
+        assert_eq!(v.as_zset_mut().unwrap_err(), KvError::WrongType);
+        let mut v = Value::ZSet(ZSet::new());
         assert_eq!(v.as_str().unwrap_err(), KvError::WrongType);
-        assert!(v.as_hash_mut().is_ok());
-    }
-
-    #[test]
-    fn empty_container_detection() {
-        assert!(!Value::Str(b("")).is_empty_container());
-        assert!(Value::Hash(HashMap::new()).is_empty_container());
-        assert!(Value::Set(HashSet::new()).is_empty_container());
-        assert!(Value::List(VecDeque::new()).is_empty_container());
-        let mut s = HashSet::new();
-        s.insert(b("m"));
-        assert!(!Value::Set(s).is_empty_container());
+        assert!(v.as_zset_mut().is_ok());
     }
 
     #[test]
@@ -276,15 +167,8 @@ mod tests {
         let small = Value::Str(b("ab"));
         let large = Value::Str(Bytes::from(vec![0u8; 1000]));
         assert!(large.memory_usage() > small.memory_usage());
-        let mut h = HashMap::new();
-        h.insert(b("field"), b("value"));
-        let hash = Value::Hash(h);
-        assert!(hash.memory_usage() >= 10);
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::Str(b("")).type_name(), "string");
-        assert_eq!(Value::ZSet(ZSet::new()).type_name(), "zset");
+        let mut z = ZSet::new();
+        z.add(b("member"), 1.0);
+        assert!(Value::ZSet(z).memory_usage() >= 6 + 8);
     }
 }

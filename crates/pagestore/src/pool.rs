@@ -122,15 +122,6 @@ impl Pool {
         false
     }
 
-    /// Drop a page image (it was freed or superseded outside the pool).
-    pub fn discard(&mut self, pid: u32) {
-        if self.slots.remove(&pid).is_some() {
-            if let Some(i) = self.ring.iter().position(|&p| p == pid) {
-                self.ring.swap_remove(i);
-            }
-        }
-    }
-
     pub fn pin(&mut self, pid: u32) {
         if let Some(slot) = self.slots.get_mut(&pid) {
             slot.pins += 1;

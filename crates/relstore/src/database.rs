@@ -108,11 +108,6 @@ impl Database {
             .ok_or_else(|| RelError::NoSuchTable(name.to_string()))
     }
 
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
-    }
-
     /// Approximate bytes across all tables (heap + indices): the Table 3
     /// numerator.
     pub fn total_size_bytes(&self) -> usize {
@@ -121,13 +116,6 @@ impl Database {
             .values()
             .map(|t| t.read().size_bytes())
             .sum()
-    }
-
-    /// Parse and execute one SQL statement (see [`crate::sql`] for the
-    /// supported dialect).
-    pub fn execute_sql(&self, sql: &str) -> RelResult<StatementResult> {
-        let stmt = crate::sql::parse(sql)?;
-        self.execute(&stmt)
     }
 
     /// Execute one statement through the full pipeline.

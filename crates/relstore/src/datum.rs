@@ -46,13 +46,6 @@ impl Datum {
         }
     }
 
-    pub fn as_timestamp(&self) -> Option<u64> {
-        match self {
-            Datum::Timestamp(t) => Some(*t),
-            _ => None,
-        }
-    }
-
     pub fn as_text_array(&self) -> Option<&[String]> {
         match self {
             Datum::TextArray(v) => Some(v),

@@ -35,7 +35,6 @@ pub mod index;
 pub mod predicate;
 pub mod querylog;
 pub mod schema;
-pub mod sql;
 pub mod statement;
 pub mod table;
 pub mod ttl;

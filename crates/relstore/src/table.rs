@@ -84,11 +84,6 @@ impl Table {
         }
     }
 
-    /// Names of all indices (the pkey first).
-    pub fn index_names(&self) -> Vec<&str> {
-        self.indices.iter().map(|i| i.name()).collect()
-    }
-
     /// Total approximate bytes: heap rows plus all index structures — the
     /// numerator of Table 3's space-overhead ratio.
     pub fn size_bytes(&self) -> usize {

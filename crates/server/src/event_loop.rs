@@ -61,6 +61,19 @@ const ACCEPT_BURST: usize = 256;
 /// actually frees a descriptor.
 const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
 
+/// Most ops one server-side batch may carry; a longer pipelined burst is
+/// split so a single connection cannot monopolize an executor thread for
+/// an unbounded stretch.
+const MAX_BATCH: usize = 128;
+
+/// Decoded-but-unexecuted ops a connection may accumulate before its read
+/// interest is dropped.
+const MAX_PENDING_OPS: usize = 4096;
+
+/// Outbound-buffer size past which a connection's read interest is
+/// dropped until the client drains responses.
+const OUTBUF_HIGH_WATER: usize = 8 << 20;
+
 const EMFILE: i32 = 24;
 const ENFILE: i32 = 23;
 
@@ -551,14 +564,13 @@ impl EventLoop {
             self.flush_conn(token);
         }
         self.try_submit(token);
-        self.update_interest(token, &config);
+        self.update_interest(token);
     }
 
     /// Hand the connection's pending burst to the executor as one batch —
     /// unless one is already in flight (ordering) or the executor is full
     /// (the batch stays pending; retried on the next completion wake).
     fn try_submit(&mut self, token: u64) {
-        let max_batch = self.shared.config.max_batch;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -571,7 +583,7 @@ impl EventLoop {
             }
             return;
         }
-        let take = conn.pending.len().min(max_batch.max(1));
+        let take = conn.pending.len().min(MAX_BATCH);
         let ops: Vec<DecodedOp> = conn.pending.drain(..take).collect();
         conn.in_flight = true;
         let shared = Arc::clone(&self.shared);
@@ -593,7 +605,6 @@ impl EventLoop {
     }
 
     fn process_completions(&mut self) {
-        let config = self.shared.config.clone();
         loop {
             let done: Vec<Completion> = {
                 let mut completions = self.shared.completions.lock();
@@ -621,14 +632,14 @@ impl EventLoop {
                 // round trip entirely in the common case.
                 self.flush_conn(completion.token);
                 self.try_submit(completion.token);
-                self.update_interest(completion.token, &config);
+                self.update_interest(completion.token);
             }
             // Freed executor slots: retry connections parked on a full
             // queue.
             let stalled = std::mem::take(&mut self.stalled);
             for token in stalled {
                 self.try_submit(token);
-                self.update_interest(token, &config);
+                self.update_interest(token);
             }
         }
     }
@@ -672,14 +683,14 @@ impl EventLoop {
     }
 
     /// Recompute and apply the connection's epoll interest from its state.
-    fn update_interest(&mut self, token: u64, config: &crate::server::ServerConfig) {
+    fn update_interest(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let readable = !conn.poisoned
             && !conn.peer_eof
-            && conn.pending.len() < config.max_pending_ops.max(1)
-            && conn.outbuf.len() < config.outbuf_high_water.max(1);
+            && conn.pending.len() < MAX_PENDING_OPS
+            && conn.outbuf.len() < OUTBUF_HIGH_WATER;
         let writable = !conn.outbuf.is_empty();
         if (readable, writable) != conn.interest {
             if self

@@ -49,7 +49,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bound on batches waiting for an executor thread; past it the event
     /// loop leaves bursts pending on their connections, whose reads pause
-    /// once `max_pending_ops` accumulate (TCP backpressure).
+    /// once enough decoded ops accumulate (TCP backpressure).
     pub queue_depth: usize,
     /// Largest accepted frame.
     pub max_frame: usize,
@@ -58,16 +58,6 @@ pub struct ServerConfig {
     /// drains responses would otherwise hold its outbound buffer (and the
     /// memory behind it) forever.
     pub write_timeout: Duration,
-    /// Most ops one server-side batch may carry; a longer pipelined burst
-    /// is split so a single connection cannot monopolize an executor
-    /// thread for an unbounded stretch.
-    pub max_batch: usize,
-    /// Decoded-but-unexecuted ops a connection may accumulate before its
-    /// read interest is dropped.
-    pub max_pending_ops: usize,
-    /// Outbound-buffer size past which a connection's read interest is
-    /// dropped until the client drains responses.
-    pub outbuf_high_water: usize,
     /// `Some(pre-shared key)` runs [`crate::secure`]'s encrypted transport:
     /// every connection must complete the handshake before its first op,
     /// and every frame payload afterwards is a sealed record. `None`
@@ -91,9 +81,6 @@ impl Default for ServerConfig {
             queue_depth: workers * 32,
             max_frame: wire::MAX_FRAME,
             write_timeout: Duration::from_secs(30),
-            max_batch: 128,
-            max_pending_ops: 4096,
-            outbuf_high_water: 8 << 20,
             encrypt: crate::secure::encrypt_key_from_env(),
             metrics_addr: None,
         }

@@ -1905,16 +1905,17 @@ mod secure_transport {
 }
 
 /// The chunked audit trail against a flat `Vec` filtered naively: any
-/// interleaving of single and batched appends, any `[from, to]` window.
+/// interleaving of single appends and same-instant runs, any `[from, to]`
+/// window.
 mod audit_trail {
     use super::*;
     use gdprbench_repro::clock::{self, Clock};
-    use gdprbench_repro::gdpr_core::audit::{AuditDraft, AuditTrail, CHUNK_LINES};
+    use gdprbench_repro::gdpr_core::audit::{AuditTrail, CHUNK_LINES};
     use gdprbench_repro::gdpr_core::response::LogLine;
     use gdprbench_repro::gdpr_core::Session;
 
-    /// Append one batch per `(advance_ms, size)` — size 1 through `record`,
-    /// larger through `record_batch` — and keep the flat model beside it.
+    /// Append one run of `size` same-instant lines per `(advance_ms, size)`,
+    /// one `record` each, and keep the flat model beside it.
     fn build(batches: &[(u64, usize)]) -> (AuditTrail, Vec<LogLine>) {
         let sim = clock::sim();
         let trail = AuditTrail::new(sim.clone());
@@ -1923,13 +1924,8 @@ mod audit_trail {
         for &(advance_ms, size) in batches {
             sim.advance(Duration::from_millis(advance_ms));
             let next = model.len()..model.len() + size;
-            if size == 1 {
-                let i = next.start;
+            for i in next.clone() {
                 trail.record(&session, "read-data-by-key", format!("key=k{i}"), Ok(i));
-            } else {
-                trail.record_batch(next.clone().map(|i| {
-                    AuditDraft::new(&session, "read-data-by-key", format!("key=k{i}"), Ok(i))
-                }));
             }
             model.extend(next.map(|i| LogLine {
                 timestamp_ms: sim.now().as_millis(),

@@ -229,32 +229,42 @@ fn encrypted_persistence_never_leaks_plaintext() {
 
 #[test]
 fn encrypted_snapshot_restores_gdpr_records() {
-    // The RDB-style snapshot is the artifact LUKS protects for an in-memory
-    // store: it must roundtrip records (with TTL deadlines) and stay opaque.
+    // The sealed AOF is the one point-in-time artifact a Redis-shaped store
+    // writes (what LUKS protects in the paper's setup): it must roundtrip
+    // records with their TTL deadlines and stay opaque.
     let config = KvConfig {
+        aof: AofStorage::Memory,
+        fsync: gdprbench_repro::kvstore::FsyncPolicy::Never,
         encrypt_at_rest: true,
         ..Default::default()
     };
-    let store = KvStore::open(config.clone()).unwrap();
+    let clock = gdprbench_repro::clock::sim();
+    let store = KvStore::open_with_clock(config.clone(), clock.clone()).unwrap();
     let conn = RedisConnector::new(std::sync::Arc::clone(&store));
     let controller = Session::controller();
     for i in 0..20 {
+        clock.advance(Duration::from_secs(1));
         conn.execute(
             &controller,
             &GdprQuery::CreateRecord(record(&format!("r{i}"), "neo")),
         )
         .unwrap();
     }
-    let snap = store.snapshot_bytes();
+    let aof = store.aof_memory_buffer().unwrap().lock().clone();
     assert!(
-        !snap
-            .windows(b"secret-data".len())
+        !aof.windows(b"secret-data".len())
             .any(|w| w == b"secret-data"),
-        "sealed snapshot must not leak personal data"
+        "sealed log must not leak personal data"
     );
 
-    let restored = KvStore::open(config).unwrap();
-    assert_eq!(restored.restore_snapshot(&snap).unwrap(), 20);
+    let restored = KvStore::replay(config, &aof, clock.clone()).unwrap();
+    assert_eq!(restored.dbsize(), 20);
+    for i in 0..20 {
+        let key = format!("rec:r{i}");
+        let deadline = store.expiry_at(key.as_bytes());
+        assert!(deadline.is_some(), "{key} carries its TTL deadline");
+        assert_eq!(restored.expiry_at(key.as_bytes()), deadline, "{key}");
+    }
     let conn = RedisConnector::new(restored);
     let resp = conn
         .execute(
