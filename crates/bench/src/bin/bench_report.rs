@@ -187,9 +187,10 @@ fn main() {
 
     // Suite 7: the disk-native pagestore backend — both restart axes
     // (WAL-tail replay vs checkpointed reopen, snapshot restore vs scan
-    // rebuild) and the indexed-vs-scan query ladder. Context metrics:
-    // none are throughput floors, so the gate never fails on them, but
-    // drift shows up in the report diff.
+    // rebuild), the indexed-vs-scan query ladder, and what one group
+    // write costs the WAL. Context metrics: none are throughput floors,
+    // so the gate never fails on them, but drift shows up in the report
+    // diff.
     let (disk_rec_table, disk_rec) = bench::experiments::recovery::run_disk(params.records);
     println!("{}", disk_rec_table.render());
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
@@ -224,6 +225,12 @@ fn main() {
                 .replace([' ', '(', ')'], "")
         );
         report.record("pagestore", &metric, point.speedup());
+    }
+
+    let (group_table, group_series) = bench::experiments::groupwrite::run();
+    println!("{}", group_table.render());
+    for (metric, value) in &group_series {
+        report.record("pagestore", metric, *value);
     }
 
     // Suite 8: audit-trail append and read cost at the regulator

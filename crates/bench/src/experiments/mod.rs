@@ -8,6 +8,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7_8;
+pub mod groupwrite;
 pub mod metaindex;
 pub mod negpred;
 pub mod recovery;

@@ -306,7 +306,11 @@ pub fn run_disk_micro(records: usize) -> DiskRecoveryPoint {
         let record = datagen::record_of(i, &corpus);
         slot.as_ref()
             .unwrap()
-            .upsert(&record.key, wire::serialize(&record).as_bytes(), None)
+            .upsert(
+                &record.key,
+                wire::serialize(&record).as_bytes(),
+                pagestore::Deadline::At(None),
+            )
             .expect("burst rewrite");
     }
 

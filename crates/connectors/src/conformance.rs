@@ -2182,6 +2182,17 @@ fn disk_conformance_under_eviction_pressure() {
         stats.evictions > 1000,
         "the battery must churn the pool, got {stats:?}"
     );
+
+    // An erase-by-user over far more leaves than the pool holds is one
+    // page-store transaction: the commit sequence advances once per group
+    // write, not once per erased record.
+    let generation = store.generation();
+    let resp = conn
+        .execute(&controller, &GdprQuery::DeleteByUser("neo".into()))
+        .unwrap();
+    assert_eq!(resp, GdprResponse::Deleted(per_user[0]));
+    assert_eq!(store.generation(), generation + 1, "one commit per erase");
+    assert_eq!(store.pinned_pages(), 0, "pin leak after group erase");
 }
 
 #[test]

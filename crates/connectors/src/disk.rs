@@ -22,10 +22,10 @@ use gdpr_core::connector::SpaceReport;
 use gdpr_core::error::{GdprError, GdprResult};
 use gdpr_core::record::PersonalRecord;
 use gdpr_core::sharded::ShardedEngine;
-use gdpr_core::store::{ExpiryListener, RecordStore};
+use gdpr_core::store::{Applied, ExpiryListener, RecordStore, WriteOp};
 use gdpr_core::wire;
 use gdpr_core::ComplianceEngine;
-use pagestore::{PageStore, PageStoreConfig};
+use pagestore::{BatchOp, Deadline, PageStore, PageStoreConfig};
 use std::sync::Arc;
 
 /// [`RecordStore`] over one paged store. Records travel in the same wire
@@ -57,6 +57,18 @@ impl DiskStore {
             .metadata
             .ttl
             .map(|ttl| self.store.clock().now().as_millis() + ttl.as_millis() as u64)
+    }
+
+    /// A rewrite's deadline: re-armed from the declared TTL when that
+    /// changed, else the replaced entry's absolute deadline carried over
+    /// exactly (millisecond-preserving, like the kvstore's SET + EXPIREAT
+    /// pair) — read off the entry during the write's own descent.
+    fn rewrite_deadline(&self, record: &PersonalRecord, ttl_changed: bool) -> Deadline {
+        if ttl_changed {
+            Deadline::At(self.deadline_from_ttl(record))
+        } else {
+            Deadline::Keep
+        }
     }
 }
 
@@ -92,18 +104,9 @@ impl RecordStore for DiskStore {
         Ok(())
     }
 
-    /// Rewrite in place. When the TTL itself did not change, the original
-    /// absolute deadline is carried over exactly (millisecond-preserving,
-    /// like the kvstore's SET + EXPIREAT pair).
     fn rewrite(&self, record: &PersonalRecord, ttl_changed: bool) -> GdprResult<()> {
         let value = wire::serialize(record);
-        let deadline = if ttl_changed {
-            self.deadline_from_ttl(record)
-        } else {
-            self.store
-                .deadline_ms(&record.key)
-                .map_err(Self::store_err)?
-        };
+        let deadline = self.rewrite_deadline(record, ttl_changed);
         self.store
             .upsert(&record.key, value.as_bytes(), deadline)
             .map_err(Self::store_err)
@@ -111,6 +114,45 @@ impl RecordStore for DiskStore {
 
     fn delete(&self, key: &str) -> GdprResult<bool> {
         self.store.remove(key).map_err(Self::store_err)
+    }
+
+    /// One page-store transaction: the group write is all-or-none on
+    /// disk, so the committed prefix is the whole batch or nothing.
+    fn apply(&self, ops: &[WriteOp]) -> Applied {
+        let values: Vec<String> = ops
+            .iter()
+            .map(|op| match op {
+                WriteOp::Delete(_) => String::new(),
+                WriteOp::Rewrite { record, .. } => wire::serialize(record),
+            })
+            .collect();
+        let batch: Vec<BatchOp<'_>> = ops
+            .iter()
+            .zip(&values)
+            .map(|(op, value)| match op {
+                WriteOp::Delete(key) => BatchOp::Remove(key),
+                WriteOp::Rewrite {
+                    record,
+                    ttl_changed,
+                } => BatchOp::Upsert {
+                    key: &record.key,
+                    value: value.as_bytes(),
+                    deadline: self.rewrite_deadline(record, *ttl_changed),
+                },
+            })
+            .collect();
+        match self.store.apply(&batch) {
+            Ok(counted) => Applied {
+                committed: ops.len(),
+                counted,
+                result: Ok(()),
+            },
+            Err(e) => Applied {
+                committed: 0,
+                counted: 0,
+                result: Err(Self::store_err(e)),
+            },
+        }
     }
 
     /// Insert under a known absolute deadline — the shard-rebalance path;
@@ -160,9 +202,9 @@ impl RecordStore for DiskStore {
         self.store.deadline_ms(key).ok().flatten()
     }
 
-    /// The WAL's logical commit sequence: advanced by every committed
-    /// mutation (lazy reaps included — they are real transactions here)
-    /// and reproduced exactly by WAL recovery.
+    /// The WAL's logical commit sequence: advanced once by every committed
+    /// transaction — a point write, a whole [`Self::apply`] batch, a lazy
+    /// reap — and reproduced exactly by WAL recovery.
     fn persistence_generation(&self) -> Option<u64> {
         Some(self.store.generation())
     }

@@ -34,7 +34,7 @@ use crate::record::PersonalRecord;
 use crate::response::GdprResponse;
 use crate::role::Session;
 use crate::snapshot::{self, IndexRecovery, SnapshotStamp};
-use crate::store::{RecordPredicate, RecordStore};
+use crate::store::{RecordPredicate, RecordStore, WriteOp};
 use crate::telemetry::{OpTelemetry, OpTelemetrySnapshot};
 use crate::tenant::{TenantId, TenantState, TenantTable};
 use crate::GdprConnector;
@@ -458,10 +458,8 @@ impl<S: RecordStore> ComplianceEngine<S> {
             .collect())
     }
 
-    /// Erase all records matching `pred`, keeping any index consistent.
-    /// Index maintenance is coalesced into one [`IndexBatch`] (one lock
-    /// acquisition for the whole group), applied even when a store delete
-    /// fails mid-loop so the index tracks exactly the committed deletions.
+    /// Erase all records matching `pred` as one [`RecordStore::apply`]
+    /// batch, keeping any index consistent (see [`Self::commit_batched`]).
     fn delete_matching(
         &self,
         state: &TenantState,
@@ -480,24 +478,26 @@ impl<S: RecordStore> ComplianceEngine<S> {
         let victims = self.read_matching(state, tenant, pred)?;
         self.commit_batched(
             state,
-            victims,
-            |engine, record| engine.store.delete(&record.key),
-            |record, batch| batch.remove(record.key),
+            victims
+                .into_iter()
+                .map(|r| WriteOp::Delete(r.key))
+                .collect(),
         )
     }
 
     /// Apply a metadata update to all records matching `pred` —
     /// **validate-all-then-commit**: `update.apply` runs on every match
-    /// before any `store.rewrite`, so an update that is invalid for *any*
-    /// matching record (e.g. removing the last declared purpose of one of
-    /// them) mutates nothing at all. Without the validation phase a
-    /// mid-loop failure would leave earlier matches rewritten and
-    /// reindexed while the caller sees `Err`.
+    /// before the store sees any of them, so an update that is invalid for
+    /// *any* matching record (e.g. removing the last declared purpose of
+    /// one of them) mutates nothing at all.
     ///
-    /// A *store* failure during the commit phase still leaves earlier
-    /// rewrites in place (the same partial progress a sharded fan-out
-    /// exposes); the index batch is applied either way so it tracks
-    /// exactly the committed rewrites.
+    /// The commit phase is one [`RecordStore::apply`] batch. On the paged
+    /// disk store that is one transaction: a store failure or a crash
+    /// leaves the consent withdrawal entirely applied or entirely absent.
+    /// The key-value and relational stores run the batch record by record
+    /// and can stop part-way (see [`Self::commit_batched`]). Under
+    /// [`crate::sharded::ShardedEngine`] each shard's batch is atomic on
+    /// its own store; atomicity across shards is not claimed.
     fn update_matching(
         &self,
         state: &TenantState,
@@ -510,52 +510,38 @@ impl<S: RecordStore> ComplianceEngine<S> {
         for record in &mut updated {
             update.apply(&mut record.metadata)?;
         }
-        let now_ms = self.now_ms();
-        self.commit_batched(
-            state,
-            updated,
-            |engine, record| engine.store.rewrite(record, ttl_changed).map(|()| true),
-            |record, batch| batch.upsert(record, now_ms, !ttl_changed),
-        )
+        let ops = updated.into_iter().map(|record| WriteOp::Rewrite {
+            record,
+            ttl_changed,
+        });
+        self.commit_batched(state, ops.collect())
     }
 
-    /// The shared commit loop of every multi-record write: run the store
-    /// op per item, stopping at the first store failure, and record index
-    /// maintenance for each *committed* item into one [`IndexBatch`] that
-    /// is applied whatever happens — so the index tracks exactly the
-    /// committed ops, success or failure. Returns how many ops counted
-    /// (the store op's `bool`).
-    fn commit_batched<T>(
-        &self,
-        state: &TenantState,
-        items: impl IntoIterator<Item = T>,
-        mut store_op: impl FnMut(&Self, &T) -> GdprResult<bool>,
-        mut index_op: impl FnMut(T, &mut IndexBatch),
-    ) -> GdprResult<usize> {
-        let mut batch = IndexBatch::new();
-        let mut n = 0;
-        let mut failure = None;
-        for item in items {
-            match store_op(self, &item) {
-                Ok(counted) => {
-                    if counted {
-                        n += 1;
-                    }
-                    index_op(item, &mut batch);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
+    /// The commit step of every multi-record write: hand `ops` to the
+    /// store in one [`RecordStore::apply`] call, then feed the **committed
+    /// prefix** — the ops the store reports are in it, whatever became of
+    /// the rest — to one [`IndexBatch`] (one lock acquisition for the
+    /// whole group). The index therefore tracks exactly what the store
+    /// holds, success or failure: on an atomic store a failed batch leaves
+    /// both untouched; on a store running the default loop the prefix is
+    /// however far the loop got. Returns how many ops counted.
+    fn commit_batched(&self, state: &TenantState, ops: Vec<WriteOp>) -> GdprResult<usize> {
+        let now_ms = self.now_ms();
+        let applied = self.store.apply(&ops);
+        if let Some(index) = &state.index {
+            let mut batch = IndexBatch::new();
+            for op in ops.into_iter().take(applied.committed) {
+                match op {
+                    WriteOp::Delete(key) => batch.remove(key),
+                    WriteOp::Rewrite {
+                        record,
+                        ttl_changed,
+                    } => batch.upsert(record, now_ms, !ttl_changed),
                 }
             }
-        }
-        if let Some(index) = &state.index {
             index.apply(batch);
         }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
+        applied.result.map(|()| applied.counted)
     }
 
     /// Dry-run a group update: `update.apply` on (a copy of) every record
@@ -628,20 +614,17 @@ impl<S: RecordStore> ComplianceEngine<S> {
     /// due set is **unioned** with the store's own purge machinery:
     /// records the index never learned (written behind the engine, or
     /// indexed before a `clear()`) still carry store-side deadlines and
-    /// must not outlive them just because the index forgot. Index
-    /// removals are coalesced into one batch.
+    /// must not outlive them just because the index forgot. The due keys
+    /// go to the store as one [`RecordStore::apply`] batch.
     fn purge_expired(&self, state: &TenantState, tenant: &TenantId) -> GdprResult<usize> {
         if !self.multi_tenant() {
             // Degenerate single-tenant mode: the exact pre-tenancy path.
             let Some(index) = &state.index else {
                 return self.store.purge_expired();
             };
-            let mut n = self.commit_batched(
-                state,
-                index.expired_keys(self.now_ms()),
-                |engine, key| engine.store.delete(key),
-                |key, batch| batch.remove(key),
-            )?;
+            let due = index.expired_keys(self.now_ms());
+            let mut n =
+                self.commit_batched(state, due.into_iter().map(WriteOp::Delete).collect())?;
             // Store-side stragglers the index never knew about. Keys
             // already deleted above are gone from the store, so nothing
             // double-counts; stores whose purge fires the expiry listener
@@ -669,12 +652,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
                     victims.insert(key);
                 }
             }
-            self.commit_batched(
-                state,
-                victims,
-                |engine, key| engine.store.delete(key),
-                |key, batch| batch.remove(key),
-            )
+            self.commit_batched(state, victims.into_iter().map(WriteOp::Delete).collect())
         }
     }
 
@@ -1099,6 +1077,76 @@ mod tests {
             if let Some(index) = engine.metadata_index() {
                 assert_eq!(index.keys_by_purpose("ads"), vec!["a", "b"]);
             }
+        }
+    }
+
+    /// The two [`RecordStore::apply`] contracts, side by side. A store
+    /// on the default loop that fails on its k-th op has committed the
+    /// first k, and the index tracks exactly that prefix; an atomic store
+    /// that fails has committed nothing, and the index is untouched.
+    #[test]
+    fn index_tracks_exactly_the_committed_prefix_of_a_failed_group_write() {
+        const K: usize = 3;
+        let keys = ["a", "b", "c", "d", "e", "f"];
+        for atomic in [false, true] {
+            let mut store = MemStore::new();
+            store.atomic = atomic;
+            let engine = ComplianceEngine::with_metadata_index(store).unwrap();
+            let index = Arc::clone(engine.metadata_index().unwrap());
+            let controller = Session::controller();
+            for key in keys {
+                engine
+                    .execute(
+                        &controller,
+                        &GdprQuery::CreateRecord(record(key, "neo", &["ads"])),
+                    )
+                    .unwrap();
+            }
+            let survivors = if atomic { &keys[..] } else { &keys[K..] };
+
+            *engine.store().fail_after.lock() = Some(K);
+            let update = GdprQuery::UpdateMetadataByUser {
+                user: "neo".into(),
+                update: crate::query::MetadataUpdate::Add(
+                    crate::query::MetadataField::Sharing,
+                    "x-corp".into(),
+                ),
+            };
+            let result = engine.execute(&controller, &update);
+            assert!(
+                matches!(result, Err(GdprError::Store(_))),
+                "atomic={atomic}"
+            );
+            let shared = keys.len() - survivors.len();
+            assert_eq!(
+                index.keys_for(&RecordPredicate::SharedWith("x-corp".into())),
+                Some(keys[..shared].iter().map(|k| k.to_string()).collect()),
+                "atomic={atomic}: the index holds the rewrites the store holds"
+            );
+            for (i, key) in keys.iter().enumerate() {
+                let stored = engine.store().fetch(key).unwrap().unwrap();
+                assert_eq!(
+                    !stored.metadata.sharing.is_empty(),
+                    i < shared,
+                    "atomic={atomic}"
+                );
+            }
+
+            *engine.store().fail_after.lock() = Some(K);
+            let result = engine.execute(&controller, &GdprQuery::DeleteByUser("neo".into()));
+            assert!(
+                matches!(result, Err(GdprError::Store(_))),
+                "atomic={atomic}"
+            );
+            assert_eq!(index.keys_by_user("neo"), survivors, "atomic={atomic}");
+            assert_eq!(engine.store().record_count(), survivors.len());
+
+            // Disarmed, the same erase goes through and counts what was left.
+            let resp = engine
+                .execute(&controller, &GdprQuery::DeleteByUser("neo".into()))
+                .unwrap();
+            assert_eq!(resp, GdprResponse::Deleted(survivors.len()));
+            assert!(index.is_empty(), "atomic={atomic}");
         }
     }
 

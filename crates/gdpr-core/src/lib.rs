@@ -76,7 +76,7 @@ pub use response::GdprResponse;
 pub use role::{Role, Session};
 pub use sharded::{shard_count_from_env, shard_of, ShardedEngine};
 pub use snapshot::{IndexRecovery, SnapshotInvalid, SnapshotStamp};
-pub use store::{RecordPredicate, RecordStore};
+pub use store::{Applied, RecordPredicate, RecordStore, WriteOp};
 pub use telemetry::{
     AtomicHistogram, HistogramSnapshot, OpSnapshot, OpTelemetry, OpTelemetrySnapshot,
 };

@@ -400,10 +400,12 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
     /// independent, results are collected into shard-order slots before
     /// merging, and on failure the lowest-indexed shard's error is returned
     /// — so the response (and the merge order) never depends on thread
-    /// timing. *Writes* stay sequential: a mid-fan-out failure must leave
-    /// the same partial progress as the unsharded engine failing
-    /// mid-iteration, and parallel shards would smear partial updates
-    /// across all of them.
+    /// timing. *Writes* stay sequential: a mid-fan-out failure leaves the
+    /// shards before the failing one committed and the rest untouched
+    /// (each shard's own batch is as atomic as its store's
+    /// [`crate::store::RecordStore::apply`]; nothing is atomic across
+    /// shards), and parallel shards would smear partial updates across
+    /// all of them.
     ///
     /// Group metadata updates additionally **pre-validate on every shard
     /// before any shard commits**: the unsharded engine's

@@ -3,8 +3,9 @@
 //! [`crate::engine::ComplianceEngine`] owns everything GDPR — authorization,
 //! record visibility, audit logging, and the full [`crate::GdprQuery`]
 //! dispatch — exactly once. What remains per backend is this trait: fetch,
-//! put, rewrite, delete, scan, expiry purge, and space accounting, plus two
-//! optional predicate-pushdown hooks for stores (like the relational one)
+//! put, rewrite, delete, apply (a batch of rewrites and deletes — every
+//! group write is one call), scan, expiry purge, and space accounting, plus
+//! two optional predicate-pushdown hooks for stores (like the relational one)
 //! that can evaluate metadata predicates natively against their own
 //! secondary indexes.
 
@@ -55,6 +56,63 @@ impl RecordPredicate {
     }
 }
 
+/// One write of a [`RecordStore::apply`] batch.
+#[derive(Debug, Clone)]
+pub enum WriteOp {
+    /// [`RecordStore::delete`] this key.
+    Delete(String),
+    /// [`RecordStore::rewrite`] this record.
+    Rewrite {
+        record: PersonalRecord,
+        ttl_changed: bool,
+    },
+}
+
+/// What a [`RecordStore::apply`] call did to the store.
+#[derive(Debug)]
+pub struct Applied {
+    /// The **committed prefix**: ops `[..committed]` are in the store, the
+    /// rest are not. The whole batch on success; on failure an atomic
+    /// store reports 0, a store running the default loop reports how far
+    /// it got.
+    pub committed: usize,
+    /// Committed ops that count toward the query's cardinality: every
+    /// rewrite, and every delete that found its record.
+    pub counted: usize,
+    /// The failure that stopped the batch, if any.
+    pub result: GdprResult<()>,
+}
+
+/// `ops` one [`RecordStore::delete`] / [`RecordStore::rewrite`] at a time,
+/// stopping at the first failure: the default [`RecordStore::apply`].
+pub(crate) fn apply_each<S: RecordStore + ?Sized>(store: &S, ops: &[WriteOp]) -> Applied {
+    let mut counted = 0;
+    for (committed, op) in ops.iter().enumerate() {
+        let outcome = match op {
+            WriteOp::Delete(key) => store.delete(key),
+            WriteOp::Rewrite {
+                record,
+                ttl_changed,
+            } => store.rewrite(record, *ttl_changed).map(|()| true),
+        };
+        match outcome {
+            Ok(hit) => counted += usize::from(hit),
+            Err(e) => {
+                return Applied {
+                    committed,
+                    counted,
+                    result: Err(e),
+                }
+            }
+        }
+    }
+    Applied {
+        committed: ops.len(),
+        counted,
+        result: Ok(()),
+    }
+}
+
 /// Callback invoked (with the logical record key) when the store itself
 /// expires a record — lazily on access or in an active expiration cycle —
 /// so engine-side index entries can be invalidated.
@@ -93,6 +151,19 @@ pub trait RecordStore: Send + Sync {
 
     /// Erase one record. Returns whether it existed.
     fn delete(&self, key: &str) -> GdprResult<bool>;
+
+    /// Run a group write — the rewrites or deletes one erase-by-user,
+    /// consent withdrawal or TTL purge resolved to — in one call. The
+    /// engine indexes exactly the [`Applied::committed`] prefix.
+    ///
+    /// The default applies the ops one at a time and stops at the first
+    /// failure, so a failure (or a crash) leaves the earlier ops in place:
+    /// the only path the key-value and relational stores have. A store
+    /// that can commit the batch as one transaction (the paged disk
+    /// store) overrides this and is all-or-none.
+    fn apply(&self, ops: &[WriteOp]) -> Applied {
+        apply_each(self, ops)
+    }
 
     /// Every live record — the O(n) path the engine uses when neither
     /// pushdown nor a metadata index can answer a predicate.

@@ -5,7 +5,7 @@ use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
 use crate::error::{GdprError, GdprResult};
 use crate::record::{Metadata, PersonalRecord};
-use crate::store::RecordStore;
+use crate::store::{apply_each, Applied, RecordStore, WriteOp};
 use clock::SharedClock;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -14,11 +14,17 @@ use std::time::Duration;
 /// A trivial in-memory [`RecordStore`] with no pushdown — exercises the
 /// engines' scan and index paths in isolation from the real backends —
 /// plus a native deadline table so `put_with_deadline`, `deadline_ms`
-/// and the store-side purge are exercised too.
+/// and the store-side purge are exercised too, and an injectable write
+/// failure so both [`RecordStore::apply`] contracts can be pinned.
 pub(crate) struct MemStore {
     pub(crate) rows: Mutex<BTreeMap<String, PersonalRecord>>,
     deadlines: Mutex<BTreeMap<String, u64>>,
     clock: SharedClock,
+    /// `Some(k)`: the next `k` rewrites/deletes succeed, then one fails.
+    pub(crate) fail_after: Mutex<Option<usize>>,
+    /// Run `apply` all-or-none (roll back on failure) instead of through
+    /// the trait's default loop.
+    pub(crate) atomic: bool,
 }
 
 impl MemStore {
@@ -32,6 +38,24 @@ impl MemStore {
             rows: Mutex::new(BTreeMap::new()),
             deadlines: Mutex::new(BTreeMap::new()),
             clock,
+            fail_after: Mutex::new(None),
+            atomic: false,
+        }
+    }
+
+    /// Count one rewrite/delete against the armed failure.
+    fn write_allowed(&self) -> GdprResult<()> {
+        let mut fail_after = self.fail_after.lock();
+        match *fail_after {
+            Some(0) => {
+                *fail_after = None;
+                Err(GdprError::Store("injected write failure".to_string()))
+            }
+            Some(left) => {
+                *fail_after = Some(left - 1);
+                Ok(())
+            }
+            None => Ok(()),
         }
     }
 }
@@ -73,12 +97,26 @@ impl RecordStore for MemStore {
         Ok(())
     }
     fn rewrite(&self, record: &PersonalRecord, _ttl_changed: bool) -> GdprResult<()> {
+        self.write_allowed()?;
         self.rows.lock().insert(record.key.clone(), record.clone());
         Ok(())
     }
     fn delete(&self, key: &str) -> GdprResult<bool> {
+        self.write_allowed()?;
         self.deadlines.lock().remove(key);
         Ok(self.rows.lock().remove(key).is_some())
+    }
+    fn apply(&self, ops: &[WriteOp]) -> Applied {
+        if !self.atomic {
+            return apply_each(self, ops);
+        }
+        let before = (self.rows.lock().clone(), self.deadlines.lock().clone());
+        let mut applied = apply_each(self, ops);
+        if applied.result.is_err() {
+            (*self.rows.lock(), *self.deadlines.lock()) = before;
+            (applied.committed, applied.counted) = (0, 0);
+        }
+        applied
     }
     fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
         Ok(self.rows.lock().values().cloned().collect())

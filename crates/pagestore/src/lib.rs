@@ -18,10 +18,12 @@
 //!   id and payload, so bit rot and misdirected writes are detected at
 //!   read time. See [`page`] for the exact byte spec.
 //! * `wal.log` — checksummed page-image frames (see [`wal`]). A commit
-//!   appends every page the operation dirtied — the meta page always
-//!   among them — with the COMMIT flag on the final frame. The data file
-//!   is only touched at checkpoint: flush the newest image of every
-//!   WAL-resident page, `fsync` the data file, then truncate the WAL.
+//!   appends every page the transaction dirtied — the meta page always
+//!   among them — with the COMMIT flag on the final frame. A transaction
+//!   is one [`PageStore::apply`] batch; every other write is a
+//!   one-element batch. The data file is only touched at checkpoint:
+//!   flush the newest image of every WAL-resident page, `fsync` the data
+//!   file, then truncate the WAL.
 //!
 //! Recovery scans the WAL, truncates the first torn or corrupt frame and
 //! everything after it, discards any trailing frames past the last COMMIT,
@@ -152,11 +154,50 @@ impl fmt::Display for RecoveryInfo {
     }
 }
 
+/// The deadline a [`BatchOp::Upsert`] stores its entry under.
+#[derive(Debug, Clone, Copy)]
+pub enum Deadline {
+    /// This absolute deadline (`None`: the entry never expires).
+    At(Option<u64>),
+    /// Whatever the entry being replaced carries — lapsed deadlines
+    /// included, none when the key is absent.
+    Keep,
+}
+
+/// One write of a [`PageStore::apply`] batch.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchOp<'a> {
+    /// Erase the entry. Any physically present entry counts — expired
+    /// but unreaped included — and the expiry listener stays silent,
+    /// mirroring the kvstore's DEL exactly (it removes the dict entry
+    /// whatever its deadline says; the engine's purge path relies on that
+    /// count).
+    Remove(&'a str),
+    /// Insert or replace the entry. Always counts.
+    Upsert {
+        key: &'a str,
+        value: &'a [u8],
+        deadline: Deadline,
+    },
+}
+
+impl BatchOp<'_> {
+    fn key(&self) -> &[u8] {
+        match self {
+            BatchOp::Remove(key) | BatchOp::Upsert { key, .. } => key.as_bytes(),
+        }
+    }
+}
+
 /// Well-known at-rest sealing seed (benchmark posture, like the default
 /// transport PSK; production would inject one).
 const SEAL_SEED: &[u8] = b"pagestore-at-rest-volume-seed-v1";
 
 const MAX_TREE_DEPTH: usize = 64;
+
+/// Frames [`Inner::commit`] encodes per `write`: the encode buffer stays
+/// this small however many pages a batch dirtied.
+const WAL_CHUNK_FRAMES: usize = 16;
 
 struct TxState {
     dirty: HashMap<u32, Vec<u8>>,
@@ -169,6 +210,8 @@ struct Inner {
     wal_len: u64,
     /// page id -> offset of its newest committed image inside `wal.log`.
     wal_index: HashMap<u32, u64>,
+    /// Reused frame-encode buffer, at most [`WAL_CHUNK_FRAMES`] frames.
+    wal_buf: Vec<u8>,
     pool: Pool,
     meta: Meta,
     config: PageStoreConfig,
@@ -259,6 +302,7 @@ impl PageStore {
                 wal,
                 wal_len,
                 wal_index: scan.index,
+                wal_buf: Vec::new(),
                 pool: Pool::new(config.pool_pages),
                 meta,
                 config,
@@ -315,7 +359,7 @@ impl PageStore {
             None => return Ok(None),
         };
         if is_expired(entry.deadline_ms, now) {
-            inner.reap(std::slice::from_ref(&entry.key))?;
+            inner.apply(&[BatchOp::Remove(key)])?;
             drop(inner);
             self.notify_expired(&[key.to_string()]);
             return Ok(None);
@@ -328,9 +372,6 @@ impl PageStore {
     /// holds the key (the caller's AlreadyExists); an expired occupant is
     /// lazily reaped first — exactly the kvstore's EXISTS-probe semantics.
     pub fn insert(&self, key: &str, value: &[u8], deadline_ms: Option<u64>) -> Result<bool> {
-        if key.len() > KEY_MAX {
-            return Err(Error::KeyTooLong(key.len()));
-        }
         let now = self.now_ms();
         let mut inner = self.inner.lock();
         let occupant = inner.lookup(None, key.as_bytes())?;
@@ -339,14 +380,11 @@ impl PageStore {
             Some(_) => true,
             None => false,
         };
-        let mut tx = inner.begin();
-        let entry = inner.make_entry(&mut tx, key, value, deadline_ms)?;
-        if let Some(old) = inner.tree_insert(&mut tx, entry)? {
-            inner.free_value(&mut tx, &old.value)?;
-        } else {
-            tx.meta.record_count += 1;
-        }
-        inner.commit(tx, true)?;
+        inner.apply(&[BatchOp::Upsert {
+            key,
+            value,
+            deadline: Deadline::At(deadline_ms),
+        }])?;
         drop(inner);
         if reaped {
             self.notify_expired(&[key.to_string()]);
@@ -354,35 +392,32 @@ impl PageStore {
         Ok(true)
     }
 
-    /// Insert-or-replace under an explicit absolute deadline — the rewrite
-    /// and rebalance paths, where the caller owns deadline policy.
-    pub fn upsert(&self, key: &str, value: &[u8], deadline_ms: Option<u64>) -> Result<()> {
-        if key.len() > KEY_MAX {
-            return Err(Error::KeyTooLong(key.len()));
-        }
-        let mut inner = self.inner.lock();
-        let mut tx = inner.begin();
-        let entry = inner.make_entry(&mut tx, key, value, deadline_ms)?;
-        if let Some(old) = inner.tree_insert(&mut tx, entry)? {
-            inner.free_value(&mut tx, &old.value)?;
-        } else {
-            tx.meta.record_count += 1;
-        }
-        inner.commit(tx, true)
+    /// Run `ops` as **one transaction**: every op lands or none does, on
+    /// disk and after any crash. The store mutex is taken once; ops are
+    /// applied in key order (ops on the same key keep their order), one
+    /// root-to-leaf descent per touched leaf; the WAL gets one append,
+    /// one COMMIT frame, one generation bump and — under `fsync_wal` — one
+    /// `sync_data`. Returns how many ops counted (see [`BatchOp`]). A
+    /// batch that changes nothing commits nothing.
+    pub fn apply(&self, ops: &[BatchOp<'_>]) -> Result<usize> {
+        self.inner.lock().apply(ops)
     }
 
-    /// Erase a record. Any physically present entry counts — expired but
-    /// unreaped included — and the expiry listener stays silent, mirroring
-    /// the kvstore's DEL exactly (it removes the dict entry whatever its
-    /// deadline says; the engine's purge path relies on that count).
-    pub fn remove(&self, key: &str) -> Result<bool> {
-        let mut inner = self.inner.lock();
-        let entry = match inner.lookup(None, key.as_bytes())? {
-            Some(entry) => entry,
-            None => return Ok(false),
+    /// Insert-or-replace — the rewrite path, where the caller owns
+    /// deadline policy. A one-element [`Self::apply`].
+    pub fn upsert(&self, key: &str, value: &[u8], deadline: Deadline) -> Result<()> {
+        let op = BatchOp::Upsert {
+            key,
+            value,
+            deadline,
         };
-        inner.reap(&[entry.key])?;
-        Ok(true)
+        self.apply(&[op]).map(|_| ())
+    }
+
+    /// Erase a record, reporting whether an entry was physically present.
+    /// A one-element [`Self::apply`].
+    pub fn remove(&self, key: &str) -> Result<bool> {
+        Ok(self.apply(&[BatchOp::Remove(key)])? == 1)
     }
 
     /// The record's native absolute deadline, side-effect-free: an expired
@@ -407,7 +442,7 @@ impl PageStore {
         let mut live = Vec::new();
         for entry in entries {
             if is_expired(entry.deadline_ms, now) {
-                expired.push(entry.key);
+                expired.push(utf8_key(&entry.key)?);
             } else {
                 let key = utf8_key(&entry.key)?;
                 let value = inner.load_value(None, &entry.value)?;
@@ -415,13 +450,9 @@ impl PageStore {
                 live.push((key, value));
             }
         }
-        let expired_keys: Vec<String> =
-            expired.iter().map(|k| utf8_key(k)).collect::<Result<_>>()?;
-        if !expired.is_empty() {
-            inner.reap(&expired)?;
-        }
+        inner.reap(&expired)?;
         drop(inner);
-        self.notify_expired(&expired_keys);
+        self.notify_expired(&expired);
         Ok(live)
     }
 
@@ -442,16 +473,13 @@ impl PageStore {
     pub fn purge_expired(&self) -> Result<usize> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
-        let expired: Vec<Vec<u8>> = inner
+        let keys: Vec<String> = inner
             .walk_leaves()?
             .into_iter()
             .filter(|e| is_expired(e.deadline_ms, now))
-            .map(|e| e.key)
-            .collect();
-        let keys: Vec<String> = expired.iter().map(|k| utf8_key(k)).collect::<Result<_>>()?;
-        if !expired.is_empty() {
-            inner.reap(&expired)?;
-        }
+            .map(|e| utf8_key(&e.key))
+            .collect::<Result<_>>()?;
+        inner.reap(&keys)?;
         drop(inner);
         self.notify_expired(&keys);
         Ok(keys.len())
@@ -463,9 +491,10 @@ impl PageStore {
         self.inner.lock().meta.record_count as usize
     }
 
-    /// Logical mutation generation: advanced by every committed
-    /// transaction (including lazy reaps — they are real committed
-    /// mutations here), carried in every WAL commit frame, and reproduced
+    /// Logical mutation generation: advanced by one per committed
+    /// transaction — once per [`Self::apply`] batch however many records
+    /// it wrote, and by lazy reaps too (they are real committed mutations
+    /// here) — carried in every WAL commit frame, and reproduced
     /// exactly by recovery. This is what `persistence_generation` exposes
     /// so index snapshots can be trusted across restarts.
     pub fn generation(&self) -> u64 {
@@ -590,48 +619,55 @@ impl Inner {
         tx.meta.free_head = pid;
     }
 
-    /// Append all dirty pages (plus the meta page) as one WAL transaction,
-    /// install the clean images in the pool, and adopt the new meta.
-    /// `bump` advances the logical generation.
-    fn commit(&mut self, mut tx: TxState, bump: bool) -> Result<()> {
-        if bump {
-            tx.meta.generation += 1;
-        }
+    /// Append all dirty pages (plus the meta page) as one WAL transaction
+    /// under the next generation, install the clean images in the pool,
+    /// and adopt the new meta.
+    fn commit(&mut self, mut tx: TxState) -> Result<()> {
+        tx.meta.generation += 1;
         tx.dirty.insert(0, tx.meta.serialize());
         let mut pids: Vec<u32> = tx.dirty.keys().copied().collect();
         pids.sort_unstable();
-        let mut buf = Vec::with_capacity(pids.len() * wal::FRAME_SIZE);
-        let mut offsets = Vec::with_capacity(pids.len());
-        for (i, &pid) in pids.iter().enumerate() {
-            let image = &tx.dirty[&pid];
-            offsets.push((
-                pid,
-                self.wal_len + buf.len() as u64 + wal::FRAME_HEADER as u64,
-            ));
-            wal::encode_frame(
-                &mut buf,
-                pid,
-                i == pids.len() - 1,
-                tx.meta.generation,
-                image,
-            );
+        if let Err(e) = self.append_frames(&pids, &tx) {
+            // Some of the frames may sit in the file past `wal_len`. Cut
+            // them off (best effort — `wal::scan` rejects the orphan by
+            // its generation if this fails too) so a shorter successor
+            // cannot leave this transaction's COMMIT frame behind it.
+            let _ = self.wal.set_len(self.wal_len);
+            return Err(e);
         }
-        self.wal.seek(SeekFrom::Start(self.wal_len))?;
-        self.wal.write_all(&buf)?;
-        if self.config.fsync_wal {
-            self.wal.sync_data()?;
-        }
-        self.wal_len += buf.len() as u64;
-        for (pid, off) in offsets {
-            self.wal_index.insert(pid, off);
+        for &pid in &pids {
+            self.wal_index
+                .insert(pid, self.wal_len + wal::FRAME_HEADER as u64);
+            self.wal_len += wal::FRAME_SIZE as u64;
         }
         for (pid, image) in tx.dirty {
-            self.pool.insert(pid, Arc::new(image));
+            self.pool.install_committed(pid, Arc::new(image));
         }
         self.meta = tx.meta;
         let frames = (self.wal_len - wal::WAL_HEADER as u64) / wal::FRAME_SIZE as u64;
         if frames >= self.config.checkpoint_frames as u64 {
             self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Write `tx`'s images at `wal_len` in pid order, COMMIT on the last,
+    /// [`WAL_CHUNK_FRAMES`] frames per `write`. `wal_len` and `wal_index`
+    /// are the caller's to advance, once every byte is down.
+    fn append_frames(&mut self, pids: &[u32], tx: &TxState) -> Result<()> {
+        self.wal.seek(SeekFrom::Start(self.wal_len))?;
+        let mut left = pids.len();
+        for chunk in pids.chunks(WAL_CHUNK_FRAMES) {
+            self.wal_buf.clear();
+            for &pid in chunk {
+                left -= 1;
+                let image = &tx.dirty[&pid];
+                wal::encode_frame(&mut self.wal_buf, pid, left == 0, tx.meta.generation, image);
+            }
+            self.wal.write_all(&self.wal_buf)?;
+        }
+        if self.config.fsync_wal {
+            self.wal.sync_data()?;
         }
         Ok(())
     }
@@ -782,7 +818,7 @@ impl Inner {
             let step = self.with_image(tx, pid, |img| match page_type(pid, img)? {
                 T_INTERNAL => {
                     let node = parse_internal(pid, img)?;
-                    Ok(Step::Down(descend_child(&node, key, pid)?))
+                    Ok(Step::Down(descend_child(&node, key, pid)?.0))
                 }
                 T_LEAF => {
                     let leaf = parse_leaf(pid, img)?;
@@ -803,61 +839,144 @@ impl Inner {
         Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"))
     }
 
-    /// Insert or replace `entry`, splitting as needed. Returns the
-    /// replaced entry when the key already existed.
-    fn tree_insert(&mut self, tx: &mut TxState, entry: LeafEntry) -> Result<Option<LeafEntry>> {
-        if tx.meta.root == 0 {
-            let pid = self.tx_alloc(tx)?;
-            let leaf = Leaf {
-                next: 0,
-                entries: vec![entry],
-            };
-            tx.dirty.insert(pid, serialize_leaf(pid, &leaf));
-            tx.meta.root = pid;
-            return Ok(None);
+    /// Run `ops` as one transaction — the store's only write path. Ops
+    /// are stably sorted by key so each touched leaf is visited once;
+    /// nothing is committed when nothing changed.
+    fn apply(&mut self, ops: &[BatchOp<'_>]) -> Result<usize> {
+        for op in ops {
+            if op.key().len() > KEY_MAX {
+                return Err(Error::KeyTooLong(op.key().len()));
+            }
         }
-        // Descend, remembering the internal path for split propagation.
+        let mut sorted: Vec<&BatchOp<'_>> = ops.iter().collect();
+        sorted.sort_by_key(|op| op.key());
+        let mut tx = self.begin();
+        let mut counted = 0;
+        let mut rest = sorted.as_slice();
+        while !rest.is_empty() {
+            let used = self.apply_to_leaf(&mut tx, rest, &mut counted)?;
+            rest = &rest[used..];
+        }
+        if !tx.dirty.is_empty() {
+            self.commit(tx)?;
+        }
+        Ok(counted)
+    }
+
+    /// Erase `keys` in one transaction; the caller fires the expiry
+    /// listener (outside the lock).
+    fn reap(&mut self, keys: &[String]) -> Result<()> {
+        let ops: Vec<BatchOp<'_>> = keys.iter().map(|key| BatchOp::Remove(key)).collect();
+        self.apply(&ops).map(|_| ())
+    }
+
+    /// Descend once to the leaf covering `ops[0]` and apply the run of
+    /// ops that falls inside that leaf's key range: one `parse_leaf`, one
+    /// `serialize_leaf`. The run ends early at an upsert that overfills
+    /// the leaf — it is then exactly one entry over, so the split's two
+    /// halves fit — and the remaining ops descend afresh. No rebalancing
+    /// on removal: freed space is reused by the freelist; empty leaves
+    /// stay linked and are skipped by scans. Returns the ops consumed
+    /// (at least one).
+    fn apply_to_leaf(
+        &mut self,
+        tx: &mut TxState,
+        ops: &[&BatchOp<'_>],
+        counted: &mut usize,
+    ) -> Result<usize> {
+        if tx.meta.root == 0 {
+            if matches!(ops[0], BatchOp::Remove(_)) {
+                return Ok(1);
+            }
+            let pid = self.tx_alloc(tx)?;
+            tx.dirty.insert(pid, serialize_leaf(pid, &Leaf::default()));
+            tx.meta.root = pid;
+        }
+        // Descend, remembering the internal path for split propagation
+        // and the tightest separator above the leaf's key range.
+        let first = ops[0].key();
         let mut path = Vec::new();
+        let mut upper: Option<Vec<u8>> = None;
         let mut pid = tx.meta.root;
         let mut leaf = loop {
             if path.len() > MAX_TREE_DEPTH {
                 return Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"));
             }
             enum Step {
-                Down(u32),
+                Down(u32, Option<Vec<u8>>),
                 Leaf(Leaf),
             }
-            let key = entry.key.as_slice();
             let step = self.with_image(Some(tx), pid, |img| match page_type(pid, img)? {
                 T_INTERNAL => {
                     let node = parse_internal(pid, img)?;
-                    Ok(Step::Down(descend_child(&node, key, pid)?))
+                    let (child, bound) = descend_child(&node, first, pid)?;
+                    Ok(Step::Down(child, bound.map(<[u8]>::to_vec)))
                 }
                 T_LEAF => Ok(Step::Leaf(parse_leaf(pid, img)?)),
                 t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
             })?;
             match step {
-                Step::Down(child) => {
+                Step::Down(child, bound) => {
                     path.push(pid);
+                    upper = bound.or(upper);
                     pid = child;
                 }
                 Step::Leaf(leaf) => break leaf,
             }
         };
 
-        let old = match leaf
-            .entries
-            .binary_search_by(|e| e.key.as_slice().cmp(&entry.key))
-        {
-            Ok(i) => Some(std::mem::replace(&mut leaf.entries[i], entry)),
-            Err(i) => {
-                leaf.entries.insert(i, entry);
-                None
+        let mut used = 0;
+        let mut changed = false;
+        while used < ops.len() && leaf_size(&leaf) <= page::PAYLOAD {
+            let key = ops[used].key();
+            if upper.as_deref().is_some_and(|bound| key >= bound) {
+                break;
             }
-        };
+            let slot = leaf.entries.binary_search_by(|e| e.key.as_slice().cmp(key));
+            match (ops[used], slot) {
+                (BatchOp::Remove(_), Err(_)) => {}
+                (BatchOp::Remove(_), Ok(i)) => {
+                    let old = leaf.entries.remove(i);
+                    self.free_value(tx, &old.value)?;
+                    tx.meta.record_count = tx.meta.record_count.saturating_sub(1);
+                    *counted += 1;
+                    changed = true;
+                }
+                (
+                    BatchOp::Upsert {
+                        key,
+                        value,
+                        deadline,
+                    },
+                    slot,
+                ) => {
+                    let deadline_ms = match deadline {
+                        Deadline::At(at) => *at,
+                        Deadline::Keep => slot.ok().and_then(|i| leaf.entries[i].deadline_ms),
+                    };
+                    let entry = self.make_entry(tx, key, value, deadline_ms)?;
+                    match slot {
+                        Ok(i) => {
+                            let old = std::mem::replace(&mut leaf.entries[i], entry);
+                            self.free_value(tx, &old.value)?;
+                        }
+                        Err(i) => {
+                            leaf.entries.insert(i, entry);
+                            tx.meta.record_count += 1;
+                        }
+                    }
+                    *counted += 1;
+                    changed = true;
+                }
+            }
+            used += 1;
+        }
+        if !changed {
+            return Ok(used);
+        }
         if leaf_size(&leaf) <= page::PAYLOAD {
             tx.dirty.insert(pid, serialize_leaf(pid, &leaf));
-            return Ok(old);
+            return Ok(used);
         }
 
         // Split the leaf, then walk the path upward inserting separators.
@@ -874,7 +993,7 @@ impl Inner {
             if internal_size(&node) <= page::PAYLOAD {
                 tx.dirty
                     .insert(parent_pid, serialize_internal(parent_pid, &node));
-                return Ok(old);
+                return Ok(used);
             }
             let (next_sep, next_child) = self.split_internal(tx, parent_pid, node)?;
             sep = next_sep;
@@ -890,7 +1009,7 @@ impl Inner {
         tx.dirty
             .insert(new_root, serialize_internal(new_root, &root_node));
         tx.meta.root = new_root;
-        Ok(old)
+        Ok(used)
     }
 
     fn split_leaf(&mut self, tx: &mut TxState, pid: u32, leaf: Leaf) -> Result<(Vec<u8>, u32)> {
@@ -948,57 +1067,6 @@ impl Inner {
         Ok((sep, right_pid))
     }
 
-    /// Remove `key` from its leaf (no rebalancing — freed space is reused
-    /// by the freelist; empty leaves stay linked and are skipped by
-    /// scans). Returns the removed entry.
-    fn tree_remove(&mut self, tx: &mut TxState, key: &[u8]) -> Result<Option<LeafEntry>> {
-        if tx.meta.root == 0 {
-            return Ok(None);
-        }
-        let mut pid = tx.meta.root;
-        for _ in 0..MAX_TREE_DEPTH {
-            enum Step {
-                Down(u32),
-                Leaf(Leaf),
-            }
-            let step = self.with_image(Some(tx), pid, |img| match page_type(pid, img)? {
-                T_INTERNAL => {
-                    let node = parse_internal(pid, img)?;
-                    Ok(Step::Down(descend_child(&node, key, pid)?))
-                }
-                T_LEAF => Ok(Step::Leaf(parse_leaf(pid, img)?)),
-                t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
-            })?;
-            match step {
-                Step::Down(child) => pid = child,
-                Step::Leaf(mut leaf) => {
-                    match leaf.entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                        Ok(i) => {
-                            let removed = leaf.entries.remove(i);
-                            tx.dirty.insert(pid, serialize_leaf(pid, &leaf));
-                            return Ok(Some(removed));
-                        }
-                        Err(_) => return Ok(None),
-                    }
-                }
-            }
-        }
-        Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"))
-    }
-
-    /// Reap a batch of keys as one committed transaction. The caller fires
-    /// the expiry listener (outside the lock) for keys that were expired.
-    fn reap(&mut self, keys: &[Vec<u8>]) -> Result<()> {
-        let mut tx = self.begin();
-        for key in keys {
-            if let Some(entry) = self.tree_remove(&mut tx, key)? {
-                self.free_value(&mut tx, &entry.value)?;
-                tx.meta.record_count = tx.meta.record_count.saturating_sub(1);
-            }
-        }
-        self.commit(tx, true)
-    }
-
     /// All entries in key order via the leftmost-leaf chain walk.
     fn walk_leaves(&mut self) -> Result<Vec<LeafEntry>> {
         if self.meta.root == 0 {
@@ -1044,12 +1112,14 @@ impl Inner {
     }
 }
 
-fn descend_child(node: &Internal, key: &[u8], pid: u32) -> Result<u32> {
+/// The child of `node` covering `key`, and the separator that bounds the
+/// child's key range from above (`None` for the rightmost child).
+fn descend_child<'n>(node: &'n Internal, key: &[u8], pid: u32) -> Result<(u32, Option<&'n [u8]>)> {
     if node.children.len() != node.keys.len() + 1 || node.children.is_empty() {
         return Err(Error::corrupt(format!("page {pid}: malformed internal")));
     }
     let idx = node.keys.partition_point(|k| k.as_slice() <= key);
-    Ok(node.children[idx])
+    Ok((node.children[idx], node.keys.get(idx).map(Vec::as_slice)))
 }
 
 #[cfg(test)]
@@ -1110,7 +1180,7 @@ mod tests {
         store.insert("big", &big, None).unwrap();
         assert_eq!(store.get("big").unwrap().unwrap(), big);
         let big2: Vec<u8> = vec![7u8; 9_000];
-        store.upsert("big", &big2, None).unwrap();
+        store.upsert("big", &big2, Deadline::At(None)).unwrap();
         assert_eq!(store.get("big").unwrap().unwrap(), big2);
         store.remove("big").unwrap();
         assert_eq!(store.get("big").unwrap(), None);
@@ -1120,6 +1190,94 @@ mod tests {
         store.insert("big", &big, None).unwrap();
         let after = store.inner.lock().meta.page_count;
         assert!(after <= before + 1, "freelist reuse: {before} -> {after}");
+    }
+
+    /// One batch over many leaves: removes, deadline-keeping rewrites
+    /// that grow their entries (leaves split mid-batch), a rewrite of an
+    /// absent key, and same-key sequences — one generation, one COMMIT
+    /// frame, and the same state after WAL replay.
+    #[test]
+    fn apply_is_one_transaction_whatever_it_touches() {
+        let dir = scratch("apply");
+        let store = open(&dir, 4);
+        let key = |i: usize| format!("k{i:04}");
+        for i in 0..600 {
+            store
+                .insert(
+                    &key(i),
+                    format!("v{i}").as_bytes(),
+                    Some(1 << 60 | i as u64),
+                )
+                .unwrap();
+        }
+        store.checkpoint().unwrap();
+        let before = store.generation();
+
+        let grown: Vec<(String, Vec<u8>)> = (0..600)
+            .filter(|i| i % 3 == 1)
+            .map(|i| (key(i), vec![i as u8; 200]))
+            .collect();
+        let removed: Vec<String> = (0..600).filter(|i| i % 3 == 0).map(key).collect();
+        let mut ops: Vec<BatchOp<'_>> = removed.iter().map(|k| BatchOp::Remove(k)).collect();
+        ops.extend(grown.iter().map(|(key, value)| BatchOp::Upsert {
+            key,
+            value,
+            deadline: Deadline::Keep,
+        }));
+        let put = |key, deadline| BatchOp::Upsert {
+            key,
+            value: b"new",
+            deadline,
+        };
+        ops.extend([
+            BatchOp::Remove("absent"),
+            put("fresh", Deadline::Keep),
+            put("put-then-removed", Deadline::At(None)),
+            BatchOp::Remove("put-then-removed"),
+            BatchOp::Remove("k0002"),
+            put("k0002", Deadline::At(Some(1 << 61))),
+        ]);
+        let counted = store.apply(&ops).unwrap();
+        assert_eq!(counted, ops.len() - 1, "only the absent remove is a miss");
+        assert_eq!(store.generation(), before + 1, "one commit per batch");
+        assert_eq!(store.apply(&[BatchOp::Remove("absent")]).unwrap(), 0);
+        assert_eq!(store.generation(), before + 1, "a no-op commits nothing");
+        assert_eq!(store.pinned_pages(), 0);
+
+        let check = |store: &PageStore| {
+            assert_eq!(store.record_count(), 600 - removed.len() + 1);
+            for i in 0..600 {
+                let got = store.get(&key(i)).unwrap();
+                match i % 3 {
+                    0 => assert_eq!(got, None, "{i} erased"),
+                    1 => assert_eq!(got.unwrap(), vec![i as u8; 200]),
+                    _ if i == 2 => assert_eq!(got.unwrap(), b"new"),
+                    _ => assert_eq!(got.unwrap(), format!("v{i}").as_bytes()),
+                }
+            }
+            assert_eq!(
+                store.deadline_ms(&key(4)).unwrap(),
+                Some(1 << 60 | 4),
+                "Keep carries the replaced entry's deadline"
+            );
+            assert_eq!(store.deadline_ms("k0002").unwrap(), Some(1 << 61));
+            assert_eq!(store.get("fresh").unwrap().unwrap(), b"new");
+            assert_eq!(store.deadline_ms("fresh").unwrap(), None, "nothing to keep");
+            assert_eq!(store.get("put-then-removed").unwrap(), None);
+            let keys: Vec<String> = store.scan().unwrap().into_iter().map(|(k, _)| k).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "splits keep order");
+        };
+        check(&store);
+        let wal = std::fs::read(dir.join("wal.log")).unwrap();
+        let commits = wal[wal::WAL_HEADER..]
+            .chunks(wal::FRAME_SIZE)
+            .filter(|frame| frame[4] & wal::FLAG_COMMIT as u8 != 0)
+            .count();
+        assert_eq!(commits, 1, "one COMMIT frame for the whole batch");
+        drop(store);
+        let store = open(&dir, 4);
+        assert_eq!(store.generation(), before + 1);
+        check(&store);
     }
 
     #[test]

@@ -97,6 +97,18 @@ impl Pool {
         self.ring.push(pid);
     }
 
+    /// Install a just-committed image **without evicting**: refresh it in
+    /// place when resident, take a free slot when there is one, otherwise
+    /// drop it — the page stays readable through the WAL index. A
+    /// transaction that dirtied more pages than the pool holds therefore
+    /// cannot push out the root and internal pages the next operation
+    /// descends through.
+    pub fn install_committed(&mut self, pid: u32, data: PageImage) {
+        if self.slots.contains_key(&pid) || self.slots.len() < self.cap {
+            self.insert(pid, data);
+        }
+    }
+
     fn evict_one(&mut self) -> bool {
         let mut scanned = 0;
         let limit = 2 * self.ring.len() + 1;
@@ -181,6 +193,18 @@ mod tests {
         assert!(pool.get(1).is_some(), "pinned page must not be evicted");
         pool.unpin(1);
         assert_eq!(pool.stats().pinned, 0);
+    }
+
+    #[test]
+    fn committed_images_refresh_or_fill_but_never_evict() {
+        let mut pool = Pool::new(2);
+        pool.install_committed(1, img(1));
+        pool.install_committed(2, img(2));
+        pool.install_committed(3, img(3));
+        assert!(pool.get(3).is_none(), "a full pool drops the new image");
+        pool.install_committed(1, img(9));
+        assert_eq!(pool.get(1).unwrap()[0], 9, "a resident page is refreshed");
+        assert_eq!(pool.stats().evictions, 0);
     }
 
     #[test]

@@ -13,8 +13,15 @@
 //! A transaction appends one frame per dirty page; the last frame carries
 //! the COMMIT flag and the store's logical generation. Recovery scans from
 //! the header, stops at the first frame whose checksum fails (or that is
-//! physically short — a torn tail), then discards any frames after the
+//! physically short — a torn tail) or whose COMMIT generation does not
+//! advance on the previous COMMIT's, then discards any frames after the
 //! last COMMIT, so a half-appended transaction vanishes atomically.
+//!
+//! Every commit bumps the generation, so a COMMIT frame that repeats or
+//! rewinds it was never acknowledged: it is the tail of a transaction
+//! whose append failed after its frames reached the file, left behind a
+//! shorter successor that overwrote only its head. Replaying it would
+//! resurrect a write the caller saw fail.
 
 use crate::page::PAGE_SIZE;
 use crypto::SipHash24;
@@ -72,8 +79,8 @@ pub struct WalScan {
     pub frames: usize,
 }
 
-/// Scan raw WAL bytes: stop at the first invalid frame, then keep only
-/// frames up to and including the last COMMIT.
+/// Scan raw WAL bytes: stop at the first invalid frame or stale COMMIT,
+/// then keep only frames up to and including the last COMMIT.
 pub fn scan(bytes: &[u8]) -> WalScan {
     let mut empty = WalScan {
         index: HashMap::new(),
@@ -94,6 +101,7 @@ pub fn scan(bytes: &[u8]) -> WalScan {
     // First pass: find every checksum-valid frame in file order.
     let mut valid: Vec<(u32, u32, u64, u64)> = Vec::new(); // pid, flags, gen, image_off
     let mut off = WAL_HEADER;
+    let mut committed: Option<u64> = None;
     while off + FRAME_SIZE <= bytes.len() {
         let pid = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
         let flags = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
@@ -102,6 +110,12 @@ pub fn scan(bytes: &[u8]) -> WalScan {
         let image = &bytes[off + FRAME_HEADER..off + FRAME_SIZE];
         if stored != frame_checksum(pid, flags, generation, image) {
             break;
+        }
+        if flags & FLAG_COMMIT != 0 {
+            if committed.is_some_and(|previous| generation <= previous) {
+                break;
+            }
+            committed = Some(generation);
         }
         valid.push((pid, flags, generation, (off + FRAME_HEADER) as u64));
         off += FRAME_SIZE;
@@ -171,6 +185,25 @@ mod tests {
         flipped[WAL_HEADER + FRAME_SIZE + 40] ^= 1; // corrupt second frame
         let s = scan(&flipped);
         assert_eq!(s.frames, 0, "commit after corruption must not count");
+    }
+
+    /// Transaction `a` (three frames, generation g+1) reached the file
+    /// but its sync failed, so the store never adopted it; transaction `b`
+    /// (two frames, generation g+1 again) then overwrote only `a`'s head.
+    /// `a`'s third frame is checksum-valid and carries COMMIT — recovery
+    /// must not replay it.
+    #[test]
+    fn stale_commit_past_a_shorter_successor_is_not_replayed() {
+        let g = 41;
+        let mut bytes = header_bytes().to_vec();
+        encode_frame(&mut bytes, 1, false, g + 1, &image(0xB1));
+        encode_frame(&mut bytes, 0, true, g + 1, &image(0xB2));
+        encode_frame(&mut bytes, 3, true, g + 1, &image(0xA3));
+        let s = scan(&bytes);
+        assert_eq!(s.valid_len as usize, WAL_HEADER + 2 * FRAME_SIZE);
+        assert_eq!(s.frames, 2);
+        assert_eq!(s.generation, Some(g + 1));
+        assert!(!s.index.contains_key(&3), "the orphan's page is dropped");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! silently wrong data. After every single reopen, the engine's metadata
 //! index must answer every predicate in the taxonomy identically to the
 //! reference scan semantics (`keys_for ≡ scan`), mirroring
-//! `tests/recovery_faults.rs` one layer down the stack.
+//! `tests/recovery_faults.rs` one layer down the stack. A group write
+//! (erase-by-user, consent withdrawal) is one transaction in that history:
+//! a cut anywhere inside its frames recovers to all of it or none of it.
 
 use gdprbench_repro::clock;
 use gdprbench_repro::connectors::DiskConnector;
@@ -197,6 +199,134 @@ fn wal_truncation_at_every_prefix_recovers_a_committed_prefix() {
     let store = open(&reopen_dir);
     assert_eq!(store.generation() as usize, records.len());
     assert_state_is_prefix(&store, &records, "intact WAL");
+}
+
+/// A group write is one WAL transaction: cut the log at every frame
+/// boundary (±1 byte) and at sampled offsets inside the frames of an
+/// erase-by-user of 200 records and a consent update over a third of the
+/// rest, and every reopen must serve the state before the group write or
+/// the state after it — records, native deadlines and rebuilt index —
+/// never a mixture.
+#[test]
+fn group_writes_are_all_or_none_at_every_wal_cut() {
+    use gdprbench_repro::gdpr_core::{wire, MetadataField, MetadataUpdate};
+    let frame = gdprbench_repro::pagestore::wal::FRAME_SIZE;
+    let header = gdprbench_repro::pagestore::wal::WAL_HEADER;
+
+    let dir = scratch_dir("group");
+    let store = open(&dir);
+    let conn = DiskConnector::with_metadata_index(Arc::clone(&store)).unwrap();
+    let controller = Session::controller();
+    let seeded: Vec<PersonalRecord> = (0..600)
+        .map(|i| {
+            let mut m = Metadata::new(
+                format!("u{}", i % 3),
+                vec![["ads", "2fa", "analytics"][i / 3 % 3].to_string()],
+                Duration::from_secs(86_400),
+            );
+            if i % 4 == 0 {
+                m.objections.push("ads".into());
+            }
+            PersonalRecord::new(format!("k{i:03}"), "d".repeat(200 + i % 50), m)
+        })
+        .collect();
+    for r in &seeded {
+        conn.execute(&controller, &GdprQuery::CreateRecord(r.clone()))
+            .unwrap();
+    }
+    // Fold the seed into pages.db: the WAL then holds the two group
+    // writes and nothing else.
+    store.checkpoint().unwrap();
+    let wal_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len() as usize;
+    let generation = store.generation();
+
+    let erased = conn
+        .execute(&controller, &GdprQuery::DeleteByUser("u1".into()))
+        .unwrap();
+    assert_eq!(erased.cardinality(), 200);
+    assert_eq!(store.generation(), generation + 1, "one commit per erase");
+    let after_erase = wal_len();
+    let deadline = store.deadline_ms("k000").unwrap();
+    assert!(deadline.is_some(), "k000 (u0, ads) is rewritten below");
+    let update = MetadataUpdate::Add(MetadataField::Sharing, "x-corp".into());
+    let updated = conn
+        .execute(
+            &controller,
+            &GdprQuery::UpdateMetadataByPurpose {
+                purpose: "ads".into(),
+                update: update.clone(),
+            },
+        )
+        .unwrap();
+    assert!(updated.cardinality() > 100);
+    assert_eq!(store.generation(), generation + 2, "one commit per update");
+    let wal = std::fs::read(dir.join("wal.log")).unwrap();
+    assert!(
+        after_erase > header + 20 * frame && wal.len() > after_erase + 20 * frame,
+        "both group writes must span many leaves"
+    );
+    drop((conn, store));
+
+    // The three states a cut may recover, and their wire text in key
+    // order (what a scan returns).
+    let mut states = vec![seeded];
+    states.push(
+        states[0]
+            .iter()
+            .filter(|r| r.metadata.user != "u1")
+            .cloned()
+            .collect(),
+    );
+    states.push(
+        states[1]
+            .iter()
+            .cloned()
+            .map(|mut r| {
+                if r.metadata.purposes.iter().any(|p| p == "ads") {
+                    update.apply(&mut r.metadata).unwrap();
+                }
+                r
+            })
+            .collect(),
+    );
+
+    let rendered: Vec<Vec<String>> = states
+        .iter()
+        .map(|records| records.iter().map(wire::serialize).collect())
+        .collect();
+
+    // Every frame boundary, the byte before it, and one offset inside the
+    // frame that follows (a different one per frame).
+    let mut cuts = Vec::new();
+    for edge in (header..=wal.len()).step_by(frame) {
+        cuts.extend([edge - 1, edge, edge + edge * 31 % frame]);
+    }
+    cuts.retain(|&cut| cut <= wal.len());
+
+    let reopen_dir = scratch_dir("group-reopen");
+    std::fs::copy(dir.join("pages.db"), reopen_dir.join("pages.db")).unwrap();
+    for (i, &cut) in cuts.iter().enumerate() {
+        std::fs::write(reopen_dir.join("wal.log"), &wal[..cut]).unwrap();
+        let store = open(&reopen_dir);
+        let ctx = format!("cut at {cut}");
+        // Complete transactions in the prefix, and nothing else, decide
+        // which state is served.
+        let committed = usize::from(cut >= after_erase) + usize::from(cut == wal.len());
+        assert_eq!(store.generation(), generation + committed as u64, "{ctx}");
+        let got: Vec<String> = store
+            .scan()
+            .unwrap_or_else(|e| panic!("{ctx}: committed state must scan, got {e}"))
+            .into_iter()
+            .map(|(_, bytes)| String::from_utf8(bytes).unwrap())
+            .collect();
+        assert_eq!(got, rendered[committed], "{ctx}: half-applied");
+        assert_eq!(store.deadline_ms("k000").unwrap(), deadline, "{ctx}");
+        assert_eq!(store.pinned_pages(), 0, "{ctx}");
+        if i % 5 == 0 {
+            let conn = DiskConnector::with_metadata_index(store).unwrap();
+            assert_index_matches_scan(&conn, &states[committed], &ctx);
+        }
+    }
 }
 
 /// Flipping any bit in a WAL frame must kill that frame's checksum and

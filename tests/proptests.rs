@@ -1374,181 +1374,211 @@ mod store_equivalence {
     /// Tenant-prefixed storage keys take the same page paths as plain
     /// ones, and the whole read surface must agree again after the
     /// pagestore is dropped mid-flight and reopened through WAL recovery.
+    ///
+    /// Two further cases run at 500+ records per tenant, where a group
+    /// write is a page-store batch over far more leaves than the four-page
+    /// pool holds: they open with a group update that grows every match by
+    /// 200 bytes (leaves split inside the batch) and an erase-by-user, each
+    /// of which must be exactly one WAL commit.
     #[test]
     fn kvstore_and_pagestore_agree_on_arbitrary_op_streams() {
-        run_cases(10, |rng| {
-            let sim = clock::sim();
-            let kv = RedisConnector::with_metadata_index(
-                KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap(),
-            )
-            .unwrap();
-            let dir = registry::scratch_dir("prop-equiv");
-            let disk = DiskConnector::with_metadata_index(
-                PageStore::open(&dir, disk_config(), sim.clone()).unwrap(),
-            )
-            .unwrap();
-            // The default tenant and a named one share the engines: the
-            // tenant prefix is part of the storage key, so the pagestore
-            // must round-trip prefixed keys bit-for-bit and keep the
-            // tenants' overlapping logical keyspaces disjoint on disk.
-            let tenants = [TenantId::default(), TenantId::new("acme").unwrap()];
+        run_cases(10, |rng| agree_on_op_stream(rng, 5..30));
+        run_cases(2, |rng| agree_on_op_stream(rng, 500..560));
+    }
 
-            let apply = |session: &Session, query: &GdprQuery| {
-                let reference = kv.execute(session, query).map(sorted);
-                let got = disk.execute(session, query).map(sorted);
-                assert_eq!(got, reference, "pagestore diverges on {query:?}");
-            };
-            let controller = Session::controller();
+    fn agree_on_op_stream(rng: &mut SmallRng, records: std::ops::Range<usize>) {
+        let sim = clock::sim();
+        let kv = RedisConnector::with_metadata_index(
+            KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap(),
+        )
+        .unwrap();
+        let dir = registry::scratch_dir("prop-equiv");
+        let disk = DiskConnector::with_metadata_index(
+            PageStore::open(&dir, disk_config(), sim.clone()).unwrap(),
+        )
+        .unwrap();
+        // The default tenant and a named one share the engines: the
+        // tenant prefix is part of the storage key, so the pagestore
+        // must round-trip prefixed keys bit-for-bit and keep the
+        // tenants' overlapping logical keyspaces disjoint on disk.
+        let tenants = [TenantId::default(), TenantId::new("acme").unwrap()];
 
-            let n_records = rng.gen_range(5usize..30);
-            let keys: Vec<String> = (0..n_records).map(|i| format!("k{i}")).collect();
-            for key in &keys {
-                for tenant in &tenants {
-                    let record = arb_gdpr_record(rng, key.clone());
-                    apply(
-                        &controller.clone().with_tenant(tenant.clone()),
-                        &GdprQuery::CreateRecord(record),
-                    );
+        let apply = |session: &Session, query: &GdprQuery| {
+            let reference = kv.execute(session, query).map(sorted);
+            let got = disk.execute(session, query).map(sorted);
+            assert_eq!(got, reference, "pagestore diverges on {query:?}");
+        };
+        let controller = Session::controller();
+
+        let n_records = rng.gen_range(records);
+        let keys: Vec<String> = (0..n_records).map(|i| format!("k{i}")).collect();
+        for key in &keys {
+            for tenant in &tenants {
+                let record = arb_gdpr_record(rng, key.clone());
+                apply(
+                    &controller.clone().with_tenant(tenant.clone()),
+                    &GdprQuery::CreateRecord(record),
+                );
+            }
+        }
+
+        if n_records >= 500 {
+            let frame = gdprbench_repro::pagestore::wal::FRAME_SIZE as u64;
+            let pool_pages = disk_config().pool_pages as u64;
+            for query in [
+                GdprQuery::UpdateMetadataByPurpose {
+                    purpose: PURPOSES[0].to_string(),
+                    update: MetadataUpdate::Add(MetadataField::Sharing, "p".repeat(200)),
+                },
+                GdprQuery::DeleteByUser(USERS[0].to_string()),
+            ] {
+                let store = disk.store();
+                let (generation, bytes) = (store.generation(), store.disk_bytes());
+                apply(&controller, &query);
+                assert_eq!(store.generation(), generation + 1, "{query:?}");
+                assert!(
+                    store.disk_bytes() - bytes > 2 * pool_pages * frame,
+                    "{query:?} must span more leaves than the pool holds"
+                );
+            }
+        }
+
+        for _ in 0..rng.gen_range(6usize..20) {
+            let tenant = tenants[rng.gen_range(0usize..tenants.len())].clone();
+            let key = keys[rng.gen_range(0usize..keys.len())].clone();
+            let (session, query) = match rng.gen_range(0u32..12) {
+                0 => (
+                    controller.clone(),
+                    GdprQuery::UpdateMetadataByKey {
+                        key,
+                        update: MetadataUpdate::Add(
+                            MetadataField::Objections,
+                            pick(rng, &PURPOSES).to_string(),
+                        ),
+                    },
+                ),
+                1 => (
+                    controller.clone(),
+                    GdprQuery::UpdateMetadataByKey {
+                        key,
+                        update: MetadataUpdate::SetTtl(Duration::from_secs(
+                            rng.gen_range(1u64..120),
+                        )),
+                    },
+                ),
+                2 => (controller.clone(), GdprQuery::DeleteByKey(key)),
+                3 => (
+                    controller.clone(),
+                    GdprQuery::UpdateDataByKey {
+                        key,
+                        data: field(rng),
+                    },
+                ),
+                // Group updates: every matching record rewrites in
+                // place, deadline preserved to the millisecond.
+                4 => (
+                    controller.clone(),
+                    GdprQuery::UpdateMetadataByUser {
+                        user: pick(rng, &USERS).to_string(),
+                        update: MetadataUpdate::Add(
+                            MetadataField::Sharing,
+                            pick(rng, &PARTIES).to_string(),
+                        ),
+                    },
+                ),
+                5 => (
+                    controller.clone(),
+                    GdprQuery::UpdateMetadataByPurpose {
+                        purpose: pick(rng, &PURPOSES).to_string(),
+                        update: MetadataUpdate::Add(
+                            MetadataField::Sharing,
+                            pick(rng, &PARTIES).to_string(),
+                        ),
+                    },
+                ),
+                // Group purpose removal: data-dependent all-or-nothing
+                // validation — success and failure must both agree.
+                6 => (
+                    controller.clone(),
+                    GdprQuery::UpdateMetadataByPurpose {
+                        purpose: pick(rng, &PURPOSES).to_string(),
+                        update: MetadataUpdate::Remove(
+                            MetadataField::Purposes,
+                            pick(rng, &PURPOSES).to_string(),
+                        ),
+                    },
+                ),
+                7 => (
+                    controller.clone(),
+                    GdprQuery::DeleteByUser(pick(rng, &USERS).to_string()),
+                ),
+                8 => (
+                    controller.clone(),
+                    GdprQuery::DeleteByPurpose(pick(rng, &PURPOSES).to_string()),
+                ),
+                // Sim-clock expiry purge: both stores must reap exactly
+                // the same deadline set at the inclusive boundary.
+                9 => {
+                    sim.advance(Duration::from_secs(rng.gen_range(0u64..40)));
+                    (controller.clone(), GdprQuery::DeleteExpired)
                 }
-            }
+                10 => (
+                    Session::processor("any"),
+                    GdprQuery::ReadDataNotObjecting(pick(rng, &PURPOSES).to_string()),
+                ),
+                _ => (Session::regulator(), GdprQuery::VerifyDeletion(key)),
+            };
+            apply(&session.with_tenant(tenant), &query);
+        }
 
-            for _ in 0..rng.gen_range(6usize..20) {
-                let tenant = tenants[rng.gen_range(0usize..tenants.len())].clone();
-                let key = keys[rng.gen_range(0usize..keys.len())].clone();
-                let (session, query) = match rng.gen_range(0u32..12) {
-                    0 => (
-                        controller.clone(),
-                        GdprQuery::UpdateMetadataByKey {
-                            key,
-                            update: MetadataUpdate::Add(
-                                MetadataField::Objections,
-                                pick(rng, &PURPOSES).to_string(),
-                            ),
-                        },
-                    ),
-                    1 => (
-                        controller.clone(),
-                        GdprQuery::UpdateMetadataByKey {
-                            key,
-                            update: MetadataUpdate::SetTtl(Duration::from_secs(
-                                rng.gen_range(1u64..120),
-                            )),
-                        },
-                    ),
-                    2 => (controller.clone(), GdprQuery::DeleteByKey(key)),
-                    3 => (
-                        controller.clone(),
-                        GdprQuery::UpdateDataByKey {
-                            key,
-                            data: field(rng),
-                        },
-                    ),
-                    // Group updates: every matching record rewrites in
-                    // place, deadline preserved to the millisecond.
-                    4 => (
-                        controller.clone(),
-                        GdprQuery::UpdateMetadataByUser {
-                            user: pick(rng, &USERS).to_string(),
-                            update: MetadataUpdate::Add(
-                                MetadataField::Sharing,
-                                pick(rng, &PARTIES).to_string(),
-                            ),
-                        },
-                    ),
-                    5 => (
-                        controller.clone(),
-                        GdprQuery::UpdateMetadataByPurpose {
-                            purpose: pick(rng, &PURPOSES).to_string(),
-                            update: MetadataUpdate::Add(
-                                MetadataField::Sharing,
-                                pick(rng, &PARTIES).to_string(),
-                            ),
-                        },
-                    ),
-                    // Group purpose removal: data-dependent all-or-nothing
-                    // validation — success and failure must both agree.
-                    6 => (
-                        controller.clone(),
-                        GdprQuery::UpdateMetadataByPurpose {
-                            purpose: pick(rng, &PURPOSES).to_string(),
-                            update: MetadataUpdate::Remove(
-                                MetadataField::Purposes,
-                                pick(rng, &PURPOSES).to_string(),
-                            ),
-                        },
-                    ),
-                    7 => (
-                        controller.clone(),
-                        GdprQuery::DeleteByUser(pick(rng, &USERS).to_string()),
-                    ),
-                    8 => (
-                        controller.clone(),
-                        GdprQuery::DeleteByPurpose(pick(rng, &PURPOSES).to_string()),
-                    ),
-                    // Sim-clock expiry purge: both stores must reap exactly
-                    // the same deadline set at the inclusive boundary.
-                    9 => {
-                        sim.advance(Duration::from_secs(rng.gen_range(0u64..40)));
-                        (controller.clone(), GdprQuery::DeleteExpired)
-                    }
-                    10 => (
-                        Session::processor("any"),
-                        GdprQuery::ReadDataNotObjecting(pick(rng, &PURPOSES).to_string()),
-                    ),
-                    _ => (Session::regulator(), GdprQuery::VerifyDeletion(key)),
-                };
-                apply(&session.with_tenant(tenant), &query);
-            }
-
-            // Lapse a random slice of TTLs, then sweep the entire
-            // read-side surface for every tenant.
-            sim.advance(Duration::from_secs(rng.gen_range(0u64..130)));
-            let mut sweep = |disk: &DiskConnector| {
-                for tenant in &tenants {
-                    for (session, query) in predicate_queries() {
+        // Lapse a random slice of TTLs, then sweep the entire
+        // read-side surface for every tenant.
+        sim.advance(Duration::from_secs(rng.gen_range(0u64..130)));
+        let mut sweep = |disk: &DiskConnector| {
+            for tenant in &tenants {
+                for (session, query) in predicate_queries() {
+                    let session = session.with_tenant(tenant.clone());
+                    let reference = kv.execute(&session, &query).map(sorted);
+                    let got = disk.execute(&session, &query).map(sorted);
+                    assert_eq!(got, reference, "pagestore diverges on {query:?}");
+                }
+                for key in &keys {
+                    for (session, query) in [
+                        (Session::regulator(), GdprQuery::VerifyDeletion(key.clone())),
+                        (
+                            Session::processor(pick(rng, &PURPOSES)),
+                            GdprQuery::ReadDataByKey(key.clone()),
+                        ),
+                        (
+                            Session::regulator(),
+                            GdprQuery::ReadMetadataByKey(key.clone()),
+                        ),
+                    ] {
                         let session = session.with_tenant(tenant.clone());
                         let reference = kv.execute(&session, &query).map(sorted);
                         let got = disk.execute(&session, &query).map(sorted);
                         assert_eq!(got, reference, "pagestore diverges on {query:?}");
                     }
-                    for key in &keys {
-                        for (session, query) in [
-                            (Session::regulator(), GdprQuery::VerifyDeletion(key.clone())),
-                            (
-                                Session::processor(pick(rng, &PURPOSES)),
-                                GdprQuery::ReadDataByKey(key.clone()),
-                            ),
-                            (
-                                Session::regulator(),
-                                GdprQuery::ReadMetadataByKey(key.clone()),
-                            ),
-                        ] {
-                            let session = session.with_tenant(tenant.clone());
-                            let reference = kv.execute(&session, &query).map(sorted);
-                            let got = disk.execute(&session, &query).map(sorted);
-                            assert_eq!(got, reference, "pagestore diverges on {query:?}");
-                        }
-                    }
                 }
-                assert_eq!(disk.record_count(), kv.record_count());
-            };
-            sweep(&disk);
+            }
+            assert_eq!(disk.record_count(), kv.record_count());
+        };
+        sweep(&disk);
 
-            // Crash the pagestore (drop without checkpoint — everything
-            // since open lives only in the WAL) and recover: the reopened
-            // store must replay to the same logical state and agree with
-            // the kvstore on the whole read surface again.
-            let generation = disk.store().generation();
-            drop(disk);
-            let store = PageStore::open(&dir, disk_config(), sim.clone()).unwrap();
-            assert_eq!(
-                store.recovery().generation,
-                generation,
-                "WAL recovery must land on the pre-crash generation"
-            );
-            let reopened = DiskConnector::with_metadata_index(store).unwrap();
-            sweep(&reopened);
-        });
+        // Crash the pagestore (drop without checkpoint — everything
+        // since open lives only in the WAL) and recover: the reopened
+        // store must replay to the same logical state and agree with
+        // the kvstore on the whole read surface again.
+        let generation = disk.store().generation();
+        drop(disk);
+        let store = PageStore::open(&dir, disk_config(), sim.clone()).unwrap();
+        assert_eq!(
+            store.recovery().generation,
+            generation,
+            "WAL recovery must land on the pre-crash generation"
+        );
+        let reopened = DiskConnector::with_metadata_index(store).unwrap();
+        sweep(&reopened);
     }
 }
 
