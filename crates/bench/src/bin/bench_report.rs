@@ -242,6 +242,14 @@ fn main() {
         report.record("audit", metric, *value);
     }
 
+    // Suite 9: the processor's broad predicate reads on redis-mi — one
+    // batched store read each — and what a second reader gains.
+    let (pred_table, pred_series) = bench::experiments::metaindex::run_pred_reads();
+    println!("{}", pred_table.render());
+    for (metric, value) in &pred_series {
+        report.record("metaindex", metric, *value);
+    }
+
     let json = report.to_json();
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("bench_report: cannot write {out_path}: {e}");

@@ -191,9 +191,92 @@ fn measure(
     (table, points)
 }
 
+/// Records behind the `pred_read_*` rows: the `processor-mem` corpus of
+/// the e2e benchmark.
+pub const PRED_READ_RECORDS: usize = 20_000;
+
+/// The processor's broad predicate reads on `redis-mi`, at the layer the
+/// e2e benchmark's traced replay cannot see (its `TracedStore` does not
+/// forward `RecordStore::fetch_many`, so its ledger shows the per-key
+/// default loop the served engine no longer takes):
+///
+/// * `pred_read_obj_20k_us` / `pred_read_pur_20k_us` — one
+///   READ-DATA-BY-OBJ (nearly every record is a candidate) / broad
+///   READ-DATA-BY-PUR, one client, best of seven; smaller is better.
+/// * `pred_read_clients2_speedup` — by-obj reads per second with two
+///   clients over one client's (30 reads per client, best of three each):
+///   what a second reader gains when the batches are answered under the
+///   store's shared lock. Bigger is better; 2.0 is the ceiling on two
+///   cores.
+pub fn run_pred_reads() -> (ExperimentTable, Vec<(&'static str, f64)>) {
+    let series = pred_reads(PRED_READ_RECORDS, 7, 30);
+    let mut table = ExperimentTable::new(
+        format!("Broad predicate reads on redis-mi ({PRED_READ_RECORDS} records)"),
+        &["metric", "value"],
+    );
+    for (metric, value) in &series {
+        table.push_row(vec![metric.to_string(), format!("{value:.2}")]);
+    }
+    (table, series)
+}
+
+fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'static str, f64)> {
+    let conn = connectors::RedisConnector::with_metadata_index(
+        kvstore::KvStore::open(kvstore::KvConfig::default()).expect("open kvstore"),
+    )
+    .expect("attach index");
+    load_corpus(&conn, &stable_corpus(records)).expect("load corpus");
+    let purpose = datagen::PURPOSES[0];
+    let session = Session::processor(purpose);
+    let by_obj = GdprQuery::ReadDataNotObjecting(purpose.into());
+    let by_pur = GdprQuery::ReadDataByPurpose(purpose.into());
+    let read = |query: &GdprQuery| {
+        std::hint::black_box(conn.execute(&session, query).expect("predicate read"));
+    };
+
+    let best_us = |query: &GdprQuery| {
+        read(query); // warm-up
+        let once = || {
+            let started = Instant::now();
+            read(query);
+            started.elapsed().as_secs_f64() * 1e6
+        };
+        (0..rounds).map(|_| once()).fold(f64::INFINITY, f64::min)
+    };
+    let reads_per_sec = |clients: usize| {
+        let once = || {
+            let started = Instant::now();
+            std::thread::scope(|scope| {
+                for _ in 0..clients {
+                    scope.spawn(|| (0..reads_per_client).for_each(|_| read(&by_obj)));
+                }
+            });
+            (clients * reads_per_client) as f64 / started.elapsed().as_secs_f64()
+        };
+        (0..3).map(|_| once()).fold(0.0, f64::max)
+    };
+    vec![
+        ("pred_read_obj_20k_us", best_us(&by_obj)),
+        ("pred_read_pur_20k_us", best_us(&by_pur)),
+        (
+            "pred_read_clients2_speedup",
+            reads_per_sec(2) / reads_per_sec(1),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `bench_report` rows exist and are measurements; what they
+    /// should read is the report's business, not a unit test's.
+    #[test]
+    fn pred_reads_report_three_rows() {
+        let series = pred_reads(2_000, 2, 3);
+        assert_eq!(series.len(), 3);
+        assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
+    }
 
     /// The acceptance bar, at a scale small enough for the test suite: on
     /// selective predicates (a user's records, a bounded purpose) the

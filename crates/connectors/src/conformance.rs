@@ -652,6 +652,53 @@ fn scan_survives_lazy_expiry_mid_walk() {
     );
 }
 
+/// A stored value that is not a record fails every read path that meets
+/// it. The scans used to skip what they could not parse: `record_count`
+/// counted the record and `fetch` refused it, but erase-by-user on the
+/// unindexed variants, the index backfill and the space report never saw it
+/// — personal data no GDPR query could reach.
+#[test]
+fn unreadable_record_fails_every_read_path() {
+    use gdpr_core::RecordStore;
+    let kv = open_kv();
+    let redis = RedisConnector::new(Arc::clone(&kv));
+    let dir = snapshot_scratch_dir("disk-garbage");
+    let pages = pagestore::PageStore::open(&dir, Default::default(), clock::wall()).unwrap();
+    let disk = crate::DiskConnector::new(Arc::clone(&pages));
+    seed(&redis);
+    seed(&disk);
+    // Planted behind the engine.
+    kv.set(b"rec:bad", b"garbage").unwrap();
+    pages.insert("bad", b"garbage", None).unwrap();
+
+    let stores: [&dyn RecordStore; 2] = [redis.engine().store(), disk.engine().store()];
+    for store in stores {
+        let name = store.name();
+        let invalid = |result: Result<(), GdprError>| {
+            assert!(
+                matches!(result, Err(GdprError::InvalidRecord(_))),
+                "{name}: {result:?}"
+            );
+        };
+        assert_eq!(store.record_count(), 6, "{name}: the count sees it");
+        invalid(store.scan().map(|_| ()));
+        invalid(store.fetch("bad").map(|_| ()));
+        let keys = ["bad".into(), "ph-1".into()];
+        invalid(store.fetch_many(&keys, &mut |_| {}));
+    }
+    for conn in [&redis as &dyn GdprConnector, &disk] {
+        let erased = conn.execute(
+            &Session::controller(),
+            &GdprQuery::DeleteByUser("neo".into()),
+        );
+        assert!(
+            matches!(erased, Err(GdprError::InvalidRecord(_))),
+            "{}: an erase that cannot see every record must not claim success",
+            conn.name()
+        );
+    }
+}
+
 /// Metadata rewrites must not erode the record's expiry deadline: the
 /// store preserves the exact millisecond deadline across a rewrite, not a
 /// seconds-truncated remaining TTL (which would also truncate a sub-second
@@ -954,7 +1001,7 @@ fn expiry_boundary_is_inclusive_on_every_purge_path() {
     sim.advance(Duration::from_millis(1));
     assert_eq!(
         indexed.metadata_index().unwrap().expired_keys(10_000),
-        vec!["b-1"],
+        vec!["b-1".into()],
         "the index treats deadline == now as expired"
     );
     for conn in conns {
@@ -1955,8 +2002,8 @@ fn restart_equivalence_sharded_and_remote() {
 }
 
 /// Restart equivalence, unsharded `redis-mi` — once over the stock
-/// write-only AOF and once over a `log_reads` one, whose GET / EXISTS /
-/// SCAN frames (everything `RedisStore` issues) must replay to the
+/// write-only AOF and once over a `log_reads` one, whose GET / MGET /
+/// EXISTS / SCAN frames (everything `RedisStore` issues) must replay to the
 /// identical generation, or the image's stamp would stop matching.
 #[test]
 fn restart_equivalence_redis_mi() {
@@ -1983,7 +2030,10 @@ fn restart_equivalence_redis_mi() {
         logged.sort();
         logged.dedup();
         if log_reads {
-            assert_eq!(logged, ["DEL", "EXISTS", "EXPIREAT", "GET", "SCAN", "SET"]);
+            assert_eq!(
+                logged,
+                ["DEL", "EXISTS", "EXPIREAT", "GET", "MGET", "SCAN", "SET"]
+            );
         } else {
             assert_eq!(logged, ["DEL", "EXPIREAT", "SET"]);
         }

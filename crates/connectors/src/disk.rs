@@ -23,7 +23,7 @@ use gdpr_core::error::{GdprError, GdprResult};
 use gdpr_core::record::PersonalRecord;
 use gdpr_core::sharded::ShardedEngine;
 use gdpr_core::store::{Applied, ExpiryListener, RecordStore, WriteOp};
-use gdpr_core::wire;
+use gdpr_core::wire::{self, RecordView};
 use gdpr_core::ComplianceEngine;
 use pagestore::{BatchOp, Deadline, PageStore, PageStoreConfig};
 use std::sync::Arc;
@@ -78,14 +78,24 @@ impl RecordStore for DiskStore {
     }
 
     fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
-        match self.store.get(key).map_err(Self::store_err)? {
-            Some(bytes) => {
-                let text = std::str::from_utf8(&bytes)
-                    .map_err(|e| GdprError::InvalidRecord(e.to_string()))?;
-                Ok(Some(wire::parse(text)?))
-            }
-            None => Ok(None),
+        let value = self.store.get(key).map_err(Self::store_err)?;
+        value
+            .map(|bytes| Ok(RecordView::from_bytes(&bytes)?.to_record()))
+            .transpose()
+    }
+
+    /// One [`PageStore::get_many`]: one hold of the store mutex and one
+    /// descent per touched leaf for the whole candidate list.
+    fn fetch_many(
+        &self,
+        keys: &[Arc<str>],
+        visit: &mut dyn FnMut(RecordView<'_>),
+    ) -> GdprResult<()> {
+        let values = self.store.get_many(keys).map_err(Self::store_err)?;
+        for bytes in values.iter().flatten() {
+            visit(RecordView::from_bytes(bytes)?);
         }
+        Ok(())
     }
 
     /// Insert, arming the native per-entry deadline from the declared TTL.
@@ -174,18 +184,14 @@ impl RecordStore for DiskStore {
     }
 
     /// Ordered leaf-chain walk. Like the kvstore scan, expired records the
-    /// walk encounters are reaped (listener notified), not returned.
+    /// walk encounters are reaped (listener notified), not returned, and a
+    /// record that cannot be read fails the scan.
     fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
         let pairs = self.store.scan().map_err(Self::store_err)?;
-        let mut records = Vec::with_capacity(pairs.len());
-        for (_, bytes) in pairs {
-            if let Ok(text) = std::str::from_utf8(&bytes) {
-                if let Ok(record) = wire::parse(text) {
-                    records.push(record);
-                }
-            }
-        }
-        Ok(records)
+        pairs
+            .iter()
+            .map(|(_, bytes)| Ok(RecordView::from_bytes(bytes)?.to_record()))
+            .collect()
     }
 
     fn purge_expired(&self) -> GdprResult<usize> {

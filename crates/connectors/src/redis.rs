@@ -7,6 +7,13 @@
 //! each record — precisely how the paper's Redis behaves and why its GDPR
 //! workloads run orders of magnitude slower than YCSB (Figures 5a, 7b).
 //!
+//! With the index attached, a predicate resolves to candidate keys and the
+//! engine reads them through [`RecordStore::fetch_many`]: `MGET`s of
+//! [`SCAN_BATCH`] keys, which the store answers under its shared lock, each
+//! value handed to the engine as a [`RecordView`] of the stored text — the
+//! predicate is re-verified and the response built without materialising a
+//! record. The scan reads the same way once its cursor walk has the keys.
+//!
 //! All GDPR policy (authorization, visibility, audit, dispatch) lives in
 //! [`gdpr_core::ComplianceEngine`]; this module is storage mechanism only.
 //! Two connector variants wrap the same backend:
@@ -27,12 +34,15 @@ use gdpr_core::engine::ComplianceEngine;
 use gdpr_core::error::{GdprError, GdprResult};
 use gdpr_core::record::PersonalRecord;
 use gdpr_core::store::{ExpiryListener, RecordStore};
-use gdpr_core::wire;
+use gdpr_core::wire::{self, RecordView};
 use kvstore::expire::ExpirationMode;
 use kvstore::{Command, KvConfig, KvStore};
 use std::sync::Arc;
 
 const KEY_PREFIX: &str = "rec:";
+/// Keys per SCAN step and per MGET: the longest the store's lock is held
+/// on behalf of one keyspace walk or one predicate read, whatever their
+/// size.
 const SCAN_BATCH: usize = 512;
 
 /// [`RecordStore`] over [`kvstore::KvStore`]: wire-format strings under
@@ -60,11 +70,74 @@ impl RedisStore {
     }
 
     fn storage_key(key: &str) -> Bytes {
-        Bytes::from(format!("{KEY_PREFIX}{key}"))
+        [KEY_PREFIX.as_bytes(), key.as_bytes()].concat().into()
     }
 
     fn store_err(e: impl ToString) -> GdprError {
         GdprError::Store(e.to_string())
+    }
+
+    /// The logical key of a `rec:*` storage key.
+    fn logical_key(storage_key: &[u8]) -> Option<&str> {
+        std::str::from_utf8(storage_key)
+            .ok()?
+            .strip_prefix(KEY_PREFIX)
+    }
+
+    /// The one SCAN loop: every `rec:*` storage key, the cursor walked to
+    /// the end before the caller reads anything (see [`Self::scan`]).
+    fn scan_keys(&self) -> GdprResult<Vec<Bytes>> {
+        let mut keys = Vec::new();
+        let mut cursor = 0usize;
+        loop {
+            let reply = self
+                .store
+                .execute(Command::Scan {
+                    cursor,
+                    count: SCAN_BATCH,
+                    pattern: Some(Bytes::from_static(b"rec:*")),
+                })
+                .map_err(Self::store_err)?;
+            let parts = reply
+                .as_array()
+                .ok_or_else(|| GdprError::Store("SCAN reply shape".into()))?;
+            let next = parts[0].as_int().unwrap_or(0) as usize;
+            keys.extend(
+                parts[1]
+                    .as_array()
+                    .unwrap_or(&[])
+                    .iter()
+                    .filter_map(|r| r.as_bulk().cloned()),
+            );
+            if next == 0 {
+                return Ok(keys);
+            }
+            cursor = next;
+        }
+    }
+
+    /// MGET the storage keys of `keys` in [`SCAN_BATCH`] chunks and show
+    /// `visit` every value found, in order, as a view of the stored text.
+    fn read_each<K>(
+        &self,
+        keys: &[K],
+        storage_key: impl Fn(&K) -> Bytes,
+        visit: &mut dyn FnMut(RecordView<'_>),
+    ) -> GdprResult<()> {
+        for chunk in keys.chunks(SCAN_BATCH) {
+            let keys = chunk.iter().map(&storage_key).collect();
+            let reply = self
+                .store
+                .execute(Command::MGet { keys })
+                .map_err(Self::store_err)?;
+            let values = reply
+                .as_array()
+                .ok_or_else(|| GdprError::Store("MGET reply shape".into()))?;
+            for value in values.iter().filter_map(|r| r.as_bulk()) {
+                visit(RecordView::from_bytes(value)?);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -78,14 +151,17 @@ impl RecordStore for RedisStore {
             .store
             .get(Self::storage_key(key).as_ref())
             .map_err(Self::store_err)?;
-        match reply {
-            Some(bytes) => {
-                let text = std::str::from_utf8(&bytes)
-                    .map_err(|e| GdprError::InvalidRecord(e.to_string()))?;
-                Ok(Some(wire::parse(text)?))
-            }
-            None => Ok(None),
-        }
+        reply
+            .map(|bytes| Ok(RecordView::from_bytes(&bytes)?.to_record()))
+            .transpose()
+    }
+
+    fn fetch_many(
+        &self,
+        keys: &[Arc<str>],
+        visit: &mut dyn FnMut(RecordView<'_>),
+    ) -> GdprResult<()> {
+        self.read_each(keys, |key| Self::storage_key(key), visit)
     }
 
     /// Store a record, setting EXPIRE from its TTL. Collision detection is
@@ -175,51 +251,23 @@ impl RecordStore for RedisStore {
         Ok(())
     }
 
-    /// Full keyspace walk: SCAN `rec:*` in batches and parse every record —
-    /// the O(n) path every metadata query takes without an engine index.
+    /// Full keyspace walk: SCAN `rec:*` in batches, then read every record
+    /// the way [`Self::fetch_many`] does — the O(n) path every metadata
+    /// query takes without an engine index. A record that cannot be read
+    /// fails the scan: skipping it would hide personal data from
+    /// erase-by-user, the index backfill and the space report while
+    /// `record_count` still counted it.
     ///
-    /// The cursor walk completes *before* any GET: a GET can lazily reap an
-    /// expired key, and the keyspace's swap-remove would then move an
+    /// The cursor walk completes *before* any read: an MGET can lazily reap
+    /// an expired key, and the keyspace's swap-remove would then move an
     /// unvisited tail key into an already-visited cursor position, silently
     /// dropping a live record from the scan.
     fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
-        let mut keys = Vec::new();
-        let mut cursor = 0usize;
-        loop {
-            let reply = self
-                .store
-                .execute(Command::Scan {
-                    cursor,
-                    count: SCAN_BATCH,
-                    pattern: Some(Bytes::from_static(b"rec:*")),
-                })
-                .map_err(Self::store_err)?;
-            let parts = reply
-                .as_array()
-                .ok_or_else(|| GdprError::Store("SCAN reply shape".into()))?;
-            let next = parts[0].as_int().unwrap_or(0) as usize;
-            keys.extend(
-                parts[1]
-                    .as_array()
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(|r| r.as_bulk().cloned()),
-            );
-            if next == 0 {
-                break;
-            }
-            cursor = next;
-        }
+        let keys = self.scan_keys()?;
         let mut records = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Ok(Some(reply)) = self.store.get(key.as_ref()).map_err(|e| e.to_string()) {
-                if let Ok(text) = std::str::from_utf8(&reply) {
-                    if let Ok(record) = wire::parse(text) {
-                        records.push(record);
-                    }
-                }
-            }
-        }
+        self.read_each(&keys, Bytes::clone, &mut |record| {
+            records.push(record.to_record())
+        })?;
         Ok(records)
     }
 
@@ -235,45 +283,16 @@ impl RecordStore for RedisStore {
     /// deadline check must go through the pure `expiry_at` read.
     fn expired_keys(&self) -> GdprResult<Vec<String>> {
         let now_ms = self.store.clock().now().as_millis();
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        loop {
-            let reply = self
-                .store
-                .execute(Command::Scan {
-                    cursor,
-                    count: SCAN_BATCH,
-                    pattern: Some(Bytes::from_static(b"rec:*")),
-                })
-                .map_err(Self::store_err)?;
-            let parts = reply
-                .as_array()
-                .ok_or_else(|| GdprError::Store("SCAN reply shape".into()))?;
-            let next = parts[0].as_int().unwrap_or(0) as usize;
-            for storage_key in parts[1]
-                .as_array()
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|r| r.as_bulk())
-            {
-                let due = self
-                    .store
-                    .expiry_at(storage_key.as_ref())
-                    .is_some_and(|at| at.as_millis() <= now_ms);
-                if due {
-                    if let Ok(text) = std::str::from_utf8(storage_key.as_ref()) {
-                        if let Some(key) = text.strip_prefix(KEY_PREFIX) {
-                            out.push(key.to_string());
-                        }
-                    }
-                }
-            }
-            if next == 0 {
-                break;
-            }
-            cursor = next;
-        }
-        Ok(out)
+        let keys = self.scan_keys()?;
+        let due = keys.iter().filter(|storage_key| {
+            self.store
+                .expiry_at(storage_key)
+                .is_some_and(|at| at.as_millis() <= now_ms)
+        });
+        Ok(due
+            .filter_map(|storage_key| Self::logical_key(storage_key))
+            .map(str::to_string)
+            .collect())
     }
 
     fn deadline_ms(&self, key: &str) -> Option<u64> {
@@ -300,10 +319,8 @@ impl RecordStore for RedisStore {
             .set_expiry_listener(Arc::new(move |storage_key: &[u8]| {
                 // Only `rec:*` keys are GDPR records; other expiring keys (none
                 // today) would not be indexed.
-                if let Ok(text) = std::str::from_utf8(storage_key) {
-                    if let Some(key) = text.strip_prefix(KEY_PREFIX) {
-                        listener(key);
-                    }
+                if let Some(key) = Self::logical_key(storage_key) {
+                    listener(key);
                 }
             }));
     }

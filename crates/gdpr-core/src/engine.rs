@@ -13,9 +13,11 @@
 //!    ([`RecordStore::select`]); the relational store routes this to its
 //!    own secondary indexes.
 //! 2. **Engine index** — an attached [`MetadataIndex`] answers by inverted
-//!    lookup in O(matches), then every candidate is re-fetched and
-//!    re-verified; this is what turns the key-value backend's O(n) scans
-//!    into O(matches) probes.
+//!    lookup in O(matches); the candidate keys go to the store in one
+//!    [`RecordStore::fetch_many`] call and every record it shows is
+//!    re-verified as a [`RecordView`] of the stored text, then projected
+//!    straight into the response element. This is what turns the key-value
+//!    backend's O(n) scans into O(matches) reads.
 //! 3. **Full scan** — [`RecordStore::scan`] filtered by
 //!    [`RecordPredicate::matches`], the reference semantics.
 //!
@@ -37,6 +39,7 @@ use crate::snapshot::{self, IndexRecovery, SnapshotStamp};
 use crate::store::{RecordPredicate, RecordStore, WriteOp};
 use crate::telemetry::{OpTelemetry, OpTelemetrySnapshot};
 use crate::tenant::{TenantId, TenantState, TenantTable};
+use crate::wire::RecordView;
 use crate::GdprConnector;
 use clock::SharedClock;
 use std::path::PathBuf;
@@ -420,42 +423,44 @@ impl<S: RecordStore> ComplianceEngine<S> {
             .ok_or_else(|| GdprError::NotFound(key.to_string()))
     }
 
-    /// All of **this tenant's** records matching `pred`, resolved
-    /// pushdown → index partition → scan. Pushdown and scan evaluate over
-    /// the shared store, so their results are filtered by storage-key
-    /// ownership; the index partition is tenant-scoped by construction.
-    fn read_matching(
+    /// `project` of each of **this tenant's** records matching `pred`,
+    /// resolved pushdown → index partition → scan. Pushdown and scan
+    /// evaluate over the shared store, so their results are filtered by
+    /// storage-key ownership; the index partition is tenant-scoped by
+    /// construction.
+    ///
+    /// On the index path the candidate keys are read in one
+    /// [`RecordStore::fetch_many`] call — made with the index lock already
+    /// released: a store that reaps a lapsed candidate calls back into the
+    /// index under its own lock. A candidate can be stale (expired since
+    /// indexing, or mutated concurrently), so each view is re-verified
+    /// against the reference semantics before it is projected.
+    fn read_matching<T>(
         &self,
         state: &TenantState,
         tenant: &TenantId,
         pred: &RecordPredicate,
-    ) -> GdprResult<Vec<PersonalRecord>> {
+        mut project: impl FnMut(RecordView<'_>) -> T,
+    ) -> GdprResult<Vec<T>> {
         if let Some(result) = self.store.select(pred) {
-            let mut records = result?;
-            records.retain(|r| tenant.owns(&r.key));
-            return Ok(records);
+            let records = result?;
+            let owned = records.iter().filter(|r| tenant.owns(&r.key));
+            return Ok(owned.map(|r| project(r.view())).collect());
         }
-        if let Some(index) = &state.index {
-            if let Some(keys) = index.keys_for(pred) {
-                let mut out = Vec::with_capacity(keys.len());
-                for key in keys {
-                    // A candidate can be stale (expired since indexing, or
-                    // mutated concurrently): re-verify against the
-                    // reference semantics before returning it.
-                    match self.store.fetch(&key)? {
-                        Some(record) if pred.matches(&record) => out.push(record),
-                        _ => {}
-                    }
+        if let Some(keys) = state.index.as_ref().and_then(|index| index.keys_for(pred)) {
+            let mut out = Vec::with_capacity(keys.len());
+            self.store.fetch_many(&keys, &mut |record| {
+                if pred.matches_view(&record) {
+                    out.push(project(record));
                 }
-                return Ok(out);
-            }
+            })?;
+            return Ok(out);
         }
-        Ok(self
-            .store
-            .scan()?
-            .into_iter()
-            .filter(|r| tenant.owns(&r.key) && pred.matches(r))
-            .collect())
+        let records = self.store.scan()?;
+        let matching = records
+            .iter()
+            .filter(|r| tenant.owns(&r.key) && pred.matches(r));
+        Ok(matching.map(|r| project(r.view())).collect())
     }
 
     /// Erase all records matching `pred` as one [`RecordStore::apply`]
@@ -475,14 +480,10 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 return result;
             }
         }
-        let victims = self.read_matching(state, tenant, pred)?;
-        self.commit_batched(
-            state,
-            victims
-                .into_iter()
-                .map(|r| WriteOp::Delete(r.key))
-                .collect(),
-        )
+        let victims = self.read_matching(state, tenant, pred, |record| {
+            WriteOp::Delete(record.key.to_string())
+        })?;
+        self.commit_batched(state, victims)
     }
 
     /// Apply a metadata update to all records matching `pred` —
@@ -506,7 +507,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
         update: &crate::query::MetadataUpdate,
     ) -> GdprResult<usize> {
         let ttl_changed = matches!(update, crate::query::MetadataUpdate::SetTtl(_));
-        let mut updated = self.read_matching(state, tenant, pred)?;
+        let mut updated = self.read_matching(state, tenant, pred, |record| record.to_record())?;
         for record in &mut updated {
             update.apply(&mut record.metadata)?;
         }
@@ -556,10 +557,11 @@ impl<S: RecordStore> ComplianceEngine<S> {
         update: &crate::query::MetadataUpdate,
     ) -> GdprResult<()> {
         let state = self.tenant_state(tenant)?;
-        for mut record in self.read_matching(&state, tenant, pred)? {
-            update.apply(&mut record.metadata)?;
-        }
-        Ok(())
+        self.read_matching(&state, tenant, pred, |record| {
+            update.apply(&mut record.metadata())
+        })?
+        .into_iter()
+        .collect()
     }
 
     fn index_new(&self, state: &TenantState, record: &PersonalRecord) {
@@ -623,8 +625,8 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 return self.store.purge_expired();
             };
             let due = index.expired_keys(self.now_ms());
-            let mut n =
-                self.commit_batched(state, due.into_iter().map(WriteOp::Delete).collect())?;
+            let due = due.iter().map(|key| WriteOp::Delete(key.to_string()));
+            let mut n = self.commit_batched(state, due.collect())?;
             // Store-side stragglers the index never knew about. Keys
             // already deleted above are gone from the store, so nothing
             // double-counts; stores whose purge fires the expiry listener
@@ -645,7 +647,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
             let now_ms = self.now_ms();
             let mut victims: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
             if let Some(index) = &state.index {
-                victims.extend(index.expired_keys(now_ms));
+                victims.extend(index.expired_keys(now_ms).iter().map(|key| key.to_string()));
             }
             for key in self.store.expired_keys()? {
                 if tenant.owns(&key) {
@@ -693,21 +695,18 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 Ok(())
             }
         };
-        let data_of = |records: Vec<PersonalRecord>| {
-            GdprResponse::Data(
-                records
-                    .into_iter()
-                    .map(|r| (Self::logical_key(tenant, r.key), r.data))
-                    .collect(),
-            )
+        let key_of = |record: &RecordView<'_>| tenant.logical(record.key).to_string();
+        let data_of = |pred: RecordPredicate| {
+            self.read_matching(state, tenant, &pred, |record| {
+                (key_of(&record), record.data.to_string())
+            })
+            .map(GdprResponse::Data)
         };
-        let metadata_of = |records: Vec<PersonalRecord>| {
-            GdprResponse::Metadata(
-                records
-                    .into_iter()
-                    .map(|r| (Self::logical_key(tenant, r.key), r.metadata))
-                    .collect(),
-            )
+        let metadata_of = |pred: RecordPredicate| {
+            self.read_matching(state, tenant, &pred, |record| {
+                (key_of(&record), record.metadata())
+            })
+            .map(GdprResponse::Metadata)
         };
 
         match query {
@@ -762,26 +761,10 @@ impl<S: RecordStore> ComplianceEngine<S> {
             }
             // Canonical READ-DATA-BY-PUR semantics for every backend:
             // declared purpose AND no objection to it (G5.1b + G21).
-            ReadDataByPurpose(purpose) => Ok(data_of(self.read_matching(
-                state,
-                tenant,
-                &RecordPredicate::AllowsPurpose(purpose.clone()),
-            )?)),
-            ReadDataByUser(user) => Ok(data_of(self.read_matching(
-                state,
-                tenant,
-                &RecordPredicate::User(user.clone()),
-            )?)),
-            ReadDataNotObjecting(usage) => Ok(data_of(self.read_matching(
-                state,
-                tenant,
-                &RecordPredicate::NotObjecting(usage.clone()),
-            )?)),
-            ReadDataDecisionEligible => Ok(data_of(self.read_matching(
-                state,
-                tenant,
-                &RecordPredicate::DecisionEligible,
-            )?)),
+            ReadDataByPurpose(purpose) => data_of(RecordPredicate::AllowsPurpose(purpose.clone())),
+            ReadDataByUser(user) => data_of(RecordPredicate::User(user.clone())),
+            ReadDataNotObjecting(usage) => data_of(RecordPredicate::NotObjecting(usage.clone())),
+            ReadDataDecisionEligible => data_of(RecordPredicate::DecisionEligible),
 
             ReadMetadataByKey(key) => {
                 let record = self.fetch_required(tenant, key)?;
@@ -791,16 +774,10 @@ impl<S: RecordStore> ComplianceEngine<S> {
                     record.metadata,
                 )]))
             }
-            ReadMetadataByUser(user) => Ok(metadata_of(self.read_matching(
-                state,
-                tenant,
-                &RecordPredicate::User(user.clone()),
-            )?)),
-            ReadMetadataBySharedWith(party) => Ok(metadata_of(self.read_matching(
-                state,
-                tenant,
-                &RecordPredicate::SharedWith(party.clone()),
-            )?)),
+            ReadMetadataByUser(user) => metadata_of(RecordPredicate::User(user.clone())),
+            ReadMetadataBySharedWith(party) => {
+                metadata_of(RecordPredicate::SharedWith(party.clone()))
+            }
 
             UpdateDataByKey { key, data } => {
                 let mut record = self.fetch_required(tenant, key)?;
@@ -1120,7 +1097,7 @@ mod tests {
             let shared = keys.len() - survivors.len();
             assert_eq!(
                 index.keys_for(&RecordPredicate::SharedWith("x-corp".into())),
-                Some(keys[..shared].iter().map(|k| k.to_string()).collect()),
+                Some(keys[..shared].iter().map(|k| Arc::from(*k)).collect()),
                 "atomic={atomic}: the index holds the rewrites the store holds"
             );
             for (i, key) in keys.iter().enumerate() {

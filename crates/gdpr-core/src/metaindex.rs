@@ -36,10 +36,13 @@
 //!
 //! The index stores *keys only*; record payloads stay in (and are re-read
 //! from) the backing store, so encrypted-at-rest data is never duplicated
-//! in plaintext and a stale index entry can at worst cause one extra fetch
+//! in plaintext and a stale index entry can at worst cause one extra read
 //! that comes back empty — the engine re-verifies every candidate against
-//! the predicate before returning it (see
-//! [`crate::store::RecordPredicate::matches`]).
+//! the predicate before returning it: it hands the candidate keys to
+//! [`crate::store::RecordStore::fetch_many`] in one call and tests each
+//! [`crate::wire::RecordView`] the store shows it with
+//! [`crate::store::RecordPredicate::matches_view`], over the stored text,
+//! without materialising a record.
 
 use crate::record::{Metadata, PersonalRecord};
 use crate::store::RecordPredicate;
@@ -625,7 +628,9 @@ impl MetadataIndex {
     /// in the signature so a future predicate the index cannot cover can
     /// still fall back to the engine's scan path. Candidates are a
     /// *superset-modulo-staleness* of the true matches; callers must
-    /// re-verify each fetched record.
+    /// re-verify each fetched record. The keys come back sorted, and as
+    /// the index's own shared `Arc<str>`s — a refcount bump per candidate,
+    /// not a copy.
     ///
     /// For the *difference-based* predicates (`AllowsPurpose`,
     /// `NotObjecting`, `DecisionEligible`) staleness can also *narrow*
@@ -637,53 +642,43 @@ impl MetadataIndex {
     /// and closes as soon as the writer's (batched) reindex lands; the
     /// engine is non-transactional by design and makes no linearizability
     /// promise across concurrent writes.
-    pub fn keys_for(&self, pred: &RecordPredicate) -> Option<Vec<String>> {
+    pub fn keys_for(&self, pred: &RecordPredicate) -> Option<Vec<Key>> {
+        fn posting(map: &HashMap<String, BTreeSet<Key>>, term: &str) -> Vec<Key> {
+            map.get(term)
+                .map(|set| set.iter().cloned().collect())
+                .unwrap_or_default()
+        }
         let inner = self.inner.read();
-        match pred {
-            RecordPredicate::User(u) => Some(keys_of(&inner.by_user, u)),
-            RecordPredicate::DeclaredPurpose(p) => Some(keys_of(&inner.by_purpose, p)),
+        Some(match pred {
+            RecordPredicate::User(u) => posting(&inner.by_user, u),
+            RecordPredicate::DeclaredPurpose(p) => posting(&inner.by_purpose, p),
             RecordPredicate::AllowsPurpose(p) => {
-                let declared = inner.by_purpose.get(p.as_str());
-                let objecting = inner.by_objection.get(p.as_str());
-                Some(match (declared, objecting) {
+                match (inner.by_purpose.get(p), inner.by_objection.get(p)) {
                     (None, _) => Vec::new(),
-                    (Some(d), None) => d.iter().map(|k| k.to_string()).collect(),
-                    (Some(d), Some(o)) => d.difference(o).map(|k| k.to_string()).collect(),
-                })
+                    (Some(d), None) => d.iter().cloned().collect(),
+                    (Some(d), Some(o)) => d.difference(o).cloned().collect(),
+                }
             }
-            RecordPredicate::SharedWith(s) => Some(keys_of(&inner.by_sharing, s)),
+            RecordPredicate::SharedWith(s) => posting(&inner.by_sharing, s),
             // Negative predicates are set differences over the live key
             // population: the walk is O(|all_keys|) string compares, but the
-            // caller then fetches (and decrypt-parses) only the matches —
-            // the expensive part a full scan pays for every record.
-            RecordPredicate::NotObjecting(usage) => {
-                Some(match inner.by_objection.get(usage.as_str()) {
-                    None => inner.all_keys.iter().map(|k| k.to_string()).collect(),
-                    Some(o) => inner
-                        .all_keys
-                        .difference(o)
-                        .map(|k| k.to_string())
-                        .collect(),
-                })
-            }
-            RecordPredicate::DecisionEligible => Some(
-                inner
-                    .decision_eligible
-                    .iter()
-                    .map(|k| k.to_string())
-                    .collect(),
-            ),
-        }
+            // caller then reads only the matches.
+            RecordPredicate::NotObjecting(usage) => match inner.by_objection.get(usage) {
+                None => inner.all_keys.iter().cloned().collect(),
+                Some(o) => inner.all_keys.difference(o).cloned().collect(),
+            },
+            RecordPredicate::DecisionEligible => inner.decision_eligible.iter().cloned().collect(),
+        })
     }
 
     /// Keys whose deadline is at or before `now_ms`, in deadline order.
-    pub fn expired_keys(&self, now_ms: u64) -> Vec<String> {
+    pub fn expired_keys(&self, now_ms: u64) -> Vec<Key> {
         self.inner
             .read()
             .by_deadline
             .iter()
             .take_while(|(at, _)| *at <= now_ms)
-            .map(|(_, key)| key.to_string())
+            .map(|(_, key)| Key::clone(key))
             .collect()
     }
 
@@ -797,6 +792,11 @@ mod tests {
         PersonalRecord::new(key, "d", m)
     }
 
+    fn expired(idx: &MetadataIndex, now_ms: u64) -> Vec<String> {
+        let keys = idx.expired_keys(now_ms);
+        keys.iter().map(|k| k.to_string()).collect()
+    }
+
     #[test]
     fn upsert_and_lookup_all_dimensions() {
         let idx = MetadataIndex::new();
@@ -818,20 +818,20 @@ mod tests {
         // AllowsPurpose = declared minus objecting.
         assert_eq!(
             idx.keys_for(&RecordPredicate::AllowsPurpose("ads".into())),
-            Some(vec!["k2".to_string()])
+            Some(vec!["k2".into()])
         );
         // Negative predicates resolve as set differences over all_keys.
         assert_eq!(
             idx.keys_for(&RecordPredicate::NotObjecting("ads".into())),
-            Some(vec!["k2".to_string()])
+            Some(vec!["k2".into()])
         );
         assert_eq!(
             idx.keys_for(&RecordPredicate::NotObjecting("spam".into())),
-            Some(vec!["k1".to_string(), "k2".to_string()])
+            Some(vec!["k1".into(), "k2".into()])
         );
         assert_eq!(
             idx.keys_for(&RecordPredicate::DecisionEligible),
-            Some(vec!["k1".to_string(), "k2".to_string()])
+            Some(vec!["k1".into(), "k2".into()])
         );
     }
 
@@ -861,7 +861,7 @@ mod tests {
         idx.upsert(&r, 0, false);
         assert_eq!(
             idx.keys_for(&RecordPredicate::DecisionEligible),
-            Some(vec!["k1".to_string()])
+            Some(vec!["k1".into()])
         );
         r.metadata.decisions.push(Metadata::DEC_OPT_OUT.to_string());
         idx.upsert(&r, 0, false);
@@ -872,7 +872,7 @@ mod tests {
         // The key is still live, just ineligible.
         assert_eq!(
             idx.keys_for(&RecordPredicate::NotObjecting("ads".into())),
-            Some(vec!["k1".to_string()])
+            Some(vec!["k1".into()])
         );
     }
 
@@ -984,9 +984,9 @@ mod tests {
         idx.upsert(&record("c", "u", &[], Some(9)), 0, false);
         idx.upsert(&record("d", "u", &[], None), 0, false);
         assert_eq!(idx.next_deadline_ms(), Some(1_000));
-        assert_eq!(idx.expired_keys(4_999), vec!["b"]);
-        assert_eq!(idx.expired_keys(5_000), vec!["b", "a"]);
-        assert_eq!(idx.expired_keys(u64::MAX), vec!["b", "a", "c"]);
+        assert_eq!(expired(&idx, 4_999), vec!["b"]);
+        assert_eq!(expired(&idx, 5_000), vec!["b", "a"]);
+        assert_eq!(expired(&idx, u64::MAX), vec!["b", "a", "c"]);
         assert!(idx.expired_keys(999).is_empty());
     }
 

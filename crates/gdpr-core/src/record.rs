@@ -13,6 +13,7 @@
 //! | SHR  | G13, G14  | third parties it has been shared with |
 //! | SRC  | G13, G14  | how it was originally procured |
 
+use crate::wire::{ListView, RecordView};
 use std::time::Duration;
 
 /// The seven-attribute GDPR metadata block.
@@ -102,6 +103,23 @@ impl PersonalRecord {
             key: key.into(),
             data: data.into(),
             metadata,
+        }
+    }
+
+    /// The record as the borrowed shape [`RecordView::parse`] reads off the
+    /// wire text, so one predicate body serves both.
+    pub fn view(&self) -> RecordView<'_> {
+        let m = &self.metadata;
+        RecordView {
+            key: &self.key,
+            data: &self.data,
+            purposes: ListView::Items(&m.purposes),
+            ttl: m.ttl,
+            user: &m.user,
+            objections: ListView::Items(&m.objections),
+            decisions: ListView::Items(&m.decisions),
+            sharing: ListView::Items(&m.sharing),
+            source: &m.source,
         }
     }
 

@@ -3,16 +3,24 @@
 //! [`crate::engine::ComplianceEngine`] owns everything GDPR — authorization,
 //! record visibility, audit logging, and the full [`crate::GdprQuery`]
 //! dispatch — exactly once. What remains per backend is this trait: fetch,
-//! put, rewrite, delete, apply (a batch of rewrites and deletes — every
-//! group write is one call), scan, expiry purge, and space accounting, plus
-//! two optional predicate-pushdown hooks for stores (like the relational one)
-//! that can evaluate metadata predicates natively against their own
+//! fetch_many (a batch of point reads — every index-resolved predicate is
+//! one call), put, rewrite, delete, apply (a batch of rewrites and deletes —
+//! every group write is one call), scan, expiry purge, and space accounting,
+//! plus two optional predicate-pushdown hooks for stores (like the relational
+//! one) that can evaluate metadata predicates natively against their own
 //! secondary indexes.
+//!
+//! The two batch calls default to the per-record loop, which is the only
+//! path the relational store has. `fetch_many` is overridden by the
+//! key-value backend (chunked MGETs answered under the store's shared lock)
+//! and the paged disk backend (one descent per touched leaf); `apply` by the
+//! disk backend (one transaction).
 
 use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
 use crate::error::GdprResult;
-use crate::record::PersonalRecord;
+use crate::record::{Metadata, PersonalRecord};
+use crate::wire::RecordView;
 use clock::SharedClock;
 use std::sync::Arc;
 
@@ -44,14 +52,22 @@ impl RecordPredicate {
     /// Evaluate against one record. This is the reference semantics: index
     /// and pushdown paths must agree with a full scan filtered by this.
     pub fn matches(&self, record: &PersonalRecord) -> bool {
-        let m = &record.metadata;
+        self.matches_view(&record.view())
+    }
+
+    /// [`Self::matches`] over the borrowed shape — the one body, so a
+    /// record tested as stored text and the same record tested parsed
+    /// cannot disagree.
+    pub fn matches_view(&self, record: &RecordView<'_>) -> bool {
         match self {
-            RecordPredicate::User(user) => m.user == *user,
-            RecordPredicate::DeclaredPurpose(p) => m.purposes.iter().any(|x| x == p),
-            RecordPredicate::AllowsPurpose(p) => m.allows_purpose(p),
-            RecordPredicate::NotObjecting(usage) => !m.objections.iter().any(|o| o == usage),
-            RecordPredicate::DecisionEligible => m.allows_automated_decisions(),
-            RecordPredicate::SharedWith(party) => m.sharing.iter().any(|s| s == party),
+            RecordPredicate::User(user) => record.user == user,
+            RecordPredicate::DeclaredPurpose(p) => record.purposes.contains(p),
+            RecordPredicate::AllowsPurpose(p) => {
+                record.purposes.contains(p) && !record.objections.contains(p)
+            }
+            RecordPredicate::NotObjecting(usage) => !record.objections.contains(usage),
+            RecordPredicate::DecisionEligible => !record.decisions.contains(Metadata::DEC_OPT_OUT),
+            RecordPredicate::SharedWith(party) => record.sharing.contains(party),
         }
     }
 }
@@ -138,6 +154,31 @@ pub trait RecordStore: Send + Sync {
     /// subject of its Figure 3a. Callers needing strict timeliness run the
     /// respective expiry machinery (strict cycles / `TtlDaemon`).
     fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>>;
+
+    /// Read `keys` — sorted and distinct, as
+    /// [`crate::metaindex::MetadataIndex::keys_for`] hands them out — and
+    /// show `visit` every record found, **in `keys` order**. A key with no
+    /// record is skipped; a past-due one is skipped too and treated as
+    /// [`Self::fetch`] treats it (the key-value and disk stores reap it and
+    /// fire the [`Self::on_expiry`] listener for it once). The keys are
+    /// candidates, not answers: the caller re-verifies each view against
+    /// its predicate. A record that cannot be read fails the call.
+    ///
+    /// The default is the per-key [`Self::fetch`] loop. A store overrides
+    /// it to take its lock once per batch (or per fixed chunk of one) and
+    /// to hand out views of the stored text without materialising records.
+    fn fetch_many(
+        &self,
+        keys: &[Arc<str>],
+        visit: &mut dyn FnMut(RecordView<'_>),
+    ) -> GdprResult<()> {
+        for key in keys {
+            if let Some(record) = self.fetch(key)? {
+                visit(record.view());
+            }
+        }
+        Ok(())
+    }
 
     /// Insert a fresh record, arming its TTL. Fails with
     /// [`crate::GdprError::AlreadyExists`] on key collision — collision

@@ -6,6 +6,12 @@
 //!
 //! Fields are `;`-separated, list values `,`-separated, `∅` denotes an empty
 //! attribute, and all fields are ASCII except the separators themselves.
+//!
+//! [`RecordView`] is the format's one reader: the nine fields borrowed from
+//! the stored text, validated, with nothing allocated. [`parse`] is the
+//! view made owned; the predicate reads never get that far — they test the
+//! view ([`crate::store::RecordPredicate::matches_view`]) and copy out only
+//! the fields the response carries.
 
 use crate::error::{GdprError, GdprResult};
 use crate::record::{Metadata, PersonalRecord};
@@ -14,6 +20,128 @@ use std::time::Duration;
 /// The empty-attribute marker. (The paper prints U+2205 EMPTY SET; it is the
 /// one non-ASCII codepoint in the format.)
 pub const EMPTY: &str = "∅";
+
+/// The attribute names of fields 2..9, in wire order.
+const ATTRIBUTES: [&str; 7] = ["PUR", "TTL", "USR", "OBJ", "DEC", "SHR", "SRC"];
+
+/// A list attribute of a [`RecordView`]: the `,`-separated wire text, or
+/// the items of an already parsed record.
+#[derive(Debug, Clone, Copy)]
+pub enum ListView<'a> {
+    /// The attribute's wire value; `""` is the empty list.
+    Wire(&'a str),
+    Items(&'a [String]),
+}
+
+impl ListView<'_> {
+    pub fn contains(self, item: &str) -> bool {
+        match self {
+            ListView::Wire(text) => !text.is_empty() && text.split(',').any(|x| x == item),
+            ListView::Items(items) => items.iter().any(|x| x == item),
+        }
+    }
+
+    fn to_vec(self) -> Vec<String> {
+        match self {
+            ListView::Wire("") => Vec::new(),
+            ListView::Wire(text) => text.split(',').map(str::to_string).collect(),
+            ListView::Items(items) => items.to_vec(),
+        }
+    }
+}
+
+/// One record's nine wire fields, borrowed — from the stored text
+/// ([`RecordView::parse`]) or from a parsed record
+/// ([`PersonalRecord::view`]). `∅` reads as the empty string / empty list.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    pub key: &'a str,
+    pub data: &'a str,
+    pub purposes: ListView<'a>,
+    pub ttl: Option<Duration>,
+    pub user: &'a str,
+    pub objections: ListView<'a>,
+    pub decisions: ListView<'a>,
+    pub sharing: ListView<'a>,
+    pub source: &'a str,
+}
+
+impl<'a> RecordView<'a> {
+    /// Split and validate a wire-form record without allocating.
+    pub fn parse(s: &'a str) -> GdprResult<RecordView<'a>> {
+        let s = s.strip_suffix(';').unwrap_or(s);
+        let mut fields = s.split(';');
+        let mut slots = [""; 9];
+        for slot in &mut slots {
+            *slot = fields.next().ok_or_else(|| field_count(s))?;
+        }
+        if fields.next().is_some() {
+            return Err(field_count(s));
+        }
+        let [key, data, mut values @ ..] = slots;
+        if key.is_empty() {
+            return Err(GdprError::InvalidRecord("empty key".into()));
+        }
+        validate_ascii(key)?;
+        validate_ascii(data)?;
+        let mut ttl = None;
+        for (i, (value, expected)) in values.iter_mut().zip(ATTRIBUTES).enumerate() {
+            *value = value
+                .strip_prefix(expected)
+                .and_then(|rest| rest.strip_prefix('='))
+                .ok_or_else(|| {
+                    GdprError::InvalidRecord(format!("field {} must be {expected}=...", 2 + i))
+                })?;
+            if *value == EMPTY {
+                *value = "";
+            }
+            if expected == "TTL" {
+                ttl = parse_ttl(value)?;
+            }
+        }
+        let [purposes, _, user, objections, decisions, sharing, source] = values;
+        Ok(RecordView {
+            key,
+            data,
+            purposes: ListView::Wire(purposes),
+            ttl,
+            user,
+            objections: ListView::Wire(objections),
+            decisions: ListView::Wire(decisions),
+            sharing: ListView::Wire(sharing),
+            source,
+        })
+    }
+
+    /// [`Self::parse`] over stored bytes — what every store's read path
+    /// hands the engine.
+    pub fn from_bytes(bytes: &'a [u8]) -> GdprResult<RecordView<'a>> {
+        let text =
+            std::str::from_utf8(bytes).map_err(|e| GdprError::InvalidRecord(e.to_string()))?;
+        RecordView::parse(text)
+    }
+
+    /// The seven metadata attributes, owned.
+    pub fn metadata(&self) -> Metadata {
+        Metadata {
+            purposes: self.purposes.to_vec(),
+            ttl: self.ttl,
+            user: self.user.to_string(),
+            objections: self.objections.to_vec(),
+            decisions: self.decisions.to_vec(),
+            sharing: self.sharing.to_vec(),
+            source: self.source.to_string(),
+        }
+    }
+
+    pub fn to_record(&self) -> PersonalRecord {
+        PersonalRecord::new(self.key, self.data, self.metadata())
+    }
+}
+
+fn field_count(s: &str) -> GdprError {
+    GdprError::InvalidRecord(format!("expected 9 fields, got {}", s.split(';').count()))
+}
 
 /// Serialize a record to its wire form.
 pub fn serialize(record: &PersonalRecord) -> String {
@@ -34,46 +162,7 @@ pub fn serialize(record: &PersonalRecord) -> String {
 
 /// Parse a wire-form record.
 pub fn parse(s: &str) -> GdprResult<PersonalRecord> {
-    let s = s.strip_suffix(';').unwrap_or(s);
-    let fields: Vec<&str> = s.split(';').collect();
-    if fields.len() != 9 {
-        return Err(GdprError::InvalidRecord(format!(
-            "expected 9 fields, got {}",
-            fields.len()
-        )));
-    }
-    let key = fields[0];
-    let data = fields[1];
-    if key.is_empty() {
-        return Err(GdprError::InvalidRecord("empty key".into()));
-    }
-    validate_ascii(key)?;
-    validate_ascii(data)?;
-
-    let mut metadata = Metadata::default();
-    for (i, expected) in ["PUR", "TTL", "USR", "OBJ", "DEC", "SHR", "SRC"]
-        .iter()
-        .enumerate()
-    {
-        let field = fields[2 + i];
-        let value = field
-            .strip_prefix(expected)
-            .and_then(|rest| rest.strip_prefix('='))
-            .ok_or_else(|| {
-                GdprError::InvalidRecord(format!("field {} must be {expected}=...", 2 + i))
-            })?;
-        match *expected {
-            "PUR" => metadata.purposes = split(value),
-            "TTL" => metadata.ttl = parse_ttl(value)?,
-            "USR" => metadata.user = scalar(value),
-            "OBJ" => metadata.objections = split(value),
-            "DEC" => metadata.decisions = split(value),
-            "SHR" => metadata.sharing = split(value),
-            "SRC" => metadata.source = scalar(value),
-            _ => unreachable!(),
-        }
-    }
-    Ok(PersonalRecord::new(key, data, metadata))
+    Ok(RecordView::parse(s)?.to_record())
 }
 
 fn join(items: &[String]) -> String {
@@ -92,29 +181,18 @@ fn nonempty(s: &str) -> &str {
     }
 }
 
-fn split(value: &str) -> Vec<String> {
-    if value == EMPTY || value.is_empty() {
-        Vec::new()
-    } else {
-        value.split(',').map(str::to_string).collect()
-    }
-}
-
-fn scalar(value: &str) -> String {
-    if value == EMPTY {
-        String::new()
-    } else {
-        value.to_string()
-    }
-}
-
 fn validate_ascii(s: &str) -> GdprResult<()> {
-    if let Some(bad) = s.chars().find(|c| !c.is_ascii() || *c == ';' || *c == ',') {
-        return Err(GdprError::InvalidRecord(format!(
-            "illegal character {bad:?} in field {s:?}"
-        )));
+    // `;` cannot occur: the field walker split on it.
+    if s.is_ascii() && !s.as_bytes().contains(&b',') {
+        return Ok(());
     }
-    Ok(())
+    let bad = s
+        .chars()
+        .find(|c| !c.is_ascii() || *c == ',')
+        .expect("the byte check found one");
+    Err(GdprError::InvalidRecord(format!(
+        "illegal character {bad:?} in field {s:?}"
+    )))
 }
 
 /// Format a TTL like the paper's examples: `365days`, falling through to

@@ -6,7 +6,7 @@
 //! encoding (for the AOF and the encrypted transit boundary), and how to
 //! apply itself to a [`Db`].
 
-use crate::db::Db;
+use crate::db::{Db, Peek};
 use crate::error::{KvError, KvResult};
 use crate::value::{Value, ZSet};
 use bytes::Bytes;
@@ -77,7 +77,7 @@ impl Reply {
     }
 }
 
-/// A typed store command — exactly the nine some caller issues (see the
+/// A typed store command — exactly the ten some caller issues (see the
 /// table in the crate docs). Anything else in a replayed log is a syntax
 /// error, never a skipped frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +89,10 @@ pub enum Command {
     },
     Get {
         key: Bytes,
+    },
+    /// One reply element per key, in order: the value, or nil.
+    MGet {
+        keys: Vec<Bytes>,
     },
     Del {
         keys: Vec<Bytes>,
@@ -130,6 +134,7 @@ impl Command {
         match self {
             Set { .. } => "SET",
             Get { .. } => "GET",
+            MGet { .. } => "MGET",
             Del { .. } => "DEL",
             Exists { .. } => "EXISTS",
             Expire { .. } => "EXPIRE",
@@ -167,7 +172,7 @@ impl Command {
             Get { key } => {
                 parts.push(key.clone());
             }
-            Del { keys } | Exists { keys } => parts.extend(keys.iter().cloned()),
+            MGet { keys } | Del { keys } | Exists { keys } => parts.extend(keys.iter().cloned()),
             Expire { key, ttl } => {
                 parts.push(key.clone());
                 parts.push(s(&ttl.as_millis().to_string()));
@@ -269,6 +274,12 @@ impl Command {
                 arity(1)?;
                 Get {
                     key: args[0].clone(),
+                }
+            }
+            "MGET" => {
+                at_least(1)?;
+                MGet {
+                    keys: args.to_vec(),
                 }
             }
             "DEL" => {
@@ -379,10 +390,12 @@ impl Command {
                 }
                 Reply::Ok
             }
-            Get { key } => match db.get(key) {
-                Some(v) => Reply::Bulk(v.as_str()?.clone()),
-                None => Reply::Nil,
-            },
+            Get { key } => bulk_or_nil(db.get(key))?,
+            MGet { keys } => Reply::Array(
+                keys.iter()
+                    .map(|key| bulk_or_nil(db.get(key)))
+                    .collect::<KvResult<_>>()?,
+            ),
             Del { keys } => {
                 let mut n = 0;
                 for key in keys {
@@ -452,6 +465,40 @@ impl Command {
             },
         })
     }
+
+    /// Answer a GET or MGET from `&Db` — the keyspace as it stands at `now`,
+    /// nothing reaped. `None` when that cannot be done: the command is
+    /// neither, or it names a past-due key, which only [`Self::execute`]
+    /// may answer (by reaping it).
+    pub fn execute_shared(&self, db: &Db, now: Timestamp) -> Option<KvResult<Reply>> {
+        let live = |key: &Bytes| match db.peek(key, now) {
+            Peek::Live(value) => Some(Some(value)),
+            Peek::Absent => Some(None),
+            Peek::Due => None,
+        };
+        match self {
+            Command::Get { key } => Some(bulk_or_nil(live(key)?)),
+            Command::MGet { keys } => {
+                let mut replies = Vec::with_capacity(keys.len());
+                for key in keys {
+                    match bulk_or_nil(live(key)?) {
+                        Ok(reply) => replies.push(reply),
+                        Err(e) => return Some(Err(e)),
+                    }
+                }
+                Some(Ok(Reply::Array(replies)))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A GET's reply for what the keyspace holds (a non-string is WRONGTYPE).
+fn bulk_or_nil(value: Option<&Value>) -> KvResult<Reply> {
+    Ok(match value {
+        Some(v) => Reply::Bulk(v.as_str()?.clone()),
+        None => Reply::Nil,
+    })
 }
 
 fn parse_u64(b: &[u8]) -> KvResult<u64> {
@@ -666,6 +713,9 @@ mod tests {
                 expire: None,
             },
             Command::Get { key: b("k") },
+            Command::MGet {
+                keys: vec![b("a"), b("b")],
+            },
             Command::Del {
                 keys: vec![b("a"), b("b")],
             },

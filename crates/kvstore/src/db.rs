@@ -22,6 +22,15 @@ use std::sync::Arc;
 /// would keep advertising erased personal data.
 pub type ExpiryListener = Arc<dyn Fn(&[u8]) + Send + Sync>;
 
+/// What [`Db::peek`] finds under a key.
+pub enum Peek<'a> {
+    Live(&'a Value),
+    Absent,
+    /// Present but past its deadline: only a `&mut` access may answer,
+    /// because answering means reaping.
+    Due,
+}
+
 /// The keyspace.
 pub struct Db {
     dict: HashMap<Bytes, Value>,
@@ -77,24 +86,21 @@ impl Db {
         self.dict.is_empty()
     }
 
-    /// True if `key` has an expiry and it is past due. The boundary is
-    /// **inclusive** (`now >= at`): a key whose deadline equals the current
-    /// instant is already expired. The engine-side metadata index
-    /// (`MetadataIndex::expired_keys`) and the relational sweep daemon use
-    /// the same inclusive boundary, so every purge path agrees on what is
-    /// due at the boundary instant — do not change one without the others
-    /// (the conformance suite pins this).
-    fn is_past_due(&self, key: &[u8]) -> bool {
-        match self.expires.get(key) {
-            Some(&at) => self.clock.now() >= at,
-            None => false,
-        }
+    /// True if `key` has an expiry and it is past due at `now`. The
+    /// boundary is **inclusive** (`now >= at`): a key whose deadline equals
+    /// the current instant is already expired. The engine-side metadata
+    /// index (`MetadataIndex::expired_keys`) and the relational sweep daemon
+    /// use the same inclusive boundary, so every purge path agrees on what
+    /// is due at the boundary instant — do not change one without the
+    /// others (the conformance suite pins this).
+    fn is_past_due(&self, key: &[u8], now: Timestamp) -> bool {
+        self.expires.get(key).is_some_and(|&at| now >= at)
     }
 
     /// Expire-on-access: if `key` is past due, delete it and report whether
     /// it was reaped.
-    fn reap_if_due(&mut self, key: &[u8]) -> bool {
-        if self.is_past_due(key) {
+    fn reap_if_due(&mut self, key: &[u8], now: Timestamp) -> bool {
+        if self.is_past_due(key, now) {
             let owned = Bytes::copy_from_slice(key);
             self.remove(&owned);
             self.lazy_expired += 1;
@@ -105,17 +111,30 @@ impl Db {
         }
     }
 
-    /// Read access to a live (non-expired) value.
-    pub fn get(&mut self, key: &[u8]) -> Option<&Value> {
-        if self.reap_if_due(key) {
-            return None;
+    /// The keyspace lookup, without side effects: what `key` holds at
+    /// `now`. The caller reads the clock — once per command, however many
+    /// keys the command names. This is all a GET needs unless the key is
+    /// [`Peek::Due`], so it is what the store runs under its shared lock.
+    pub fn peek(&self, key: &[u8], now: Timestamp) -> Peek<'_> {
+        if self.is_past_due(key, now) {
+            return Peek::Due;
         }
-        self.dict.get(key)
+        self.dict.get(key).map_or(Peek::Absent, Peek::Live)
+    }
+
+    /// Read access to a live (non-expired) value: reap, then [`Self::peek`].
+    pub fn get(&mut self, key: &[u8]) -> Option<&Value> {
+        let now = self.clock.now();
+        self.reap_if_due(key, now);
+        match self.peek(key, now) {
+            Peek::Live(value) => Some(value),
+            Peek::Absent | Peek::Due => None,
+        }
     }
 
     /// Write access to a live (non-expired) value.
     pub fn get_mut(&mut self, key: &[u8]) -> Option<&mut Value> {
-        if self.reap_if_due(key) {
+        if self.reap_if_due(key, self.clock.now()) {
             return None;
         }
         self.dict.get_mut(key)
@@ -130,7 +149,7 @@ impl Db {
         make: impl FnOnce() -> Value,
         check: impl Fn(&Value) -> bool,
     ) -> KvResult<&mut Value> {
-        self.reap_if_due(key);
+        self.reap_if_due(key, self.clock.now());
         if !self.dict.contains_key(key) {
             let owned = Bytes::copy_from_slice(key);
             self.key_index.insert(owned.clone());
@@ -166,7 +185,7 @@ impl Db {
 
     /// Set an absolute expiry. Returns `false` if the key does not exist.
     pub fn set_expiry(&mut self, key: &[u8], at: Timestamp) -> bool {
-        if self.reap_if_due(key) || !self.dict.contains_key(key) {
+        if self.reap_if_due(key, self.clock.now()) || !self.dict.contains_key(key) {
             return false;
         }
         let owned = Bytes::copy_from_slice(key);
@@ -206,7 +225,7 @@ impl Db {
 
     /// Delete `key` if past due. Returns `true` if deleted.
     pub fn evict_if_due(&mut self, key: &Bytes) -> bool {
-        if self.is_past_due(key) {
+        if self.is_past_due(key, self.clock.now()) {
             self.remove(key);
             self.notify_expired(key);
             true

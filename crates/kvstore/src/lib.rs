@@ -7,7 +7,10 @@
 //! * **Single-threaded command execution.** Every command funnels through one
 //!   lock ([`server::KvStore`]), so writes and reads serialize exactly as in
 //!   Redis' event loop. This is what makes the GDPR security features so much
-//!   more expensive here than in the relational store.
+//!   more expensive here than in the relational store. The one exception is
+//!   a `GET` / `MGET` with no side effect to serialize (nothing to reap, log
+//!   or seal), which is answered under the lock's shared side — see
+//!   [`server`].
 //! * **No secondary indexes.** The keyspace is a hash table; any query that
 //!   is not a key lookup must SCAN, which is how the paper's metadata-based
 //!   GDPR queries end up O(n) (Figures 5a, 7b).
@@ -30,7 +33,8 @@
 //! | command | who issues it |
 //! |---|---|
 //! | `SET` | [`KvStore::set`] / [`KvStore::set_ex`]: the Redis connector's put / rewrite, YCSB insert and update |
-//! | `GET` | [`KvStore::get`]: the connector's fetch and scan, YCSB read |
+//! | `GET` | [`KvStore::get`]: the connector's fetch, YCSB read |
+//! | `MGET` | the connector's `fetch_many` and scan, one per chunk of keys |
 //! | `DEL` | [`KvStore::del`]: the connector's delete |
 //! | `EXISTS` | [`KvStore::exists`]: the connector's create-collision probe |
 //! | `EXPIRE` | [`KvStore::expire`]: the Figure 4 TTL experiment (`bench`) |

@@ -1,11 +1,26 @@
 //! The store front-end: single-threaded command execution, AOF logging,
 //! transit encryption, and the active-expiration driver.
 //!
-//! Like Redis, all commands — reads and writes alike — serialize through one
-//! execution context (here, one mutex). Under GDPR retrofits this is the
-//! property that makes Redis' slowdown so much steeper than PostgreSQL's:
-//! every added per-operation cost (cipher, audit append, strict expiry
-//! bookkeeping) is paid inside the serial section.
+//! Like Redis, commands serialize through one execution context (here, the
+//! exclusive side of one readers-writer lock). Under GDPR retrofits this is
+//! the property that makes Redis' slowdown so much steeper than
+//! PostgreSQL's: every added per-operation cost (cipher, audit append,
+//! strict expiry bookkeeping) is paid inside the serial section.
+//!
+//! Two commands can be answered from the **shared** side instead: a `GET`
+//! or `MGET` that changes nothing — no named key is past due, so there is
+//! nothing to reap — on a store that has nothing to record about it. They
+//! only read the keyspace ([`crate::db::Db::peek`]), so a batched predicate
+//! read does not take the store away from the point reads beside it, or
+//! from another batch. Everything else keeps the exclusive path, and so do
+//! those two whenever answering has a side effect:
+//!
+//! * a named key is past due — the read reaps it and fires the expiry
+//!   listener, which mutates the keyspace;
+//! * `log_reads` with an AOF attached — the read appends a frame, and the
+//!   log is one ordered stream;
+//! * `encrypt_transit` — both channel endpoints advance their nonce
+//!   counters per message, which is a write to shared state.
 
 use crate::aof::{self, Aof};
 use crate::commands::{Command, Reply};
@@ -17,7 +32,7 @@ use bytes::Bytes;
 use clock::SharedClock;
 use crypto::channel::SecureChannel;
 use crypto::Volume;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::fs::OpenOptions;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,7 +71,7 @@ pub struct KvStats {
 
 /// The key-value store.
 pub struct KvStore {
-    inner: Mutex<Inner>,
+    inner: RwLock<Inner>,
     config: KvConfig,
     clock: SharedClock,
     stats: KvStats,
@@ -81,7 +96,7 @@ impl KvStore {
             Transit { client, server }
         });
         Ok(Arc::new(KvStore {
-            inner: Mutex::new(Inner {
+            inner: RwLock::new(Inner {
                 db: Db::new(clk.clone()),
                 cycle: ExpirationCycle::new(config.expiration),
                 aof,
@@ -111,9 +126,15 @@ impl KvStore {
     }
 
     /// Execute one command through the full pipeline: transit decryption,
-    /// serial execution, AOF logging, transit encryption of the reply.
+    /// serial execution, AOF logging, transit encryption of the reply — or,
+    /// for a side-effect-free read, [`Self::execute_shared`].
     pub fn execute(&self, cmd: Command) -> KvResult<Reply> {
-        let mut inner = self.inner.lock();
+        if let Some(reply) = self.execute_shared(&cmd) {
+            self.stats.commands.fetch_add(1, Ordering::Relaxed);
+            self.stats.reads.fetch_add(1, Ordering::Relaxed);
+            return reply;
+        }
+        let mut inner = self.inner.write();
         let inner = &mut *inner;
 
         // In-transit boundary: the "client" seals the request, the "server"
@@ -167,6 +188,20 @@ impl KvStore {
             self.stats.reads.fetch_add(1, Ordering::Relaxed);
         }
         Ok(reply)
+    }
+
+    /// Answer `cmd` under the shared lock, if it is a GET / MGET that this
+    /// store can serve without side effects (see the module docs). The
+    /// clock is read once, whatever the number of keys.
+    fn execute_shared(&self, cmd: &Command) -> Option<KvResult<Reply>> {
+        if !matches!(cmd, Command::Get { .. } | Command::MGet { .. }) {
+            return None;
+        }
+        let inner = self.inner.read();
+        if inner.transit.is_some() || (self.config.log_reads && inner.aof.is_some()) {
+            return None;
+        }
+        cmd.execute_shared(&inner.db, self.clock.now())
     }
 
     /// Rewrite a command into its replay-safe AOF form. Relative expiries
@@ -234,7 +269,7 @@ impl KvStore {
     /// Run one active-expiration cycle now. Experiment harnesses call this
     /// against a simulated clock; production uses the background driver.
     pub fn run_expiration_cycle(&self) -> CycleStats {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         let inner = &mut *inner;
         let stats = inner.cycle.run_cycle(&mut inner.db);
         self.stats
@@ -284,7 +319,7 @@ impl KvStore {
 
     /// Force an AOF flush/fsync.
     pub fn sync_aof(&self) -> KvResult<()> {
-        if let Some(aof) = &mut self.inner.lock().aof {
+        if let Some(aof) = &mut self.inner.write().aof {
             aof.sync()?;
         }
         Ok(())
@@ -292,13 +327,13 @@ impl KvStore {
 
     /// Bytes appended to the AOF so far.
     pub fn aof_bytes(&self) -> u64 {
-        self.inner.lock().aof.as_ref().map_or(0, |a| a.bytes)
+        self.inner.read().aof.as_ref().map_or(0, |a| a.bytes)
     }
 
     /// Handle to the in-memory AOF buffer (memory-backed stores only).
     pub fn aof_memory_buffer(&self) -> Option<aof::MemBuffer> {
         self.inner
-            .lock()
+            .read()
             .aof
             .as_ref()
             .and_then(|a| a.memory_buffer())
@@ -326,7 +361,7 @@ impl KvStore {
     /// Apply decoded AOF commands to this (fresh) store, advancing the
     /// persistence generation exactly as the original execution did.
     fn apply_replayed(&self, commands: Vec<Vec<Bytes>>) -> KvResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         let inner = &mut *inner;
         for parts in commands {
             // A frame this store cannot parse fails the replay: skipping it
@@ -387,7 +422,7 @@ impl KvStore {
         }
         let frames = commands.len() as u64;
         let store = Self::open_with_clock(config, clk)?;
-        if let Some(aof) = &mut store.inner.lock().aof {
+        if let Some(aof) = &mut store.inner.write().aof {
             // New appends continue the frame/cipher-block sequence (and the
             // byte accounting) where the retained prefix left off.
             aof.resume_after(frames, retained as u64);
@@ -457,24 +492,24 @@ impl KvStore {
     }
 
     pub fn dbsize(&self) -> usize {
-        self.inner.lock().db.len()
+        self.inner.read().db.len()
     }
 
     /// Number of keys carrying an expiry.
     pub fn expire_set_len(&self) -> usize {
-        self.inner.lock().db.expire_set_len()
+        self.inner.read().db.expire_set_len()
     }
 
     /// Approximate memory footprint of the keyspace (Table 3 metric).
     pub fn memory_usage(&self) -> usize {
-        self.inner.lock().db.memory_usage()
+        self.inner.read().db.memory_usage()
     }
 
     /// The absolute expiry deadline of `key`, if any — millisecond
     /// precision, unlike the seconds-truncating `TTL` command. Connectors
     /// use this to preserve a record's exact deadline across rewrites.
     pub fn expiry_at(&self, key: &[u8]) -> Option<clock::Timestamp> {
-        self.inner.lock().db.expiry_of(key)
+        self.inner.read().db.expiry_of(key)
     }
 
     /// Register the TTL-eviction callback (see [`crate::db::ExpiryListener`]):
@@ -482,7 +517,7 @@ impl KvStore {
     /// access or in an active expiration cycle. Called with the command
     /// lock held — the listener must not call back into this store.
     pub fn set_expiry_listener(&self, listener: crate::db::ExpiryListener) {
-        self.inner.lock().db.set_expiry_listener(listener);
+        self.inner.write().db.set_expiry_listener(listener);
     }
 }
 
@@ -496,7 +531,7 @@ impl Drop for KvStore {
                 let _ = handle.join();
             }
         }
-        if let Some(aof) = &mut self.inner.lock().aof {
+        if let Some(aof) = &mut self.inner.get_mut().aof {
             let _ = aof.sync();
         }
     }
@@ -582,6 +617,74 @@ mod tests {
         let buf = store.aof_memory_buffer().unwrap();
         let commands = aof::decode_stream(&buf.lock(), None).unwrap();
         assert_eq!(commands.len(), 3, "GDPR audit must log reads and misses");
+    }
+
+    /// An MGET is one command whichever lock answers it: one reply element
+    /// per key in order, one `commands` / `reads` tick — and, under
+    /// `log_reads`, one AOF frame naming every key read.
+    #[test]
+    fn mget_is_one_command_one_frame() {
+        for log_reads in [false, true] {
+            let config = KvConfig {
+                aof: AofStorage::Memory,
+                fsync: FsyncPolicy::Never,
+                log_reads,
+                ..Default::default()
+            };
+            let store = KvStore::open(config.clone()).unwrap();
+            store.set(b"a", b"1").unwrap();
+            store.set(b"c", b"3").unwrap();
+            let keys = vec![b("a"), b("b"), b("c")];
+            let reply = store.execute(Command::MGet { keys: keys.clone() }).unwrap();
+            assert_eq!(
+                reply,
+                Reply::Array(vec![Reply::Bulk(b("1")), Reply::Nil, Reply::Bulk(b("3"))])
+            );
+            assert_eq!(store.stats().reads.load(Ordering::Relaxed), 1);
+            assert_eq!(store.stats().commands.load(Ordering::Relaxed), 3);
+            assert_eq!(store.mutation_generation(), 2, "a read is no mutation");
+
+            let raw = store.aof_memory_buffer().unwrap().lock().clone();
+            let frames = aof::decode_stream(&raw, None).unwrap();
+            if log_reads {
+                let mut logged = vec![b("MGET")];
+                logged.extend(keys);
+                assert_eq!(frames.len(), 3);
+                assert_eq!(frames[2], logged, "one frame names every key read");
+            } else {
+                assert_eq!(frames.len(), 2, "reads are not logged by default");
+            }
+            let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
+            assert_eq!(replayed.mutation_generation(), 2);
+        }
+    }
+
+    /// A past-due key inside an MGET is reaped — the listener fires for it
+    /// once — and reads as nil; its neighbours are answered as usual.
+    #[test]
+    fn mget_reaps_the_past_due_keys_it_names() {
+        let sim = clock::sim();
+        let store = KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
+        let reaped = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&reaped);
+        store.set_expiry_listener(Arc::new(move |key| sink.lock().push(key.to_vec())));
+        store.set(b"live", b"1").unwrap();
+        store
+            .set_ex(b"doomed", b"2", Duration::from_secs(5))
+            .unwrap();
+        let mget = Command::MGet {
+            keys: vec![b("live"), b("doomed")],
+        };
+        let both = Reply::Array(vec![Reply::Bulk(b("1")), Reply::Bulk(b("2"))]);
+        assert_eq!(store.execute(mget.clone()).unwrap(), both);
+
+        sim.advance(Duration::from_secs(5)); // deadline == now is due
+        let live_only = Reply::Array(vec![Reply::Bulk(b("1")), Reply::Nil]);
+        assert_eq!(store.execute(mget.clone()).unwrap(), live_only);
+        assert_eq!(store.dbsize(), 1, "the read destroyed the lapsed key");
+        assert_eq!(store.execute(mget).unwrap(), live_only);
+        assert_eq!(*reaped.lock(), vec![b"doomed".to_vec()], "reaped once");
+        assert_eq!(store.stats().reads.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -749,6 +852,10 @@ mod tests {
         store.expire(b"ghost", Duration::from_secs(5)).unwrap(); // 0 frames
         store.expire(b"a", Duration::from_secs(5)).unwrap(); // 1 frame
         store.get(b"a").unwrap(); // reads never count
+        let mget = Command::MGet {
+            keys: vec![b("a"), b("ghost")],
+        };
+        store.execute(mget).unwrap();
         store.exists(b"a").unwrap();
         let scan = Command::Scan {
             cursor: 0,
@@ -782,7 +889,7 @@ mod tests {
         // EXPIRE itself never reaches the log: it is written as EXPIREAT.
         assert_eq!(
             logged.join(" "),
-            "DEL EXISTS EXPIREAT GET SCAN SET ZADD ZRANGEBYSCORE"
+            "DEL EXISTS EXPIREAT GET MGET SCAN SET ZADD ZRANGEBYSCORE"
         );
         let replayed = KvStore::replay(config.clone(), &raw, clock::wall()).unwrap();
         assert_eq!(

@@ -350,22 +350,50 @@ impl PageStore {
 
     /// Point lookup with kvstore-style lazy reaping: an expired record is
     /// destroyed (a real committed transaction), the expiry listener
-    /// fires, and the read reports absence.
+    /// fires, and the read reports absence. A one-element
+    /// [`Self::get_many`].
     pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        Ok(self.get_many(&[key])?.pop().flatten())
+    }
+
+    /// [`Self::get`] for each of `keys`, in order, under one hold of the
+    /// store mutex and with **one root-to-leaf descent per touched leaf**
+    /// when `keys` is sorted: a descent serves the run of keys that falls
+    /// inside its leaf's key range. Expired entries met on the way are
+    /// collected, reaped in one transaction after the walk, and reported
+    /// to the expiry listener — as [`Self::scan`] does.
+    pub fn get_many<K: AsRef<str>>(&self, keys: &[K]) -> Result<Vec<Option<Vec<u8>>>> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
-        let entry = match inner.lookup(None, key.as_bytes())? {
-            Some(entry) => entry,
-            None => return Ok(None),
-        };
-        if is_expired(entry.deadline_ms, now) {
-            inner.apply(&[BatchOp::Remove(key)])?;
-            drop(inner);
-            self.notify_expired(&[key.to_string()]);
-            return Ok(None);
+        let mut values = Vec::with_capacity(keys.len());
+        let mut expired = Vec::new();
+        while values.len() < keys.len() {
+            let first = keys[values.len()].as_ref().as_bytes();
+            let Some(at) = inner.descend(None, first)? else {
+                values.resize(keys.len(), None); // empty tree
+                break;
+            };
+            while let Some(key) = keys.get(values.len()).map(AsRef::as_ref) {
+                if key.as_bytes() < first || !below_fence(&at.upper, key.as_bytes()) {
+                    break;
+                }
+                values.push(match at.entry(key.as_bytes()) {
+                    None => None,
+                    Some(entry) if is_expired(entry.deadline_ms, now) => {
+                        expired.push(key.to_string());
+                        None
+                    }
+                    Some(entry) => {
+                        let stored = inner.load_value(None, &entry.value)?;
+                        inner.unseal(&stored)?
+                    }
+                });
+            }
         }
-        let value = inner.load_value(None, &entry.value)?;
-        inner.unseal(&value)
+        inner.reap(&expired)?;
+        drop(inner);
+        self.notify_expired(&expired);
+        Ok(values)
     }
 
     /// Insert a fresh record. Returns `false` when a *live* record already
@@ -374,7 +402,7 @@ impl PageStore {
     pub fn insert(&self, key: &str, value: &[u8], deadline_ms: Option<u64>) -> Result<bool> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
-        let occupant = inner.lookup(None, key.as_bytes())?;
+        let occupant = inner.lookup(key.as_bytes())?;
         let reaped = match &occupant {
             Some(e) if !is_expired(e.deadline_ms, now) => return Ok(false),
             Some(_) => true,
@@ -425,9 +453,7 @@ impl PageStore {
     /// like the kvstore's pure `expiry_at` probe.
     pub fn deadline_ms(&self, key: &str) -> Result<Option<u64>> {
         let mut inner = self.inner.lock();
-        Ok(inner
-            .lookup(None, key.as_bytes())?
-            .and_then(|e| e.deadline_ms))
+        Ok(inner.lookup(key.as_bytes())?.and_then(|e| e.deadline_ms))
     }
 
     /// Every live record in key order. Expired records encountered are
@@ -537,6 +563,35 @@ fn is_expired(deadline_ms: Option<u64>, now_ms: u64) -> bool {
 
 fn utf8_key(key: &[u8]) -> Result<String> {
     String::from_utf8(key.to_vec()).map_err(|_| Error::corrupt("non-utf8 key bytes"))
+}
+
+/// Where a root-to-leaf descent ended.
+struct Descent {
+    /// The leaf's page id and parsed contents.
+    pid: u32,
+    leaf: Leaf,
+    /// The internal pages above it, root first (split propagation).
+    path: Vec<u32>,
+    /// The tightest separator above the leaf's key range: every key below
+    /// it that is not below the descent's own key lives in this leaf.
+    /// `None` on the rightmost edge of the tree.
+    upper: Option<Vec<u8>>,
+}
+
+impl Descent {
+    fn entry(&self, key: &[u8]) -> Option<&LeafEntry> {
+        let slot = self
+            .leaf
+            .entries
+            .binary_search_by(|e| e.key.as_slice().cmp(key));
+        slot.ok().map(|i| &self.leaf.entries[i])
+    }
+}
+
+/// Is `key` — not below the key a descent was made for — still inside the
+/// leaf that descent reached, given the leaf's [`Descent::upper`] fence?
+fn below_fence(upper: &Option<Vec<u8>>, key: &[u8]) -> bool {
+    upper.as_deref().is_none_or(|bound| key < bound)
 }
 
 impl Inner {
@@ -803,40 +858,55 @@ impl Inner {
 
     // ---- B+tree --------------------------------------------------------
 
-    /// Descend to the entry for `key`, side-effect-free.
-    fn lookup(&mut self, tx: Option<&TxState>, key: &[u8]) -> Result<Option<LeafEntry>> {
-        let root = tx.map_or(self.meta.root, |t| t.meta.root);
-        if root == 0 {
+    /// The one root-to-leaf descent: the leaf whose key range covers `key`
+    /// (`None` while the tree is empty), side-effect-free.
+    fn descend(&mut self, tx: Option<&TxState>, key: &[u8]) -> Result<Option<Descent>> {
+        let mut pid = tx.map_or(self.meta.root, |t| t.meta.root);
+        if pid == 0 {
             return Ok(None);
         }
-        let mut pid = root;
-        for _ in 0..MAX_TREE_DEPTH {
+        let mut path = Vec::new();
+        let mut upper: Option<Vec<u8>> = None;
+        loop {
+            if path.len() > MAX_TREE_DEPTH {
+                return Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"));
+            }
             enum Step {
-                Down(u32),
-                Found(Option<LeafEntry>),
+                Down(u32, Option<Vec<u8>>),
+                Leaf(Leaf),
             }
             let step = self.with_image(tx, pid, |img| match page_type(pid, img)? {
                 T_INTERNAL => {
                     let node = parse_internal(pid, img)?;
-                    Ok(Step::Down(descend_child(&node, key, pid)?.0))
+                    let (child, bound) = descend_child(&node, key, pid)?;
+                    Ok(Step::Down(child, bound.map(<[u8]>::to_vec)))
                 }
-                T_LEAF => {
-                    let leaf = parse_leaf(pid, img)?;
-                    let found = leaf
-                        .entries
-                        .binary_search_by(|e| e.key.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| leaf.entries[i].clone());
-                    Ok(Step::Found(found))
-                }
+                T_LEAF => Ok(Step::Leaf(parse_leaf(pid, img)?)),
                 t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
             })?;
             match step {
-                Step::Down(child) => pid = child,
-                Step::Found(found) => return Ok(found),
+                Step::Down(child, bound) => {
+                    path.push(pid);
+                    upper = bound.or(upper);
+                    pid = child;
+                }
+                Step::Leaf(leaf) => {
+                    return Ok(Some(Descent {
+                        pid,
+                        leaf,
+                        path,
+                        upper,
+                    }))
+                }
             }
         }
-        Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"))
+    }
+
+    /// The committed entry for `key`, side-effect-free.
+    fn lookup(&mut self, key: &[u8]) -> Result<Option<LeafEntry>> {
+        Ok(self
+            .descend(None, key)?
+            .and_then(|at| at.entry(key).cloned()))
     }
 
     /// Run `ops` as one transaction — the store's only write path. Ops
@@ -892,44 +962,20 @@ impl Inner {
             tx.dirty.insert(pid, serialize_leaf(pid, &Leaf::default()));
             tx.meta.root = pid;
         }
-        // Descend, remembering the internal path for split propagation
-        // and the tightest separator above the leaf's key range.
-        let first = ops[0].key();
-        let mut path = Vec::new();
-        let mut upper: Option<Vec<u8>> = None;
-        let mut pid = tx.meta.root;
-        let mut leaf = loop {
-            if path.len() > MAX_TREE_DEPTH {
-                return Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"));
-            }
-            enum Step {
-                Down(u32, Option<Vec<u8>>),
-                Leaf(Leaf),
-            }
-            let step = self.with_image(Some(tx), pid, |img| match page_type(pid, img)? {
-                T_INTERNAL => {
-                    let node = parse_internal(pid, img)?;
-                    let (child, bound) = descend_child(&node, first, pid)?;
-                    Ok(Step::Down(child, bound.map(<[u8]>::to_vec)))
-                }
-                T_LEAF => Ok(Step::Leaf(parse_leaf(pid, img)?)),
-                t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
-            })?;
-            match step {
-                Step::Down(child, bound) => {
-                    path.push(pid);
-                    upper = bound.or(upper);
-                    pid = child;
-                }
-                Step::Leaf(leaf) => break leaf,
-            }
-        };
+        let Descent {
+            pid,
+            mut leaf,
+            mut path,
+            upper,
+        } = self
+            .descend(Some(tx), ops[0].key())?
+            .expect("the tree has a root");
 
         let mut used = 0;
         let mut changed = false;
         while used < ops.len() && leaf_size(&leaf) <= page::PAYLOAD {
             let key = ops[used].key();
-            if upper.as_deref().is_some_and(|bound| key >= bound) {
+            if !below_fence(&upper, key) {
                 break;
             }
             let slot = leaf.entries.binary_search_by(|e| e.key.as_slice().cmp(key));

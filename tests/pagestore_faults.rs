@@ -104,10 +104,10 @@ fn taxonomy() -> Vec<RecordPredicate> {
 fn assert_index_matches_scan(conn: &DiskConnector, expected: &[PersonalRecord], ctx: &str) {
     let index = conn.metadata_index().expect("indexed variant");
     for pred in taxonomy() {
-        let mut want: Vec<String> = expected
+        let mut want: Vec<Arc<str>> = expected
             .iter()
             .filter(|r| pred.matches(r))
-            .map(|r| r.key.clone())
+            .map(|r| r.key.as_str().into())
             .collect();
         want.sort();
         let got = index

@@ -7,7 +7,8 @@
 //! Shrinking is traded away; reproducibility is kept.
 
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
-use gdprbench_repro::gdpr_core::wire;
+use gdprbench_repro::gdpr_core::wire::{self, RecordView};
+use gdprbench_repro::gdpr_core::{GdprError, RecordPredicate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -113,6 +114,165 @@ fn wire_parse_never_panics() {
             })
             .collect();
         let _ = wire::parse(&input);
+    });
+}
+
+/// The wire reader before `RecordView`: split into a `Vec`, build the
+/// record field by field. Kept as the reference `RecordView::parse` must
+/// agree with, results and error messages alike.
+fn reference_parse(s: &str) -> Result<PersonalRecord, GdprError> {
+    let invalid = |msg: String| Err(GdprError::InvalidRecord(msg));
+    let s = s.strip_suffix(';').unwrap_or(s);
+    let fields: Vec<&str> = s.split(';').collect();
+    if fields.len() != 9 {
+        return invalid(format!("expected 9 fields, got {}", fields.len()));
+    }
+    if fields[0].is_empty() {
+        return invalid("empty key".into());
+    }
+    for field in &fields[..2] {
+        if let Some(bad) = field.chars().find(|c| !c.is_ascii() || *c == ',') {
+            return invalid(format!("illegal character {bad:?} in field {field:?}"));
+        }
+    }
+    let list = |value: &str| -> Vec<String> {
+        if value == wire::EMPTY || value.is_empty() {
+            Vec::new()
+        } else {
+            value.split(',').map(str::to_string).collect()
+        }
+    };
+    let scalar = |value: &str| {
+        if value == wire::EMPTY {
+            String::new()
+        } else {
+            value.to_string()
+        }
+    };
+    let mut metadata = Metadata::default();
+    for (i, expected) in ["PUR", "TTL", "USR", "OBJ", "DEC", "SHR", "SRC"]
+        .iter()
+        .enumerate()
+    {
+        let Some(value) = fields[2 + i]
+            .strip_prefix(expected)
+            .and_then(|rest| rest.strip_prefix('='))
+        else {
+            return invalid(format!("field {} must be {expected}=...", 2 + i));
+        };
+        match *expected {
+            "PUR" => metadata.purposes = list(value),
+            "TTL" => metadata.ttl = wire::parse_ttl(value)?,
+            "USR" => metadata.user = scalar(value),
+            "OBJ" => metadata.objections = list(value),
+            "DEC" => metadata.decisions = list(value),
+            "SHR" => metadata.sharing = list(value),
+            _ => metadata.source = scalar(value),
+        }
+    }
+    Ok(PersonalRecord::new(fields[0], fields[1], metadata))
+}
+
+/// A record with `∅` attributes more often than [`arb_record`] makes them.
+fn sparse_record(rng: &mut SmallRng) -> PersonalRecord {
+    let mut record = arb_record(rng);
+    let m = &mut record.metadata;
+    for list in [
+        &mut m.purposes,
+        &mut m.objections,
+        &mut m.decisions,
+        &mut m.sharing,
+    ] {
+        if rng.gen_bool(0.3) {
+            list.clear();
+        }
+    }
+    if rng.gen_bool(0.2) {
+        m.user.clear();
+    }
+    if rng.gen_bool(0.2) {
+        m.source.clear();
+    }
+    if rng.gen_bool(0.3) {
+        m.decisions.push(Metadata::DEC_OPT_OUT.to_string());
+    }
+    record
+}
+
+/// `RecordView::parse` is the wire reader: on well-formed text (`∅`
+/// attributes included) and on every way of damaging it, the view made
+/// owned equals what the reference parser returns — record or error.
+#[test]
+fn record_view_parse_matches_the_reference_parser() {
+    run_cases(512, |rng| {
+        let record = sparse_record(rng);
+        let text = wire::serialize(&record);
+        let view = RecordView::parse(&text).unwrap();
+        assert_eq!(wire::serialize(&view.to_record()), text, "roundtrip");
+
+        let mut chars: Vec<char> = text.chars().collect();
+        let at = rng.gen_range(0usize..chars.len());
+        match rng.gen_range(0u32..6) {
+            0 => {} // intact
+            1 => {
+                chars.remove(at);
+            }
+            2 => chars.insert(at, ';'),
+            3 => chars.insert(at, ','),
+            4 => chars.insert(at, 'é'),
+            _ => chars[at] = ['=', 'X', '9', '∅'][rng.gen_range(0usize..4)],
+        }
+        let damaged: String = chars.into_iter().collect();
+        assert_eq!(
+            RecordView::parse(&damaged).map(|view| view.to_record()),
+            reference_parse(&damaged),
+            "{damaged:?}"
+        );
+        assert_eq!(wire::parse(&damaged), reference_parse(&damaged));
+    });
+}
+
+/// One predicate body: evaluated over the stored text and over the parsed
+/// record, every predicate gives the same answer.
+#[test]
+fn predicates_agree_on_text_and_parsed_views() {
+    run_cases(512, |rng| {
+        let record = sparse_record(rng);
+        let text = wire::serialize(&record);
+        let stored = RecordView::parse(&text).unwrap();
+        let m = &record.metadata;
+        // A term the record carries, when it carries one; else a stranger.
+        let mut pick = |terms: &[String]| match terms.len() {
+            0 => field(rng),
+            n if rng.gen_bool(0.8) => terms[rng.gen_range(0usize..n)].clone(),
+            _ => field(rng),
+        };
+        let user = pick(std::slice::from_ref(&m.user));
+        let preds = [
+            RecordPredicate::User(user),
+            RecordPredicate::DeclaredPurpose(pick(&m.purposes)),
+            RecordPredicate::AllowsPurpose(pick(&m.purposes)),
+            RecordPredicate::AllowsPurpose(pick(&m.objections)),
+            RecordPredicate::NotObjecting(pick(&m.objections)),
+            RecordPredicate::DecisionEligible,
+            RecordPredicate::SharedWith(pick(&m.sharing)),
+        ];
+        for pred in preds {
+            let parsed = pred.matches(&record);
+            assert_eq!(pred.matches_view(&stored), parsed, "{pred:?} on {text}");
+            assert_eq!(pred.matches_view(&record.view()), parsed, "{pred:?}");
+        }
+        // The view's semantics are the record's own.
+        for purpose in m.purposes.iter().chain(&m.objections) {
+            assert_eq!(
+                RecordPredicate::AllowsPurpose(purpose.clone()).matches_view(&stored),
+                m.allows_purpose(purpose)
+            );
+        }
+        assert_eq!(
+            RecordPredicate::DecisionEligible.matches_view(&stored),
+            m.allows_automated_decisions()
+        );
     });
 }
 
@@ -1346,13 +1506,16 @@ mod sharded_invariance {
 mod store_equivalence {
     use super::gdpr_gen::*;
     use super::*;
+    use clock::Clock;
     use gdprbench_repro::connectors::{registry, DiskConnector, RedisConnector};
     use gdprbench_repro::gdpr_core::tenant::TenantId;
     use gdprbench_repro::gdpr_core::{
-        GdprConnector, GdprQuery, MetadataField, MetadataUpdate, Session,
+        ComplianceEngine, GdprConnector, GdprQuery, MetadataField, MetadataUpdate, RecordStore,
+        Session,
     };
     use gdprbench_repro::kvstore::{KvConfig, KvStore};
     use gdprbench_repro::pagestore::{PageStore, PageStoreConfig};
+    use std::sync::{Arc, Mutex};
 
     /// Pool far smaller than any generated corpus, auto-checkpoint off so
     /// the reopen at the end is forced through full WAL replay.
@@ -1361,6 +1524,110 @@ mod store_equivalence {
             pool_pages: 4,
             checkpoint_frames: usize::MAX,
             ..Default::default()
+        }
+    }
+
+    /// `fetch_many(keys)` ≡ `keys.filter_map(fetch)` on both backends that
+    /// override it, at 500+ records (on disk: a four-page pool under ~40
+    /// leaves): the same records in the same order for sorted, distinct key
+    /// lists — index candidates for a random predicate, some dropped, some
+    /// absent keys added — including keys whose TTL lapses between indexing
+    /// and reading. Each lapsed key named is reaped and reported to the
+    /// expiry listener exactly once, and afterwards the index equals a scan.
+    #[test]
+    fn fetch_many_is_the_per_key_fetch_loop() {
+        run_cases(3, |rng| {
+            let sim = clock::sim();
+            let kv = || {
+                let store = KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
+                RedisConnector::with_metadata_index(store).unwrap()
+            };
+            let disk = || {
+                let dir = registry::scratch_dir("prop-fetch-many");
+                let store = PageStore::open(&dir, disk_config(), sim.clone()).unwrap();
+                DiskConnector::with_metadata_index(store).unwrap()
+            };
+            let seed = rng.gen_range(0u64..u64::MAX);
+            let twin_rng = || SmallRng::seed_from_u64(seed);
+            fetch_many_matches_loop(&mut twin_rng(), &sim, kv().engine(), kv().engine());
+            fetch_many_matches_loop(&mut twin_rng(), &sim, disk().engine(), disk().engine());
+        });
+    }
+
+    /// `batched` and `looped` are twins — same records, same clock — so one
+    /// can be read each way: a read destroys the lapsed records it meets.
+    fn fetch_many_matches_loop<S: RecordStore>(
+        rng: &mut SmallRng,
+        sim: &Arc<clock::SimClock>,
+        batched: &ComplianceEngine<S>,
+        looped: &ComplianceEngine<S>,
+    ) {
+        let n = rng.gen_range(500usize..560);
+        let controller = Session::controller();
+        for i in 0..n {
+            let record = arb_gdpr_record(rng, format!("k{i:04}"));
+            for engine in [batched, looped] {
+                let create = GdprQuery::CreateRecord(record.clone());
+                engine.execute(&controller, &create).unwrap();
+            }
+        }
+        let index = Arc::clone(batched.metadata_index().unwrap());
+        // The engine's own listener, counting.
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let (sink, scrubbed) = (Arc::clone(&fired), Arc::clone(&index));
+        batched.store().on_expiry(Arc::new(move |key| {
+            sink.lock().unwrap().push(key.to_string());
+            scrubbed.remove(key);
+        }));
+
+        let shapes = engine_index::all_predicate_shapes();
+        for round in 0..4 {
+            let pred = &shapes[rng.gen_range(0usize..shapes.len())];
+            let mut keys = index.keys_for(pred).unwrap();
+            keys.retain(|_| rng.gen_bool(0.9));
+            keys.extend((0..20).map(|_| format!("k{:04}", rng.gen_range(0usize..n + 100)).into()));
+            keys.sort();
+            keys.dedup();
+            // Indexed, then lapsed: TTLs run 1..120 s.
+            sim.advance(Duration::from_secs(rng.gen_range(0u64..50)));
+            let now_ms = sim.now().as_millis();
+            let lapsed: Vec<String> = keys
+                .iter()
+                .filter(|key| index.deadline_of(key).is_some_and(|at| at <= now_ms))
+                .map(|key| key.to_string())
+                .collect();
+
+            let before = batched.store().record_count();
+            let mut got = Vec::new();
+            batched
+                .store()
+                .fetch_many(&keys, &mut |record| got.push(record.to_record()))
+                .unwrap();
+            let want: Vec<PersonalRecord> = keys
+                .iter()
+                .filter_map(|key| looped.store().fetch(key).unwrap())
+                .collect();
+            assert_eq!(got, want, "{}: round {round}, {pred:?}", batched.name());
+            assert!(got.len() < keys.len(), "some keys are absent or lapsed");
+
+            let mut fired = std::mem::take(&mut *fired.lock().unwrap());
+            fired.sort();
+            assert_eq!(fired, lapsed, "each lapsed key reaped, reported once");
+            assert_eq!(batched.store().record_count(), before - lapsed.len());
+            assert_eq!(looped.store().record_count(), before - lapsed.len());
+        }
+
+        // A scan reaps whatever else lapsed; index and store then agree.
+        let records = batched.store().scan().unwrap();
+        assert_eq!(index.len(), records.len());
+        for pred in &shapes {
+            let mut want: Vec<Arc<str>> = records
+                .iter()
+                .filter(|r| pred.matches(r))
+                .map(|r| r.key.as_str().into())
+                .collect();
+            want.sort();
+            assert_eq!(index.keys_for(pred).unwrap(), want, "{pred:?}");
         }
     }
 

@@ -97,10 +97,10 @@ fn taxonomy() -> Vec<RecordPredicate> {
 fn assert_index_matches_scan(conn: &RedisConnector, expected: &[PersonalRecord], ctx: &str) {
     let index = conn.metadata_index().expect("indexed variant");
     for pred in taxonomy() {
-        let mut want: Vec<String> = expected
+        let mut want: Vec<Arc<str>> = expected
             .iter()
             .filter(|r| pred.matches(r))
-            .map(|r| r.key.clone())
+            .map(|r| r.key.as_str().into())
             .collect();
         want.sort();
         let got = index
@@ -559,7 +559,7 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
     assert!(restored.index_recovery().unwrap().is_restored());
     assert_eq!(
         restored.metadata_index().unwrap().expired_keys(10_000),
-        vec!["ttl-1"],
+        vec!["ttl-1".into()],
         "the restored deadline set treats deadline == now as expired"
     );
     assert_eq!(
@@ -605,7 +605,7 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
     );
     assert_eq!(
         restored.metadata_index().unwrap().expired_keys(10_000),
-        vec!["ttl-1"]
+        vec!["ttl-1".into()]
     );
     assert_eq!(
         restored

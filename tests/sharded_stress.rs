@@ -236,3 +236,209 @@ fn concurrent_mixed_workload_preserves_compliance_invariants() {
         "workload unexpectedly concentrated: {populated}/{SHARDS} shards populated"
     );
 }
+
+/// Batched predicate reads beside everything that can invalidate their
+/// candidates. Two readers alternate READ-DATA-BY-OBJ / -DEC while a third
+/// thread registers objections and opt-outs, erases by key and moves the
+/// simulated clock past a tenth of the TTLs — so candidate keys go stale
+/// between index and store, MGETs fall from the store's shared lock to its
+/// exclusive one to reap, and reaps call back into the index the other
+/// reader is consulting. At 1 and 8 shards:
+///
+/// * every record a read returns satisfied the predicate at some point of
+///   the run (metadata only ever moves *toward* objecting / opted out, so
+///   that is: in its initial state) and carries its own payload;
+/// * nothing deadlocks — the run finishes inside a wall-clock bound;
+/// * at quiescence the reads return exactly the surviving matches and
+///   every shard's index equals a scan of its store.
+#[test]
+fn predicate_reads_race_rewrites_erasures_and_expiry() {
+    use gdprbench_repro::gdpr_core::{GdprError, RecordPredicate, RecordStore};
+    use std::sync::{mpsc, Barrier};
+
+    const RECORDS: usize = 600;
+    const MIN_READS: usize = 6;
+    fn objects_at_start(i: usize) -> bool {
+        i % 4 == 1
+    }
+    fn opted_out_at_start(i: usize) -> bool {
+        i % 6 == 2
+    }
+    fn short_lived(i: usize) -> bool {
+        i % 10 == 3
+    }
+    fn gets_objection(i: usize) -> bool {
+        i % 3 == 1
+    }
+    fn gets_opt_out(i: usize) -> bool {
+        i % 5 == 1
+    }
+    fn gets_erased(i: usize) -> bool {
+        i % 7 == 1
+    }
+    fn gone(i: usize) -> bool {
+        gets_erased(i) || short_lived(i)
+    }
+    fn key(i: usize) -> String {
+        format!("k{i:04}")
+    }
+    let queries = [
+        GdprQuery::ReadDataNotObjecting("ads".into()),
+        GdprQuery::ReadDataDecisionEligible,
+    ];
+    // What each query may ever return, and what it must return at the end.
+    let ever: [fn(usize) -> bool; 2] = [|i| !objects_at_start(i), |i| !opted_out_at_start(i)];
+    let finally: [fn(usize) -> bool; 2] = [
+        |i| !gone(i) && !objects_at_start(i) && !gets_objection(i),
+        |i| !gone(i) && !opted_out_at_start(i) && !gets_opt_out(i),
+    ];
+
+    for shards in [1, SHARDS] {
+        let sim = clock::sim();
+        let conn = Arc::new(
+            ShardedRedisConnector::open_with_clock(shards, Default::default(), sim.clone())
+                .unwrap(),
+        );
+        let controller = Session::controller();
+        let processor = Session::processor("any");
+        for i in 0..RECORDS {
+            let ttl = if short_lived(i) { 10 } else { 3600 };
+            let mut m = Metadata::new("neo", vec!["ads".into()], Duration::from_secs(ttl));
+            if objects_at_start(i) {
+                m.objections.push("ads".into());
+            }
+            if opted_out_at_start(i) {
+                m.decisions.push(Metadata::DEC_OPT_OUT.into());
+            }
+            let record = PersonalRecord::new(key(i), format!("data-{i}"), m);
+            conn.execute(&controller, &GdprQuery::CreateRecord(record))
+                .unwrap();
+        }
+
+        let start = Arc::new(Barrier::new(3));
+        let stop = Arc::new(AtomicBool::new(false));
+        let reads: Arc<[AtomicUsize; 2]> = Arc::default();
+        let (done, finished) = mpsc::channel();
+        let mut threads = Vec::new();
+        for r in 0..2 {
+            let (conn, start, stop) = (Arc::clone(&conn), Arc::clone(&start), Arc::clone(&stop));
+            let (reads, done) = (Arc::clone(&reads), done.clone());
+            let (queries, processor) = (queries.clone(), processor.clone());
+            threads.push(std::thread::spawn(move || {
+                start.wait();
+                for turn in r.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let q = turn % 2;
+                    let resp = conn.execute(&processor, &queries[q]).unwrap();
+                    for (key, data) in resp.as_data().unwrap() {
+                        let i: usize = key[1..].parse().unwrap();
+                        assert!(ever[q](i), "{key} never satisfied {:?}", queries[q]);
+                        assert_eq!(*data, format!("data-{i}"));
+                    }
+                    reads[r].fetch_add(1, Ordering::SeqCst);
+                }
+                done.send(()).unwrap();
+            }));
+        }
+        {
+            let (conn, start, stop, sim) = (
+                Arc::clone(&conn),
+                Arc::clone(&start),
+                Arc::clone(&stop),
+                sim.clone(),
+            );
+            let reads = Arc::clone(&reads);
+            threads.push(std::thread::spawn(move || {
+                start.wait();
+                let add = |field, value: &str| MetadataUpdate::Add(field, value.to_string());
+                for i in 0..RECORDS {
+                    if i == RECORDS / 2 {
+                        sim.advance(Duration::from_secs(11));
+                    }
+                    let lapsed = short_lived(i) && i >= RECORDS / 2;
+                    let mut script = Vec::new();
+                    if gets_objection(i) {
+                        let update = add(MetadataField::Objections, "ads");
+                        script.push(GdprQuery::UpdateMetadataByKey {
+                            key: key(i),
+                            update,
+                        });
+                    }
+                    if gets_opt_out(i) {
+                        let update = add(MetadataField::Decisions, Metadata::DEC_OPT_OUT);
+                        script.push(GdprQuery::UpdateMetadataByKey {
+                            key: key(i),
+                            update,
+                        });
+                    }
+                    if gets_erased(i) {
+                        script.push(GdprQuery::DeleteByKey(key(i)));
+                    }
+                    for query in script {
+                        match conn.execute(&controller, &query) {
+                            Ok(_) => assert!(!lapsed, "{query:?} found a lapsed record"),
+                            Err(GdprError::NotFound(_)) if lapsed => {}
+                            Err(e) => panic!("{query:?}: {e}"),
+                        }
+                    }
+                }
+                // The readers overlapped the whole script and then some.
+                while reads.iter().any(|n| n.load(Ordering::SeqCst) < MIN_READS) {
+                    std::thread::yield_now();
+                }
+                stop.store(true, Ordering::SeqCst);
+                done.send(()).unwrap();
+            }));
+        }
+        for _ in 0..threads.len() {
+            finished
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a thread panicked, or the run deadlocked");
+        }
+        for thread in threads {
+            thread.join().unwrap();
+        }
+
+        for (q, query) in queries.iter().enumerate() {
+            let resp = conn.execute(&processor, query).unwrap();
+            let mut got: Vec<String> = resp
+                .as_data()
+                .unwrap()
+                .iter()
+                .map(|p| p.0.clone())
+                .collect();
+            got.sort();
+            let want: Vec<String> = (0..RECORDS).filter(|&i| finally[q](i)).map(key).collect();
+            assert_eq!(got, want, "{shards} shard(s): {query:?} at quiescence");
+        }
+        let preds = [
+            RecordPredicate::User("neo".into()),
+            RecordPredicate::AllowsPurpose("ads".into()),
+            RecordPredicate::NotObjecting("ads".into()),
+            RecordPredicate::DecisionEligible,
+        ];
+        let mut live = 0;
+        for shard in conn.shards() {
+            let records = shard.store().scan().unwrap();
+            let index = shard.metadata_index().unwrap();
+            assert_eq!(index.len(), records.len());
+            live += records.len();
+            for pred in &preds {
+                let mut want: Vec<Arc<str>> = records
+                    .iter()
+                    .filter(|r| pred.matches(r))
+                    .map(|r| r.key.as_str().into())
+                    .collect();
+                want.sort();
+                assert_eq!(
+                    index.keys_for(pred).unwrap(),
+                    want,
+                    "{shards} shard(s): {pred:?}"
+                );
+            }
+        }
+        assert_eq!(live, (0..RECORDS).filter(|&i| !gone(i)).count());
+    }
+}
