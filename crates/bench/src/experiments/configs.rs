@@ -67,9 +67,10 @@ impl Drop for ScratchDir {
 
 /// kvstore configuration for a feature setting (§5.1).
 pub fn kv_config(feature: Feature, scratch: &ScratchDir) -> kvstore::KvConfig {
-    use kvstore::config::AofStorage;
+    use kvstore::config::Storage;
     use kvstore::{ExpirationMode, FsyncPolicy, KvConfig};
-    let aof_path = scratch.file("redis.aof");
+    // One file per feature: opening a store replays the log it finds.
+    let aof_path = scratch.file(&format!("redis-{}.aof", feature.name()));
     match feature {
         Feature::Baseline => KvConfig::default(),
         Feature::Encrypt => KvConfig {
@@ -82,14 +83,14 @@ pub fn kv_config(feature: Feature, scratch: &ScratchDir) -> kvstore::KvConfig {
             ..Default::default()
         },
         Feature::Log => KvConfig {
-            aof: AofStorage::File(aof_path),
+            aof: Storage::File(aof_path),
             fsync: FsyncPolicy::EverySec,
             log_reads: true,
             ..Default::default()
         },
         Feature::Combined => KvConfig {
             expiration: ExpirationMode::Strict,
-            aof: AofStorage::File(aof_path),
+            aof: Storage::File(aof_path),
             fsync: FsyncPolicy::EverySec,
             log_reads: true,
             encrypt_at_rest: true,
@@ -102,14 +103,14 @@ pub fn kv_config(feature: Feature, scratch: &ScratchDir) -> kvstore::KvConfig {
 /// relstore configuration for a feature setting (§5.2).
 pub fn rel_config(feature: Feature, scratch: &ScratchDir) -> relstore::RelConfig {
     use relstore::config::FsyncPolicy;
-    use relstore::{RelConfig, WalStorage};
-    let wal_path = scratch.file("postgres.wal");
+    use relstore::{RelConfig, Storage};
+    let wal_path = scratch.file(&format!("postgres-{}.wal", feature.name()));
     match feature {
         Feature::Baseline => RelConfig::default(),
         Feature::Encrypt => RelConfig {
             // At-rest encryption needs something persisted to encrypt: the
             // WAL, as LUKS under $PGDATA would.
-            wal: WalStorage::File(wal_path),
+            wal: Storage::File(wal_path),
             fsync: FsyncPolicy::EverySec,
             encrypt_at_rest: true,
             encrypt_transit: true,
@@ -125,7 +126,7 @@ pub fn rel_config(feature: Feature, scratch: &ScratchDir) -> relstore::RelConfig
             ..Default::default()
         },
         Feature::Combined => RelConfig {
-            wal: WalStorage::File(wal_path),
+            wal: Storage::File(wal_path),
             fsync: FsyncPolicy::EverySec,
             encrypt_at_rest: true,
             encrypt_transit: true,

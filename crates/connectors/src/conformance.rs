@@ -1838,7 +1838,7 @@ fn snapshot_scratch_dir(tag: &str) -> std::path::PathBuf {
 
 fn aof_kv_config() -> kvstore::KvConfig {
     kvstore::KvConfig {
-        aof: kvstore::config::AofStorage::Memory,
+        aof: kvstore::config::Storage::Memory,
         fsync: kvstore::FsyncPolicy::Never,
         ..Default::default()
     }
@@ -2022,7 +2022,7 @@ fn restart_equivalence_redis_mi() {
         assert!(original.engine().close().unwrap() > 0);
 
         let aof = store.aof_memory_buffer().unwrap().lock().clone();
-        let mut logged: Vec<String> = kvstore::aof::decode_stream(&aof, None)
+        let mut logged: Vec<String> = kvstore::aof::decode_log(&aof, None)
             .unwrap()
             .iter()
             .map(|parts| String::from_utf8_lossy(&parts[0]).into_owned())

@@ -79,7 +79,7 @@ impl ShardedRedisConnector {
         config: KvConfig,
         clock: clock::SharedClock,
     ) -> GdprResult<Self> {
-        if matches!(config.aof, kvstore::config::AofStorage::File(_)) {
+        if matches!(config.aof, kvstore::config::Storage::File(_)) {
             return Err(GdprError::Store(
                 "sharded open: shards cannot share one AOF file; open stores individually"
                     .to_string(),

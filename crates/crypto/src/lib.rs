@@ -11,13 +11,17 @@
 //!   the RFC test vectors.
 //! * [`siphash`] — SipHash-2-4, used as a keyed MAC for sealed blocks and as
 //!   the key scrambler for the benchmark's scrambled-zipfian generator.
-//! * [`volume`] — sector-oriented encryption-at-rest (the LUKS stand-in) used
-//!   by the stores' AOF/WAL persistence layers.
+//! * [`volume`] — sector-oriented encryption-at-rest (the LUKS stand-in).
+//! * [`log`] — the one logical log sealed by it: frame format, fsync
+//!   policy, torn-tail rule and resume-after-reopen for kvstore's AOF and
+//!   relstore's WAL, which differ only in what a payload encodes.
 //! * [`channel`] — per-message sealing for data in transit (the stunnel
-//!   stand-in) used at the connector boundary.
+//!   stand-in) used at the connector boundary, and the in-process
+//!   [`channel::Loopback`] both stores pay it through.
 
 pub mod chacha20;
 pub mod channel;
+pub mod log;
 pub mod siphash;
 pub mod volume;
 

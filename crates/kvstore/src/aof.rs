@@ -1,449 +1,101 @@
 //! The append-only file: Redis' persistence and, under GDPR, its audit trail.
 //!
-//! Every logged command is framed as `[u32 little-endian length][payload]`
-//! where the payload is the RESP encoding of the command — optionally sealed
-//! with the at-rest cipher ([`crypto::Volume`], the LUKS stand-in). The frame
-//! length makes sealed payloads parseable; plain RESP would be
-//! self-delimiting but uniform framing keeps replay identical in both modes.
+//! The file itself — framing, at-rest sealing, fsync policy, torn-tail
+//! handling, resume after reopen — is [`crypto::log`]. This module is the
+//! payload codec: one frame holds the RESP encoding of one command
+//! ([`crate::resp::encode_command`] on the way in, [`decode`] on the way out).
 //!
 //! The paper measures AOF logging as the single most expensive GDPR feature
-//! for Redis (~70% throughput loss once reads are logged too), so the write
-//! path here is deliberately realistic: buffered appends, an fsync policy,
-//! and optional per-record encryption.
+//! for Redis (~70% throughput loss once reads are logged too).
 
-use crate::config::{AofStorage, FsyncPolicy};
 use crate::error::{KvError, KvResult};
 use crate::resp;
 use bytes::Bytes;
-use clock::{SharedClock, Timestamp};
-use crypto::Volume;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::Path;
-use std::sync::Arc;
-use std::time::Duration;
+use crypto::{log, Volume};
 
-use parking_lot::Mutex;
-
-/// An in-memory AOF buffer shared with tests.
-pub type MemBuffer = Arc<Mutex<Vec<u8>>>;
-
-enum Sink {
-    File(BufWriter<File>),
-    Memory(MemBuffer),
-}
-
-/// The append-only file writer.
-pub struct Aof {
-    sink: Sink,
-    policy: FsyncPolicy,
-    volume: Option<Volume>,
-    clock: SharedClock,
-    last_sync: Timestamp,
-    next_block: u64,
-    /// Total commands appended.
-    pub records: u64,
-    /// Total payload bytes appended (after framing/encryption).
-    pub bytes: u64,
-}
-
-impl Aof {
-    /// Open an AOF writer. Returns `None` for [`AofStorage::Disabled`].
-    pub fn open(
-        storage: &AofStorage,
-        policy: FsyncPolicy,
-        volume: Option<Volume>,
-        clock: SharedClock,
-    ) -> KvResult<Option<Aof>> {
-        let sink = match storage {
-            AofStorage::Disabled => return Ok(None),
-            AofStorage::File(path) => {
-                let file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| KvError::Aof(format!("open {path:?}: {e}")))?;
-                Sink::File(BufWriter::new(file))
-            }
-            AofStorage::Memory => Sink::Memory(Arc::new(Mutex::new(Vec::new()))),
-        };
-        let last_sync = clock.now();
-        Ok(Some(Aof {
-            sink,
-            policy,
-            volume,
-            clock,
-            last_sync,
-            next_block: 0,
-            records: 0,
-            bytes: 0,
-        }))
-    }
-
-    /// Handle to the in-memory buffer, if this AOF is memory-backed.
-    pub fn memory_buffer(&self) -> Option<MemBuffer> {
-        match &self.sink {
-            Sink::Memory(buf) => Some(Arc::clone(buf)),
-            Sink::File(_) => None,
-        }
-    }
-
-    /// Append one command (name + args).
-    pub fn append(&mut self, parts: &[Bytes]) -> KvResult<()> {
-        let mut payload = resp::encode_command(parts);
-        if let Some(volume) = &self.volume {
-            payload = volume.seal(self.next_block, &payload);
-            self.next_block += 1;
-        }
-        let frame_len = payload.len() as u32;
-        match &mut self.sink {
-            Sink::File(w) => {
-                w.write_all(&frame_len.to_le_bytes())?;
-                w.write_all(&payload)?;
-            }
-            Sink::Memory(buf) => {
-                let mut buf = buf.lock();
-                buf.extend_from_slice(&frame_len.to_le_bytes());
-                buf.extend_from_slice(&payload);
-            }
-        }
-        self.records += 1;
-        self.bytes += 4 + payload.len() as u64;
-        self.maybe_sync()?;
-        Ok(())
-    }
-
-    fn maybe_sync(&mut self) -> KvResult<()> {
-        match self.policy {
-            FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::EverySec => {
-                if self.clock.now() - self.last_sync >= Duration::from_secs(1) {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-            FsyncPolicy::Never => Ok(()),
-        }
-    }
-
-    /// Continue a log that already holds `frames` frames over `bytes`
-    /// bytes — the reopen-for-append path ([`crate::KvStore::open_persistent`]).
-    /// Seeds the cipher block sequence (encrypted frames are numbered
-    /// monotonically across the whole file, so a re-opened writer must
-    /// not restart at block 0) and the records/bytes accounting.
-    pub fn resume_after(&mut self, frames: u64, bytes: u64) {
-        self.next_block = frames;
-        self.records = frames;
-        self.bytes = bytes;
-    }
-
-    /// Flush buffers and (for files) fsync to stable storage.
-    pub fn sync(&mut self) -> KvResult<()> {
-        if let Sink::File(w) = &mut self.sink {
-            w.flush()?;
-            w.get_ref().sync_data()?;
-        }
-        self.last_sync = self.clock.now();
-        Ok(())
-    }
-}
-
-/// Tolerant replay for crash recovery: like [`decode_stream`], but a
-/// *truncated final frame* — the signature of a crash mid-append — is
-/// dropped rather than treated as corruption, mirroring Redis'
-/// `aof-load-truncated yes`. Corruption *before* the tail (bad tag, garbage
-/// payload, reordered encrypted frames) still fails: that is tampering or
-/// bitrot, not a torn write. Returns the commands plus how many trailing
-/// bytes were discarded.
-pub fn decode_stream_tolerant(
-    data: &[u8],
-    volume: Option<&Volume>,
-) -> KvResult<(Vec<Vec<Bytes>>, usize)> {
-    match decode_stream(data, volume) {
-        Ok(commands) => Ok((commands, 0)),
-        Err(_) => {
-            // Find the longest decodable prefix along frame boundaries.
-            let mut offset = 0usize;
-            let mut commands = Vec::new();
-            let mut expected_block = 0u64;
-            while data.len() >= offset + 4 {
-                let len = u32::from_le_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
-                let Some(payload) = data.get(offset + 4..offset + 4 + len) else {
-                    break; // torn tail
-                };
-                let decoded = decode_frame(payload, volume, &mut expected_block);
-                match decoded {
-                    Ok(parts) => {
-                        commands.push(parts);
-                        offset += 4 + len;
-                    }
-                    // A complete-but-undecodable frame is real corruption.
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((commands, data.len() - offset))
-        }
-    }
-}
-
-fn decode_frame(
-    payload: &[u8],
-    volume: Option<&Volume>,
-    expected_block: &mut u64,
-) -> KvResult<Vec<Bytes>> {
-    let plain;
-    let resp_bytes: &[u8] = match volume {
-        Some(v) => {
-            let (block_no, pt) = v
-                .open(payload)
-                .map_err(|e| KvError::Corrupt(format!("frame decrypt: {e}")))?;
-            if block_no != *expected_block {
-                return Err(KvError::Corrupt(format!(
-                    "frame out of order: got block {block_no}, expected {expected_block}"
-                )));
-            }
-            *expected_block += 1;
-            plain = pt;
-            &plain
-        }
-        None => payload,
-    };
-    let (parts, consumed) = resp::parse_command(resp_bytes)?;
-    if consumed != resp_bytes.len() {
+/// Parse one frame's payload back into the command (name + args) it logs.
+pub fn decode(payload: &[u8]) -> KvResult<Vec<Bytes>> {
+    let (parts, consumed) = resp::parse_command(payload)?;
+    if consumed != payload.len() {
         return Err(KvError::Corrupt("trailing bytes in frame".into()));
     }
     Ok(parts)
 }
 
-/// Replay: decode a raw AOF byte stream into the command sequence.
-pub fn decode_stream(mut data: &[u8], volume: Option<&Volume>) -> KvResult<Vec<Vec<Bytes>>> {
-    let mut commands = Vec::new();
-    let mut expected_block = 0u64;
-    while !data.is_empty() {
-        if data.len() < 4 {
-            return Err(KvError::Corrupt("truncated frame header".into()));
-        }
-        let len = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
-        data = &data[4..];
-        if data.len() < len {
-            return Err(KvError::Corrupt("truncated frame payload".into()));
-        }
-        let payload = &data[..len];
-        data = &data[len..];
-        let plain;
-        let resp_bytes: &[u8] = match volume {
-            Some(v) => {
-                let (block_no, pt) = v
-                    .open(payload)
-                    .map_err(|e| KvError::Corrupt(format!("frame decrypt: {e}")))?;
-                if block_no != expected_block {
-                    return Err(KvError::Corrupt(format!(
-                        "frame out of order: got block {block_no}, expected {expected_block}"
-                    )));
-                }
-                expected_block += 1;
-                plain = pt;
-                &plain
-            }
-            None => payload,
-        };
-        let (parts, consumed) = resp::parse_command(resp_bytes)?;
-        if consumed != resp_bytes.len() {
-            return Err(KvError::Corrupt("trailing bytes in frame".into()));
-        }
-        commands.push(parts);
+/// Strict replay: decode a whole AOF byte stream into its command
+/// sequence, refusing a torn tail.
+pub fn decode_log(data: &[u8], volume: Option<&Volume>) -> KvResult<Vec<Vec<Bytes>>> {
+    let (payloads, torn) = log::read(data, volume)?;
+    if torn > 0 {
+        return Err(KvError::Corrupt(format!("{torn}-byte truncated frame")));
     }
-    Ok(commands)
-}
-
-/// Read and decode an AOF file from disk.
-pub fn read_file(path: &Path, volume: Option<&Volume>) -> KvResult<Vec<Vec<Bytes>>> {
-    let mut data = Vec::new();
-    File::open(path)
-        .map_err(|e| KvError::Aof(format!("open {path:?}: {e}")))?
-        .read_to_end(&mut data)?;
-    decode_stream(&data, volume)
+    payloads.iter().map(|payload| decode(payload)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crypto::log::{FsyncPolicy, Log, Storage};
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    fn mem_aof(volume: Option<Volume>) -> (Aof, MemBuffer) {
-        let aof = Aof::open(
-            &AofStorage::Memory,
-            FsyncPolicy::Never,
-            volume,
-            clock::wall(),
-        )
-        .unwrap()
-        .unwrap();
-        let buf = aof.memory_buffer().unwrap();
-        (aof, buf)
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|byte| format!("{byte:02x}")).collect()
     }
 
-    #[test]
-    fn disabled_storage_yields_none() {
-        let aof = Aof::open(
-            &AofStorage::Disabled,
-            FsyncPolicy::Never,
-            None,
-            clock::wall(),
-        )
-        .unwrap();
-        assert!(aof.is_none());
+    /// The on-disk bytes of `SET k v`, `EXPIREAT k 1000`, `DEL k` — plain,
+    /// and sealed under the seed `golden-seed` — captured from the commit
+    /// before the log writer moved to `crypto::log`. A file either commit
+    /// wrote must replay on the other.
+    const GOLDEN_PLAIN: &str = "1b0000002a330d0a24330d0a5345540d0a24310d0a6b0d0a24310d0a760d0a\
+        230000002a330d0a24380d0a45585049524541540d0a24310d0a6b0d0a24340d0a313030300d0a\
+        140000002a320d0a24330d0a44454c0d0a24310d0a6b0d0a";
+    const GOLDEN_SEALED: &str = "2b0000000000000000000000d5049fe21562252d6ccd47747536330a8675ce4f\
+        2ab214d61fbb01d0c7c1f21118d175\
+        330000000100000000000000cd3b0fe5f1600665cb23c5f9e1c6899fad465853d23e0c4a69269204994ce0d5\
+        e7c6c3bb89a1203aec29c7\
+        2400000002000000000000007554715634af700ac83cce5d3ccdd45172d7809cd5995ffe61f7558d";
+
+    fn golden_commands() -> [Vec<Bytes>; 3] {
+        [
+            vec![b("SET"), b("k"), b("v")],
+            vec![b("EXPIREAT"), b("k"), b("1000")],
+            vec![b("DEL"), b("k")],
+        ]
     }
 
-    #[test]
-    fn append_and_replay_plain() {
-        let (mut aof, buf) = mem_aof(None);
-        aof.append(&[b("SET"), b("k"), b("v")]).unwrap();
-        aof.append(&[b("DEL"), b("k")]).unwrap();
-        assert_eq!(aof.records, 2);
-        let commands = decode_stream(&buf.lock(), None).unwrap();
-        assert_eq!(commands.len(), 2);
-        assert_eq!(commands[0], vec![b("SET"), b("k"), b("v")]);
-        assert_eq!(commands[1], vec![b("DEL"), b("k")]);
-    }
-
-    #[test]
-    fn append_and_replay_encrypted() {
-        let volume = Volume::new(b"aof-key");
-        let (mut aof, buf) = mem_aof(Some(Volume::new(b"aof-key")));
-        aof.append(&[b("SET"), b("secret"), b("credit-card")])
-            .unwrap();
-        let raw = buf.lock().clone();
-        assert!(
-            !raw.windows(11).any(|w| w == b"credit-card"),
-            "plaintext must not appear in the encrypted AOF"
-        );
-        let commands = decode_stream(&raw, Some(&volume)).unwrap();
-        assert_eq!(commands[0], vec![b("SET"), b("secret"), b("credit-card")]);
-    }
-
-    #[test]
-    fn encrypted_replay_with_wrong_key_fails() {
-        let (mut aof, buf) = mem_aof(Some(Volume::new(b"right-key")));
-        aof.append(&[b("SET"), b("k"), b("v")]).unwrap();
-        let raw = buf.lock().clone();
-        let wrong = Volume::new(b"wrong-key");
-        assert!(matches!(
-            decode_stream(&raw, Some(&wrong)),
-            Err(KvError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_stream_is_rejected() {
-        let (mut aof, buf) = mem_aof(None);
-        aof.append(&[b("SET"), b("k"), b("v")]).unwrap();
-        let raw = buf.lock().clone();
-        assert!(matches!(
-            decode_stream(&raw[..raw.len() - 2], None),
-            Err(KvError::Corrupt(_))
-        ));
-        assert!(matches!(
-            decode_stream(&raw[..2], None),
-            Err(KvError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn reordered_encrypted_frames_are_rejected() {
-        let (mut aof, buf) = mem_aof(Some(Volume::new(b"k")));
-        aof.append(&[b("SET"), b("a"), b("1")]).unwrap();
-        let first_end = buf.lock().len();
-        aof.append(&[b("SET"), b("b"), b("2")]).unwrap();
-        let raw = buf.lock().clone();
-        // Swap the two frames.
-        let mut swapped = raw[first_end..].to_vec();
-        swapped.extend_from_slice(&raw[..first_end]);
-        let volume = Volume::new(b"k");
-        assert!(matches!(
-            decode_stream(&swapped, Some(&volume)),
-            Err(KvError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn file_backed_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("kvaof-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("test.aof");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut aof = Aof::open(
-                &AofStorage::File(path.clone()),
-                FsyncPolicy::Always,
-                None,
-                clock::wall(),
-            )
-            .unwrap()
-            .unwrap();
-            for i in 0..10 {
-                aof.append(&[b("SET"), b(&format!("k{i}")), b("v")])
-                    .unwrap();
-            }
-            aof.sync().unwrap();
+    fn logged(commands: &[Vec<Bytes>], volume: Option<Volume>) -> Vec<u8> {
+        let (aof, _) = Log::open(&Storage::Memory, FsyncPolicy::Never, volume, 0).unwrap();
+        let mut aof = aof.unwrap();
+        for command in commands {
+            aof.append(&resp::encode_command(command), 0).unwrap();
         }
-        let commands = read_file(&path, None).unwrap();
-        assert_eq!(commands.len(), 10);
-        std::fs::remove_file(&path).unwrap();
+        let raw = aof.memory_buffer().unwrap().lock().clone();
+        raw
     }
 
     #[test]
-    fn tolerant_decode_drops_torn_tail_only() {
-        let (mut aof, buf) = mem_aof(None);
-        aof.append(&[b("SET"), b("a"), b("1")]).unwrap();
-        aof.append(&[b("SET"), b("b"), b("2")]).unwrap();
-        let intact = buf.lock().clone();
-        let second_frame_start = {
-            let first_len = u32::from_le_bytes(intact[..4].try_into().unwrap()) as usize;
-            4 + first_len
-        };
-        // Tear the last frame mid-payload: tolerant decode keeps frame 1.
-        let torn = &intact[..second_frame_start + 5];
-        let (commands, dropped) = decode_stream_tolerant(torn, None).unwrap();
-        assert_eq!(commands.len(), 1);
-        assert_eq!(commands[0][1], b("a"));
-        assert_eq!(dropped, 5);
-        // An intact stream drops nothing.
-        let (commands, dropped) = decode_stream_tolerant(&intact, None).unwrap();
-        assert_eq!((commands.len(), dropped), (2, 0));
-        // Mid-stream corruption (not a torn tail) still fails.
-        let mut corrupt = intact.clone();
-        corrupt[6] ^= 0xFF; // inside frame 1's payload
-        assert!(decode_stream_tolerant(&corrupt, None).is_err());
+    fn golden_bytes() {
+        for (golden, seed) in [(GOLDEN_PLAIN, None), (GOLDEN_SEALED, Some(b"golden-seed"))] {
+            let volume = || seed.map(|seed| Volume::new(seed));
+            let raw = logged(&golden_commands(), volume());
+            assert_eq!(hex(&raw), golden);
+            let replayed = decode_log(&raw, volume().as_ref()).unwrap();
+            assert_eq!(replayed, golden_commands());
+        }
     }
 
     #[test]
-    fn tolerant_decode_with_encryption() {
-        let volume = Volume::new(b"k");
-        let (mut aof, buf) = mem_aof(Some(Volume::new(b"k")));
-        aof.append(&[b("SET"), b("a"), b("1")]).unwrap();
-        aof.append(&[b("SET"), b("b"), b("2")]).unwrap();
-        let intact = buf.lock().clone();
-        let torn = &intact[..intact.len() - 3];
-        let (commands, dropped) = decode_stream_tolerant(torn, Some(&volume)).unwrap();
-        assert_eq!(commands.len(), 1);
-        assert!(dropped > 0);
-    }
-
-    #[test]
-    fn bytes_accounting_grows() {
-        let (mut aof, _buf) = mem_aof(None);
-        aof.append(&[b("SET"), b("k"), b("v")]).unwrap();
-        let after_one = aof.bytes;
-        aof.append(&[b("SET"), b("k"), b("a-much-longer-value-here")])
-            .unwrap();
-        assert!(
-            aof.bytes > after_one * 2 - 8,
-            "longer values use more bytes"
-        );
+    fn strict_replay_refuses_a_torn_tail_and_trailing_bytes() {
+        let raw = logged(&golden_commands(), None);
+        for cut in [2, raw.len() - 2] {
+            let torn = decode_log(&raw[..cut], None);
+            assert!(matches!(torn, Err(KvError::Corrupt(_))), "cut at {cut}");
+        }
+        let mut padded = resp::encode_command(&golden_commands()[0]);
+        padded.extend_from_slice(b"+OK\r\n");
+        assert!(matches!(decode(&padded), Err(KvError::Corrupt(_))));
     }
 }

@@ -1,33 +1,7 @@
 //! Store configuration: the knobs the paper turns in §5.1 / Figure 4a.
 
 use crate::expire::ExpirationMode;
-use std::path::PathBuf;
-
-/// When the append-only file is flushed to stable storage — Redis'
-/// `appendfsync` directive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// fsync after every logged command (durable, slow).
-    Always,
-    /// fsync at most once per second (the paper's configuration: "not
-    /// synchronously in real-time, but in batches synchronized once every
-    /// second").
-    #[default]
-    EverySec,
-    /// Let the OS decide (fast, weakest durability).
-    Never,
-}
-
-/// Where the append-only file lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AofStorage {
-    /// No AOF at all (the Figure 4a baseline).
-    Disabled,
-    /// A real file on disk.
-    File(PathBuf),
-    /// An in-memory buffer — for tests and deterministic replay checks.
-    Memory,
-}
+pub use crypto::log::{FsyncPolicy, Storage};
 
 /// Full store configuration.
 ///
@@ -44,7 +18,7 @@ pub struct KvConfig {
     /// Active-expiration algorithm.
     pub expiration: ExpirationMode,
     /// Append-only-file persistence/auditing.
-    pub aof: AofStorage,
+    pub aof: Storage,
     /// AOF flush policy.
     pub fsync: FsyncPolicy,
     /// Log read and scan commands to the AOF as well — the paper's
@@ -64,7 +38,7 @@ impl Default for KvConfig {
     fn default() -> Self {
         KvConfig {
             expiration: ExpirationMode::Lazy,
-            aof: AofStorage::Disabled,
+            aof: Storage::Disabled,
             fsync: FsyncPolicy::EverySec,
             log_reads: false,
             encrypt_at_rest: false,
@@ -76,24 +50,12 @@ impl Default for KvConfig {
 
 impl KvConfig {
     /// The paper's fully GDPR-compliant Redis: strict TTL, full audit
-    /// logging (reads included), encryption at rest and in transit.
-    pub fn gdpr_compliant(aof_path: impl Into<PathBuf>) -> Self {
-        KvConfig {
-            expiration: ExpirationMode::Strict,
-            aof: AofStorage::File(aof_path.into()),
-            fsync: FsyncPolicy::EverySec,
-            log_reads: true,
-            encrypt_at_rest: true,
-            encrypt_transit: true,
-            ..Default::default()
-        }
-    }
-
-    /// In-memory variant of [`Self::gdpr_compliant`] for tests.
+    /// logging (reads included) to an in-memory AOF, encryption at rest and
+    /// in transit.
     pub fn gdpr_compliant_in_memory() -> Self {
         KvConfig {
             expiration: ExpirationMode::Strict,
-            aof: AofStorage::Memory,
+            aof: Storage::Memory,
             fsync: FsyncPolicy::EverySec,
             log_reads: true,
             encrypt_at_rest: true,
@@ -111,15 +73,15 @@ mod tests {
     fn default_is_stock_redis() {
         let c = KvConfig::default();
         assert_eq!(c.expiration, ExpirationMode::Lazy);
-        assert_eq!(c.aof, AofStorage::Disabled);
+        assert_eq!(c.aof, Storage::Disabled);
         assert!(!c.log_reads && !c.encrypt_at_rest && !c.encrypt_transit);
     }
 
     #[test]
     fn compliant_config_enables_all_features() {
-        let c = KvConfig::gdpr_compliant("/tmp/x.aof");
+        let c = KvConfig::gdpr_compliant_in_memory();
         assert_eq!(c.expiration, ExpirationMode::Strict);
-        assert!(matches!(c.aof, AofStorage::File(_)));
+        assert_eq!(c.aof, Storage::Memory);
         assert!(c.log_reads && c.encrypt_at_rest && c.encrypt_transit);
     }
 }

@@ -40,8 +40,6 @@ pub struct Db {
     /// All keys, dense-indexed for SCAN cursors.
     key_index: SampleSet<Bytes>,
     clock: SharedClock,
-    /// Count of keys reaped lazily on access, for INFO/stats.
-    lazy_expired: u64,
     /// Notified on every TTL-driven eviction (never on plain DEL).
     expiry_listener: Option<ExpiryListener>,
 }
@@ -54,7 +52,6 @@ impl Db {
             expire_set: SampleSet::new(),
             key_index: SampleSet::new(),
             clock,
-            lazy_expired: 0,
             expiry_listener: None,
         }
     }
@@ -103,7 +100,6 @@ impl Db {
         if self.is_past_due(key, now) {
             let owned = Bytes::copy_from_slice(key);
             self.remove(&owned);
-            self.lazy_expired += 1;
             self.notify_expired(&owned);
             true
         } else {
@@ -254,11 +250,6 @@ impl Db {
         (out, next)
     }
 
-    /// Keys reaped lazily on access since startup.
-    pub fn lazy_expired_count(&self) -> u64 {
-        self.lazy_expired
-    }
-
     /// Approximate memory footprint of all keys and values, for the
     /// space-overhead metric (Table 3).
     pub fn memory_usage(&self) -> usize {
@@ -308,7 +299,6 @@ mod tests {
             "past-due key must be reaped on access"
         );
         assert_eq!(db.len(), 0);
-        assert_eq!(db.lazy_expired_count(), 1);
     }
 
     #[test]

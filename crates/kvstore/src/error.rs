@@ -12,8 +12,6 @@ pub enum KvError {
     Aof(String),
     /// Persisted data failed authentication/decryption on replay.
     Corrupt(String),
-    /// An I/O error from the persistence layer.
-    Io(String),
 }
 
 impl fmt::Display for KvError {
@@ -28,16 +26,18 @@ impl fmt::Display for KvError {
             KvError::Syntax(msg) => write!(f, "syntax error: {msg}"),
             KvError::Aof(msg) => write!(f, "append-only file error: {msg}"),
             KvError::Corrupt(msg) => write!(f, "corrupt persisted data: {msg}"),
-            KvError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for KvError {}
 
-impl From<std::io::Error> for KvError {
-    fn from(e: std::io::Error) -> Self {
-        KvError::Io(e.to_string())
+impl From<crypto::log::LogError> for KvError {
+    fn from(e: crypto::log::LogError) -> Self {
+        match e {
+            crypto::log::LogError::Io(msg) => KvError::Aof(msg),
+            crypto::log::LogError::Corrupt(msg) => KvError::Corrupt(msg),
+        }
     }
 }
 

@@ -18,10 +18,12 @@
 //!   random keys from the expire-set every 100 ms and only loops immediately
 //!   when ≥5 were expired ([`expire`]). The GDPR retrofit switches this to a
 //!   strict full sweep ([`expire::ExpirationMode::Strict`]) — Figure 3a.
-//! * **Append-only-file persistence.** The AOF logs mutating commands with a
-//!   configurable fsync policy; the GDPR retrofit additionally logs reads and
-//!   scans to produce an audit trail ([`aof`], Figure 4a's `Log` bar) and can
-//!   seal every record with the at-rest cipher (`Encrypt` bar).
+//! * **Append-only-file persistence.** The AOF — a [`crypto::log`] whose
+//!   frames hold RESP-encoded commands ([`aof`]) — logs mutating commands
+//!   with a configurable fsync policy; the GDPR retrofit additionally logs
+//!   reads and scans to produce an audit trail (Figure 4a's `Log` bar) and
+//!   can seal every frame with the at-rest cipher (`Encrypt` bar). Opening a
+//!   store on a file that already holds a log replays and resumes it.
 //!
 //! ## The command set is the traffic
 //!

@@ -22,18 +22,18 @@
 //! * `encrypt_transit` — both channel endpoints advance their nonce
 //!   counters per message, which is a write to shared state.
 
-use crate::aof::{self, Aof};
+use crate::aof;
 use crate::commands::{Command, Reply};
-use crate::config::{AofStorage, KvConfig};
+use crate::config::{KvConfig, Storage};
 use crate::db::Db;
 use crate::error::{KvError, KvResult};
 use crate::expire::{CycleStats, ExpirationCycle, CYCLE_PERIOD};
 use bytes::Bytes;
 use clock::SharedClock;
-use crypto::channel::SecureChannel;
+use crypto::channel::{Direction, Loopback};
+use crypto::log::{Log, MemBuffer};
 use crypto::Volume;
 use parking_lot::{Mutex, RwLock};
-use std::fs::OpenOptions;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,16 +41,8 @@ use std::time::Duration;
 struct Inner {
     db: Db,
     cycle: ExpirationCycle,
-    aof: Option<Aof>,
-    transit: Option<Transit>,
-}
-
-/// Both endpoints of the simulated client↔server encrypted session. Holding
-/// both in-process means every command pays seal+open twice (request and
-/// reply), which is the cost stunnel adds.
-struct Transit {
-    client: crypto::channel::DuplexChannel,
-    server: crypto::channel::DuplexChannel,
+    aof: Option<Log>,
+    transit: Option<Loopback>,
 }
 
 /// Operation counters, exposed for INFO-style reporting.
@@ -86,16 +78,34 @@ impl KvStore {
     }
 
     /// Open a store against an explicit clock (simulated in experiments).
+    ///
+    /// Open is resume: a [`Storage::File`] AOF that already holds frames is
+    /// replayed (a torn tail dropped and cut from the file, as Redis'
+    /// `aof-load-truncated` does) and then appended to, so state survives
+    /// process restarts and the replayed commands advance
+    /// [`Self::mutation_generation`] exactly as their original execution
+    /// did.
+    ///
+    /// Absolute deadlines replay as written: the clock must have the same
+    /// epoch semantics across runs (wall-clock epochs are anchored at
+    /// construction, so restart gaps are not counted against TTLs —
+    /// retention is measured in *served* time, matching how the
+    /// simulated-clock harnesses reason).
     pub fn open_with_clock(config: KvConfig, clk: SharedClock) -> KvResult<Arc<Self>> {
-        let volume = config
-            .encrypt_at_rest
-            .then(|| Volume::new(&config.cipher_seed));
-        let aof = Aof::open(&config.aof, config.fsync, volume, clk.clone())?;
-        let transit = config.encrypt_transit.then(|| {
-            let (client, server) = SecureChannel::pair(&config.cipher_seed);
-            Transit { client, server }
-        });
-        Ok(Arc::new(KvStore {
+        let (aof, retained) = Log::open(
+            &config.aof,
+            config.fsync,
+            Self::volume(&config),
+            clk.now().as_nanos(),
+        )?;
+        let commands = retained
+            .iter()
+            .map(|payload| aof::decode(payload))
+            .collect::<KvResult<Vec<_>>>()?;
+        let transit = config
+            .encrypt_transit
+            .then(|| Loopback::new(&config.cipher_seed));
+        let store = Arc::new(KvStore {
             inner: RwLock::new(Inner {
                 db: Db::new(clk.clone()),
                 cycle: ExpirationCycle::new(config.expiration),
@@ -107,7 +117,15 @@ impl KvStore {
             stats: KvStats::default(),
             shutdown: Arc::new(AtomicBool::new(false)),
             expirer: Mutex::new(None),
-        }))
+        });
+        store.apply_replayed(commands)?;
+        Ok(store)
+    }
+
+    fn volume(config: &KvConfig) -> Option<Volume> {
+        config
+            .encrypt_at_rest
+            .then(|| Volume::new(&config.cipher_seed))
     }
 
     /// The store's configuration.
@@ -141,14 +159,12 @@ impl KvStore {
         // opens it — then the reverse for the reply. The store executes the
         // typed command; the wire trip exists to pay the honest cipher cost
         // and to catch any tampering in tests.
+        let transit_error = |e| KvError::Corrupt(format!("transit: {e}"));
         if let Some(transit) = &mut inner.transit {
             let wire = crate::resp::encode_command(&cmd.to_wire());
-            let sealed = transit.client.seal(&wire);
-            let opened = transit
-                .server
-                .open(&sealed)
-                .map_err(|e| KvError::Corrupt(format!("transit: {e}")))?;
-            debug_assert_eq!(opened, wire);
+            transit
+                .round_trip(Direction::Request, &wire)
+                .map_err(transit_error)?;
         }
 
         let is_write = cmd.is_write();
@@ -164,21 +180,20 @@ impl KvStore {
 
         if let Some(aof) = &mut inner.aof {
             if is_write || self.config.log_reads {
+                let now = self.clock.now().as_nanos();
                 for logged in Self::aof_form(&cmd, &inner.db) {
-                    aof.append(&logged.to_wire())?;
+                    aof.append(&crate::resp::encode_command(&logged.to_wire()), now)?;
                 }
-                self.stats.aof_records.store(aof.records, Ordering::Relaxed);
+                self.stats
+                    .aof_records
+                    .store(aof.frames(), Ordering::Relaxed);
             }
         }
 
         if let Some(transit) = &mut inner.transit {
-            let wire = reply.encode();
-            let sealed = transit.server.seal(&wire);
-            let opened = transit
-                .client
-                .open(&sealed)
-                .map_err(|e| KvError::Corrupt(format!("transit: {e}")))?;
-            debug_assert_eq!(opened, wire);
+            transit
+                .round_trip(Direction::Reply, &reply.encode())
+                .map_err(transit_error)?;
         }
 
         self.stats.commands.fetch_add(1, Ordering::Relaxed);
@@ -258,7 +273,7 @@ impl KvStore {
     ///
     /// * every committed write advances it — through the engine or behind
     ///   its back, with or without an AOF attached;
-    /// * [`Self::replay`] / [`Self::open_persistent`] of an AOF leave the
+    /// * [`Self::replay`] / reopening the file of an AOF leave the
     ///   rebuilt store at exactly the generation the live store had when
     ///   the log was written (a torn tail replays to a *smaller* value —
     ///   visibly stale, never silently equal).
@@ -327,11 +342,11 @@ impl KvStore {
 
     /// Bytes appended to the AOF so far.
     pub fn aof_bytes(&self) -> u64 {
-        self.inner.read().aof.as_ref().map_or(0, |a| a.bytes)
+        self.inner.read().aof.as_ref().map_or(0, Log::bytes)
     }
 
     /// Handle to the in-memory AOF buffer (memory-backed stores only).
-    pub fn aof_memory_buffer(&self) -> Option<aof::MemBuffer> {
+    pub fn aof_memory_buffer(&self) -> Option<MemBuffer> {
         self.inner
             .read()
             .aof
@@ -340,20 +355,17 @@ impl KvStore {
     }
 
     /// Replay an AOF byte stream into a fresh store with this configuration.
+    /// A torn tail is refused; the restart path that drops one is
+    /// [`Self::open_with_clock`] on the file.
     pub fn replay(config: KvConfig, data: &[u8], clk: SharedClock) -> KvResult<Arc<Self>> {
-        let volume = config
-            .encrypt_at_rest
-            .then(|| Volume::new(&config.cipher_seed));
-        let commands = aof::decode_stream(data, volume.as_ref())?;
-        // Replay with logging and transit disabled, then re-enable.
-        let store = Self::open_with_clock(
-            KvConfig {
-                aof: AofStorage::Disabled,
-                encrypt_transit: false,
-                ..config
-            },
-            clk,
-        )?;
+        let commands = aof::decode_log(data, Self::volume(&config).as_ref())?;
+        // The rebuilt store neither logs nor seals its transit.
+        let config = KvConfig {
+            aof: Storage::Disabled,
+            encrypt_transit: false,
+            ..config
+        };
+        let store = Self::open_with_clock(config, clk)?;
         store.apply_replayed(commands)?;
         Ok(store)
     }
@@ -377,58 +389,6 @@ impl KvStore {
             }
         }
         Ok(())
-    }
-
-    /// Open a **file-persistent** store: replay the AOF at the configured
-    /// [`AofStorage::File`] path if one exists (tolerating — and
-    /// truncating away — a torn tail, as Redis' `aof-load-truncated`
-    /// does), then keep appending to the same file, so state survives
-    /// process restarts. The replayed commands advance
-    /// [`Self::mutation_generation`] exactly as their original execution
-    /// did. With any other [`AofStorage`] this is just
-    /// [`Self::open_with_clock`].
-    ///
-    /// Absolute deadlines replay as written: the clock must have the same
-    /// epoch semantics across runs (wall-clock epochs are anchored at
-    /// construction, so restart gaps are not counted against TTLs —
-    /// retention is measured in *served* time, matching how the
-    /// simulated-clock harnesses reason).
-    pub fn open_persistent(config: KvConfig, clk: SharedClock) -> KvResult<Arc<Self>> {
-        let AofStorage::File(path) = &config.aof else {
-            return Self::open_with_clock(config, clk);
-        };
-        let path = path.clone();
-        let existing = match std::fs::read(&path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(KvError::Aof(format!("read {path:?}: {e}"))),
-        };
-        let volume = config
-            .encrypt_at_rest
-            .then(|| Volume::new(&config.cipher_seed));
-        let (commands, dropped) = aof::decode_stream_tolerant(&existing, volume.as_ref())?;
-        let retained = existing.len() - dropped;
-        if dropped > 0 {
-            // Cut the torn tail *before* reopening for append, or new
-            // frames would land after unparseable garbage.
-            let file = OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .map_err(|e| KvError::Aof(format!("truncate {path:?}: {e}")))?;
-            file.set_len(retained as u64)
-                .map_err(|e| KvError::Aof(format!("truncate {path:?}: {e}")))?;
-            file.sync_all()
-                .map_err(|e| KvError::Aof(format!("truncate {path:?}: {e}")))?;
-        }
-        let frames = commands.len() as u64;
-        let store = Self::open_with_clock(config, clk)?;
-        if let Some(aof) = &mut store.inner.write().aof {
-            // New appends continue the frame/cipher-block sequence (and the
-            // byte accounting) where the retained prefix left off.
-            aof.resume_after(frames, retained as u64);
-        }
-        store.apply_replayed(commands)?;
-        Ok(store)
     }
 
     // ----- convenience wrappers used by connectors and tests -----
@@ -589,7 +549,7 @@ mod tests {
     #[test]
     fn aof_logs_only_writes_by_default() {
         let config = KvConfig {
-            aof: AofStorage::Memory,
+            aof: Storage::Memory,
             fsync: FsyncPolicy::Never,
             ..Default::default()
         };
@@ -598,14 +558,14 @@ mod tests {
         store.get(b"k").unwrap();
         store.get(b"k").unwrap();
         let buf = store.aof_memory_buffer().unwrap();
-        let commands = aof::decode_stream(&buf.lock(), None).unwrap();
+        let commands = aof::decode_log(&buf.lock(), None).unwrap();
         assert_eq!(commands.len(), 1, "reads must not be logged by default");
     }
 
     #[test]
     fn gdpr_mode_logs_reads_too() {
         let config = KvConfig {
-            aof: AofStorage::Memory,
+            aof: Storage::Memory,
             fsync: FsyncPolicy::Never,
             log_reads: true,
             ..Default::default()
@@ -615,7 +575,7 @@ mod tests {
         store.get(b"k").unwrap();
         store.get(b"missing").unwrap();
         let buf = store.aof_memory_buffer().unwrap();
-        let commands = aof::decode_stream(&buf.lock(), None).unwrap();
+        let commands = aof::decode_log(&buf.lock(), None).unwrap();
         assert_eq!(commands.len(), 3, "GDPR audit must log reads and misses");
     }
 
@@ -626,7 +586,7 @@ mod tests {
     fn mget_is_one_command_one_frame() {
         for log_reads in [false, true] {
             let config = KvConfig {
-                aof: AofStorage::Memory,
+                aof: Storage::Memory,
                 fsync: FsyncPolicy::Never,
                 log_reads,
                 ..Default::default()
@@ -645,7 +605,7 @@ mod tests {
             assert_eq!(store.mutation_generation(), 2, "a read is no mutation");
 
             let raw = store.aof_memory_buffer().unwrap().lock().clone();
-            let frames = aof::decode_stream(&raw, None).unwrap();
+            let frames = aof::decode_log(&raw, None).unwrap();
             if log_reads {
                 let mut logged = vec![b("MGET")];
                 logged.extend(keys);
@@ -690,7 +650,7 @@ mod tests {
     #[test]
     fn replay_reconstructs_state() {
         let config = KvConfig {
-            aof: AofStorage::Memory,
+            aof: Storage::Memory,
             fsync: FsyncPolicy::Never,
             ..Default::default()
         };
@@ -731,29 +691,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_of_encrypted_aof() {
-        let config = KvConfig {
-            aof: AofStorage::Memory,
-            fsync: FsyncPolicy::Never,
-            encrypt_at_rest: true,
-            ..Default::default()
-        };
-        let store = KvStore::open(config.clone()).unwrap();
-        store.set(b"secret", b"payload").unwrap();
-        let raw = store.aof_memory_buffer().unwrap().lock().clone();
-        assert!(!raw.windows(7).any(|w| w == b"payload"));
-        let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
-        assert_eq!(
-            replayed.get(b"secret").unwrap().unwrap().as_ref(),
-            b"payload"
-        );
-    }
-
-    #[test]
     fn expiry_survives_replay_as_absolute_deadline() {
         let sim = clock::sim();
         let config = KvConfig {
-            aof: AofStorage::Memory,
+            aof: Storage::Memory,
             fsync: FsyncPolicy::Never,
             ..Default::default()
         };
@@ -835,13 +776,14 @@ mod tests {
     /// The persistence generation is replay-stable: rebuilding from the
     /// AOF lands on the exact value the live store had — including the
     /// SET-EX → SET+EXPIREAT rewrite (2 frames) and the EXPIRE-on-missing
-    /// no-op (0 frames) — and a torn tail replays to a *smaller* value.
+    /// no-op (0 frames); a torn tail reopening to a *smaller* value is
+    /// `open_resumes_the_file_and_truncates_torn_tails`.
     /// The log is a `log_reads` one holding every command the store
     /// speaks, so no frame a served store can write trips the replay.
     #[test]
     fn mutation_generation_matches_across_replay() {
         let config = KvConfig {
-            aof: AofStorage::Memory,
+            aof: Storage::Memory,
             fsync: FsyncPolicy::Never,
             log_reads: true,
             ..Default::default()
@@ -879,7 +821,7 @@ mod tests {
         assert_eq!(store.mutation_generation(), 6);
 
         let raw = store.aof_memory_buffer().unwrap().lock().clone();
-        let mut logged: Vec<String> = aof::decode_stream(&raw, None)
+        let mut logged: Vec<String> = aof::decode_log(&raw, None)
             .unwrap()
             .iter()
             .map(|parts| String::from_utf8_lossy(&parts[0]).into_owned())
@@ -891,7 +833,7 @@ mod tests {
             logged.join(" "),
             "DEL EXISTS EXPIREAT GET MGET SCAN SET ZADD ZRANGEBYSCORE"
         );
-        let replayed = KvStore::replay(config.clone(), &raw, clock::wall()).unwrap();
+        let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
         assert_eq!(
             replayed.mutation_generation(),
             6,
@@ -903,34 +845,23 @@ mod tests {
         let plain = KvStore::open(KvConfig::default()).unwrap();
         plain.set(b"x", b"y").unwrap();
         assert_eq!(plain.mutation_generation(), 1);
-
-        // Torn tail → tolerant replay → strictly smaller generation.
-        let (commands, dropped) = aof::decode_stream_tolerant(&raw[..raw.len() - 2], None).unwrap();
-        assert!(dropped > 0);
-        let torn = KvStore::open(KvConfig {
-            aof: AofStorage::Disabled,
-            ..config
-        })
-        .unwrap();
-        torn.apply_replayed(commands).unwrap();
-        assert!(torn.mutation_generation() < 6);
     }
 
     #[test]
-    fn open_persistent_survives_restarts_and_truncates_torn_tails() {
+    fn open_resumes_the_file_and_truncates_torn_tails() {
         let dir = std::env::temp_dir().join(format!("kvpersist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.aof");
         let _ = std::fs::remove_file(&path);
         let config = KvConfig {
-            aof: AofStorage::File(path.clone()),
+            aof: Storage::File(path.clone()),
             fsync: FsyncPolicy::Always,
             encrypt_at_rest: true,
             ..Default::default()
         };
 
         {
-            let store = KvStore::open_persistent(config.clone(), clock::wall()).unwrap();
+            let store = KvStore::open(config.clone()).unwrap();
             assert_eq!(store.mutation_generation(), 0, "fresh file, fresh store");
             store.set(b"a", b"1").unwrap();
             store.set(b"b", b"2").unwrap();
@@ -940,7 +871,7 @@ mod tests {
         // Restart: state and generation come back; appends keep working
         // (the encrypted frame sequence must continue, not restart at 0).
         {
-            let store = KvStore::open_persistent(config.clone(), clock::wall()).unwrap();
+            let store = KvStore::open(config.clone()).unwrap();
             assert_eq!(store.get(b"a").unwrap(), None);
             assert_eq!(store.get(b"b").unwrap().unwrap().as_ref(), b"2");
             assert_eq!(store.mutation_generation(), 3);
@@ -948,7 +879,7 @@ mod tests {
             store.sync_aof().unwrap();
         }
         {
-            let store = KvStore::open_persistent(config.clone(), clock::wall()).unwrap();
+            let store = KvStore::open(config.clone()).unwrap();
             assert_eq!(store.get(b"c").unwrap().unwrap().as_ref(), b"3");
             assert_eq!(store.mutation_generation(), 4);
         }
@@ -958,13 +889,13 @@ mod tests {
         let intact = std::fs::read(&path).unwrap();
         std::fs::write(&path, &intact[..intact.len() - 3]).unwrap();
         {
-            let store = KvStore::open_persistent(config.clone(), clock::wall()).unwrap();
+            let store = KvStore::open(config.clone()).unwrap();
             assert_eq!(store.mutation_generation(), 3, "torn SET c dropped");
             store.set(b"d", b"4").unwrap();
             store.sync_aof().unwrap();
         }
         {
-            let store = KvStore::open_persistent(config.clone(), clock::wall()).unwrap();
+            let store = KvStore::open(config.clone()).unwrap();
             assert_eq!(store.get(b"d").unwrap().unwrap().as_ref(), b"4");
             assert_eq!(store.get(b"b").unwrap().unwrap().as_ref(), b"2");
             assert_eq!(store.mutation_generation(), 4);
@@ -973,21 +904,20 @@ mod tests {
         // A sealed, intact fifth frame holding a command this store does
         // not speak: reopening fails loudly and leaves the file alone.
         let before = std::fs::read(&path).unwrap();
-        let mut writer = Aof::open(
+        let (writer, retained) = Log::open(
             &config.aof,
             FsyncPolicy::Always,
-            Some(Volume::new(&config.cipher_seed)),
-            clock::wall(),
+            KvStore::volume(&config),
+            0,
         )
-        .unwrap()
         .unwrap();
-        writer.resume_after(4, before.len() as u64);
-        writer.append(&[b("HSET"), b("k"), b("f"), b("v")]).unwrap();
-        drop(writer);
+        assert_eq!(retained.len(), 4);
+        let hset = crate::resp::encode_command(&[b("HSET"), b("k"), b("f"), b("v")]);
+        writer.unwrap().append(&hset, 0).unwrap();
         let with_foreign = std::fs::read(&path).unwrap();
         assert!(with_foreign.len() > before.len());
         assert_eq!(
-            KvStore::open_persistent(config, clock::wall()).err(),
+            KvStore::open(config).err(),
             Some(KvError::Syntax("unknown command HSET".into()))
         );
         assert_eq!(std::fs::read(&path).unwrap(), with_foreign);
@@ -997,13 +927,13 @@ mod tests {
     #[test]
     fn expire_on_missing_key_logs_nothing() {
         let config = KvConfig {
-            aof: AofStorage::Memory,
+            aof: Storage::Memory,
             fsync: FsyncPolicy::Never,
             ..Default::default()
         };
         let store = KvStore::open(config).unwrap();
         store.expire(b"ghost", Duration::from_secs(5)).unwrap();
         let buf = store.aof_memory_buffer().unwrap();
-        assert!(aof::decode_stream(&buf.lock(), None).unwrap().is_empty());
+        assert!(aof::decode_log(&buf.lock(), None).unwrap().is_empty());
     }
 }

@@ -30,7 +30,6 @@ enum Node<K, V> {
 /// A B+Tree mapping keys to posting lists of values.
 pub struct BPlusTree<K, V> {
     root: Box<Node<K, V>>,
-    distinct_keys: usize,
     entries: usize,
 }
 
@@ -47,14 +46,8 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
                 keys: Vec::new(),
                 postings: Vec::new(),
             }),
-            distinct_keys: 0,
             entries: 0,
         }
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.distinct_keys
     }
 
     /// Number of (key, value) entries across all posting lists.
@@ -69,7 +62,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
     /// Insert `value` into `key`'s posting list. Duplicate (key, value)
     /// pairs are ignored. Returns `true` if the entry was inserted.
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        let (inserted, new_key, split) = Self::insert_rec(&mut self.root, key, value);
+        let (inserted, split) = Self::insert_rec(&mut self.root, key, value);
         if let Some((sep, right)) = split {
             // Root split: grow the tree by one level.
             let old_root = std::mem::replace(
@@ -87,27 +80,20 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
         if inserted {
             self.entries += 1;
         }
-        if new_key {
-            self.distinct_keys += 1;
-        }
         inserted
     }
 
-    /// Returns (entry_inserted, key_was_new, split).
+    /// Returns (entry_inserted, split).
     #[allow(clippy::type_complexity)]
-    fn insert_rec(
-        node: &mut Node<K, V>,
-        key: K,
-        value: V,
-    ) -> (bool, bool, Option<(K, Box<Node<K, V>>)>) {
+    fn insert_rec(node: &mut Node<K, V>, key: K, value: V) -> (bool, Option<(K, Box<Node<K, V>>)>) {
         match node {
             Node::Leaf { keys, postings } => match keys.binary_search(&key) {
                 Ok(i) => {
                     if postings[i].contains(&value) {
-                        return (false, false, None);
+                        return (false, None);
                     }
                     postings[i].push(value);
-                    (true, false, None)
+                    (true, None)
                 }
                 Err(i) => {
                     keys.insert(i, key);
@@ -127,7 +113,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
                     } else {
                         None
                     };
-                    (true, true, split)
+                    (true, split)
                 }
             },
             Node::Internal {
@@ -138,8 +124,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
                     Ok(i) => i + 1,
                     Err(i) => i,
                 };
-                let (inserted, new_key, child_split) =
-                    Self::insert_rec(&mut children[idx], key, value);
+                let (inserted, child_split) = Self::insert_rec(&mut children[idx], key, value);
                 let mut split = None;
                 if let Some((sep, right)) = child_split {
                     separators.insert(idx, sep);
@@ -159,40 +144,35 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
                         ));
                     }
                 }
-                (inserted, new_key, split)
+                (inserted, split)
             }
         }
     }
 
     /// Remove `value` from `key`'s posting list. Returns `true` if removed.
     pub fn remove(&mut self, key: &K, value: &V) -> bool {
-        let (removed, key_gone) = Self::remove_rec(&mut self.root, key, value);
+        let removed = Self::remove_rec(&mut self.root, key, value);
         if removed {
             self.entries -= 1;
-        }
-        if key_gone {
-            self.distinct_keys -= 1;
         }
         removed
     }
 
-    fn remove_rec(node: &mut Node<K, V>, key: &K, value: &V) -> (bool, bool) {
+    fn remove_rec(node: &mut Node<K, V>, key: &K, value: &V) -> bool {
         match node {
             Node::Leaf { keys, postings } => match keys.binary_search(key) {
                 Ok(i) => {
                     let Some(pos) = postings[i].iter().position(|v| v == value) else {
-                        return (false, false);
+                        return false;
                     };
                     postings[i].swap_remove(pos);
                     if postings[i].is_empty() {
                         keys.remove(i);
                         postings.remove(i);
-                        (true, true)
-                    } else {
-                        (true, false)
                     }
+                    true
                 }
-                Err(_) => (false, false),
+                Err(_) => false,
             },
             Node::Internal {
                 separators,
@@ -278,13 +258,23 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
         }
     }
 
+    /// Number of distinct keys.
+    #[cfg(test)]
+    fn key_count(&self) -> usize {
+        let mut keys: Vec<K> = self.iter_all().into_iter().map(|(k, _)| k).collect();
+        keys.dedup();
+        keys.len()
+    }
+
     /// Every entry, in key order.
-    pub fn iter_all(&self) -> Vec<(K, V)> {
+    #[cfg(test)]
+    fn iter_all(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         Self::collect_all(&self.root, &mut out);
         out
     }
 
+    #[cfg(test)]
     fn collect_all(node: &Node<K, V>, out: &mut Vec<(K, V)>) {
         match node {
             Node::Leaf { keys, postings } => {

@@ -1,32 +1,7 @@
 //! Engine configuration: the knobs the paper turns in §5.2 / Figure 4b.
 
-use std::path::PathBuf;
+pub use crypto::log::{FsyncPolicy, Storage};
 use std::time::Duration;
-
-/// WAL flush policy (PostgreSQL's `synchronous_commit`/`wal_sync_method`
-/// family, reduced to the three behaviours that matter here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// fsync every record.
-    Always,
-    /// fsync at most once per second.
-    #[default]
-    EverySec,
-    /// Let the OS flush when it pleases.
-    Never,
-}
-
-/// Where the write-ahead log lives.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum WalStorage {
-    /// No WAL (benchmark baseline).
-    #[default]
-    Disabled,
-    /// A real file.
-    File(PathBuf),
-    /// In-memory buffer, for tests and recovery checks.
-    Memory,
-}
 
 /// Full engine configuration.
 ///
@@ -40,7 +15,7 @@ pub enum WalStorage {
 /// | Log (csvlog + row-level response logging) | [`log_statements`](Self::log_statements) + [`log_reads`](Self::log_reads) |
 #[derive(Debug, Clone)]
 pub struct RelConfig {
-    pub wal: WalStorage,
+    pub wal: Storage,
     pub fsync: FsyncPolicy,
     /// Seal WAL records with the at-rest cipher.
     pub encrypt_at_rest: bool,
@@ -60,7 +35,7 @@ pub struct RelConfig {
 impl Default for RelConfig {
     fn default() -> Self {
         RelConfig {
-            wal: WalStorage::Disabled,
+            wal: Storage::Disabled,
             fsync: FsyncPolicy::EverySec,
             encrypt_at_rest: false,
             encrypt_transit: false,
@@ -73,23 +48,12 @@ impl Default for RelConfig {
 }
 
 impl RelConfig {
-    /// The paper's fully GDPR-compliant PostgreSQL: WAL + encryption at rest
-    /// and in transit, full statement logging including reads.
-    pub fn gdpr_compliant(wal_path: impl Into<PathBuf>) -> Self {
-        RelConfig {
-            wal: WalStorage::File(wal_path.into()),
-            encrypt_at_rest: true,
-            encrypt_transit: true,
-            log_statements: true,
-            log_reads: true,
-            ..Default::default()
-        }
-    }
-
-    /// In-memory variant of [`Self::gdpr_compliant`] for tests.
+    /// The paper's fully GDPR-compliant PostgreSQL: an in-memory WAL,
+    /// encryption at rest and in transit, full statement logging including
+    /// reads.
     pub fn gdpr_compliant_in_memory() -> Self {
         RelConfig {
-            wal: WalStorage::Memory,
+            wal: Storage::Memory,
             encrypt_at_rest: true,
             encrypt_transit: true,
             log_statements: true,
@@ -106,7 +70,7 @@ mod tests {
     #[test]
     fn default_is_baseline() {
         let c = RelConfig::default();
-        assert_eq!(c.wal, WalStorage::Disabled);
+        assert_eq!(c.wal, Storage::Disabled);
         assert!(!c.encrypt_at_rest && !c.encrypt_transit);
         assert!(!c.log_statements && !c.log_reads);
         assert_eq!(c.ttl_sweep_interval, Duration::from_secs(1));
@@ -115,7 +79,7 @@ mod tests {
     #[test]
     fn compliant_enables_everything() {
         let c = RelConfig::gdpr_compliant_in_memory();
-        assert_eq!(c.wal, WalStorage::Memory);
+        assert_eq!(c.wal, Storage::Memory);
         assert!(c.encrypt_at_rest && c.encrypt_transit && c.log_statements && c.log_reads);
     }
 }

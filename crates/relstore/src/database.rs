@@ -5,25 +5,20 @@
 //! readers proceed in parallel — the engine-level property that keeps the
 //! paper's PostgreSQL degradation at ~2× where single-threaded Redis hits 5×.
 
-use crate::config::{RelConfig, WalStorage};
+use crate::config::{RelConfig, Storage};
 use crate::error::{RelError, RelResult};
-use crate::querylog::{LogStorage, QueryLog};
+use crate::querylog::QueryLog;
 use crate::schema::Schema;
 use crate::statement::{Statement, StatementResult};
 use crate::table::Table;
-use crate::wal::{self, Wal};
 use clock::SharedClock;
-use crypto::channel::SecureChannel;
+use crypto::channel::{Direction, Loopback};
+use crypto::log::{self, Log, MemBuffer};
 use crypto::Volume;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-struct Transit {
-    client: crypto::channel::DuplexChannel,
-    server: crypto::channel::DuplexChannel,
-}
 
 /// Execution counters.
 #[derive(Debug, Default)]
@@ -42,9 +37,9 @@ pub struct RelStats {
 /// The database.
 pub struct Database {
     tables: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
-    wal: Option<Mutex<Wal>>,
-    qlog: Option<Arc<QueryLog>>,
-    transit: Option<Mutex<Transit>>,
+    wal: Option<Mutex<Log>>,
+    qlog: Option<QueryLog>,
+    transit: Option<Mutex<Loopback>>,
     config: RelConfig,
     clock: SharedClock,
     stats: RelStats,
@@ -56,30 +51,39 @@ impl Database {
         Self::open_with_clock(config, clock::wall())
     }
 
-    /// Open against an explicit clock.
+    /// Open against an explicit clock. The WAL must be new: relstore has
+    /// no restart path ([`Self::recover`] rebuilds from bytes into a
+    /// database that logs nothing), so a [`Storage::File`] that already
+    /// holds frames is refused rather than appended to.
     pub fn open_with_clock(config: RelConfig, clk: SharedClock) -> RelResult<Arc<Database>> {
-        let volume = config
-            .encrypt_at_rest
-            .then(|| Volume::new(&config.cipher_seed));
-        let wal = Wal::open(&config.wal, config.fsync, volume, clk.clone())?.map(Mutex::new);
-        let qlog = if config.log_statements {
-            Some(QueryLog::open(&LogStorage::Memory, clk.clone())?)
-        } else {
-            None
-        };
-        let transit = config.encrypt_transit.then(|| {
-            let (client, server) = SecureChannel::pair(&config.cipher_seed);
-            Mutex::new(Transit { client, server })
-        });
+        let now = clk.now().as_nanos();
+        let (wal, retained) = Log::open(&config.wal, config.fsync, Self::volume(&config), now)?;
+        if !retained.is_empty() {
+            return Err(RelError::Wal(format!(
+                "{:?} already holds {} frames; recover from it or remove it",
+                config.wal,
+                retained.len()
+            )));
+        }
+        let qlog = config.log_statements.then(|| QueryLog::new(clk.clone()));
+        let transit = config
+            .encrypt_transit
+            .then(|| Mutex::new(Loopback::new(&config.cipher_seed)));
         Ok(Arc::new(Database {
             tables: RwLock::new(HashMap::new()),
-            wal,
+            wal: wal.map(Mutex::new),
             qlog,
             transit,
             config,
             clock: clk,
             stats: RelStats::default(),
         }))
+    }
+
+    fn volume(config: &RelConfig) -> Option<Volume> {
+        config
+            .encrypt_at_rest
+            .then(|| Volume::new(&config.cipher_seed))
     }
 
     pub fn config(&self) -> &RelConfig {
@@ -92,11 +96,6 @@ impl Database {
 
     pub fn stats(&self) -> &RelStats {
         &self.stats
-    }
-
-    /// The query log, if statement logging is enabled.
-    pub fn query_log(&self) -> Option<&Arc<QueryLog>> {
-        self.qlog.as_ref()
     }
 
     /// Handle to a table (for daemons and tests).
@@ -120,41 +119,34 @@ impl Database {
 
     /// Execute one statement through the full pipeline.
     pub fn execute(&self, stmt: &Statement) -> RelResult<StatementResult> {
-        // Transit boundary, request direction.
+        let transit_error = |e| RelError::Corrupt(format!("transit: {e}"));
         if let Some(transit) = &self.transit {
-            let wire = stmt.encode();
-            let mut t = transit.lock();
-            let sealed = t.client.seal(&wire);
-            let opened = t
-                .server
-                .open(&sealed)
-                .map_err(|e| RelError::Corrupt(format!("transit: {e}")))?;
-            debug_assert_eq!(opened, wire);
+            transit
+                .lock()
+                .round_trip(Direction::Request, &stmt.encode())
+                .map_err(transit_error)?;
         }
 
         let result = self.dispatch(stmt)?;
 
         if stmt.is_write() {
             if let Some(wal) = &self.wal {
-                wal.lock().append(stmt)?;
+                // The frame's sequence number is the statement's LSN.
+                wal.lock()
+                    .append(&stmt.encode(), self.clock.now().as_nanos())?;
             }
         }
         if let Some(qlog) = &self.qlog {
             if stmt.is_write() || self.config.log_reads {
-                qlog.record(stmt, &result)?;
+                qlog.record(stmt, &result);
             }
         }
 
-        // Transit boundary, response direction.
         if let Some(transit) = &self.transit {
-            let wire = result.encode();
-            let mut t = transit.lock();
-            let sealed = t.server.seal(&wire);
-            let opened = t
-                .client
-                .open(&sealed)
-                .map_err(|e| RelError::Corrupt(format!("transit: {e}")))?;
-            debug_assert_eq!(opened, wire);
+            transit
+                .lock()
+                .round_trip(Direction::Reply, &result.encode())
+                .map_err(transit_error)?;
         }
 
         self.stats.statements.fetch_add(1, Ordering::Relaxed);
@@ -250,23 +242,27 @@ impl Database {
 
     /// Bytes appended to the WAL.
     pub fn wal_bytes(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.lock().bytes)
+        self.wal.as_ref().map_or(0, |w| w.lock().bytes())
     }
 
     /// Handle to the in-memory WAL buffer (memory-backed only).
-    pub fn wal_memory_buffer(&self) -> Option<wal::MemBuffer> {
+    pub fn wal_memory_buffer(&self) -> Option<MemBuffer> {
         self.wal.as_ref().and_then(|w| w.lock().memory_buffer())
     }
 
-    /// Rebuild a database from a WAL byte stream (crash recovery).
+    /// Rebuild a database from a WAL byte stream (crash recovery). A
+    /// physically short final frame — a crash mid-append — is dropped
+    /// (PostgreSQL's end-of-WAL rule); a complete frame that fails
+    /// authentication or does not decode fails the recovery.
     pub fn recover(config: RelConfig, data: &[u8], clk: SharedClock) -> RelResult<Arc<Database>> {
-        let volume = config
-            .encrypt_at_rest
-            .then(|| Volume::new(&config.cipher_seed));
-        let statements = wal::decode_stream(data, volume.as_ref())?;
+        let (payloads, _torn) = log::read(data, Self::volume(&config).as_ref())?;
+        let statements = payloads
+            .iter()
+            .map(|payload| Statement::decode(payload))
+            .collect::<RelResult<Vec<_>>>()?;
         let db = Self::open_with_clock(
             RelConfig {
-                wal: WalStorage::Disabled,
+                wal: Storage::Disabled,
                 encrypt_transit: false,
                 log_statements: false,
                 ..config
@@ -372,7 +368,7 @@ mod tests {
     #[test]
     fn wal_recovery_rebuilds_state() {
         let config = RelConfig {
-            wal: WalStorage::Memory,
+            wal: Storage::Memory,
             ..Default::default()
         };
         let db = Database::open(config.clone()).unwrap();
@@ -393,6 +389,10 @@ mod tests {
         })
         .unwrap();
         let raw = db.wal_memory_buffer().unwrap().lock().clone();
+        // A write's LSN is its frame's sequence number; reads leave no frame.
+        let (frames, torn) = log::read(&raw, None).unwrap();
+        assert_eq!((frames.len() as u64, torn), (db.mutation_generation(), 0));
+        assert_eq!(db.wal_bytes(), raw.len() as u64);
 
         let recovered = Database::recover(config, &raw, clock::wall()).unwrap();
         let t = recovered.table("personal_data").unwrap();
@@ -411,27 +411,84 @@ mod tests {
         assert_eq!(recovered.mutation_generation(), 23);
     }
 
+    /// The on-disk bytes of an INSERT, an UPDATE and a DELETE — plain, and
+    /// sealed under the seed `golden-seed` — captured from the commit
+    /// before the WAL writer moved to `crypto::log`.
+    const GOLDEN_PLAIN: &str = "1b0000000301000000740200000002070000000000000004030000006e656f\
+        28000000060100000074010300000075737204030000006e656f010000000400000064617461040100000078\
+        0700000007010000007400";
+    const GOLDEN_SEALED: &str = "2b00000000000000000000002dc10f633d513afc45ff4a7e51713c00d5309845\
+        209625db15d00cdee0f0ff1b00b910\
+        3800000001000000000000001ba12d9a7405df21e711c8f3c58a8596e81e086ff309491d642cb65bf1298ad8\
+        ede2f3b68390746ba845c98ea1a77e01\
+        170000000200000000000000f4181f10dc4e5f21e50fc357188ad9";
+
     #[test]
-    fn encrypted_wal_recovery() {
+    fn wal_golden_bytes() {
+        let statements = [
+            Statement::Insert {
+                table: "t".into(),
+                row: vec![Datum::Int(7), Datum::Text("neo".into())],
+            },
+            Statement::Update {
+                table: "t".into(),
+                pred: Predicate::eq_text("usr", "neo"),
+                assignments: vec![("data".into(), Datum::Text("x".into()))],
+            },
+            Statement::Delete {
+                table: "t".into(),
+                pred: Predicate::True,
+            },
+        ];
+        for (golden, seed) in [(GOLDEN_PLAIN, None), (GOLDEN_SEALED, Some(b"golden-seed"))] {
+            let volume = || seed.map(|seed| Volume::new(seed));
+            let (wal, _) = Log::open(&Storage::Memory, Default::default(), volume(), 0).unwrap();
+            let mut wal = wal.unwrap();
+            for stmt in &statements {
+                wal.append(&stmt.encode(), 0).unwrap();
+            }
+            let raw = wal.memory_buffer().unwrap().lock().clone();
+            let hex: String = raw.iter().map(|byte| format!("{byte:02x}")).collect();
+            assert_eq!(hex, golden);
+            let (payloads, torn) = log::read(&raw, volume().as_ref()).unwrap();
+            assert_eq!(torn, 0);
+            for (payload, stmt) in payloads.iter().zip(&statements) {
+                assert_eq!(&Statement::decode(payload).unwrap(), stmt);
+            }
+        }
+    }
+
+    /// relstore has no restart path: opening over a WAL file that already
+    /// holds frames is refused, naming the file and the frame count,
+    /// instead of appending frame 0 after frame N.
+    #[test]
+    fn open_refuses_a_wal_file_that_holds_frames() {
+        let dir = std::env::temp_dir().join(format!("relwal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("held.wal");
+        let _ = std::fs::remove_file(&path);
         let config = RelConfig {
-            wal: WalStorage::Memory,
-            encrypt_at_rest: true,
+            wal: Storage::File(path.clone()),
             ..Default::default()
         };
         let db = Database::open(config.clone()).unwrap();
         db.execute(&create_stmt()).unwrap();
-        db.execute(&insert_stmt("secret-key", "trinity", 0))
-            .unwrap();
-        let raw = db.wal_memory_buffer().unwrap().lock().clone();
-        assert!(
-            !raw.windows(7).any(|w| w == b"trinity"),
-            "WAL must be sealed"
-        );
-        let recovered = Database::recover(config, &raw, clock::wall()).unwrap();
-        assert_eq!(
-            recovered.table("personal_data").unwrap().read().row_count(),
-            1
-        );
+        db.execute(&insert_stmt("k", "neo", 5)).unwrap();
+        db.sync_wal().unwrap();
+        let written = std::fs::read(&path).unwrap();
+        match Database::open(config.clone()).err() {
+            Some(RelError::Wal(msg)) => {
+                assert!(
+                    msg.contains("held.wal") && msg.contains("2 frames"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected a WAL error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), written, "nothing appended");
+        let recovered = Database::recover(config, &written, clock::wall()).unwrap();
+        assert_eq!(recovered.mutation_generation(), 2);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -468,7 +525,7 @@ mod tests {
         })
         .unwrap();
         // Two writes logged, the read not.
-        assert_eq!(db.query_log().unwrap().len(), 2);
+        assert_eq!(db.qlog.as_ref().unwrap().entries().len(), 2);
 
         let config = RelConfig {
             log_statements: true,
@@ -483,7 +540,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(
-            db.query_log().unwrap().len(),
+            db.qlog.as_ref().unwrap().entries().len(),
             2,
             "reads logged in GDPR mode"
         );

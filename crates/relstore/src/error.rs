@@ -25,8 +25,6 @@ pub enum RelError {
     Wal(String),
     /// Persisted data failed validation on recovery.
     Corrupt(String),
-    /// Underlying I/O failure.
-    Io(String),
 }
 
 impl fmt::Display for RelError {
@@ -60,16 +58,18 @@ impl fmt::Display for RelError {
             RelError::IndexExists(i) => write!(f, "index \"{i}\" already exists"),
             RelError::Wal(msg) => write!(f, "WAL error: {msg}"),
             RelError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
-            RelError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for RelError {}
 
-impl From<std::io::Error> for RelError {
-    fn from(e: std::io::Error) -> Self {
-        RelError::Io(e.to_string())
+impl From<crypto::log::LogError> for RelError {
+    fn from(e: crypto::log::LogError) -> Self {
+        match e {
+            crypto::log::LogError::Io(msg) => RelError::Wal(msg),
+            crypto::log::LogError::Corrupt(msg) => RelError::Corrupt(msg),
+        }
     }
 }
 

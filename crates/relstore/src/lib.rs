@@ -12,8 +12,10 @@
 //!   multi-value (array-typed) columns — the paper's "metadata indexing".
 //!   Each additional index speeds metadata queries but taxes every write
 //!   (Figure 3b: two secondary indices cost ~⅔ of pgbench throughput).
-//! * **Write-ahead log** ([`wal`]) with fsync policies and optional at-rest
-//!   encryption (the LUKS stand-in), replayable for crash recovery.
+//! * **Write-ahead log**: a [`crypto::log`] (fsync policies, optional
+//!   at-rest sealing — the LUKS stand-in — torn-tail rule) whose frames hold
+//!   [`Statement::encode`]d write statements, replayable for crash recovery
+//!   ([`Database::recover`]).
 //! * **Statement log** ([`querylog`]) in the spirit of `csvlog` plus the
 //!   paper's row-level-security response logging: with `log_reads` enabled,
 //!   every SELECT is recorded too.
@@ -38,9 +40,8 @@ pub mod schema;
 pub mod statement;
 pub mod table;
 pub mod ttl;
-pub mod wal;
 
-pub use config::{RelConfig, WalStorage};
+pub use config::{RelConfig, Storage};
 pub use database::Database;
 pub use datum::Datum;
 pub use error::RelError;

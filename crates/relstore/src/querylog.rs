@@ -1,32 +1,16 @@
 //! The statement log — PostgreSQL's `csvlog`, plus the paper's row-level
 //! response logging.
 //!
-//! Each executed statement produces one CSV line:
-//! `timestamp_ms,kind,rows_affected,"statement text"`. With `log_reads`
-//! enabled in [`crate::RelConfig`], SELECT/COUNT statements are logged too —
+//! Each executed statement produces one entry — timestamp, kind, rows
+//! affected, statement text — kept in memory. With `log_reads` enabled in [`crate::RelConfig`], SELECT/COUNT statements are logged too —
 //! that is the audit-trail behaviour GDPR Article 30 requires and the source
 //! of the 30–40% "Log" overhead in Figure 4b.
 
-use crate::error::RelResult;
 use crate::statement::{Statement, StatementResult};
 use clock::SharedClock;
 use parking_lot::Mutex;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::PathBuf;
-use std::sync::Arc;
 
-/// Where the query log goes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum LogStorage {
-    /// Keep lines in memory (tests; also lets regulators query the log).
-    #[default]
-    Memory,
-    /// Append to a CSV file.
-    File(PathBuf),
-}
-
-/// One parsed query-log entry.
+/// One query-log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     pub timestamp_ms: u64,
@@ -35,88 +19,33 @@ pub struct LogEntry {
     pub statement: String,
 }
 
-enum Sink {
-    Memory(Vec<LogEntry>),
-    File(BufWriter<File>),
-}
-
 /// The query logger. Internally synchronized; shared by reference.
 pub struct QueryLog {
-    sink: Mutex<Sink>,
+    entries: Mutex<Vec<LogEntry>>,
     clock: SharedClock,
-    entries: std::sync::atomic::AtomicU64,
 }
 
 impl QueryLog {
-    pub fn open(storage: &LogStorage, clock: SharedClock) -> RelResult<Arc<QueryLog>> {
-        let sink = match storage {
-            LogStorage::Memory => Sink::Memory(Vec::new()),
-            LogStorage::File(path) => {
-                let file = OpenOptions::new().create(true).append(true).open(path)?;
-                Sink::File(BufWriter::new(file))
-            }
-        };
-        Ok(Arc::new(QueryLog {
-            sink: Mutex::new(sink),
+    pub fn new(clock: SharedClock) -> QueryLog {
+        QueryLog {
+            entries: Mutex::new(Vec::new()),
             clock,
-            entries: std::sync::atomic::AtomicU64::new(0),
-        }))
+        }
     }
 
     /// Record one executed statement.
-    pub fn record(&self, stmt: &Statement, result: &StatementResult) -> RelResult<()> {
-        let entry = LogEntry {
+    pub fn record(&self, stmt: &Statement, result: &StatementResult) {
+        self.entries.lock().push(LogEntry {
             timestamp_ms: self.clock.now().as_millis(),
             kind: stmt.kind().to_string(),
             rows: result.rows_affected(),
             statement: stmt.to_string(),
-        };
-        self.entries
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        match &mut *self.sink.lock() {
-            Sink::Memory(lines) => lines.push(entry),
-            Sink::File(w) => {
-                writeln!(
-                    w,
-                    "{},{},{},\"{}\"",
-                    entry.timestamp_ms,
-                    entry.kind,
-                    entry.rows,
-                    entry.statement.replace('"', "\"\"")
-                )?;
-            }
-        }
-        Ok(())
+        });
     }
 
-    /// Total entries recorded.
-    pub fn len(&self) -> u64 {
-        self.entries.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries within `[from_ms, to_ms]` (memory sink only) — the regulator's
-    /// GET-SYSTEM-LOGS query shape.
-    pub fn entries_between(&self, from_ms: u64, to_ms: u64) -> Vec<LogEntry> {
-        match &*self.sink.lock() {
-            Sink::Memory(lines) => lines
-                .iter()
-                .filter(|e| e.timestamp_ms >= from_ms && e.timestamp_ms <= to_ms)
-                .cloned()
-                .collect(),
-            Sink::File(_) => Vec::new(),
-        }
-    }
-
-    /// Flush file-backed logs.
-    pub fn flush(&self) -> RelResult<()> {
-        if let Sink::File(w) = &mut *self.sink.lock() {
-            w.flush()?;
-        }
-        Ok(())
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<LogEntry> {
+        self.entries.lock().clone()
     }
 }
 
@@ -136,43 +65,14 @@ mod tests {
     #[test]
     fn memory_log_records_entries() {
         let sim = clock::sim();
-        let log = QueryLog::open(&LogStorage::Memory, sim.clone()).unwrap();
-        log.record(&select(), &StatementResult::Rows(vec![vec![Datum::Null]]))
-            .unwrap();
+        let log = QueryLog::new(sim.clone());
+        log.record(&select(), &StatementResult::Rows(vec![vec![Datum::Null]]));
         sim.advance(std::time::Duration::from_millis(500));
-        log.record(&select(), &StatementResult::Count(3)).unwrap();
-        assert_eq!(log.len(), 2);
-        let all = log.entries_between(0, u64::MAX);
+        log.record(&select(), &StatementResult::Count(3));
+        let all = log.entries();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].rows, 1);
-        assert_eq!(all[1].rows, 3);
+        assert_eq!((all[0].rows, all[0].timestamp_ms), (1, 0));
+        assert_eq!((all[1].rows, all[1].timestamp_ms), (3, 500));
         assert!(all[0].statement.contains("usr = 'neo'"));
-    }
-
-    #[test]
-    fn time_range_filtering() {
-        let sim = clock::sim();
-        let log = QueryLog::open(&LogStorage::Memory, sim.clone()).unwrap();
-        for _ in 0..5 {
-            log.record(&select(), &StatementResult::Count(0)).unwrap();
-            sim.advance(std::time::Duration::from_millis(100));
-        }
-        // Entries at t=0,100,200,300,400.
-        assert_eq!(log.entries_between(100, 300).len(), 3);
-        assert_eq!(log.entries_between(401, 999).len(), 0);
-    }
-
-    #[test]
-    fn file_log_writes_csv() {
-        let dir = std::env::temp_dir().join(format!("qlog-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("query.csv");
-        let _ = std::fs::remove_file(&path);
-        let log = QueryLog::open(&LogStorage::File(path.clone()), clock::wall()).unwrap();
-        log.record(&select(), &StatementResult::Count(2)).unwrap();
-        log.flush().unwrap();
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(contents.contains("SELECT,2,"));
-        std::fs::remove_file(&path).unwrap();
     }
 }

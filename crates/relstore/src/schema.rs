@@ -95,11 +95,6 @@ impl Schema {
         self.pk
     }
 
-    /// The primary-key column name.
-    pub fn pk_name(&self) -> &str {
-        &self.columns[self.pk].name
-    }
-
     /// Validate a row against this schema (arity and per-column types).
     pub fn check_row(&self, row: &[Datum]) -> RelResult<()> {
         if row.len() != self.columns.len() {
@@ -142,7 +137,6 @@ mod tests {
     fn pk_resolution() {
         let s = schema();
         assert_eq!(s.pk_index(), 0);
-        assert_eq!(s.pk_name(), "key");
         assert_eq!(s.column_index("expiry").unwrap(), 3);
         assert!(matches!(
             s.column_index("ghost"),

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = gdprbench_repro::relstore::Database::open(
         gdprbench_repro::relstore::RelConfig::gdpr_compliant_in_memory(),
     )?;
-    let store = PostgresConnector::with_metadata_indices(db)?;
+    let store = PostgresConnector::with_metadata_indices(std::sync::Arc::clone(&db))?;
     let corpus = CorpusConfig {
         records: 500,
         users: 40,
@@ -98,5 +98,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let data_attempt = store.execute(&regulator, &GdprQuery::ReadDataByUser(complainant));
     println!("\nregulator tries to read raw personal data -> {data_attempt:?}");
+
+    // What the metadata indices bought: how the planner answered all of it.
+    let plans = db.table("personal_data")?.read().plan_stats();
+    println!(
+        "\nplanner: {} index scans, {} sequential scans",
+        plans.index_scans, plans.seq_scans
+    );
     Ok(())
 }

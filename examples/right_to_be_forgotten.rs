@@ -71,11 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---------- PostgreSQL-shaped store ----------
     let sim = gdprbench_repro::clock::sim();
-    let db = gdprbench_repro::relstore::Database::open_with_clock(
-        gdprbench_repro::relstore::RelConfig::default(),
-        sim.clone(),
-    )?;
-    let pg = Arc::new(PostgresConnector::new(db)?);
+    let config = gdprbench_repro::relstore::RelConfig {
+        wal: gdprbench_repro::relstore::Storage::Memory,
+        ..Default::default()
+    };
+    let db = gdprbench_repro::relstore::Database::open_with_clock(config.clone(), sim.clone())?;
+    let pg = Arc::new(PostgresConnector::new(Arc::clone(&db))?);
     seed(pg.as_ref())?;
     println!("[postgres] loaded {} records", pg.record_count());
 
@@ -90,5 +91,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let swept = pg.ttl_daemon().sweep_once()?;
     println!("[postgres] TTL sweep after expiry reaped {swept} record(s)");
     println!("[postgres] record count now {}", pg.record_count());
+
+    // An erasure has to survive a crash: rebuild from the write-ahead log.
+    let wal = db.wal_memory_buffer().expect("memory WAL").lock().clone();
+    let recovered = gdprbench_repro::relstore::Database::recover(config, &wal, sim)?;
+    let rows = recovered.table("personal_data")?.read().row_count();
+    println!(
+        "[postgres] rebuilt from the WAL after a crash: {rows} record(s) — the erasures replay too"
+    );
     Ok(())
 }

@@ -31,8 +31,8 @@ pub struct ConnectorSpec {
     /// `GDPR_ENCRYPT` / `GDPR_ENCRYPT_KEY` like the server side.
     pub encrypt: Option<String>,
     /// Directory for on-disk state. `redis*` variants keep per-shard AOF
-    /// files here (opened through [`kvstore::KvStore::open_persistent`],
-    /// replaying any existing log); `disk*` variants keep their paged
+    /// files here ([`kvstore::KvStore::open_with_clock`] replays any
+    /// existing log); `disk*` variants keep their paged
     /// data files and WALs here (reopened through WAL recovery). Data
     /// survives restarts either way. `disk*` without `--data-dir` runs in
     /// a fresh scratch directory under the system temp dir.
@@ -89,10 +89,10 @@ fn open_kv_shard(
     if let Some(dir) = &spec.data_dir {
         let dir = std::path::Path::new(dir);
         std::fs::create_dir_all(dir).map_err(|e| format!("--data-dir {dir:?}: {e}"))?;
-        config.aof = kvstore::config::AofStorage::File(dir.join(format!("shard-{shard}.aof")));
+        config.aof = kvstore::config::Storage::File(dir.join(format!("shard-{shard}.aof")));
         config.fsync = kvstore::FsyncPolicy::EverySec;
     }
-    kvstore::KvStore::open_persistent(config, clock).map_err(|e| e.to_string())
+    kvstore::KvStore::open_with_clock(config, clock).map_err(|e| e.to_string())
 }
 
 /// Open `n` page stores honoring `data_dir` (scratch temp dir when

@@ -395,7 +395,10 @@ fn btree_matches_model() {
                 assert_eq!(tree.remove(&key, &value), expect);
             }
         }
-        assert_eq!(tree.key_count(), model.len());
+        assert_eq!(
+            tree.entry_count(),
+            model.values().map(Vec::len).sum::<usize>()
+        );
         let got: Vec<u16> = tree.range(&50, &150).into_iter().map(|(k, _)| k).collect();
         let want: Vec<u16> = model
             .range(50..=150)

@@ -4,10 +4,11 @@
 //! personal data on disk when encryption at rest is on (Article 32).
 
 use gdprbench_repro::connectors::{PostgresConnector, RedisConnector, ShardedRedisConnector};
+use gdprbench_repro::crypto::log::Storage;
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprError, GdprQuery, GdprResponse, Session};
-use gdprbench_repro::kvstore::{config::AofStorage, KvConfig, KvStore};
-use gdprbench_repro::relstore::{Database, RelConfig, WalStorage};
+use gdprbench_repro::kvstore::{KvConfig, KvStore};
+use gdprbench_repro::relstore::{Database, RelConfig};
 use std::time::Duration;
 
 fn record(key: &str, user: &str) -> PersonalRecord {
@@ -21,7 +22,7 @@ fn record(key: &str, user: &str) -> PersonalRecord {
 #[test]
 fn erasure_survives_kvstore_crash_recovery() {
     let config = KvConfig {
-        aof: AofStorage::Memory,
+        aof: Storage::Memory,
         fsync: gdprbench_repro::kvstore::FsyncPolicy::Never,
         ..Default::default()
     };
@@ -59,7 +60,7 @@ fn erasure_survives_kvstore_crash_recovery() {
 #[test]
 fn erasure_survives_relstore_crash_recovery() {
     let config = RelConfig {
-        wal: WalStorage::Memory,
+        wal: Storage::Memory,
         ..Default::default()
     };
     let db = Database::open(config.clone()).unwrap();
@@ -90,7 +91,7 @@ fn erasure_survives_relstore_crash_recovery() {
 #[test]
 fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
     let config = KvConfig {
-        aof: AofStorage::Memory,
+        aof: Storage::Memory,
         fsync: gdprbench_repro::kvstore::FsyncPolicy::Never,
         ..Default::default()
     };
@@ -184,7 +185,7 @@ fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
 fn encrypted_persistence_never_leaks_plaintext() {
     // kvstore: AOF sealed with the at-rest cipher.
     let config = KvConfig {
-        aof: AofStorage::Memory,
+        aof: Storage::Memory,
         fsync: gdprbench_repro::kvstore::FsyncPolicy::Never,
         encrypt_at_rest: true,
         ..Default::default()
@@ -210,7 +211,7 @@ fn encrypted_persistence_never_leaks_plaintext() {
 
     // relstore: WAL sealed likewise.
     let config = RelConfig {
-        wal: WalStorage::Memory,
+        wal: Storage::Memory,
         encrypt_at_rest: true,
         ..Default::default()
     };
@@ -233,7 +234,7 @@ fn encrypted_snapshot_restores_gdpr_records() {
     // writes (what LUKS protects in the paper's setup): it must roundtrip
     // records with their TTL deadlines and stay opaque.
     let config = KvConfig {
-        aof: AofStorage::Memory,
+        aof: Storage::Memory,
         fsync: gdprbench_repro::kvstore::FsyncPolicy::Never,
         encrypt_at_rest: true,
         ..Default::default()
@@ -278,7 +279,7 @@ fn encrypted_snapshot_restores_gdpr_records() {
 #[test]
 fn recovery_rejects_tampered_logs() {
     let config = KvConfig {
-        aof: AofStorage::Memory,
+        aof: Storage::Memory,
         fsync: gdprbench_repro::kvstore::FsyncPolicy::Never,
         encrypt_at_rest: true,
         ..Default::default()

@@ -11,13 +11,14 @@
 
 use gdprbench_repro::clock;
 use gdprbench_repro::connectors::{PostgresConnector, RedisConnector, ShardedRedisConnector};
+use gdprbench_repro::crypto::log::{self, Storage};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::store::RecordPredicate;
 use gdprbench_repro::gdpr_core::{
     wire, GdprConnector, GdprQuery, GdprResponse, IndexRecovery, Session, SnapshotInvalid,
 };
-use gdprbench_repro::kvstore::{config::AofStorage, FsyncPolicy, KvConfig, KvStore};
-use gdprbench_repro::relstore::{Database, RelConfig, WalStorage};
+use gdprbench_repro::kvstore::{FsyncPolicy, KvConfig, KvStore};
+use gdprbench_repro::relstore::{Database, RelConfig, RelError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -37,7 +38,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 fn kv_config() -> KvConfig {
     KvConfig {
-        aof: AofStorage::Memory,
+        aof: Storage::Memory,
         fsync: FsyncPolicy::Never,
         ..Default::default()
     }
@@ -345,16 +346,8 @@ fn aof_replay_past_or_short_of_the_stamp_forces_rebuild() {
     // single-frame divergence (no key added or lost!) moves the
     // generation and must force a rebuild: the snapshot still carries a
     // deadline the store no longer backs.
-    let shorter = {
-        let mut offsets = vec![];
-        let mut pos = 0usize;
-        while pos + 4 <= at_stamp.len() {
-            offsets.push(pos);
-            let len = u32::from_le_bytes(at_stamp[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4 + len;
-        }
-        &at_stamp[..*offsets.last().unwrap()]
-    };
+    let (frames, _) = log::read(&at_stamp, None).unwrap();
+    let shorter = &at_stamp[..at_stamp.len() - 4 - frames.last().unwrap().len()];
     let replayed = KvStore::replay(kv_config(), shorter, clock::wall()).unwrap();
     let reopened = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
     assert!(matches!(
@@ -585,7 +578,7 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
     let dir = scratch_dir("ttl-rel");
     let path = dir.join("metaindex.snap");
     let config = RelConfig {
-        wal: WalStorage::Memory,
+        wal: Storage::Memory,
         ..Default::default()
     };
     let db = Database::open_with_clock(config.clone(), sim.clone()).unwrap();
@@ -641,4 +634,51 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
         GdprResponse::Deleted(0),
         "not due at deadline − 1ms"
     );
+}
+
+/// `Database::recover` keeps its doc's promise: a WAL cut anywhere inside
+/// its last frame — a crash mid-append — recovers the frames before it
+/// (generation `frames − 1`, the prefix's rows), sealed or plain; a
+/// complete frame that fails authentication is corruption, not a tail.
+#[test]
+fn relstore_wal_torn_tail_recovers_the_prefix() {
+    for encrypt_at_rest in [false, true] {
+        let config = RelConfig {
+            wal: Storage::Memory,
+            encrypt_at_rest,
+            ..Default::default()
+        };
+        let db = Database::open(config.clone()).unwrap();
+        let conn = PostgresConnector::new(Arc::clone(&db)).unwrap();
+        let controller = Session::controller();
+        let records = corpus();
+        let mut frame_ends = vec![];
+        for record in &records[..4] {
+            conn.execute(&controller, &GdprQuery::CreateRecord(record.clone()))
+                .unwrap();
+            frame_ends.push(db.wal_bytes() as usize);
+        }
+        let wal = db.wal_memory_buffer().unwrap().lock().clone();
+        let frames = db.mutation_generation();
+        let last_frame_start = frame_ends[frame_ends.len() - 2];
+
+        for cut in last_frame_start..wal.len() {
+            let recovered = Database::recover(config.clone(), &wal[..cut], clock::wall())
+                .unwrap_or_else(|e| panic!("sealed={encrypt_at_rest} cut={cut}: {e}"));
+            assert_eq!(recovered.mutation_generation(), frames - 1, "cut={cut}");
+            let table = recovered.table("personal_data").unwrap();
+            assert_eq!(table.read().row_count(), 3, "cut={cut}");
+        }
+        let whole = Database::recover(config.clone(), &wal, clock::wall()).unwrap();
+        assert_eq!(whole.mutation_generation(), frames);
+
+        if encrypt_at_rest {
+            let mut flipped = wal.clone();
+            flipped[frame_ends[0] + 4 + 20] ^= 0x01; // inside the second frame's body
+            assert!(matches!(
+                Database::recover(config, &flipped, clock::wall()),
+                Err(RelError::Corrupt(_))
+            ));
+        }
+    }
 }
