@@ -17,7 +17,7 @@ use bench::experiments::remote::{
     run_connection_scaling, run_depth_sweep, run_encryption_ladder, run_instrumentation_overhead,
     run_latency_profile, run_remote_comparison, DEFAULT_CLIENTS, DEPTH_SWEEP, IDLE_LADDER,
 };
-use bench::experiments::sharding::{run_point_op_scaling, DEFAULT_LADDER};
+use bench::experiments::sharding::{run_fanout_reads, run_point_op_scaling, DEFAULT_LADDER};
 use bench::report::BenchReport;
 
 fn main() {
@@ -160,6 +160,12 @@ fn main() {
             &format!("shards_{top_shards}_speedup"),
             top / one.max(1e-9),
         );
+    }
+    // ...and what the router adds to a read that visits every shard.
+    let (fanout_table, fanout_series) = run_fanout_reads();
+    println!("{}", fanout_table.render());
+    for (metric, value) in &fanout_series {
+        report.record("sharding", metric, *value);
     }
 
     // Suite 6: open-loop latency percentiles (coordinated-omission-safe)

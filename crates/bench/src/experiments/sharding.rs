@@ -12,6 +12,9 @@
 //! unified audit trail's append lock) become the next ceiling. The
 //! `shard_scaling` binary prints the ladder; the `sharding` criterion
 //! bench measures the same batch at N = 1 vs 8.
+//!
+//! [`run_fanout_reads`] measures the other routing class, a predicate
+//! read fanned out over four shards, at both ends of its size range.
 
 use crate::report::{fmt_duration, fmt_ops, ExperimentTable};
 use connectors::ShardedRedisConnector;
@@ -28,16 +31,17 @@ pub const DEFAULT_LADDER: [usize; 4] = [1, 2, 4, 8];
 /// Fraction of point ops that are reads (the rest rectify the payload).
 const READ_FRACTION: f64 = 0.9;
 
-fn point_record(i: usize) -> PersonalRecord {
+/// Record `i` of a corpus: an hour of TTL, one purpose.
+fn record(i: usize, user: String, purpose: &str) -> PersonalRecord {
     PersonalRecord::new(
         format!("k{i:07}"),
         format!("payload-{i:07}"),
-        Metadata::new(
-            format!("user-{:04}", i % 1024),
-            vec!["ads".to_string()],
-            Duration::from_secs(3600),
-        ),
+        Metadata::new(user, vec![purpose.to_string()], Duration::from_secs(3600)),
     )
+}
+
+fn point_record(i: usize) -> PersonalRecord {
+    record(i, format!("user-{:04}", i % 1024), "ads")
 }
 
 /// Build an indexed sharded connector preloaded with `records` point-op
@@ -134,6 +138,86 @@ pub fn run_point_op_scaling(
     (table, series)
 }
 
+/// Records behind the `fanout_read_*` rows: the `regulator-sharded` corpus
+/// of the e2e benchmark.
+pub const FANOUT_READ_RECORDS: usize = 20_000;
+
+/// By-user reads timed per round of [`run_fanout_reads`].
+const FANOUT_USER_READS: usize = 1_000;
+
+/// Three records per user; three records in four carry `ads`.
+fn fanout_record(i: usize) -> PersonalRecord {
+    let purpose = if i.is_multiple_of(4) {
+        "billing"
+    } else {
+        "ads"
+    };
+    record(i, format!("user-{:05}", i / 3), purpose)
+}
+
+/// One client's predicate reads on a 4-shard `redis-sharded` engine, at
+/// the two sizes a fan-out comes in — the layer view of what the router
+/// adds to a read that visits every shard:
+///
+/// * `fanout_read_usr_us` — one READ-METADATA-BY-USR matching 3 records,
+///   mean over 1 000 users, best of seven rounds: the regulator's and the
+///   customer's read, where the per-shard work is an index probe and a
+///   three-key read.
+/// * `fanout_read_pur_ms` — one READ-DATA-BY-PUR matching three records in
+///   four (≈ 3 750 per shard), best of seven: the analytical-sized read
+///   that running the shards on separate cores could overlap, with one
+///   client and the other cores idle. The router visits the shards one
+///   after another on the caller's thread, so this row is the number a
+///   parallel fan-out has to beat.
+///
+/// Smaller is better on both.
+pub fn run_fanout_reads() -> (ExperimentTable, Vec<(&'static str, f64)>) {
+    let series = fanout_reads(FANOUT_READ_RECORDS, 7);
+    let mut table = ExperimentTable::new(
+        format!("Fanned-out predicate reads on redis-sharded ({FANOUT_READ_RECORDS} records, 4 shards, 1 client)"),
+        &["metric", "value"],
+    );
+    for (metric, value) in &series {
+        table.push_row(vec![metric.to_string(), format!("{value:.2}")]);
+    }
+    (table, series)
+}
+
+fn fanout_reads(records: usize, rounds: usize) -> Vec<(&'static str, f64)> {
+    let conn = ShardedRedisConnector::open(4).expect("open sharded");
+    let controller = Session::controller();
+    for i in 0..records {
+        conn.execute(&controller, &GdprQuery::CreateRecord(fanout_record(i)))
+            .expect("load");
+    }
+    let best_secs = |session: &Session, queries: &[GdprQuery]| {
+        let pass = || {
+            let started = Instant::now();
+            for query in queries {
+                std::hint::black_box(conn.execute(session, query).expect("predicate read"));
+            }
+            started.elapsed().as_secs_f64()
+        };
+        pass(); // warm-up
+        (0..rounds).map(|_| pass()).fold(f64::INFINITY, f64::min)
+    };
+    let users = (records / 3).clamp(1, FANOUT_USER_READS);
+    let by_user: Vec<GdprQuery> = (0..users)
+        .map(|u| GdprQuery::ReadMetadataByUser(format!("user-{u:05}")))
+        .collect();
+    let by_purpose = [GdprQuery::ReadDataByPurpose("ads".into())];
+    vec![
+        (
+            "fanout_read_usr_us",
+            best_secs(&Session::regulator(), &by_user) * 1e6 / users as f64,
+        ),
+        (
+            "fanout_read_pur_ms",
+            best_secs(&Session::processor("ads"), &by_purpose) * 1e3,
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,5 +258,14 @@ mod tests {
                 .unwrap();
         }
         conn.verify_placement().unwrap();
+    }
+
+    /// The `bench_report` rows exist and are measurements; what they
+    /// should read is the report's business, not a unit test's.
+    #[test]
+    fn fanout_reads_report_two_rows() {
+        let series = fanout_reads(2_000, 2);
+        assert_eq!(series.len(), 2);
+        assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 }

@@ -14,13 +14,14 @@
 //! * **Predicate ops** (`*-BY-USR/PUR/OBJ/DEC/SHR`, `DELETE-RECORD-BY-TTL`)
 //!   fan out to every shard and merge: counts sum, result sets concatenate
 //!   and sort by key, so the response is deterministic whatever the shard
-//!   topology. Read fan-out runs the shard probes *in parallel* on a
-//!   per-engine worker pool (write fan-out stays sequential to preserve
-//!   partial-failure semantics); the merge collects into shard-order slots
-//!   first, so parallelism never leaks into the response. This is what
-//!   makes shard count an *invisible* deployment knob:
-//!   `ShardedEngine{N=1,2,8}` and the unsharded engine answer every query
-//!   identically (pinned by `tests/proptests.rs`).
+//!   topology. The fan-out runs on the calling thread, one shard after
+//!   another in index order, for reads and writes alike: the by-user reads
+//!   that dominate the regulator and customer mixes touch ≈ 3 records, far
+//!   less work than a hand-off per shard costs, and requests already run
+//!   in parallel on their callers' threads. This is what makes shard count
+//!   an *invisible* deployment knob: `ShardedEngine{N=1,2,8}` and the
+//!   unsharded engine answer every query identically (pinned by
+//!   `tests/proptests.rs`).
 //!
 //! Compliance semantics stay centralized: each shard *is* a full
 //! [`ComplianceEngine`] (authorization, visibility, per-shard
@@ -50,8 +51,7 @@ use crate::store::{RecordPredicate, RecordStore};
 use crate::telemetry::{OpTelemetry, OpTelemetrySnapshot};
 use crate::tenant::{TenantId, TenantTable};
 use crate::GdprConnector;
-use parking_lot::Mutex;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// The stable key→shard map: FNV-1a over the key bytes, mod `shard_count`.
 /// Deliberately *not* a randomized hasher — the placement must be identical
@@ -78,62 +78,6 @@ pub fn shard_count_from_env() -> usize {
         .max(1)
 }
 
-/// A long-lived worker pool for predicate fan-out: one `FanoutPool` per
-/// sharded engine, `min(shards, cores)` threads, fed boxed jobs over an
-/// mpsc channel. Hand-rolled on threads + a shared receiver because the
-/// offline build has no executor crate — the same reason the server
-/// crate's connection pool is hand-rolled.
-struct FanoutPool {
-    sender: Mutex<Option<mpsc::Sender<FanJob>>>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-type FanJob = Box<dyn FnOnce() + Send + 'static>;
-
-impl FanoutPool {
-    fn new(threads: usize) -> FanoutPool {
-        let (sender, receiver) = mpsc::channel::<FanJob>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only to dequeue; run the job unlocked so
-                    // shard probes genuinely overlap.
-                    let job = match receiver.lock().recv() {
-                        Ok(job) => job,
-                        Err(_) => return, // pool dropped
-                    };
-                    job();
-                })
-            })
-            .collect();
-        FanoutPool {
-            sender: Mutex::new(Some(sender)),
-            workers: Mutex::new(workers),
-        }
-    }
-
-    fn submit(&self, job: FanJob) {
-        if let Some(sender) = self.sender.lock().as_ref() {
-            // Send can only fail after shutdown, which drops the receiver —
-            // and shutdown happens strictly after the last submit.
-            let _ = sender.send(job);
-        }
-    }
-}
-
-impl Drop for FanoutPool {
-    fn drop(&mut self) {
-        // Closing the channel is the shutdown signal; workers drain what
-        // was already queued and exit on the recv error.
-        *self.sender.lock() = None;
-        for handle in self.workers.lock().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// A compliance engine hash-partitioned across N inner engines, one store
 /// (and optional metadata index) per shard.
 pub struct ShardedEngine<S: RecordStore> {
@@ -147,12 +91,9 @@ pub struct ShardedEngine<S: RecordStore> {
     /// them via `dispatch`, below their execute entry points.
     tenants: Arc<TenantTable>,
     name: String,
-    /// Workers for parallel predicate fan-out; `None` for a single shard,
-    /// where fan-out degenerates to one probe.
-    fanout: Option<FanoutPool>,
 }
 
-impl<S: RecordStore + 'static> ShardedEngine<S> {
+impl<S: RecordStore> ShardedEngine<S> {
     /// Shard each store behind a plain engine (predicates resolve by
     /// pushdown or scan within each shard).
     pub fn new(stores: Vec<S>) -> GdprResult<ShardedEngine<S>> {
@@ -258,17 +199,9 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
             }
         }
         let name = format!("{}-sharded", first.store().name());
-        // Parallel fan-out pays off only with something to overlap: cap the
-        // workers at the machine's parallelism, skip the pool entirely for
-        // one shard.
-        let fanout = (shards.len() > 1).then(|| {
-            let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
-            FanoutPool::new(shards.len().min(cores.max(2)))
-        });
         Ok(ShardedEngine {
             tenants: TenantTable::new(clock, false),
             name,
-            fanout,
             shards,
         })
     }
@@ -311,11 +244,6 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
         } else {
             self.shard_for(&session.tenant.storage_key(key))
         }
-    }
-
-    /// Is predicate fan-out running on the worker pool (vs sequentially)?
-    pub fn parallel_fanout(&self) -> bool {
-        self.fanout.is_some()
     }
 
     /// The default tenant's unified audit trail serving GET-SYSTEM-LOGS
@@ -396,16 +324,14 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
 
     /// Run a predicate query on every shard and merge deterministically.
     ///
-    /// *Reads* fan out in parallel on the worker pool: shard probes are
-    /// independent, results are collected into shard-order slots before
-    /// merging, and on failure the lowest-indexed shard's error is returned
-    /// — so the response (and the merge order) never depends on thread
-    /// timing. *Writes* stay sequential: a mid-fan-out failure leaves the
+    /// The shards are visited on the calling thread in index order and the
+    /// walk stops at the first failing shard, whose error is the query's:
+    /// the response and the merge order depend on nothing but the shard
+    /// states. For a write, a mid-fan-out failure therefore leaves the
     /// shards before the failing one committed and the rest untouched
     /// (each shard's own batch is as atomic as its store's
     /// [`crate::store::RecordStore::apply`]; nothing is atomic across
-    /// shards), and parallel shards would smear partial updates across
-    /// all of them.
+    /// shards); for a read, the shards after it are not read at all.
     ///
     /// Group metadata updates additionally **pre-validate on every shard
     /// before any shard commits**: the unsharded engine's
@@ -446,55 +372,9 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
                 }
             }
         }
-        let results: Vec<GdprResult<GdprResponse>> = match &self.fanout {
-            Some(pool) if !query.is_write() => {
-                let (tx, rx) = mpsc::channel();
-                for (i, shard) in self.shards.iter().enumerate() {
-                    let shard = Arc::clone(shard);
-                    let session = session.clone();
-                    let query = query.clone();
-                    let tx = tx.clone();
-                    pool.submit(Box::new(move || {
-                        // A panicking shard must not hang the collector: it
-                        // still reports, as a loud store error.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            shard.dispatch(&session, &query)
-                        }))
-                        .unwrap_or_else(|_| {
-                            Err(GdprError::Store(
-                                "shard fan-out worker panicked".to_string(),
-                            ))
-                        });
-                        let _ = tx.send((i, result));
-                    }));
-                }
-                drop(tx);
-                let mut slots: Vec<Option<GdprResult<GdprResponse>>> =
-                    (0..self.shards.len()).map(|_| None).collect();
-                for (i, result) in rx {
-                    slots[i] = Some(result);
-                }
-                if slots.iter().any(Option::is_none) {
-                    return Err(GdprError::Store(
-                        "shard fan-out lost a worker response".to_string(),
-                    ));
-                }
-                slots.into_iter().flatten().collect()
-            }
-            _ => {
-                let mut results = Vec::with_capacity(self.shards.len());
-                for shard in &self.shards {
-                    results.push(shard.dispatch(session, query));
-                    if results.last().is_some_and(Result::is_err) {
-                        break;
-                    }
-                }
-                results
-            }
-        };
-        let mut responses = Vec::with_capacity(results.len());
-        for result in results {
-            responses.push(result?);
+        let mut responses = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            responses.push(shard.dispatch(session, query)?);
         }
         merge_responses(responses)
     }
@@ -638,7 +518,7 @@ fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
 
 /// A sharded engine is a connector like any other; callers cannot tell a
 /// router from a single engine (the whole point).
-impl<S: RecordStore + 'static> GdprConnector for ShardedEngine<S> {
+impl<S: RecordStore> GdprConnector for ShardedEngine<S> {
     fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
         ShardedEngine::execute(self, session, query)
     }
@@ -963,47 +843,107 @@ mod tests {
             .is_some());
     }
 
-    #[test]
-    fn parallel_fanout_runs_on_multi_shard_engines_only() {
-        assert!(
-            !sharded(1).parallel_fanout(),
-            "one shard has nothing to overlap"
-        );
-        let engine = sharded(8);
-        assert!(engine.parallel_fanout());
-        // Many concurrent fan-outs over the shared pool: every reader must
-        // see the identical deterministic merge.
-        let controller = Session::controller();
+    /// 32 of `neo`'s `ads` records over four shards: every shard holds
+    /// some, so every shard's store is read by a by-user or by-purpose
+    /// query.
+    fn four_populated_shards() -> ShardedEngine<MemStore> {
+        let engine = sharded(4);
         for i in 0..32 {
             engine
                 .execute(
-                    &controller,
+                    &Session::controller(),
                     &GdprQuery::CreateRecord(record(&format!("k{i}"), "neo", &["ads"])),
                 )
                 .unwrap();
         }
-        let expected = engine
-            .execute(
-                &Session::customer("neo"),
-                &GdprQuery::ReadDataByUser("neo".into()),
-            )
-            .unwrap();
-        assert_eq!(expected.cardinality(), 32);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..25 {
-                        let resp = engine
-                            .execute(
-                                &Session::customer("neo"),
-                                &GdprQuery::ReadDataByUser("neo".into()),
-                            )
-                            .unwrap();
-                        assert_eq!(resp, expected);
-                    }
-                });
+        for shard in engine.shards() {
+            assert!(shard.store().record_count() > 0);
+        }
+        engine
+    }
+
+    fn neo_reads() -> [(Session, GdprQuery); 2] {
+        [
+            (
+                Session::customer("neo"),
+                GdprQuery::ReadMetadataByUser("neo".into()),
+            ),
+            (
+                Session::processor("ads"),
+                GdprQuery::ReadDataByPurpose("ads".into()),
+            ),
+        ]
+    }
+
+    /// `Threads:` of `/proc/self/status`.
+    #[cfg(target_os = "linux")]
+    fn process_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+        line["Threads:".len()..].trim().parse().unwrap()
+    }
+
+    #[test]
+    fn reads_fan_out_on_the_calling_thread() {
+        let engine = four_populated_shards();
+        for (session, query) in neo_reads() {
+            // A thread of its own, so the id cannot be the loader's.
+            let caller = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let resp = engine.execute(&session, &query).unwrap();
+                        assert_eq!(resp.cardinality(), 32);
+                        std::thread::current().id()
+                    })
+                    .join()
+                    .unwrap()
+            });
+            for shard in engine.shards() {
+                assert_eq!(*shard.store().last_read_by.lock(), Some(caller));
             }
-        });
+        }
+        // An engine owns no threads. Sibling tests start and finish on
+        // threads of their own, so one quiet attempt out of a few suffices
+        // (an engine that spawned workers would be off on all of them).
+        #[cfg(target_os = "linux")]
+        {
+            let observed: Vec<[usize; 3]> = (0..20)
+                .map(|_| {
+                    let before = process_threads();
+                    let engine = sharded(4);
+                    let built = process_threads();
+                    drop(engine);
+                    [before, built, process_threads()]
+                })
+                .collect();
+            assert!(
+                observed.iter().any(|[a, b, c]| a == b && b == c),
+                "thread count moved with the engine: {observed:?}"
+            );
+        }
+    }
+
+    /// The failure contract reads share with writes: the walk stops at the
+    /// first failing shard and answers with its error.
+    #[test]
+    fn a_failing_shard_ends_a_predicate_read_there() {
+        for (session, query) in neo_reads() {
+            let engine = four_populated_shards();
+            for shard in engine.shards() {
+                *shard.store().last_read_by.lock() = None;
+            }
+            *engine.shards()[1].store().fail_reads.lock() = true;
+            match engine.execute(&session, &query) {
+                Err(GdprError::Store(msg)) => assert_eq!(msg, "injected read failure"),
+                other => panic!("expected shard 1's store error, got {other:?}"),
+            }
+            let read: Vec<bool> = engine
+                .shards()
+                .iter()
+                .map(|shard| shard.store().last_read_by.lock().is_some())
+                .collect();
+            assert_eq!(read, [true, true, false, false], "{query:?}");
+        }
     }
 
     /// Regression (write-path consistency): a group update that is invalid

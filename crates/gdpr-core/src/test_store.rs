@@ -9,19 +9,26 @@ use crate::store::{apply_each, Applied, RecordStore, WriteOp};
 use clock::SharedClock;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// A trivial in-memory [`RecordStore`] with no pushdown — exercises the
 /// engines' scan and index paths in isolation from the real backends —
 /// plus a native deadline table so `put_with_deadline`, `deadline_ms`
-/// and the store-side purge are exercised too, and an injectable write
-/// failure so both [`RecordStore::apply`] contracts can be pinned.
+/// and the store-side purge are exercised too, an injectable write
+/// failure so both [`RecordStore::apply`] contracts can be pinned, and an
+/// injectable read failure plus the last reader's thread so the router's
+/// fan-out contract can be.
 pub(crate) struct MemStore {
     pub(crate) rows: Mutex<BTreeMap<String, PersonalRecord>>,
     deadlines: Mutex<BTreeMap<String, u64>>,
     clock: SharedClock,
     /// `Some(k)`: the next `k` rewrites/deletes succeed, then one fails.
     pub(crate) fail_after: Mutex<Option<usize>>,
+    /// Every `fetch` and `scan` fails while set.
+    pub(crate) fail_reads: Mutex<bool>,
+    /// The thread the last `fetch` or `scan` ran on, failed ones included.
+    pub(crate) last_read_by: Mutex<Option<ThreadId>>,
     /// Run `apply` all-or-none (roll back on failure) instead of through
     /// the trait's default loop.
     pub(crate) atomic: bool,
@@ -39,8 +46,19 @@ impl MemStore {
             deadlines: Mutex::new(BTreeMap::new()),
             clock,
             fail_after: Mutex::new(None),
+            fail_reads: Mutex::new(false),
+            last_read_by: Mutex::new(None),
             atomic: false,
         }
+    }
+
+    /// Note who reads, and fail if armed.
+    fn read_allowed(&self) -> GdprResult<()> {
+        *self.last_read_by.lock() = Some(std::thread::current().id());
+        if *self.fail_reads.lock() {
+            return Err(GdprError::Store("injected read failure".to_string()));
+        }
+        Ok(())
     }
 
     /// Count one rewrite/delete against the armed failure.
@@ -65,6 +83,7 @@ impl RecordStore for MemStore {
         self.clock.clone()
     }
     fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
+        self.read_allowed()?;
         Ok(self.rows.lock().get(key).cloned())
     }
     fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
@@ -119,6 +138,7 @@ impl RecordStore for MemStore {
         applied
     }
     fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
+        self.read_allowed()?;
         Ok(self.rows.lock().values().cloned().collect())
     }
     fn purge_expired(&self) -> GdprResult<usize> {
