@@ -46,7 +46,6 @@ fn engine_handles() -> Vec<EngineHandle> {
 fn served(engine: EngineHandle) -> Box<dyn GdprConnector> {
     let config = gdpr_server::ServerConfig {
         workers: 2,
-        queue_depth: 32,
         ..Default::default()
     };
     Box::new(RemoteConnector::serve_in_process_with(engine, 2, config).unwrap())
@@ -1545,7 +1544,6 @@ fn encrypted_transport_is_byte_equivalent_to_plaintext_and_in_process() {
     let local: EngineHandle = Arc::new(RedisConnector::with_metadata_index(open_kv()).unwrap());
     let plain_config = gdpr_server::ServerConfig {
         workers: 2,
-        queue_depth: 32,
         encrypt: None,
         ..Default::default()
     };
@@ -1793,7 +1791,6 @@ fn tenants_are_fully_isolated_over_the_encrypted_transport() {
     let local: EngineHandle = Arc::new(RedisConnector::with_metadata_index(open_kv()).unwrap());
     let plain_config = gdpr_server::ServerConfig {
         workers: 2,
-        queue_depth: 32,
         encrypt: None,
         ..Default::default()
     };

@@ -46,7 +46,8 @@ pub trait GdprConnector: Send + Sync {
     /// [`GdprConnector::execute`] sequentially — per-op responses, per-op
     /// errors, audit entries in op order. The default does exactly that,
     /// and both in-process engines keep it: a batch is the unit a server
-    /// hands to an executor thread, not a different execution path. The
+    /// event loop runs for one connection's pipelined burst, not a
+    /// different execution path. The
     /// hook exists for connectors with a per-call cost worth amortizing —
     /// the remote client pipelines the whole batch onto one connection —
     /// so every wrapper must forward it.

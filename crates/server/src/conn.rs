@@ -1,7 +1,7 @@
 //! Per-connection state for the event loop: an incremental frame decoder
 //! that tolerates arbitrarily fragmented input (nonblocking reads deliver
-//! whatever the kernel has, never whole frames), the decoded-request
-//! queue feeding server-side batches, and the outbound buffer that
+//! whatever the kernel has, never whole frames), the decoded-op type
+//! server-side batches carry, and the outbound buffer that
 //! level-triggered write draining empties.
 //!
 //! [`FrameDecoder`] is the nonblocking twin of [`crate::wire::read_frame`]
@@ -11,10 +11,7 @@
 use crate::wire::RequestBody;
 use crypto::channel::DuplexChannel;
 use gdpr_core::tenant::TenantId;
-use std::collections::VecDeque;
 use std::net::TcpStream;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Incremental decoder for the wire framing (`u32` BE length + payload).
@@ -131,7 +128,7 @@ impl OutBuf {
 
 /// One decoded inbound item, in stream order.
 // `Request` dwarfs `Canned`, but ops live only from decode to batch
-// submission on the hot path — boxing the body would buy the rare
+// execution on the hot path — boxing the body would buy the rare
 // protocol-error case nothing and cost every request an allocation.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum DecodedOp {
@@ -143,7 +140,8 @@ pub(crate) enum DecodedOp {
         tenant: TenantId,
         body: RequestBody,
         /// When the frame came off the decoder — the start of the
-        /// `decode_wait` telemetry stage (decode → executor pickup).
+        /// `decode_wait` telemetry stage (decoded → its batch starts on
+        /// the loop).
         decoded_at: Instant,
     },
     /// A pre-encoded response payload (protocol error) that must be
@@ -165,25 +163,21 @@ pub(crate) enum Transport {
     Secure(Box<DuplexChannel>),
 }
 
-/// Per-connection counters, served over the wire for `ConnStats`.
+/// Per-connection counters, served over the wire for `ConnStats`. Only
+/// the connection's own loop thread touches them.
 #[derive(Debug, Default)]
 pub(crate) struct ConnCounters {
-    pub requests: AtomicU64,
-    pub errors: AtomicU64,
-    pub bytes_in: AtomicU64,
-    pub bytes_out: AtomicU64,
+    pub requests: u64,
+    pub errors: u64,
+    pub bytes_in: u64,
+    pub bytes_out: u64,
 }
 
 /// Everything the event loop tracks for one accepted connection.
 pub(crate) struct Conn {
     pub stream: TcpStream,
     pub decoder: FrameDecoder,
-    /// Decoded requests not yet handed to the executor.
-    pub pending: VecDeque<DecodedOp>,
     pub outbuf: OutBuf,
-    /// One batch at a time per connection keeps response order trivial:
-    /// new frames accumulate in `pending` while it runs.
-    pub in_flight: bool,
     /// Framing/decoding no longer trusted; stop reading, flush, close.
     pub poisoned: bool,
     /// Emit everything owed, then close.
@@ -192,7 +186,7 @@ pub(crate) struct Conn {
     pub peer_eof: bool,
     /// Currently registered (readable, writable) interest.
     pub interest: (bool, bool),
-    pub counters: Arc<ConnCounters>,
+    pub counters: ConnCounters,
     /// Last instant the outbound buffer made progress (or became owed);
     /// a stalled non-draining peer is killed past the write timeout.
     pub last_write_progress: Instant,
@@ -217,14 +211,12 @@ impl Conn {
         Conn {
             stream,
             decoder: FrameDecoder::new(decode_max),
-            pending: VecDeque::new(),
             outbuf: OutBuf::default(),
-            in_flight: false,
             poisoned: false,
             close_after_flush: false,
             peer_eof: false,
             interest: (true, false),
-            counters: Arc::new(ConnCounters::default()),
+            counters: ConnCounters::default(),
             last_write_progress: Instant::now(),
             write_batch_started: None,
             transport: if encrypted {
@@ -239,13 +231,19 @@ impl Conn {
     /// the transport is established. `bytes` must be a whole number of
     /// wire frames (`u32` BE length + payload) — exactly what `run_batch`
     /// produces — because sealing happens per frame: the record layer
-    /// re-frames `frame(payload)` as `frame(seal(payload))`.
+    /// re-frames `frame(payload)` as `frame(seal(payload))`. Batches run
+    /// in op order on the connection's one loop thread, so sequence
+    /// numbers follow send order.
     ///
-    /// Sealing on enqueue (loop thread) rather than in the executor keeps
-    /// cipher state single-threaded and sequence numbers in send order —
-    /// completions land here in submission order, one batch in flight per
-    /// connection.
+    /// Responses landing on an empty outbuf start the write obligation:
+    /// stall tracking must not count the idle time before it, and the
+    /// same instant starts the `write_drain` telemetry stage.
     pub fn enqueue(&mut self, bytes: Vec<u8>) {
+        if self.outbuf.is_empty() && !bytes.is_empty() {
+            let now = Instant::now();
+            self.last_write_progress = now;
+            self.write_batch_started = Some(now);
+        }
         let Transport::Secure(channel) = &mut self.transport else {
             self.outbuf.extend(bytes);
             return;
@@ -264,11 +262,6 @@ impl Conn {
         }
         debug_assert_eq!(pos, bytes.len(), "enqueue of a partial frame");
         self.outbuf.extend(sealed_out);
-    }
-
-    /// Nothing owed to the peer and nothing executing.
-    pub fn drained(&self) -> bool {
-        self.outbuf.is_empty() && self.pending.is_empty() && !self.in_flight
     }
 }
 

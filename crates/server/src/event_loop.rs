@@ -1,31 +1,37 @@
-//! The readiness-driven core: one thread multiplexing every connection
-//! over [`crate::sys::Poller`] (level-triggered epoll), with engine work
-//! offloaded to the [`crate::pool::Executor`] as per-connection batches.
+//! The readiness-driven core: `ServerConfig::workers` event-loop threads,
+//! each multiplexing its own connections over its own
+//! [`crate::sys::Poller`] (level-triggered epoll) and running every
+//! decoded request to completion on that thread — the Redis shape.
 //!
 //! ```text
-//!        ┌───────────────── event loop (1 thread) ─────────────────┐
-//! accept │ nonblocking reads → FrameDecoder → pending ops          │
-//!        │        └── burst of N ops → one executor batch ──┐      │
-//!        │ completions (wake) → outbuf → nonblocking writes │      │
-//!        └──────────────────────────────────────────────────┼──────┘
-//!                                                           ▼
-//!                                     Executor: engine.execute_batch(ops)
+//!            ┌──────────── loop 0 (acceptor) ────────────┐
+//! accept ───▶│ least-loaded loop? ─ self ─▶ register     │
+//!            │        └─ other ─▶ inbox + wake ──────────┼──┐
+//!            │ reads → FrameDecoder → run_batch → writes │  │
+//!            └───────────────────────────────────────────┘  │
+//!            ┌──────────── loop k (k ≥ 1) ───────────────┐  │
+//!            │ wake → drain inbox → register ◀───────────┼──┘
+//!            │ reads → FrameDecoder → run_batch → writes │
+//!            └───────────────────────────────────────────┘
 //! ```
 //!
-//! `execute_batch` is one executor hand-off, not a second execution path:
-//! the in-process engines run the ops in order, one audit append per op.
+//! Loop 0 alone holds the listener and the optional metrics listener. It
+//! hands each accepted stream to the loop with the fewest live
+//! connections (ties to the lowest index) — one inbox push and one wake
+//! per connection; from then on the connection never leaves that loop.
 //!
-//! Ordering needs no sequencer: at most one batch per connection is in
-//! flight, its responses are encoded into one buffer in op order, and the
-//! loop appends completion buffers to the connection's outbuf in
-//! submission order.
+//! Ordering needs no sequencer: per readable wake a connection's decoded
+//! ops (at most `READ_BUDGET` bytes of them) execute right there, in
+//! chunks of `MAX_BATCH`, and each chunk's responses are appended to
+//! the outbuf in op order before the next chunk runs.
 //!
-//! Backpressure is two-staged: a full executor queue leaves batches
-//! pending on their connections, and a connection whose pending ops or
-//! outbuf cross their high-water marks gets its read interest dropped —
-//! the kernel socket buffer then fills and the client blocks, exactly the
-//! end state the old blocking pool submit produced, but without a thread
-//! parked per connection.
+//! The trade: an op runs on the thread that owns its connection, so a
+//! predicate-sized op delays every other connection on the same loop for
+//! its duration. The served workloads send point and by-user ops.
+//!
+//! Backpressure is TCP's: a connection whose outbuf crosses its
+//! high-water mark has its read interest dropped until the client drains
+//! responses, so the kernel socket buffer fills and the client blocks.
 
 use crate::conn::{Conn, DecodedOp, Transport};
 use crate::secure;
@@ -33,11 +39,12 @@ use crate::server::{run_batch, ServerShared};
 use crate::sys;
 use crate::wire::{self, ResponseBody};
 use crypto::CryptoError;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,18 +64,14 @@ const READ_BUDGET: usize = 256 * 1024;
 const ACCEPT_BURST: usize = 256;
 
 /// How long the listener stays deaf after fd exhaustion before retrying.
-/// A connection closing resumes it earlier — that is the event that
-/// actually frees a descriptor.
+/// A connection closing on loop 0 resumes it earlier — that is the event
+/// that actually frees a descriptor; closes on other loops wait for this.
 const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
 
-/// Most ops one server-side batch may carry; a longer pipelined burst is
-/// split so a single connection cannot monopolize an executor thread for
-/// an unbounded stretch.
+/// Most ops one engine batch may carry: a longer pipelined burst runs as
+/// several batches, which bounds each batch's op vector and response
+/// buffer.
 const MAX_BATCH: usize = 128;
-
-/// Decoded-but-unexecuted ops a connection may accumulate before its read
-/// interest is dropped.
-const MAX_PENDING_OPS: usize = 4096;
 
 /// Outbound-buffer size past which a connection's read interest is
 /// dropped until the client drains responses.
@@ -77,41 +80,45 @@ const OUTBUF_HIGH_WATER: usize = 8 << 20;
 const EMFILE: i32 = 24;
 const ENFILE: i32 = 23;
 
-/// A batch's encoded responses, handed back from the executor.
-pub(crate) struct Completion {
-    pub token: u64,
-    pub bytes: Vec<u8>,
+/// What the acceptor and `GdprServer` see of one event loop: the streams
+/// handed to it, how many live connections it owns, and its waker.
+pub(crate) struct LoopShared {
+    /// Streams accepted by loop 0 and not yet registered by this loop.
+    pub inbox: Mutex<Vec<TcpStream>>,
+    /// Live connections owned by this loop, counting streams still in
+    /// the inbox: incremented by the acceptor when it picks this loop,
+    /// decremented by this loop on close or failed registration.
+    pub load: AtomicUsize,
+    /// Write side of the loop's wake socketpair.
+    wake_tx: TcpStream,
 }
 
-/// The executor-side handle that re-arms the loop: a loopback socketpair
-/// built purely with std (the no-libc twin of an eventfd).
-pub(crate) struct Waker {
-    tx: parking_lot::Mutex<TcpStream>,
-}
-
-impl Waker {
-    pub fn wake(&self) {
-        // A full pipe means a wake is already pending; any error beyond
-        // that means the loop is gone and waking is moot.
-        let _ = self.tx.lock().write(&[1]);
+impl LoopShared {
+    /// A loop's shared half plus the read side of its wake socketpair: an
+    /// ephemeral loopback listener, one connect, one accept, listener
+    /// dropped — built purely with std (the no-libc twin of an eventfd).
+    pub fn new() -> io::Result<(LoopShared, TcpStream)> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let wake_tx = TcpStream::connect(listener.local_addr()?)?;
+        let (wake_rx, _) = listener.accept()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_tx.set_nodelay(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let shared = LoopShared {
+            inbox: Mutex::default(),
+            load: AtomicUsize::new(0),
+            wake_tx,
+        };
+        Ok((shared, wake_rx))
     }
-}
 
-/// The wake socketpair: an ephemeral loopback listener, one connect, one
-/// accept, listener dropped. Returns (write side, read side).
-pub(crate) fn wake_pair() -> io::Result<(Waker, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((
-        Waker {
-            tx: parking_lot::Mutex::new(tx),
-        },
-        rx,
-    ))
+    /// Re-arm the loop from another thread. A one-byte write is atomic,
+    /// so concurrent wakers need no lock. A full pipe means a wake is
+    /// already pending; any error beyond that means the loop is gone and
+    /// waking is moot.
+    pub fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
 }
 
 /// One connection to the metrics exposition listener: the full HTTP
@@ -126,9 +133,13 @@ struct MetricsConn {
 
 pub(crate) struct EventLoop {
     shared: Arc<ServerShared>,
+    /// This loop's position in `shared.loops`.
+    index: usize,
     poller: sys::Poller,
-    listener: TcpListener,
-    /// Plaintext Prometheus exposition listener, when configured.
+    /// The data listener — loop 0 only.
+    listener: Option<TcpListener>,
+    /// Plaintext Prometheus exposition listener — loop 0 only, when
+    /// configured.
     metrics_listener: Option<TcpListener>,
     wake_rx: TcpStream,
     conns: HashMap<u64, Conn>,
@@ -136,8 +147,6 @@ pub(crate) struct EventLoop {
     /// `conns`; a token is in at most one of the two maps).
     metrics_conns: HashMap<u64, MetricsConn>,
     next_token: u64,
-    /// Connections whose batch submission found the executor full.
-    stalled: Vec<u64>,
     events: Vec<sys::Event>,
     scratch: Vec<u8>,
     last_stall_check: Instant,
@@ -149,13 +158,16 @@ pub(crate) struct EventLoop {
 impl EventLoop {
     pub fn new(
         shared: Arc<ServerShared>,
-        poller: sys::Poller,
-        listener: TcpListener,
+        index: usize,
+        listener: Option<TcpListener>,
         metrics_listener: Option<TcpListener>,
         wake_rx: TcpStream,
     ) -> io::Result<EventLoop> {
-        listener.set_nonblocking(true)?;
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+        let poller = sys::Poller::new()?;
+        if let Some(listener) = &listener {
+            listener.set_nonblocking(true)?;
+            poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+        }
         poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, true, false)?;
         if let Some(metrics) = &metrics_listener {
             metrics.set_nonblocking(true)?;
@@ -163,6 +175,7 @@ impl EventLoop {
         }
         Ok(EventLoop {
             shared,
+            index,
             poller,
             listener,
             metrics_listener,
@@ -170,7 +183,6 @@ impl EventLoop {
             conns: HashMap::new(),
             metrics_conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
-            stalled: Vec::new(),
             events: Vec::with_capacity(256),
             scratch: vec![0; 64 * 1024],
             last_stall_check: Instant::now(),
@@ -201,7 +213,10 @@ impl EventLoop {
             for event in &events {
                 match event.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.drain_wake(),
+                    TOKEN_WAKE => {
+                        self.drain_wake();
+                        self.register_handoffs();
+                    }
                     TOKEN_METRICS => self.accept_metrics(),
                     token if self.metrics_conns.contains_key(&token) => {
                         if event.writable {
@@ -219,23 +234,31 @@ impl EventLoop {
                 }
             }
             self.events = events;
-            self.process_completions();
             self.check_write_stalls();
             self.resume_accepting(false);
         }
         self.drain_on_shutdown();
     }
 
+    /// Loop 0 only: accept a burst and place each stream on the loop with
+    /// the fewest live connections (ties to the lowest index) — directly
+    /// when that is this loop, otherwise through the target's inbox and
+    /// waker. Each stream is placed as soon as it is accepted, so a burst
+    /// cut short by fd exhaustion has already placed everything it took.
     fn accept_ready(&mut self) {
         for _ in 0..ACCEPT_BURST {
-            let stream = match self.listener.accept() {
+            let Some(listener) = &self.listener else {
+                return;
+            };
+            let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if matches!(e.raw_os_error(), Some(EMFILE) | Some(ENFILE)) => {
                     // Out of descriptors: go deaf on the listener instead
                     // of spinning on a backlog this process cannot accept.
                     // Existing connections keep full service; the next
-                    // close (or the pause deadline) resumes accepting.
+                    // close on this loop (or the pause deadline) resumes
+                    // accepting.
                     self.pause_accepting();
                     return;
                 }
@@ -258,26 +281,61 @@ impl EventLoop {
             // Response frames are small; waiting for ACKs to coalesce them
             // (Nagle) would serialize the request/response pattern.
             stream.set_nodelay(true).ok();
-            let token = self.next_token;
-            self.next_token += 1;
             let stats = &self.shared.stats;
             stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
             stats.connections_active.fetch_add(1, Ordering::Relaxed);
-            let conn = Conn::new(
-                stream,
-                self.shared.config.max_frame,
-                self.shared.config.encrypt.is_some(),
-            );
-            if self
-                .poller
-                .add(conn.stream.as_raw_fd(), token, true, false)
-                .is_err()
-            {
-                stats.connections_active.fetch_sub(1, Ordering::Relaxed);
-                continue;
+            let loops = &self.shared.loops;
+            let target = (0..loops.len())
+                .min_by_key(|&i| loops[i].load.load(Ordering::Relaxed))
+                .unwrap_or(0);
+            loops[target].load.fetch_add(1, Ordering::Relaxed);
+            if target == self.index {
+                self.register(stream);
+            } else {
+                loops[target].inbox.lock().push(stream);
+                loops[target].wake();
             }
-            self.conns.insert(token, conn);
         }
+    }
+
+    /// Register every stream the acceptor handed to this loop.
+    fn register_handoffs(&mut self) {
+        let streams = std::mem::take(&mut *self.shared.loops[self.index].inbox.lock());
+        for stream in streams {
+            self.register(stream);
+        }
+    }
+
+    /// Start serving a placed stream on this loop; on failure drop it and
+    /// give back the counts its placement took.
+    fn register(&mut self, stream: TcpStream) {
+        let token = self.next_token;
+        self.next_token += 1;
+        let conn = Conn::new(
+            stream,
+            self.shared.config.max_frame,
+            self.shared.config.encrypt.is_some(),
+        );
+        if self
+            .poller
+            .add(conn.stream.as_raw_fd(), token, true, false)
+            .is_err()
+        {
+            self.release_slot();
+            return;
+        }
+        self.conns.insert(token, conn);
+    }
+
+    /// One connection of this loop is gone (closed, or never registered).
+    fn release_slot(&self) {
+        self.shared
+            .stats
+            .connections_active
+            .fetch_sub(1, Ordering::Relaxed);
+        self.shared.loops[self.index]
+            .load
+            .fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Accept metrics scrapes: compose the full HTTP response immediately
@@ -361,10 +419,13 @@ impl EventLoop {
     }
 
     fn pause_accepting(&mut self) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
         if self.accept_paused_until.is_none()
             && self
                 .poller
-                .modify(self.listener.as_raw_fd(), TOKEN_LISTENER, false, false)
+                .modify(listener.as_raw_fd(), TOKEN_LISTENER, false, false)
                 .is_err()
         {
             // Could not silence the listener; fall back to a short sleep
@@ -376,10 +437,11 @@ impl EventLoop {
     }
 
     /// Re-arm the listener after fd exhaustion. `force` retries
-    /// immediately (a descriptor was just freed); otherwise only once the
-    /// pause deadline passes.
+    /// immediately (a descriptor was just freed on this loop); otherwise
+    /// only once the pause deadline passes — which is how a close on
+    /// another loop is noticed, at loop 0's next tick.
     fn resume_accepting(&mut self, force: bool) {
-        let Some(deadline) = self.accept_paused_until else {
+        let (Some(deadline), Some(listener)) = (self.accept_paused_until, &self.listener) else {
             return;
         };
         if !force && Instant::now() < deadline {
@@ -387,7 +449,7 @@ impl EventLoop {
         }
         if self
             .poller
-            .modify(self.listener.as_raw_fd(), TOKEN_LISTENER, true, false)
+            .modify(listener.as_raw_fd(), TOKEN_LISTENER, true, false)
             .is_ok()
         {
             self.accept_paused_until = None;
@@ -407,7 +469,6 @@ impl EventLoop {
     }
 
     fn conn_readable(&mut self, token: u64) {
-        let config = self.shared.config.clone();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -422,9 +483,7 @@ impl EventLoop {
                     break;
                 }
                 Ok(n) => {
-                    conn.counters
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                    conn.counters.bytes_in += n as u64;
                     conn.decoder.push(&self.scratch[..n]);
                     budget = budget.saturating_sub(n);
                     if budget == 0 {
@@ -444,6 +503,8 @@ impl EventLoop {
         // framing outright (no response can be attributed to a seq).
         // On an encrypted transport each frame payload first crosses the
         // record layer: the hello while handshaking, sealed records after.
+        let config = &self.shared.config;
+        let mut pending = Vec::new();
         while !conn.poisoned {
             match conn.decoder.next_frame() {
                 Ok(Some(payload)) => {
@@ -510,7 +571,7 @@ impl EventLoop {
                         },
                     };
                     match wire::decode_request(&plaintext) {
-                        Ok((seq, tenant, body)) => conn.pending.push_back(DecodedOp::Request {
+                        Ok((seq, tenant, body)) => pending.push(DecodedOp::Request {
                             seq,
                             tenant,
                             body,
@@ -529,11 +590,10 @@ impl EventLoop {
                             let seq = plaintext
                                 .get(1..9)
                                 .map_or(0, |b| u64::from_be_bytes(b.try_into().unwrap()));
-                            conn.pending
-                                .push_back(DecodedOp::Canned(wire::encode_response(
-                                    seq,
-                                    &ResponseBody::Protocol(err.to_string()),
-                                )));
+                            pending.push(DecodedOp::Canned(wire::encode_response(
+                                seq,
+                                &ResponseBody::Protocol(err.to_string()),
+                            )));
                             conn.poisoned = true;
                             conn.close_after_flush = true;
                             conn.decoder.clear();
@@ -555,93 +615,19 @@ impl EventLoop {
         if conn.peer_eof {
             conn.close_after_flush = true;
         }
-        if conn.close_after_flush && conn.drained() {
-            self.close_conn(token);
-            return;
+        // Run to completion: everything this wake decoded executes now,
+        // on this thread, and its responses join the outbuf in op order.
+        let mut ops = pending.into_iter().peekable();
+        while ops.peek().is_some() {
+            let batch: Vec<DecodedOp> = ops.by_ref().take(MAX_BATCH).collect();
+            let bytes = run_batch(&self.shared, &mut conn.counters, batch);
+            conn.enqueue(bytes);
         }
-        // Flush eagerly so a handshake ack does not wait a poll cycle.
-        if !conn.outbuf.is_empty() {
-            self.flush_conn(token);
-        }
-        self.try_submit(token);
+        // Opportunistic write: a batch's responses almost always fit the
+        // socket buffer, so skip the EPOLLOUT round trip in the common
+        // case. Also closes a connection that owes nothing and is done.
+        self.flush_conn(token);
         self.update_interest(token);
-    }
-
-    /// Hand the connection's pending burst to the executor as one batch —
-    /// unless one is already in flight (ordering) or the executor is full
-    /// (the batch stays pending; retried on the next completion wake).
-    fn try_submit(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.in_flight || conn.pending.is_empty() {
-            return;
-        }
-        if !self.shared.executor.has_capacity() {
-            if !self.stalled.contains(&token) {
-                self.stalled.push(token);
-            }
-            return;
-        }
-        let take = conn.pending.len().min(MAX_BATCH);
-        let ops: Vec<DecodedOp> = conn.pending.drain(..take).collect();
-        conn.in_flight = true;
-        let shared = Arc::clone(&self.shared);
-        let counters = Arc::clone(&conn.counters);
-        let submitted_at = Instant::now();
-        let submitted = self.shared.executor.submit(Box::new(move || {
-            // Submit → worker pickup: pure executor queue pressure.
-            shared.telemetry.queue_wait.record(submitted_at.elapsed());
-            let bytes = run_batch(&shared, &counters, ops);
-            shared.completions.lock().push(Completion { token, bytes });
-            shared.waker.wake();
-        }));
-        if !submitted {
-            // Shutting down: the loop is about to exit; drop the batch.
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.in_flight = false;
-            }
-        }
-    }
-
-    fn process_completions(&mut self) {
-        loop {
-            let done: Vec<Completion> = {
-                let mut completions = self.shared.completions.lock();
-                if completions.is_empty() {
-                    break;
-                }
-                std::mem::take(&mut *completions)
-            };
-            for completion in done {
-                let Some(conn) = self.conns.get_mut(&completion.token) else {
-                    continue;
-                };
-                conn.in_flight = false;
-                if conn.outbuf.is_empty() && !completion.bytes.is_empty() {
-                    // The write obligation starts now; stall tracking
-                    // must not count the idle time before it. The same
-                    // instant starts the write_drain telemetry stage.
-                    let now = Instant::now();
-                    conn.last_write_progress = now;
-                    conn.write_batch_started = Some(now);
-                }
-                conn.enqueue(completion.bytes);
-                // Opportunistic write: a just-completed batch almost
-                // always fits the socket buffer, so skip the EPOLLOUT
-                // round trip entirely in the common case.
-                self.flush_conn(completion.token);
-                self.try_submit(completion.token);
-                self.update_interest(completion.token);
-            }
-            // Freed executor slots: retry connections parked on a full
-            // queue.
-            let stalled = std::mem::take(&mut self.stalled);
-            for token in stalled {
-                self.try_submit(token);
-                self.update_interest(token);
-            }
-        }
     }
 
     /// Drain the outbuf as far as the socket accepts; closes the
@@ -658,9 +644,7 @@ impl EventLoop {
                     return;
                 }
                 Ok(n) => {
-                    conn.counters
-                        .bytes_out
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                    conn.counters.bytes_out += n as u64;
                     conn.outbuf.advance(n);
                     conn.last_write_progress = Instant::now();
                 }
@@ -677,7 +661,7 @@ impl EventLoop {
                 self.shared.telemetry.write_drain.record(started.elapsed());
             }
         }
-        if conn.outbuf.is_empty() && conn.close_after_flush && conn.drained() {
+        if conn.outbuf.is_empty() && conn.close_after_flush {
             self.close_conn(token);
         }
     }
@@ -687,10 +671,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let readable = !conn.poisoned
-            && !conn.peer_eof
-            && conn.pending.len() < MAX_PENDING_OPS
-            && conn.outbuf.len() < OUTBUF_HIGH_WATER;
+        let readable = !conn.poisoned && !conn.peer_eof && conn.outbuf.len() < OUTBUF_HIGH_WATER;
         let writable = !conn.outbuf.is_empty();
         if (readable, writable) != conn.interest {
             if self
@@ -707,7 +688,7 @@ impl EventLoop {
 
     /// Kill connections owing output that made no write progress for the
     /// configured timeout — a pipelining client that never drains
-    /// responses must not hold buffers (and batches) forever.
+    /// responses must not hold buffers forever.
     fn check_write_stalls(&mut self) {
         let timeout = self.shared.config.write_timeout;
         if timeout.is_zero() {
@@ -735,41 +716,30 @@ impl EventLoop {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(Shutdown::Both);
-            self.shared
-                .stats
-                .connections_active
-                .fetch_sub(1, Ordering::Relaxed);
+            self.release_slot();
             // A descriptor just freed: if accepts were paused on fd
             // exhaustion there is room for exactly this listener retry.
             self.resume_accepting(true);
         }
-        self.stalled.retain(|&t| t != token);
     }
 
-    /// Graceful exit: stop reading, let in-flight batches complete, flush
-    /// what the sockets accept within a short deadline, close everything.
+    /// Graceful exit: stop reading, flush what the sockets accept within
+    /// a short deadline, close everything. Nothing is mid-execution — a
+    /// batch runs to completion before the loop looks at the flag.
     fn drain_on_shutdown(&mut self) {
-        for conn in self.conns.values_mut() {
-            conn.pending.clear();
-            conn.poisoned = true;
-        }
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
-            self.process_shutdown_completions();
-            let tokens: Vec<u64> = self
+            let owed: Vec<u64> = self
                 .conns
                 .iter()
                 .filter(|(_, c)| !c.outbuf.is_empty())
                 .map(|(&t, _)| t)
                 .collect();
-            for token in tokens {
+            for token in owed {
                 self.flush_conn(token);
             }
-            let owed = self
-                .conns
-                .values()
-                .any(|c| c.in_flight || !c.outbuf.is_empty());
-            if !owed || Instant::now() >= deadline {
+            let drained = self.conns.values().all(|c| c.outbuf.is_empty());
+            if drained || Instant::now() >= deadline {
                 break;
             }
             if self.poller.wait(&mut self.events, 50).is_err() {
@@ -786,20 +756,6 @@ impl EventLoop {
         let metrics_tokens: Vec<u64> = self.metrics_conns.keys().copied().collect();
         for token in metrics_tokens {
             self.close_metrics_conn(token);
-        }
-    }
-
-    /// Completion intake during drain: append and flush, but never submit
-    /// new batches.
-    fn process_shutdown_completions(&mut self) {
-        let done: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
-        for completion in done {
-            let Some(conn) = self.conns.get_mut(&completion.token) else {
-                continue;
-            };
-            conn.in_flight = false;
-            conn.enqueue(completion.bytes);
-            self.flush_conn(completion.token);
         }
     }
 }

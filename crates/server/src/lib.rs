@@ -15,11 +15,10 @@
 //!   offline build has no I/O crate);
 //! * [`conn`] — per-connection state: an incremental [`conn::FrameDecoder`]
 //!   tolerating arbitrarily fragmented input, plus outbound buffering;
-//! * [`pool`] — the batch executor: a small hand-rolled thread pool running
-//!   one engine-side batch per job;
-//! * [`server`] — the readiness-driven event loop: one thread multiplexes
-//!   every connection, pipelined bursts execute as single engine batches,
-//!   responses stay strictly ordered, shutdown is graceful.
+//! * [`server`] — `workers` readiness-driven event loops: loop 0 accepts
+//!   and places each connection on the least-loaded loop, which runs its
+//!   pipelined bursts to completion as single engine batches; responses
+//!   stay strictly ordered, shutdown is graceful.
 //!
 //! The client side (`GdprClient`, `RemoteConnector`) lives in the
 //! `connectors` crate, next to the other connector variants, so the
@@ -31,7 +30,6 @@ pub mod codec;
 pub mod conn;
 mod event_loop;
 pub mod metrics;
-pub mod pool;
 pub mod secure;
 pub mod server;
 pub mod sys;
@@ -40,6 +38,5 @@ pub mod wire;
 pub use codec::{WireError, WireResult};
 pub use conn::FrameDecoder;
 pub use metrics::render_prometheus;
-pub use pool::Executor;
 pub use server::{GdprServer, ServerConfig, ServerStats};
 pub use wire::{MetricsReport, RequestBody, ResponseBody, StageMetrics, StatsSnapshot, MAX_FRAME};

@@ -6,17 +6,17 @@
 //! The pipeline stages a frame crosses, and which histogram sees each:
 //!
 //! ```text
-//! decode ──────────────▶ executor dequeues ──▶ engine done ──▶ socket drained
-//!    └─ decode_wait_ns ──────┘ (per op)
-//!         submit ─ queue_wait_ns ─┘ (per batch)
-//!                        └──── execute_ns ────┘ (per batch)
-//!                                  enqueue ─── write_drain_ns ───┘ (per batch)
-//! batch_size: ops per executor submission (dimensionless)
+//! decode ──────▶ batch starts on the loop ──▶ engine done ──▶ socket drained
+//!    └─ decode_wait_ns ─┘ (per op)
+//!                       └──── execute_ns ────┘ (per batch)
+//!                                   enqueue ─── write_drain_ns ───┘ (per batch)
+//! batch_size: ops per executed batch (dimensionless)
 //! ```
 //!
 //! All histograms are [`AtomicHistogram`]s — recording is a few relaxed
-//! atomic adds, cheap enough for the hot path (the bench suite measures
-//! the total at <2% on the pipelined ladder).
+//! atomic adds. What recording costs end to end is A/B-measured by
+//! `bench_report` on every run (`instrumentation_overhead_pct`): 6.6 % on
+//! the pipelined ladder in the committed `BENCH_19.json`.
 
 use crate::server::ServerShared;
 use crate::wire::{MetricsReport, StageMetrics};
@@ -27,38 +27,27 @@ use std::sync::atomic::Ordering;
 /// The event loop's per-stage histograms.
 #[derive(Default)]
 pub struct ServerTelemetry {
-    /// Frame decoded → its batch starts executing (per op): how long a
-    /// decoded request waited for the executor, including the
-    /// one-batch-in-flight ordering delay.
+    /// Frame decoded → its batch starts on the loop (per op): how long a
+    /// decoded request waited behind the earlier batches of its wake.
     pub decode_wait: AtomicHistogram,
-    /// Batch submitted to the executor → worker picks it up (per batch):
-    /// pure executor queue pressure.
-    pub queue_wait: AtomicHistogram,
     /// Engine `execute_batch` service time (per batch): the sum over the
     /// batch's ops, which the engine executes one after another.
     pub execute: AtomicHistogram,
     /// Responses enqueued on an empty outbuf → outbuf drained to the
     /// socket (per batch): seal + write + kernel buffer time.
     pub write_drain: AtomicHistogram,
-    /// Ops per executor submission (dimensionless values, same buckets).
+    /// Ops per executed batch (dimensionless values, same buckets).
     pub batch_size: AtomicHistogram,
 }
 
 /// Stage names in report order — the exposition endpoint and the wire op
 /// both present stages under these keys.
-const STAGES: [&str; 5] = [
-    "decode_wait",
-    "queue_wait",
-    "execute",
-    "write_drain",
-    "batch_size",
-];
+const STAGES: [&str; 4] = ["decode_wait", "execute", "write_drain", "batch_size"];
 
 impl ServerTelemetry {
     fn stage_snapshots(&self) -> Vec<StageMetrics> {
         [
             &self.decode_wait,
-            &self.queue_wait,
             &self.execute,
             &self.write_drain,
             &self.batch_size,
@@ -337,7 +326,7 @@ mod tests {
             true,
         );
         let stages = ServerTelemetry::default();
-        stages.queue_wait.record(Duration::from_micros(5));
+        stages.decode_wait.record(Duration::from_micros(5));
         stages.batch_size.record_value(17);
         MetricsReport {
             ops: ops.snapshot().ops,
@@ -362,8 +351,8 @@ mod tests {
         // Latency histograms expose seconds and end with +Inf/_count.
         assert!(text.contains("gdpr_op_latency_seconds_bucket{op=\"read-data-by-key\",le=\""));
         assert!(text.contains("gdpr_op_latency_seconds_count{op=\"read-data-by-key\"} 2"));
-        assert!(text.contains("gdpr_stage_queue_wait_seconds_bucket{le=\""));
-        assert!(text.contains("gdpr_stage_queue_wait_seconds_count 1"));
+        assert!(text.contains("gdpr_stage_decode_wait_seconds_bucket{le=\""));
+        assert!(text.contains("gdpr_stage_decode_wait_seconds_count 1"));
         // batch_size stays dimensionless (no _seconds suffix); 17 lands in
         // the first bucket, [0, 96).
         assert!(text.contains("gdpr_stage_batch_size_bucket{le=\"96\"} 1"));

@@ -1,36 +1,36 @@
-//! The TCP front-end: a readiness-driven event loop multiplexing every
-//! connection on one thread, with engine work executed as per-connection
-//! batches on a small executor pool.
+//! The TCP front-end: `workers` readiness-driven event loops, each
+//! multiplexing its share of the connections on one thread and running
+//! every decoded request to completion there.
 //!
 //! ```text
-//! clients ══╗   ┌────────── event loop (epoll, 1 thread) ──────────┐
-//!           ╠══▶│ nonblocking reads → FrameDecoder → pending ops   │
-//!           ╠══▶│   burst of N ops ──▶ Executor: N ops, in order   │
-//!           ╚══▶│ completions → per-conn outbuf → write draining   │
-//!               └──────────────────────────────────────────────────┘
+//! clients ══╗   ┌──── event loop k (epoll, 1 thread each, k < workers) ────┐
+//!           ╠══▶│ nonblocking reads → FrameDecoder → decoded ops           │
+//!           ╠══▶│   run_batch: engine.execute_batch(≤ MAX_BATCH ops)       │
+//!           ╚══▶│ responses → per-conn outbuf → write draining             │
+//!               └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Pipelined clients get their whole in-flight window handed to the
-//! executor as one batch: one executor hand-off and one response write per
+//! Loop 0 accepts and places each connection on the loop with the fewest
+//! live connections; the connection stays there for life. A pipelined
+//! burst runs as one engine batch on its loop: one response write per
 //! burst instead of per op. Inside the batch the engine executes the ops
-//! in order, each with its own audit append (`GdprConnector::execute_batch`
-//! is the sequential default on both in-process engines). A per-shard
-//! parallel batch path existed and never ran behind a connector; forwarded
-//! in a scratch tree it cost the `customer-wire` benchmark workload 24 %
-//! of its `ops_per_s` (crates/server/README.md has the numbers), so it
-//! was deleted rather than wired up. Responses stay in request order
-//! because each connection has at most one batch in flight and a batch's
+//! in order, each with its own audit append
+//! (`GdprConnector::execute_batch` is the sequential default on both
+//! in-process engines). A per-shard parallel batch path existed and never
+//! ran behind a connector; forwarded in a scratch tree it cost the
+//! `customer-wire` benchmark workload 24 % of its `ops_per_s`
+//! (crates/server/README.md has the numbers), so it was deleted rather
+//! than wired up. Responses stay in request order because a connection's
+//! batches run one after another on its one thread and each batch's
 //! responses are encoded in op order — no sequencer needed.
 //! Slow consumers are isolated by per-connection outbound buffers with a
 //! progress-based write timeout; slow producers cost one idle epoll
 //! registration, not a parked thread, so thousands of idle connections
-//! are served by the loop thread plus `workers` executor threads.
+//! are served by `workers` loop threads.
 
 use crate::conn::{ConnCounters, DecodedOp};
-use crate::event_loop::{wake_pair, Completion, EventLoop, Waker};
+use crate::event_loop::{EventLoop, LoopShared};
 use crate::metrics::ServerTelemetry;
-use crate::pool::Executor;
-use crate::sys;
 use crate::wire::{self, RequestBody, ResponseBody, StatsSnapshot};
 use gdpr_core::tenant::TenantId;
 use gdpr_core::{EngineHandle, GdprQuery, Session};
@@ -44,13 +44,9 @@ use std::time::Duration;
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Executor threads running engine batches (default: the machine's
-    /// parallelism).
+    /// Event-loop threads; each owns its connections and runs their
+    /// requests (default: the machine's parallelism).
     pub workers: usize,
-    /// Bound on batches waiting for an executor thread; past it the event
-    /// loop leaves bursts pending on their connections, whose reads pause
-    /// once enough decoded ops accumulate (TCP backpressure).
-    pub queue_depth: usize,
     /// Largest accepted frame.
     pub max_frame: usize,
     /// A connection owing response bytes that makes no write progress for
@@ -75,10 +71,8 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
         ServerConfig {
-            workers,
-            queue_depth: workers * 32,
+            workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             max_frame: wire::MAX_FRAME,
             write_timeout: Duration::from_secs(30),
             encrypt: crate::secure::encrypt_key_from_env(),
@@ -107,21 +101,18 @@ pub struct ServerStats {
     pub decrypt_failures: AtomicU64,
 }
 
-/// State shared between the server handle, the event loop, and executor
-/// batch jobs.
+/// State shared between the server handle and the event loops.
 pub(crate) struct ServerShared {
     pub(crate) engine: EngineHandle,
-    pub(crate) executor: Executor,
     pub(crate) addr: SocketAddr,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     pub(crate) stats: ServerStats,
-    /// Finished batches awaiting the loop (paired with a wake).
-    pub(crate) completions: Mutex<Vec<Completion>>,
-    pub(crate) waker: Waker,
-    /// Per-stage latency histograms (decode wait, queue wait, execute,
-    /// write drain, batch size), recorded by the loop and the executor,
-    /// snapshotted by `GetMetrics` and the exposition endpoint.
+    /// One entry per event loop, indexed like the loops.
+    pub(crate) loops: Vec<LoopShared>,
+    /// Per-stage latency histograms (decode wait, execute, write drain,
+    /// batch size), recorded by the loops, snapshotted by `GetMetrics`
+    /// and the exposition endpoint.
     pub(crate) telemetry: ServerTelemetry,
     /// Bound address of the metrics exposition listener, when configured.
     pub(crate) metrics_addr: Option<SocketAddr>,
@@ -130,7 +121,7 @@ pub(crate) struct ServerShared {
 /// A running GDPR wire-protocol server over any [`EngineHandle`].
 pub struct GdprServer {
     shared: Arc<ServerShared>,
-    loop_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
+    loop_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl GdprServer {
@@ -147,31 +138,43 @@ impl GdprServer {
             Some(l) => Some(l.local_addr()?),
             None => None,
         };
-        let poller = sys::Poller::new()?;
-        let (waker, wake_rx) = wake_pair()?;
+        let (loops, wake_rxs): (Vec<LoopShared>, Vec<_>) = (0..config.workers.max(1))
+            .map(|_| LoopShared::new())
+            .collect::<io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         let shared = Arc::new(ServerShared {
             engine,
-            executor: Executor::new(config.workers, config.queue_depth),
             addr: local,
             config,
             shutdown: AtomicBool::new(false),
             stats: ServerStats::default(),
-            completions: Mutex::new(Vec::new()),
-            waker,
+            loops,
             telemetry: ServerTelemetry::default(),
             metrics_addr,
         });
-        let event_loop = EventLoop::new(
-            Arc::clone(&shared),
-            poller,
-            listener,
-            metrics_listener,
-            wake_rx,
-        )?;
-        let loop_handle = std::thread::spawn(move || event_loop.run());
+        // Loop 0 takes the listeners. Every loop is built before any is
+        // spawned, so a failed bind leaves no thread behind.
+        let (mut listener, mut metrics_listener) = (Some(listener), metrics_listener);
+        let event_loops = (wake_rxs.into_iter().enumerate())
+            .map(|(index, wake_rx)| {
+                let shared = Arc::clone(&shared);
+                EventLoop::new(
+                    shared,
+                    index,
+                    listener.take(),
+                    metrics_listener.take(),
+                    wake_rx,
+                )
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        let loop_handles = event_loops
+            .into_iter()
+            .map(|event_loop| std::thread::spawn(move || event_loop.run()))
+            .collect();
         Ok(GdprServer {
             shared,
-            loop_handle: Mutex::new(Some(loop_handle)),
+            loop_handles: Mutex::new(loop_handles),
         })
     }
 
@@ -192,18 +195,28 @@ impl GdprServer {
         self.shared.metrics_addr
     }
 
-    /// Graceful shutdown: stop accepting, let in-flight batches complete,
-    /// flush what the sockets accept, close every connection, join the
-    /// loop and the executor. Idempotent.
+    /// Graceful shutdown: stop accepting, flush what the sockets accept,
+    /// close every connection, join the loops. Idempotent.
     pub fn shutdown(&self) {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.shared.waker.wake();
-        if let Some(handle) = self.loop_handle.lock().take() {
+        for event_loop in &self.shared.loops {
+            event_loop.wake();
+        }
+        for handle in self.loop_handles.lock().drain(..) {
             let _ = handle.join();
         }
-        self.shared.executor.shutdown();
+        // Streams loop 0 placed after their target loop had already exited.
+        for event_loop in &self.shared.loops {
+            for _closed in event_loop.inbox.lock().drain(..) {
+                self.shared
+                    .stats
+                    .connections_active
+                    .fetch_sub(1, Ordering::Relaxed);
+                event_loop.load.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -219,7 +232,7 @@ impl Drop for GdprServer {
 /// errors are emitted at their positions.
 pub(crate) fn run_batch(
     shared: &ServerShared,
-    counters: &ConnCounters,
+    counters: &mut ConnCounters,
     ops: Vec<DecodedOp>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
@@ -227,8 +240,8 @@ pub(crate) fn run_batch(
     let mut run_ops: Vec<(Session, GdprQuery)> = Vec::new();
     shared.telemetry.batch_size.record_value(ops.len() as u64);
     for op in ops {
-        // Decode stamp → here (executor start) is the full time a decoded
-        // frame waited behind earlier batches and the queue.
+        // Decode stamp → here (batch start on the loop) is the time a
+        // decoded frame waited behind the earlier batches of its wake.
         if let DecodedOp::Request { decoded_at, .. } = &op {
             shared.telemetry.decode_wait.record(decoded_at.elapsed());
         }
@@ -251,7 +264,13 @@ pub(crate) fn run_batch(
                     DecodedOp::Request {
                         seq, tenant, body, ..
                     } => {
-                        let response = handle_control(shared, counters, &tenant, body);
+                        // Like `flush_run`: a panic answers this op and
+                        // leaves the loop thread, and its connections, alive.
+                        let response =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                handle_control(shared, counters, &tenant, body)
+                            }))
+                            .unwrap_or_else(|_| internal_error(shared));
                         let _ = wire::write_frame(&mut out, &wire::encode_response(seq, &response));
                     }
                 }
@@ -267,7 +286,7 @@ pub(crate) fn run_batch(
 /// with a protocol error instead of stalling the connection.
 fn flush_run(
     shared: &ServerShared,
-    counters: &ConnCounters,
+    counters: &mut ConnCounters,
     run_seqs: &mut Vec<u64>,
     run_ops: &mut Vec<(Session, GdprQuery)>,
     out: &mut Vec<u8>,
@@ -279,7 +298,7 @@ fn flush_run(
     let ops = std::mem::take(run_ops);
     let count = ops.len() as u64;
     shared.stats.requests.fetch_add(count, Ordering::Relaxed);
-    counters.requests.fetch_add(count, Ordering::Relaxed);
+    counters.requests += count;
     let started = std::time::Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         shared.engine.execute_batch(ops)
@@ -293,16 +312,14 @@ fn flush_run(
                     Some(Ok(response)) => ResponseBody::Response(response),
                     Some(Err(error)) => {
                         shared.stats.gdpr_errors.fetch_add(1, Ordering::Relaxed);
-                        counters.errors.fetch_add(1, Ordering::Relaxed);
+                        counters.errors += 1;
                         ResponseBody::Error(error)
                     }
                     // A connector returning fewer results than ops would
                     // otherwise desynchronize every later response.
                     None => {
                         shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        ResponseBody::Protocol(
-                            "batch executor returned too few results".to_string(),
-                        )
+                        ResponseBody::Protocol("engine batch returned too few results".to_string())
                     }
                 };
                 let _ = wire::write_frame(out, &wire::encode_response(seq, &body));
@@ -310,27 +327,27 @@ fn flush_run(
         }
         Err(_) => {
             for seq in seqs {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = wire::write_frame(
-                    out,
-                    &wire::encode_response(
-                        seq,
-                        &ResponseBody::Protocol("internal error executing request".to_string()),
-                    ),
-                );
+                let body = internal_error(shared);
+                let _ = wire::write_frame(out, &wire::encode_response(seq, &body));
             }
         }
     }
 }
 
+/// The answer to an op whose execution panicked.
+fn internal_error(shared: &ServerShared) -> ResponseBody {
+    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    ResponseBody::Protocol("internal error executing request".to_string())
+}
+
 fn handle_control(
     shared: &ServerShared,
-    counters: &ConnCounters,
+    counters: &mut ConnCounters,
     tenant: &TenantId,
     body: RequestBody,
 ) -> ResponseBody {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    counters.requests.fetch_add(1, Ordering::Relaxed);
+    counters.requests += 1;
     match body {
         // Execute runs are batched in `run_batch`; a stray one here still
         // answers correctly.
@@ -338,7 +355,7 @@ fn handle_control(
             Ok(response) => ResponseBody::Response(response),
             Err(error) => {
                 shared.stats.gdpr_errors.fetch_add(1, Ordering::Relaxed);
-                counters.errors.fetch_add(1, Ordering::Relaxed);
+                counters.errors += 1;
                 ResponseBody::Error(error)
             }
         },
@@ -348,10 +365,10 @@ fn handle_control(
         RequestBody::Name => ResponseBody::Name(shared.engine.name().to_string()),
         RequestBody::Ping(blob) => ResponseBody::Pong(blob),
         RequestBody::ConnStats => ResponseBody::Stats(StatsSnapshot {
-            requests: counters.requests.load(Ordering::Relaxed),
-            errors: counters.errors.load(Ordering::Relaxed),
-            bytes_in: counters.bytes_in.load(Ordering::Relaxed),
-            bytes_out: counters.bytes_out.load(Ordering::Relaxed),
+            requests: counters.requests,
+            errors: counters.errors,
+            bytes_in: counters.bytes_in,
+            bytes_out: counters.bytes_out,
             server_connections: shared.stats.connections_accepted.load(Ordering::Relaxed),
             server_requests: shared.stats.requests.load(Ordering::Relaxed),
         }),
@@ -377,11 +394,16 @@ mod tests {
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
+    /// A gate `fetch` parks on: `(open, fetches that have parked)`.
+    type Gate = (std::sync::Mutex<(bool, usize)>, std::sync::Condvar);
+
     /// The same trivial in-memory store the engine's own tests use — the
     /// server must work over any RecordStore-backed engine.
     struct MemStore {
         rows: Mutex<BTreeMap<String, PersonalRecord>>,
         clock: clock::SharedClock,
+        /// When set, every `fetch` parks until the gate opens.
+        gate: Option<Arc<Gate>>,
     }
 
     impl MemStore {
@@ -389,6 +411,7 @@ mod tests {
             MemStore {
                 rows: Mutex::new(BTreeMap::new()),
                 clock: clock::sim(),
+                gate: None,
             }
         }
     }
@@ -398,6 +421,14 @@ mod tests {
             self.clock.clone()
         }
         fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
+            if let Some((state, changed)) = self.gate.as_deref() {
+                let mut state = state.lock().unwrap();
+                state.1 += 1;
+                changed.notify_all();
+                while !state.0 {
+                    state = changed.wait(state).unwrap();
+                }
+            }
             Ok(self.rows.lock().get(key).cloned())
         }
         fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
@@ -438,22 +469,22 @@ mod tests {
         }
     }
 
+    /// A plaintext server with `workers` loops over `store`. These tests
+    /// exercise the raw plaintext wire; they must not flip encrypted under
+    /// a suite-wide GDPR_ENCRYPT=1.
+    fn serve(store: MemStore, workers: usize) -> GdprServer {
+        let engine: EngineHandle = Arc::new(ComplianceEngine::new(store));
+        let config = ServerConfig {
+            workers,
+            max_frame: 1 << 20,
+            encrypt: None,
+            ..Default::default()
+        };
+        GdprServer::bind(engine, "127.0.0.1:0", config).unwrap()
+    }
+
     fn spawn_server() -> GdprServer {
-        let engine: EngineHandle = Arc::new(ComplianceEngine::new(MemStore::new()));
-        GdprServer::bind(
-            engine,
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 2,
-                queue_depth: 8,
-                max_frame: 1 << 20,
-                // These tests exercise the raw plaintext wire; they must
-                // not flip encrypted under a suite-wide GDPR_ENCRYPT=1.
-                encrypt: None,
-                ..Default::default()
-            },
-        )
-        .unwrap()
+        serve(MemStore::new(), 2)
     }
 
     fn record(key: &str) -> PersonalRecord {
@@ -630,7 +661,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 1,
-                queue_depth: 4,
                 write_timeout: Duration::from_millis(200),
                 encrypt: None,
                 ..Default::default()
@@ -758,12 +788,30 @@ mod tests {
         server.shutdown();
     }
 
-    /// A churn of short-lived connections must leave no per-connection
-    /// state behind: the active gauge returns to zero and the server
-    /// still serves.
+    /// Every loop's live-connection count, in loop order.
+    fn loop_loads(server: &GdprServer) -> Vec<usize> {
+        let loops = &server.shared.loops;
+        loops
+            .iter()
+            .map(|l| l.load.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        // Closures are detected on the owning loop's next wake.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// A churn of short-lived connections spread over three loops must
+    /// leave no per-connection state behind: the active gauge and every
+    /// loop's count return to zero and the server still serves.
     #[test]
     fn connection_churn_leaves_no_state() {
-        let server = spawn_server();
+        let server = serve(MemStore::new(), 3);
         let churn = 500u64;
         for i in 0..churn {
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -774,19 +822,94 @@ mod tests {
             server.stats().connections_accepted.load(Ordering::Relaxed),
             churn
         );
-        // Closures are detected on the loop's next wake; give them time.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.stats().connections_active.load(Ordering::Relaxed) > 0 {
-            assert!(
-                Instant::now() < deadline,
-                "leaked {} connections' state",
-                server.stats().connections_active.load(Ordering::Relaxed)
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        wait_for("connections_active to return to 0", || {
+            server.stats().connections_active.load(Ordering::Relaxed) == 0
+        });
+        wait_for("every loop's count to return to 0", || {
+            loop_loads(&server) == [0, 0, 0]
+        });
         let mut probe = TcpStream::connect(server.local_addr()).unwrap();
         let (_, body) = call(&mut probe, 0, &RequestBody::Ping(vec![1]));
         assert_eq!(body, ResponseBody::Pong(vec![1]));
+        server.shutdown();
+    }
+
+    /// Loop 0 places each connection on the loop with the fewest live
+    /// connections (ties to the lowest index), and an op parked in the
+    /// store holds only its own loop. Round-robin placement would put A on
+    /// loop 0 — the acceptor — and B would never be accepted.
+    #[test]
+    fn a_parked_loop_leaves_the_least_loaded_one_serving() {
+        let gate: Arc<Gate> = Arc::default();
+        let mut store = MemStore::new();
+        store.gate = Some(Arc::clone(&gate));
+        let server = serve(store, 2);
+        let connect = || {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream
+        };
+        let ping = |stream: &mut TcpStream| {
+            let (_, body) = call(stream, 0, &RequestBody::Ping(vec![0]));
+            assert_eq!(body, ResponseBody::Pong(vec![0]));
+        };
+
+        // One connection per loop; closing the second makes loop 1 the
+        // least loaded.
+        let mut first = connect();
+        ping(&mut first);
+        let mut second = connect();
+        ping(&mut second);
+        assert_eq!(loop_loads(&server), [1, 1]);
+        drop(second);
+        wait_for("loop 1 to close its connection", || {
+            loop_loads(&server) == [1, 0]
+        });
+
+        // A lands on loop 1 and parks it inside the store.
+        let mut a = connect();
+        let read = RequestBody::Execute(
+            Session::processor("ads"),
+            GdprQuery::ReadDataByKey("k".to_string()),
+        );
+        wire::write_frame(
+            &mut a,
+            &wire::encode_request(1, &TenantId::default(), &read),
+        )
+        .unwrap();
+        {
+            let (state, changed) = &*gate;
+            let mut state = state.lock().unwrap();
+            while state.1 == 0 {
+                let (next, timeout) = changed
+                    .wait_timeout(state, Duration::from_secs(10))
+                    .unwrap();
+                assert!(!timeout.timed_out(), "A's read never reached the store");
+                state = next;
+            }
+        }
+        assert_eq!(loop_loads(&server), [1, 1]);
+
+        // B ties onto loop 0, which answers while loop 1 is parked.
+        let mut b = connect();
+        let (_, body) = call(&mut b, 2, &RequestBody::Ping(vec![2]));
+        assert_eq!(body, ResponseBody::Pong(vec![2]));
+        let create =
+            RequestBody::Execute(Session::controller(), GdprQuery::CreateRecord(record("b")));
+        let (_, body) = call(&mut b, 3, &create);
+        assert_eq!(body, ResponseBody::Response(GdprResponse::Created));
+        assert_eq!(loop_loads(&server), [2, 1]);
+
+        // Open the gate: A's read completes on its own loop.
+        gate.0.lock().unwrap().0 = true;
+        gate.1.notify_all();
+        let payload = wire::read_frame(&mut a, wire::MAX_FRAME).unwrap().unwrap();
+        assert_eq!(
+            wire::decode_response(&payload).unwrap(),
+            (1, ResponseBody::Error(GdprError::NotFound("k".to_string())))
+        );
         server.shutdown();
     }
 
@@ -867,7 +990,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 2,
-                queue_depth: 8,
                 encrypt: Some(key.to_string()),
                 ..Default::default()
             },
@@ -1124,6 +1246,7 @@ mod tests {
             .map(|_| MemStore {
                 rows: Mutex::new(BTreeMap::new()),
                 clock: clock.clone(),
+                gate: None,
             })
             .collect();
         let engine: EngineHandle =
@@ -1133,7 +1256,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 2,
-                queue_depth: 8,
                 max_frame: 1 << 20,
                 encrypt: encrypt.map(str::to_string),
                 ..Default::default()
@@ -1213,10 +1335,9 @@ mod tests {
         assert_eq!(stage("decode_wait").histogram.count, 8);
         let batches = stage("batch_size").histogram.count;
         assert!((1..=8).contains(&batches));
-        assert_eq!(stage("queue_wait").histogram.count, batches);
         // The snapshot is taken inside the batch that carries GetMetrics,
         // before that batch's execute time is stamped — so execute always
-        // trails by exactly the one in-flight batch.
+        // trails by exactly that one batch.
         assert_eq!(stage("execute").histogram.count, batches - 1);
         assert_eq!(report.counter("requests"), Some(8));
         assert_eq!(report.counter("gdpr_errors"), Some(1));
@@ -1278,7 +1399,7 @@ mod tests {
                                 // stage list complete.
                                 assert!(report.counter("requests").is_some());
                                 assert!(report.counter("connections_accepted").is_some());
-                                assert_eq!(report.stages.len(), 5);
+                                assert_eq!(report.stages.len(), 4);
                                 served += 1;
                             }
                             // Dropped by shutdown — acceptable.

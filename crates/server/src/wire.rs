@@ -243,7 +243,7 @@ pub struct StatsSnapshot {
 }
 
 /// One named pipeline-stage histogram inside a [`MetricsReport`]
-/// (`queue_wait`, `execute`, `write_drain`, ...).
+/// (`decode_wait`, `execute`, `write_drain`, `batch_size`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageMetrics {
     pub name: String,
@@ -1115,7 +1115,7 @@ mod tests {
             }],
             stages: vec![
                 StageMetrics {
-                    name: "queue_wait".to_string(),
+                    name: "decode_wait".to_string(),
                     histogram: hist.snapshot(),
                 },
                 StageMetrics {

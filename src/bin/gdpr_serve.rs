@@ -35,10 +35,13 @@ USAGE:
              [--metrics-addr HOST:PORT] [--slow-op-ms MS]
              [--data-dir DIR] [--index-snapshot-dir DIR]
 
-Defaults: --db redis-mi, --addr 127.0.0.1:7878, --shards $GDPR_SHARDS (else 4),
---workers = CPU parallelism. The server pipelines: clients may keep many
-requests in flight per connection; responses come back in request order.
+Defaults: --db redis-mi, --addr 127.0.0.1:7878, --shards $GDPR_SHARDS (else 4).
+The server pipelines: clients may keep many requests in flight per
+connection; responses come back in request order.
 
+--workers N               event loops (default: CPU parallelism). Each owns
+                          the connections placed on it and runs their
+                          requests to completion on its own thread.
 --tenants N               pre-provision tenants t0..t{N-1} so multi-tenant
                           benchmark traffic (gdprbench --tenants N) never
                           pays first-op tenant setup; each tenant gets its
@@ -175,7 +178,6 @@ fn main() {
     let mut config = ServerConfig::default();
     if let Some(workers) = args.workers {
         config.workers = workers.max(1);
-        config.queue_depth = config.workers * 32;
     }
     config.encrypt = args.encrypt;
     config.metrics_addr = args.metrics_addr;
@@ -205,7 +207,7 @@ fn main() {
         }
     };
     println!(
-        "gdpr-serve: serving {name} on {} ({} workers, {} transport); drive it with \
+        "gdpr-serve: serving {name} on {} ({} event loops, {} transport); drive it with \
          `gdprbench run --db remote --addr {}{}`",
         server.local_addr(),
         config.workers,

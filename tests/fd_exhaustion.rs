@@ -38,7 +38,11 @@ impl Drop for LimitGuard {
 #[test]
 fn emfile_pauses_accepts_but_established_connections_keep_serving() {
     let engine = build_connector(&ConnectorSpec::new("redis")).unwrap();
+    // Two loops: the established clients alternate between them, so the
+    // one dropped below lives on loop 1 and its close frees a descriptor
+    // that loop 0 (the acceptor) only notices at its next tick.
     let config = ServerConfig {
+        workers: 2,
         encrypt: None,
         ..Default::default()
     };
@@ -90,8 +94,9 @@ fn emfile_pauses_accepts_but_established_connections_keep_serving() {
     );
 
     // Free descriptors: the starved probe (1 fd) and one established
-    // client (its fd now, plus the server-side fd once the loop observes
-    // EOF and closes its conn — which also force-resumes accepting).
+    // client (its fd now, plus the server-side fd once its loop observes
+    // EOF and closes its conn — which force-resumes accepting at once on
+    // loop 0, and at loop 0's next tick when another loop owned it).
     drop(starved);
     let mut established = established;
     drop(established.pop());

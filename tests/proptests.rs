@@ -1254,7 +1254,6 @@ mod sharded_invariance {
                     2,
                     gdprbench_repro::gdpr_server::ServerConfig {
                         workers: 2,
-                        queue_depth: 32,
                         ..Default::default()
                     },
                 )

@@ -39,7 +39,6 @@ fn serve_sharded(shards: usize) -> (GdprServer, String) {
         "127.0.0.1:0",
         ServerConfig {
             workers: 4,
-            queue_depth: 64,
             ..Default::default()
         },
     )
@@ -159,10 +158,11 @@ fn pipelined_multi_client_responses_never_reorder_or_cross() {
     server.shutdown();
 }
 
-/// A single connection saturating the server's bounded queue: backpressure
-/// must slow the pipeline down, never drop or reorder it.
+/// A single connection pipelining 300 ops deep: the loop runs a wake's
+/// burst as several `MAX_BATCH` batches, back to back, and the responses
+/// must come out neither dropped nor reordered.
 #[test]
-fn deep_pipeline_through_a_tiny_queue_stays_ordered() {
+fn deep_pipeline_split_into_batches_stays_ordered() {
     let (server, addr) = serve_sharded(2);
     let client = GdprClient::connect(&addr).unwrap();
     let controller = Session::controller();
