@@ -1,8 +1,10 @@
-//! Shared store/connector configurations for the experiments: the paper's
-//! GDPR feature matrix (§5, Figure 4) as buildable configs.
+//! Shared store configurations for the experiments: the paper's GDPR
+//! feature matrix (§5, Figure 4) as buildable configs, and the scratch dirs
+//! the harnesses persist into. Every other figure opens its stores through
+//! `connectors::registry` with [`ScratchDir::compliant`] — the matrix's
+//! `combined` column, written once in the deployment table.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The feature axes of Figure 4.
@@ -56,6 +58,15 @@ impl ScratchDir {
 
     pub fn file(&self, name: &str) -> PathBuf {
         self.path.join(name)
+    }
+
+    /// The paper's compliant deployment (§5), persisting here.
+    pub fn compliant(&self) -> connectors::registry::Deployment {
+        connectors::registry::Deployment {
+            compliant: true,
+            data_dir: Some(self.path.clone()),
+            ..Default::default()
+        }
     }
 }
 
@@ -143,39 +154,6 @@ pub fn feature_runs_ttl(feature: Feature) -> bool {
     matches!(feature, Feature::Ttl | Feature::Combined)
 }
 
-/// Build the compliant Redis connector used by Figures 5–8 (the §5.1
-/// retrofit: strict TTL, full audit logging, encryption).
-pub fn compliant_redis(scratch: &ScratchDir) -> Arc<connectors::RedisConnector> {
-    let store =
-        kvstore::KvStore::open(kv_config(Feature::Combined, scratch)).expect("open kvstore");
-    store.start_expiration_driver();
-    Arc::new(connectors::RedisConnector::new(store))
-}
-
-/// Build the compliant Redis connector with the engine's metadata index
-/// attached — the index-on configuration the fig5/metaindex comparisons
-/// run against [`compliant_redis`]'s full-scan baseline.
-pub fn compliant_redis_mi(scratch: &ScratchDir) -> Arc<connectors::RedisConnector> {
-    let store =
-        kvstore::KvStore::open(kv_config(Feature::Combined, scratch)).expect("open kvstore");
-    store.start_expiration_driver();
-    Arc::new(connectors::RedisConnector::with_metadata_index(store).expect("attach index"))
-}
-
-/// Build the compliant PostgreSQL connector (baseline indexing) — §5.2.
-pub fn compliant_postgres(scratch: &ScratchDir) -> Arc<connectors::PostgresConnector> {
-    let db =
-        relstore::Database::open(rel_config(Feature::Combined, scratch)).expect("open relstore");
-    Arc::new(connectors::PostgresConnector::new(db).expect("create table"))
-}
-
-/// Build the compliant PostgreSQL connector with metadata indices.
-pub fn compliant_postgres_mi(scratch: &ScratchDir) -> Arc<connectors::PostgresConnector> {
-    let db =
-        relstore::Database::open(rel_config(Feature::Combined, scratch)).expect("open relstore");
-    Arc::new(connectors::PostgresConnector::with_metadata_indices(db).expect("create table"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,18 +185,21 @@ mod tests {
         assert!(!feature_runs_ttl(Feature::Encrypt));
     }
 
+    /// Fig 4's "combined" column is the posture every other figure
+    /// opens through the deployment table: the stores' compliant
+    /// in-memory configs plus a file log.
     #[test]
-    fn compliant_connectors_report_full_compliance() {
-        use gdpr_core::GdprConnector;
-        let scratch = ScratchDir::new("full");
-        let redis = compliant_redis(&scratch);
-        redis.store().stop_expiration_driver();
-        assert!(
-            redis.features().is_fully_compliant(),
-            "{:?}",
-            redis.features()
-        );
-        let pg = compliant_postgres_mi(&scratch);
-        assert!(pg.features().is_fully_compliant(), "{:?}", pg.features());
+    fn combined_is_the_compliant_posture_plus_a_file_log() {
+        let scratch = ScratchDir::new("combined");
+        let mut kv = kv_config(Feature::Combined, &scratch);
+        assert!(matches!(kv.aof, kvstore::config::Storage::File(_)));
+        kv.aof = kvstore::config::Storage::Memory;
+        let compliant = kvstore::KvConfig::gdpr_compliant_in_memory();
+        assert_eq!(format!("{kv:?}"), format!("{compliant:?}"));
+        let mut rel = rel_config(Feature::Combined, &scratch);
+        assert!(matches!(rel.wal, relstore::Storage::File(_)));
+        rel.wal = relstore::Storage::Memory;
+        let compliant = relstore::RelConfig::gdpr_compliant_in_memory();
+        assert_eq!(format!("{rel:?}"), format!("{compliant:?}"));
     }
 }

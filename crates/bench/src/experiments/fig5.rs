@@ -7,11 +7,9 @@
 //! PostgreSQL beats Redis by about an order of magnitude; metadata indices
 //! improve every workload further.
 
-use super::configs::{
-    compliant_postgres, compliant_postgres_mi, compliant_redis, compliant_redis_mi, ScratchDir,
-};
+use super::configs::ScratchDir;
 use crate::report::{fmt_duration, ExperimentTable};
-use gdpr_core::GdprConnector;
+use connectors::registry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,55 +18,6 @@ use workload::run_gdpr_workload;
 
 /// Completion times per workload for one connector.
 pub type Series = HashMap<&'static str, Duration>;
-
-/// A connector plus the background machinery keeping it compliant (the
-/// PostgreSQL TTL daemon must live as long as the connector).
-pub struct ConnectorHandle {
-    pub connector: Arc<dyn GdprConnector>,
-    daemon: Option<relstore::ttl::TtlDaemon>,
-}
-
-impl Drop for ConnectorHandle {
-    fn drop(&mut self) {
-        if let Some(daemon) = &mut self.daemon {
-            daemon.stop();
-        }
-    }
-}
-
-/// Build the named compliant connector. The returned scratch dir must stay
-/// alive for the connector's lifetime (it holds the AOF/WAL files).
-pub fn build_connector(db: &str, scratch: &ScratchDir) -> ConnectorHandle {
-    match db {
-        "redis" => ConnectorHandle {
-            connector: compliant_redis(scratch) as Arc<dyn GdprConnector>,
-            daemon: None,
-        },
-        "redis-mi" => ConnectorHandle {
-            connector: compliant_redis_mi(scratch) as Arc<dyn GdprConnector>,
-            daemon: None,
-        },
-        "postgres" => {
-            let pg = compliant_postgres(scratch);
-            let mut daemon = pg.ttl_daemon();
-            daemon.start();
-            ConnectorHandle {
-                connector: pg as Arc<dyn GdprConnector>,
-                daemon: Some(daemon),
-            }
-        }
-        "postgres-mi" => {
-            let pg = compliant_postgres_mi(scratch);
-            let mut daemon = pg.ttl_daemon();
-            daemon.start();
-            ConnectorHandle {
-                connector: pg as Arc<dyn GdprConnector>,
-                daemon: Some(daemon),
-            }
-        }
-        other => panic!("unknown db {other}"),
-    }
-}
 
 /// Run the four workloads against one connector variant.
 pub fn run_one(db: &str, records: usize, ops: u64, threads: usize) -> (ExperimentTable, Series) {
@@ -82,17 +31,10 @@ pub fn run_one(db: &str, records: usize, ops: u64, threads: usize) -> (Experimen
     for kind in GdprWorkloadKind::ALL {
         // Fresh store per workload, as the paper does per run.
         let scratch = ScratchDir::new("fig5");
-        let handle = build_connector(db, &scratch);
+        let handle = registry::build(db, &scratch.compliant()).expect("open");
         let corpus = stable_corpus(records);
-        load_corpus(handle.connector.as_ref(), &corpus).expect("load corpus");
-        let report = run_gdpr_workload(
-            Arc::clone(&handle.connector),
-            kind,
-            corpus,
-            ops,
-            threads,
-            false,
-        );
+        load_corpus(handle.as_ref(), &corpus).expect("load corpus");
+        let report = run_gdpr_workload(Arc::clone(&handle), kind, corpus, ops, threads, false);
         table.push_row(vec![
             kind.name().to_string(),
             fmt_duration(report.completion),

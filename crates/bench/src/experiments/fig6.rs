@@ -7,8 +7,8 @@
 //! GDPRbench throughput across the four entity workloads.
 
 use super::configs::ScratchDir;
-use super::fig5::build_connector;
 use crate::report::{fmt_ops, ExperimentTable};
+use connectors::registry;
 use std::sync::Arc;
 use workload::gdpr::{load_corpus, stable_corpus, GdprWorkloadKind};
 use workload::ycsb::{ycsb_key, KvInterface, KvStoreYcsb, RelStoreYcsb, YcsbConfig};
@@ -74,17 +74,10 @@ fn gdpr_throughput(db: &str, records: usize, ops: u64, threads: usize) -> f64 {
     let mut total = 0.0;
     for kind in GdprWorkloadKind::ALL {
         let scratch = ScratchDir::new("fig6");
-        let handle = build_connector(db, &scratch);
+        let handle = registry::build(db, &scratch.compliant()).expect("open");
         let corpus = stable_corpus(records);
-        load_corpus(handle.connector.as_ref(), &corpus).expect("load");
-        let report = run_gdpr_workload(
-            Arc::clone(&handle.connector),
-            kind,
-            corpus,
-            ops,
-            threads,
-            false,
-        );
+        load_corpus(handle.as_ref(), &corpus).expect("load");
+        let report = run_gdpr_workload(Arc::clone(&handle), kind, corpus, ops, threads, false);
         total += report.throughput_ops_per_sec();
     }
     total / GdprWorkloadKind::ALL.len() as f64

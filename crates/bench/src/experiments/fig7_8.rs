@@ -10,8 +10,8 @@
 //! with metadata indices (Figure 8b) degrades only moderately.
 
 use super::configs::ScratchDir;
-use super::fig5::build_connector;
 use crate::report::{fmt_duration, ExperimentTable};
+use connectors::registry;
 use std::sync::Arc;
 use std::time::Duration;
 use workload::gdpr::{load_corpus, stable_corpus, GdprWorkloadKind};
@@ -99,11 +99,11 @@ pub fn run_part_b(
     let mut series = ScaleSeries::new();
     for &records in scales {
         let scratch = ScratchDir::new("fig7b");
-        let handle = build_connector(db, &scratch);
+        let handle = registry::build(db, &scratch.compliant()).expect("open");
         let corpus = stable_corpus(records);
-        load_corpus(handle.connector.as_ref(), &corpus).expect("load");
+        load_corpus(handle.as_ref(), &corpus).expect("load");
         let report = run_gdpr_workload(
-            Arc::clone(&handle.connector),
+            Arc::clone(&handle),
             GdprWorkloadKind::Customer,
             corpus,
             ops,

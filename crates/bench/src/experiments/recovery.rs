@@ -523,8 +523,11 @@ mod tests {
         assert!(stale
             .metadata_index()
             .expect("index")
-            .keys_by_user(&smuggled.metadata.user)
-            .contains(&smuggled.key));
+            .keys_for(&gdpr_core::RecordPredicate::User(
+                smuggled.metadata.user.clone()
+            ))
+            .unwrap()
+            .contains(&smuggled.key.as_str().into()));
         drop(stale);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);

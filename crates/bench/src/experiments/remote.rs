@@ -16,9 +16,9 @@
 //! prints the ladder; results are recorded in the README's performance
 //! table.
 
+use super::sharding::build_sharded;
 use crate::report::{fmt_ops, ExperimentTable};
-use connectors::{GdprClient, ShardedRedisConnector};
-use gdpr_core::record::{Metadata, PersonalRecord};
+use connectors::GdprClient;
 use gdpr_core::telemetry::{self, AtomicHistogram, HistogramSnapshot};
 use gdpr_core::{EngineHandle, GdprConnector, GdprQuery, Session};
 use gdpr_server::{GdprServer, ServerConfig};
@@ -34,29 +34,6 @@ pub const DEFAULT_CLIENTS: [usize; 3] = [1, 4, 16];
 pub const PIPELINE_DEPTH: usize = 32;
 
 const READ_FRACTION: f64 = 0.9;
-
-fn point_record(i: usize) -> PersonalRecord {
-    PersonalRecord::new(
-        format!("k{i:07}"),
-        format!("payload-{i:07}"),
-        Metadata::new(
-            format!("user-{:04}", i % 1024),
-            vec!["ads".to_string()],
-            Duration::from_secs(3600),
-        ),
-    )
-}
-
-/// Build the engine under test, preloaded with `records` point-op targets.
-pub fn build_engine(shards: usize, records: usize) -> EngineHandle {
-    let conn = Arc::new(ShardedRedisConnector::open(shards).expect("open sharded"));
-    let controller = Session::controller();
-    for i in 0..records {
-        conn.execute(&controller, &GdprQuery::CreateRecord(point_record(i)))
-            .expect("load");
-    }
-    conn
-}
 
 fn next_op(rng: &mut SmallRng, records: usize) -> (Session, GdprQuery) {
     let i = rng.gen_range(0usize..records.max(1));
@@ -175,7 +152,7 @@ pub fn run_remote_comparison(
         &["mode", "clients", "completion", "ops/s", "vs in-process"],
     );
     let mut series = RemoteSeries::new();
-    let engine = build_engine(shards, records);
+    let engine = build_sharded(shards, records);
     let server = GdprServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback server");
     let addr = server.local_addr().to_string();
@@ -238,7 +215,7 @@ pub fn run_depth_sweep(
         &["depth", "completion", "ops/s", "vs depth 1"],
     );
     let mut series = DepthSeries::new();
-    let engine = build_engine(shards, records);
+    let engine = build_sharded(shards, records);
     let server = GdprServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback server");
     let addr = server.local_addr().to_string();
@@ -301,7 +278,7 @@ pub fn run_connection_scaling(
             usize::MAX
         }
     };
-    let engine = build_engine(shards, records);
+    let engine = build_sharded(shards, records);
     let server = GdprServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback server");
     let addr = server.local_addr().to_string();
@@ -373,7 +350,7 @@ pub fn run_encryption_ladder(
         ],
     );
     let mut series = EncSeries::new();
-    let engine = build_engine(shards, records);
+    let engine = build_sharded(shards, records);
     let plain_config = ServerConfig {
         encrypt: None,
         ..Default::default()
@@ -527,7 +504,7 @@ pub fn run_latency_profile(
         ("plain", None),
         ("encrypted", Some(gdpr_server::secure::DEFAULT_PSK)),
     ] {
-        let engine = build_engine(shards, records);
+        let engine = build_sharded(shards, records);
         let config = ServerConfig {
             encrypt: key.map(str::to_string),
             ..Default::default()
@@ -571,7 +548,7 @@ pub fn run_instrumentation_overhead(
     ops: u64,
     clients: usize,
 ) -> (f64, f64, f64) {
-    let engine = build_engine(shards, records);
+    let engine = build_sharded(shards, records);
     let server = GdprServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
         .expect("bind server");
     let addr = server.local_addr().to_string();
@@ -710,7 +687,7 @@ mod tests {
     /// is stable (point ops only rewrite), and every key still answers.
     #[test]
     fn modes_share_one_engine_state() {
-        let engine = build_engine(2, 64);
+        let engine = build_sharded(2, 64);
         let server =
             GdprServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
         run_remote(&server.local_addr().to_string(), 64, 200, 2, 8);

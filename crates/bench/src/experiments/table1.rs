@@ -1,8 +1,9 @@
 //! Table 1: the GDPR article → database attribute/action map, plus a live
 //! compliance assessment of both connectors against it.
 
-use super::configs::{compliant_postgres_mi, compliant_redis, ScratchDir};
+use super::configs::ScratchDir;
 use crate::report::ExperimentTable;
+use connectors::registry;
 use gdpr_core::articles::{articles_satisfied_by, ARTICLE_MAP};
 use gdpr_core::GdprConnector;
 
@@ -39,9 +40,8 @@ pub fn article_map_table() -> ExperimentTable {
 /// Assess the compliant connectors against the article map.
 pub fn compliance_table() -> ExperimentTable {
     let scratch = ScratchDir::new("table1");
-    let redis = compliant_redis(&scratch);
-    redis.store().stop_expiration_driver();
-    let pg = compliant_postgres_mi(&scratch);
+    let redis = registry::build("redis", &scratch.compliant()).expect("open");
+    let pg = registry::build("postgres-mi", &scratch.compliant()).expect("open");
 
     let mut table = ExperimentTable::new(
         "Compliance coverage (articles satisfied out of Table 1's 12 rows)",

@@ -7,8 +7,8 @@
 //! rising to 5.95× once PostgreSQL indexes every metadata column.
 
 use super::configs::ScratchDir;
-use super::fig5::build_connector;
 use crate::report::ExperimentTable;
+use connectors::registry;
 use workload::gdpr::{load_corpus, stable_corpus};
 
 /// One measured row.
@@ -30,10 +30,10 @@ pub fn run(records: usize) -> (ExperimentTable, Vec<SpaceRow>) {
     let mut rows = Vec::new();
     for db in ["redis", "postgres", "postgres-mi"] {
         let scratch = ScratchDir::new("table3");
-        let handle = build_connector(db, &scratch);
+        let handle = registry::build(db, &scratch.compliant()).expect("open");
         let corpus = stable_corpus(records);
-        load_corpus(handle.connector.as_ref(), &corpus).expect("load");
-        let space = handle.connector.space_report();
+        load_corpus(handle.as_ref(), &corpus).expect("load");
+        let space = handle.space_report();
         let personal_mb = space.personal_data_bytes as f64 / 1e6;
         let total_mb = space.total_bytes as f64 / 1e6;
         let factor = space.overhead_factor();

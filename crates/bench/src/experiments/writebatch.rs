@@ -260,7 +260,9 @@ mod tests {
         }
         let user = datagen::record_of(records / 2, &config).metadata.user;
         let index = conn.metadata_index().unwrap();
-        let group = index.keys_by_user(&user);
+        let group = index
+            .keys_for(&RecordPredicate::User(user.clone()))
+            .unwrap();
         assert!(!group.is_empty());
 
         conn.execute(
@@ -271,7 +273,9 @@ mod tests {
             },
         )
         .unwrap();
-        let shared = index.keys_shared_with("batch-corp");
+        let shared = index
+            .keys_for(&RecordPredicate::SharedWith("batch-corp".into()))
+            .unwrap();
         assert_eq!(shared, group, "every group member must be reindexed");
 
         conn.execute(&controller, &GdprQuery::DeleteByUser(user.clone()))

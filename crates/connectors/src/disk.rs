@@ -309,13 +309,6 @@ fn backends(stores: Vec<Arc<PageStore>>, variant_name: &'static str) -> Vec<Disk
 }
 
 impl ShardedDiskConnector {
-    /// Wrap open stores, one per shard, scan-based.
-    pub fn new(stores: Vec<Arc<PageStore>>) -> GdprResult<Self> {
-        Ok(Connector::over(
-            ShardedEngine::new(backends(stores, "disk-scan"))?.named("disk-sharded-scan"),
-        ))
-    }
-
     /// Per-shard engine-maintained metadata indexes — the `disk-sharded`
     /// variant.
     pub fn with_metadata_index(stores: Vec<Arc<PageStore>>) -> GdprResult<Self> {

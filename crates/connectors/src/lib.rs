@@ -43,6 +43,12 @@
 //! [`Connector`]`<E>`, over the engine type they are built on; what each
 //! backend module adds is its [`gdpr_core::RecordStore`], constructors,
 //! and the accessor that reaches the store underneath.
+//!
+//! How a *deployment* of each variant opens — its store configs, the
+//! paper's compliant posture, the data dir and index snapshots beside it,
+//! the expiry machinery kept running — is written once, in
+//! [`registry`]: one table whose rows every binary, figure harness and
+//! suite opens.
 
 pub mod disk;
 pub mod postgres;

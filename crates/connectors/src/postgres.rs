@@ -28,7 +28,7 @@ use gdpr_core::error::{GdprError, GdprResult};
 use gdpr_core::record::{Metadata, PersonalRecord};
 use gdpr_core::store::{RecordPredicate, RecordStore};
 use relstore::ttl::{SweepTarget, TtlDaemon};
-use relstore::{ColumnType, Database, Datum, Predicate, RelConfig, Statement, StatementResult};
+use relstore::{ColumnType, Database, Datum, Predicate, Statement, StatementResult};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -396,14 +396,6 @@ impl PostgresConnector {
         backend.create_table()?;
         let engine = ComplianceEngine::with_metadata_index_snapshot(backend, path)?;
         Ok(Connector::over(engine))
-    }
-
-    /// Open a fully compliant in-memory database and wrap it (baseline
-    /// indexing).
-    pub fn open_compliant() -> GdprResult<Self> {
-        let db = Database::open(RelConfig::gdpr_compliant_in_memory())
-            .map_err(|e| GdprError::Store(e.to_string()))?;
-        Self::new(db)
     }
 
     /// The underlying database (for harnesses and daemons).

@@ -36,7 +36,7 @@ use gdpr_core::record::PersonalRecord;
 use gdpr_core::store::{ExpiryListener, RecordStore};
 use gdpr_core::wire::{self, RecordView};
 use kvstore::expire::ExpirationMode;
-use kvstore::{Command, KvConfig, KvStore};
+use kvstore::{Command, KvStore};
 use std::sync::Arc;
 
 const KEY_PREFIX: &str = "rec:";
@@ -406,14 +406,6 @@ impl RedisConnector {
         let backend = RedisStore::over(store, "redis-mi");
         let engine = ComplianceEngine::with_metadata_index_snapshot(backend, path)?;
         Ok(Connector::over(engine))
-    }
-
-    /// Open a fully GDPR-compliant in-memory store (strict TTL, read
-    /// logging, encryption) and wrap it.
-    pub fn open_compliant() -> GdprResult<Self> {
-        let store = KvStore::open(KvConfig::gdpr_compliant_in_memory())
-            .map_err(|e| GdprError::Store(e.to_string()))?;
-        Ok(Self::new(store))
     }
 
     /// The underlying store (for experiment harnesses).

@@ -140,18 +140,6 @@ impl GdprClient {
         Self::connect_with(addr, secure::encrypt_key_from_env().as_deref())
     }
 
-    /// Connect in plaintext regardless of environment.
-    pub fn connect_plain(addr: &str) -> GdprResult<GdprClient> {
-        Self::connect_with(addr, None)
-    }
-
-    /// Connect over the encrypted transport with `key` (the server's
-    /// pre-shared key; `None` uses the default). Fails loudly if the
-    /// endpoint does not complete the handshake.
-    pub fn connect_encrypted(addr: &str, key: Option<&str>) -> GdprResult<GdprClient> {
-        Self::connect_with(addr, Some(key.unwrap_or(secure::DEFAULT_PSK)))
-    }
-
     /// Connect with an explicit transport choice: `Some(key)` runs the
     /// encrypted handshake before the first op, `None` stays plaintext.
     pub fn connect_with(addr: &str, encrypt_key: Option<&str>) -> GdprResult<GdprClient> {
@@ -167,11 +155,6 @@ impl GdprClient {
             seq: AtomicU64::new(0),
             tenant: TenantId::default(),
         })
-    }
-
-    /// Whether this connection runs the encrypted transport.
-    pub fn is_encrypted(&self) -> bool {
-        self.io.lock().channel.is_some()
     }
 
     /// Scope this client's control requests to `tenant`.
@@ -404,12 +387,7 @@ impl RemoteConnector {
 
     /// Serve `engine` on an ephemeral loopback port and connect a pool to
     /// it — every in-process connector variant becomes a networked one in
-    /// one call. The server shuts down when the connector drops.
-    pub fn serve_in_process(engine: EngineHandle, clients: usize) -> GdprResult<RemoteConnector> {
-        Self::serve_in_process_with(engine, clients, ServerConfig::default())
-    }
-
-    /// [`Self::serve_in_process`] with explicit server tuning. The pool's
+    /// one call. The server shuts down when the connector drops. The pool's
     /// transport follows `config.encrypt`, so an encrypted in-process
     /// server always gets matching clients.
     pub fn serve_in_process_with(

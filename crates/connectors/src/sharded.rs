@@ -22,9 +22,9 @@
 
 use crate::redis::RedisStore;
 use crate::Connector;
-use gdpr_core::error::{GdprError, GdprResult};
+use gdpr_core::error::GdprResult;
 use gdpr_core::sharded::ShardedEngine;
-use kvstore::{KvConfig, KvStore};
+use kvstore::KvStore;
 use std::sync::Arc;
 
 /// GDPR connector hash-partitioning records across N key-value stores.
@@ -69,34 +69,6 @@ impl ShardedRedisConnector {
             ShardedEngine::with_metadata_index_snapshots(backends(stores), dir)?
                 .named("redis-sharded"),
         ))
-    }
-
-    /// Open `shards` fresh in-memory stores under one config and clock and
-    /// wrap them (indexed). The config is cloned per shard, so file-backed
-    /// persistence configs are rejected — shards must not share an AOF.
-    pub fn open_with_clock(
-        shards: usize,
-        config: KvConfig,
-        clock: clock::SharedClock,
-    ) -> GdprResult<Self> {
-        if matches!(config.aof, kvstore::config::Storage::File(_)) {
-            return Err(GdprError::Store(
-                "sharded open: shards cannot share one AOF file; open stores individually"
-                    .to_string(),
-            ));
-        }
-        let stores = (0..shards.max(1))
-            .map(|_| {
-                KvStore::open_with_clock(config.clone(), clock.clone())
-                    .map_err(|e| GdprError::Store(e.to_string()))
-            })
-            .collect::<GdprResult<Vec<_>>>()?;
-        Self::with_metadata_index(stores)
-    }
-
-    /// Open `shards` fresh default in-memory stores on the wall clock.
-    pub fn open(shards: usize) -> GdprResult<Self> {
-        Self::open_with_clock(shards, KvConfig::default(), clock::wall())
     }
 
     /// The underlying store of one shard.

@@ -931,8 +931,12 @@ mod tests {
                 &GdprQuery::CreateRecord(record("k1", "neo", &["ads"])),
             )
             .unwrap();
-        assert_eq!(index.keys_by_user("neo"), vec!["k1"]);
-        assert_eq!(index.keys_by_purpose("ads"), vec!["k1"]);
+        let k1 = Some(vec!["k1".into()]);
+        assert_eq!(index.keys_for(&RecordPredicate::User("neo".into())), k1);
+        assert_eq!(
+            index.keys_for(&RecordPredicate::DeclaredPurpose("ads".into())),
+            k1
+        );
 
         // Objection lands in the objection index.
         engine
@@ -947,7 +951,10 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(index.keys_with_objection("ads"), vec!["k1"]);
+        assert_eq!(
+            index.keys_for(&RecordPredicate::NotObjecting("ads".into())),
+            Some(vec![])
+        );
         // AllowsPurpose now excludes it.
         assert_eq!(
             index.keys_for(&RecordPredicate::AllowsPurpose("ads".into())),
@@ -969,8 +976,11 @@ mod tests {
         store.put(&record("old", "neo", &["ads"])).unwrap();
         let engine = ComplianceEngine::with_metadata_index(store).unwrap();
         assert_eq!(
-            engine.metadata_index().unwrap().keys_by_user("neo"),
-            vec!["old"]
+            engine
+                .metadata_index()
+                .unwrap()
+                .keys_for(&RecordPredicate::User("neo".into())),
+            Some(vec!["old".into()])
         );
         let resp = engine
             .execute(
@@ -1052,7 +1062,10 @@ mod tests {
             }
             // And any index still advertises both under the purpose.
             if let Some(index) = engine.metadata_index() {
-                assert_eq!(index.keys_by_purpose("ads"), vec!["a", "b"]);
+                assert_eq!(
+                    index.keys_for(&RecordPredicate::DeclaredPurpose("ads".into())),
+                    Some(vec!["a".into(), "b".into()])
+                );
             }
         }
     }
@@ -1115,7 +1128,11 @@ mod tests {
                 matches!(result, Err(GdprError::Store(_))),
                 "atomic={atomic}"
             );
-            assert_eq!(index.keys_by_user("neo"), survivors, "atomic={atomic}");
+            assert_eq!(
+                index.keys_for(&RecordPredicate::User("neo".into())),
+                Some(survivors.iter().map(|k| Arc::from(*k)).collect()),
+                "atomic={atomic}"
+            );
             assert_eq!(engine.store().record_count(), survivors.len());
 
             // Disarmed, the same erase goes through and counts what was left.

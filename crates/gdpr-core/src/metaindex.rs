@@ -334,12 +334,6 @@ impl VocabIndexBuilder {
     }
 }
 
-fn keys_of(map: &HashMap<String, BTreeSet<Key>>, term: &str) -> Vec<String> {
-    map.get(term)
-        .map(|set| set.iter().map(|k| k.to_string()).collect())
-        .unwrap_or_default()
-}
-
 /// One deferred index mutation inside an [`IndexBatch`]. Ops hold only
 /// the key and the metadata terms — never the data payload — so a queued
 /// batch buffers no plaintext personal data, upholding the module's
@@ -713,22 +707,6 @@ impl MetadataIndex {
 
     // ---- term-level inspection (tests, space accounting, diagnostics) ----
 
-    pub fn keys_by_user(&self, user: &str) -> Vec<String> {
-        keys_of(&self.inner.read().by_user, user)
-    }
-
-    pub fn keys_by_purpose(&self, purpose: &str) -> Vec<String> {
-        keys_of(&self.inner.read().by_purpose, purpose)
-    }
-
-    pub fn keys_with_objection(&self, usage: &str) -> Vec<String> {
-        keys_of(&self.inner.read().by_objection, usage)
-    }
-
-    pub fn keys_shared_with(&self, party: &str) -> Vec<String> {
-        keys_of(&self.inner.read().by_sharing, party)
-    }
-
     /// True when `key` appears in *no* inverted index and no deadline —
     /// the invariant after invalidation.
     pub fn fully_absent(&self, key: &str) -> bool {
@@ -806,11 +784,21 @@ mod tests {
         idx.upsert(&r, 1_000, false);
         idx.upsert(&record("k2", "neo", &["ads"], None), 1_000, false);
 
-        assert_eq!(idx.keys_by_user("neo"), vec!["k1", "k2"]);
-        assert_eq!(idx.keys_by_purpose("ads"), vec!["k1", "k2"]);
-        assert_eq!(idx.keys_by_purpose("2fa"), vec!["k1"]);
-        assert_eq!(idx.keys_with_objection("ads"), vec!["k1"]);
-        assert_eq!(idx.keys_shared_with("x-corp"), vec!["k1"]);
+        let both = Some(vec!["k1".into(), "k2".into()]);
+        assert_eq!(idx.keys_for(&RecordPredicate::User("neo".into())), both);
+        assert_eq!(
+            idx.keys_for(&RecordPredicate::DeclaredPurpose("ads".into())),
+            both
+        );
+        let k1 = Some(vec!["k1".into()]);
+        assert_eq!(
+            idx.keys_for(&RecordPredicate::DeclaredPurpose("2fa".into())),
+            k1
+        );
+        assert_eq!(
+            idx.keys_for(&RecordPredicate::SharedWith("x-corp".into())),
+            k1
+        );
         assert_eq!(idx.deadline_of("k1"), Some(61_000));
         assert_eq!(idx.deadline_of("k2"), None);
         assert_eq!(idx.len(), 2);
@@ -956,9 +944,13 @@ mod tests {
         r.metadata.user = "smith".into();
         r.metadata.purposes = vec!["2fa".into()];
         idx.upsert(&r, 0, false);
-        assert!(idx.keys_by_user("neo").is_empty());
-        assert_eq!(idx.keys_by_user("smith"), vec!["k1"]);
-        assert!(idx.keys_by_purpose("ads").is_empty());
+        let keys = |pred| idx.keys_for(&pred).unwrap();
+        assert!(keys(RecordPredicate::User("neo".into())).is_empty());
+        assert_eq!(
+            keys(RecordPredicate::User("smith".into())),
+            vec!["k1".into()]
+        );
+        assert!(keys(RecordPredicate::DeclaredPurpose("ads".into())).is_empty());
         assert_eq!(idx.len(), 1);
     }
 

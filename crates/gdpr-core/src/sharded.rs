@@ -154,16 +154,6 @@ impl<S: RecordStore> ShardedEngine<S> {
         dir.join(format!("metaindex-shard-{shard}.snap"))
     }
 
-    /// Persist every shard's index image now (stamped with each shard
-    /// store's current generation). Returns total entries written.
-    pub fn write_index_snapshots(&self) -> GdprResult<usize> {
-        let mut total = 0;
-        for shard in &self.shards {
-            total += shard.write_index_snapshot()?;
-        }
-        Ok(total)
-    }
-
     /// Graceful close: snapshot every shard's index when the engine was
     /// opened snapshot-aware (no-op otherwise). Idempotent.
     pub fn close(&self) -> GdprResult<usize> {
@@ -748,7 +738,10 @@ mod tests {
         // Per-shard indexes track the migration on both sides.
         for (i, shard) in three.shards().iter().enumerate() {
             let index = shard.metadata_index().unwrap();
-            for key in index.keys_by_user("neo") {
+            for key in index
+                .keys_for(&RecordPredicate::User("neo".into()))
+                .unwrap()
+            {
                 assert_eq!(shard_of(&key, 3), i, "index advertises a foreign key");
             }
         }

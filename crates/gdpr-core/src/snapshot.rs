@@ -680,10 +680,14 @@ pub fn restore_or_rebuild_tenants<E>(
             generation: expected.generation.unwrap_or(0),
         }),
         Err(cause) => {
-            eprintln!(
-                "gdpr-core: index snapshot {path:?} not usable ({cause}); \
-                 rebuilding the metadata index from a full store scan"
-            );
+            // A missing image is a first boot over a fresh dir, not a
+            // fault; the returned `Rebuilt` names the cause either way.
+            if cause != SnapshotInvalid::Missing {
+                eprintln!(
+                    "gdpr-core: index snapshot {path:?} not usable ({cause}); \
+                     rebuilding the metadata index from a full store scan"
+                );
+            }
             let records = rebuild()?;
             Ok(IndexRecovery::Rebuilt { records, cause })
         }

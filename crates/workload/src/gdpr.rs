@@ -431,19 +431,11 @@ pub fn load_corpus_as(
     Ok(())
 }
 
-/// Load the corpus into a store that may already hold (part of) it —
-/// the remote-server case, where state outlives the client and a
-/// re-run's load phase must top up rather than fail. Key collisions are
-/// skipped; every other error still aborts. Returns how many records
-/// were actually created.
-pub fn load_corpus_tolerant(
-    connector: &dyn gdpr_core::GdprConnector,
-    corpus: &CorpusConfig,
-) -> Result<usize, gdpr_core::GdprError> {
-    load_corpus_tolerant_as(connector, corpus, &TenantId::default())
-}
-
-/// [`load_corpus_tolerant`] under one tenant's controller.
+/// Load the corpus under one tenant's controller into a store that may
+/// already hold (part of) it — the remote-server case, where state
+/// outlives the client and a re-run's load phase must top up rather than
+/// fail. Key collisions are skipped; every other error still aborts.
+/// Returns how many records were actually created.
 pub fn load_corpus_tolerant_as(
     connector: &dyn gdpr_core::GdprConnector,
     corpus: &CorpusConfig,

@@ -164,63 +164,6 @@ impl IndexGenerator for Latest {
     }
 }
 
-/// Hotspot: a fraction of operations go to a hot set at the front.
-pub struct HotSpot {
-    n: u64,
-    hot_items: u64,
-    hot_opn_fraction: f64,
-}
-
-impl HotSpot {
-    pub fn new(n: u64, hot_set_fraction: f64, hot_opn_fraction: f64) -> Self {
-        HotSpot {
-            n,
-            hot_items: ((n as f64 * hot_set_fraction) as u64).max(1),
-            hot_opn_fraction,
-        }
-    }
-}
-
-impl IndexGenerator for HotSpot {
-    fn next(&mut self, rng: &mut dyn rand::RngCore) -> u64 {
-        if rng.gen::<f64>() < self.hot_opn_fraction {
-            rng.gen_range(0..self.hot_items)
-        } else if self.hot_items < self.n {
-            self.hot_items + rng.gen_range(0..self.n - self.hot_items)
-        } else {
-            rng.gen_range(0..self.n)
-        }
-    }
-}
-
-/// Exponentially distributed indices (YCSB's `ExponentialGenerator`),
-/// truncated to `[0, n)`.
-pub struct Exponential {
-    n: u64,
-    gamma: f64,
-}
-
-impl Exponential {
-    /// `percentile` of mass within the first `range_fraction` of items
-    /// (YCSB defaults: 95% in the first 10%).
-    pub fn new(n: u64, percentile: f64, range_fraction: f64) -> Self {
-        let gamma = -(1.0 - percentile / 100.0).ln() / (n as f64 * range_fraction);
-        Exponential { n, gamma }
-    }
-}
-
-impl IndexGenerator for Exponential {
-    fn next(&mut self, rng: &mut dyn rand::RngCore) -> u64 {
-        loop {
-            let u: f64 = rng.gen();
-            let x = (-u.ln() / self.gamma) as u64;
-            if x < self.n {
-                return x;
-            }
-        }
-    }
-}
-
 /// Round-robin over `[0, n)` — the Load phase key order.
 pub struct Sequential {
     next: u64,
@@ -349,23 +292,6 @@ mod tests {
         let newest_tenth =
             samples.iter().filter(|&&x| x >= 900).count() as f64 / samples.len() as f64;
         assert!(newest_tenth > 0.3, "latest skew too weak: {newest_tenth}");
-    }
-
-    #[test]
-    fn hotspot_fractions() {
-        let mut g = HotSpot::new(1000, 0.1, 0.9);
-        let samples = draw(&mut g, 20_000);
-        let hot = samples.iter().filter(|&&x| x < 100).count() as f64 / samples.len() as f64;
-        assert!((0.85..0.95).contains(&hot), "hot fraction {hot}");
-    }
-
-    #[test]
-    fn exponential_concentrates_mass() {
-        let mut g = Exponential::new(1000, 95.0, 0.1);
-        let samples = draw(&mut g, 20_000);
-        assert!(samples.iter().all(|&x| x < 1000));
-        let front = samples.iter().filter(|&&x| x < 100).count() as f64 / samples.len() as f64;
-        assert!((0.90..0.99).contains(&front), "front mass {front}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use gdprbench_repro::connectors::RedisConnector;
+use gdprbench_repro::connectors::registry::{self, Deployment};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprQuery, Session};
 use std::time::Duration;
@@ -14,7 +14,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A fully compliant in-memory store: strict timely deletion, audit
     // logging of every operation (reads included), encryption at rest and
     // in transit.
-    let store = RedisConnector::open_compliant()?;
+    let compliant = Deployment {
+        compliant: true,
+        ..Deployment::default()
+    };
+    let store = registry::build("redis", &compliant)?;
 
     // --- Controller: collect a record, with the seven GDPR metadata
     //     attributes the paper calls "metadata explosion". ---

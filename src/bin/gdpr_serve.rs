@@ -9,21 +9,24 @@
 //! With `--data-dir` the kvstore shards persist to per-shard AOF files
 //! (replayed on the next start) and the `disk*` variants keep their paged
 //! data files and write-ahead logs there (reopened through checksummed
-//! WAL recovery, torn tails truncated away); with `--index-snapshot-dir`
-//! the engine-indexed variants (`redis-mi`, `redis-sharded`, `disk`,
-//! `disk-sharded`) recover their metadata indexes from checksummed
-//! snapshot images in O(index) instead of rescanning the store, and write
-//! fresh images on graceful shutdown.
+//! WAL recovery, torn tails truncated away); the engine-indexed variants
+//! (`redis-mi`, `redis-sharded`, `disk`, `disk-sharded`) also keep their
+//! metadata-index snapshot images beside the store, recover from them in
+//! O(index) instead of rescanning it, and write fresh images on graceful
+//! shutdown. A data dir written under another `--shards` count is refused
+//! at boot: serving it would route lookups away from the shard that holds
+//! a record. `postgres*` cannot resume a data dir and refuses one.
 //!
-//! When either directory is configured the process owns durable state, so
-//! it watches stdin for a graceful-shutdown request: a `shutdown` line or
-//! EOF drains the server, snapshots the indexes, flushes the AOFs, and
-//! exits 0 (`kill` still works, at the price of an O(n) index rebuild on
-//! the next start). Without them the process serves until killed, exactly
-//! as before.
+//! With a data dir the process owns durable state, so it watches stdin for
+//! a graceful-shutdown request: a `shutdown` line or EOF drains the
+//! server, snapshots the indexes, flushes the stores, and exits 0 (`kill`
+//! still works, at the price of an O(n) index rebuild on the next start).
+//! Without one the process serves until killed.
 
 use gdprbench_repro::drivers::{build_connector, ConnectorSpec};
+use gdprbench_repro::gdpr_core::GdprConnector;
 use gdprbench_repro::gdpr_server::{GdprServer, ServerConfig};
+use std::sync::Arc;
 
 const USAGE: &str = "\
 gdpr-serve — wire-protocol network front-end for the GDPR compliance engine
@@ -33,7 +36,7 @@ USAGE:
              [--addr HOST:PORT] [--shards N] [--workers N] [--compliant]
              [--tenants N] [--encrypt] [--encrypt-key KEY]
              [--metrics-addr HOST:PORT] [--slow-op-ms MS]
-             [--data-dir DIR] [--index-snapshot-dir DIR]
+             [--data-dir DIR]
 
 Defaults: --db redis-mi, --addr 127.0.0.1:7878, --shards $GDPR_SHARDS (else 4).
 The server pipelines: clients may keep many requests in flight per
@@ -67,12 +70,12 @@ connection; responses come back in request order.
                           DIR/shard-N.aof (replayed on restart, torn tails
                           truncated away), disk* variants as paged data
                           files + WALs under DIR/shard-N/ (reopened through
-                          WAL recovery)
---index-snapshot-dir DIR  recover metadata indexes from snapshot images in
-                          DIR (redis-mi/redis-sharded/disk/disk-sharded);
-                          written on graceful shutdown. With either
-                          directory set, send the line 'shutdown' (or close
-                          stdin) for a graceful exit.";
+                          WAL recovery); redis-mi/redis-sharded/disk/
+                          disk-sharded also restore their metadata indexes
+                          from DIR/metaindex-shard-N.snap. A DIR written
+                          under another --shards count is refused. Send the
+                          line 'shutdown' (or close stdin) for a graceful
+                          exit that writes the index snapshots.";
 
 struct ServeArgs {
     spec: ConnectorSpec,
@@ -102,7 +105,7 @@ fn parse_args() -> Result<ServeArgs, String> {
             "--db" => spec.db = take("db")?,
             "--addr" => addr = take("addr")?,
             "--shards" => {
-                spec.shards = take("shards")?
+                spec.deployment.shards = take("shards")?
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?;
             }
@@ -113,7 +116,7 @@ fn parse_args() -> Result<ServeArgs, String> {
                         .map_err(|e| format!("--workers: {e}"))?,
                 );
             }
-            "--compliant" => spec.compliant = true,
+            "--compliant" => spec.deployment.compliant = true,
             "--tenants" => {
                 spec.tenants = take("tenants")?
                     .parse()
@@ -133,8 +136,7 @@ fn parse_args() -> Result<ServeArgs, String> {
                         .map_err(|e| format!("--slow-op-ms: {e}"))?,
                 );
             }
-            "--data-dir" => spec.data_dir = Some(take("data-dir")?),
-            "--index-snapshot-dir" => spec.snapshot_dir = Some(take("index-snapshot-dir")?),
+            "--data-dir" => spec.deployment.data_dir = Some(take("data-dir")?.into()),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
         }
@@ -168,8 +170,8 @@ fn main() {
         // telemetry is constructed, so this must precede build_connector.
         std::env::set_var("GDPR_SLOW_OP_MS", ms.to_string());
     }
-    let engine = match build_connector(&args.spec) {
-        Ok(engine) => engine,
+    let handle = match build_connector(&args.spec) {
+        Ok(handle) => handle,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(1);
@@ -195,11 +197,10 @@ fn main() {
         }
         Err(e) => eprintln!("gdpr-serve: could not raise fd limit: {e}"),
     }
-    let name = engine.name().to_string();
-    // Keep a handle for the graceful-shutdown flush; the server owns its
-    // own clone.
-    let durable = std::sync::Arc::clone(&engine);
-    let server = match GdprServer::bind(engine, &args.addr, config.clone()) {
+    let name = handle.name().to_string();
+    // The handle stays here for the graceful-shutdown flush (and keeps a
+    // compliant store's expiry running); the server owns its own clone.
+    let server = match GdprServer::bind(Arc::clone(&handle), &args.addr, config.clone()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("gdpr-serve: cannot bind {}: {e}", args.addr);
@@ -234,7 +235,7 @@ fn main() {
             args.spec.tenants - 1
         );
     }
-    if args.spec.data_dir.is_some() || args.spec.snapshot_dir.is_some() {
+    if args.spec.deployment.data_dir.is_some() {
         // Durable state configured: honour a graceful-shutdown request so
         // the index snapshots get written (a later start then recovers in
         // O(index) instead of rescanning the store).
@@ -251,10 +252,13 @@ fn main() {
             }
         }
         server.shutdown();
-        match durable.close() {
-            Ok(()) => println!("gdpr-serve: graceful shutdown — index snapshots written"),
+        match handle.close() {
+            Ok(()) if handle.snapshots => {
+                println!("gdpr-serve: graceful shutdown — index snapshots written")
+            }
+            Ok(()) => println!("gdpr-serve: graceful shutdown — stores flushed"),
             Err(e) => {
-                eprintln!("gdpr-serve: failed to persist index snapshots: {e}");
+                eprintln!("gdpr-serve: failed to persist durable state: {e}");
                 std::process::exit(1);
             }
         }

@@ -126,8 +126,8 @@ impl Args {
 /// The connector spec the common flags describe.
 fn spec_from_args(args: &Args, threads: usize) -> Result<ConnectorSpec, String> {
     let mut spec = ConnectorSpec::new(args.get("db", "redis"));
-    spec.compliant = args.has("compliant");
-    spec.shards = args.get_num("shards", gdprbench_repro::gdpr_core::shard_count_from_env())?;
+    spec.deployment.compliant = args.has("compliant");
+    spec.deployment.shards = args.get_num("shards", spec.deployment.shards)?;
     spec.addr = args.flags.get("addr").cloned();
     // One pooled connection per client thread unless pinned explicitly.
     spec.clients = args.get_num("clients", threads.max(1))?;
@@ -238,7 +238,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             let corpus = stable_corpus(records);
             load(connector.as_ref(), &corpus)?;
             let report = run_gdpr_workload_open_loop_with(
-                connector,
+                Arc::clone(&connector),
                 kind,
                 corpus,
                 ops,
@@ -284,7 +284,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let corpus = stable_corpus(records);
         load(connector.as_ref(), &corpus)?;
         let report = run_gdpr_workload_with(
-            connector,
+            Arc::clone(&connector),
             kind,
             corpus,
             ops,
@@ -377,7 +377,7 @@ fn cmd_features(args: &Args) -> Result<(), String> {
     };
     for &compliant in configs {
         let mut spec = spec_from_args(args, 1)?;
-        spec.compliant = compliant;
+        spec.deployment.compliant = compliant;
         let connector = build_connector(&spec)?;
         let report = connector.features();
         println!(

@@ -1,14 +1,15 @@
 //! Connector construction shared by the `gdprbench` and `gdpr-serve`
-//! binaries: one `--db` selector covering every in-process variant plus
-//! the `remote` network client.
+//! binaries: one `--db` selector covering every row of
+//! `connectors::registry` plus the `remote` network client.
 
-use gdpr_core::{EngineHandle, GdprConnector};
+use connectors::registry::{self, Deployed, Deployment};
+use gdpr_core::GdprConnector;
 use std::sync::Arc;
 
 /// Databases `build_connector` accepts, `|`-separated: every in-process
 /// variant in `connectors::registry`, then `remote`.
 fn db_choices() -> String {
-    let mut names = connectors::registry::names();
+    let mut names = registry::names();
     names.push("remote");
     names.join("|")
 }
@@ -18,10 +19,11 @@ fn db_choices() -> String {
 pub struct ConnectorSpec {
     /// The `--db` selector.
     pub db: String,
-    /// Harden the store config (strict TTL, read logging, encryption).
-    pub compliant: bool,
-    /// Shard count for the sharded variants.
-    pub shards: usize,
+    /// How an in-process variant opens its stores: `--shards`,
+    /// `--compliant` (strict TTL, read logging, encryption) and
+    /// `--data-dir` (store state and index snapshots survive restarts; see
+    /// [`connectors::registry`]).
+    pub deployment: Deployment,
     /// `host:port` of a running `gdpr-serve` (remote only).
     pub addr: Option<String>,
     /// Client connections to pool (remote only; defaults to 1).
@@ -30,18 +32,6 @@ pub struct ConnectorSpec {
     /// (`SecureChannel` handshake before the first op); defaults from
     /// `GDPR_ENCRYPT` / `GDPR_ENCRYPT_KEY` like the server side.
     pub encrypt: Option<String>,
-    /// Directory for on-disk state. `redis*` variants keep per-shard AOF
-    /// files here ([`kvstore::KvStore::open_with_clock`] replays any
-    /// existing log); `disk*` variants keep their paged
-    /// data files and WALs here (reopened through WAL recovery). Data
-    /// survives restarts either way. `disk*` without `--data-dir` runs in
-    /// a fresh scratch directory under the system temp dir.
-    pub data_dir: Option<String>,
-    /// Directory for metadata-index snapshot images (`redis-mi`,
-    /// `redis-sharded`, `disk`, `disk-sharded`): the index recovers in
-    /// O(index) when an image matches the reopened store, and `close()`
-    /// persists it again.
-    pub snapshot_dir: Option<String>,
     /// Pre-provision tenants `t0..t{N-1}` on the built engine (`--tenants
     /// N`), so multi-tenant benchmark traffic never pays first-op tenant
     /// setup. 0 = single-tenant (the default degenerate case).
@@ -52,13 +42,10 @@ impl ConnectorSpec {
     pub fn new(db: impl Into<String>) -> ConnectorSpec {
         ConnectorSpec {
             db: db.into(),
-            compliant: false,
-            shards: gdpr_core::shard_count_from_env(),
+            deployment: Deployment::default(),
             addr: None,
             clients: 1,
             encrypt: gdpr_server::secure::encrypt_key_from_env(),
-            data_dir: None,
-            snapshot_dir: None,
             tenants: 0,
         }
     }
@@ -74,204 +61,48 @@ pub fn tenant_ids(n: usize) -> Vec<gdpr_core::tenant::TenantId> {
         .collect()
 }
 
-/// Open one kvstore shard honoring `data_dir`: file-persistent (with AOF
-/// replay) when set, plain in-memory otherwise.
-fn open_kv_shard(
-    spec: &ConnectorSpec,
-    shard: usize,
-    clock: clock::SharedClock,
-) -> Result<std::sync::Arc<kvstore::KvStore>, String> {
-    let mut config = if spec.compliant {
-        kvstore::KvConfig::gdpr_compliant_in_memory()
-    } else {
-        kvstore::KvConfig::default()
-    };
-    if let Some(dir) = &spec.data_dir {
-        let dir = std::path::Path::new(dir);
-        std::fs::create_dir_all(dir).map_err(|e| format!("--data-dir {dir:?}: {e}"))?;
-        config.aof = kvstore::config::Storage::File(dir.join(format!("shard-{shard}.aof")));
-        config.fsync = kvstore::FsyncPolicy::EverySec;
-    }
-    kvstore::KvStore::open_with_clock(config, clock).map_err(|e| e.to_string())
-}
-
-/// Open `n` page stores honoring `data_dir` (scratch temp dir when
-/// unset), sharing one clock. `--compliant` fsyncs the WAL on every
-/// commit instead of relying on the OS cache.
-fn open_disk_fleet(
-    spec: &ConnectorSpec,
-    n: usize,
-) -> Result<Vec<std::sync::Arc<pagestore::PageStore>>, String> {
-    let dir = match &spec.data_dir {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => connectors::registry::scratch_dir("serve-disk"),
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| format!("--data-dir {dir:?}: {e}"))?;
-    let config = pagestore::PageStoreConfig {
-        fsync_wal: spec.compliant,
-        ..Default::default()
-    };
-    connectors::disk::open_store_fleet(&dir, n, config, clock::wall()).map_err(|e| e.to_string())
-}
-
-/// Print how each snapshot-recovered index came up — operators need to
-/// see a fallback rebuild (it is the O(n) path the snapshot exists to
-/// avoid).
-fn report_recovery(name: &str, shard: usize, recovery: Option<&gdpr_core::IndexRecovery>) {
-    if let Some(recovery) = recovery {
-        println!("{name}: shard {shard}: {recovery}");
-    }
-}
-
-/// Build a connector for `spec`. The returned handle is what `gdpr-serve`
-/// serves and what the workload runner drives — in-process and remote
-/// variants are interchangeable behind it.
-pub fn build_connector(spec: &ConnectorSpec) -> Result<EngineHandle, String> {
-    if spec.snapshot_dir.is_some()
-        && !matches!(
-            spec.db.as_str(),
-            "redis-mi" | "redis-sharded" | "disk" | "disk-sharded"
+/// Build a connector for `spec`, printing how its stores and indexes
+/// recovered. The handle is what `gdpr-serve` serves and what the
+/// workload runner drives — in-process and remote variants are
+/// interchangeable behind it — and keeps a compliant deployment's expiry
+/// machinery running until it drops.
+pub fn build_connector(spec: &ConnectorSpec) -> Result<Deployed, String> {
+    let handle = if spec.db == "remote" {
+        if spec.deployment.data_dir.is_some() {
+            return Err("--data-dir persists a local engine's state, not remote".to_string());
+        }
+        let addr = spec
+            .addr
+            .as_deref()
+            .ok_or_else(|| "--db remote requires --addr HOST:PORT".to_string())?;
+        let pool = connectors::RemoteConnector::connect_pool_with(
+            addr,
+            spec.clients.max(1),
+            spec.encrypt.as_deref(),
         )
-    {
-        return Err(format!(
-            "--index-snapshot-dir needs an engine-indexed persistent variant \
-             (redis-mi|redis-sharded|disk|disk-sharded), not {}",
-            spec.db
-        ));
-    }
-    if spec.data_dir.is_some() && !(spec.db.starts_with("redis") || spec.db.starts_with("disk")) {
-        return Err(format!(
-            "--data-dir persists store state and needs a redis* or disk* variant, not {}",
-            spec.db
-        ));
-    }
-    let conn: Arc<dyn GdprConnector> = match spec.db.as_str() {
-        "redis-sharded" | "redis-sharded-scan" => {
-            let clock = clock::wall();
-            let stores = (0..spec.shards.max(1))
-                .map(|i| open_kv_shard(spec, i, clock.clone()))
-                .collect::<Result<Vec<_>, String>>()?;
-            let conn = if spec.db == "redis-sharded-scan" {
-                connectors::ShardedRedisConnector::new(stores)
-            } else if let Some(dir) = &spec.snapshot_dir {
-                let conn =
-                    connectors::ShardedRedisConnector::with_metadata_index_snapshots(stores, dir)
-                        .map_err(|e| e.to_string())?;
-                for (i, shard) in conn.shards().iter().enumerate() {
-                    report_recovery("redis-sharded", i, shard.index_recovery());
-                }
-                Ok(conn)
-            } else {
-                connectors::ShardedRedisConnector::with_metadata_index(stores)
-            }
-            .map_err(|e| e.to_string())?;
-            if spec.compliant {
-                for i in 0..conn.shard_count() {
-                    conn.store(i).start_expiration_driver();
-                }
-            }
-            Arc::new(conn)
+        .map_err(|e| e.to_string())?;
+        Deployed::new(Arc::new(pool))
+    } else {
+        let variant = registry::variant(&spec.db)
+            .ok_or_else(|| format!("unknown --db {} (expected {})", spec.db, db_choices()))?;
+        if spec.deployment.data_dir.is_some() && !variant.restarts {
+            return Err(format!(
+                "--data-dir persists store state across restarts, which {} cannot resume",
+                spec.db
+            ));
         }
-        "redis" | "redis-mi" => {
-            let store = open_kv_shard(spec, 0, clock::wall())?;
-            if spec.compliant {
-                store.start_expiration_driver();
-            }
-            if spec.db == "redis-mi" {
-                let conn = if let Some(dir) = &spec.snapshot_dir {
-                    let dir = std::path::Path::new(dir);
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| format!("--index-snapshot-dir {dir:?}: {e}"))?;
-                    let conn = connectors::RedisConnector::with_metadata_index_snapshot(
-                        store,
-                        dir.join("metaindex.snap"),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    report_recovery("redis-mi", 0, conn.index_recovery());
-                    conn
-                } else {
-                    connectors::RedisConnector::with_metadata_index(store)
-                        .map_err(|e| e.to_string())?
-                };
-                Arc::new(conn)
-            } else {
-                Arc::new(connectors::RedisConnector::new(store))
-            }
+        let handle = variant.open(&spec.deployment).map_err(|e| e.to_string())?;
+        for line in &handle.recovery {
+            println!("{line}");
         }
-        "postgres" | "postgres-mi" => {
-            let config = if spec.compliant {
-                relstore::RelConfig::gdpr_compliant_in_memory()
-            } else {
-                relstore::RelConfig::default()
-            };
-            let database = relstore::Database::open(config).map_err(|e| e.to_string())?;
-            let connector = if spec.db == "postgres-mi" {
-                connectors::PostgresConnector::with_metadata_indices(database)
-            } else {
-                connectors::PostgresConnector::new(database)
-            }
-            .map_err(|e| e.to_string())?;
-            Arc::new(connector)
-        }
-        "disk" => {
-            let store = open_disk_fleet(spec, 1)?.pop().expect("one store");
-            println!("disk: shard 0: {}", store.recovery());
-            let conn = if let Some(dir) = &spec.snapshot_dir {
-                let dir = std::path::Path::new(dir);
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("--index-snapshot-dir {dir:?}: {e}"))?;
-                let conn = connectors::DiskConnector::with_metadata_index_snapshot(
-                    store,
-                    dir.join("metaindex.snap"),
-                )
-                .map_err(|e| e.to_string())?;
-                report_recovery("disk", 0, conn.index_recovery());
-                conn
-            } else {
-                connectors::DiskConnector::with_metadata_index(store).map_err(|e| e.to_string())?
-            };
-            Arc::new(conn)
-        }
-        "disk-sharded" => {
-            let stores = open_disk_fleet(spec, spec.shards.max(1))?;
-            for (i, store) in stores.iter().enumerate() {
-                println!("disk-sharded: shard {i}: {}", store.recovery());
-            }
-            let conn = if let Some(dir) = &spec.snapshot_dir {
-                let conn =
-                    connectors::ShardedDiskConnector::with_metadata_index_snapshots(stores, dir)
-                        .map_err(|e| e.to_string())?;
-                for (i, shard) in conn.shards().iter().enumerate() {
-                    report_recovery("disk-sharded", i, shard.index_recovery());
-                }
-                conn
-            } else {
-                connectors::ShardedDiskConnector::with_metadata_index(stores)
-                    .map_err(|e| e.to_string())?
-            };
-            Arc::new(conn)
-        }
-        "remote" => {
-            let addr = spec
-                .addr
-                .as_deref()
-                .ok_or_else(|| "--db remote requires --addr HOST:PORT".to_string())?;
-            Arc::new(
-                connectors::RemoteConnector::connect_pool_with(
-                    addr,
-                    spec.clients.max(1),
-                    spec.encrypt.as_deref(),
-                )
-                .map_err(|e| e.to_string())?,
-            )
-        }
-        other => return Err(format!("unknown --db {other} (expected {})", db_choices())),
+        handle
     };
     for tenant in tenant_ids(spec.tenants) {
-        conn.provision_tenant(&tenant)
+        handle
+            .provision_tenant(&tenant)
             .map_err(|e| format!("provisioning tenant {tenant:?}: {e}"))?;
     }
-    Ok(conn)
+    Ok(handle)
 }
 
 #[cfg(test)]
@@ -286,7 +117,7 @@ mod tests {
     fn builds_every_in_process_variant() {
         for db in connectors::registry::names() {
             let mut spec = ConnectorSpec::new(db);
-            spec.shards = 2;
+            spec.deployment.shards = 2;
             let conn = build_connector(&spec).unwrap_or_else(|e| panic!("{db}: {e}"));
             assert_eq!(conn.record_count(), 0, "{db}");
             assert_eq!(conn.name(), db, "--db {db} built the wrong variant");
@@ -322,7 +153,7 @@ mod tests {
     fn remote_spec_connects_to_a_served_engine() {
         let engine = build_connector(&ConnectorSpec::new("redis-mi")).unwrap();
         let server = gdpr_server::GdprServer::bind(
-            engine,
+            Arc::clone(&engine),
             "127.0.0.1:0",
             gdpr_server::ServerConfig::default(),
         )
@@ -358,7 +189,8 @@ mod tests {
             encrypt: Some("drv-psk".to_string()),
             ..Default::default()
         };
-        let server = gdpr_server::GdprServer::bind(engine, "127.0.0.1:0", config).unwrap();
+        let server =
+            gdpr_server::GdprServer::bind(Arc::clone(&engine), "127.0.0.1:0", config).unwrap();
         let mut spec = ConnectorSpec::new("remote");
         spec.addr = Some(server.local_addr().to_string());
         spec.encrypt = Some("drv-psk".to_string());
@@ -371,5 +203,90 @@ mod tests {
             "plaintext client must not reach an encrypted server"
         );
         server.shutdown();
+    }
+
+    fn record(key: &str, user: &str, ttl: std::time::Duration) -> GdprQuery {
+        GdprQuery::CreateRecord(gdpr_core::PersonalRecord::new(
+            key,
+            "d",
+            gdpr_core::Metadata::new(user, vec!["ads".to_string()], ttl),
+        ))
+    }
+
+    fn durable(db: &str, shards: usize, dir: &std::path::Path) -> ConnectorSpec {
+        let mut spec = ConnectorSpec::new(db);
+        spec.deployment.shards = shards;
+        spec.deployment.data_dir = Some(dir.to_path_buf());
+        spec
+    }
+
+    /// A data dir written under N shards reopens only under N: any other
+    /// count would route a point lookup (or a regulator's VerifyDeletion)
+    /// to a shard that does not hold the record.
+    #[test]
+    fn changed_shard_count_over_a_data_dir_is_refused() {
+        for db in ["redis-sharded", "disk-sharded"] {
+            let dir = registry::scratch_dir("shard-change");
+            let conn = build_connector(&durable(db, 2, &dir)).unwrap();
+            for i in 0..20 {
+                let ttl = std::time::Duration::from_secs(3600);
+                conn.execute(
+                    &Session::controller(),
+                    &record(&format!("k{i}"), "neo", ttl),
+                )
+                .unwrap();
+            }
+            conn.close().unwrap();
+            assert!(
+                conn.snapshots,
+                "{db}: an indexed row over a data dir snapshots"
+            );
+            drop(conn);
+            for shards in [3, 1] {
+                let Err(e) = build_connector(&durable(db, shards, &dir)) else {
+                    panic!("{db}: 2 -> {shards} shards must be refused");
+                };
+                let counts = ["holds 2 shards".to_string(), format!("opens {shards}")];
+                assert!(counts.iter().all(|c| e.contains(c.as_str())), "{db}: {e}");
+            }
+            let same = build_connector(&durable(db, 2, &dir)).unwrap();
+            assert_eq!(same.record_count(), 20, "{db}");
+            assert_eq!(
+                same.recovery
+                    .iter()
+                    .filter(|l| l.contains("restored"))
+                    .count(),
+                2
+            );
+            assert!(
+                !same.recovery.iter().any(|l| l.contains("rebuilt index")),
+                "{db}"
+            );
+        }
+        let dir = registry::scratch_dir("shard-change-mi");
+        let conn = build_connector(&durable("redis-sharded", 2, &dir)).unwrap();
+        conn.close().unwrap();
+        drop(conn);
+        let Err(e) = build_connector(&durable("redis-mi", 2, &dir)) else {
+            panic!("a 2-shard dir must not open as unsharded redis-mi");
+        };
+        assert!(e.contains("holds 2 shards") && e.contains("opens 1"), "{e}");
+    }
+
+    /// `--compliant` PostgreSQL reports retrofitted timely deletion, so
+    /// its 1 s sweep daemon must actually run.
+    #[test]
+    fn ttl_daemon_runs_for_compliant_postgres() {
+        let mut spec = ConnectorSpec::new("postgres");
+        spec.deployment.compliant = true;
+        let conn = build_connector(&spec).unwrap();
+        let ttl = std::time::Duration::from_secs(1);
+        conn.execute(&Session::controller(), &record("k", "neo", ttl))
+            .unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while conn.record_count() > 0 {
+            assert!(std::time::Instant::now() < deadline, "no sweep within 5 s");
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
     }
 }

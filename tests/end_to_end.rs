@@ -1,27 +1,24 @@
 //! Cross-crate integration: the full personal-data lifecycle through the
 //! public API, on every connector variant.
 
-use gdprbench_repro::connectors::{PostgresConnector, RedisConnector};
+use gdprbench_repro::connectors::registry::{self, Deployed, Deployment};
+use gdprbench_repro::connectors::RedisConnector;
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{
     GdprConnector, GdprError, GdprQuery, GdprResponse, MetadataField, MetadataUpdate, Session,
 };
 use std::time::Duration;
 
-fn all_connectors() -> Vec<Box<dyn GdprConnector>> {
-    vec![
-        Box::new(RedisConnector::open_compliant().unwrap()),
-        Box::new(PostgresConnector::open_compliant().unwrap()),
-        Box::new(
-            PostgresConnector::with_metadata_indices(
-                gdprbench_repro::relstore::Database::open(
-                    gdprbench_repro::relstore::RelConfig::gdpr_compliant_in_memory(),
-                )
-                .unwrap(),
-            )
-            .unwrap(),
-        ),
-    ]
+/// The compliant deployments of each backend family.
+fn all_connectors() -> Vec<Deployed> {
+    let compliant = Deployment {
+        compliant: true,
+        ..Deployment::default()
+    };
+    ["redis", "postgres", "postgres-mi"]
+        .into_iter()
+        .map(|name| registry::build(name, &compliant).unwrap())
+        .collect()
 }
 
 fn record(key: &str, user: &str, purposes: &[&str]) -> PersonalRecord {

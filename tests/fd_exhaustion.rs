@@ -46,14 +46,14 @@ fn emfile_pauses_accepts_but_established_connections_keep_serving() {
         encrypt: None,
         ..Default::default()
     };
-    let server = GdprServer::bind(engine, "127.0.0.1:0", config).unwrap();
+    let server = GdprServer::bind(std::sync::Arc::clone(&engine), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
 
     // Established population that must survive the exhaustion window.
     let established: Vec<GdprClient> = (0..4)
         .map(|i| {
-            let client =
-                GdprClient::connect_plain(&addr).unwrap_or_else(|e| panic!("connect #{i}: {e}"));
+            let client = GdprClient::connect_with(&addr, None)
+                .unwrap_or_else(|e| panic!("connect #{i}: {e}"));
             assert_eq!(client.ping(b"pre").unwrap(), b"pre");
             client
         })
@@ -105,7 +105,7 @@ fn emfile_pauses_accepts_but_established_connections_keep_serving() {
     // through once the loop reaps the closed connections.
     let deadline = Instant::now() + Duration::from_secs(5);
     let revived = loop {
-        match GdprClient::connect_plain(&addr) {
+        match GdprClient::connect_with(&addr, None) {
             Ok(client) => break client,
             Err(e) => {
                 assert!(

@@ -1147,8 +1147,9 @@ mod engine_index {
                 } else {
                     assert!(
                         index
-                            .keys_by_user(&record.metadata.user)
-                            .contains(&record.key),
+                            .keys_for(&RecordPredicate::User(record.metadata.user.clone()))
+                            .unwrap()
+                            .contains(&record.key.as_str().into()),
                         "live {} must stay indexed",
                         record.key
                     );
@@ -1179,7 +1180,7 @@ mod sharded_invariance {
         RecordStore, Session,
     };
     use gdprbench_repro::kvstore::{KvConfig, KvStore};
-    use gdprbench_repro::pagestore::PageStore;
+    use gdprbench_repro::pagestore::{PageStore, PageStoreConfig};
 
     /// The shard counts every property must be invariant over: the ISSUE's
     /// N ∈ {1, 2, 8} plus whatever `GDPR_SHARDS` the CI matrix pins.
@@ -1204,12 +1205,12 @@ mod sharded_invariance {
     fn fleet(sim: &clock::SharedClock) -> Vec<(String, Box<dyn GdprConnector>)> {
         let open = || KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
         let open_disk = |tag: &str| {
-            PageStore::open(
-                registry::scratch_dir(tag),
-                registry::small_pool_config(),
-                sim.clone(),
-            )
-            .unwrap()
+            // A pool far smaller than the corpus, so eviction rides along.
+            let config = PageStoreConfig {
+                pool_pages: 16,
+                ..PageStoreConfig::default()
+            };
+            PageStore::open(registry::scratch_dir(tag), config, sim.clone()).unwrap()
         };
         let mut conns: Vec<(String, Box<dyn GdprConnector>)> = vec![
             (
@@ -2143,7 +2144,8 @@ mod secure_transport {
             encrypt: Some("proptest-psk".to_string()),
             ..Default::default()
         };
-        let server = GdprServer::bind(engine, "127.0.0.1:0", config).unwrap();
+        let server =
+            GdprServer::bind(std::sync::Arc::clone(&engine), "127.0.0.1:0", config).unwrap();
         let addr = server.local_addr().to_string();
 
         run_cases(48, |rng| {
@@ -2188,8 +2190,7 @@ mod secure_transport {
 
         // The abuse must not have cost the server its ability to serve a
         // well-behaved encrypted client.
-        let client = GdprClient::connect_encrypted(&addr, Some("proptest-psk")).unwrap();
-        assert!(client.is_encrypted());
+        let client = GdprClient::connect_with(&addr, Some("proptest-psk")).unwrap();
         assert_eq!(client.ping(b"after-abuse").unwrap(), b"after-abuse");
         assert!(
             server

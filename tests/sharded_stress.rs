@@ -26,6 +26,19 @@ const READERS: usize = 2;
 const KEYS_PER_WRITER: usize = 120;
 const SHARDS: usize = 8;
 
+/// An indexed `ShardedRedisConnector` over `shards` fresh stores sharing
+/// `clock`.
+fn open_sharded(
+    shards: usize,
+    clock: gdprbench_repro::clock::SharedClock,
+) -> ShardedRedisConnector {
+    use gdprbench_repro::kvstore::{KvConfig, KvStore};
+    let stores = (0..shards)
+        .map(|_| KvStore::open_with_clock(KvConfig::default(), clock.clone()).unwrap())
+        .collect();
+    ShardedRedisConnector::with_metadata_index(stores).unwrap()
+}
+
 fn user_of(thread: usize) -> String {
     format!("user-{thread}")
 }
@@ -52,7 +65,7 @@ fn record(thread: usize, i: usize) -> PersonalRecord {
 
 #[test]
 fn concurrent_mixed_workload_preserves_compliance_invariants() {
-    let conn = Arc::new(ShardedRedisConnector::open(SHARDS).unwrap());
+    let conn = Arc::new(open_sharded(SHARDS, gdprbench_repro::clock::wall()));
     let issued = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -295,10 +308,7 @@ fn predicate_reads_race_rewrites_erasures_and_expiry() {
 
     for shards in [1, SHARDS] {
         let sim = clock::sim();
-        let conn = Arc::new(
-            ShardedRedisConnector::open_with_clock(shards, Default::default(), sim.clone())
-                .unwrap(),
-        );
+        let conn = Arc::new(open_sharded(shards, sim.clone()));
         let controller = Session::controller();
         let processor = Session::processor("any");
         for i in 0..RECORDS {

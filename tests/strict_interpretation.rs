@@ -3,16 +3,21 @@
 //! objection checks gate every processing read. These tests pin those
 //! semantics so a future "optimization" cannot quietly relax them.
 
+use gdprbench_repro::connectors::registry::{self, Deployed, Deployment};
 use gdprbench_repro::connectors::{PostgresConnector, RedisConnector};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprQuery, GdprResponse, Session};
 use std::time::Duration;
 
-fn connectors() -> Vec<Box<dyn GdprConnector>> {
-    vec![
-        Box::new(RedisConnector::open_compliant().unwrap()),
-        Box::new(PostgresConnector::open_compliant().unwrap()),
-    ]
+fn connectors() -> Vec<Deployed> {
+    let compliant = Deployment {
+        compliant: true,
+        ..Deployment::default()
+    };
+    ["redis", "postgres"]
+        .into_iter()
+        .map(|name| registry::build(name, &compliant).unwrap())
+        .collect()
 }
 
 fn record(key: &str, user: &str) -> PersonalRecord {
