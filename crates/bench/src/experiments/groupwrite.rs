@@ -1,113 +1,219 @@
-//! What one group write costs the page store: an erase-by-user of
-//! [`ERASED`] records scattered over [`RECORDS`] (a subject's records
-//! share no key locality, as in the generated corpus), on a pool a tenth
-//! the size of the data — the `controller-disk` shape of the e2e
-//! benchmark, measured at the layer that benchmark's traced replay cannot
-//! see (its `TracedStore` does not forward `RecordStore::apply`).
+//! What one group write costs the page store, on a pool a tenth the size
+//! of the data — the `controller-disk` shape of the e2e benchmark,
+//! measured at the layer that benchmark's traced replay cannot see (its
+//! `TracedStore` does not forward `RecordStore::apply`). Two writes, each
+//! on a freshly loaded store of [`RECORDS`] records:
 //!
-//! `group_erase_200_commits` is the WAL generation delta around the
-//! erase and `group_erase_200_wal_bytes_per_record` the WAL growth per
-//! erased record (auto-checkpoint off, WAL empty beforehand, so the growth
-//! is everything the erase appended); both repeat exactly from run to run.
-//! `group_erase_200_ms` is the engine-level latency of the erase,
-//! predicate resolution and verifying fetches included, the best of
-//! [`ROUNDS`] freshly loaded stores. All three are smaller-is-better.
+//! * **erase** — an erase-by-user of [`ERASED`] records scattered over the
+//!   store (a subject's records share no key locality, as in the
+//!   generated corpus). `group_erase_200_commits` is the WAL generation
+//!   delta around the erase and `group_erase_200_wal_bytes_per_record`
+//!   the WAL growth per erased record (auto-checkpoint off, WAL empty
+//!   beforehand, so the growth is everything the erase appended).
+//! * **consent update** — `update-metadata-by-pur` adding one sharing
+//!   party to every record declaring [`UPDATED_PURPOSE`] (≈ a quarter of
+//!   the store: the G7 consent case that dominates `controller-disk`).
+//!   `group_update_pur_commits` is its generation delta,
+//!   `group_update_pur_decodes` the internal-page decodes the buffer pool
+//!   made during it ([`pagestore::PoolStats::decodes`]: one per internal
+//!   page image, not one per descent) and
+//!   `group_update_pur_internal_pages` the internal pages the tree had,
+//!   the bound the decodes must stay under.
+//!
+//! `…_ms` is the engine-level latency of the write, predicate resolution
+//! and verifying fetches included, the best of [`ROUNDS`] freshly loaded
+//! stores; every other row repeats exactly from run to run. All rows are
+//! smaller-is-better.
 
 use crate::report::ExperimentTable;
 use connectors::DiskConnector;
-use gdpr_core::{GdprConnector, GdprQuery, GdprResponse, Session};
-use pagestore::{PageStore, PageStoreConfig};
+use gdpr_core::{GdprConnector, GdprQuery, GdprResponse, MetadataField, MetadataUpdate, Session};
+use pagestore::page::T_INTERNAL;
+use pagestore::{PageStore, PageStoreConfig, PAGE_SIZE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-use workload::datagen;
+use workload::datagen::{self, THIRD_PARTIES};
 use workload::gdpr::stable_corpus;
 
 pub const RECORDS: usize = 4_000;
 pub const ERASED: usize = 200;
+/// A vocabulary purpose: about a quarter of the corpus declares it.
+const UPDATED_PURPOSE: &str = "ads";
 const POOL_PAGES: usize = 32;
 const SUBJECT: &str = "erased-subject";
 const ROUNDS: usize = 3;
 
-/// Load a fresh store and erase the subject once: (erase latency in ms,
-/// commits, WAL bytes per erased record).
-fn erase_once() -> (f64, f64, f64) {
-    let dir = std::env::temp_dir().join(format!("gdpr-group-erase-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = PageStoreConfig {
-        pool_pages: POOL_PAGES,
-        checkpoint_frames: usize::MAX,
-        ..PageStoreConfig::default()
-    };
-    let store = PageStore::open(&dir, config, clock::wall()).expect("open pagestore");
-    let conn = DiskConnector::with_metadata_index(store.clone()).expect("open connector");
-    let controller = Session::controller();
-    let corpus = stable_corpus(RECORDS);
-    // The subject owns the first ERASED records of a seeded shuffle.
-    let mut rng = SmallRng::seed_from_u64(16);
-    let mut order: Vec<usize> = (0..RECORDS).collect();
-    for i in (1..RECORDS).rev() {
-        order.swap(i, rng.gen_range(0..i + 1));
-    }
-    let mut owned = vec![false; RECORDS];
-    for &i in &order[..ERASED] {
-        owned[i] = true;
-    }
-    for (i, &owned) in owned.iter().enumerate() {
-        let mut record = datagen::record_of(i, &corpus);
-        if owned {
-            record.metadata.user = SUBJECT.to_string();
-        }
-        conn.execute(&controller, &GdprQuery::CreateRecord(record))
-            .expect("load");
-    }
-    store.checkpoint().expect("checkpoint after load");
+/// A store loaded with the corpus — the subject owning the first
+/// [`ERASED`] records of a seeded shuffle — checkpointed, so its WAL is
+/// empty and its data file holds the whole tree.
+struct Loaded {
+    dir: PathBuf,
+    store: Arc<PageStore>,
+    conn: DiskConnector,
+}
 
-    let wal_len = || {
-        std::fs::metadata(dir.join("wal.log"))
+impl Loaded {
+    fn new() -> Loaded {
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "gdpr-group-write-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PageStoreConfig {
+            pool_pages: POOL_PAGES,
+            checkpoint_frames: usize::MAX,
+            ..PageStoreConfig::default()
+        };
+        let store = PageStore::open(&dir, config, clock::wall()).expect("open pagestore");
+        let conn = DiskConnector::with_metadata_index(store.clone()).expect("open connector");
+        let corpus = stable_corpus(RECORDS);
+        let mut rng = SmallRng::seed_from_u64(16);
+        let mut order: Vec<usize> = (0..RECORDS).collect();
+        for i in (1..RECORDS).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut owned = vec![false; RECORDS];
+        for &i in &order[..ERASED] {
+            owned[i] = true;
+        }
+        for (i, &owned) in owned.iter().enumerate() {
+            let mut record = datagen::record_of(i, &corpus);
+            if owned {
+                record.metadata.user = SUBJECT.to_string();
+            }
+            conn.execute(&Session::controller(), &GdprQuery::CreateRecord(record))
+                .expect("load");
+        }
+        store.checkpoint().expect("checkpoint after load");
+        Loaded { dir, store, conn }
+    }
+
+    fn wal_len(&self) -> u64 {
+        std::fs::metadata(self.dir.join("wal.log"))
             .expect("wal.log")
             .len()
-    };
-    let (wal_before, generation_before) = (wal_len(), store.generation());
-    let started = Instant::now();
-    let response = conn
-        .execute(&controller, &GdprQuery::DeleteByUser(SUBJECT.to_string()))
-        .expect("erase-by-user");
-    let elapsed = started.elapsed();
-    assert_eq!(response, GdprResponse::Deleted(ERASED));
+    }
 
-    let measured = (
-        elapsed.as_secs_f64() * 1e3,
-        (store.generation() - generation_before) as f64,
-        (wal_len() - wal_before) as f64 / ERASED as f64,
-    );
-    drop((conn, store));
-    let _ = std::fs::remove_dir_all(&dir);
-    measured
+    /// Internal pages in the (checkpointed) data file.
+    fn internal_pages(&self) -> usize {
+        let pages = std::fs::read(self.dir.join("pages.db")).expect("pages.db");
+        let tree = pages.chunks(PAGE_SIZE).skip(1);
+        tree.filter(|page| page[0] == T_INTERNAL).count()
+    }
+
+    /// Run `query` as the controller: (its response, latency in ms).
+    fn timed(&self, query: &GdprQuery) -> (GdprResponse, f64) {
+        let started = Instant::now();
+        let response = self
+            .conn
+            .execute(&Session::controller(), query)
+            .expect("group write");
+        (response, started.elapsed().as_secs_f64() * 1e3)
+    }
+}
+
+impl Drop for Loaded {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Erase the subject on a fresh store: (latency in ms, commits, WAL bytes
+/// per erased record).
+fn erase_once() -> (f64, f64, f64) {
+    let loaded = Loaded::new();
+    let (wal_before, generation_before) = (loaded.wal_len(), loaded.store.generation());
+    let (response, ms) = loaded.timed(&GdprQuery::DeleteByUser(SUBJECT.to_string()));
+    assert_eq!(response, GdprResponse::Deleted(ERASED));
+    (
+        ms,
+        (loaded.store.generation() - generation_before) as f64,
+        (loaded.wal_len() - wal_before) as f64 / ERASED as f64,
+    )
+}
+
+/// One consent update on a fresh store.
+struct Update {
+    ms: f64,
+    commits: u64,
+    decodes: u64,
+    internal_pages: usize,
+}
+
+fn update_once() -> Update {
+    let loaded = Loaded::new();
+    let internal_pages = loaded.internal_pages();
+    let (generation_before, decodes_before) =
+        (loaded.store.generation(), loaded.store.pool_stats().decodes);
+    let (response, ms) = loaded.timed(&GdprQuery::UpdateMetadataByPurpose {
+        purpose: UPDATED_PURPOSE.to_string(),
+        update: MetadataUpdate::Add(MetadataField::Sharing, THIRD_PARTIES[0].to_string()),
+    });
+    assert!(matches!(response, GdprResponse::Updated(n) if n > RECORDS / 8));
+    Update {
+        ms,
+        commits: loaded.store.generation() - generation_before,
+        decodes: loaded.store.pool_stats().decodes - decodes_before,
+        internal_pages,
+    }
+}
+
+fn best(ms: impl Iterator<Item = f64>) -> f64 {
+    ms.fold(f64::INFINITY, f64::min)
 }
 
 /// Run the suite; returns the table and `(metric, value)` pairs.
 pub fn run() -> (ExperimentTable, Vec<(&'static str, f64)>) {
-    let rounds: Vec<(f64, f64, f64)> = (0..ROUNDS).map(|_| erase_once()).collect();
-    let (_, commits, wal_bytes_per_record) = rounds[0];
-    let best_ms = rounds.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    let series = vec![
-        ("group_erase_200_ms", best_ms),
-        ("group_erase_200_commits", commits),
-        ("group_erase_200_wal_bytes_per_record", wal_bytes_per_record),
+    let erases: Vec<(f64, f64, f64)> = (0..ROUNDS).map(|_| erase_once()).collect();
+    let updates: Vec<Update> = (0..ROUNDS).map(|_| update_once()).collect();
+    let (_, commits, wal_bytes_per_record) = erases[0];
+    let update = &updates[0];
+    // (metric, value, unit) — simpledb's benchmark-row shape.
+    let rows = [
+        ("group_erase_200_ms", best(erases.iter().map(|r| r.0)), "ms"),
+        ("group_erase_200_commits", commits, "count"),
+        (
+            "group_erase_200_wal_bytes_per_record",
+            wal_bytes_per_record,
+            "B",
+        ),
+        (
+            "group_update_pur_ms",
+            best(updates.iter().map(|u| u.ms)),
+            "ms",
+        ),
+        ("group_update_pur_commits", update.commits as f64, "count"),
+        ("group_update_pur_decodes", update.decodes as f64, "count"),
+        (
+            "group_update_pur_internal_pages",
+            update.internal_pages as f64,
+            "count",
+        ),
     ];
 
     let mut table = ExperimentTable::new(
         format!(
-            "Pagestore erase-by-user of {ERASED} of {RECORDS} records, \
-             {POOL_PAGES}-page pool (smaller is better)"
+            "Pagestore group writes on {RECORDS} records, {POOL_PAGES}-page pool: \
+             erase-by-user of {ERASED}, consent update of purpose {UPDATED_PURPOSE} \
+             (smaller is better)"
         ),
-        &["metric", "value"],
+        &["metric", "value", "unit"],
     );
-    for (metric, value) in &series {
-        table.push_row(vec![metric.to_string(), format!("{value:.3}")]);
+    for (metric, value, unit) in &rows {
+        table.push_row(vec![
+            metric.to_string(),
+            format!("{value:.3}"),
+            unit.to_string(),
+        ]);
     }
-    (table, series)
+    let series = rows.iter().map(|&(metric, value, _)| (metric, value));
+    (table, series.collect())
 }
 
 #[cfg(test)]
@@ -121,5 +227,20 @@ mod tests {
         let (ms, commits, wal_bytes_per_record) = erase_once();
         assert_eq!(commits, 1.0);
         assert!(ms > 0.0 && wal_bytes_per_record > 0.0);
+    }
+
+    /// A consent update is one commit, and its descents decode each
+    /// internal page image at most once — the same count every run.
+    #[test]
+    fn group_update_is_one_commit_and_its_decodes_repeat() {
+        let (first, second) = (update_once(), update_once());
+        assert_eq!(first.commits, 1);
+        assert_eq!(first.decodes, second.decodes, "decodes must repeat");
+        assert!(
+            first.decodes as usize <= first.internal_pages,
+            "{} decodes of {} internal pages",
+            first.decodes,
+            first.internal_pages
+        );
     }
 }

@@ -27,6 +27,15 @@
 //! deletes, TTL purges, backfill, shard rebalance) coalesce their index
 //! maintenance this way instead of paying one lock round-trip per record.
 //!
+//! An upsert pays for what changed. A fresh key and a rewrite take one
+//! path that diffs the key's indexed terms against the new metadata: it
+//! touches the postings of the terms that left or joined the key, the
+//! eligibility set only when eligibility flips, and the deadline set only
+//! when the deadline moves. A consent update that adds one sharing party
+//! to a record is one posting insert. [`MetadataIndex::remove`] is the
+//! removal path; the snapshot restore builds a whole image off-lock
+//! through `VocabIndexBuilder` and shares neither.
+//!
 //! Expiry deadlines are **inclusive**: a record whose deadline equals the
 //! current instant is already expired. [`MetadataIndex::expired_keys`],
 //! the key-value store's reaper, and the relational sweep daemon all agree
@@ -175,6 +184,42 @@ fn attach(map: &mut HashMap<String, BTreeSet<Key>>, term: &str, key: Key) {
         set.insert(key);
     } else {
         map.entry(term.to_string()).or_default().insert(key);
+    }
+}
+
+/// Move `key` between the postings of `map` as its terms went from `old`
+/// to `new`: detach it from the terms that left, attach it to the terms
+/// that joined, leave the rest alone. Set semantics — a term listed twice
+/// is one membership.
+fn repost(map: &mut HashMap<String, BTreeSet<Key>>, old: &[Key], new: &[Key], key: &Key) {
+    for term in old.iter().filter(|term| !new.contains(term)) {
+        detach(map, term, key);
+    }
+    for term in new.iter().filter(|term| !old.contains(term)) {
+        attach(map, term, Key::clone(key));
+    }
+}
+
+/// The deadline an upsert indexes a key under.
+#[derive(Debug, Clone, Copy)]
+enum Deadline {
+    /// This absolute deadline (`None`: the key never expires).
+    At(Option<u64>),
+    /// Whatever the key is indexed under now — none for a fresh key.
+    Keep,
+}
+
+impl Deadline {
+    /// The one deadline-derivation rule, shared by the per-record and
+    /// batched upsert paths so they cannot silently diverge: keep the
+    /// indexed deadline when `keep_deadline`, else re-arm from `now_ms +
+    /// declared TTL`.
+    fn of(m: &Metadata, now_ms: u64, keep_deadline: bool) -> Deadline {
+        if keep_deadline {
+            Deadline::Keep
+        } else {
+            Deadline::At(m.ttl.map(|ttl| now_ms + ttl.as_millis() as u64))
+        }
     }
 }
 
@@ -473,8 +518,7 @@ impl MetadataIndex {
             &mut self.inner.write(),
             &record.key,
             &record.metadata,
-            now_ms,
-            keep_deadline,
+            Deadline::of(&record.metadata, now_ms, keep_deadline),
         );
     }
 
@@ -482,11 +526,11 @@ impl MetadataIndex {
     /// path, where the store's own remaining deadline (not `now + declared
     /// TTL`) is authoritative for records that already existed.
     pub fn upsert_with_deadline(&self, record: &PersonalRecord, deadline_ms: Option<u64>) {
-        Self::index_locked(
+        Self::upsert_locked(
             &mut self.inner.write(),
             &record.key,
             &record.metadata,
-            deadline_ms,
+            Deadline::At(deadline_ms),
         );
     }
 
@@ -507,12 +551,15 @@ impl MetadataIndex {
                     metadata,
                     now_ms,
                     keep_deadline,
-                } => Self::upsert_locked(&mut inner, &key, &metadata, now_ms, keep_deadline),
+                } => {
+                    let deadline = Deadline::of(&metadata, now_ms, keep_deadline);
+                    Self::upsert_locked(&mut inner, &key, &metadata, deadline)
+                }
                 IndexOp::UpsertAt {
                     key,
                     metadata,
                     deadline_ms,
-                } => Self::index_locked(&mut inner, &key, &metadata, deadline_ms),
+                } => Self::upsert_locked(&mut inner, &key, &metadata, Deadline::At(deadline_ms)),
                 IndexOp::Remove { key } => {
                     inner.unindex(&key);
                 }
@@ -521,68 +568,94 @@ impl MetadataIndex {
         n
     }
 
-    /// The one deadline-derivation rule, shared by the per-record and
-    /// batched upsert paths so they cannot silently diverge: keep the
-    /// previously indexed deadline when `keep_deadline`, else re-arm from
-    /// `now_ms + declared TTL`.
-    fn upsert_locked(inner: &mut Inner, key: &str, m: &Metadata, now_ms: u64, keep_deadline: bool) {
-        let deadline_ms = if keep_deadline {
-            inner.terms.get(key).and_then(|t| t.deadline_ms)
-        } else {
-            m.ttl.map(|ttl| now_ms + ttl.as_millis() as u64)
+    /// The one upsert path, for a fresh key and a rewrite alike. One
+    /// `terms` probe reads the key's current row (a fresh key has none:
+    /// the diff runs against an empty row), and only what differs is
+    /// touched: the postings of terms that left or joined the key, the
+    /// eligibility set when eligibility flips, the deadline set when the
+    /// deadline moves, `all_keys` only for a fresh key. The new row
+    /// shares the old row's `Arc`s for the terms that stayed and replaces
+    /// it in place. A consent update that adds one party to a record
+    /// therefore costs one posting insert, not a detach and re-attach of
+    /// every term the record carries.
+    fn upsert_locked(inner: &mut Inner, key: &str, m: &Metadata, deadline: Deadline) {
+        let Inner {
+            by_user,
+            by_purpose,
+            by_objection,
+            by_sharing,
+            all_keys,
+            decision_eligible,
+            by_deadline,
+            terms,
+        } = inner;
+        let (key, old) = match terms.get_key_value(key) {
+            Some((key, old)) => (Key::clone(key), Some(old)),
+            None => (Key::from(key), None),
         };
-        Self::index_locked(inner, key, m, deadline_ms);
-    }
-
-    fn index_locked(inner: &mut Inner, key: &str, m: &Metadata, deadline_ms: Option<u64>) {
-        let mut term_lists: Vec<Key> =
-            Vec::with_capacity(m.purposes.len() + m.objections.len() + m.sharing.len());
-        term_lists.extend(
-            m.purposes
-                .iter()
-                .chain(&m.objections)
-                .chain(&m.sharing)
-                .map(|t| Key::from(t.as_str())),
+        let old_terms: &[Key] = old.map_or(&[], |t| &t.term_lists);
+        let term_lists: Vec<Key> = m
+            .purposes
+            .iter()
+            .chain(&m.objections)
+            .chain(&m.sharing)
+            .map(|term| match old_terms.iter().find(|t| ***t == **term) {
+                Some(kept) => Key::clone(kept),
+                None => Key::from(term.as_str()),
+            })
+            .collect();
+        let user = match old {
+            Some(t) if *t.user == *m.user => Key::clone(&t.user),
+            _ => Key::from(m.user.as_str()),
+        };
+        let (was_eligible, old_deadline) =
+            old.map_or((false, None), |t| (t.decision_eligible, t.deadline_ms));
+        let new = IndexedTerms::packed(
+            user,
+            term_lists,
+            m.purposes.len(),
+            m.purposes.len() + m.objections.len(),
+            m.allows_automated_decisions(),
+            match deadline {
+                Deadline::At(at) => at,
+                Deadline::Keep => old_deadline,
+            },
         );
-        Self::terms_locked(
-            inner,
-            Key::from(key),
-            IndexedTerms::packed(
-                Key::from(m.user.as_str()),
-                term_lists,
-                m.purposes.len(),
-                m.purposes.len() + m.objections.len(),
-                m.allows_automated_decisions(),
-                deadline_ms,
-            ),
-        );
-    }
 
-    /// Attach one key's terms to every structure. The single insertion
-    /// path shared by live indexing and snapshot restore, so a restored
-    /// index cannot diverge structurally from a live-built one. The key
-    /// is allocated once (by the caller) and shared by refcount into
-    /// every structure it lands in.
-    fn terms_locked(inner: &mut Inner, key: Key, terms: IndexedTerms) {
-        inner.unindex(&key);
-        attach(&mut inner.by_user, &terms.user, Key::clone(&key));
-        for p in terms.purposes() {
-            attach(&mut inner.by_purpose, p, Key::clone(&key));
+        let old_user = old.map(|t| std::slice::from_ref(&t.user));
+        repost(
+            by_user,
+            old_user.unwrap_or_default(),
+            std::slice::from_ref(&new.user),
+            &key,
+        );
+        let old_purposes = old.map(IndexedTerms::purposes).unwrap_or_default();
+        repost(by_purpose, old_purposes, new.purposes(), &key);
+        let old_objections = old.map(IndexedTerms::objections).unwrap_or_default();
+        repost(by_objection, old_objections, new.objections(), &key);
+        let old_sharing = old.map(IndexedTerms::sharing).unwrap_or_default();
+        repost(by_sharing, old_sharing, new.sharing(), &key);
+        if new.decision_eligible != was_eligible {
+            if new.decision_eligible {
+                decision_eligible.insert(Key::clone(&key));
+            } else {
+                decision_eligible.remove(&key);
+            }
         }
-        for o in terms.objections() {
-            attach(&mut inner.by_objection, o, Key::clone(&key));
+        if new.deadline_ms != old_deadline {
+            if let Some(at) = old_deadline {
+                by_deadline.remove(&(at, Key::clone(&key)));
+            }
+            if let Some(at) = new.deadline_ms {
+                by_deadline.insert((at, Key::clone(&key)));
+            }
         }
-        for s in terms.sharing() {
-            attach(&mut inner.by_sharing, s, Key::clone(&key));
+        if old.is_some() {
+            *terms.get_mut(&key).expect("the row read above") = new;
+        } else {
+            all_keys.insert(Key::clone(&key));
+            terms.insert(key, new);
         }
-        inner.all_keys.insert(Key::clone(&key));
-        if terms.decision_eligible {
-            inner.decision_eligible.insert(Key::clone(&key));
-        }
-        if let Some(at) = terms.deadline_ms {
-            inner.by_deadline.insert((at, Key::clone(&key)));
-        }
-        inner.terms.insert(key, terms);
     }
 
     /// Drop a key from every index. Returns whether it was indexed. This is

@@ -32,6 +32,15 @@
 //! therefore lands the store on some committed prefix of its history —
 //! never a half-applied operation.
 //!
+//! # Buffer pool
+//!
+//! Reads go through a fixed-capacity [`pool`] of verified, committed page
+//! images. The slot of an internal page also holds the page decoded: a
+//! descent decodes the root and the internal pages once per committed
+//! image, not once per lookup, and a decode goes with its image when the
+//! image is refreshed by a commit or evicted. Pages a transaction dirtied
+//! are decoded from the transaction's own bytes.
+//!
 //! # Semantics
 //!
 //! Expiry mirrors the key-value store exactly — lazy reap-on-access with
@@ -588,6 +597,23 @@ impl Descent {
     }
 }
 
+/// A B+tree page as a descent meets it.
+enum TreePage {
+    /// Shared with the pool slot that holds the page's committed image.
+    Internal(Arc<Internal>),
+    Leaf(Leaf),
+}
+
+impl TreePage {
+    fn parse(pid: u32, image: &[u8]) -> Result<TreePage> {
+        match page_type(pid, image)? {
+            T_INTERNAL => Ok(TreePage::Internal(Arc::new(parse_internal(pid, image)?))),
+            T_LEAF => Ok(TreePage::Leaf(parse_leaf(pid, image)?)),
+            t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
+        }
+    }
+}
+
 /// Is `key` — not below the key a descent was made for — still inside the
 /// leaf that descent reached, given the leaf's [`Descent::upper`] fence?
 fn below_fence(upper: &Option<Vec<u8>>, key: &[u8]) -> bool {
@@ -695,7 +721,10 @@ impl Inner {
                 .insert(pid, self.wal_len + wal::FRAME_HEADER as u64);
             self.wal_len += wal::FRAME_SIZE as u64;
         }
-        for (pid, image) in tx.dirty {
+        // In pid order, like the frames: which images a nearly full pool
+        // keeps must not depend on the `HashMap`'s per-process hash seed.
+        for pid in pids {
+            let image = tx.dirty.remove(&pid).expect("pids are tx.dirty's keys");
             self.pool.install_committed(pid, Arc::new(image));
         }
         self.meta = tx.meta;
@@ -871,26 +900,14 @@ impl Inner {
             if path.len() > MAX_TREE_DEPTH {
                 return Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"));
             }
-            enum Step {
-                Down(u32, Option<Vec<u8>>),
-                Leaf(Leaf),
-            }
-            let step = self.with_image(tx, pid, |img| match page_type(pid, img)? {
-                T_INTERNAL => {
-                    let node = parse_internal(pid, img)?;
+            match self.tree_page(tx, pid)? {
+                TreePage::Internal(node) => {
                     let (child, bound) = descend_child(&node, key, pid)?;
-                    Ok(Step::Down(child, bound.map(<[u8]>::to_vec)))
-                }
-                T_LEAF => Ok(Step::Leaf(parse_leaf(pid, img)?)),
-                t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
-            })?;
-            match step {
-                Step::Down(child, bound) => {
                     path.push(pid);
-                    upper = bound.or(upper);
+                    upper = bound.map(<[u8]>::to_vec).or(upper);
                     pid = child;
                 }
-                Step::Leaf(leaf) => {
+                TreePage::Leaf(leaf) => {
                     return Ok(Some(Descent {
                         pid,
                         leaf,
@@ -900,6 +917,24 @@ impl Inner {
                 }
             }
         }
+    }
+
+    /// Tree page `pid`, decoded. A page `tx` dirtied is parsed from the
+    /// transaction's bytes; any other is read through the pool, which
+    /// keeps an internal page's decode beside its committed image
+    /// ([`Pool::internal`]) so descents through it parse it once.
+    fn tree_page(&mut self, tx: Option<&TxState>, pid: u32) -> Result<TreePage> {
+        if let Some(image) = tx.and_then(|tx| tx.dirty.get(&pid)) {
+            return TreePage::parse(pid, image);
+        }
+        let image = self.read_page(pid)?;
+        if page_type(pid, &image)? == T_INTERNAL {
+            return self.pool.internal(pid, &image).map(TreePage::Internal);
+        }
+        self.pool.pin(pid);
+        let page = TreePage::parse(pid, &image);
+        self.pool.unpin(pid);
+        page
     }
 
     /// The committed entry for `key`, side-effect-free.
@@ -1172,6 +1207,7 @@ fn descend_child<'n>(node: &'n Internal, key: &[u8], pid: u32) -> Result<(u32, O
 mod tests {
     use super::*;
     use clock::Clock;
+    use std::collections::BTreeMap;
 
     fn scratch(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1433,6 +1469,259 @@ mod tests {
         }
         assert_eq!(store.scan().unwrap().len(), 2000);
         assert_eq!(store.pinned_pages(), 0);
+    }
+
+    /// A deterministic xorshift stream (the crate has no `rand` edge).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// 300-byte keys: about a dozen separators fill an internal page, so
+    /// a few hundred records grow a tree with internal splits.
+    fn long_key(n: u64) -> String {
+        format!("{n:0>300}")
+    }
+
+    /// What every op must leave behind: no pin held, and every decode the
+    /// pool keeps is its slot's current image, decoded.
+    fn assert_pool_sound(store: &PageStore) {
+        assert_eq!(store.pinned_pages(), 0);
+        assert!(store.inner.lock().pool.decodes_match_images());
+    }
+
+    /// Internal pages of the committed tree, counted in the data file
+    /// after a checkpoint (internal pages are never freed).
+    fn internal_pages(store: &PageStore) -> usize {
+        store.checkpoint().unwrap();
+        let pages = std::fs::read(store.dir().join("pages.db")).unwrap();
+        let tree = pages.chunks(PAGE_SIZE).skip(1);
+        tree.filter(|page| page[0] == T_INTERNAL).count()
+    }
+
+    fn assert_matches_model(store: &PageStore, model: &BTreeMap<String, Vec<u8>>) {
+        let scan = store.scan().unwrap();
+        assert_eq!(scan.len(), model.len());
+        assert!(scan
+            .iter()
+            .zip(model)
+            .all(|((k, v), (mk, mv))| k == mk && v == mv));
+    }
+
+    /// `Inner::commit` installs committed images in pid order: stores
+    /// opened on copies of one directory and fed one op sequence end with
+    /// equal pool counts, although each `tx.dirty` map hashes under its
+    /// own seed.
+    #[test]
+    fn pool_counts_repeat_on_copies_of_one_directory() {
+        let base = scratch("repeat-base");
+        {
+            let store = open(&base, 8);
+            store.insert("seed", b"v", None).unwrap();
+            store.checkpoint().unwrap();
+        }
+        let run = |copy: usize| {
+            let dir = scratch(&format!("repeat-{copy}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            for file in ["pages.db", "wal.log"] {
+                std::fs::copy(base.join(file), dir.join(file)).unwrap();
+            }
+            // The batch dirties more pages than the pool has free slots:
+            // which of them the commit installs decides what the reads
+            // below hit.
+            let store = open(&dir, 32);
+            let values: Vec<(String, Vec<u8>)> = (0..300)
+                .map(|i| (long_key(i), vec![i as u8; 400]))
+                .collect();
+            let ops: Vec<BatchOp<'_>> = values
+                .iter()
+                .map(|(key, value)| BatchOp::Upsert {
+                    key,
+                    value,
+                    deadline: Deadline::At(None),
+                })
+                .collect();
+            store.apply(&ops).unwrap();
+            for (key, _) in &values {
+                store.get(key).unwrap().unwrap();
+            }
+            store.pool_stats()
+        };
+        let first = run(0);
+        for copy in 1..4 {
+            assert_eq!(run(copy), first, "copy {copy}");
+        }
+    }
+
+    /// Root and internal splits interleaved with point and batched reads
+    /// on a two-page pool, against a `BTreeMap` model: every descent
+    /// reads through decodes that must track the images they came from,
+    /// and the data survive a checkpoint and a reopen.
+    #[test]
+    fn decodes_track_their_images_through_root_and_internal_splits() {
+        let dir = scratch("decode-splits");
+        let store = open(&dir, 2);
+        let mut model = BTreeMap::new();
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for step in 0..1_500u64 {
+            let key = long_key(rng.below(500));
+            match rng.below(10) {
+                0..=5 => {
+                    let value = vec![step as u8; rng.below(600) as usize];
+                    store.upsert(&key, &value, Deadline::At(None)).unwrap();
+                    model.insert(key, value);
+                }
+                6 => assert_eq!(store.remove(&key).unwrap(), model.remove(&key).is_some()),
+                7 => {
+                    let window: Vec<&String> = model.range(key..).take(5).map(|(k, _)| k).collect();
+                    let got = store.get_many(&window).unwrap();
+                    assert!(got
+                        .iter()
+                        .zip(&window)
+                        .all(|(v, k)| v.as_ref() == model.get(*k)));
+                }
+                _ => assert_eq!(store.get(&key).unwrap().as_ref(), model.get(&key)),
+            }
+            assert_pool_sound(&store);
+        }
+        assert_matches_model(&store, &model);
+        assert!(
+            internal_pages(&store) >= 3,
+            "the root split and then split again"
+        );
+        drop(store);
+        let store = open(&dir, 2);
+        assert_matches_model(&store, &model);
+        assert_pool_sound(&store);
+    }
+
+    /// Once the pool holds the tree's internal pages, lookups decode each
+    /// of them once, however many descents pass through.
+    #[test]
+    fn a_warm_pool_decodes_each_internal_page_once() {
+        let dir = scratch("decode-once");
+        let store = open(&dir, 256);
+        for i in 0..400 {
+            store.insert(&long_key(i), &[1u8; 300], None).unwrap();
+        }
+        let internal = internal_pages(&store);
+        drop(store);
+        let store = open(&dir, 256);
+        for _ in 0..3 {
+            for i in 0..400 {
+                store.get(&long_key(i)).unwrap().unwrap();
+            }
+        }
+        let decodes = store.pool_stats().decodes;
+        assert!(
+            internal >= 3 && decodes as usize <= internal,
+            "{decodes} decodes of {internal} internal pages"
+        );
+        assert_pool_sound(&store);
+    }
+
+    /// A batch that fails leaves the committed images — and only their
+    /// decodes — behind: refused up front (an over-long key among
+    /// splitting upserts), or part-way through its descents (a corrupt
+    /// leaf past pages the transaction already split).
+    #[test]
+    fn a_failed_apply_leaves_no_decode_of_an_uncommitted_image() {
+        let dir = scratch("decode-failed-apply");
+        let store = open(&dir, 2);
+        let mut model = BTreeMap::new();
+        for i in (0..400).step_by(2) {
+            store.insert(&long_key(i), &[2u8; 300], None).unwrap();
+            model.insert(long_key(i), vec![2u8; 300]);
+        }
+        let grown: Vec<(String, Vec<u8>)> = (1..300)
+            .step_by(2)
+            .map(|i| (long_key(i), vec![3u8; 600]))
+            .collect();
+        let mut ops: Vec<BatchOp<'_>> = grown
+            .iter()
+            .map(|(key, value)| BatchOp::Upsert {
+                key,
+                value,
+                deadline: Deadline::At(None),
+            })
+            .collect();
+        let long = "k".repeat(KEY_MAX + 1);
+        let (generation, decodes) = (store.generation(), store.pool_stats().decodes);
+        ops.insert(ops.len() / 2, BatchOp::Remove(&long));
+        assert!(matches!(store.apply(&ops), Err(Error::KeyTooLong(_))));
+        assert_eq!(store.generation(), generation);
+        assert_eq!(
+            store.pool_stats().decodes,
+            decodes,
+            "refused before any descent"
+        );
+        assert_pool_sound(&store);
+        assert_matches_model(&store, &model);
+
+        // Corrupt the leaf holding the largest key, then run the same
+        // splitting batch with that key last: it fails at the last leaf.
+        let last = long_key(398);
+        let pages = dir.join("pages.db");
+        store.checkpoint().unwrap();
+        drop(store);
+        let mut bytes = std::fs::read(&pages).unwrap();
+        let leaf = bytes
+            .chunks(PAGE_SIZE)
+            .position(|page| {
+                page[0] == T_LEAF && page.windows(last.len()).any(|w| w == last.as_bytes())
+            })
+            .unwrap();
+        bytes[leaf * PAGE_SIZE + page::PAYLOAD - 1] ^= 0x10;
+        std::fs::write(&pages, bytes).unwrap();
+        let store = open(&dir, 2);
+        ops.retain(|op| op.key().len() <= KEY_MAX);
+        ops.push(BatchOp::Remove(&last));
+        assert!(matches!(store.apply(&ops), Err(Error::Corrupt(_))));
+        assert_eq!(store.generation(), generation);
+        assert_pool_sound(&store);
+        for (key, value) in model.range(..long_key(300)) {
+            assert_eq!(store.get(key).unwrap().as_ref(), Some(value));
+        }
+        assert!(grown
+            .iter()
+            .all(|(key, _)| store.get(key).unwrap().is_none()));
+        assert_pool_sound(&store);
+    }
+
+    /// A flipped byte in an on-disk internal page is `Corrupt` on the
+    /// first descent after reopen — a decode is only ever made from a
+    /// verified image.
+    #[test]
+    fn a_flipped_byte_in_an_internal_page_is_corrupt_before_any_decode() {
+        let dir = scratch("decode-flip");
+        let store = open(&dir, 2);
+        for i in 0..200 {
+            store.insert(&long_key(i), &[4u8; 300], None).unwrap();
+        }
+        store.checkpoint().unwrap();
+        let root = store.inner.lock().meta.root as usize;
+        drop(store);
+        let pages = dir.join("pages.db");
+        let mut bytes = std::fs::read(&pages).unwrap();
+        assert_eq!(bytes[root * PAGE_SIZE], T_INTERNAL);
+        bytes[root * PAGE_SIZE + 5] ^= 0x01;
+        std::fs::write(&pages, bytes).unwrap();
+        let store = open(&dir, 2);
+        for _ in 0..2 {
+            assert!(matches!(store.get(&long_key(7)), Err(Error::Corrupt(_))));
+            assert!(matches!(
+                store.upsert(&long_key(8), b"v", Deadline::Keep),
+                Err(Error::Corrupt(_))
+            ));
+            assert_pool_sound(&store);
+        }
+        assert_eq!(store.pool_stats().decodes, 0);
     }
 
     #[test]

@@ -176,7 +176,7 @@ pub struct Leaf {
     pub entries: Vec<LeafEntry>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Internal {
     /// `keys.len() + 1 == children.len()`; `children[i]` holds keys `k`
     /// with `keys[i-1] <= k < keys[i]` (separator = smallest key of the

@@ -6,7 +6,22 @@
 //! get wrong. Pages are pinned only while being parsed; every public store
 //! op returns with the pin count back at zero (asserted by the
 //! eviction-pressure suite).
+//!
+//! A page enters the pool unreferenced: it earns its second chance only
+//! by being read again. Pages every descent passes through (the root, the
+//! internal pages) therefore keep their slots through a stream of leaves
+//! each read once — the leaves are the first victims.
+//!
+//! The slot of a B+tree internal page also holds the page decoded, built
+//! by the first descent through it ([`Pool::internal`]) and shared by
+//! every later one, so a descent does not re-parse the same root on every
+//! lookup. The decode lives and dies with the image it was made from: a
+//! refreshed image (`insert`, `install_committed`) starts undecoded and an
+//! evicted slot takes its decode along, so a decode never outlives its
+//! bytes and the pool still holds at most `cap` pages, decoded or not.
 
+use crate::page::{parse_internal, Internal};
+use crate::Error;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -14,6 +29,8 @@ pub type PageImage = Arc<Vec<u8>>;
 
 struct Slot {
     data: PageImage,
+    /// `data` decoded as an internal node, once a descent asked for it.
+    node: Option<Arc<Internal>>,
     referenced: bool,
     pins: u32,
 }
@@ -26,6 +43,9 @@ pub struct PoolStats {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
+    /// Internal-page images decoded for a descent: once per image while
+    /// it stays resident.
+    pub decodes: u64,
 }
 
 pub struct Pool {
@@ -38,6 +58,7 @@ pub struct Pool {
     hits: u64,
     misses: u64,
     evictions: u64,
+    decodes: u64,
     pinned: usize,
 }
 
@@ -53,6 +74,7 @@ impl Pool {
             hits: 0,
             misses: 0,
             evictions: 0,
+            decodes: 0,
             pinned: 0,
         }
     }
@@ -78,6 +100,7 @@ impl Pool {
     pub fn insert(&mut self, pid: u32, data: PageImage) {
         if let Some(slot) = self.slots.get_mut(&pid) {
             slot.data = data;
+            slot.node = None;
             slot.referenced = true;
             return;
         }
@@ -90,7 +113,8 @@ impl Pool {
             pid,
             Slot {
                 data,
-                referenced: true,
+                node: None,
+                referenced: false,
                 pins: 0,
             },
         );
@@ -107,6 +131,27 @@ impl Pool {
         if self.slots.contains_key(&pid) || self.slots.len() < self.cap {
             self.insert(pid, data);
         }
+    }
+
+    /// `image`, the resident image of page `pid`, decoded as an internal
+    /// node: parsed on the first request (validated as [`parse_internal`]
+    /// validates, so a corrupt page is an error and is never kept) and
+    /// shared from the slot afterwards. An image that is not the slot's
+    /// current one is parsed and not kept.
+    pub fn internal(&mut self, pid: u32, image: &PageImage) -> Result<Arc<Internal>, Error> {
+        let slot = self
+            .slots
+            .get_mut(&pid)
+            .filter(|slot| Arc::ptr_eq(&slot.data, image));
+        if let Some(node) = slot.as_ref().and_then(|slot| slot.node.as_ref()) {
+            return Ok(Arc::clone(node));
+        }
+        let node = Arc::new(parse_internal(pid, image)?);
+        self.decodes += 1;
+        if let Some(slot) = slot {
+            slot.node = Some(Arc::clone(&node));
+        }
+        Ok(node)
     }
 
     fn evict_one(&mut self) -> bool {
@@ -151,6 +196,16 @@ impl Pool {
         }
     }
 
+    /// Whether every kept decode is its slot's current image, decoded.
+    #[cfg(test)]
+    pub(crate) fn decodes_match_images(&self) -> bool {
+        self.slots.iter().all(|(&pid, slot)| {
+            slot.node
+                .as_ref()
+                .is_none_or(|node| parse_internal(pid, &slot.data).is_ok_and(|now| now == **node))
+        })
+    }
+
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             capacity: self.cap,
@@ -159,6 +214,7 @@ impl Pool {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
+            decodes: self.decodes,
         }
     }
 }
@@ -208,6 +264,63 @@ mod tests {
     }
 
     #[test]
+    fn a_decode_is_kept_until_its_image_goes() {
+        use crate::page::serialize_internal;
+        let node = |sep: &[u8]| Internal {
+            keys: vec![sep.to_vec()],
+            children: vec![1, 2],
+        };
+        let image = |sep: &[u8]| -> PageImage { Arc::new(serialize_internal(7, &node(sep))) };
+        let mut pool = Pool::new(2);
+        let first = image(b"m");
+        pool.insert(7, Arc::clone(&first));
+        assert_eq!(*pool.internal(7, &first).unwrap(), node(b"m"));
+        assert_eq!(*pool.internal(7, &first).unwrap(), node(b"m"));
+        assert_eq!(
+            pool.stats().decodes,
+            1,
+            "the second request shares the first decode"
+        );
+
+        let refreshed = image(b"q");
+        pool.install_committed(7, Arc::clone(&refreshed));
+        assert_eq!(*pool.internal(7, &refreshed).unwrap(), node(b"q"));
+        assert_eq!(
+            pool.stats().decodes,
+            2,
+            "a refreshed image is decoded afresh"
+        );
+        assert_eq!(*pool.internal(7, &first).unwrap(), node(b"m"));
+        assert_eq!(
+            pool.stats().decodes,
+            3,
+            "a stale image is decoded, never kept"
+        );
+        assert!(pool.decodes_match_images());
+
+        for pid in 8..10 {
+            pool.insert(pid, img(pid as u8));
+            pool.get(pid);
+        }
+        assert!(!pool.slots.contains_key(&7), "evicted");
+        pool.insert(7, Arc::clone(&refreshed));
+        pool.internal(7, &refreshed).unwrap();
+        assert_eq!(
+            pool.stats().decodes,
+            4,
+            "the decode left with the evicted slot"
+        );
+
+        let mut corrupt = serialize_internal(9, &node(b"m"));
+        corrupt[2] = 0xff; // nkeys beyond the page
+        let corrupt: PageImage = Arc::new(corrupt);
+        pool.insert(9, Arc::clone(&corrupt));
+        assert!(matches!(pool.internal(9, &corrupt), Err(Error::Corrupt(_))));
+        assert!(matches!(pool.internal(9, &corrupt), Err(Error::Corrupt(_))));
+        assert!(pool.decodes_match_images());
+    }
+
+    #[test]
     fn second_chance_prefers_cold_pages() {
         let mut pool = Pool::new(3);
         pool.insert(1, img(1));
@@ -221,5 +334,18 @@ mod tests {
         pool.insert(4, img(4));
         pool.insert(5, img(5));
         assert_eq!(pool.stats().resident, 3);
+    }
+
+    /// A root every descent reads keeps its slot (and its decode) through
+    /// a stream of leaves each read once.
+    #[test]
+    fn pages_read_again_outlive_pages_read_once() {
+        let mut pool = Pool::new(4);
+        pool.insert(1, img(1));
+        for pid in 100..200 {
+            assert!(pool.get(1).is_some(), "root evicted before leaf {pid}");
+            pool.insert(pid, img(0));
+        }
+        assert_eq!(pool.stats().evictions, 100 - 3);
     }
 }

@@ -1166,6 +1166,143 @@ mod engine_index {
 }
 
 // ---------------------------------------------------------------------------
+// Metadata-index upsert properties
+// ---------------------------------------------------------------------------
+
+mod metaindex_diff {
+    use super::gdpr_gen::*;
+    use super::*;
+    use gdprbench_repro::gdpr_core::{IndexBatch, MetadataIndex};
+
+    /// Every predicate shape over every term of the generator vocabulary.
+    fn predicates() -> Vec<RecordPredicate> {
+        let mut preds = vec![RecordPredicate::DecisionEligible];
+        preds.extend(USERS.map(|u| RecordPredicate::User(u.into())));
+        for p in PURPOSES {
+            preds.push(RecordPredicate::DeclaredPurpose(p.into()));
+            preds.push(RecordPredicate::AllowsPurpose(p.into()));
+            preds.push(RecordPredicate::NotObjecting(p.into()));
+        }
+        preds.extend(PARTIES.map(|s| RecordPredicate::SharedWith(s.into())));
+        preds
+    }
+
+    /// Drop one random element, if any.
+    fn drop_one(rng: &mut SmallRng, list: &mut Vec<String>) {
+        if !list.is_empty() {
+            list.remove(rng.gen_range(0usize..list.len()));
+        }
+    }
+
+    /// One random metadata transition; adds may repeat a term the list
+    /// already holds.
+    fn mutate(rng: &mut SmallRng, m: &mut Metadata) {
+        match rng.gen_range(0u32..9) {
+            0 => m.user = pick(rng, &USERS).to_string(),
+            1 => m.purposes.push(pick(rng, &PURPOSES).to_string()),
+            2 => drop_one(rng, &mut m.purposes),
+            3 => m.objections.push(pick(rng, &PURPOSES).to_string()),
+            4 => drop_one(rng, &mut m.objections),
+            5 => m.sharing.push(pick(rng, &PARTIES).to_string()),
+            6 => drop_one(rng, &mut m.sharing),
+            7 => {
+                if m.decisions.is_empty() {
+                    m.decisions.push(Metadata::DEC_OPT_OUT.to_string());
+                } else {
+                    m.decisions.clear();
+                }
+            }
+            _ => {
+                m.ttl = rng
+                    .gen_bool(0.7)
+                    .then(|| Duration::from_secs(rng.gen_range(1u64..120)))
+            }
+        }
+    }
+
+    /// An upsert that diffs the key's indexed terms leaves the index
+    /// exactly as removing the key and indexing it afresh does: the
+    /// per-key dump, every predicate's candidates and the footprint agree
+    /// after every op — across user, purpose, objection and sharing
+    /// changes (duplicates included), decision opt-out toggles, TTL
+    /// changes with the deadline kept or re-armed, removals, and upserts
+    /// of absent keys, through all three upsert entry points.
+    #[test]
+    fn a_diffing_upsert_equals_remove_plus_reinsert() {
+        run_cases(96, |rng| {
+            let diffing = MetadataIndex::new();
+            let reference = MetadataIndex::new();
+            let mut live: Vec<Option<PersonalRecord>> = vec![None; 5];
+            for step in 0..rng.gen_range(1u64..80) {
+                let now_ms = step * 1_000;
+                let slot = rng.gen_range(0usize..live.len());
+                let key = format!("k{slot}");
+                if rng.gen_range(0u32..10) == 0 {
+                    assert_eq!(diffing.remove(&key), reference.remove(&key));
+                    live[slot] = None;
+                } else {
+                    let mut record = match live[slot].take() {
+                        Some(record) => record,
+                        None => arb_gdpr_record(rng, key.clone()),
+                    };
+                    for _ in 0..rng.gen_range(1u32..4) {
+                        mutate(rng, &mut record.metadata);
+                    }
+                    let rearmed = record
+                        .metadata
+                        .ttl
+                        .map(|ttl| now_ms + ttl.as_millis() as u64);
+                    let deadline = match rng.gen_range(0u32..3) {
+                        0 => {
+                            let keep = rng.gen_bool(0.5);
+                            diffing.upsert(&record, now_ms, keep);
+                            if keep {
+                                reference.deadline_of(&key)
+                            } else {
+                                rearmed
+                            }
+                        }
+                        1 => {
+                            let keep = rng.gen_bool(0.5);
+                            let mut batch = IndexBatch::new();
+                            batch.upsert(record.clone(), now_ms, keep);
+                            diffing.apply(batch);
+                            if keep {
+                                reference.deadline_of(&key)
+                            } else {
+                                rearmed
+                            }
+                        }
+                        _ => {
+                            let at = rng.gen_bool(0.7).then(|| rng.gen_range(0u64..200_000));
+                            diffing.upsert_with_deadline(&record, at);
+                            at
+                        }
+                    };
+                    reference.remove(&key);
+                    reference.upsert_with_deadline(&record, deadline);
+                    live[slot] = Some(record);
+                }
+
+                assert_eq!(diffing.export_entries(), reference.export_entries());
+                for pred in predicates() {
+                    assert_eq!(
+                        diffing.keys_for(&pred),
+                        reference.keys_for(&pred),
+                        "{pred:?}"
+                    );
+                }
+                assert_eq!(diffing.size_bytes(), reference.size_bytes());
+                assert_eq!(
+                    diffing.expired_keys(u64::MAX),
+                    reference.expired_keys(u64::MAX)
+                );
+            }
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Shard-count invariance properties
 // ---------------------------------------------------------------------------
 
