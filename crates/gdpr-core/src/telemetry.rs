@@ -193,6 +193,19 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
+    /// Record one duration in place, on the buckets [`AtomicHistogram`]
+    /// uses — for a histogram one thread owns (a workload runner's
+    /// per-query stats). Not gated by [`set_recording`]: a benchmark's
+    /// own measurement is not instrumentation.
+    pub fn record(&mut self, latency: Duration) {
+        let v = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum_ns = self.sum_ns.saturating_add(v);
+        self.min_ns = self.min_ns.min(v);
+        self.max_ns = self.max_ns.max(v);
+    }
+
     /// Merge another snapshot in. Bucket-wise addition is associative and
     /// commutative, so shard/thread snapshots combine in any order.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -577,6 +590,17 @@ mod tests {
         ba.merge(&c);
         assert_eq!(ab_c, ba);
         assert_eq!(ab_c.count, 9);
+    }
+
+    #[test]
+    fn in_place_record_matches_the_atomic_histogram() {
+        let atomic = AtomicHistogram::new();
+        let mut owned = HistogramSnapshot::default();
+        for us in [0, 1, 90, 5_000, 2_000_000] {
+            atomic.record(Duration::from_micros(us));
+            owned.record(Duration::from_micros(us));
+        }
+        assert_eq!(owned, atomic.snapshot());
     }
 
     #[test]

@@ -433,6 +433,9 @@ impl Command {
                 ])
             }
             ZAdd { key, entries } => {
+                for (score, _) in entries {
+                    not_nan(*score)?;
+                }
                 let zset = db
                     .get_or_create(
                         key,
@@ -453,16 +456,19 @@ impl Command {
                 min,
                 max,
                 limit,
-            } => match db.get(key) {
-                Some(v) => Reply::Array(
-                    v.as_zset()?
-                        .range_by_score_limit(*min, *max, limit.unwrap_or(usize::MAX))
-                        .into_iter()
-                        .map(|(m, _)| Reply::Bulk(m))
-                        .collect(),
-                ),
-                None => Reply::Array(vec![]),
-            },
+            } => {
+                let (min, max) = (not_nan(*min)?, not_nan(*max)?);
+                match db.get(key) {
+                    Some(v) => Reply::Array(
+                        v.as_zset()?
+                            .range_by_score_limit(min, max, limit.unwrap_or(usize::MAX))
+                            .into_iter()
+                            .map(|(m, _)| Reply::Bulk(m))
+                            .collect(),
+                    ),
+                    None => Reply::Array(vec![]),
+                }
+            }
         })
     }
 
@@ -512,7 +518,17 @@ fn parse_f64(b: &[u8]) -> KvResult<f64> {
     std::str::from_utf8(b)
         .ok()
         .and_then(|s| s.parse().ok())
+        .filter(|f: &f64| !f.is_nan())
         .ok_or_else(|| KvError::Syntax(format!("bad float {:?}", String::from_utf8_lossy(b))))
+}
+
+/// A sorted-set score or bound, refused when NaN (as Redis refuses one):
+/// NaN has no place in the `(score, member)` order.
+fn not_nan(score: f64) -> KvResult<f64> {
+    if score.is_nan() {
+        return Err(KvError::Syntax("score is not a valid float".into()));
+    }
+    Ok(score)
 }
 
 #[cfg(test)]
@@ -669,6 +685,61 @@ mod tests {
                 },
             ),
             Reply::Array(vec![])
+        );
+    }
+
+    #[test]
+    fn nan_scores_and_bounds_are_refused() {
+        let mut db = Db::new(clock::sim());
+        let wire =
+            |parts: &[&str]| Command::from_wire(&parts.iter().map(|p| b(p)).collect::<Vec<_>>());
+        for zadd in [["ZADD", "k", "1", "a"], ["ZADD", "k", "2", "c"]] {
+            wire(&zadd).unwrap().execute(&mut db).unwrap();
+        }
+        assert!(matches!(
+            wire(&["ZADD", "k", "nan", "b"]),
+            Err(KvError::Syntax(_))
+        ));
+        assert!(matches!(
+            wire(&["ZRANGEBYSCORE", "k", "0", "NaN"]),
+            Err(KvError::Syntax(_))
+        ));
+        // The in-process form is refused too, before anything is added.
+        let nan_b = Command::ZAdd {
+            key: b("k"),
+            entries: vec![(3.0, b("d")), (f64::NAN, b("b"))],
+        };
+        assert!(matches!(nan_b.execute(&mut db), Err(KvError::Syntax(_))));
+        let nan_bound = Command::ZRangeByScore {
+            key: b("k"),
+            min: f64::NAN,
+            max: 9.0,
+            limit: None,
+        };
+        assert!(matches!(
+            nan_bound.execute(&mut db),
+            Err(KvError::Syntax(_))
+        ));
+        run(
+            &mut db,
+            Command::ZAdd {
+                key: b("k"),
+                entries: vec![(5.0, b("b"))],
+            },
+        );
+        let all = Command::ZRangeByScore {
+            key: b("k"),
+            min: f64::NEG_INFINITY,
+            max: f64::INFINITY,
+            limit: None,
+        };
+        assert_eq!(
+            run(&mut db, all),
+            Reply::Array(vec![
+                Reply::Bulk(b("a")),
+                Reply::Bulk(b("c")),
+                Reply::Bulk(b("b"))
+            ])
         );
     }
 

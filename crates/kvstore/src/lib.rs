@@ -42,7 +42,7 @@
 //! | `EXPIRE` | [`KvStore::expire`]: the Figure 4 TTL experiment (`bench`) |
 //! | `EXPIREAT` | the connector re-arming an exact deadline after a rewrite or shard migration; the AOF form of every relative expiry |
 //! | `SCAN` | the connector's keyspace walk (every non-indexed metadata query, `expired_keys`); `benches/kv_ops.rs` |
-//! | `ZADD` | YCSB's key index (`workload::ycsb`), fed on insert |
+//! | `ZADD` | YCSB's key index (`workload::ycsb`), fed on insert; a [`value::ZSet`] is a `BTreeSet` of `(score, member)` beside a member → score map; NaN scores are refused |
 //! | `ZRANGEBYSCORE` | YCSB workload E's range scan over that index |
 //!
 //! ```
@@ -64,7 +64,6 @@ pub mod resp;
 pub mod rng;
 pub mod sampleset;
 pub mod server;
-pub mod skiplist;
 pub mod value;
 
 pub use bytes::Bytes;

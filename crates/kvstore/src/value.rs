@@ -2,17 +2,44 @@
 //! and sorted set (the YCSB key index workload E scans through).
 
 use crate::error::{KvError, KvResult};
-use crate::skiplist::SkipList;
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 
-/// A sorted set: a skiplist for order plus a member→score map (an update
-/// needs the old score to unlink the old node), mirroring Redis' dual
-/// representation.
+/// A sorted set: members ordered by `(score, member)` plus a member→score
+/// map (an update needs the old score to find the old entry), mirroring
+/// Redis' dual representation.
+///
+/// Scores must not be NaN; the commands refuse one before it gets here.
 #[derive(Default)]
 pub struct ZSet {
-    list: SkipList,
+    order: BTreeSet<(Score, Bytes)>,
     scores: HashMap<Bytes, f64>,
+}
+
+/// A score ordered by `partial_cmp`, so `-0.0` and `+0.0` tie and the
+/// member breaks the tie. A total order only because NaN is refused.
+#[derive(Clone, Copy, Debug)]
+struct Score(f64);
+
+impl PartialEq for Score {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Score {}
+
+impl PartialOrd for Score {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Score {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.partial_cmp(&other.0).unwrap_or(Ordering::Equal)
+    }
 }
 
 impl ZSet {
@@ -22,16 +49,17 @@ impl ZSet {
 
     /// Add or update a member. Returns `true` if the member was new.
     pub fn add(&mut self, member: Bytes, score: f64) -> bool {
+        debug_assert!(!score.is_nan(), "NaN score reached a ZSet");
         match self.scores.insert(member.clone(), score) {
             Some(old) => {
                 if old != score {
-                    self.list.remove(&member, old);
-                    self.list.insert(member, score);
+                    self.order.remove(&(Score(old), member.clone()));
+                    self.order.insert((Score(score), member));
                 }
                 false
             }
             None => {
-                self.list.insert(member, score);
+                self.order.insert((Score(score), member));
                 true
             }
         }
@@ -48,7 +76,12 @@ impl ZSet {
     /// Members with `min <= score <= max`, in score order, stopping after
     /// `limit` members.
     pub fn range_by_score_limit(&self, min: f64, max: f64, limit: usize) -> Vec<(Bytes, f64)> {
-        self.list.range_by_score_limit(min, max, limit)
+        self.order
+            .range((Score(min), Bytes::new())..)
+            .take_while(|(score, _)| score.0 <= max)
+            .take(limit)
+            .map(|(score, member)| (member.clone(), score.0))
+            .collect()
     }
 
     /// Approximate heap footprint in bytes, for the space-overhead metric.

@@ -5,11 +5,18 @@
 //! it. For `text[]` columns it maps each *element* to the rows whose array
 //! contains it, which is what a `... WHERE 'ads' = ANY(purposes)` query
 //! needs (PostgreSQL would use a GIN index here).
+//!
+//! Keys are ordered in a `BTreeMap`, each holding its posting list: the
+//! rows with that key, in insertion order (a removal moves the last row
+//! into the freed slot). A key leaves the map with its last row. Deletion
+//! reclaims eagerly, where PostgreSQL defers page reclamation to vacuum;
+//! no figure depends on the difference, since index space is counted as
+//! key bytes plus a fixed cost per entry.
 
-use crate::btree::BPlusTree;
 use crate::datum::{Datum, IndexKey};
 use crate::error::{RelError, RelResult};
 use crate::heap::RowId;
+use std::collections::BTreeMap;
 
 /// A single-column index.
 pub struct Index {
@@ -19,9 +26,10 @@ pub struct Index {
     unique: bool,
     /// Inverted semantics: index the elements of a `text[]` column.
     inverted: bool,
-    tree: BPlusTree<IndexKey, RowId>,
-    /// Approximate bytes of key data held (Table 3: index space overhead).
-    key_bytes: usize,
+    postings: BTreeMap<IndexKey, Vec<RowId>>,
+    /// Approximate bytes held: each (key, row) entry's key data plus a
+    /// fixed 16 (Table 3: index space overhead).
+    bytes: usize,
 }
 
 impl Index {
@@ -31,8 +39,8 @@ impl Index {
             column,
             unique,
             inverted,
-            tree: BPlusTree::new(),
-            key_bytes: 0,
+            postings: BTreeMap::new(),
+            bytes: 0,
         }
     }
 
@@ -76,7 +84,7 @@ impl Index {
             return Ok(());
         }
         for key in self.keys_of(row) {
-            if !self.tree.get(&key).is_empty() {
+            if self.postings.contains_key(&key) {
                 return Err(RelError::UniqueViolation {
                     index: self.name.clone(),
                 });
@@ -85,26 +93,42 @@ impl Index {
         Ok(())
     }
 
-    /// Add a row's entries.
+    /// Add a row's entries. A key the row repeats (`{ads,ads}`) is one
+    /// entry.
     pub fn insert(&mut self, row: &[Datum], id: RowId) {
         for key in self.keys_of(row) {
-            self.key_bytes += key.0.size_bytes();
-            self.tree.insert(key, id);
+            let bytes = key.0.size_bytes() + 16;
+            let rows = self.postings.entry(key).or_default();
+            if !rows.contains(&id) {
+                rows.push(id);
+                self.bytes += bytes;
+            }
         }
     }
 
     /// Remove a row's entries.
     pub fn remove(&mut self, row: &[Datum], id: RowId) {
         for key in self.keys_of(row) {
-            if self.tree.remove(&key, &id) {
-                self.key_bytes -= key.0.size_bytes();
+            let Some(rows) = self.postings.get_mut(&key) else {
+                continue;
+            };
+            let Some(pos) = rows.iter().position(|r| *r == id) else {
+                continue;
+            };
+            rows.swap_remove(pos);
+            if rows.is_empty() {
+                self.postings.remove(&key);
             }
+            self.bytes -= key.0.size_bytes() + 16;
         }
     }
 
     /// Rows holding exactly `datum` (or containing it, for inverted indices).
     pub fn lookup(&self, datum: &Datum) -> Vec<RowId> {
-        self.tree.get(&IndexKey(datum.clone())).to_vec()
+        self.postings
+            .get(&IndexKey(datum.clone()))
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Rows whose key lies in `[lo, hi]`.
@@ -114,21 +138,26 @@ impl Index {
 
     /// As [`Self::lookup_range`], capped at `limit` rows (in key order).
     pub fn lookup_range_limit(&self, lo: &Datum, hi: &Datum, limit: usize) -> Vec<RowId> {
-        self.tree
-            .range_limit(&IndexKey(lo.clone()), &IndexKey(hi.clone()), limit)
-            .into_iter()
-            .map(|(_, id)| id)
+        let (lo, hi) = (IndexKey(lo.clone()), IndexKey(hi.clone()));
+        if lo > hi {
+            return Vec::new();
+        }
+        self.postings
+            .range(lo..=hi)
+            .flat_map(|(_, rows)| rows.iter().copied())
+            .take(limit)
             .collect()
     }
 
     /// Number of (key, row) entries.
-    pub fn entry_count(&self) -> usize {
-        self.tree.entry_count()
+    #[cfg(test)]
+    fn entry_count(&self) -> usize {
+        self.postings.values().map(Vec::len).sum()
     }
 
     /// Approximate bytes held by this index (keys + per-entry overhead).
     pub fn size_bytes(&self) -> usize {
-        self.key_bytes + self.tree.entry_count() * 16
+        self.bytes
     }
 }
 
@@ -194,6 +223,18 @@ mod tests {
         idx.insert(&r, RowId(0));
         idx.remove(&r, RowId(0));
         assert!(idx.lookup(&Datum::Text("ads".into())).is_empty());
+        assert_eq!(idx.entry_count(), 0);
+        assert_eq!(idx.size_bytes(), 0);
+    }
+
+    #[test]
+    fn repeated_array_element_is_counted_once() {
+        let mut idx = Index::new("purposes_idx", 1, false, true);
+        let r = row("a", &["ads", "ads"]);
+        idx.insert(&r, RowId(0));
+        assert_eq!(idx.entry_count(), 1);
+        assert_eq!(idx.lookup(&Datum::Text("ads".into())), vec![RowId(0)]);
+        idx.remove(&r, RowId(0));
         assert_eq!(idx.entry_count(), 0);
         assert_eq!(idx.size_bytes(), 0);
     }

@@ -8,8 +8,9 @@
 //!   read statements proceed in parallel — unlike the single-threaded
 //!   [`kvstore`](../kvstore/index.html). The paper attributes PostgreSQL's
 //!   milder GDPR slowdown partly to not serializing everything.
-//! * **B+Tree secondary indices** ([`btree`], [`index`]), including
-//!   multi-value (array-typed) columns — the paper's "metadata indexing".
+//! * **Ordered secondary indices** ([`index`]): a `BTreeMap` from key to
+//!   posting list, including multi-value (array-typed) columns — the
+//!   paper's "metadata indexing".
 //!   Each additional index speeds metadata queries but taxes every write
 //!   (Figure 3b: two secondary indices cost ~⅔ of pgbench throughput).
 //! * **Write-ahead log**: a [`crypto::log`] (fsync policies, optional
@@ -27,7 +28,6 @@
 //! rather than a SQL parser: the paper's client stubs issue a fixed set of
 //! parameterized statements, so the reproduction models exactly that set.
 
-pub mod btree;
 pub mod config;
 pub mod database;
 pub mod datum;

@@ -13,8 +13,8 @@
 //! * [`datagen`] — deterministic personal-record corpus generation.
 //! * [`oracle`] — a shadow model that computes expected responses, backing
 //!   the benchmark's *correctness* metric (§4.2.3).
-//! * [`stats`] — log-bucketed latency histograms, throughput, completion
-//!   time.
+//! * [`stats`] — per-query ok / error counts and latency histograms
+//!   (gdpr-core's telemetry buckets).
 //! * [`runner`] — multi-threaded execution harness reporting the three
 //!   GDPRbench metrics: correctness, completion time, space overhead.
 
@@ -32,4 +32,4 @@ pub use runner::{
     run_gdpr_workload_with, run_ycsb_workload, GdprRunOptions, GdprRunReport, OpenLoopReport,
     YcsbRunReport,
 };
-pub use stats::{Histogram, OpStats};
+pub use stats::OpStats;

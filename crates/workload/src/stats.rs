@@ -1,106 +1,16 @@
-//! Measurement: log-bucketed latency histograms and per-operation counters
-//! — the role YCSB's `Measurements` module plays.
+//! Per-operation counters — the role YCSB's `Measurements` module plays.
+//! Latencies go to gdpr-core's [`HistogramSnapshot`], the same buckets
+//! the engine's and the server's telemetry use.
 
+use gdpr_core::telemetry::HistogramSnapshot;
 use std::time::Duration;
-
-/// Number of buckets: bucket `i` covers latencies in `[2^i, 2^(i+1))` µs.
-const BUCKETS: usize = 32;
-
-/// A log₂-bucketed latency histogram over microseconds.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum_us: u64,
-    min_us: u64,
-    max_us: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum_us: 0,
-            min_us: u64::MAX,
-            max_us: 0,
-        }
-    }
-
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        let bucket = (64 - us.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum_us += us;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_micros(self.sum_us / self.count)
-    }
-
-    pub fn min(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_micros(self.min_us)
-        }
-    }
-
-    pub fn max(&self) -> Duration {
-        Duration::from_micros(self.max_us)
-    }
-
-    /// Upper bound of the bucket containing the `q` quantile (0.0–1.0).
-    /// Log-bucketed, so the value is accurate to within 2×.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((self.count as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Duration::from_micros(1 << (i + 1));
-            }
-        }
-        self.max()
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-}
 
 /// Per-operation-class statistics.
 #[derive(Debug, Clone, Default)]
 pub struct OpStats {
     pub ok: u64,
     pub errors: u64,
-    pub latency: Histogram,
+    pub latency: HistogramSnapshot,
 }
 
 impl OpStats {
@@ -130,52 +40,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_summaries() {
-        let mut h = Histogram::new();
-        for us in [10u64, 100, 1000, 10_000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), Duration::from_micros(2777));
-        assert_eq!(h.min(), Duration::from_micros(10));
-        assert_eq!(h.max(), Duration::from_micros(10_000));
-    }
-
-    #[test]
-    fn quantiles_are_monotone_and_bounded() {
-        let mut h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(Duration::from_micros(i));
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        assert!(p50 <= p99);
-        // log2 buckets: p50 (value 500) lands in [512,1024) upper bound 1024.
-        assert!(p50 >= Duration::from_micros(500));
-        assert!(p50 <= Duration::from_micros(1024));
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        a.record(Duration::from_micros(10));
-        let mut b = Histogram::new();
-        b.record(Duration::from_micros(1000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Duration::from_micros(10));
-        assert_eq!(a.max(), Duration::from_micros(1000));
-    }
-
-    #[test]
-    fn empty_histogram_is_quiet() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), Duration::ZERO);
-        assert_eq!(h.quantile(0.99), Duration::ZERO);
-        assert_eq!(h.min(), Duration::ZERO);
-    }
-
-    #[test]
     fn opstats_accumulate() {
         let mut s = OpStats::default();
         s.record_ok(Duration::from_micros(5));
@@ -186,6 +50,8 @@ mod tests {
         s.merge(&t);
         assert_eq!(s.ok, 2);
         assert_eq!(s.errors, 1);
-        assert_eq!(s.latency.count(), 3);
+        assert_eq!(s.latency.count, 3);
+        assert_eq!(s.latency.mean_ns(), 7_000);
+        assert_eq!(s.latency.max_ns, 9_000);
     }
 }

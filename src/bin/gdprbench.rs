@@ -312,8 +312,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 name,
                 stats.ok,
                 stats.errors,
-                format!("{:.2?}", stats.latency.mean()),
-                stats.latency.quantile(0.99),
+                format!(
+                    "{:.2?}",
+                    std::time::Duration::from_nanos(stats.latency.mean_ns())
+                ),
+                std::time::Duration::from_nanos(stats.latency.p99_ns()),
             );
         }
     }

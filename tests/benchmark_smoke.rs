@@ -67,8 +67,7 @@ fn multithreaded_run_reports_per_query_stats() {
             report.per_query.keys().collect::<Vec<_>>()
         );
     }
-    let p99 = report.per_query["verify-deletion"].latency.quantile(0.99);
-    assert!(p99.as_nanos() > 0);
+    assert!(report.per_query["verify-deletion"].latency.p99_ns() > 0);
 }
 
 /// The YCSB engine runs its full workload suite on both adapters without a

@@ -356,55 +356,165 @@ fn glob_star_semantics() {
     });
 }
 
-/// B+Tree agrees with a BTreeMap model under arbitrary operation
-/// sequences, including range queries.
+/// relstore's secondary index agrees with a posting-list model: per key,
+/// the rows in insertion order, a removal moving the last row into the
+/// freed slot, a duplicate `(key, row)` ignored and an emptied key gone.
+/// Covers non-unique keys, repeated array elements, removal order,
+/// `lookup_range_limit` cut inside one posting list, and space that
+/// returns to zero once every row is removed.
 #[test]
 fn btree_matches_model() {
-    use gdprbench_repro::relstore::btree::BPlusTree;
+    use gdprbench_repro::relstore::datum::Datum;
+    use gdprbench_repro::relstore::heap::RowId;
+    use gdprbench_repro::relstore::index::Index;
     use std::collections::BTreeMap;
+    // Zero-padded, so text order is numeric order.
+    let key = |k: u32| format!("k{k:03}");
     run_cases(128, |rng| {
-        let mut tree: BPlusTree<u16, u8> = BPlusTree::new();
-        let mut model: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
+        let mut index = Index::new("purposes_idx", 0, false, true);
+        let mut model: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        let mut rows: BTreeMap<u32, Vec<Datum>> = BTreeMap::new();
         for _ in 0..rng.gen_range(1usize..300) {
-            let key = rng.gen_range(0u32..200) as u16;
-            let value = rng.gen_range(0u32..8) as u8;
-            if rng.gen_bool(0.5) {
-                let plist = model.entry(key).or_default();
-                let expect = if plist.contains(&value) {
-                    false
-                } else {
-                    plist.push(value);
-                    true
-                };
-                assert_eq!(tree.insert(key, value), expect);
-            } else {
-                let expect = model
-                    .get_mut(&key)
-                    .map(|plist| {
-                        if let Some(pos) = plist.iter().position(|v| *v == value) {
-                            plist.swap_remove(pos);
-                            true
-                        } else {
-                            false
-                        }
-                    })
-                    .unwrap_or(false);
-                if model.get(&key).is_some_and(Vec::is_empty) {
-                    model.remove(&key);
+            let id = rng.gen_range(0u32..12);
+            if rng.gen_bool(0.6) {
+                // Up to three elements out of a small range: repeats within
+                // a row and keys shared by many rows are both common.
+                let elems: Vec<u32> = (0..rng.gen_range(1usize..4))
+                    .map(|_| rng.gen_range(0u32..30))
+                    .collect();
+                for e in &elems {
+                    let plist = model.entry(*e).or_default();
+                    if !plist.contains(&id) {
+                        plist.push(id);
+                    }
                 }
-                assert_eq!(tree.remove(&key, &value), expect);
+                let row = vec![Datum::TextArray(elems.iter().map(|e| key(*e)).collect())];
+                index.insert(&row, RowId(id));
+                rows.entry(id)
+                    .or_default()
+                    .push(row.into_iter().next().unwrap());
+            } else if let Some(row) = rows.get_mut(&id).and_then(Vec::pop) {
+                let Datum::TextArray(elems) = &row else {
+                    unreachable!()
+                };
+                for e in elems {
+                    let e: u32 = e[1..].parse().unwrap();
+                    if let Some(plist) = model.get_mut(&e) {
+                        if let Some(pos) = plist.iter().position(|r| *r == id) {
+                            plist.swap_remove(pos);
+                        }
+                        if plist.is_empty() {
+                            model.remove(&e);
+                        }
+                    }
+                }
+                index.remove(&[row], RowId(id));
+            }
+            let probe = rng.gen_range(0u32..30);
+            let want = model.get(&probe).cloned().unwrap_or_default();
+            let got: Vec<u32> = index
+                .lookup(&Datum::Text(key(probe)))
+                .into_iter()
+                .map(|r| r.0)
+                .collect();
+            assert_eq!(got, want, "posting list of {}", key(probe));
+        }
+        // Space is key bytes plus 16 per (key, row) entry.
+        let space: usize = model
+            .iter()
+            .map(|(k, plist)| plist.len() * (Datum::Text(key(*k)).size_bytes() + 16))
+            .sum();
+        assert_eq!(index.size_bytes(), space);
+        for _ in 0..8 {
+            let (lo, hi) = (rng.gen_range(0u32..32), rng.gen_range(0u32..32));
+            let limit = rng.gen_range(0usize..16);
+            let got: Vec<u32> = index
+                .lookup_range_limit(&Datum::Text(key(lo)), &Datum::Text(key(hi)), limit)
+                .into_iter()
+                .map(|r| r.0)
+                .collect();
+            let want: Vec<u32> = model
+                .iter()
+                .filter(|(k, _)| (lo..=hi).contains(*k))
+                .flat_map(|(_, plist)| plist.iter().copied())
+                .take(limit)
+                .collect();
+            assert_eq!(got, want, "range {lo}..={hi} limit {limit}");
+        }
+        // Removing every row still held leaves nothing behind — space
+        // included, whatever elements a row repeated.
+        for (id, held) in rows {
+            for row in held {
+                index.remove(&[row], RowId(id));
             }
         }
-        assert_eq!(
-            tree.entry_count(),
-            model.values().map(Vec::len).sum::<usize>()
-        );
-        let got: Vec<u16> = tree.range(&50, &150).into_iter().map(|(k, _)| k).collect();
-        let want: Vec<u16> = model
-            .range(50..=150)
-            .flat_map(|(k, plist)| std::iter::repeat_n(*k, plist.len()))
-            .collect();
-        assert_eq!(got, want);
+        assert_eq!(index.size_bytes(), 0);
+    });
+}
+
+/// kvstore's sorted set agrees with a sorted-`Vec` model: order is
+/// `(score, member)` with `-0.0 == +0.0` (a tie the member breaks), an
+/// update to an equal score keeps the stored score, and a range stops
+/// after `limit` members.
+#[test]
+fn zset_matches_sorted_vec_model() {
+    use gdprbench_repro::kvstore::value::ZSet;
+    use gdprbench_repro::kvstore::Bytes;
+    use std::cmp::Ordering;
+    const SCORES: [f64; 8] = [
+        f64::NEG_INFINITY,
+        -3.0,
+        -0.0,
+        0.0,
+        1.0,
+        2.5,
+        1e9,
+        f64::INFINITY,
+    ];
+    fn order(a: &(f64, Bytes), b: &(f64, Bytes)) -> Ordering {
+        a.0.partial_cmp(&b.0).unwrap().then_with(|| a.1.cmp(&b.1))
+    }
+    run_cases(128, |rng| {
+        let mut zset = ZSet::new();
+        let mut model: Vec<(f64, Bytes)> = Vec::new();
+        for _ in 0..rng.gen_range(1usize..200) {
+            let member = Bytes::from(format!("m{}", rng.gen_range(0u32..20)));
+            let score = SCORES[rng.gen_range(0..SCORES.len())];
+            let added = match model.iter().position(|(_, m)| *m == member) {
+                Some(i) => {
+                    if model[i].0 != score {
+                        model[i].0 = score;
+                    }
+                    false
+                }
+                None => {
+                    model.push((score, member.clone()));
+                    true
+                }
+            };
+            model.sort_by(order);
+            assert_eq!(zset.add(member, score), added);
+            assert_eq!(zset.len(), model.len());
+        }
+        for _ in 0..8 {
+            let min = SCORES[rng.gen_range(0..SCORES.len())];
+            let max = SCORES[rng.gen_range(0..SCORES.len())];
+            let limit = rng.gen_range(0usize..8);
+            let bits = |v: Vec<(Bytes, f64)>| -> Vec<(Bytes, u64)> {
+                v.into_iter().map(|(m, s)| (m, s.to_bits())).collect()
+            };
+            let want: Vec<(Bytes, f64)> = model
+                .iter()
+                .filter(|(s, _)| min <= *s && *s <= max)
+                .take(limit)
+                .map(|(s, m)| (m.clone(), *s))
+                .collect();
+            assert_eq!(
+                bits(zset.range_by_score_limit(min, max, limit)),
+                bits(want),
+                "range {min}..={max} limit {limit}"
+            );
+        }
     });
 }
 
