@@ -10,7 +10,7 @@
 //! the same comparison at 100 K records.
 
 use crate::report::ExperimentTable;
-use gdpr_core::{GdprConnector, GdprQuery, Session};
+use gdpr_core::{wire, GdprConnector, GdprQuery, Session};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::datagen;
@@ -208,6 +208,15 @@ pub const PRED_READ_RECORDS: usize = 20_000;
 ///   what a second reader gains when the batches are answered under the
 ///   store's shared lock. Bigger is better; 2.0 is the ceiling on two
 ///   cores.
+///
+/// and two of the layers under each candidate of those reads, hot, best
+/// of `rounds` passes, smaller is better:
+///
+/// * `record_view_parse_ns` — one `RecordView::from_bytes` over a stored
+///   text of the corpus;
+/// * `kv_read_ns_per_key` — one key of a `KvStore::read_each` over 512
+///   present `rec:` keys, storage keys built and values borrowed as
+///   `RedisStore::fetch_many` does, with no parse.
 pub fn run_pred_reads() -> (ExperimentTable, Vec<(&'static str, f64)>) {
     let series = pred_reads(PRED_READ_RECORDS, 7, 30);
     let mut table = ExperimentTable::new(
@@ -225,7 +234,14 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
         kvstore::KvStore::open(kvstore::KvConfig::default()).expect("open kvstore"),
     )
     .expect("attach index");
-    load_corpus(&conn, &stable_corpus(records)).expect("load corpus");
+    let corpus = stable_corpus(records);
+    load_corpus(&conn, &corpus).expect("load corpus");
+    let stored: Vec<(Arc<str>, String)> = (0..records)
+        .map(|i| {
+            let record = datagen::record_of(i, &corpus);
+            (record.key.as_str().into(), wire::serialize(&record))
+        })
+        .collect();
     let purpose = datagen::PURPOSES[0];
     let session = Session::processor(purpose);
     let by_obj = GdprQuery::ReadDataNotObjecting(purpose.into());
@@ -262,7 +278,59 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
             "pred_read_clients2_speedup",
             reads_per_sec(2) / reads_per_sec(1),
         ),
+        (
+            "record_view_parse_ns",
+            record_view_parse_ns(&stored, rounds),
+        ),
+        ("kv_read_ns_per_key", kv_read_ns_per_key(&stored, rounds)),
     ]
+}
+
+/// Nanoseconds per item of `pass`, which handles `items` items: the best
+/// of `rounds` passes after a warm-up one.
+fn best_ns_per(items: usize, rounds: usize, mut pass: impl FnMut()) -> f64 {
+    pass();
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let started = Instant::now();
+        pass();
+        best = best.min(started.elapsed().as_nanos() as f64 / items.max(1) as f64);
+    }
+    best
+}
+
+fn record_view_parse_ns(stored: &[(Arc<str>, String)], rounds: usize) -> f64 {
+    best_ns_per(stored.len(), rounds, || {
+        for (_, text) in stored {
+            let view = wire::RecordView::from_bytes(std::hint::black_box(text.as_bytes()));
+            std::hint::black_box(view.expect("a stored text parses"));
+        }
+    })
+}
+
+fn kv_read_ns_per_key(stored: &[(Arc<str>, String)], rounds: usize) -> f64 {
+    let store = kvstore::KvStore::open(kvstore::KvConfig::default()).expect("open kvstore");
+    let storage_key = |key: &Arc<str>, buf: &mut Vec<u8>| {
+        buf.extend_from_slice(b"rec:");
+        buf.extend_from_slice(key.as_bytes());
+    };
+    let batch = &stored[..stored.len().min(kvstore::server::READ_CHUNK)];
+    let mut buf = Vec::new();
+    for (key, text) in batch {
+        buf.clear();
+        storage_key(key, &mut buf);
+        store.set(&buf, text.as_bytes()).expect("load kvstore");
+    }
+    let keys: Vec<Arc<str>> = batch.iter().map(|(key, _)| Arc::clone(key)).collect();
+    best_ns_per(keys.len(), rounds * 10, || {
+        let mut bytes = 0;
+        let read = store.read_each(&keys, storage_key, |value| {
+            bytes += value.len();
+            Ok::<_, std::convert::Infallible>(())
+        });
+        assert!(matches!(read, Ok(Ok(()))));
+        std::hint::black_box(bytes);
+    })
 }
 
 #[cfg(test)]
@@ -272,9 +340,9 @@ mod tests {
     /// The `bench_report` rows exist and are measurements; what they
     /// should read is the report's business, not a unit test's.
     #[test]
-    fn pred_reads_report_three_rows() {
+    fn pred_reads_report_five_rows() {
         let series = pred_reads(2_000, 2, 3);
-        assert_eq!(series.len(), 3);
+        assert_eq!(series.len(), 5);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 

@@ -8,11 +8,13 @@
 //! workloads run orders of magnitude slower than YCSB (Figures 5a, 7b).
 //!
 //! With the index attached, a predicate resolves to candidate keys and the
-//! engine reads them through [`RecordStore::fetch_many`]: `MGET`s of
-//! [`SCAN_BATCH`] keys, which the store answers under its shared lock, each
-//! value handed to the engine as a [`RecordView`] of the stored text — the
-//! predicate is re-verified and the response built without materialising a
-//! record. The scan reads the same way once its cursor walk has the keys.
+//! engine reads them through [`RecordStore::fetch_many`]: one
+//! [`KvStore::read_each`], which looks the storage keys up under the
+//! store's shared lock, 512 per hold, and lends each stored value to the
+//! engine as a [`RecordView`] of the text in place — the predicate is
+//! re-verified and the response built without copying a value or
+//! materialising a record. The scan reads the same way once its cursor walk
+//! has the keys, and a point fetch is the one-key case ([`KvStore::get`]).
 //!
 //! All GDPR policy (authorization, visibility, audit, dispatch) lives in
 //! [`gdpr_core::ComplianceEngine`]; this module is storage mechanism only.
@@ -40,9 +42,9 @@ use kvstore::{Command, KvStore};
 use std::sync::Arc;
 
 const KEY_PREFIX: &str = "rec:";
-/// Keys per SCAN step and per MGET: the longest the store's lock is held
-/// on behalf of one keyspace walk or one predicate read, whatever their
-/// size.
+/// Keys per SCAN step: the longest the store's lock is held on behalf of
+/// one keyspace walk, whatever its size. (Reads are chunked by the store
+/// itself, [`kvstore::server::READ_CHUNK`] keys per hold.)
 const SCAN_BATCH: usize = 512;
 
 /// [`RecordStore`] over [`kvstore::KvStore`]: wire-format strings under
@@ -69,8 +71,14 @@ impl RedisStore {
         &self.store
     }
 
-    fn storage_key(key: &str) -> Bytes {
-        [KEY_PREFIX.as_bytes(), key.as_bytes()].concat().into()
+    fn storage_key(key: &str) -> Vec<u8> {
+        [KEY_PREFIX.as_bytes(), key.as_bytes()].concat()
+    }
+
+    /// `rec:<key>`, appended to `buf`.
+    fn push_storage_key(key: &str, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(KEY_PREFIX.as_bytes());
+        buf.extend_from_slice(key.as_bytes());
     }
 
     fn store_err(e: impl ToString) -> GdprError {
@@ -115,30 +123,6 @@ impl RedisStore {
             cursor = next;
         }
     }
-
-    /// MGET the storage keys of `keys` in [`SCAN_BATCH`] chunks and show
-    /// `visit` every value found, in order, as a view of the stored text.
-    fn read_each<K>(
-        &self,
-        keys: &[K],
-        storage_key: impl Fn(&K) -> Bytes,
-        visit: &mut dyn FnMut(RecordView<'_>),
-    ) -> GdprResult<()> {
-        for chunk in keys.chunks(SCAN_BATCH) {
-            let keys = chunk.iter().map(&storage_key).collect();
-            let reply = self
-                .store
-                .execute(Command::MGet { keys })
-                .map_err(Self::store_err)?;
-            let values = reply
-                .as_array()
-                .ok_or_else(|| GdprError::Store("MGET reply shape".into()))?;
-            for value in values.iter().filter_map(|r| r.as_bulk()) {
-                visit(RecordView::from_bytes(value)?);
-            }
-        }
-        Ok(())
-    }
 }
 
 impl RecordStore for RedisStore {
@@ -147,21 +131,32 @@ impl RecordStore for RedisStore {
     }
 
     fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
-        let reply = self
+        let value = self
             .store
-            .get(Self::storage_key(key).as_ref())
+            .get(&Self::storage_key(key))
             .map_err(Self::store_err)?;
-        reply
+        value
             .map(|bytes| Ok(RecordView::from_bytes(&bytes)?.to_record()))
             .transpose()
     }
 
+    /// One [`KvStore::read_each`]: `visit` sees each stored text in place,
+    /// under the store's shared lock.
     fn fetch_many(
         &self,
         keys: &[Arc<str>],
         visit: &mut dyn FnMut(RecordView<'_>),
     ) -> GdprResult<()> {
-        self.read_each(keys, |key| Self::storage_key(key), visit)
+        self.store
+            .read_each(
+                keys,
+                |key, buf| Self::push_storage_key(key, buf),
+                |value| {
+                    visit(RecordView::from_bytes(value)?);
+                    Ok::<_, GdprError>(())
+                },
+            )
+            .map_err(Self::store_err)?
     }
 
     /// Store a record, setting EXPIRE from its TTL. Collision detection is
@@ -213,7 +208,7 @@ impl RecordStore for RedisStore {
         if let Some(at) = deadline {
             self.store
                 .execute(Command::ExpireAt {
-                    key,
+                    key: key.into(),
                     at_ms: at.as_millis(),
                 })
                 .map_err(Self::store_err)?;
@@ -245,7 +240,10 @@ impl RecordStore for RedisStore {
             .map_err(Self::store_err)?;
         if let Some(at_ms) = deadline_ms {
             self.store
-                .execute(Command::ExpireAt { key, at_ms })
+                .execute(Command::ExpireAt {
+                    key: key.into(),
+                    at_ms,
+                })
                 .map_err(Self::store_err)?;
         }
         Ok(())
@@ -258,16 +256,23 @@ impl RecordStore for RedisStore {
     /// erase-by-user, the index backfill and the space report while
     /// `record_count` still counted it.
     ///
-    /// The cursor walk completes *before* any read: an MGET can lazily reap
+    /// The cursor walk completes *before* any read: a read can lazily reap
     /// an expired key, and the keyspace's swap-remove would then move an
     /// unvisited tail key into an already-visited cursor position, silently
     /// dropping a live record from the scan.
     fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
         let keys = self.scan_keys()?;
         let mut records = Vec::with_capacity(keys.len());
-        self.read_each(&keys, Bytes::clone, &mut |record| {
-            records.push(record.to_record())
-        })?;
+        self.store
+            .read_each(
+                &keys,
+                |key, buf| buf.extend_from_slice(key),
+                |value| {
+                    records.push(RecordView::from_bytes(value)?.to_record());
+                    Ok::<_, GdprError>(())
+                },
+            )
+            .map_err(Self::store_err)??;
         Ok(records)
     }
 

@@ -12,7 +12,8 @@
 //!
 //! The two batch calls default to the per-record loop, which is the only
 //! path the relational store has. `fetch_many` is overridden by the
-//! key-value backend (chunked MGETs answered under the store's shared lock)
+//! key-value backend (the stored values lent in place, chunk by chunk,
+//! under the store's shared lock)
 //! and the paged disk backend (one descent per touched leaf); `apply` by the
 //! disk backend (one transaction).
 
@@ -167,6 +168,10 @@ pub trait RecordStore: Send + Sync {
     /// The default is the per-key [`Self::fetch`] loop. A store overrides
     /// it to take its lock once per batch (or per fixed chunk of one) and
     /// to hand out views of the stored text without materialising records.
+    /// `visit` may then run under the store's shared lock — the key-value
+    /// store lends it the stored bytes in place — so it must not call back
+    /// into the store, and a chunk's lock hold includes whatever `visit`
+    /// does (the engine's re-verification and projection).
     fn fetch_many(
         &self,
         keys: &[Arc<str>],

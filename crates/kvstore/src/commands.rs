@@ -6,7 +6,7 @@
 //! encoding (for the AOF and the encrypted transit boundary), and how to
 //! apply itself to a [`Db`].
 
-use crate::db::{Db, Peek};
+use crate::db::Db;
 use crate::error::{KvError, KvResult};
 use crate::value::{Value, ZSet};
 use bytes::Bytes;
@@ -470,32 +470,6 @@ impl Command {
                 }
             }
         })
-    }
-
-    /// Answer a GET or MGET from `&Db` — the keyspace as it stands at `now`,
-    /// nothing reaped. `None` when that cannot be done: the command is
-    /// neither, or it names a past-due key, which only [`Self::execute`]
-    /// may answer (by reaping it).
-    pub fn execute_shared(&self, db: &Db, now: Timestamp) -> Option<KvResult<Reply>> {
-        let live = |key: &Bytes| match db.peek(key, now) {
-            Peek::Live(value) => Some(Some(value)),
-            Peek::Absent => Some(None),
-            Peek::Due => None,
-        };
-        match self {
-            Command::Get { key } => Some(bulk_or_nil(live(key)?)),
-            Command::MGet { keys } => {
-                let mut replies = Vec::with_capacity(keys.len());
-                for key in keys {
-                    match bulk_or_nil(live(key)?) {
-                        Ok(reply) => replies.push(reply),
-                        Err(e) => return Some(Err(e)),
-                    }
-                }
-                Some(Ok(Reply::Array(replies)))
-            }
-            _ => None,
-        }
     }
 }
 

@@ -8,8 +8,9 @@
 //!   lock ([`server::KvStore`]), so writes and reads serialize exactly as in
 //!   Redis' event loop. This is what makes the GDPR security features so much
 //!   more expensive here than in the relational store. The one exception is
-//!   a `GET` / `MGET` with no side effect to serialize (nothing to reap, log
-//!   or seal), which is answered under the lock's shared side — see
+//!   the reader [`KvStore::read_each`]: where a read has no side effect to
+//!   serialize (nothing to reap, log or seal) it looks keys up under the
+//!   lock's shared side and lends its caller the stored values — see
 //!   [`server`].
 //! * **No secondary indexes.** The keyspace is a hash table; any query that
 //!   is not a key lookup must SCAN, which is how the paper's metadata-based
@@ -35,8 +36,8 @@
 //! | command | who issues it |
 //! |---|---|
 //! | `SET` | [`KvStore::set`] / [`KvStore::set_ex`]: the Redis connector's put / rewrite, YCSB insert and update |
-//! | `GET` | [`KvStore::get`]: the connector's fetch, YCSB read |
-//! | `MGET` | the connector's `fetch_many` and scan, one per chunk of keys |
+//! | `GET` | [`KvStore::get`] (the connector's fetch, YCSB read) where reads are logged or sealed; otherwise it reads on the shared side |
+//! | `MGET` | [`KvStore::read_each`] (the connector's `fetch_many` and scan) where reads are logged or sealed, one per chunk of keys |
 //! | `DEL` | [`KvStore::del`]: the connector's delete |
 //! | `EXISTS` | [`KvStore::exists`]: the connector's create-collision probe |
 //! | `EXPIRE` | [`KvStore::expire`]: the Figure 4 TTL experiment (`bench`) |

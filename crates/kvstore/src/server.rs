@@ -7,25 +7,32 @@
 //! PostgreSQL's: every added per-operation cost (cipher, audit append,
 //! strict expiry bookkeeping) is paid inside the serial section.
 //!
-//! Two commands can be answered from the **shared** side instead: a `GET`
-//! or `MGET` that changes nothing — no named key is past due, so there is
-//! nothing to reap — on a store that has nothing to record about it. They
-//! only read the keyspace ([`crate::db::Db::peek`]), so a batched predicate
-//! read does not take the store away from the point reads beside it, or
-//! from another batch. Everything else keeps the exclusive path, and so do
-//! those two whenever answering has a side effect:
+//! Every [`Command`] runs on that exclusive side, `GET` and `MGET`
+//! included. One reader runs on the **shared** side instead:
+//! [`KvStore::read_each`], which [`KvStore::get`] and the GDPR connector's
+//! point, batched and scan reads all go through. It looks keys up
+//! ([`crate::db::Db::peek`]) and shows its caller each stored value in
+//! place — no reply is built and no value is copied — so a batched
+//! predicate read does not take the store away from the point reads beside
+//! it, or from another batch. Answering takes the exclusive side only
+//! where it has a side effect:
 //!
-//! * a named key is past due — the read reaps it and fires the expiry
-//!   listener, which mutates the keyspace;
+//! * a named key is past due — that one key is reaped through the
+//!   exclusive side, which fires the expiry listener; the keys after it
+//!   are read on the shared side again;
 //! * `log_reads` with an AOF attached — the read appends a frame, and the
 //!   log is one ordered stream;
 //! * `encrypt_transit` — both channel endpoints advance their nonce
 //!   counters per message, which is a write to shared state.
+//!
+//! In the last two cases the reader runs the commands it stands for
+//! through [`KvStore::execute`]: one `MGET` per chunk of
+//! [`READ_CHUNK`] keys, or one `GET` for a point read.
 
 use crate::aof;
 use crate::commands::{Command, Reply};
 use crate::config::{KvConfig, Storage};
-use crate::db::Db;
+use crate::db::{Db, Peek};
 use crate::error::{KvError, KvResult};
 use crate::expire::{CycleStats, ExpirationCycle, CYCLE_PERIOD};
 use bytes::Bytes;
@@ -37,6 +44,11 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Keys [`KvStore::read_each`] looks up per hold of the shared lock — and
+/// per `MGET` on a store whose reads have side effects: the longest the
+/// store is held for one batched read, whatever its size.
+pub const READ_CHUNK: usize = 512;
 
 struct Inner {
     db: Db,
@@ -144,14 +156,8 @@ impl KvStore {
     }
 
     /// Execute one command through the full pipeline: transit decryption,
-    /// serial execution, AOF logging, transit encryption of the reply — or,
-    /// for a side-effect-free read, [`Self::execute_shared`].
+    /// serial execution, AOF logging, transit encryption of the reply.
     pub fn execute(&self, cmd: Command) -> KvResult<Reply> {
-        if let Some(reply) = self.execute_shared(&cmd) {
-            self.stats.commands.fetch_add(1, Ordering::Relaxed);
-            self.stats.reads.fetch_add(1, Ordering::Relaxed);
-            return reply;
-        }
         let mut inner = self.inner.write();
         let inner = &mut *inner;
 
@@ -205,18 +211,100 @@ impl KvStore {
         Ok(reply)
     }
 
-    /// Answer `cmd` under the shared lock, if it is a GET / MGET that this
-    /// store can serve without side effects (see the module docs). The
-    /// clock is read once, whatever the number of keys.
-    fn execute_shared(&self, cmd: &Command) -> Option<KvResult<Reply>> {
-        if !matches!(cmd, Command::Get { .. } | Command::MGet { .. }) {
-            return None;
+    /// Look up `keys` and show `visit` every value found, **in `keys`
+    /// order**, borrowed from the keyspace — the shared-side reader (see
+    /// the module docs). Each storage key is written by `storage_key` into
+    /// one reused buffer. An absent key is skipped; so is a past-due one,
+    /// which is reaped (the expiry listener fires for it once). A value
+    /// that is not a string fails the call with `WrongType`.
+    ///
+    /// Keys are looked up [`READ_CHUNK`] per hold of the shared lock, and
+    /// `visit` runs under it: it must not call back into this store. The
+    /// clock is read once per chunk, and the `commands` / `reads` counters
+    /// tick once per chunk, as for the `MGET` the chunk stands for.
+    ///
+    /// The outer error is the store's; the inner one is the first error
+    /// `visit` returned, which stops the read.
+    pub fn read_each<K, E>(
+        &self,
+        keys: &[K],
+        storage_key: impl Fn(&K, &mut Vec<u8>),
+        visit: impl FnMut(&Bytes) -> Result<(), E>,
+    ) -> KvResult<Result<(), E>> {
+        self.read(keys, storage_key, visit, false)
+    }
+
+    /// [`Self::read_each`], whose side-effect path runs one `GET` for a
+    /// `point` read (of one key) and one `MGET` per chunk otherwise.
+    fn read<K, E>(
+        &self,
+        keys: &[K],
+        storage_key: impl Fn(&K, &mut Vec<u8>),
+        mut visit: impl FnMut(&Bytes) -> Result<(), E>,
+        point: bool,
+    ) -> KvResult<Result<(), E>> {
+        let mut key = Vec::new();
+        for chunk in keys.chunks(READ_CHUNK) {
+            let mut inner = self.inner.read();
+            if inner.transit.is_some() || (self.config.log_reads && inner.aof.is_some()) {
+                drop(inner);
+                let mut keys: Vec<Bytes> = chunk
+                    .iter()
+                    .map(|k| {
+                        key.clear();
+                        storage_key(k, &mut key);
+                        Bytes::copy_from_slice(&key)
+                    })
+                    .collect();
+                let cmd = if point {
+                    Command::Get {
+                        key: keys.swap_remove(0),
+                    }
+                } else {
+                    Command::MGet { keys }
+                };
+                let reply = self.execute(cmd)?;
+                let values = match &reply {
+                    Reply::Array(values) => values.as_slice(),
+                    value => std::slice::from_ref(value),
+                };
+                let visited = values
+                    .iter()
+                    .filter_map(Reply::as_bulk)
+                    .try_for_each(&mut visit);
+                if visited.is_err() {
+                    return Ok(visited);
+                }
+                continue;
+            }
+            self.stats.commands.fetch_add(1, Ordering::Relaxed);
+            self.stats.reads.fetch_add(1, Ordering::Relaxed);
+            let now = self.clock.now();
+            for k in chunk {
+                key.clear();
+                storage_key(k, &mut key);
+                let visited = match inner.db.peek(&key, now) {
+                    Peek::Live(value) => visit(value.as_str()?),
+                    Peek::Absent => continue,
+                    // Reaping is a write: this key alone goes through the
+                    // exclusive side, where `Db::get` reaps it (or finds
+                    // the value a writer put there meanwhile).
+                    Peek::Due => {
+                        drop(inner);
+                        let visited = match self.inner.write().db.get(&key) {
+                            Some(value) => visit(value.as_str()?),
+                            None => Ok(()),
+                        };
+                        inner = self.inner.read();
+                        visited
+                    }
+                };
+                if visited.is_err() {
+                    return Ok(visited);
+                }
+            }
         }
-        let inner = self.inner.read();
-        if inner.transit.is_some() || (self.config.log_reads && inner.aof.is_some()) {
-            return None;
-        }
-        cmd.execute_shared(&inner.db, self.clock.now())
+        Ok(Ok(()))
     }
 
     /// Rewrite a command into its replay-safe AOF form. Relative expiries
@@ -411,13 +499,16 @@ impl KvStore {
         .map(|_| ())
     }
 
+    /// A point read through [`Self::read_each`]'s path (a `GET` where
+    /// reads have side effects).
     pub fn get(&self, key: &[u8]) -> KvResult<Option<Bytes>> {
-        Ok(self
-            .execute(Command::Get {
-                key: Bytes::copy_from_slice(key),
-            })?
-            .as_bulk()
-            .cloned())
+        let mut found = None;
+        let visit = |value: &Bytes| {
+            found = Some(value.clone());
+            Ok::<(), std::convert::Infallible>(())
+        };
+        let Ok(()) = self.read(&[key], |key, buf| buf.extend_from_slice(key), visit, true)?;
+        Ok(found)
     }
 
     pub fn del(&self, key: &[u8]) -> KvResult<bool> {
@@ -579,9 +670,9 @@ mod tests {
         assert_eq!(commands.len(), 3, "GDPR audit must log reads and misses");
     }
 
-    /// An MGET is one command whichever lock answers it: one reply element
-    /// per key in order, one `commands` / `reads` tick — and, under
-    /// `log_reads`, one AOF frame naming every key read.
+    /// An MGET is one command: one reply element per key in order, one
+    /// `commands` / `reads` tick — and, under `log_reads`, one AOF frame
+    /// naming every key read.
     #[test]
     fn mget_is_one_command_one_frame() {
         for log_reads in [false, true] {
@@ -645,6 +736,148 @@ mod tests {
         assert_eq!(store.execute(mget).unwrap(), live_only);
         assert_eq!(*reaped.lock(), vec![b"doomed".to_vec()], "reaped once");
         assert_eq!(store.stats().reads.load(Ordering::Relaxed), 3);
+    }
+
+    /// Every value `read_each` shows, as owned strings, in visit order.
+    fn read_all(store: &KvStore, keys: &[&str]) -> KvResult<Vec<String>> {
+        let mut seen = Vec::new();
+        let copy = |key: &&str, buf: &mut Vec<u8>| buf.extend_from_slice(key.as_bytes());
+        let Ok(()) = store.read_each(keys, copy, |value| {
+            seen.push(String::from_utf8(value.to_vec()).unwrap());
+            Ok::<_, std::convert::Infallible>(())
+        })?;
+        Ok(seen)
+    }
+
+    #[test]
+    fn read_each_visits_values_in_key_order_and_skips_absent_keys() {
+        let store = KvStore::open(KvConfig::default()).unwrap();
+        for key in ["a", "b", "c", "d"] {
+            store
+                .set(key.as_bytes(), key.to_uppercase().as_bytes())
+                .unwrap();
+        }
+        let seen = read_all(&store, &["d", "ghost", "a", "c", "zz"]).unwrap();
+        assert_eq!(seen, ["D", "A", "C"]);
+        assert!(read_all(&store, &[]).unwrap().is_empty());
+
+        // The storage key is built per key into one buffer: a prefix works.
+        let mut seen = Vec::new();
+        store.set(b"rec:x", b"X").unwrap();
+        let prefixed = |key: &&str, buf: &mut Vec<u8>| {
+            buf.extend_from_slice(b"rec:");
+            buf.extend_from_slice(key.as_bytes());
+        };
+        let Ok(()) = store
+            .read_each(&["x", "a"], prefixed, |value| {
+                seen.push(value.clone());
+                Ok::<_, std::convert::Infallible>(())
+            })
+            .unwrap();
+        assert_eq!(seen, [b("X")]);
+    }
+
+    /// A past-due key in mid-chunk is reaped through the exclusive side —
+    /// once, with one listener call — and the keys after it, in the same
+    /// chunk and in the next, are still visited.
+    #[test]
+    fn read_each_reaps_a_past_due_key_once_and_reads_on() {
+        let sim = clock::sim();
+        let store = KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
+        let reaped = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&reaped);
+        store.set_expiry_listener(Arc::new(move |key| sink.lock().push(key.to_vec())));
+        let keys: Vec<String> = (0..READ_CHUNK + 10).map(|i| format!("k{i:04}")).collect();
+        for key in &keys {
+            store.set(key.as_bytes(), key.as_bytes()).unwrap();
+        }
+        let doomed = &keys[100];
+        store
+            .set_ex(doomed.as_bytes(), b"lapsing", Duration::from_secs(5))
+            .unwrap();
+        sim.advance(Duration::from_secs(5)); // deadline == now is due
+
+        let named: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let live: Vec<&str> = named.iter().copied().filter(|k| k != doomed).collect();
+        assert_eq!(read_all(&store, &named).unwrap(), live);
+        assert_eq!(*reaped.lock(), vec![doomed.as_bytes().to_vec()]);
+        assert_eq!(store.dbsize(), keys.len() - 1);
+        assert_eq!(read_all(&store, &named).unwrap(), live);
+        assert_eq!(reaped.lock().len(), 1, "reaped once");
+    }
+
+    #[test]
+    fn read_each_fails_on_a_value_that_is_not_a_string() {
+        let store = KvStore::open(KvConfig::default()).unwrap();
+        store.set(b"s", b"v").unwrap();
+        store
+            .execute(Command::ZAdd {
+                key: b("z"),
+                entries: vec![(1.0, b("m"))],
+            })
+            .unwrap();
+        assert_eq!(read_all(&store, &["s", "z"]), Err(KvError::WrongType));
+        assert_eq!(store.get(b"z"), Err(KvError::WrongType));
+    }
+
+    /// `read_each` counts, and under `log_reads` logs, exactly the commands
+    /// it stands for: one `MGET` per chunk of at most [`READ_CHUNK`] keys,
+    /// one `GET` per point read — and the log replays to the live
+    /// generation.
+    #[test]
+    fn read_each_counts_and_logs_as_the_commands_it_replaces() {
+        for log_reads in [false, true] {
+            let config = KvConfig {
+                aof: Storage::Memory,
+                fsync: FsyncPolicy::Never,
+                log_reads,
+                ..Default::default()
+            };
+            let store = KvStore::open(config.clone()).unwrap();
+            let keys: Vec<String> = (0..READ_CHUNK + 3).map(|i| format!("k{i}")).collect();
+            for key in keys.iter().step_by(2) {
+                store.set(key.as_bytes(), b"v").unwrap();
+            }
+            let writes = keys.len().div_ceil(2) as u64;
+            let named: Vec<&str> = keys.iter().map(String::as_str).collect();
+            assert_eq!(read_all(&store, &named).unwrap().len() as u64, writes);
+            assert!(store.get(b"k0").unwrap().is_some());
+            assert_eq!(store.stats().reads.load(Ordering::Relaxed), 3);
+            assert_eq!(store.stats().commands.load(Ordering::Relaxed), writes + 3);
+
+            let raw = store.aof_memory_buffer().unwrap().lock().clone();
+            let frames = aof::decode_log(&raw, None).unwrap();
+            let reads: Vec<(Bytes, usize)> = frames[writes as usize..]
+                .iter()
+                .map(|parts| (parts[0].clone(), parts.len() - 1))
+                .collect();
+            if log_reads {
+                let want = [(b("MGET"), READ_CHUNK), (b("MGET"), 3), (b("GET"), 1)];
+                assert_eq!(reads, want);
+                let mut first = vec![b("MGET")];
+                first.extend(named[..READ_CHUNK].iter().map(|k| b(k)));
+                assert_eq!(frames[writes as usize], first, "every key named, in order");
+            } else {
+                assert!(reads.is_empty(), "reads are not logged by default");
+            }
+            let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
+            assert_eq!(replayed.mutation_generation(), store.mutation_generation());
+        }
+    }
+
+    /// With transit sealing on, a read is a sealed command round trip:
+    /// the values come back all the same.
+    #[test]
+    fn read_each_under_transit_encryption_reads_through_commands() {
+        let config = KvConfig {
+            encrypt_transit: true,
+            ..Default::default()
+        };
+        let store = KvStore::open(config).unwrap();
+        store.set(b"a", b"1").unwrap();
+        store.set(b"b", b"2").unwrap();
+        assert_eq!(read_all(&store, &["b", "ghost", "a"]).unwrap(), ["2", "1"]);
+        assert_eq!(store.stats().reads.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -254,9 +254,9 @@ fn concurrent_mixed_workload_preserves_compliance_invariants() {
 /// candidates. Two readers alternate READ-DATA-BY-OBJ / -DEC while a third
 /// thread registers objections and opt-outs, erases by key and moves the
 /// simulated clock past a tenth of the TTLs — so candidate keys go stale
-/// between index and store, MGETs fall from the store's shared lock to its
-/// exclusive one to reap, and reaps call back into the index the other
-/// reader is consulting. At 1 and 8 shards:
+/// between index and store, a batched read steps from the store's shared
+/// lock to its exclusive one to reap, and reaps call back into the index
+/// the other reader is consulting. At 1 and 8 shards:
 ///
 /// * every record a read returns satisfied the predicate at some point of
 ///   the run (metadata only ever moves *toward* objecting / opted out, so
