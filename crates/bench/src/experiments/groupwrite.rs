@@ -19,6 +19,11 @@
 //!   page image, not one per descent) and
 //!   `group_update_pur_internal_pages` the internal pages the tree had,
 //!   the bound the decodes must stay under.
+//! * **repeated consent update** — the same update applied a second time
+//!   to the same store, when every match already lists the party: the
+//!   engine counts the matches and writes none of them.
+//!   `group_update_pur_repeat_commits` is its generation delta and
+//!   `group_update_pur_repeat_wal_bytes` its WAL growth, both 0.
 //!
 //! `…_ms` is the engine-level latency of the write, predicate resolution
 //! and verifying fetches included, the best of [`ROUNDS`] freshly loaded
@@ -138,12 +143,16 @@ fn erase_once() -> (f64, f64, f64) {
     )
 }
 
-/// One consent update on a fresh store.
+/// One consent update on a fresh store, then the same update again.
 struct Update {
     ms: f64,
     commits: u64,
     decodes: u64,
     internal_pages: usize,
+    /// The second application: every match already lists the party.
+    repeat_ms: f64,
+    repeat_commits: u64,
+    repeat_wal_bytes: u64,
 }
 
 fn update_once() -> Update {
@@ -151,16 +160,25 @@ fn update_once() -> Update {
     let internal_pages = loaded.internal_pages();
     let (generation_before, decodes_before) =
         (loaded.store.generation(), loaded.store.pool_stats().decodes);
-    let (response, ms) = loaded.timed(&GdprQuery::UpdateMetadataByPurpose {
+    let update = GdprQuery::UpdateMetadataByPurpose {
         purpose: UPDATED_PURPOSE.to_string(),
         update: MetadataUpdate::Add(MetadataField::Sharing, THIRD_PARTIES[0].to_string()),
-    });
+    };
+    let (response, ms) = loaded.timed(&update);
     assert!(matches!(response, GdprResponse::Updated(n) if n > RECORDS / 8));
+    let commits = loaded.store.generation() - generation_before;
+    let decodes = loaded.store.pool_stats().decodes - decodes_before;
+    let (wal_before, generation_before) = (loaded.wal_len(), loaded.store.generation());
+    let (repeat, repeat_ms) = loaded.timed(&update);
+    assert_eq!(repeat, response, "a repeat counts the same matches");
     Update {
         ms,
-        commits: loaded.store.generation() - generation_before,
-        decodes: loaded.store.pool_stats().decodes - decodes_before,
+        commits,
+        decodes,
         internal_pages,
+        repeat_ms,
+        repeat_commits: loaded.store.generation() - generation_before,
+        repeat_wal_bytes: loaded.wal_len() - wal_before,
     }
 }
 
@@ -194,6 +212,21 @@ pub fn run() -> (ExperimentTable, Vec<(&'static str, f64)>) {
             "group_update_pur_internal_pages",
             update.internal_pages as f64,
             "count",
+        ),
+        (
+            "group_update_pur_repeat_ms",
+            best(updates.iter().map(|u| u.repeat_ms)),
+            "ms",
+        ),
+        (
+            "group_update_pur_repeat_commits",
+            update.repeat_commits as f64,
+            "count",
+        ),
+        (
+            "group_update_pur_repeat_wal_bytes",
+            update.repeat_wal_bytes as f64,
+            "B",
         ),
     ];
 
@@ -230,11 +263,14 @@ mod tests {
     }
 
     /// A consent update is one commit, and its descents decode each
-    /// internal page image at most once — the same count every run.
+    /// internal page image at most once — the same count every run. The
+    /// same update applied again changes no record, so it commits nothing
+    /// and appends no WAL byte.
     #[test]
     fn group_update_is_one_commit_and_its_decodes_repeat() {
         let (first, second) = (update_once(), update_once());
         assert_eq!(first.commits, 1);
+        assert_eq!((first.repeat_commits, first.repeat_wal_bytes), (0, 0));
         assert_eq!(first.decodes, second.decodes, "decodes must repeat");
         assert!(
             first.decodes as usize <= first.internal_pages,

@@ -31,7 +31,7 @@ use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
 use crate::error::{GdprError, GdprResult};
 use crate::metaindex::{IndexBatch, MetadataIndex};
-use crate::query::GdprQuery;
+use crate::query::{GdprQuery, MetadataUpdate};
 use crate::record::PersonalRecord;
 use crate::response::GdprResponse;
 use crate::role::Session;
@@ -486,17 +486,26 @@ impl<S: RecordStore> ComplianceEngine<S> {
         self.commit_batched(state, victims)
     }
 
-    /// Apply a metadata update to all records matching `pred` —
-    /// **validate-all-then-commit**: `update.apply` runs on every match
-    /// before the store sees any of them, so an update that is invalid for
-    /// *any* matching record (e.g. removing the last declared purpose of
-    /// one of them) mutates nothing at all.
+    /// Apply a metadata update to all records matching `pred`, and answer
+    /// how many **matched** — while writing only the records it
+    /// **changes**. A match the update leaves as it is
+    /// ([`MetadataUpdate::leaves_unchanged`], decided on the borrowed
+    /// view) projects to nothing: it is not copied out of the store, not
+    /// re-sealed, not logged and not re-indexed. Adding a sharing party to
+    /// a purpose group mostly finds records that already list it.
     ///
-    /// The commit phase is one [`RecordStore::apply`] batch. On the paged
-    /// disk store that is one transaction: a store failure or a crash
-    /// leaves the consent withdrawal entirely applied or entirely absent.
-    /// The key-value and relational stores run the batch record by record
-    /// and can stop part-way (see [`Self::commit_batched`]). Under
+    /// **Validate-all-then-commit**: `update.apply` runs on every changed
+    /// match before the store sees any of them, so an update that is
+    /// invalid for *any* matching record (e.g. removing the last declared
+    /// purpose of one of them) mutates nothing at all. The skipped matches
+    /// need no validation — a no-op cannot fail.
+    ///
+    /// The commit phase is one [`RecordStore::apply`] batch of the changed
+    /// records — no store call at all when none changed. On the paged disk
+    /// store that is one transaction: a store failure or a crash leaves
+    /// the consent withdrawal entirely applied or entirely absent. The
+    /// key-value and relational stores run the batch record by record and
+    /// can stop part-way (see [`Self::commit_batched`]). Under
     /// [`crate::sharded::ShardedEngine`] each shard's batch is atomic on
     /// its own store; atomicity across shards is not claimed.
     fn update_matching(
@@ -504,18 +513,23 @@ impl<S: RecordStore> ComplianceEngine<S> {
         state: &TenantState,
         tenant: &TenantId,
         pred: &RecordPredicate,
-        update: &crate::query::MetadataUpdate,
+        update: &MetadataUpdate,
     ) -> GdprResult<usize> {
-        let ttl_changed = matches!(update, crate::query::MetadataUpdate::SetTtl(_));
-        let mut updated = self.read_matching(state, tenant, pred, |record| record.to_record())?;
-        for record in &mut updated {
+        let ttl_changed = matches!(update, MetadataUpdate::SetTtl(_));
+        let matches = self.read_matching(state, tenant, pred, |record| {
+            (!update.leaves_unchanged(&record)).then(|| record.to_record())
+        })?;
+        let matched = matches.len();
+        let mut ops = Vec::new();
+        for mut record in matches.into_iter().flatten() {
             update.apply(&mut record.metadata)?;
+            ops.push(WriteOp::Rewrite {
+                record,
+                ttl_changed,
+            });
         }
-        let ops = updated.into_iter().map(|record| WriteOp::Rewrite {
-            record,
-            ttl_changed,
-        });
-        self.commit_batched(state, ops.collect())
+        self.commit_batched(state, ops)?;
+        Ok(matched)
     }
 
     /// The commit step of every multi-record write: hand `ops` to the
@@ -525,8 +539,12 @@ impl<S: RecordStore> ComplianceEngine<S> {
     /// whole group). The index therefore tracks exactly what the store
     /// holds, success or failure: on an atomic store a failed batch leaves
     /// both untouched; on a store running the default loop the prefix is
-    /// however far the loop got. Returns how many ops counted.
+    /// however far the loop got. Returns how many ops counted. No ops, no
+    /// store call and no index batch.
     fn commit_batched(&self, state: &TenantState, ops: Vec<WriteOp>) -> GdprResult<usize> {
+        if ops.is_empty() {
+            return Ok(0);
+        }
         let now_ms = self.now_ms();
         let applied = self.store.apply(&ops);
         if let Some(index) = &state.index {
@@ -546,19 +564,25 @@ impl<S: RecordStore> ComplianceEngine<S> {
     }
 
     /// Dry-run a group update: `update.apply` on (a copy of) every record
-    /// matching `pred`, committing nothing. [`crate::sharded::ShardedEngine`]
-    /// runs this on *every* shard before dispatching the update to *any*
-    /// shard, so a validation failure leaves all shards untouched — exactly
-    /// what the unsharded engine's validate-all-then-commit guarantees.
+    /// matching `pred` that it would change — the ones it leaves as they
+    /// are cannot fail — committing nothing.
+    /// [`crate::sharded::ShardedEngine`] runs this on *every* shard before
+    /// dispatching the update to *any* shard, so a validation failure
+    /// leaves all shards untouched — exactly what the unsharded engine's
+    /// validate-all-then-commit guarantees.
     pub(crate) fn validate_update(
         &self,
         tenant: &TenantId,
         pred: &RecordPredicate,
-        update: &crate::query::MetadataUpdate,
+        update: &MetadataUpdate,
     ) -> GdprResult<()> {
         let state = self.tenant_state(tenant)?;
         self.read_matching(&state, tenant, pred, |record| {
-            update.apply(&mut record.metadata())
+            if update.leaves_unchanged(&record) {
+                Ok(())
+            } else {
+                update.apply(&mut record.metadata())
+            }
         })?
         .into_iter()
         .collect()
@@ -789,7 +813,10 @@ impl<S: RecordStore> ComplianceEngine<S> {
             UpdateMetadataByKey { key, update } => {
                 let mut record = self.fetch_required(tenant, key)?;
                 guard(&record)?;
-                let ttl_changed = matches!(update, crate::query::MetadataUpdate::SetTtl(_));
+                if update.leaves_unchanged(&record.view()) {
+                    return Ok(GdprResponse::Updated(1));
+                }
+                let ttl_changed = matches!(update, MetadataUpdate::SetTtl(_));
                 update.apply(&mut record.metadata)?;
                 self.store.rewrite(&record, ttl_changed)?;
                 self.reindex(state, &record, ttl_changed);
@@ -1067,6 +1094,191 @@ mod tests {
                     Some(vec!["a".into(), "b".into()])
                 );
             }
+        }
+    }
+
+    /// Share every record of `neo` with x-corp.
+    fn share_neo_with_x_corp() -> GdprQuery {
+        GdprQuery::UpdateMetadataByUser {
+            user: "neo".into(),
+            update: MetadataUpdate::Add(crate::query::MetadataField::Sharing, "x-corp".into()),
+        }
+    }
+
+    /// `keys` created for `neo`, each already shared with x-corp when its
+    /// flag says so.
+    fn create_shared(engine: &ComplianceEngine<MemStore>, keys: &[(&str, bool)]) {
+        for &(key, shared) in keys {
+            let mut r = record(key, "neo", &["ads"]);
+            if shared {
+                r.metadata.sharing.push("x-corp".into());
+            }
+            engine
+                .execute(&Session::controller(), &GdprQuery::CreateRecord(r))
+                .unwrap();
+        }
+    }
+
+    /// A group update every match already satisfies counts every match and
+    /// writes nothing: no store write, no index batch, one audit line.
+    #[test]
+    fn a_group_update_every_match_already_holds_writes_nothing() {
+        for engine in engines() {
+            create_shared(&engine, &[("a", true), ("b", true), ("c", true)]);
+            let audited = engine.audit().len();
+            let writes = *engine.store().writes.lock();
+            let resp = engine
+                .execute(&Session::controller(), &share_neo_with_x_corp())
+                .unwrap();
+            assert_eq!(resp, GdprResponse::Updated(3));
+            assert_eq!(*engine.store().writes.lock(), writes, "no store write");
+            assert_eq!(engine.audit().len(), audited + 1, "one audit line");
+        }
+    }
+
+    /// Of a group's matches, exactly the ones the update changes are
+    /// rewritten and re-indexed; the count is still every match.
+    #[test]
+    fn a_mixed_group_update_rewrites_and_reindexes_only_the_changed_records() {
+        let engine = ComplianceEngine::with_metadata_index(MemStore::new()).unwrap();
+        let index = Arc::clone(engine.metadata_index().unwrap());
+        create_shared(
+            &engine,
+            &[("a", true), ("b", false), ("c", true), ("d", false)],
+        );
+        // Mark the unchanged records' index entries: re-indexing either
+        // would drop the mark, which the store does not hold.
+        for key in ["a", "c"] {
+            let mut marked = engine.store().fetch(key).unwrap().unwrap();
+            marked.metadata.objections.push("mark".into());
+            index.upsert(&marked, 0, true);
+        }
+        let writes = *engine.store().writes.lock();
+        let resp = engine
+            .execute(&Session::controller(), &share_neo_with_x_corp())
+            .unwrap();
+        assert_eq!(resp, GdprResponse::Updated(4));
+        assert_eq!(*engine.store().writes.lock() - writes, 2, "b and d only");
+        for key in ["a", "b", "c", "d"] {
+            let stored = engine.store().fetch(key).unwrap().unwrap();
+            assert_eq!(stored.metadata.sharing, vec!["x-corp"], "{key}");
+        }
+        assert_eq!(
+            index.keys_for(&RecordPredicate::SharedWith("x-corp".into())),
+            Some(["a", "b", "c", "d"].map(Arc::from).to_vec())
+        );
+        assert_eq!(
+            index.keys_for(&RecordPredicate::NotObjecting("mark".into())),
+            Some(["b", "d"].map(Arc::from).to_vec()),
+            "a and c were not re-indexed"
+        );
+    }
+
+    /// Skipping the no-op matches does not skip validation: a purpose
+    /// removal that leaves some matches alone, changes one and would empty
+    /// another's purposes fails whole and writes nothing.
+    #[test]
+    fn a_group_update_with_no_op_matches_still_fails_whole() {
+        for engine in engines() {
+            for (key, purposes) in [
+                ("a", &["2fa"][..]),
+                ("b", &["ads", "2fa"][..]),
+                ("c", &["2fa"][..]),
+                ("d", &["ads"][..]),
+            ] {
+                engine
+                    .execute(
+                        &Session::controller(),
+                        &GdprQuery::CreateRecord(record(key, "neo", purposes)),
+                    )
+                    .unwrap();
+            }
+            let writes = *engine.store().writes.lock();
+            let result = engine.execute(
+                &Session::controller(),
+                &GdprQuery::UpdateMetadataByUser {
+                    user: "neo".into(),
+                    update: MetadataUpdate::Remove(
+                        crate::query::MetadataField::Purposes,
+                        "ads".into(),
+                    ),
+                },
+            );
+            assert!(matches!(result, Err(GdprError::InvalidRecord(_))));
+            assert_eq!(*engine.store().writes.lock(), writes);
+            let purposes = engine
+                .store()
+                .fetch("b")
+                .unwrap()
+                .unwrap()
+                .metadata
+                .purposes;
+            assert_eq!(purposes, vec!["ads", "2fa"], "b is untouched");
+        }
+    }
+
+    /// `SetTtl` is never a no-op: at the record's current TTL it still
+    /// rewrites, and the store and the index both re-arm the deadline.
+    #[test]
+    fn set_ttl_to_the_current_ttl_still_rearms_the_deadline() {
+        let sim = clock::sim();
+        let engine =
+            ComplianceEngine::with_metadata_index(MemStore::with_clock(sim.clone())).unwrap();
+        create_shared(&engine, &[("a", false)]);
+        let ttl = std::time::Duration::from_secs(3600);
+        sim.advance(std::time::Duration::from_secs(100));
+        let writes = *engine.store().writes.lock();
+        let resp = engine
+            .execute(
+                &Session::controller(),
+                &GdprQuery::UpdateMetadataByUser {
+                    user: "neo".into(),
+                    update: MetadataUpdate::SetTtl(ttl),
+                },
+            )
+            .unwrap();
+        assert_eq!(resp, GdprResponse::Updated(1));
+        assert_eq!(*engine.store().writes.lock() - writes, 1);
+        let rearmed = engine.store().clock().now().as_millis() + 3_600_000;
+        assert_eq!(engine.store().deadline_ms("a"), Some(rearmed));
+        assert_eq!(
+            engine.metadata_index().unwrap().deadline_of("a"),
+            Some(rearmed)
+        );
+    }
+
+    /// A point update the record already satisfies answers `Updated(1)`
+    /// and writes nothing; one it would reject still fails.
+    #[test]
+    fn a_no_op_update_by_key_writes_nothing() {
+        for engine in engines() {
+            create_shared(&engine, &[("a", true)]);
+            let writes = *engine.store().writes.lock();
+            for update in [
+                MetadataUpdate::Add(crate::query::MetadataField::Sharing, "x-corp".into()),
+                MetadataUpdate::Remove(crate::query::MetadataField::Objections, "ads".into()),
+                MetadataUpdate::SetScalar(crate::query::MetadataField::User, "neo".into()),
+            ] {
+                let resp = engine
+                    .execute(
+                        &Session::controller(),
+                        &GdprQuery::UpdateMetadataByKey {
+                            key: "a".into(),
+                            update,
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(resp, GdprResponse::Updated(1));
+            }
+            assert_eq!(*engine.store().writes.lock(), writes);
+            let rejected = engine.execute(
+                &Session::controller(),
+                &GdprQuery::UpdateMetadataByKey {
+                    key: "a".into(),
+                    update: MetadataUpdate::Add(crate::query::MetadataField::User, "neo".into()),
+                },
+            );
+            assert!(matches!(rejected, Err(GdprError::InvalidRecord(_))));
         }
     }
 

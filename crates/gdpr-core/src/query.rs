@@ -3,6 +3,7 @@
 
 use crate::error::{GdprError, GdprResult};
 use crate::record::{Metadata, PersonalRecord};
+use crate::wire::{ListView, RecordView};
 use std::time::Duration;
 
 /// A metadata attribute that can be targeted by an update.
@@ -30,6 +31,15 @@ impl MetadataField {
 }
 
 /// A single metadata mutation.
+///
+/// An update *matches* a record through its query's predicate and
+/// *changes* it only where [`MetadataUpdate::leaves_unchanged`] is false:
+/// adding a sharing party most matches already list changes none of them.
+/// The engine counts every match (`Updated(n)`) but writes only the
+/// records that change. Skipping the rest keeps a group update's
+/// validate-all-then-commit whole: a record the update leaves as it is
+/// cannot fail it, so every match that could is still validated before
+/// any is written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetadataUpdate {
     /// Add a value to a list attribute (e.g. record a new objection, G21;
@@ -99,6 +109,41 @@ impl MetadataUpdate {
         }
     }
 
+    /// Would [`Self::apply`] succeed on the record `view` shows and leave
+    /// it exactly as it is? True only for an `Add` of an item the list
+    /// already holds, a `Remove` of an item it does not hold, and a
+    /// `SetScalar` of USR / SRC to the value it already has. Never for
+    /// `SetTtl`, whose rewrite re-arms the deadline even at the same TTL,
+    /// and never for a field `apply` rejects — so `true` means `apply` is
+    /// `Ok` and a no-op, and a record it holds for can be skipped without
+    /// being read out of the view, validated, rewritten or re-indexed.
+    ///
+    /// Conservative like [`Self::validation_is_data_dependent`]: both
+    /// matches are exhaustive, and a `false` for a record the update would
+    /// in fact leave alone costs one redundant rewrite, never a skipped
+    /// change or a skipped failure. The list test is the view's own
+    /// [`crate::wire::ListView::contains`], the one `apply` sees through
+    /// [`RecordView::metadata`].
+    pub fn leaves_unchanged(&self, view: &RecordView<'_>) -> bool {
+        match self {
+            MetadataUpdate::Add(field, value) => {
+                list_view(view, *field).is_some_and(|list| list.contains(value))
+            }
+            MetadataUpdate::Remove(field, value) => {
+                list_view(view, *field).is_some_and(|list| !list.contains(value))
+            }
+            MetadataUpdate::SetScalar(field, value) => match field {
+                MetadataField::User => view.user == value,
+                MetadataField::Source => view.source == value,
+                MetadataField::Purposes
+                | MetadataField::Objections
+                | MetadataField::Decisions
+                | MetadataField::Sharing => false,
+            },
+            MetadataUpdate::SetTtl(_) => false,
+        }
+    }
+
     /// Can [`Self::apply`] succeed on one record yet fail on another?
     /// The sharded router runs its cross-shard pre-validation only where
     /// a later shard could fail after an earlier one committed; for
@@ -139,6 +184,18 @@ fn list_of(m: &mut Metadata, field: MetadataField) -> GdprResult<&mut Vec<String
             )))
         }
     })
+}
+
+/// [`list_of`] over a borrowed record: `None` where `apply` rejects the
+/// field.
+fn list_view<'a>(view: &RecordView<'a>, field: MetadataField) -> Option<ListView<'a>> {
+    match field {
+        MetadataField::Purposes => Some(view.purposes),
+        MetadataField::Objections => Some(view.objections),
+        MetadataField::Decisions => Some(view.decisions),
+        MetadataField::Sharing => Some(view.sharing),
+        MetadataField::Source | MetadataField::User => None,
+    }
 }
 
 /// A GDPR query. Grouping and naming follow §3.3 of the paper.
@@ -351,6 +408,41 @@ mod tests {
                 .apply(&mut m)
                 .is_err()
         );
+    }
+
+    /// The no-op shapes, on the stored text and on the parsed record.
+    #[test]
+    fn leaves_unchanged_only_where_apply_is_a_no_op() {
+        use MetadataField::*;
+        let text = "k;d;PUR=ads,2fa;TTL=1days;USR=neo;OBJ=∅;DEC=∅;SHR=x-corp;SRC=first-party;";
+        let record = crate::wire::parse(text).unwrap();
+        let cases = [
+            (MetadataUpdate::Add(Sharing, "x-corp".into()), true),
+            (MetadataUpdate::Add(Sharing, "y-corp".into()), false),
+            (MetadataUpdate::Add(Objections, "ads".into()), false),
+            (MetadataUpdate::Remove(Objections, "ads".into()), true),
+            (MetadataUpdate::Remove(Purposes, "sales".into()), true),
+            (MetadataUpdate::Remove(Purposes, "ads".into()), false),
+            (MetadataUpdate::SetScalar(User, "neo".into()), true),
+            (
+                MetadataUpdate::SetScalar(Source, "first-party".into()),
+                true,
+            ),
+            (
+                MetadataUpdate::SetScalar(Source, "third-party".into()),
+                false,
+            ),
+            (MetadataUpdate::SetTtl(Duration::from_secs(86_400)), false),
+            // Rejected by `apply`, so never a no-op.
+            (MetadataUpdate::Add(User, "neo".into()), false),
+            (MetadataUpdate::Remove(Source, "x".into()), false),
+            (MetadataUpdate::SetScalar(Sharing, "x-corp".into()), false),
+        ];
+        for (update, no_op) in cases {
+            let stored = RecordView::parse(text).unwrap();
+            assert_eq!(update.leaves_unchanged(&stored), no_op, "{update:?}");
+            assert_eq!(update.leaves_unchanged(&record.view()), no_op, "{update:?}");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ use std::time::Duration;
 /// engines' scan and index paths in isolation from the real backends —
 /// plus a native deadline table so `put_with_deadline`, `deadline_ms`
 /// and the store-side purge are exercised too, an injectable write
-/// failure so both [`RecordStore::apply`] contracts can be pinned, and an
+/// failure so both [`RecordStore::apply`] contracts can be pinned, a
+/// count of the writes that went ahead, and an
 /// injectable read failure plus the last reader's thread so the router's
 /// fan-out contract can be.
 pub(crate) struct MemStore {
@@ -25,6 +26,8 @@ pub(crate) struct MemStore {
     clock: SharedClock,
     /// `Some(k)`: the next `k` rewrites/deletes succeed, then one fails.
     pub(crate) fail_after: Mutex<Option<usize>>,
+    /// Rewrites and deletes that went ahead.
+    pub(crate) writes: Mutex<usize>,
     /// Every `fetch` and `scan` fails while set.
     pub(crate) fail_reads: Mutex<bool>,
     /// The thread the last `fetch` or `scan` ran on, failed ones included.
@@ -46,6 +49,7 @@ impl MemStore {
             deadlines: Mutex::new(BTreeMap::new()),
             clock,
             fail_after: Mutex::new(None),
+            writes: Mutex::new(0),
             fail_reads: Mutex::new(false),
             last_read_by: Mutex::new(None),
             atomic: false,
@@ -61,20 +65,20 @@ impl MemStore {
         Ok(())
     }
 
-    /// Count one rewrite/delete against the armed failure.
+    /// Count one rewrite/delete against the armed failure, and in
+    /// [`Self::writes`] when it goes ahead.
     fn write_allowed(&self) -> GdprResult<()> {
         let mut fail_after = self.fail_after.lock();
         match *fail_after {
             Some(0) => {
                 *fail_after = None;
-                Err(GdprError::Store("injected write failure".to_string()))
+                return Err(GdprError::Store("injected write failure".to_string()));
             }
-            Some(left) => {
-                *fail_after = Some(left - 1);
-                Ok(())
-            }
-            None => Ok(()),
+            Some(left) => *fail_after = Some(left - 1),
+            None => {}
         }
+        *self.writes.lock() += 1;
+        Ok(())
     }
 }
 
@@ -115,8 +119,18 @@ impl RecordStore for MemStore {
         rows.insert(record.key.clone(), record.clone());
         Ok(())
     }
-    fn rewrite(&self, record: &PersonalRecord, _ttl_changed: bool) -> GdprResult<()> {
+    fn rewrite(&self, record: &PersonalRecord, ttl_changed: bool) -> GdprResult<()> {
         self.write_allowed()?;
+        if ttl_changed {
+            let mut deadlines = self.deadlines.lock();
+            match record.metadata.ttl {
+                Some(ttl) => deadlines.insert(
+                    record.key.clone(),
+                    self.clock.now().as_millis() + ttl.as_millis() as u64,
+                ),
+                None => deadlines.remove(&record.key),
+            };
+        }
         self.rows.lock().insert(record.key.clone(), record.clone());
         Ok(())
     }

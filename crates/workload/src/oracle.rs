@@ -9,7 +9,7 @@
 
 use gdpr_core::acl::{authorize, record_visible};
 use gdpr_core::error::{GdprError, GdprResult};
-use gdpr_core::query::GdprQuery;
+use gdpr_core::query::{GdprQuery, MetadataUpdate};
 use gdpr_core::record::PersonalRecord;
 use gdpr_core::response::GdprResponse;
 use gdpr_core::role::Session;
@@ -182,29 +182,35 @@ impl Oracle {
                 GdprResponse::Updated(1)
             }
             UpdateMetadataByPurpose { purpose, update } => {
-                let mut n = 0;
-                for record in self.records.values_mut() {
-                    if record.metadata.purposes.iter().any(|p| p == purpose) {
-                        update.apply(&mut record.metadata)?;
-                        n += 1;
-                    }
-                }
-                GdprResponse::Updated(n)
+                self.update_where(update, |r| r.metadata.purposes.iter().any(|p| p == purpose))?
             }
             UpdateMetadataByUser { user, update } => {
-                let mut n = 0;
-                for record in self.records.values_mut() {
-                    if record.metadata.user == *user {
-                        update.apply(&mut record.metadata)?;
-                        n += 1;
-                    }
-                }
-                GdprResponse::Updated(n)
+                self.update_where(update, |r| r.metadata.user == *user)?
             }
             GetSystemLogs { .. } => GdprResponse::Logs(Default::default()),
             GetSystemFeatures => GdprResponse::Features(Default::default()),
             VerifyDeletion(key) => GdprResponse::DeletionVerified(!self.records.contains_key(key)),
         })
+    }
+
+    /// A group metadata update, validate-all-then-commit like the engine:
+    /// an update invalid for any matching record changes none of them.
+    fn update_where(
+        &mut self,
+        update: &MetadataUpdate,
+        matches: impl Fn(&PersonalRecord) -> bool,
+    ) -> GdprResult<GdprResponse> {
+        let mut updated = Vec::new();
+        for record in self.records.values().filter(|r| matches(r)) {
+            let mut metadata = record.metadata.clone();
+            update.apply(&mut metadata)?;
+            updated.push((record.key.clone(), metadata));
+        }
+        let n = updated.len();
+        for (key, metadata) in updated {
+            self.records.get_mut(&key).expect("a matched key").metadata = metadata;
+        }
+        Ok(GdprResponse::Updated(n))
     }
 }
 

@@ -276,6 +276,60 @@ fn predicates_agree_on_text_and_parsed_views() {
     });
 }
 
+/// `MetadataUpdate::leaves_unchanged` is sound: wherever it holds for a
+/// view — of the stored text or of the parsed record, `∅` attributes
+/// included — `apply` on that view's metadata succeeds and changes
+/// nothing. Every update shape runs against every field, with values the
+/// record holds and values it does not.
+#[test]
+fn leaves_unchanged_implies_apply_is_an_ok_no_op() {
+    use gdprbench_repro::gdpr_core::{MetadataField, MetadataUpdate};
+    const FIELDS: [MetadataField; 6] = [
+        MetadataField::Purposes,
+        MetadataField::Objections,
+        MetadataField::Decisions,
+        MetadataField::Sharing,
+        MetadataField::Source,
+        MetadataField::User,
+    ];
+    let no_ops = std::cell::Cell::new(0usize);
+    run_cases(512, |rng| {
+        let record = sparse_record(rng);
+        let text = wire::serialize(&record);
+        let m = &record.metadata;
+        // What the record holds, across every attribute, plus strangers.
+        let values: Vec<String> = [&m.purposes, &m.objections, &m.decisions, &m.sharing]
+            .into_iter()
+            .flatten()
+            .cloned()
+            .chain([m.user.clone(), m.source.clone(), field(rng), String::new()])
+            .collect();
+        let mut updates: Vec<MetadataUpdate> = Vec::new();
+        for field in FIELDS {
+            for value in &values {
+                updates.push(MetadataUpdate::Add(field, value.clone()));
+                updates.push(MetadataUpdate::Remove(field, value.clone()));
+                updates.push(MetadataUpdate::SetScalar(field, value.clone()));
+            }
+        }
+        updates.extend(m.ttl.map(MetadataUpdate::SetTtl));
+        updates.push(MetadataUpdate::SetTtl(Duration::from_secs(60)));
+        let views = [RecordView::parse(&text).unwrap(), record.view()];
+        for update in &updates {
+            for view in &views {
+                if !update.leaves_unchanged(view) {
+                    continue;
+                }
+                let mut applied = view.metadata();
+                assert_eq!(update.apply(&mut applied), Ok(()), "{update:?} on {text}");
+                assert_eq!(applied, view.metadata(), "{update:?} on {text}");
+                no_ops.set(no_ops.get() + 1);
+            }
+        }
+    });
+    assert!(no_ops.get() > 512, "the property must meet no-ops");
+}
+
 /// RESP command encoding roundtrips arbitrary binary parts.
 #[test]
 fn resp_roundtrip() {
@@ -1662,6 +1716,79 @@ mod sharded_invariance {
             let reference_count = conns[0].1.record_count();
             for (label, conn) in &conns {
                 assert_eq!(conn.record_count(), reference_count, "{label}");
+            }
+        });
+    }
+
+    /// A group update applied a second time finds every match already as
+    /// the first left it. The engine then writes nothing — and must still
+    /// answer as the oracle does, `Updated(matches)` or the same
+    /// validation failure, on every entry of [`fleet`] — kvstore and
+    /// disk, unsharded and at 1, 2, 8 and `GDPR_SHARDS` shards, over
+    /// loopback — with every predicate read after the stream agreeing too.
+    #[test]
+    fn group_updates_applied_twice_match_the_oracle() {
+        use gdprbench_repro::workload::oracle::{responses_match, Oracle};
+        run_cases(12, |rng| {
+            let conns = fleet(&(clock::sim() as clock::SharedClock));
+            let mut oracle = Oracle::new();
+            let check = |oracle: &mut Oracle, session: &Session, query: &GdprQuery| {
+                let expected = oracle.apply(session, query);
+                for (label, conn) in &conns {
+                    let actual = conn.execute(session, query);
+                    assert!(
+                        responses_match(query, &expected, &actual),
+                        "{label} on {query:?}: expected {expected:?}, got {actual:?}"
+                    );
+                }
+            };
+
+            let controller = Session::controller();
+            for i in 0..rng.gen_range(5usize..35) {
+                let record = arb_gdpr_record(rng, format!("k{i}"));
+                check(&mut oracle, &controller, &GdprQuery::CreateRecord(record));
+            }
+            for _ in 0..rng.gen_range(2usize..8) {
+                let update = match rng.gen_range(0u32..6) {
+                    0 => {
+                        MetadataUpdate::Add(MetadataField::Sharing, pick(rng, &PARTIES).to_string())
+                    }
+                    1 => MetadataUpdate::Add(
+                        MetadataField::Objections,
+                        pick(rng, &PURPOSES).to_string(),
+                    ),
+                    2 => MetadataUpdate::Remove(
+                        MetadataField::Sharing,
+                        pick(rng, &PARTIES).to_string(),
+                    ),
+                    // Fails whole wherever a match would lose its last
+                    // purpose — on both applications.
+                    3 => MetadataUpdate::Remove(
+                        MetadataField::Purposes,
+                        pick(rng, &PURPOSES).to_string(),
+                    ),
+                    4 => MetadataUpdate::SetScalar(
+                        MetadataField::Source,
+                        pick(rng, &["first-party", "third-party"]).to_string(),
+                    ),
+                    _ => MetadataUpdate::SetTtl(Duration::from_secs(rng.gen_range(1u64..120))),
+                };
+                let query = if rng.gen_bool(0.5) {
+                    GdprQuery::UpdateMetadataByPurpose {
+                        purpose: pick(rng, &PURPOSES).to_string(),
+                        update,
+                    }
+                } else {
+                    GdprQuery::UpdateMetadataByUser {
+                        user: pick(rng, &USERS).to_string(),
+                        update,
+                    }
+                };
+                check(&mut oracle, &controller, &query);
+                check(&mut oracle, &controller, &query);
+            }
+            for (session, query) in predicate_queries() {
+                check(&mut oracle, &session, &query);
             }
         });
     }
