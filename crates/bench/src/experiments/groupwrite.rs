@@ -24,6 +24,12 @@
 //!   engine counts the matches and writes none of them.
 //!   `group_update_pur_repeat_commits` is its generation delta and
 //!   `group_update_pur_repeat_wal_bytes` its WAL growth, both 0.
+//! * **TTL purge with nothing due** — a DELETE-RECORD-BY-TTL on a loaded
+//!   store, after one warming purge (every record's TTL is an hour or
+//!   more, so neither finds anything due). `purge_nothing_due_page_reads`
+//!   is the pages the buffer pool served or missed during it
+//!   ([`pagestore::PoolStats`] `hits + misses`): 0, because the warming
+//!   purge left the store a deadline floor above the clock.
 //!
 //! `…_ms` is the engine-level latency of the write, predicate resolution
 //! and verifying fetches included, the best of [`ROUNDS`] freshly loaded
@@ -112,6 +118,12 @@ impl Loaded {
         tree.filter(|page| page[0] == T_INTERNAL).count()
     }
 
+    /// Pages the buffer pool has served or missed since the store opened.
+    fn page_reads(&self) -> u64 {
+        let stats = self.store.pool_stats();
+        stats.hits + stats.misses
+    }
+
     /// Run `query` as the controller: (its response, latency in ms).
     fn timed(&self, query: &GdprQuery) -> (GdprResponse, f64) {
         let started = Instant::now();
@@ -182,6 +194,18 @@ fn update_once() -> Update {
     }
 }
 
+/// A TTL purge with nothing due on a fresh store, after one warming
+/// purge: (latency in ms, pages read).
+fn purge_nothing_due_once() -> (f64, u64) {
+    let loaded = Loaded::new();
+    let (warming, _) = loaded.timed(&GdprQuery::DeleteExpired);
+    assert_eq!(warming, GdprResponse::Deleted(0));
+    let reads_before = loaded.page_reads();
+    let (response, ms) = loaded.timed(&GdprQuery::DeleteExpired);
+    assert_eq!(response, GdprResponse::Deleted(0));
+    (ms, loaded.page_reads() - reads_before)
+}
+
 fn best(ms: impl Iterator<Item = f64>) -> f64 {
     ms.fold(f64::INFINITY, f64::min)
 }
@@ -190,6 +214,7 @@ fn best(ms: impl Iterator<Item = f64>) -> f64 {
 pub fn run() -> (ExperimentTable, Vec<(&'static str, f64)>) {
     let erases: Vec<(f64, f64, f64)> = (0..ROUNDS).map(|_| erase_once()).collect();
     let updates: Vec<Update> = (0..ROUNDS).map(|_| update_once()).collect();
+    let purges: Vec<(f64, u64)> = (0..ROUNDS).map(|_| purge_nothing_due_once()).collect();
     let (_, commits, wal_bytes_per_record) = erases[0];
     let update = &updates[0];
     // (metric, value, unit) — simpledb's benchmark-row shape.
@@ -228,13 +253,19 @@ pub fn run() -> (ExperimentTable, Vec<(&'static str, f64)>) {
             update.repeat_wal_bytes as f64,
             "B",
         ),
+        (
+            "purge_nothing_due_ms",
+            best(purges.iter().map(|p| p.0)),
+            "ms",
+        ),
+        ("purge_nothing_due_page_reads", purges[0].1 as f64, "count"),
     ];
 
     let mut table = ExperimentTable::new(
         format!(
             "Pagestore group writes on {RECORDS} records, {POOL_PAGES}-page pool: \
-             erase-by-user of {ERASED}, consent update of purpose {UPDATED_PURPOSE} \
-             (smaller is better)"
+             erase-by-user of {ERASED}, consent update of purpose {UPDATED_PURPOSE}, \
+             TTL purge with nothing due (smaller is better)"
         ),
         &["metric", "value", "unit"],
     );
@@ -278,5 +309,13 @@ mod tests {
             first.decodes,
             first.internal_pages
         );
+    }
+
+    /// Once a purge has walked the store, a TTL purge with nothing due
+    /// reads no page.
+    #[test]
+    fn a_purge_with_nothing_due_reads_no_page() {
+        let (_, page_reads) = purge_nothing_due_once();
+        assert_eq!(page_reads, 0);
     }
 }

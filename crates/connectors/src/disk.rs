@@ -198,8 +198,9 @@ impl RecordStore for DiskStore {
         self.store.purge_expired().map_err(Self::store_err)
     }
 
-    /// Past-due keys without reaping — a pure leaf-chain walk over the
-    /// native deadlines.
+    /// Past-due keys without reaping. A leaf-chain walk over the native
+    /// deadlines, or no page read at all while the clock is below the
+    /// store's deadline floor ([`PageStore::expired_keys`]).
     fn expired_keys(&self) -> GdprResult<Vec<String>> {
         self.store.expired_keys().map_err(Self::store_err)
     }

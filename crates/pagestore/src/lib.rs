@@ -50,6 +50,19 @@
 //! store-equivalence proptest can demand byte-identical behaviour from
 //! both backends. Record values are sealed at rest with the workspace
 //! [`crypto::Volume`] (ChaCha20 + SipHash tag) by default.
+//!
+//! A purge need not read the tree to learn that nothing is due. The store
+//! keeps a *deadline floor* in memory: no entry carries a deadline below
+//! it. It is 0 (nothing known) on open, so the first
+//! [`PageStore::purge_expired`] or [`PageStore::expired_keys`] after open
+//! walks the leaf chain. Every upsert that stores a deadline lowers the
+//! floor to it; a purge, having reaped every due entry, raises it to the
+//! earliest deadline left (`u64::MAX` when none is). While the clock reads
+//! below the floor, both calls answer at once and read no page; at the
+//! floor they walk, so `deadline == now` is still due. `expired_keys`
+//! reaps nothing, so it may only raise the floor to the earliest deadline
+//! of *all* entries: a floor above an entry it leaves in place would hide
+//! that entry from the next purge.
 
 pub mod page;
 pub mod pool;
@@ -226,6 +239,11 @@ struct Inner {
     config: PageStoreConfig,
     volume: Option<Volume>,
     recovery: RecoveryInfo,
+    /// No entry in the tree carries a deadline below this. 0 (nothing
+    /// known) on open; lowered by every upsert that stores a deadline,
+    /// raised by the walks of [`PageStore::purge_expired`] and
+    /// [`PageStore::expired_keys`]. In memory only.
+    deadline_floor: u64,
 }
 
 /// The disk-native paged store. All operations are internally synchronized
@@ -317,6 +335,7 @@ impl PageStore {
                 config,
                 volume,
                 recovery,
+                deadline_floor: 0,
             }),
             clock,
             listener: Mutex::new(None),
@@ -493,28 +512,42 @@ impl PageStore {
 
     /// Keys past their deadline, **without** reaping — the side-effect-free
     /// enumeration the multi-tenant purge path requires.
+    ///
+    /// Below the deadline floor (see the crate's "Semantics") it answers
+    /// empty and reads no page. Otherwise it walks the leaf chain, and
+    /// when nothing is due it takes the earliest deadline in the tree as
+    /// the new floor. When something is due the floor stays where it is:
+    /// the due entries stay in the tree, and a floor above any of them
+    /// would hide them from the next purge.
     pub fn expired_keys(&self) -> Result<Vec<String>> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
-        let entries = inner.walk_leaves()?;
-        entries
-            .into_iter()
-            .filter(|e| is_expired(e.deadline_ms, now))
-            .map(|e| utf8_key(&e.key))
-            .collect()
+        if inner.nothing_due(now) {
+            return Ok(Vec::new());
+        }
+        let (due, later) = inner.due_keys(now)?;
+        if due.is_empty() {
+            inner.deadline_floor = later;
+        }
+        Ok(due)
     }
 
     /// Synchronously erase everything past its deadline.
+    ///
+    /// Below the deadline floor (see the crate's "Semantics") it erases
+    /// nothing and reads no page. Otherwise it walks the leaf chain, reaps
+    /// every due entry in one transaction under the same lock hold, and
+    /// then raises the floor to the earliest deadline that survived
+    /// (`u64::MAX` when none did).
     pub fn purge_expired(&self) -> Result<usize> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
-        let keys: Vec<String> = inner
-            .walk_leaves()?
-            .into_iter()
-            .filter(|e| is_expired(e.deadline_ms, now))
-            .map(|e| utf8_key(&e.key))
-            .collect::<Result<_>>()?;
+        if inner.nothing_due(now) {
+            return Ok(0);
+        }
+        let (keys, later) = inner.due_keys(now)?;
         inner.reap(&keys)?;
+        inner.deadline_floor = later;
         drop(inner);
         self.notify_expired(&keys);
         Ok(keys.len())
@@ -1032,7 +1065,15 @@ impl Inner {
                     slot,
                 ) => {
                     let deadline_ms = match deadline {
-                        Deadline::At(at) => *at,
+                        Deadline::At(at) => {
+                            // Lowered before the commit: if the transaction
+                            // fails, a floor below every entry still holds.
+                            if let Some(at) = at {
+                                self.deadline_floor = self.deadline_floor.min(*at);
+                            }
+                            *at
+                        }
+                        // The kept deadline is already at or above the floor.
                         Deadline::Keep => slot.ok().and_then(|i| leaf.entries[i].deadline_ms),
                     };
                     let entry = self.make_entry(tx, key, value, deadline_ms)?;
@@ -1146,6 +1187,29 @@ impl Inner {
         tx.dirty
             .insert(right_pid, serialize_internal(right_pid, &right));
         Ok((sep, right_pid))
+    }
+
+    /// Whether the floor rules out any entry due at `now`. The boundary
+    /// is inclusive, as everywhere: an entry whose deadline is `now` is
+    /// due, so `now == floor` must walk.
+    fn nothing_due(&self, now: u64) -> bool {
+        now < self.deadline_floor
+    }
+
+    /// The keys due at `now`, in key order, by a walk of the leaf chain,
+    /// and the earliest deadline of the entries that are not due
+    /// (`u64::MAX` when none carries one).
+    fn due_keys(&mut self, now: u64) -> Result<(Vec<String>, u64)> {
+        let mut due = Vec::new();
+        let mut later = u64::MAX;
+        for entry in self.walk_leaves()? {
+            if is_expired(entry.deadline_ms, now) {
+                due.push(utf8_key(&entry.key)?);
+            } else if let Some(at) = entry.deadline_ms {
+                later = later.min(at);
+            }
+        }
+        Ok((due, later))
     }
 
     /// All entries in key order via the leftmost-leaf chain walk.
@@ -1412,11 +1476,7 @@ mod tests {
     fn lazy_expiry_mirrors_kvstore_semantics() {
         let dir = scratch("expiry");
         let sim = clock::sim();
-        let store =
-            PageStore::open(&dir, PageStoreConfig::default(), sim.clone() as SharedClock).unwrap();
-        let reaped = Arc::new(Mutex::new(Vec::<String>::new()));
-        let sink = Arc::clone(&reaped);
-        store.set_expiry_listener(Arc::new(move |k| sink.lock().push(k.to_string())));
+        let (store, reaped) = open_sim(&dir, PageStoreConfig::default().pool_pages, &sim);
 
         let t0 = sim.now().as_millis();
         store.insert("a", b"1", Some(t0 + 1000)).unwrap();
@@ -1733,5 +1793,281 @@ mod tests {
             store.insert(&long, b"v", None),
             Err(Error::KeyTooLong(_))
         ));
+    }
+
+    type Reaped = Arc<Mutex<Vec<String>>>;
+
+    /// A store on the simulated clock `sim`, its expiry listener logging
+    /// into the returned list.
+    fn open_sim(dir: &Path, pool: usize, sim: &Arc<clock::SimClock>) -> (Arc<PageStore>, Reaped) {
+        let config = PageStoreConfig {
+            pool_pages: pool,
+            ..Default::default()
+        };
+        let store = PageStore::open(dir, config, sim.clone() as SharedClock).unwrap();
+        let reaped = Reaped::default();
+        let sink = Arc::clone(&reaped);
+        store.set_expiry_listener(Arc::new(move |k| sink.lock().push(k.to_string())));
+        (store, reaped)
+    }
+
+    fn now_ms(sim: &clock::SimClock) -> u64 {
+        sim.now().as_millis()
+    }
+
+    fn advance_ms(sim: &clock::SimClock, ms: u64) {
+        sim.advance(std::time::Duration::from_millis(ms));
+    }
+
+    /// Page images the pool served or missed: every page an op read.
+    fn page_reads(store: &PageStore) -> u64 {
+        let stats = store.pool_stats();
+        stats.hits + stats.misses
+    }
+
+    /// The first purge (or expiry enumeration) after open walks the tree
+    /// and takes a floor; every later one with nothing due reads no page.
+    #[test]
+    fn a_second_purge_with_nothing_due_reads_no_page() {
+        let dir = scratch("floor-skip");
+        let sim = clock::sim();
+        let t0 = now_ms(&sim);
+        {
+            let (store, _) = open_sim(&dir, 4, &sim);
+            for i in 0..300 {
+                let deadline = (i % 3 != 0).then_some(t0 + 3_600_000 + i);
+                store.insert(&long_key(i), b"v", deadline).unwrap();
+            }
+        }
+        advance_ms(&sim, 1_000);
+        for first_purges in [true, false] {
+            let (store, reaped) = open_sim(&dir, 4, &sim);
+            let before = page_reads(&store);
+            if first_purges {
+                assert_eq!(store.purge_expired().unwrap(), 0);
+            } else {
+                assert!(store.expired_keys().unwrap().is_empty());
+            }
+            let walked = page_reads(&store);
+            assert!(walked > before + 20, "the first call walks the leaves");
+            advance_ms(&sim, 1_000);
+            assert_eq!(store.purge_expired().unwrap(), 0);
+            assert!(store.expired_keys().unwrap().is_empty());
+            assert_eq!(store.purge_expired().unwrap(), 0);
+            assert_eq!(page_reads(&store), walked, "nothing due: no page read");
+            assert_eq!(store.record_count(), 300);
+            assert!(reaped.lock().is_empty());
+        }
+
+        // No deadline at all: the floor is `u64::MAX` until one is stored.
+        let dir = scratch("floor-none");
+        let (store, _) = open_sim(&dir, 4, &sim);
+        store.insert("forever", b"v", None).unwrap();
+        assert_eq!(store.purge_expired().unwrap(), 0);
+        let walked = page_reads(&store);
+        advance_ms(&sim, u32::MAX as u64);
+        assert_eq!(store.purge_expired().unwrap(), 0);
+        assert_eq!(page_reads(&store), walked);
+    }
+
+    /// Once a floor is taken — by a purge or by an expiry enumeration —
+    /// an upsert with an earlier deadline lowers it: the entry is due at
+    /// exactly its deadline (inclusive), not a millisecond later, and the
+    /// purge fires the listener for it.
+    #[test]
+    fn an_earlier_deadline_after_the_floor_is_reaped_at_exactly_that_deadline() {
+        for floor_by_purge in [true, false] {
+            let dir = scratch("floor-lower");
+            let sim = clock::sim();
+            let (store, reaped) = open_sim(&dir, 4, &sim);
+            let t0 = now_ms(&sim);
+            store.insert("late", b"v", Some(t0 + 10_000)).unwrap();
+            if floor_by_purge {
+                assert_eq!(store.purge_expired().unwrap(), 0);
+            } else {
+                assert!(store.expired_keys().unwrap().is_empty());
+            }
+            let early = Deadline::At(Some(t0 + 1_000));
+            store.upsert("early", b"v", early).unwrap();
+            advance_ms(&sim, 999);
+            assert_eq!(store.purge_expired().unwrap(), 0, "not due at −1 ms");
+            advance_ms(&sim, 1);
+            assert_eq!(store.expired_keys().unwrap(), vec!["early".to_string()]);
+            assert_eq!(store.purge_expired().unwrap(), 1, "due at == now");
+            assert_eq!(reaped.lock().as_slice(), &["early".to_string()]);
+            assert_eq!(store.record_count(), 1);
+            // The purge raised the floor to the survivor's deadline.
+            let reads = page_reads(&store);
+            advance_ms(&sim, 8_999);
+            assert_eq!(store.purge_expired().unwrap(), 0);
+            assert_eq!(page_reads(&store), reads);
+            advance_ms(&sim, 1);
+            assert_eq!(store.purge_expired().unwrap(), 1);
+            assert_eq!(store.record_count(), 0);
+        }
+    }
+
+    /// A `Deadline::Keep` rewrite of a lapsed entry carries the lapsed
+    /// deadline: the entry stays due, whatever floor an earlier call took.
+    #[test]
+    fn a_keep_rewrite_of_a_lapsed_entry_stays_due() {
+        let dir = scratch("floor-keep");
+        let sim = clock::sim();
+        let (store, reaped) = open_sim(&dir, 4, &sim);
+        let t0 = now_ms(&sim);
+        store.insert("a", b"1", Some(t0 + 1_000)).unwrap();
+        store.insert("b", b"1", Some(t0 + 5_000)).unwrap();
+        assert_eq!(store.purge_expired().unwrap(), 0);
+        advance_ms(&sim, 2_000);
+        assert_eq!(store.expired_keys().unwrap(), vec!["a".to_string()]);
+        store.upsert("a", b"2", Deadline::Keep).unwrap();
+        assert_eq!(store.deadline_ms("a").unwrap(), Some(t0 + 1_000));
+        assert_eq!(store.expired_keys().unwrap(), vec!["a".to_string()]);
+        assert_eq!(store.purge_expired().unwrap(), 1);
+        assert_eq!(reaped.lock().as_slice(), &["a".to_string()]);
+        assert_eq!(store.get("b").unwrap().unwrap(), b"1");
+    }
+
+    /// What the model holds per key: the value and its deadline.
+    type Model = BTreeMap<String, (Vec<u8>, Option<u64>)>;
+
+    /// Take `model`'s entries due at `now` out, in key order.
+    fn model_reap(
+        model: &mut Model,
+        now: u64,
+        keys: impl IntoIterator<Item = String>,
+    ) -> Vec<String> {
+        let due: Vec<String> = keys
+            .into_iter()
+            .filter(|k| model.get(k).is_some_and(|(_, at)| is_expired(*at, now)))
+            .collect();
+        for key in &due {
+            model.remove(key);
+        }
+        due
+    }
+
+    /// Every public op that reads or moves deadlines, in a seeded random
+    /// order on a four-page pool, against a `BTreeMap` model: inserts,
+    /// `apply` batches of `At` / `Keep` upserts and removes, point reads,
+    /// clock advances, purges, expiry enumerations, scans and reopens
+    /// (which reset the floor). Results, listener calls and `record_count`
+    /// must agree after every op.
+    #[test]
+    fn purges_and_expiry_match_a_model_through_reopens() {
+        let dir = scratch("floor-model");
+        let sim = clock::sim();
+        let (mut store, mut reaped) = open_sim(&dir, 4, &sim);
+        let mut model = Model::new();
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        for step in 0..3_000u64 {
+            let now = now_ms(&sim);
+            let key = long_key(rng.below(48));
+            let value = vec![step as u8; rng.below(200) as usize];
+            let deadline = match rng.below(3) {
+                0 => None,
+                _ => Some((now + rng.below(4_000)).saturating_sub(500)),
+            };
+            let mut want_reaped = Vec::new();
+            match rng.below(12) {
+                0 | 1 => {
+                    let occupant = model.get(&key).map(|(_, at)| *at);
+                    let live = occupant.is_some_and(|at| !is_expired(at, now));
+                    assert_eq!(store.insert(&key, &value, deadline).unwrap(), !live);
+                    if !live {
+                        if occupant.is_some() {
+                            want_reaped.push(key.clone());
+                        }
+                        model.insert(key, (value, deadline));
+                    }
+                }
+                2 | 3 => {
+                    let keys: Vec<String> = (0..1 + rng.below(4))
+                        .map(|_| long_key(rng.below(48)))
+                        .collect();
+                    let ops: Vec<BatchOp<'_>> = keys
+                        .iter()
+                        .map(|key| match rng.below(3) {
+                            0 => BatchOp::Remove(key),
+                            1 => BatchOp::Upsert {
+                                key,
+                                value: &value,
+                                deadline: Deadline::Keep,
+                            },
+                            _ => BatchOp::Upsert {
+                                key,
+                                value: &value,
+                                deadline: Deadline::At(deadline),
+                            },
+                        })
+                        .collect();
+                    let mut counted = 0;
+                    for op in &ops {
+                        match *op {
+                            BatchOp::Remove(key) => {
+                                counted += usize::from(model.remove(key).is_some());
+                            }
+                            BatchOp::Upsert { key, deadline, .. } => {
+                                let at = match deadline {
+                                    Deadline::At(at) => at,
+                                    Deadline::Keep => model.get(key).and_then(|(_, at)| *at),
+                                };
+                                model.insert(key.to_string(), (value.clone(), at));
+                                counted += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(store.apply(&ops).unwrap(), counted, "step {step}");
+                }
+                4 => {
+                    let got = store.get(&key).unwrap();
+                    want_reaped = model_reap(&mut model, now, [key.clone()]);
+                    assert_eq!(got.as_ref(), model.get(&key).map(|(v, _)| v));
+                }
+                5 => advance_ms(&sim, rng.below(1_500)),
+                6 => {
+                    // To the next deadline exactly: the inclusive boundary.
+                    let next = model
+                        .values()
+                        .filter_map(|(_, at)| *at)
+                        .filter(|&at| at > now);
+                    advance_ms(&sim, next.min().map_or(0, |at| at - now));
+                }
+                7 | 8 => {
+                    let keys: Vec<String> = model.keys().cloned().collect();
+                    want_reaped = model_reap(&mut model, now, keys);
+                    assert_eq!(store.purge_expired().unwrap(), want_reaped.len());
+                }
+                9 => {
+                    let due: Vec<String> = model
+                        .iter()
+                        .filter(|(_, (_, at))| is_expired(*at, now))
+                        .map(|(k, _)| k.clone())
+                        .collect();
+                    assert_eq!(store.expired_keys().unwrap(), due, "step {step}");
+                }
+                10 => {
+                    let scan = store.scan().unwrap();
+                    let keys: Vec<String> = model.keys().cloned().collect();
+                    want_reaped = model_reap(&mut model, now, keys);
+                    let live: Vec<(String, Vec<u8>)> = model
+                        .iter()
+                        .map(|(k, (v, _))| (k.clone(), v.clone()))
+                        .collect();
+                    assert_eq!(scan, live, "step {step}");
+                }
+                _ => {
+                    drop(store);
+                    (store, reaped) = open_sim(&dir, 4, &sim);
+                }
+            }
+            assert_eq!(
+                std::mem::take(&mut *reaped.lock()),
+                want_reaped,
+                "step {step}"
+            );
+            assert_eq!(store.record_count(), model.len(), "step {step}");
+            assert_pool_sound(&store);
+        }
     }
 }

@@ -596,7 +596,9 @@ fn crash_points_between_wal_append_and_page_write_recover_consistently() {
 
 /// TTL deadlines survive WAL recovery bit-exactly: a record created with
 /// a TTL, recovered through the WAL, fires the inclusive-boundary purge
-/// (`deadline == now` is expired) exactly as a never-crashed store would.
+/// (`deadline == now` is expired) exactly as a never-crashed store would —
+/// also after a nothing-due purge at −1 ms has set the deadline floor from
+/// the recovered tree.
 #[test]
 fn recovered_deadlines_fire_at_the_inclusive_boundary() {
     let dir = scratch_dir("ttl");
@@ -622,6 +624,9 @@ fn recovered_deadlines_fire_at_the_inclusive_boundary() {
         "must come up through the WAL"
     );
     sim.advance(Duration::from_millis(9_999));
+    // Takes the deadline floor from the recovered tree: the record's own
+    // deadline, one millisecond ahead.
+    assert_eq!(store.purge_expired().unwrap(), 0, "not due at −1ms");
     assert_eq!(store.expired_keys().unwrap().len(), 0, "not due at −1ms");
     sim.advance(Duration::from_millis(1));
     assert_eq!(
