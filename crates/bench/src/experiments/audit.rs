@@ -8,8 +8,10 @@
 //! `audit_read_window_us` is the same for the newest 1 % by timestamp;
 //! `audit_read_hold_us` is the whole-trail call alone, the window dropped
 //! off the clock — `lines_between` holds the append lock for all but its
-//! last step, so this bounds how long one read can stall an appender. Each is the best of several rounds; all four are
-//! smaller-is-better.
+//! last step, so this bounds how long one read can stall an appender;
+//! `audit_read_full_10x_us` is `audit_read_full_us` at ten times the
+//! events, which a read whose cost grows with the trail cannot match.
+//! Each is the best of several rounds; all five are smaller-is-better.
 
 use crate::report::ExperimentTable;
 use gdpr_core::audit::AuditTrail;
@@ -23,13 +25,13 @@ pub const EVENTS: usize = 70_000;
 const APPEND_ROUNDS: usize = 5;
 const READ_ROUNDS: usize = 10;
 
-/// A trail of [`EVENTS`] events, one simulated millisecond per ten, so a
+/// A trail of `events` events, one simulated millisecond per ten, so a
 /// timestamp window can select a fraction of it.
-fn build() -> AuditTrail {
+fn build(events: usize) -> AuditTrail {
     let sim = clock::sim();
     let trail = AuditTrail::new(sim.clone());
     let session = Session::customer("neo");
-    for i in 0..EVENTS {
+    for i in 0..events {
         if i % 10 == 0 {
             sim.advance(Duration::from_millis(1));
         }
@@ -49,12 +51,28 @@ fn best_of(rounds: usize, mut body: impl FnMut() -> Duration) -> Duration {
     (0..rounds).map(|_| body()).min().unwrap_or_default()
 }
 
+/// The best of [`READ_ROUNDS`] `lines_between(from_ms, ..)` calls on
+/// `trail`, with or without dropping the window on the clock.
+fn read(trail: &AuditTrail, from_ms: u64, time_drop: bool) -> Duration {
+    best_of(READ_ROUNDS, || {
+        let started = Instant::now();
+        let window = trail.lines_between(from_ms, u64::MAX);
+        let held = started.elapsed();
+        drop(window);
+        if time_drop {
+            started.elapsed()
+        } else {
+            held
+        }
+    })
+}
+
 /// Run the suite; returns the table and `(metric, value)` pairs.
 pub fn run() -> (ExperimentTable, Vec<(&'static str, f64)>) {
-    let mut trail = build();
+    let mut trail = build(EVENTS);
     let append = best_of(APPEND_ROUNDS, || {
         let started = Instant::now();
-        let fresh = build();
+        let fresh = build(EVENTS);
         let elapsed = started.elapsed();
         trail = fresh; // the old trail is freed off the clock
         elapsed
@@ -66,29 +84,22 @@ pub fn run() -> (ExperimentTable, Vec<(&'static str, f64)>) {
         trail.lines_between(window_from, u64::MAX).len(),
         EVENTS / 100
     );
-    let read = |from_ms: u64, time_drop: bool| {
-        best_of(READ_ROUNDS, || {
-            let started = Instant::now();
-            let window = trail.lines_between(from_ms, u64::MAX);
-            let held = started.elapsed();
-            drop(window);
-            if time_drop {
-                started.elapsed()
-            } else {
-                held
-            }
-        })
-    };
     let us = |d: Duration| d.as_secs_f64() * 1e6;
+    let full = us(read(&trail, 0, true));
+    let window = us(read(&trail, window_from, true));
+    let hold = us(read(&trail, 0, false));
+    drop(trail);
+    let full_10x = us(read(&build(10 * EVENTS), 0, true));
 
     let series = vec![
         (
             "audit_append_ns",
             append.as_secs_f64() * 1e9 / EVENTS as f64,
         ),
-        ("audit_read_full_us", us(read(0, true))),
-        ("audit_read_window_us", us(read(window_from, true))),
-        ("audit_read_hold_us", us(read(0, false))),
+        ("audit_read_full_us", full),
+        ("audit_read_window_us", window),
+        ("audit_read_hold_us", hold),
+        ("audit_read_full_10x_us", full_10x),
     ];
     let mut table = ExperimentTable::new(
         format!("Audit trail at {EVENTS} events (smaller is better)"),
@@ -105,10 +116,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn audit_suite_reports_all_four_metrics() {
+    fn audit_suite_reports_all_five_metrics() {
         let (table, series) = run();
-        assert_eq!(series.len(), 4);
+        assert_eq!(series.len(), 5);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
         assert!(table.render().contains("audit_read_hold_us"));
+        assert!(table.render().contains("audit_read_full_10x_us"));
     }
 }

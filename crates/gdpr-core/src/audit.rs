@@ -6,17 +6,80 @@
 //! needs the same trail to report affected subjects. The *store-level*
 //! operation logs (kvstore's AOF, relstore's query log) sit underneath this
 //! and capture raw commands; this trail is the per-query, per-actor view.
+//!
+//! Lines live in fixed-size chunks of write-once slots ([`Chunks`]): a
+//! sealed run of full chunks and one open chunk. A read shares both with
+//! the trail by reference count, so its cost does not depend on how many
+//! lines it covers, and the appends after it fill slots the read never
+//! looks at.
 
-use crate::response::{LogChunk, LogLine, LogLines};
+use crate::response::{LogLine, LogLines};
 use crate::role::Session;
 use clock::SharedClock;
 use parking_lot::Mutex;
 use std::fmt::Write;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Lines per sealed chunk. A full read costs one reference-count bump
-/// per chunk plus a copy of the open tail, which is shorter than this.
+/// Slots per chunk. Every chunk but the open one is full, so line `i` is
+/// slot `i % CHUNK_LINES` of chunk `i / CHUNK_LINES`. A read of any window
+/// takes two references, one to the sealed run and one to the open chunk,
+/// whatever this is.
 pub const CHUNK_LINES: usize = 256;
+
+/// [`CHUNK_LINES`] write-once slots. A slot is set once, under the trail
+/// lock, and never changes after, so the writer fills the open chunk while
+/// windows over its lower slots read it.
+type LogChunk = Arc<[OnceLock<LogLine>]>;
+
+/// A trail's lines: the sealed run, shared with every window that read it,
+/// and the open chunk.
+#[derive(Clone, Default)]
+pub(crate) struct Chunks {
+    sealed: Arc<Vec<LogChunk>>,
+    /// Allocated when its first line lands, so an idle trail holds no
+    /// chunk; moved onto the sealed run when full.
+    open: Option<LogChunk>,
+    /// Lines set: every slot of the sealed run and the open chunk's first
+    /// `len % CHUNK_LINES`.
+    len: usize,
+}
+
+impl Chunks {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Set the next line.
+    pub(crate) fn push(&mut self, line: LogLine) {
+        let slot = self.len % CHUNK_LINES;
+        let open = self
+            .open
+            .get_or_insert_with(|| (0..CHUNK_LINES).map(|_| OnceLock::new()).collect());
+        open[slot].set(line).expect("each audit slot is set once");
+        self.len += 1;
+        if slot == CHUNK_LINES - 1 {
+            // Copies the pointer vector only if a window still holds the
+            // old run: at most once per CHUNK_LINES appends.
+            let full = self.open.take();
+            Arc::make_mut(&mut self.sealed).extend(full);
+        }
+    }
+
+    /// Line `i < len`.
+    pub(crate) fn line(&self, i: usize) -> &LogLine {
+        assert!(i < self.len, "audit line {i} of {}", self.len);
+        let chunk = match self.sealed.get(i / CHUNK_LINES) {
+            Some(chunk) => chunk,
+            None => self
+                .open
+                .as_ref()
+                .expect("a line past the sealed run is open"),
+        };
+        chunk[i % CHUNK_LINES]
+            .get()
+            .expect("every line below len is set")
+    }
+}
 
 /// The one rendering a line ever gets; only the timestamp is missing
 /// (it is stamped under the trail lock).
@@ -78,39 +141,23 @@ struct Rendered {
     bytes: usize,
 }
 
-/// Line `i` lives in `sealed[i / CHUNK_LINES]`, or in `tail` past the last
-/// sealed chunk. Timestamps are non-decreasing in `i`.
+/// Timestamps are non-decreasing in the line number; `splits[i]` is line
+/// `i`'s.
 #[derive(Default)]
 struct Inner {
-    sealed: Vec<LogChunk>,
-    tail: Vec<LogLine>,
+    chunks: Chunks,
     splits: Vec<Splits>,
     last_ms: u64,
     bytes: usize,
 }
 
 impl Inner {
-    fn len(&self) -> usize {
-        self.sealed.len() * CHUNK_LINES + self.tail.len()
-    }
-
-    fn lines(&self) -> impl Iterator<Item = &LogLine> {
-        self.sealed
-            .iter()
-            .flat_map(|chunk| chunk.iter())
-            .chain(&self.tail)
-    }
-
     /// Index of the first line whose timestamp fails `before`.
     fn partition_point(&self, before: impl Fn(u64) -> bool) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
+        let (mut lo, mut hi) = (0, self.chunks.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let chunk = match self.sealed.get(mid / CHUNK_LINES) {
-                Some(chunk) => chunk.as_slice(),
-                None => self.tail.as_slice(),
-            };
-            if before(chunk[mid % CHUNK_LINES].timestamp_ms) {
+            if before(self.chunks.line(mid).timestamp_ms) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -124,17 +171,13 @@ impl Inner {
         rendered.line.timestamp_ms = self.last_ms;
         self.bytes += rendered.bytes;
         self.splits.push(rendered.splits);
-        self.tail.push(rendered.line);
-        if self.tail.len() == CHUNK_LINES {
-            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(CHUNK_LINES));
-            self.sealed.push(Arc::new(full));
-        }
+        self.chunks.push(rendered.line);
     }
 }
 
-/// An append-only audit trail: immutable, shared chunks of rendered
-/// lines plus a short open tail. A line is rendered once, at append; a
-/// read hands out references to the chunks its window covers.
+/// An append-only audit trail of rendered lines in shared, write-once
+/// chunks. A line is rendered once, at append; a read hands out one
+/// reference to the sealed run and one to the open chunk.
 pub struct AuditTrail {
     clock: SharedClock,
     inner: Mutex<Inner>,
@@ -167,7 +210,7 @@ impl AuditTrail {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().chunks.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -177,40 +220,29 @@ impl AuditTrail {
     /// Lines stamped within `[from_ms, to_ms]` — the GET-SYSTEM-LOGS
     /// response (G33, G34). The window is a snapshot: every line appended
     /// before the call, none appended after, and no line ever changes.
+    /// Two binary searches and two reference counts under the lock; no
+    /// line is copied.
     pub fn lines_between(&self, from_ms: u64, to_ms: u64) -> LogLines {
         let inner = self.inner.lock();
         let start = inner.partition_point(|t| t < from_ms);
-        let end = inner.partition_point(|t| t <= to_ms);
-        if start >= end {
-            return LogLines::default();
-        }
-        let sealed_lines = inner.sealed.len() * CHUNK_LINES;
-        let mut chunks = Vec::with_capacity(end.div_ceil(CHUNK_LINES) - start / CHUNK_LINES);
-        let mut skip = 0;
-        if start < sealed_lines {
-            skip = start % CHUNK_LINES;
-            let last = end.min(sealed_lines).div_ceil(CHUNK_LINES);
-            chunks.extend_from_slice(&inner.sealed[start / CHUNK_LINES..last]);
-        }
-        if end > sealed_lines {
-            let from = start.max(sealed_lines) - sealed_lines;
-            chunks.push(Arc::new(inner.tail[from..end - sealed_lines].to_vec()));
-        }
-        drop(inner);
-        LogLines::window(chunks, skip, end - start)
+        let end = inner.partition_point(|t| t <= to_ms).max(start);
+        LogLines::window(inner.chunks.clone(), start, end)
     }
 
     /// Lines touching a given user id — breach-notification support
-    /// (G33.3a: report the subjects affected). Matches the actor exactly
-    /// or the query's scope detail by substring, never the outcome text.
+    /// (G33.3a: report the subjects affected). Matches the unrendered
+    /// actor exactly, or a scope detail of exactly `usr=<actor>`; never a
+    /// key, purpose or outcome text that merely contains the id.
     pub fn events_for_actor(&self, actor: &str) -> Vec<LogLine> {
         let inner = self.inner.lock();
         inner
-            .lines()
-            .zip(&inner.splits)
+            .splits
+            .iter()
+            .enumerate()
+            .map(|(i, splits)| (inner.chunks.line(i), splits))
             .filter(|(line, splits)| {
                 line.actor[splits.actor_at..] == *actor
-                    || line.detail[..splits.detail_end].contains(actor)
+                    || line.detail[..splits.detail_end].strip_prefix("usr=") == Some(actor)
             })
             .map(|(line, _)| line.clone())
             .collect()
@@ -227,6 +259,7 @@ impl AuditTrail {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clock::Clock;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -297,6 +330,270 @@ mod tests {
         assert_eq!(neo_events[0].actor, "customer:neo");
         assert_eq!(neo_events[1].detail, "usr=neo [ok] n=4");
         assert!(trail.events_for_actor("customer").is_empty());
+    }
+
+    /// A breach report for `neo` names neo's own activity and nobody
+    /// else's: a user id, key or purpose that merely contains the id is
+    /// another subject's.
+    #[test]
+    fn breach_report_matches_the_user_scope_exactly() {
+        let trail = AuditTrail::new(clock::sim());
+        let controller = Session::controller();
+        trail.record(&controller, "read-data-by-usr", "usr=neo".into(), Ok(1));
+        trail.record(
+            &controller,
+            "delete-record-by-usr",
+            "usr=neon".into(),
+            Ok(2),
+        );
+        trail.record(&controller, "read-data-by-key", "key=neo-7".into(), Ok(1));
+        trail.record(&controller, "read-data-by-pur", "pur=neo".into(), Ok(0));
+        trail.record(
+            &Session::customer("neon"),
+            "read-data-by-usr",
+            "usr=neon".into(),
+            Ok(1),
+        );
+        let details: Vec<String> = trail
+            .events_for_actor("neo")
+            .into_iter()
+            .map(|line| line.detail)
+            .collect();
+        assert_eq!(details, ["usr=neo [ok] n=1"]);
+        assert_eq!(trail.events_for_actor("neon").len(), 2);
+    }
+
+    /// `trail` with `lines` lines, line `i` stamped `i + 1` ms.
+    fn one_line_per_ms(lines: usize) -> AuditTrail {
+        let sim = clock::sim();
+        let trail = AuditTrail::new(sim.clone());
+        for i in 0..lines {
+            sim.advance(Duration::from_millis(1));
+            append(&trail, format!("k{i}"));
+        }
+        trail
+    }
+
+    /// `LogLines`' `Index` finds a line by arithmetic; it must agree with
+    /// walking `iter` to it, both ways, for windows that start and end
+    /// mid-chunk.
+    #[test]
+    fn index_is_the_nth_line_of_iter() {
+        let c = CHUNK_LINES as u64;
+        let trail = one_line_per_ms(3 * CHUNK_LINES + 40);
+        for (from, to) in [
+            (c / 2, 2 * c + 7),      // across two seals
+            (c + 3, c + 9),          // inside one sealed chunk
+            (c, c + 1),              // the last line of one, the first of the next
+            (2 * c + 100, u64::MAX), // sealed chunk into the open chunk
+            (3 * c + 5, 3 * c + 30), // inside the open chunk
+            (0, u64::MAX),
+        ] {
+            let window = trail.lines_between(from, to);
+            assert!(!window.is_empty());
+            for i in 0..window.len() {
+                let nth = window.iter().nth(i).unwrap();
+                let nth_back = window.iter().rev().nth(window.len() - 1 - i).unwrap();
+                assert!(std::ptr::eq(&window[i], nth), "[{from}, {to}] line {i}");
+                assert!(
+                    std::ptr::eq(&window[i], nth_back),
+                    "[{from}, {to}] line {i}"
+                );
+            }
+            assert_eq!(window[0].timestamp_ms, from.max(1));
+            // Chunking is not observable: the same lines re-chunked from 0.
+            assert_eq!(LogLines::from(window.to_vec()), window);
+        }
+    }
+
+    /// The slot past a window's end may be set in the trail; it is still
+    /// not the window's.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn index_past_the_window_panics() {
+        let window = one_line_per_ms(20).lines_between(3, 9);
+        let _ = &window[window.len()];
+    }
+
+    /// Strong counts of the trail's sealed run and open chunk.
+    fn strong_counts(trail: &AuditTrail) -> (usize, Option<usize>) {
+        let inner = trail.inner.lock();
+        let chunks = &inner.chunks;
+        (
+            Arc::strong_count(&chunks.sealed),
+            chunks.open.as_ref().map(Arc::strong_count),
+        )
+    }
+
+    #[test]
+    fn a_read_adds_one_reference_to_the_sealed_run_and_one_to_the_open_chunk() {
+        assert_eq!(strong_counts(&one_line_per_ms(0)), (1, None), "idle trail");
+        let c = CHUNK_LINES as u64;
+        let trail = one_line_per_ms(3 * CHUNK_LINES + 40);
+        assert_eq!(strong_counts(&trail), (1, Some(1)));
+        for (from, to) in [
+            (0, u64::MAX),          // everything
+            (0, 0),                 // before the first line
+            (20, 10),               // inverted
+            (c + 10, c + 20),       // inside one sealed chunk
+            (3 * c + 5, 3 * c + 9), // inside the open chunk
+            (c - 3, u64::MAX),      // sealed chunks into the open chunk
+            (4 * c, u64::MAX),      // after the last line
+        ] {
+            let window = trail.lines_between(from, to);
+            assert_eq!(strong_counts(&trail), (2, Some(2)), "[{from}, {to}]");
+            // Every line of the window is the trail's own slot.
+            let inner = trail.inner.lock();
+            for line in window.iter() {
+                let own = inner.chunks.line(line.timestamp_ms as usize - 1);
+                assert!(std::ptr::eq(line, own), "[{from}, {to}] copied a line");
+            }
+            drop(inner);
+            let copy = window.clone();
+            assert_eq!(strong_counts(&trail), (3, Some(3)));
+            drop((window, copy));
+            assert_eq!(strong_counts(&trail), (1, Some(1)), "[{from}, {to}]");
+        }
+        // A trail that has just sealed has no open chunk to share.
+        let trail = one_line_per_ms(2 * CHUNK_LINES);
+        let window = trail.lines_between(0, u64::MAX);
+        assert_eq!(strong_counts(&trail), (2, None));
+        drop(window);
+        assert_eq!(strong_counts(&trail), (1, None));
+    }
+
+    /// xorshift64*: deterministic, no dependencies.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Random appends across many seals against a flat `Vec`, and random
+    /// windows (empty, inside the open chunk, inside the sealed run,
+    /// spanning both) held across later appends and seals: every held
+    /// window still equals the model's slice at the time it was taken,
+    /// forwards, reversed and by index.
+    #[test]
+    fn held_windows_match_a_vec_model() {
+        for seed in 1..=8u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let sim = clock::sim();
+            let trail = AuditTrail::new(sim.clone());
+            let mut model: Vec<LogLine> = Vec::new();
+            // (window, model range it was taken over)
+            let mut held: Vec<(LogLines, std::ops::Range<usize>)> = Vec::new();
+            let check = |(window, range): &(LogLines, std::ops::Range<usize>),
+                         model: &[LogLine]| {
+                let want = &model[range.clone()];
+                assert_eq!(window.len(), want.len(), "seed {seed} {range:?}");
+                assert!(window.iter().eq(want), "seed {seed} {range:?}");
+                assert!(window.iter().rev().eq(want.iter().rev()));
+                for (i, line) in want.iter().enumerate().step_by(7) {
+                    assert_eq!(&window[i], line);
+                }
+            };
+            for _ in 0..400 {
+                match next(&mut rng) % 4 {
+                    // A run of appends, a few ms apart or at one instant.
+                    0 | 1 => {
+                        let run = 1 + next(&mut rng) as usize % (CHUNK_LINES + CHUNK_LINES / 2);
+                        for _ in 0..run {
+                            sim.advance(Duration::from_millis(next(&mut rng) % 3));
+                            let n = model.len();
+                            append(&trail, format!("m{n}"));
+                            model.push(LogLine {
+                                timestamp_ms: sim.now().as_millis(),
+                                actor: "controller:".into(),
+                                operation: "create-record".into(),
+                                detail: format!("m{n} [ok] n=1"),
+                            });
+                        }
+                    }
+                    // A window between the stamps of two random lines
+                    // (either may be past the last line, and the two may
+                    // be inverted, which is empty).
+                    2 => {
+                        let (len, shape) = (model.len(), next(&mut rng) % 5);
+                        let sealed = len / CHUNK_LINES * CHUNK_LINES;
+                        // The stamp of a line in `lo..=hi`; `len` is past the end.
+                        let mut pick = |lo: usize, hi: usize| {
+                            let i = lo + next(&mut rng) as usize % (hi + 1 - lo);
+                            model.get(i).map_or(u64::MAX, |line| line.timestamp_ms)
+                        };
+                        let below_seal = sealed.saturating_sub(1);
+                        let (from, to) = match shape {
+                            0 => (pick(sealed, len), pick(sealed, len)), // open chunk
+                            1 => (pick(0, below_seal), pick(0, below_seal)), // sealed run
+                            2 => (pick(0, below_seal), pick(sealed, len)), // both
+                            3 => (0, u64::MAX),
+                            _ => (pick(0, len).saturating_add(1), 0), // empty
+                        };
+                        let start = model.partition_point(|l| l.timestamp_ms < from);
+                        let end = model.partition_point(|l| l.timestamp_ms <= to).max(start);
+                        let entry = (trail.lines_between(from, to), start..end);
+                        check(&entry, &model);
+                        if held.len() < 32 {
+                            held.push(entry);
+                        } else {
+                            let victim = next(&mut rng) as usize % held.len();
+                            held[victim] = entry;
+                        }
+                    }
+                    _ => {
+                        if !held.is_empty() {
+                            check(&held[next(&mut rng) as usize % held.len()], &model);
+                        }
+                    }
+                }
+            }
+            assert!(model.len() > 20 * CHUNK_LINES, "seed {seed}: too few seals");
+            held.iter().for_each(|entry| check(entry, &model));
+        }
+    }
+
+    /// A reader takes and holds whole-trail windows while one writer
+    /// appends across several seals: every held window is a gap-free
+    /// prefix of the final trail, made of the trail's own lines.
+    #[test]
+    fn held_whole_trail_windows_are_gap_free_prefixes_across_seals() {
+        const LINES: usize = 4 * CHUNK_LINES + 100;
+        let trail = AuditTrail::new(clock::wall());
+        let start = std::sync::Barrier::new(2);
+        let held = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                start.wait();
+                for seq in 0..LINES {
+                    append(&trail, seq.to_string());
+                    if seq % 32 == 31 {
+                        std::thread::yield_now(); // let the reader in on one core
+                    }
+                }
+            });
+            start.wait();
+            let mut held: Vec<LogLines> = Vec::new();
+            while !writer.is_finished() {
+                let window = trail.lines_between(0, u64::MAX);
+                if held.last().map_or(0, LogLines::len) < window.len() {
+                    held.push(window);
+                }
+            }
+            held
+        });
+        let all = trail.lines_between(0, u64::MAX);
+        assert_eq!(all.len(), LINES);
+        assert!(
+            held.iter().any(|window| window.len() < LINES),
+            "the reader never overlapped the writer"
+        );
+        let details: Vec<String> = (0..LINES).map(|seq| format!("{seq} [ok] n=1")).collect();
+        for window in &held {
+            for (seq, line) in window.iter().enumerate() {
+                assert_eq!(line.detail, details[seq]);
+                assert!(std::ptr::eq(line, &all[seq]));
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Responses to GDPR queries.
 
+use crate::audit::Chunks;
 use crate::compliance::FeatureReport;
 use crate::record::{Metadata, PersonalRecord};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// One audit/system log line returned to a regulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,55 +15,35 @@ pub struct LogLine {
     pub detail: String,
 }
 
-/// An immutable run of rendered log lines, shared by reference count
-/// between the audit trail and every response that reads it.
-pub(crate) type LogChunk = Arc<Vec<LogLine>>;
-
-/// The lines of a GET-SYSTEM-LOGS response: a window over shared
-/// [`LogChunk`]s. Cloning or dropping it touches one reference count per
-/// chunk, never a line.
-#[derive(Debug, Clone, Default)]
+/// The lines of a GET-SYSTEM-LOGS response: lines `start..end` of an
+/// audit trail's chunks, shared with the trail by two reference counts,
+/// one on the sealed run and one on the open chunk. Every line below `end`
+/// was set before the window was taken and never changes, so taking,
+/// cloning or dropping a window touches those two counts and no line, and
+/// line `i` is found by arithmetic.
+#[derive(Clone, Default)]
 pub struct LogLines {
-    chunks: Vec<LogChunk>,
-    /// Where the window starts in the first chunk.
-    skip: usize,
-    /// Where the window ends in the last chunk.
-    last_end: usize,
-    len: usize,
+    chunks: Chunks,
+    start: usize,
+    end: usize,
 }
 
 impl LogLines {
-    /// The `len` lines that start `skip` lines into `chunks`: the window
-    /// starts inside the first chunk and ends inside the last.
-    pub(crate) fn window(chunks: Vec<LogChunk>, skip: usize, len: usize) -> Self {
-        let before_last: usize = chunks.iter().rev().skip(1).map(|c| c.len()).sum();
-        LogLines {
-            chunks,
-            skip,
-            last_end: skip + len - before_last,
-            len,
-        }
+    /// Lines `start..end` of `chunks`, all of them set.
+    pub(crate) fn window(chunks: Chunks, start: usize, end: usize) -> Self {
+        LogLines { chunks, start, end }
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.end - self.start
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.start == self.end
     }
 
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = &LogLine> + '_ {
-        let last = self.chunks.len().wrapping_sub(1);
-        self.chunks.iter().enumerate().flat_map(move |(i, chunk)| {
-            let from = if i == 0 { self.skip } else { 0 };
-            let to = if i == last {
-                self.last_end
-            } else {
-                chunk.len()
-            };
-            chunk[from..to].iter()
-        })
+        (self.start..self.end).map(|i| self.chunks.line(i))
     }
 
     pub fn to_vec(&self) -> Vec<LogLine> {
@@ -71,10 +51,13 @@ impl LogLines {
     }
 }
 
+/// Moves the lines into chunks of their own; the wire decoder's path.
 impl From<Vec<LogLine>> for LogLines {
     fn from(lines: Vec<LogLine>) -> Self {
-        let len = lines.len();
-        LogLines::window(vec![Arc::new(lines)], 0, len)
+        let mut chunks = Chunks::default();
+        lines.into_iter().for_each(|line| chunks.push(line));
+        let end = chunks.len();
+        LogLines::window(chunks, 0, end)
     }
 }
 
@@ -82,14 +65,25 @@ impl std::ops::Index<usize> for LogLines {
     type Output = LogLine;
 
     fn index(&self, index: usize) -> &LogLine {
-        self.iter().nth(index).expect("log line index in range")
+        assert!(
+            index < self.len(),
+            "log line {index} out of range for {} lines",
+            self.len()
+        );
+        self.chunks.line(self.start + index)
+    }
+}
+
+impl std::fmt::Debug for LogLines {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 /// Line-by-line equality: how the lines are chunked is not observable.
 impl PartialEq for LogLines {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -156,6 +150,7 @@ impl GdprResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::CHUNK_LINES;
 
     #[test]
     fn cardinalities() {
@@ -166,6 +161,29 @@ mod tests {
             1
         );
         assert_eq!(GdprResponse::DeletionVerified(true).cardinality(), 1);
+    }
+
+    /// The wire decoder's path: chunk boundaries are not observable.
+    #[test]
+    fn from_vec_keeps_every_line_in_order() {
+        for n in [0, 1, CHUNK_LINES - 1, CHUNK_LINES, 2 * CHUNK_LINES + 3] {
+            let lines: Vec<LogLine> = (0..n)
+                .map(|i| LogLine {
+                    timestamp_ms: i as u64,
+                    actor: "regulator:".into(),
+                    operation: "x".into(),
+                    detail: i.to_string(),
+                })
+                .collect();
+            let window = LogLines::from(lines.clone());
+            assert_eq!(window.len(), n);
+            assert_eq!(window.is_empty(), n == 0);
+            assert_eq!(window.to_vec(), lines);
+            assert!(window.iter().rev().eq(lines.iter().rev()));
+            if let Some(last) = n.checked_sub(1) {
+                assert_eq!(window[last], lines[last]);
+            }
+        }
     }
 
     #[test]
