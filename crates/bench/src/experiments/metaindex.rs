@@ -10,7 +10,7 @@
 //! the same comparison at 100 K records.
 
 use crate::report::ExperimentTable;
-use gdpr_core::{wire, GdprConnector, GdprQuery, Session};
+use gdpr_core::{wire, GdprConnector, GdprQuery, PersonalRecord, Session};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::datagen;
@@ -209,14 +209,19 @@ pub const PRED_READ_RECORDS: usize = 20_000;
 ///   store's shared lock. Bigger is better; 2.0 is the ceiling on two
 ///   cores.
 ///
-/// and two of the layers under each candidate of those reads, hot, best
-/// of `rounds` passes, smaller is better:
+/// and the layers under each candidate of those reads, best of `rounds`
+/// passes, smaller is better:
 ///
 /// * `record_view_parse_ns` — one `RecordView::from_bytes` over a stored
 ///   text of the corpus;
 /// * `kv_read_ns_per_key` — one key of a `KvStore::read_each` over 512
-///   present `rec:` keys, storage keys built and values borrowed as
-///   `RedisStore::fetch_many` does, with no parse.
+///   present `rec:` keys stored without a TTL, storage keys built and
+///   values borrowed as `RedisStore::fetch_many` does, with no parse;
+/// * `kv_read_cold_ns_per_key` — the same read over every record of the
+///   corpus, each stored with its TTL (`SET … EX`, so every key carries a
+///   deadline, as the processor's do), in sorted key order: the shape of a
+///   broad predicate read's candidate list, whose keys do not stay in
+///   cache.
 pub fn run_pred_reads() -> (ExperimentTable, Vec<(&'static str, f64)>) {
     let series = pred_reads(PRED_READ_RECORDS, 7, 30);
     let mut table = ExperimentTable::new(
@@ -236,11 +241,12 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
     .expect("attach index");
     let corpus = stable_corpus(records);
     load_corpus(&conn, &corpus).expect("load corpus");
-    let stored: Vec<(Arc<str>, String)> = (0..records)
-        .map(|i| {
-            let record = datagen::record_of(i, &corpus);
-            (record.key.as_str().into(), wire::serialize(&record))
-        })
+    let records: Vec<PersonalRecord> = (0..records)
+        .map(|i| datagen::record_of(i, &corpus))
+        .collect();
+    let stored: Vec<(Arc<str>, String)> = records
+        .iter()
+        .map(|record| (record.key.as_str().into(), wire::serialize(record)))
         .collect();
     let purpose = datagen::PURPOSES[0];
     let session = Session::processor(purpose);
@@ -283,6 +289,10 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
             record_view_parse_ns(&stored, rounds),
         ),
         ("kv_read_ns_per_key", kv_read_ns_per_key(&stored, rounds)),
+        (
+            "kv_read_cold_ns_per_key",
+            kv_read_cold_ns_per_key(&records, rounds),
+        ),
     ]
 }
 
@@ -308,23 +318,50 @@ fn record_view_parse_ns(stored: &[(Arc<str>, String)], rounds: usize) -> f64 {
     })
 }
 
+/// The storage key `RedisStore` keeps a record under.
+fn rec_key(key: &Arc<str>, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(b"rec:");
+    buf.extend_from_slice(key.as_bytes());
+}
+
 fn kv_read_ns_per_key(stored: &[(Arc<str>, String)], rounds: usize) -> f64 {
     let store = kvstore::KvStore::open(kvstore::KvConfig::default()).expect("open kvstore");
-    let storage_key = |key: &Arc<str>, buf: &mut Vec<u8>| {
-        buf.extend_from_slice(b"rec:");
-        buf.extend_from_slice(key.as_bytes());
-    };
     let batch = &stored[..stored.len().min(kvstore::server::READ_CHUNK)];
     let mut buf = Vec::new();
     for (key, text) in batch {
         buf.clear();
-        storage_key(key, &mut buf);
+        rec_key(key, &mut buf);
         store.set(&buf, text.as_bytes()).expect("load kvstore");
     }
     let keys: Vec<Arc<str>> = batch.iter().map(|(key, _)| Arc::clone(key)).collect();
-    best_ns_per(keys.len(), rounds * 10, || {
+    read_each_ns_per_key(&store, &keys, rounds * 10)
+}
+
+fn kv_read_cold_ns_per_key(records: &[PersonalRecord], rounds: usize) -> f64 {
+    let store = kvstore::KvStore::open(kvstore::KvConfig::default()).expect("open kvstore");
+    let mut keys: Vec<Arc<str>> = Vec::with_capacity(records.len());
+    let mut buf = Vec::new();
+    for record in records {
+        let key: Arc<str> = record.key.as_str().into();
+        let ttl = record.metadata.ttl.expect("every corpus record has a TTL");
+        buf.clear();
+        rec_key(&key, &mut buf);
+        let text = wire::serialize(record);
+        store
+            .set_ex(&buf, text.as_bytes(), ttl)
+            .expect("load kvstore");
+        keys.push(key);
+    }
+    keys.sort_unstable();
+    read_each_ns_per_key(&store, &keys, rounds)
+}
+
+/// Nanoseconds per key of one `read_each` over `keys`, values borrowed and
+/// only their lengths summed: the best of `rounds` passes.
+fn read_each_ns_per_key(store: &kvstore::KvStore, keys: &[Arc<str>], rounds: usize) -> f64 {
+    best_ns_per(keys.len(), rounds, || {
         let mut bytes = 0;
-        let read = store.read_each(&keys, storage_key, |value| {
+        let read = store.read_each(keys, rec_key, |value| {
             bytes += value.len();
             Ok::<_, std::convert::Infallible>(())
         });
@@ -340,9 +377,9 @@ mod tests {
     /// The `bench_report` rows exist and are measurements; what they
     /// should read is the report's business, not a unit test's.
     #[test]
-    fn pred_reads_report_five_rows() {
+    fn pred_reads_report_six_rows() {
         let series = pred_reads(2_000, 2, 3);
-        assert_eq!(series.len(), 5);
+        assert_eq!(series.len(), 6);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 

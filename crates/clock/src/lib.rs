@@ -16,7 +16,7 @@ mod timestamp;
 mod wall;
 
 pub use sim::SimClock;
-pub use timestamp::Timestamp;
+pub use timestamp::{deadline_ms, Timestamp};
 pub use wall::WallClock;
 
 use std::sync::Arc;

@@ -21,14 +21,16 @@ impl Timestamp {
         Timestamp(nanos)
     }
 
-    /// Construct from seconds since the epoch.
+    /// Construct from seconds since the epoch, saturating at the last
+    /// representable instant (about 584 years).
     pub const fn from_secs(secs: u64) -> Self {
-        Timestamp(secs * 1_000_000_000)
+        Timestamp(secs.saturating_mul(1_000_000_000))
     }
 
-    /// Construct from milliseconds since the epoch.
+    /// Construct from milliseconds since the epoch, saturating like
+    /// [`Self::from_secs`].
     pub const fn from_millis(millis: u64) -> Self {
-        Timestamp(millis * 1_000_000)
+        Timestamp(millis.saturating_mul(1_000_000))
     }
 
     /// Nanoseconds since the epoch.
@@ -61,11 +63,26 @@ impl Timestamp {
     }
 }
 
+/// `d` in nanoseconds, saturating at `u64::MAX`: a `Duration` can be far
+/// longer than any `Timestamp` offset, and a wrapped one would be short.
+fn saturating_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The deadline, in milliseconds since the epoch, of a TTL of `ttl` armed
+/// at `now_ms`: `now_ms + ttl`, saturating at the last instant a
+/// [`Timestamp`] can hold, so every layer that stores a deadline in
+/// milliseconds agrees with a store that computes `now + ttl` on
+/// `Timestamp`s — however long the TTL a client sent.
+pub fn deadline_ms(now_ms: u64, ttl: Duration) -> u64 {
+    (Timestamp::from_millis(now_ms) + ttl).as_millis()
+}
+
 impl Add<Duration> for Timestamp {
     type Output = Timestamp;
 
     fn add(self, d: Duration) -> Timestamp {
-        Timestamp(self.0.saturating_add(d.as_nanos() as u64))
+        Timestamp(self.0.saturating_add(saturating_nanos(d)))
     }
 }
 
@@ -87,7 +104,7 @@ impl Sub<Duration> for Timestamp {
     type Output = Timestamp;
 
     fn sub(self, d: Duration) -> Timestamp {
-        Timestamp(self.0.saturating_sub(d.as_nanos() as u64))
+        Timestamp(self.0.saturating_sub(saturating_nanos(d)))
     }
 }
 
@@ -135,6 +152,25 @@ mod tests {
         assert_eq!(t.as_secs(), 2);
         assert_eq!(t.as_millis(), 2500);
         assert_eq!(t.as_nanos(), 2_500_000_000);
+    }
+
+    /// A duration of 2⁶⁴ ns or more, or a product past `u64::MAX`,
+    /// saturates at the last instant instead of wrapping to a near one.
+    #[test]
+    fn arithmetic_saturates_instead_of_wrapping() {
+        let huge = Duration::from_nanos(u64::MAX) + Duration::from_secs(2);
+        let last = Timestamp::from_nanos(u64::MAX);
+        assert_eq!(Timestamp::from_secs(1) + huge, last);
+        assert_eq!(last - huge, Timestamp::ZERO);
+        assert_eq!(Timestamp::from_secs(u64::MAX), last);
+        assert_eq!(Timestamp::from_millis(u64::MAX), last);
+        assert_eq!(deadline_ms(1_000, huge), last.as_millis());
+        assert_eq!(deadline_ms(1_000, Duration::from_millis(2_500)), 3_500);
+        assert_eq!(
+            deadline_ms(1_000, Duration::from_nanos(2_999_999)),
+            1_002,
+            "whole milliseconds, as `now_ms + ttl.as_millis()`"
+        );
     }
 
     #[test]

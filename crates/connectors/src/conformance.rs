@@ -617,6 +617,50 @@ fn redis_index_invalidated_by_store_expiry() {
     assert!(index.is_empty());
 }
 
+/// A TTL past the clock's 584-year range — a client may send one, the wire
+/// takes any `u64` seconds — saturates at the last instant in every layer:
+/// the record is still readable an hour later, and the store holds the
+/// same deadline as the index. The store used to wrap `now + ttl` to
+/// `now + 2 s` while the index held `now + 584 years`.
+#[test]
+fn a_ttl_past_the_clocks_range_saturates_on_redis_mi_and_disk() {
+    let sim = clock::sim();
+    let kv = kvstore::KvStore::open_with_clock(kvstore::KvConfig::default(), sim.clone()).unwrap();
+    let redis = RedisConnector::with_metadata_index(kv).unwrap();
+    let dir = snapshot_scratch_dir("disk-saturating-ttl");
+    let pages = pagestore::PageStore::open(&dir, Default::default(), sim.clone()).unwrap();
+    let disk = crate::DiskConnector::with_metadata_index(pages).unwrap();
+    sim.advance(Duration::from_millis(1_500));
+    read_after_an_hour_at_the_last_deadline(&redis, &sim, "redis-mi");
+    read_after_an_hour_at_the_last_deadline(&disk, &sim, "disk");
+    drop(disk);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn read_after_an_hour_at_the_last_deadline<S: gdpr_core::RecordStore>(
+    engine: &gdpr_core::ComplianceEngine<S>,
+    sim: &clock::SimClock,
+    name: &str,
+) {
+    let key = format!("forever-{name}");
+    let mut r = record(&key, "neo", &["ads"], "d");
+    r.metadata.ttl = Some(Duration::from_nanos(u64::MAX) + Duration::from_secs(2));
+    engine
+        .execute(&Session::controller(), &GdprQuery::CreateRecord(r))
+        .unwrap();
+    let last = clock::Timestamp::from_nanos(u64::MAX).as_millis();
+    let indexed = engine.metadata_index().unwrap().deadline_of(&key);
+    assert_eq!(indexed, Some(last), "{name}: the index saturates");
+    assert_eq!(engine.store().deadline_ms(&key), indexed, "{name}");
+    sim.advance(Duration::from_secs(3600));
+    let read = engine.execute(
+        &Session::customer("neo"),
+        &GdprQuery::ReadMetadataByKey(key.clone()),
+    );
+    assert!(read.is_ok(), "{name}: the record expired early: {read:?}");
+    assert_eq!(engine.store().deadline_ms(&key), Some(last), "{name}");
+}
+
 /// A lazy expiration during a keyspace scan must not hide live records:
 /// reaping swap-removes keys in the key index, so a scan that interleaves
 /// GETs with cursor batches would move an unvisited tail key into an

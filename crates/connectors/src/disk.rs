@@ -56,7 +56,7 @@ impl DiskStore {
         record
             .metadata
             .ttl
-            .map(|ttl| self.store.clock().now().as_millis() + ttl.as_millis() as u64)
+            .map(|ttl| clock::deadline_ms(self.store.clock().now().as_millis(), ttl))
     }
 
     /// A rewrite's deadline: re-armed from the declared TTL when that

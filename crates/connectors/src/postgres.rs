@@ -109,7 +109,7 @@ impl PostgresStore {
         let (ttl_secs, expiry) = match m.ttl {
             Some(ttl) => (
                 Datum::Int(ttl.as_secs() as i64),
-                Datum::Timestamp(self.now_ms() + ttl.as_millis() as u64),
+                Datum::Timestamp(clock::deadline_ms(self.now_ms(), ttl)),
             ),
             None => (Datum::Null, Datum::Null),
         };
@@ -240,7 +240,7 @@ impl RecordStore for PostgresStore {
                     assignments.push(("ttl_secs".into(), Datum::Int(ttl.as_secs() as i64)));
                     assignments.push((
                         "expiry".into(),
-                        Datum::Timestamp(self.now_ms() + ttl.as_millis() as u64),
+                        Datum::Timestamp(clock::deadline_ms(self.now_ms(), ttl)),
                     ));
                 }
                 None => {

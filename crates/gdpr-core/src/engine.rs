@@ -207,7 +207,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 record
                     .metadata
                     .ttl
-                    .map(|ttl| now_ms + ttl.as_millis() as u64)
+                    .map(|ttl| clock::deadline_ms(now_ms, ttl))
             });
             let (tenant, _) = TenantId::split_storage_key(&record.key);
             let batch = match batches.iter_mut().find(|(t, _)| t == tenant) {
@@ -251,7 +251,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 record
                     .metadata
                     .ttl
-                    .map(|ttl| now_ms + ttl.as_millis() as u64)
+                    .map(|ttl| clock::deadline_ms(now_ms, ttl))
             });
             batch.upsert_at(record, deadline_ms);
             n += 1;

@@ -218,7 +218,7 @@ impl Deadline {
         if keep_deadline {
             Deadline::Keep
         } else {
-            Deadline::At(m.ttl.map(|ttl| now_ms + ttl.as_millis() as u64))
+            Deadline::At(m.ttl.map(|ttl| clock::deadline_ms(now_ms, ttl)))
         }
     }
 }

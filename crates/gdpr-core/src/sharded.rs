@@ -426,7 +426,7 @@ impl<S: RecordStore> ShardedEngine<S> {
                         record
                             .metadata
                             .ttl
-                            .map(|ttl| now_ms + ttl.as_millis() as u64)
+                            .map(|ttl| clock::deadline_ms(now_ms, ttl))
                     });
                     self.shards[owner]
                         .store()

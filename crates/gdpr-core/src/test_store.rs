@@ -98,7 +98,7 @@ impl RecordStore for MemStore {
         if let Some(ttl) = record.metadata.ttl {
             self.deadlines.lock().insert(
                 record.key.clone(),
-                self.clock.now().as_millis() + ttl.as_millis() as u64,
+                clock::deadline_ms(self.clock.now().as_millis(), ttl),
             );
         }
         rows.insert(record.key.clone(), record.clone());
@@ -126,7 +126,7 @@ impl RecordStore for MemStore {
             match record.metadata.ttl {
                 Some(ttl) => deadlines.insert(
                     record.key.clone(),
-                    self.clock.now().as_millis() + ttl.as_millis() as u64,
+                    clock::deadline_ms(self.clock.now().as_millis(), ttl),
                 ),
                 None => deadlines.remove(&record.key),
             };

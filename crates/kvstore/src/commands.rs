@@ -8,7 +8,7 @@
 
 use crate::db::Db;
 use crate::error::{KvError, KvResult};
-use crate::value::{Value, ZSet};
+use crate::value::Value;
 use bytes::Bytes;
 use clock::Timestamp;
 use std::time::Duration;
@@ -439,7 +439,7 @@ impl Command {
                 let zset = db
                     .get_or_create(
                         key,
-                        || Value::ZSet(ZSet::new()),
+                        || Value::ZSet(Box::default()),
                         |v| matches!(v, Value::ZSet(_)),
                     )?
                     .as_zset_mut()?;

@@ -116,15 +116,15 @@ impl ExpirationCycle {
 
 /// One strict cycle: walk the entire expire-set and delete everything past
 /// due. O(size of expire-set), which is the cost the paper's compliant Redis
-/// accepts in exchange for timely deletion.
+/// accepts in exchange for timely deletion; only the due keys are copied
+/// out of the walk.
 fn strict_cycle(db: &mut Db) -> CycleStats {
-    let keys = db.all_expire_keys();
     let mut stats = CycleStats {
         iterations: 1,
-        inspected: keys.len(),
+        inspected: db.expire_set_len(),
         reaped: 0,
     };
-    for key in keys {
+    for key in db.due_expire_keys(db.clock().now()) {
         if db.evict_if_due(&key) {
             stats.reaped += 1;
         }
@@ -243,6 +243,30 @@ mod tests {
         let mut cycle = ExpirationCycle::new(ExpirationMode::Strict);
         assert_eq!(cycle.run_cycle(&mut db).reaped, 0);
         assert_eq!(db.len(), 1_000);
+    }
+
+    /// The strict cycle's boundary is inclusive: a key whose deadline is
+    /// the current instant is reaped, one a nanosecond later is not.
+    #[test]
+    fn strict_cycle_reaps_a_deadline_equal_to_now() {
+        let sim = clock::sim();
+        let mut db = Db::new(sim.clone());
+        for (key, at) in [("now", 5_000_000_000), ("later", 5_000_000_001)] {
+            db.set(b(key), Value::Str(b("v")));
+            db.set_expiry(key.as_bytes(), Timestamp::from_nanos(at));
+        }
+        sim.advance(std::time::Duration::from_secs(5));
+        let stats = ExpirationCycle::new(ExpirationMode::Strict).run_cycle(&mut db);
+        assert_eq!(
+            stats,
+            CycleStats {
+                reaped: 1,
+                iterations: 1,
+                inspected: 2,
+            }
+        );
+        assert!(db.expiry_of(b"now").is_none());
+        assert!(db.expiry_of(b"later").is_some());
     }
 
     #[test]

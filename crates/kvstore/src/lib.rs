@@ -14,11 +14,15 @@
 //!   [`server`].
 //! * **No secondary indexes.** The keyspace is a hash table; any query that
 //!   is not a key lookup must SCAN, which is how the paper's metadata-based
-//!   GDPR queries end up O(n) (Figures 5a, 7b).
+//!   GDPR queries end up O(n) (Figures 5a, 7b). A key's TTL deadline lives
+//!   in its dictionary entry ([`db`]), not in a second `expires` table as in
+//!   Redis, so a lookup is one hash probe even when every key carries a TTL,
+//!   as every GDPR record does.
 //! * **Lazy probabilistic expiration.** The stock expiration cycle samples 20
 //!   random keys from the expire-set every 100 ms and only loops immediately
 //!   when ≥5 were expired ([`expire`]). The GDPR retrofit switches this to a
-//!   strict full sweep ([`expire::ExpirationMode::Strict`]) — Figure 3a.
+//!   strict full sweep ([`expire::ExpirationMode::Strict`]) — Figure 3a —
+//!   which walks the expire-set in place and copies out only the due keys.
 //! * **Append-only-file persistence.** The AOF — a [`crypto::log`] whose
 //!   frames hold RESP-encoded commands ([`aof`]) — logs mutating commands
 //!   with a configurable fsync policy; the GDPR retrofit additionally logs

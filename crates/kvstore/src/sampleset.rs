@@ -5,7 +5,9 @@
 //! (`dictGetRandomKey`). A plain `HashMap` cannot be sampled in O(1), so the
 //! store pairs a dense `Vec` of elements with a position map; removal
 //! swap-removes and patches the displaced element's index. The keyspace
-//! itself also uses one of these for SCAN cursors and RANDOMKEY.
+//! keeps two: the keys with a deadline, which the lazy expiration cycle
+//! samples and the strict one walks, and every key, whose dense positions
+//! are SCAN's cursors.
 
 use crate::rng::XorShift64;
 use std::collections::HashMap;

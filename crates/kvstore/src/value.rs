@@ -99,10 +99,12 @@ impl std::fmt::Debug for ZSet {
     }
 }
 
-/// A value stored at a key.
+/// A value stored at a key. The sorted set is boxed so that a value is two
+/// words: every keyspace entry is as wide as the widest variant, and the
+/// GDPR records are all strings.
 pub enum Value {
     Str(Bytes),
-    ZSet(ZSet),
+    ZSet(Box<ZSet>),
 }
 
 impl std::fmt::Debug for Value {
@@ -190,9 +192,14 @@ mod tests {
         let mut v = Value::Str(b("x"));
         assert_eq!(v.as_zset().unwrap_err(), KvError::WrongType);
         assert_eq!(v.as_zset_mut().unwrap_err(), KvError::WrongType);
-        let mut v = Value::ZSet(ZSet::new());
+        let mut v = Value::ZSet(Box::default());
         assert_eq!(v.as_str().unwrap_err(), KvError::WrongType);
         assert!(v.as_zset_mut().is_ok());
+    }
+
+    #[test]
+    fn a_value_is_two_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 
     #[test]
@@ -202,6 +209,6 @@ mod tests {
         assert!(large.memory_usage() > small.memory_usage());
         let mut z = ZSet::new();
         z.add(b("member"), 1.0);
-        assert!(Value::ZSet(z).memory_usage() >= 6 + 8);
+        assert!(Value::ZSet(Box::new(z)).memory_usage() >= 6 + 8);
     }
 }

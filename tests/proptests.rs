@@ -1415,7 +1415,7 @@ mod metaindex_diff {
                     let rearmed = record
                         .metadata
                         .ttl
-                        .map(|ttl| now_ms + ttl.as_millis() as u64);
+                        .map(|ttl| clock::deadline_ms(now_ms, ttl));
                     let deadline = match rng.gen_range(0u32..3) {
                         0 => {
                             let keep = rng.gen_bool(0.5);
