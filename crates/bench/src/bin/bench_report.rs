@@ -249,7 +249,8 @@ fn main() {
     }
 
     // Suite 9: the processor's broad predicate reads on redis-mi — one
-    // batched store read each — and what a second reader gains.
+    // batched store read each — and what a second reader gains; then what
+    // a point write's remove or create pays one shard's metadata index.
     let (pred_table, pred_series) = bench::experiments::metaindex::run_pred_reads();
     println!("{}", pred_table.render());
     for (metric, value) in &pred_series {

@@ -10,7 +10,7 @@
 //! the same comparison at 100 K records.
 
 use crate::report::ExperimentTable;
-use gdpr_core::{wire, GdprConnector, GdprQuery, PersonalRecord, Session};
+use gdpr_core::{wire, GdprConnector, GdprQuery, MetadataIndex, PersonalRecord, Session};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::datagen;
@@ -222,8 +222,16 @@ pub const PRED_READ_RECORDS: usize = 20_000;
 ///   deadline, as the processor's do), in sorted key order: the shape of a
 ///   broad predicate read's candidate list, whose keys do not stay in
 ///   cache.
+///
+/// and what a point write pays the index, on one shard's index of the
+/// `customer-wire` corpus (see [`index_churn`]):
+///
+/// * `index_churn_remove_ns` / `index_churn_create_ns` — one
+///   `MetadataIndex::remove` of a random indexed key / the `upsert` that
+///   re-creates it.
 pub fn run_pred_reads() -> (ExperimentTable, Vec<(&'static str, f64)>) {
-    let series = pred_reads(PRED_READ_RECORDS, 7, 30);
+    let mut series = pred_reads(PRED_READ_RECORDS, 7, 30);
+    series.extend(index_churn(CHURN_RECORDS, 7));
     let mut table = ExperimentTable::new(
         format!("Broad predicate reads on redis-mi ({PRED_READ_RECORDS} records)"),
         &["metric", "value"],
@@ -370,6 +378,69 @@ fn read_each_ns_per_key(store: &kvstore::KvStore, keys: &[Arc<str>], rounds: usi
     })
 }
 
+/// The corpus behind the `index_churn_*` rows: `customer-wire`'s.
+pub const CHURN_RECORDS: usize = 100_000;
+
+/// Keys removed and re-created per churn round.
+const CHURN_KEYS: usize = 2_000;
+
+/// Index maintenance under point writes, at the layer the e2e ledger's
+/// `metaindex.remove_ns` cannot see (the ledger removes keys in key order
+/// from a shrinking index, so the sets it walks stay in cache). The
+/// index holds shard 0 of four of `stable_corpus(records)` — one
+/// `customer-wire` shard, about 25 000 keys. Each round takes
+/// [`CHURN_KEYS`] keys at random and removes and re-creates each in
+/// turn, leaving the index as it found it: the remove meets a cold key,
+/// the create the lines its remove just touched. The rows are the best
+/// of `rounds` rounds, in nanoseconds per call: `index_churn_remove_ns`
+/// and `index_churn_create_ns`.
+pub fn index_churn(records: usize, rounds: usize) -> Vec<(&'static str, f64)> {
+    let corpus = stable_corpus(records);
+    let shard: Vec<PersonalRecord> = (0..records)
+        .map(|i| datagen::record_of(i, &corpus))
+        .filter(|record| gdpr_core::shard_of(&record.key, 4) == 0)
+        .collect();
+    let index = MetadataIndex::new();
+    for record in &shard {
+        index.upsert(record, 0, false);
+    }
+    // xorshift64*: a fixed stream, so every build churns the same keys.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut below = |n: usize| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+    };
+    let mut order: Vec<usize> = (0..shard.len()).collect();
+    let picks = CHURN_KEYS.min(shard.len());
+    let (mut remove_ns, mut create_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds.max(1) {
+        // A partial Fisher-Yates: the first `picks` slots are the sample.
+        for i in 0..picks {
+            let j = i + below(order.len() - i);
+            order.swap(i, j);
+        }
+        let (mut removing, mut creating) = (Duration::ZERO, Duration::ZERO);
+        for record in order[..picks].iter().map(|&i| &shard[i]) {
+            let started = Instant::now();
+            std::hint::black_box(index.remove(&record.key));
+            let removed = Instant::now();
+            index.upsert(record, 0, false);
+            creating += removed.elapsed();
+            removing += removed - started;
+        }
+        let ns_per_call = |total: Duration| total.as_nanos() as f64 / picks.max(1) as f64;
+        remove_ns = remove_ns.min(ns_per_call(removing));
+        create_ns = create_ns.min(ns_per_call(creating));
+    }
+    assert_eq!(index.len(), shard.len(), "a churn round restores the index");
+    vec![
+        ("index_churn_remove_ns", remove_ns),
+        ("index_churn_create_ns", create_ns),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +451,14 @@ mod tests {
     fn pred_reads_report_six_rows() {
         let series = pred_reads(2_000, 2, 3);
         assert_eq!(series.len(), 6);
+        assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
+    }
+
+    #[test]
+    fn index_churn_reports_two_rows() {
+        let series = index_churn(4_000, 2);
+        let names: Vec<&str> = series.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["index_churn_remove_ns", "index_churn_create_ns"]);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 

@@ -85,13 +85,20 @@ impl RecordStore for DiskStore {
     }
 
     /// One [`PageStore::get_many`]: one hold of the store mutex and one
-    /// descent per touched leaf for the whole candidate list.
+    /// descent per touched leaf for the whole candidate list. The index
+    /// hands candidates out in slot order, so they are sorted first (unless
+    /// already ascending) for a descent to serve a whole leaf; records are
+    /// visited in key order.
     fn fetch_many(
         &self,
         keys: &[Arc<str>],
         visit: &mut dyn FnMut(RecordView<'_>),
     ) -> GdprResult<()> {
-        let values = self.store.get_many(keys).map_err(Self::store_err)?;
+        let mut keys = std::borrow::Cow::Borrowed(keys);
+        if !keys.is_sorted() {
+            keys.to_mut().sort_unstable();
+        }
+        let values = self.store.get_many(&keys).map_err(Self::store_err)?;
         for bytes in values.iter().flatten() {
             visit(RecordView::from_bytes(bytes)?);
         }

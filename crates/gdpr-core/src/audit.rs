@@ -555,17 +555,25 @@ mod tests {
 
     /// A reader takes and holds whole-trail windows while one writer
     /// appends across several seals: every held window is a gap-free
-    /// prefix of the final trail, made of the trail's own lines.
+    /// prefix of the final trail, made of the trail's own lines. The
+    /// writer waits, once its second chunk is sealed, until the reader has
+    /// held a window that reaches that far, so the two always overlap.
     #[test]
     fn held_whole_trail_windows_are_gap_free_prefixes_across_seals() {
         const LINES: usize = 4 * CHUNK_LINES + 100;
+        const PAUSE_AT: usize = 2 * CHUNK_LINES;
         let trail = AuditTrail::new(clock::wall());
         let start = std::sync::Barrier::new(2);
+        let (reached, pause) = std::sync::mpsc::sync_channel::<()>(1);
         let held = std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
+                let pause = pause; // moved in: a receiver is not `Sync`
                 start.wait();
                 for seq in 0..LINES {
                     append(&trail, seq.to_string());
+                    if seq + 1 == PAUSE_AT {
+                        pause.recv().expect("the reader holds a window");
+                    }
                     if seq % 32 == 31 {
                         std::thread::yield_now(); // let the reader in on one core
                     }
@@ -576,6 +584,10 @@ mod tests {
             while !writer.is_finished() {
                 let window = trail.lines_between(0, u64::MAX);
                 if held.last().map_or(0, LogLines::len) < window.len() {
+                    if window.len() >= PAUSE_AT {
+                        // Full once the writer has been released: ignore.
+                        let _ = reached.try_send(());
+                    }
                     held.push(window);
                 }
             }

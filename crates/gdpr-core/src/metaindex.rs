@@ -12,11 +12,21 @@
 //! put/rewrite/delete and invalidated by the store on every TTL
 //! expiration, so predicate lookups become O(matches) instead of O(n).
 //!
+//! Every indexed key has a dense `u32` **slot**, and every structure but
+//! the key → slot map holds slots, not keys: a posting is a slot-sorted
+//! list up to [`DENSE_AT`] members and a bitmap over the slot space
+//! above that, the all-keys and eligibility sets are bitmaps, and the
+//! deadline set orders `(deadline, slot)` pairs. Maintaining a membership
+//! is a bit flip or a short-list insert, not a walk of a tree of
+//! heap-allocated keys. A removed key's slot goes on a LIFO free list,
+//! so a key re-created right after its delete lands on a slot whose
+//! cache lines are still hot.
+//!
 //! Coverage is total: [`MetadataIndex::keys_for`] answers **every**
 //! [`RecordPredicate`] variant. The two negative predicates resolve as set
-//! algebra over the live key population — `NotObjecting(usage)` is
-//! `all_keys − objecting(usage)` and `DecisionEligible` is a directly
-//! maintained set (keys without the G22 opt-out marker) — so even
+//! algebra over the live key population — `NotObjecting(usage)` is the
+//! live set filtered by `objecting(usage)`, and `DecisionEligible` is a
+//! directly maintained set (keys without the G22 opt-out marker) — so even
 //! "everything except ..." queries fetch only their matches instead of
 //! scan-decrypt-parsing the whole keyspace.
 //!
@@ -56,147 +66,350 @@
 use crate::record::{Metadata, PersonalRecord};
 use crate::store::RecordPredicate;
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Keys are stored once and shared: every structure a key appears in
-/// (its terms row, up to four inverted postings, the all-keys and
-/// eligibility sets, the deadline set) holds the same `Arc<str>`, so
-/// membership costs a refcount bump instead of a `String` allocation.
-/// That is what keeps the snapshot restore path ([`VocabIndexBuilder`])
-/// allocation-light: one key allocation per entry, however many
-/// structures the key lands in.
+/// A key or a metadata term, allocated once and shared. A key's one
+/// allocation is held by the key → slot map and by its row; a term's by
+/// its posting map and by every row that carries it, so a fresh upsert
+/// allocates its key and nothing per term the index has seen before.
 type Key = Arc<str>;
+
+/// A key's dense position: its row in [`Inner::rows`] and its bit in
+/// every bitmap.
+type Slot = u32;
+
+/// A posting holds up to this many slots as a sorted list; past it, a
+/// bitmap over the slot space. It goes back to a list once it drains to
+/// half this, so a posting that hovers at the boundary does not convert
+/// on every write.
+const DENSE_AT: usize = 64;
+
+/// A set of slots, one bit each.
+#[derive(Debug, Clone, Default)]
+struct Bitmap {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Bitmap {
+    fn contains(&self, slot: Slot) -> bool {
+        let (word, bit) = (slot as usize / 64, slot % 64);
+        self.words.get(word).is_some_and(|w| w >> bit & 1 != 0)
+    }
+
+    fn insert(&mut self, slot: Slot) {
+        let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        if self.words[word] & bit == 0 {
+            self.words[word] |= bit;
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, slot: Slot) {
+        let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
+        if let Some(w) = self.words.get_mut(word).filter(|w| **w & bit != 0) {
+            *w &= !bit;
+            self.len -= 1;
+        }
+    }
+
+    /// The slots, ascending.
+    fn iter(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let base = (i * 64) as Slot;
+            let first = (word != 0).then_some(word);
+            std::iter::successors(first, |&w| Some(w & (w - 1)).filter(|&w| w != 0))
+                .map(move |w| base + w.trailing_zeros())
+        })
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.words.len() * 8
+    }
+}
+
+impl FromIterator<Slot> for Bitmap {
+    fn from_iter<I: IntoIterator<Item = Slot>>(slots: I) -> Bitmap {
+        let mut bits = Bitmap::default();
+        slots.into_iter().for_each(|slot| bits.insert(slot));
+        bits
+    }
+}
+
+/// The slots under one term: a sorted list while short, a bitmap once
+/// past [`DENSE_AT`] members.
+#[derive(Debug, Clone)]
+enum Posting {
+    Sparse(Vec<Slot>),
+    Dense(Bitmap),
+}
+
+impl Posting {
+    /// The posting of `slots`, which are ascending and distinct.
+    fn of(slots: Vec<Slot>) -> Posting {
+        if slots.len() <= DENSE_AT {
+            Posting::Sparse(slots)
+        } else {
+            Posting::Dense(slots.into_iter().collect())
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        match self {
+            Posting::Sparse(slots) => slots.is_empty(),
+            Posting::Dense(bits) => bits.len == 0,
+        }
+    }
+
+    fn contains(&self, slot: Slot) -> bool {
+        match self {
+            Posting::Sparse(slots) => slots.binary_search(&slot).is_ok(),
+            Posting::Dense(bits) => bits.contains(slot),
+        }
+    }
+
+    fn insert(&mut self, slot: Slot) {
+        match self {
+            Posting::Sparse(slots) => {
+                if let Err(at) = slots.binary_search(&slot) {
+                    slots.insert(at, slot);
+                    if slots.len() > DENSE_AT {
+                        *self = Posting::of(std::mem::take(slots));
+                    }
+                }
+            }
+            Posting::Dense(bits) => bits.insert(slot),
+        }
+    }
+
+    fn remove(&mut self, slot: Slot) {
+        match self {
+            Posting::Sparse(slots) => {
+                if let Ok(at) = slots.binary_search(&slot) {
+                    slots.remove(at);
+                }
+            }
+            Posting::Dense(bits) => {
+                bits.remove(slot);
+                if bits.len <= DENSE_AT / 2 {
+                    *self = Posting::Sparse(bits.iter().collect());
+                }
+            }
+        }
+    }
+
+    /// The slots, ascending.
+    fn iter(&self) -> impl Iterator<Item = Slot> + '_ {
+        let (list, bits) = match self {
+            Posting::Sparse(slots) => (slots.as_slice(), None),
+            Posting::Dense(bits) => (&[][..], Some(bits)),
+        };
+        list.iter()
+            .copied()
+            .chain(bits.into_iter().flat_map(Bitmap::iter))
+    }
+
+    fn size_bytes(&self) -> usize {
+        match self {
+            Posting::Sparse(slots) => slots.len() * std::mem::size_of::<Slot>(),
+            Posting::Dense(bits) => bits.size_bytes(),
+        }
+    }
+}
 
 /// What was indexed for one key — kept so removal needs no record fetch
 /// (the record may already be gone from the store when invalidation runs).
-/// Terms are shared `Arc<str>`s: the vocabulary (users, purposes, usage
-/// and party names) repeats across records, so the restore path interns
-/// each distinct term once instead of allocating a copy per record — and
-/// the three term lists live in **one** packed allocation
-/// (`purposes ‖ objections ‖ sharing`, delimited by the two end offsets),
-/// since a record typically carries only a handful of terms total.
+/// Terms are the posting maps' own `Arc<str>`s: the vocabulary (users,
+/// purposes, usage and party names) repeats across records, so each
+/// distinct term is allocated once — and the user and the three term
+/// lists live in **one** packed allocation (`user ‖ purposes ‖
+/// objections ‖ sharing`, delimited by the two end offsets), since a
+/// record typically carries only a handful of terms total.
 #[derive(Debug, Clone)]
 struct IndexedTerms {
-    user: Key,
-    /// `purposes ‖ objections ‖ sharing`, packed.
-    term_lists: Box<[Key]>,
+    /// `user ‖ purposes ‖ objections ‖ sharing`, packed.
+    terms: Box<[Key]>,
     purposes_end: u32,
     objections_end: u32,
     /// Whether the key sits in the decision-eligibility set. Recorded here
     /// (not re-derived) so the per-key terms are a complete, dumpable image
     /// of the index — [`MetadataIndex::export_entries`] serializes exactly
-    /// this table and the snapshot restore rebuilds every map from it.
+    /// these rows and the snapshot restore rebuilds every map from them.
     decision_eligible: bool,
     deadline_ms: Option<u64>,
 }
 
 impl IndexedTerms {
+    /// The user, as a one-term list.
+    fn user(&self) -> &[Key] {
+        &self.terms[..1]
+    }
+
     fn purposes(&self) -> &[Key] {
-        &self.term_lists[..self.purposes_end as usize]
+        &self.terms[1..self.purposes_end as usize]
     }
 
     fn objections(&self) -> &[Key] {
-        &self.term_lists[self.purposes_end as usize..self.objections_end as usize]
+        &self.terms[self.purposes_end as usize..self.objections_end as usize]
     }
 
     fn sharing(&self) -> &[Key] {
-        &self.term_lists[self.objections_end as usize..]
+        &self.terms[self.objections_end as usize..]
     }
 
-    /// Pack the three lists (already concatenated in `term_lists` order)
-    /// with their split offsets.
+    /// Pack `user ‖ purposes ‖ objections ‖ sharing`, concatenated in
+    /// `terms`, with the lengths of the purpose and objection lists.
     fn packed(
-        user: Key,
-        term_lists: Vec<Key>,
-        purposes_end: usize,
-        objections_end: usize,
+        terms: Vec<Key>,
+        purposes: usize,
+        objections: usize,
         decision_eligible: bool,
         deadline_ms: Option<u64>,
     ) -> IndexedTerms {
         IndexedTerms {
-            user,
-            term_lists: term_lists.into_boxed_slice(),
-            purposes_end: purposes_end as u32,
-            objections_end: objections_end as u32,
+            terms: terms.into_boxed_slice(),
+            purposes_end: 1 + purposes as u32,
+            objections_end: (1 + purposes + objections) as u32,
             decision_eligible,
             deadline_ms,
         }
     }
 }
 
+type Postings = HashMap<Key, Posting>;
+
+/// One of a row's term lists: [`IndexedTerms::user`], `purposes`, ….
+type TermList = fn(&IndexedTerms) -> &[Key];
+
 #[derive(Default)]
 struct Inner {
-    by_user: HashMap<String, BTreeSet<Key>>,
-    by_purpose: HashMap<String, BTreeSet<Key>>,
-    by_objection: HashMap<String, BTreeSet<Key>>,
-    by_sharing: HashMap<String, BTreeSet<Key>>,
-    /// Every live key — the universe the negative predicates subtract
-    /// from (`NotObjecting` = `all_keys − objecting`).
-    all_keys: BTreeSet<Key>,
-    /// Keys eligible for automated decision-making (no G22 opt-out
+    by_user: Postings,
+    by_purpose: Postings,
+    by_objection: Postings,
+    by_sharing: Postings,
+    /// Every live slot — the universe the negative predicates filter
+    /// (`NotObjecting` = live slots not objecting).
+    live: Bitmap,
+    /// Slots eligible for automated decision-making (no G22 opt-out
     /// marker) — `DecisionEligible` reads this set directly.
-    decision_eligible: BTreeSet<Key>,
-    /// `(absolute deadline ms, key)`, ordered — expired prefixes pop in
+    decision_eligible: Bitmap,
+    /// `(absolute deadline ms, slot)`, ordered — expired prefixes pop in
     /// O(expired · log n).
-    by_deadline: BTreeSet<(u64, Key)>,
-    /// Per-key snapshot of the indexed terms.
-    terms: HashMap<Key, IndexedTerms>,
+    by_deadline: BTreeSet<(u64, Slot)>,
+    /// Key → slot: the one structure addressed by key.
+    slots: HashMap<Key, Slot>,
+    /// Slot → the key and what was indexed for it; `None` for a free slot.
+    rows: Vec<Option<(Key, IndexedTerms)>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<Slot>,
 }
 
 impl Inner {
+    /// The key at a live slot.
+    fn key(&self, slot: Slot) -> Key {
+        let (key, _) = self.rows[slot as usize]
+            .as_ref()
+            .expect("an indexed slot has a row");
+        Key::clone(key)
+    }
+
+    /// The keys at `slots`, which are live.
+    fn keys(&self, slots: impl Iterator<Item = Slot>) -> Vec<Key> {
+        slots.map(|slot| self.key(slot)).collect()
+    }
+
+    /// The keys at `slots` that do not object to `usage`.
+    fn keys_not_objecting(&self, slots: impl Iterator<Item = Slot>, usage: &str) -> Vec<Key> {
+        match self.by_objection.get(usage) {
+            None => self.keys(slots),
+            Some(objecting) => self.keys(slots.filter(|&slot| !objecting.contains(slot))),
+        }
+    }
+
+    /// A slot for a key the index does not hold yet, marked live; its row
+    /// stays empty until the caller fills it.
+    fn claim(&mut self, key: &str) -> (Slot, Key) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.rows.push(None);
+            Slot::try_from(self.rows.len() - 1).expect("fewer than 2^32 indexed keys")
+        });
+        let key = Key::from(key);
+        self.slots.insert(Key::clone(&key), slot);
+        self.live.insert(slot);
+        (slot, key)
+    }
+
     fn unindex(&mut self, key: &str) -> bool {
-        let Some((key_arc, terms)) = self.terms.remove_entry(key) else {
+        let Some(slot) = self.slots.remove(key) else {
             return false;
         };
-        detach(&mut self.by_user, &terms.user, key);
-        for p in terms.purposes() {
-            detach(&mut self.by_purpose, p, key);
+        let (_, terms) = self.rows[slot as usize]
+            .take()
+            .expect("a mapped slot has a row");
+        let lists: [(&mut Postings, TermList); 4] = [
+            (&mut self.by_user, IndexedTerms::user),
+            (&mut self.by_purpose, IndexedTerms::purposes),
+            (&mut self.by_objection, IndexedTerms::objections),
+            (&mut self.by_sharing, IndexedTerms::sharing),
+        ];
+        for (map, list) in lists {
+            list(&terms).iter().for_each(|term| detach(map, term, slot));
         }
-        for o in terms.objections() {
-            detach(&mut self.by_objection, o, key);
-        }
-        for s in terms.sharing() {
-            detach(&mut self.by_sharing, s, key);
-        }
-        self.all_keys.remove(key);
-        self.decision_eligible.remove(key);
+        self.live.remove(slot);
+        self.decision_eligible.remove(slot);
         if let Some(at) = terms.deadline_ms {
-            self.by_deadline.remove(&(at, key_arc));
+            self.by_deadline.remove(&(at, slot));
         }
+        self.free.push(slot);
         true
     }
 }
 
-fn detach(map: &mut HashMap<String, BTreeSet<Key>>, term: &str, key: &str) {
-    if let Some(set) = map.get_mut(term) {
-        set.remove(key);
-        if set.is_empty() {
+/// Drop `slot` from under `term`, and the term once no key carries it.
+fn detach(map: &mut Postings, term: &str, slot: Slot) {
+    if let Some(posting) = map.get_mut(term) {
+        posting.remove(slot);
+        if posting.is_empty() {
             map.remove(term);
         }
     }
 }
 
-/// Add `key` under `term`, allocating the term map entry only on first
-/// sight of the term (the common hit path clones nothing).
-fn attach(map: &mut HashMap<String, BTreeSet<Key>>, term: &str, key: Key) {
-    if let Some(set) = map.get_mut(term) {
-        set.insert(key);
-    } else {
-        map.entry(term.to_string()).or_default().insert(key);
-    }
+/// Add `slot` under `term` and return the map's `Arc` for the term; a
+/// term no key carried enters the map.
+fn attach(map: &mut Postings, term: &str, slot: Slot) -> Key {
+    let Some((shared, _)) = map.get_key_value(term) else {
+        let term = Key::from(term);
+        map.insert(Key::clone(&term), Posting::Sparse(vec![slot]));
+        return term;
+    };
+    let shared = Key::clone(shared);
+    map.get_mut(term).expect("the term just found").insert(slot);
+    shared
 }
 
-/// Move `key` between the postings of `map` as its terms went from `old`
-/// to `new`: detach it from the terms that left, attach it to the terms
-/// that joined, leave the rest alone. Set semantics — a term listed twice
-/// is one membership.
-fn repost(map: &mut HashMap<String, BTreeSet<Key>>, old: &[Key], new: &[Key], key: &Key) {
-    for term in old.iter().filter(|term| !new.contains(term)) {
-        detach(map, term, key);
+/// Move `slot` between the postings of `map` as its terms go from `old`
+/// to `new`, and push each new term's shared `Arc` onto `out`: the old
+/// row's for a term that stayed, the posting map's for one that joined.
+/// Terms that left are detached, terms that stayed are not touched. Set
+/// semantics — a term listed twice is one membership.
+fn repost(map: &mut Postings, old: &[Key], new: &[String], slot: Slot, out: &mut Vec<Key>) {
+    for term in old
+        .iter()
+        .filter(|term| !new.iter().any(|t| **t == ***term))
+    {
+        detach(map, term, slot);
     }
-    for term in new.iter().filter(|term| !old.contains(term)) {
-        attach(map, term, Key::clone(key));
+    for term in new {
+        out.push(match old.iter().find(|kept| ***kept == **term) {
+            Some(kept) => Key::clone(kept),
+            None => attach(map, term, slot),
+        });
     }
 }
 
@@ -226,23 +439,21 @@ impl Deadline {
 /// Accumulates a whole index image off-lock, then installs it in one
 /// swap — the engine of the O(index) restore path. Images carry a term
 /// table, so terms arrive as indexes into a shared vocabulary and feeding
-/// a key performs **no string hashing at all**: every membership is an
-/// array index plus a refcount bump, and the only allocation per key is
-/// the key itself. Feed entries in key order: the accumulated vectors
-/// then arrive sorted and every `BTreeSet` is bulk-built instead of
-/// rebalanced insert by insert.
+/// a key performs **no string hashing at all**: a key's slot is its feed
+/// position, every membership is a slot pushed onto an array-indexed
+/// list, and the only allocation per key is the key itself. Feed entries
+/// in key order (the snapshot reader does): each list then arrives
+/// sorted and becomes its posting as it is, and a restored index's slot
+/// order is its key order.
 pub(crate) struct VocabIndexBuilder {
     vocab: Vec<Key>,
-    by_user: Vec<Vec<Key>>,
-    by_purpose: Vec<Vec<Key>>,
-    by_objection: Vec<Vec<Key>>,
-    by_sharing: Vec<Vec<Key>>,
-    all_keys: Vec<Key>,
-    decision_eligible: Vec<Key>,
-    by_deadline: Vec<(u64, Key)>,
-    /// Accumulated flat; the terms `HashMap` is built during the
-    /// parallel install phase, off the serial parse path.
-    terms: Vec<(Key, IndexedTerms)>,
+    by_user: Vec<Vec<Slot>>,
+    by_purpose: Vec<Vec<Slot>>,
+    by_objection: Vec<Vec<Slot>>,
+    by_sharing: Vec<Vec<Slot>>,
+    decision_eligible: Vec<Slot>,
+    by_deadline: Vec<(u64, Slot)>,
+    rows: Vec<Option<(Key, IndexedTerms)>>,
 }
 
 impl VocabIndexBuilder {
@@ -256,10 +467,9 @@ impl VocabIndexBuilder {
             by_purpose: postings(),
             by_objection: postings(),
             by_sharing: postings(),
-            all_keys: Vec::with_capacity(capacity),
             decision_eligible: Vec::new(),
             by_deadline: Vec::new(),
-            terms: Vec::with_capacity(capacity),
+            rows: Vec::with_capacity(capacity),
             vocab,
         }
     }
@@ -275,39 +485,43 @@ impl VocabIndexBuilder {
         decision_eligible: bool,
         deadline_ms: Option<u64>,
     ) {
-        fn post_ids(postings: &mut [Vec<Key>], ids: &[u32], key: &Key) {
+        fn post_ids(postings: &mut [Vec<Slot>], ids: &[u32], slot: Slot) {
             for &id in ids {
-                postings[id as usize].push(Key::clone(key));
+                let posting = &mut postings[id as usize];
+                // A term listed twice is one membership.
+                if posting.last() != Some(&slot) {
+                    posting.push(slot);
+                }
             }
         }
-        let key = Key::from(key);
-        self.by_user[user_id as usize].push(Key::clone(&key));
-        post_ids(&mut self.by_purpose, purposes, &key);
-        post_ids(&mut self.by_objection, objections, &key);
-        post_ids(&mut self.by_sharing, sharing, &key);
-        self.all_keys.push(Key::clone(&key));
+        let slot = Slot::try_from(self.rows.len()).expect("fewer than 2^32 indexed keys");
+        self.by_user[user_id as usize].push(slot);
+        post_ids(&mut self.by_purpose, purposes, slot);
+        post_ids(&mut self.by_objection, objections, slot);
+        post_ids(&mut self.by_sharing, sharing, slot);
         if decision_eligible {
-            self.decision_eligible.push(Key::clone(&key));
+            self.decision_eligible.push(slot);
         }
         if let Some(at) = deadline_ms {
-            self.by_deadline.push((at, Key::clone(&key)));
+            self.by_deadline.push((at, slot));
         }
         let vocab = &self.vocab;
-        let mut term_lists = Vec::with_capacity(purposes.len() + objections.len() + sharing.len());
-        for &id in purposes.iter().chain(objections).chain(sharing) {
-            term_lists.push(Key::clone(&vocab[id as usize]));
-        }
-        self.terms.push((
-            key,
+        let terms = std::iter::once(&user_id)
+            .chain(purposes)
+            .chain(objections)
+            .chain(sharing)
+            .map(|&id| Key::clone(&vocab[id as usize]))
+            .collect();
+        self.rows.push(Some((
+            Key::from(key),
             IndexedTerms::packed(
-                Key::clone(&vocab[user_id as usize]),
-                term_lists,
+                terms,
                 purposes.len(),
-                purposes.len() + objections.len(),
+                objections.len(),
                 decision_eligible,
                 deadline_ms,
             ),
-        ));
+        )));
     }
 
     pub(crate) fn install(self, index: &MetadataIndex) -> usize {
@@ -317,28 +531,34 @@ impl VocabIndexBuilder {
             by_purpose,
             by_objection,
             by_sharing,
-            all_keys,
             decision_eligible,
             mut by_deadline,
-            terms,
+            rows,
         } = self;
-        fn to_map(vocab: &[Key], postings: Vec<Vec<Key>>) -> HashMap<String, BTreeSet<Key>> {
-            let mut map: HashMap<String, BTreeSet<Key>> = HashMap::new();
-            for (id, keys) in postings.into_iter().enumerate() {
-                if keys.is_empty() {
+        fn to_map(vocab: &[Key], postings: Vec<Vec<Slot>>) -> Postings {
+            let mut map = Postings::new();
+            for (id, slots) in postings.into_iter().enumerate() {
+                if slots.is_empty() {
                     continue;
                 }
                 // Merge, never overwrite: the snapshot reader rejects
                 // duplicate vocab terms, but losing postings silently is
                 // the one failure this layer must be incapable of.
-                map.entry(vocab[id].to_string()).or_default().extend(keys);
+                match map.entry(Key::clone(&vocab[id])) {
+                    Entry::Occupied(mut merged) => slots
+                        .into_iter()
+                        .for_each(|slot| merged.get_mut().insert(slot)),
+                    Entry::Vacant(fresh) => {
+                        fresh.insert(Posting::of(slots));
+                    }
+                }
             }
             map
         }
+        let count = rows.len();
         let built = std::thread::scope(|scope| {
-            // Thread: the four posting maps and the key-level sets (all
-            // bulk-built from their sorted vectors); main thread: the
-            // terms table (the largest single hash build).
+            // Thread: the four posting maps and the slot sets; main
+            // thread: the key → slot map (the one hash build).
             let sets = scope.spawn(move || {
                 by_deadline.sort_unstable();
                 (
@@ -346,19 +566,22 @@ impl VocabIndexBuilder {
                     to_map(&vocab, by_purpose),
                     to_map(&vocab, by_objection),
                     to_map(&vocab, by_sharing),
-                    all_keys.into_iter().collect::<BTreeSet<Key>>(),
-                    decision_eligible.into_iter().collect::<BTreeSet<Key>>(),
-                    by_deadline.into_iter().collect::<BTreeSet<(u64, Key)>>(),
+                    (0..count as Slot).collect::<Bitmap>(),
+                    decision_eligible.into_iter().collect::<Bitmap>(),
+                    by_deadline.into_iter().collect::<BTreeSet<(u64, Slot)>>(),
                 )
             });
-            let mut terms_map: HashMap<Key, IndexedTerms> = HashMap::with_capacity(terms.len());
-            terms_map.extend(terms);
+            let mut slots: HashMap<Key, Slot> = HashMap::with_capacity(count);
+            slots.extend(rows.iter().zip(0..).map(|(row, slot)| {
+                let (key, _) = row.as_ref().expect("every fed slot has a row");
+                (Key::clone(key), slot)
+            }));
             let (
                 by_user,
                 by_purpose,
                 by_objection,
                 by_sharing,
-                all_keys,
+                live,
                 decision_eligible,
                 by_deadline,
             ) = sets.join().expect("set builder");
@@ -367,15 +590,16 @@ impl VocabIndexBuilder {
                 by_purpose,
                 by_objection,
                 by_sharing,
-                all_keys,
+                live,
                 decision_eligible,
                 by_deadline,
-                terms: terms_map,
+                slots,
+                rows,
+                free: Vec::new(),
             }
         });
-        let n = built.terms.len();
         *index.inner.write() = built;
-        n
+        count
     }
 }
 
@@ -569,97 +793,84 @@ impl MetadataIndex {
     }
 
     /// The one upsert path, for a fresh key and a rewrite alike. One
-    /// `terms` probe reads the key's current row (a fresh key has none:
-    /// the diff runs against an empty row), and only what differs is
-    /// touched: the postings of terms that left or joined the key, the
-    /// eligibility set when eligibility flips, the deadline set when the
-    /// deadline moves, `all_keys` only for a fresh key. The new row
-    /// shares the old row's `Arc`s for the terms that stayed and replaces
-    /// it in place. A consent update that adds one party to a record
-    /// therefore costs one posting insert, not a detach and re-attach of
-    /// every term the record carries.
+    /// key → slot probe finds the key's row (a fresh key claims a slot
+    /// and diffs against an empty row), and only what differs is touched:
+    /// the postings of terms that left or joined the key, the eligibility
+    /// bit when eligibility flips, the deadline set when the deadline
+    /// moves. The new row shares the old row's `Arc`s for the terms that
+    /// stayed and the posting maps' for the terms that joined, so a term
+    /// the index holds already costs no allocation. A consent update that
+    /// adds one party to a record therefore costs one posting insert, not
+    /// a detach and re-attach of every term the record carries.
     fn upsert_locked(inner: &mut Inner, key: &str, m: &Metadata, deadline: Deadline) {
+        let (slot, key, old) = match inner.slots.get(key) {
+            Some(&slot) => {
+                let (key, old) = inner.rows[slot as usize]
+                    .take()
+                    .expect("a mapped slot has a row");
+                (slot, key, Some(old))
+            }
+            None => {
+                let (slot, key) = inner.claim(key);
+                (slot, key, None)
+            }
+        };
         let Inner {
             by_user,
             by_purpose,
             by_objection,
             by_sharing,
-            all_keys,
             decision_eligible,
             by_deadline,
-            terms,
+            rows,
+            ..
         } = inner;
-        let (key, old) = match terms.get_key_value(key) {
-            Some((key, old)) => (Key::clone(key), Some(old)),
-            None => (Key::from(key), None),
-        };
-        let old_terms: &[Key] = old.map_or(&[], |t| &t.term_lists);
-        let term_lists: Vec<Key> = m
-            .purposes
-            .iter()
-            .chain(&m.objections)
-            .chain(&m.sharing)
-            .map(|term| match old_terms.iter().find(|t| ***t == **term) {
-                Some(kept) => Key::clone(kept),
-                None => Key::from(term.as_str()),
-            })
-            .collect();
-        let user = match old {
-            Some(t) if *t.user == *m.user => Key::clone(&t.user),
-            _ => Key::from(m.user.as_str()),
-        };
-        let (was_eligible, old_deadline) =
-            old.map_or((false, None), |t| (t.decision_eligible, t.deadline_ms));
+        let mut terms =
+            Vec::with_capacity(1 + m.purposes.len() + m.objections.len() + m.sharing.len());
+        let lists: [(&mut Postings, TermList, &[String]); 4] = [
+            (by_user, IndexedTerms::user, std::slice::from_ref(&m.user)),
+            (by_purpose, IndexedTerms::purposes, &m.purposes),
+            (by_objection, IndexedTerms::objections, &m.objections),
+            (by_sharing, IndexedTerms::sharing, &m.sharing),
+        ];
+        for (map, list, new) in lists {
+            let old = old.as_ref().map_or(&[][..], list);
+            repost(map, old, new, slot, &mut terms);
+        }
+        let (was_eligible, old_deadline) = old
+            .as_ref()
+            .map_or((false, None), |t| (t.decision_eligible, t.deadline_ms));
         let new = IndexedTerms::packed(
-            user,
-            term_lists,
+            terms,
             m.purposes.len(),
-            m.purposes.len() + m.objections.len(),
+            m.objections.len(),
             m.allows_automated_decisions(),
             match deadline {
                 Deadline::At(at) => at,
                 Deadline::Keep => old_deadline,
             },
         );
-
-        let old_user = old.map(|t| std::slice::from_ref(&t.user));
-        repost(
-            by_user,
-            old_user.unwrap_or_default(),
-            std::slice::from_ref(&new.user),
-            &key,
-        );
-        let old_purposes = old.map(IndexedTerms::purposes).unwrap_or_default();
-        repost(by_purpose, old_purposes, new.purposes(), &key);
-        let old_objections = old.map(IndexedTerms::objections).unwrap_or_default();
-        repost(by_objection, old_objections, new.objections(), &key);
-        let old_sharing = old.map(IndexedTerms::sharing).unwrap_or_default();
-        repost(by_sharing, old_sharing, new.sharing(), &key);
         if new.decision_eligible != was_eligible {
             if new.decision_eligible {
-                decision_eligible.insert(Key::clone(&key));
+                decision_eligible.insert(slot);
             } else {
-                decision_eligible.remove(&key);
+                decision_eligible.remove(slot);
             }
         }
         if new.deadline_ms != old_deadline {
             if let Some(at) = old_deadline {
-                by_deadline.remove(&(at, Key::clone(&key)));
+                by_deadline.remove(&(at, slot));
             }
             if let Some(at) = new.deadline_ms {
-                by_deadline.insert((at, Key::clone(&key)));
+                by_deadline.insert((at, slot));
             }
         }
-        if old.is_some() {
-            *terms.get_mut(&key).expect("the row read above") = new;
-        } else {
-            all_keys.insert(Key::clone(&key));
-            terms.insert(key, new);
-        }
+        rows[slot as usize] = Some((key, new));
     }
 
-    /// Drop a key from every index. Returns whether it was indexed. This is
-    /// the invalidation path stores call on TTL expiration.
+    /// Drop a key from every index and free its slot. Returns whether it
+    /// was indexed. This is the invalidation path stores call on TTL
+    /// expiration.
     pub fn remove(&self, key: &str) -> bool {
         self.inner.write().unindex(key)
     }
@@ -670,14 +881,12 @@ impl MetadataIndex {
     /// path.
     pub fn export_entries(&self) -> Vec<IndexEntry> {
         let inner = self.inner.read();
-        let mut entries: Vec<IndexEntry> = inner
-            .terms
-            .iter()
+        let mut entries: Vec<IndexEntry> = (inner.rows.iter().flatten())
             .map(|(key, t)| {
                 let owned = |terms: &[Key]| terms.iter().map(|t| t.to_string()).collect();
                 IndexEntry {
                     key: key.to_string(),
-                    user: t.user.to_string(),
+                    user: t.user()[0].to_string(),
                     purposes: owned(t.purposes()),
                     objections: owned(t.objections()),
                     sharing: owned(t.sharing()),
@@ -695,9 +904,10 @@ impl MetadataIndex {
     /// in the signature so a future predicate the index cannot cover can
     /// still fall back to the engine's scan path. Candidates are a
     /// *superset-modulo-staleness* of the true matches; callers must
-    /// re-verify each fetched record. The keys come back sorted, and as
-    /// the index's own shared `Arc<str>`s — a refcount bump per candidate,
-    /// not a copy.
+    /// re-verify each fetched record. The keys are distinct and come back
+    /// in ascending **slot** order, not key order (a restored index's slot
+    /// order is its key order, but freed slots are reused), as the index's
+    /// own shared `Arc<str>`s.
     ///
     /// For the *difference-based* predicates (`AllowsPurpose`,
     /// `NotObjecting`, `DecisionEligible`) staleness can also *narrow*
@@ -710,42 +920,35 @@ impl MetadataIndex {
     /// engine is non-transactional by design and makes no linearizability
     /// promise across concurrent writes.
     pub fn keys_for(&self, pred: &RecordPredicate) -> Option<Vec<Key>> {
-        fn posting(map: &HashMap<String, BTreeSet<Key>>, term: &str) -> Vec<Key> {
-            map.get(term)
-                .map(|set| set.iter().cloned().collect())
-                .unwrap_or_default()
-        }
         let inner = self.inner.read();
+        let posting = |map: &Postings, term: &str| {
+            map.get(term)
+                .map_or_else(Vec::new, |posting| inner.keys(posting.iter()))
+        };
         Some(match pred {
             RecordPredicate::User(u) => posting(&inner.by_user, u),
             RecordPredicate::DeclaredPurpose(p) => posting(&inner.by_purpose, p),
-            RecordPredicate::AllowsPurpose(p) => {
-                match (inner.by_purpose.get(p), inner.by_objection.get(p)) {
-                    (None, _) => Vec::new(),
-                    (Some(d), None) => d.iter().cloned().collect(),
-                    (Some(d), Some(o)) => d.difference(o).cloned().collect(),
-                }
-            }
-            RecordPredicate::SharedWith(s) => posting(&inner.by_sharing, s),
-            // Negative predicates are set differences over the live key
-            // population: the walk is O(|all_keys|) string compares, but the
-            // caller then reads only the matches.
-            RecordPredicate::NotObjecting(usage) => match inner.by_objection.get(usage) {
-                None => inner.all_keys.iter().cloned().collect(),
-                Some(o) => inner.all_keys.difference(o).cloned().collect(),
+            RecordPredicate::AllowsPurpose(p) => match inner.by_purpose.get(p.as_str()) {
+                None => Vec::new(),
+                Some(declared) => inner.keys_not_objecting(declared.iter(), p),
             },
-            RecordPredicate::DecisionEligible => inner.decision_eligible.iter().cloned().collect(),
+            RecordPredicate::SharedWith(s) => posting(&inner.by_sharing, s),
+            // Negative predicates filter the live slots: the walk is
+            // O(live keys) bit tests, but the caller then reads only the
+            // matches.
+            RecordPredicate::NotObjecting(usage) => {
+                inner.keys_not_objecting(inner.live.iter(), usage)
+            }
+            RecordPredicate::DecisionEligible => inner.keys(inner.decision_eligible.iter()),
         })
     }
 
     /// Keys whose deadline is at or before `now_ms`, in deadline order.
     pub fn expired_keys(&self, now_ms: u64) -> Vec<Key> {
-        self.inner
-            .read()
-            .by_deadline
-            .iter()
+        let inner = self.inner.read();
+        (inner.by_deadline.iter())
             .take_while(|(at, _)| *at <= now_ms)
-            .map(|(_, key)| Key::clone(key))
+            .map(|&(_, slot)| inner.key(slot))
             .collect()
     }
 
@@ -761,12 +964,15 @@ impl MetadataIndex {
 
     /// The indexed deadline of one key.
     pub fn deadline_of(&self, key: &str) -> Option<u64> {
-        self.inner.read().terms.get(key).and_then(|t| t.deadline_ms)
+        let inner = self.inner.read();
+        let &slot = inner.slots.get(key)?;
+        let (_, terms) = inner.rows[slot as usize].as_ref()?;
+        terms.deadline_ms
     }
 
     /// Number of indexed records.
     pub fn len(&self) -> usize {
-        self.inner.read().terms.len()
+        self.inner.read().slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -780,47 +986,54 @@ impl MetadataIndex {
 
     // ---- term-level inspection (tests, space accounting, diagnostics) ----
 
-    /// True when `key` appears in *no* inverted index and no deadline —
-    /// the invariant after invalidation.
+    /// True when `key` is not indexed and no posting, bitmap or deadline
+    /// entry holds a slot that is not live — the invariant after
+    /// invalidation: a freed slot is cleared from every structure.
     pub fn fully_absent(&self, key: &str) -> bool {
         let inner = self.inner.read();
-        !inner.terms.contains_key(key)
-            && !inner.by_user.values().any(|s| s.contains(key))
-            && !inner.by_purpose.values().any(|s| s.contains(key))
-            && !inner.by_objection.values().any(|s| s.contains(key))
-            && !inner.by_sharing.values().any(|s| s.contains(key))
-            && !inner.all_keys.contains(key)
-            && !inner.decision_eligible.contains(key)
-            && !inner.by_deadline.iter().any(|(_, k)| k.as_ref() == key)
+        let live = |slot: Slot| {
+            inner.live.contains(slot) && inner.rows.get(slot as usize).is_some_and(Option::is_some)
+        };
+        let postings = [
+            &inner.by_user,
+            &inner.by_purpose,
+            &inner.by_objection,
+            &inner.by_sharing,
+        ];
+        !inner.slots.contains_key(key)
+            && inner.rows.iter().flatten().all(|(k, _)| **k != *key)
+            && inner.live.len == inner.slots.len()
+            && inner.live.iter().all(live)
+            && postings
+                .iter()
+                .all(|map| map.values().all(|posting| posting.iter().all(live)))
+            && inner.decision_eligible.iter().all(live)
+            && inner.by_deadline.iter().all(|&(_, slot)| live(slot))
     }
 
     /// Approximate footprint, for space-overhead visibility (the engine's
-    /// analogue of the paper's Table 3 index cost).
+    /// analogue of the paper's Table 3 index cost): each distinct term's
+    /// bytes once, a posting's slots or bits, the slot sets' bits, and per
+    /// key its bytes, its slot, its deadline entry and a pointer per term
+    /// it carries.
     pub fn size_bytes(&self) -> usize {
         let inner = self.inner.read();
-        let map_bytes = |m: &HashMap<String, BTreeSet<Key>>| {
-            m.iter()
-                // A shared key costs a pointer + refcount word per
-                // membership, not a copy of its bytes.
-                .map(|(term, keys)| term.len() + keys.len() * 16)
+        let map_bytes = |m: &Postings| {
+            (m.iter())
+                .map(|(term, posting)| term.len() + posting.size_bytes())
                 .sum::<usize>()
         };
+        let pointer = std::mem::size_of::<Key>();
         map_bytes(&inner.by_user)
             + map_bytes(&inner.by_purpose)
             + map_bytes(&inner.by_objection)
             + map_bytes(&inner.by_sharing)
-            + inner.all_keys.len() * 16
-            + inner.decision_eligible.len() * 16
-            + inner.by_deadline.len() * 24
-            + inner
-                .terms
-                .iter()
-                .map(|(k, t)| {
-                    k.len()
-                        + t.user.len()
-                        + t.term_lists.iter().map(|t| t.len()).sum::<usize>()
-                        + 16
-                })
+            + inner.live.size_bytes()
+            + inner.decision_eligible.size_bytes()
+            + inner.by_deadline.len() * std::mem::size_of::<(u64, Slot)>()
+            + inner.slots.len() * std::mem::size_of::<Slot>()
+            + (inner.rows.iter().flatten())
+                .map(|(key, t)| key.len() + pointer * t.terms.len())
                 .sum::<usize>()
     }
 }
@@ -1070,5 +1283,341 @@ mod tests {
         assert!(idx.size_bytes() > one);
         idx.clear();
         assert_eq!(idx.size_bytes(), 0);
+    }
+
+    /// The model's view of the index: key → (metadata, indexed deadline).
+    type Model = std::collections::BTreeMap<String, (Metadata, Option<u64>)>;
+
+    const USERS: &[&str] = &["neo", "trinity", "smith"];
+    const PURPOSES: &[&str] = &["ads", "2fa", "mail", "wide"];
+    const USAGES: &[&str] = &["ads", "mail", "spam"];
+    const PARTIES: &[&str] = &["x-corp", "y-corp"];
+
+    /// xorshift64*: a seeded stream with no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+
+        /// Up to `max` terms from `from`, repeats allowed.
+        fn terms(&mut self, from: &[&str], max: usize) -> Vec<String> {
+            (0..self.below(max + 1))
+                .map(|_| self.pick(from).to_string())
+                .collect()
+        }
+
+        fn metadata(&mut self) -> Metadata {
+            let mut purposes = self.terms(&PURPOSES[..3], 2);
+            if self.chance(70) {
+                purposes.push("wide".into());
+            }
+            let mut m = Metadata::new(
+                self.pick(USERS),
+                purposes,
+                Duration::from_secs(1 + self.below(100) as u64),
+            );
+            if self.chance(20) {
+                m.ttl = None;
+            }
+            m.objections = self.terms(USAGES, 2);
+            m.sharing = self.terms(PARTIES, 2);
+            if self.chance(20) {
+                m.decisions.push(Metadata::DEC_OPT_OUT.to_string());
+            }
+            m
+        }
+    }
+
+    fn model_upsert(model: &mut Model, key: &str, m: &Metadata, deadline: Deadline) {
+        let at = match deadline {
+            Deadline::At(at) => at,
+            Deadline::Keep => model.get(key).and_then(|(_, at)| *at),
+        };
+        model.insert(key.to_string(), (m.clone(), at));
+    }
+
+    fn predicates() -> Vec<RecordPredicate> {
+        let absent = |terms: &[&str]| {
+            let mut terms: Vec<String> = terms.iter().map(|t| t.to_string()).collect();
+            terms.push("absent".into());
+            terms
+        };
+        let mut preds = vec![RecordPredicate::DecisionEligible];
+        preds.extend(absent(USERS).into_iter().map(RecordPredicate::User));
+        for p in absent(PURPOSES) {
+            preds.push(RecordPredicate::DeclaredPurpose(p.clone()));
+            preds.push(RecordPredicate::AllowsPurpose(p));
+        }
+        preds.extend(
+            absent(USAGES)
+                .into_iter()
+                .map(RecordPredicate::NotObjecting),
+        );
+        preds.extend(absent(PARTIES).into_iter().map(RecordPredicate::SharedWith));
+        preds
+    }
+
+    /// Every answer of `idx` against the model: each predicate's
+    /// candidates as a set and in ascending slot order, the expired keys
+    /// (in deadline order) at several instants, every pool key's deadline,
+    /// the size, the dump, and that a term no key carries is dropped.
+    fn check(idx: &MetadataIndex, model: &Model, pool: &[String], ctx: &str) {
+        let records: Vec<PersonalRecord> = (model.iter())
+            .map(|(key, (m, _))| PersonalRecord::new(key.as_str(), "d", m.clone()))
+            .collect();
+        for pred in predicates() {
+            let got = idx.keys_for(&pred).expect("every predicate is answerable");
+            let slots: Vec<Slot> = {
+                let inner = idx.inner.read();
+                got.iter().map(|key| inner.slots[key]).collect()
+            };
+            assert!(
+                slots.windows(2).all(|w| w[0] < w[1]),
+                "{ctx}: {pred:?} not in ascending slot order: {slots:?}"
+            );
+            let mut got: Vec<String> = got.iter().map(|key| key.to_string()).collect();
+            got.sort();
+            let want: Vec<String> = (records.iter())
+                .filter(|r| pred.matches(r))
+                .map(|r| r.key.clone())
+                .collect();
+            assert_eq!(got, want, "{ctx}: {pred:?}");
+        }
+        for now in [0, 30_000, 60_000, u64::MAX] {
+            let due = idx.expired_keys(now);
+            let at: Vec<u64> = due.iter().map(|key| model[&**key].1.unwrap()).collect();
+            assert!(at.windows(2).all(|w| w[0] <= w[1]), "{ctx}: deadline order");
+            let mut due: Vec<String> = due.iter().map(|key| key.to_string()).collect();
+            due.sort();
+            let want: Vec<String> = (model.iter())
+                .filter(|(_, (_, at))| at.is_some_and(|at| at <= now))
+                .map(|(key, _)| key.clone())
+                .collect();
+            assert_eq!(due, want, "{ctx}: expired at {now}");
+        }
+        let next = model.values().filter_map(|(_, at)| *at).min();
+        assert_eq!(idx.next_deadline_ms(), next, "{ctx}");
+        for key in pool {
+            let want = model.get(key).and_then(|(_, at)| *at);
+            assert_eq!(idx.deadline_of(key), want, "{ctx}: deadline of {key}");
+        }
+        assert_eq!(idx.len(), model.len(), "{ctx}");
+        let entries: Vec<IndexEntry> = (model.iter())
+            .map(|(key, (m, at))| IndexEntry {
+                key: key.clone(),
+                user: m.user.clone(),
+                purposes: m.purposes.clone(),
+                objections: m.objections.clone(),
+                sharing: m.sharing.clone(),
+                decision_eligible: m.allows_automated_decisions(),
+                deadline_ms: *at,
+            })
+            .collect();
+        assert_eq!(idx.export_entries(), entries, "{ctx}");
+        let inner = idx.inner.read();
+        let terms = |map: &Postings| map.keys().map(|t| t.to_string()).collect::<BTreeSet<_>>();
+        let carried = |of: &dyn Fn(&Metadata) -> Vec<String>| {
+            model
+                .values()
+                .flat_map(|(m, _)| of(m))
+                .collect::<BTreeSet<_>>()
+        };
+        assert_eq!(terms(&inner.by_user), carried(&|m| vec![m.user.clone()]));
+        assert_eq!(terms(&inner.by_purpose), carried(&|m| m.purposes.clone()));
+        assert_eq!(
+            terms(&inner.by_objection),
+            carried(&|m| m.objections.clone())
+        );
+        assert_eq!(terms(&inner.by_sharing), carried(&|m| m.sharing.clone()));
+    }
+
+    /// `idx` written as a snapshot image and restored into a fresh index.
+    fn restored(idx: &MetadataIndex, tag: &str) -> MetadataIndex {
+        use crate::snapshot::{encode_sections, restore_or_rebuild_tenants, SnapshotStamp};
+        let stamp = SnapshotStamp::unsharded(Some(1));
+        let path =
+            std::env::temp_dir().join(format!("metaindex-model-{}-{tag}.snap", std::process::id()));
+        let image = encode_sections(&[(String::new(), idx.export_entries())], &stamp);
+        std::fs::write(&path, image).unwrap();
+        let fresh = Arc::new(MetadataIndex::new());
+        let recovery = restore_or_rebuild_tenants(
+            &path,
+            &stamp,
+            &mut |_| Ok(Arc::clone(&fresh)),
+            || -> Result<usize, ()> { panic!("an image just written must restore") },
+        );
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            recovery,
+            Ok(crate::snapshot::IndexRecovery::Restored { .. })
+        ));
+        Arc::into_inner(fresh).expect("the sink's clone is dropped")
+    }
+
+    /// Seeded random upserts (deadline kept and re-armed), batches,
+    /// removes and clears against a `BTreeMap` model, checked after every
+    /// step; every removed key is fully absent, and every 40 steps a
+    /// snapshot round trip answers the same.
+    #[test]
+    fn slot_index_matches_a_btreemap_model() {
+        let pool: Vec<String> = (0..120).map(|i| format!("k{i:03}")).collect();
+        for seed in 1..=4u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let idx = MetadataIndex::new();
+            let mut model = Model::new();
+            for step in 0..500 {
+                let ctx = format!("seed {seed} step {step}");
+                let key = pool[rng.below(pool.len())].clone();
+                let mut removed = Vec::new();
+                match rng.below(100) {
+                    0..=44 => {
+                        let m = rng.metadata();
+                        let (now_ms, keep) = (rng.below(60_000) as u64, rng.chance(40));
+                        idx.upsert(
+                            &PersonalRecord::new(key.as_str(), "d", m.clone()),
+                            now_ms,
+                            keep,
+                        );
+                        model_upsert(&mut model, &key, &m, Deadline::of(&m, now_ms, keep));
+                    }
+                    45..=54 => {
+                        let m = rng.metadata();
+                        let at = rng.chance(70).then(|| rng.below(90_000) as u64);
+                        idx.upsert_with_deadline(
+                            &PersonalRecord::new(key.as_str(), "d", m.clone()),
+                            at,
+                        );
+                        model_upsert(&mut model, &key, &m, Deadline::At(at));
+                    }
+                    55..=69 => {
+                        let mut batch = IndexBatch::new();
+                        for _ in 0..1 + rng.below(8) {
+                            let key = pool[rng.below(pool.len())].clone();
+                            let m = rng.metadata();
+                            let record = PersonalRecord::new(key.as_str(), "d", m.clone());
+                            match rng.below(3) {
+                                0 => {
+                                    let (now_ms, keep) = (rng.below(60_000) as u64, rng.chance(40));
+                                    batch.upsert(record, now_ms, keep);
+                                    model_upsert(
+                                        &mut model,
+                                        &key,
+                                        &m,
+                                        Deadline::of(&m, now_ms, keep),
+                                    );
+                                }
+                                1 => {
+                                    let at = rng.chance(70).then(|| rng.below(90_000) as u64);
+                                    batch.upsert_at(record, at);
+                                    model_upsert(&mut model, &key, &m, Deadline::At(at));
+                                }
+                                _ => {
+                                    batch.remove(key.as_str());
+                                    model.remove(&key);
+                                    removed.push(key);
+                                }
+                            }
+                        }
+                        idx.apply(batch);
+                    }
+                    70..=98 => {
+                        assert_eq!(idx.remove(&key), model.remove(&key).is_some(), "{ctx}");
+                        removed.push(key);
+                    }
+                    _ => {
+                        idx.clear();
+                        removed.extend(std::mem::take(&mut model).into_keys());
+                    }
+                }
+                for key in removed.iter().filter(|key| !model.contains_key(*key)) {
+                    assert!(idx.fully_absent(key), "{ctx}: {key} left behind");
+                }
+                check(&idx, &model, &pool, &ctx);
+                if step % 40 == 39 {
+                    let tag = format!("{seed}-{step}");
+                    check(
+                        &restored(&idx, &tag),
+                        &model,
+                        &pool,
+                        &format!("{ctx}, restored"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// One posting driven across `DENSE_AT` — 63, 64 and 65 members and
+    /// beyond — then drained to empty, with a freed slot reused by the
+    /// next fresh key and the emptied term dropped.
+    #[test]
+    fn postings_cross_the_dense_boundary_and_drain() {
+        let idx = MetadataIndex::new();
+        let mut model = Model::new();
+        let pool: Vec<String> = (0..DENSE_AT + 6).map(|i| format!("w{i:03}")).collect();
+        let wide = |idx: &MetadataIndex| {
+            let inner = idx.inner.read();
+            inner
+                .by_purpose
+                .get("wide")
+                .map(|p| (p.iter().count(), matches!(p, Posting::Dense(_))))
+        };
+        for (n, key) in pool.iter().enumerate() {
+            let r = record(key, "neo", &["wide"], Some(10));
+            idx.upsert(&r, 0, false);
+            model_upsert(&mut model, key, &r.metadata, Deadline::At(Some(10_000)));
+            check(&idx, &model, &pool, &format!("grow to {}", n + 1));
+            assert_eq!(wide(&idx), Some((n + 1, n + 1 > DENSE_AT)));
+        }
+        // Freed slots are reused last-freed first.
+        let slot_of = |key: &str| idx.inner.read().slots[key];
+        let freed = ["w010", "w020"].map(|key| {
+            let slot = slot_of(key);
+            assert!(idx.remove(key));
+            model.remove(key);
+            slot
+        });
+        for (key, slot) in ["fresh", "fresher"]
+            .into_iter()
+            .zip(freed.into_iter().rev())
+        {
+            let r = record(key, "neo", &["wide"], Some(10));
+            idx.upsert(&r, 0, false);
+            model_upsert(&mut model, key, &r.metadata, Deadline::At(Some(10_000)));
+            assert_eq!(slot_of(key), slot, "{key}");
+            check(&idx, &model, &pool, "slot reused");
+        }
+        // Drain in a scattered order; the posting stays a bitmap down to
+        // half of DENSE_AT, then is a list again, then is dropped.
+        let mut rng = Rng(7);
+        let mut live: Vec<String> = model.keys().cloned().collect();
+        while !live.is_empty() {
+            let key = live.swap_remove(rng.below(live.len()));
+            assert!(idx.remove(&key));
+            model.remove(&key);
+            assert!(idx.fully_absent(&key));
+            check(&idx, &model, &pool, &format!("drain to {}", live.len()));
+            match wide(&idx) {
+                Some((n, dense)) => {
+                    assert_eq!(n, live.len());
+                    assert_eq!(dense, n > DENSE_AT / 2);
+                }
+                None => assert!(live.is_empty(), "the term is dropped only when empty"),
+            }
+        }
+        assert!(idx.is_empty());
+        assert_eq!(wide(&idx), None);
     }
 }

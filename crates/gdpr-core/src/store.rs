@@ -156,14 +156,17 @@ pub trait RecordStore: Send + Sync {
     /// respective expiry machinery (strict cycles / `TtlDaemon`).
     fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>>;
 
-    /// Read `keys` — sorted and distinct, as
-    /// [`crate::metaindex::MetadataIndex::keys_for`] hands them out — and
-    /// show `visit` every record found, **in `keys` order**. A key with no
-    /// record is skipped; a past-due one is skipped too and treated as
-    /// [`Self::fetch`] treats it (the key-value and disk stores reap it and
-    /// fire the [`Self::on_expiry`] listener for it once). The keys are
-    /// candidates, not answers: the caller re-verifies each view against
-    /// its predicate. A record that cannot be read fails the call.
+    /// Read `keys` — distinct, in index order, as
+    /// [`crate::metaindex::MetadataIndex::keys_for`] hands them out (slot
+    /// order, not key order) — and show `visit` every record found, in
+    /// `keys` order or, for a store that reads in its own key order (the
+    /// disk store sorts the keys so a descent serves a whole leaf), in
+    /// that order. A key with no record is skipped; a past-due one is
+    /// skipped too and treated as [`Self::fetch`] treats it (the key-value
+    /// and disk stores reap it and fire the [`Self::on_expiry`] listener
+    /// for it once). The keys are candidates, not answers: the caller
+    /// re-verifies each view against its predicate. A record that cannot
+    /// be read fails the call.
     ///
     /// The default is the per-key [`Self::fetch`] loop. A store overrides
     /// it to take its lock once per batch (or per fixed chunk of one) and
