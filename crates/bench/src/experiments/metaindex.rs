@@ -196,13 +196,18 @@ fn measure(
 pub const PRED_READ_RECORDS: usize = 20_000;
 
 /// The processor's broad predicate reads on `redis-mi`, at the layer the
-/// e2e benchmark's traced replay cannot see (its `TracedStore` does not
-/// forward `RecordStore::fetch_many`, so its ledger shows the per-key
-/// default loop the served engine no longer takes):
+/// e2e benchmark's traced replay cannot see (its `TracedStore` forwards
+/// none of `RecordStore::fetch_many`, `scan_each` and `fetch_view`, so its
+/// ledger shows the index path's per-key default loop, and point reads
+/// that build a record, where the served engine walks the store for a
+/// broad predicate and borrows a point read's text):
 ///
-/// * `pred_read_obj_20k_us` / `pred_read_pur_20k_us` — one
-///   READ-DATA-BY-OBJ (nearly every record is a candidate) / broad
-///   READ-DATA-BY-PUR, one client, best of seven; smaller is better.
+/// * `pred_read_obj_20k_us` / `pred_read_dec_20k_us` — one
+///   READ-DATA-BY-OBJ / READ-DATA-BY-DEC (nearly every record matches:
+///   the engine walks the store), and `pred_read_pur_20k_us` — one
+///   READ-DATA-BY-PUR of a purpose a quarter of the records declare (the
+///   engine names the candidates); one client, best of seven; smaller is
+///   better.
 /// * `pred_read_clients2_speedup` — by-obj reads per second with two
 ///   clients over one client's (30 reads per client, best of three each):
 ///   what a second reader gains when the batches are answered under the
@@ -220,8 +225,11 @@ pub const PRED_READ_RECORDS: usize = 20_000;
 /// * `kv_read_cold_ns_per_key` — the same read over every record of the
 ///   corpus, each stored with its TTL (`SET … EX`, so every key carries a
 ///   deadline, as the processor's do), in sorted key order: the shape of a
-///   broad predicate read's candidate list, whose keys do not stay in
-///   cache.
+///   candidate list whose keys do not stay in cache;
+/// * `kv_walk_ns_per_record` — one `KvStore::read_prefix` walk over the
+///   same store, per record walked, values borrowed as
+///   `RedisStore::scan_each` does, with no parse: what a broad read pays
+///   the store instead.
 ///
 /// and what a point write pays the index, on one shard's index of the
 /// `customer-wire` corpus (see [`index_churn`]):
@@ -259,6 +267,7 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
     let purpose = datagen::PURPOSES[0];
     let session = Session::processor(purpose);
     let by_obj = GdprQuery::ReadDataNotObjecting(purpose.into());
+    let by_dec = GdprQuery::ReadDataDecisionEligible;
     let by_pur = GdprQuery::ReadDataByPurpose(purpose.into());
     let read = |query: &GdprQuery| {
         std::hint::black_box(conn.execute(&session, query).expect("predicate read"));
@@ -285,8 +294,10 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
         };
         (0..3).map(|_| once()).fold(0.0, f64::max)
     };
+    let (cold, cold_keys) = ttl_store(&records);
     vec![
         ("pred_read_obj_20k_us", best_us(&by_obj)),
+        ("pred_read_dec_20k_us", best_us(&by_dec)),
         ("pred_read_pur_20k_us", best_us(&by_pur)),
         (
             "pred_read_clients2_speedup",
@@ -299,7 +310,11 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
         ("kv_read_ns_per_key", kv_read_ns_per_key(&stored, rounds)),
         (
             "kv_read_cold_ns_per_key",
-            kv_read_cold_ns_per_key(&records, rounds),
+            read_each_ns_per_key(&cold, &cold_keys, rounds),
+        ),
+        (
+            "kv_walk_ns_per_record",
+            kv_walk_ns_per_record(&cold, rounds),
         ),
     ]
 }
@@ -345,7 +360,9 @@ fn kv_read_ns_per_key(stored: &[(Arc<str>, String)], rounds: usize) -> f64 {
     read_each_ns_per_key(&store, &keys, rounds * 10)
 }
 
-fn kv_read_cold_ns_per_key(records: &[PersonalRecord], rounds: usize) -> f64 {
+/// A store holding every record under its `rec:` key with its TTL, and
+/// the records' keys in sorted order.
+fn ttl_store(records: &[PersonalRecord]) -> (Arc<kvstore::KvStore>, Vec<Arc<str>>) {
     let store = kvstore::KvStore::open(kvstore::KvConfig::default()).expect("open kvstore");
     let mut keys: Vec<Arc<str>> = Vec::with_capacity(records.len());
     let mut buf = Vec::new();
@@ -361,7 +378,22 @@ fn kv_read_cold_ns_per_key(records: &[PersonalRecord], rounds: usize) -> f64 {
         keys.push(key);
     }
     keys.sort_unstable();
-    read_each_ns_per_key(&store, &keys, rounds)
+    (store, keys)
+}
+
+/// Nanoseconds per record of one `read_prefix` walk over `store`'s `rec:`
+/// keys, values borrowed and only their lengths summed: the best of
+/// `rounds` passes.
+fn kv_walk_ns_per_record(store: &kvstore::KvStore, rounds: usize) -> f64 {
+    best_ns_per(store.dbsize(), rounds, || {
+        let mut bytes = 0;
+        let walked = store.read_prefix(b"rec:", |_, value| {
+            bytes += value.len();
+            Ok::<_, std::convert::Infallible>(())
+        });
+        assert!(matches!(walked, Some(Ok(Ok(())))));
+        std::hint::black_box(bytes);
+    })
 }
 
 /// Nanoseconds per key of one `read_each` over `keys`, values borrowed and
@@ -448,9 +480,9 @@ mod tests {
     /// The `bench_report` rows exist and are measurements; what they
     /// should read is the report's business, not a unit test's.
     #[test]
-    fn pred_reads_report_six_rows() {
+    fn pred_reads_report_eight_rows() {
         let series = pred_reads(2_000, 2, 3);
-        assert_eq!(series.len(), 6);
+        assert_eq!(series.len(), 8);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 

@@ -7,14 +7,20 @@
 //! each record — precisely how the paper's Redis behaves and why its GDPR
 //! workloads run orders of magnitude slower than YCSB (Figures 5a, 7b).
 //!
-//! With the index attached, a predicate resolves to candidate keys and the
-//! engine reads them through [`RecordStore::fetch_many`]: one
+//! With the index attached, a narrow predicate resolves to candidate keys
+//! and the engine reads them through [`RecordStore::fetch_many`]: one
 //! [`KvStore::read_each`], which looks the storage keys up under the
 //! store's shared lock, 512 per hold, and lends each stored value to the
 //! engine as a [`RecordView`] of the text in place — the predicate is
 //! re-verified and the response built without copying a value or
-//! materialising a record. The scan reads the same way once its cursor walk
-//! has the keys, and a point fetch is the one-key case ([`KvStore::get`]).
+//! materialising a record. A broad one (at least half the records are
+//! candidates) is one [`RecordStore::scan_each`]: a
+//! [`KvStore::read_prefix`] walk over the keyspace's slots, 512 per hold,
+//! lending every `rec:*` value the same way and naming no key. The scan
+//! reads like `fetch_many` once its cursor walk has the keys, and a point
+//! read is the one-key case ([`KvStore::read_key`]), lent to
+//! [`RecordStore::fetch_view`] or parsed in place by
+//! [`RecordStore::fetch`].
 //!
 //! All GDPR policy (authorization, visibility, audit, dispatch) lives in
 //! [`gdpr_core::ComplianceEngine`]; this module is storage mechanism only.
@@ -130,14 +136,38 @@ impl RecordStore for RedisStore {
         self.store.clock().clone()
     }
 
+    /// The record parsed inside [`Self::fetch_view`]: the stored value is
+    /// read in place, never copied out of the store.
     fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
-        let value = self
-            .store
-            .get(&Self::storage_key(key))
-            .map_err(Self::store_err)?;
-        value
-            .map(|bytes| Ok(RecordView::from_bytes(&bytes)?.to_record()))
-            .transpose()
+        let mut found = None;
+        self.fetch_view(key, &mut |record| found = Some(record.to_record()))?;
+        Ok(found)
+    }
+
+    /// One [`KvStore::read_key`]: `visit` sees the stored text in place,
+    /// under the store's shared lock (a `GET` where reads are logged or
+    /// sealed).
+    fn fetch_view(&self, key: &str, visit: &mut dyn FnMut(RecordView<'_>)) -> GdprResult<bool> {
+        let mut found = false;
+        self.store
+            .read_key(&Self::storage_key(key), |value| {
+                visit(RecordView::from_bytes(value)?);
+                found = true;
+                Ok::<_, GdprError>(())
+            })
+            .map_err(Self::store_err)??;
+        Ok(found)
+    }
+
+    /// One [`KvStore::read_prefix`] walk over the `rec:*` keys: `visit`
+    /// sees each stored text in place, under the store's shared lock.
+    /// `None` where the store's reads are logged or sealed.
+    fn scan_each(&self, visit: &mut dyn FnMut(RecordView<'_>)) -> Option<GdprResult<()>> {
+        let walked = self.store.read_prefix(KEY_PREFIX.as_bytes(), |_, value| {
+            visit(RecordView::from_bytes(value)?);
+            Ok::<_, GdprError>(())
+        })?;
+        Some(walked.map_err(Self::store_err).and_then(|visited| visited))
     }
 
     /// One [`KvStore::read_each`]: `visit` sees each stored text in place,
@@ -256,10 +286,8 @@ impl RecordStore for RedisStore {
     /// erase-by-user, the index backfill and the space report while
     /// `record_count` still counted it.
     ///
-    /// The cursor walk completes *before* any read: a read can lazily reap
-    /// an expired key, and the keyspace's swap-remove would then move an
-    /// unvisited tail key into an already-visited cursor position, silently
-    /// dropping a live record from the scan.
+    /// The cursor walk completes *before* any read, so a scan is a `SCAN`
+    /// followed by `MGET`s, the commands a logged store records.
     fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
         let keys = self.scan_keys()?;
         let mut records = Vec::with_capacity(keys.len());
@@ -416,5 +444,328 @@ impl RedisConnector {
     /// The underlying store (for experiment harnesses).
     pub fn store(&self) -> &Arc<KvStore> {
         self.engine().store().kv()
+    }
+}
+
+/// How the engine reads a `redis-mi` / `redis-sharded` store: a broad
+/// predicate walks it, a narrow one names its candidates, and both agree
+/// with the unindexed engine's scan.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gdpr_core::query::{GdprQuery, MetadataField, MetadataUpdate};
+    use gdpr_core::record::Metadata;
+    use gdpr_core::response::GdprResponse;
+    use gdpr_core::role::Session;
+    use gdpr_core::sharded::{shard_count_from_env, ShardedEngine};
+    use gdpr_core::tenant::TenantId;
+    use gdpr_core::GdprConnector;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// Calls of the two predicate-read paths, over every shard.
+    #[derive(Default)]
+    struct Calls {
+        walks: AtomicUsize,
+        batches: AtomicUsize,
+    }
+
+    impl Calls {
+        /// `(walks, batches)` since the last call.
+        fn take(&self) -> (usize, usize) {
+            let taken = |n: &AtomicUsize| n.swap(0, Ordering::Relaxed);
+            (taken(&self.walks), taken(&self.batches))
+        }
+    }
+
+    /// A [`RedisStore`] that counts its `scan_each` and `fetch_many` calls
+    /// and forwards what these tests reach.
+    struct Counted {
+        inner: RedisStore,
+        calls: Arc<Calls>,
+    }
+
+    impl RecordStore for Counted {
+        fn clock(&self) -> clock::SharedClock {
+            self.inner.clock()
+        }
+        fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
+            self.inner.fetch(key)
+        }
+        fn fetch_many(
+            &self,
+            keys: &[Arc<str>],
+            visit: &mut dyn FnMut(RecordView<'_>),
+        ) -> GdprResult<()> {
+            self.calls.batches.fetch_add(1, Ordering::Relaxed);
+            self.inner.fetch_many(keys, visit)
+        }
+        fn scan_each(&self, visit: &mut dyn FnMut(RecordView<'_>)) -> Option<GdprResult<()>> {
+            self.calls.walks.fetch_add(1, Ordering::Relaxed);
+            self.inner.scan_each(visit)
+        }
+        fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
+            self.inner.put(record)
+        }
+        fn rewrite(&self, record: &PersonalRecord, ttl_changed: bool) -> GdprResult<()> {
+            self.inner.rewrite(record, ttl_changed)
+        }
+        fn delete(&self, key: &str) -> GdprResult<bool> {
+            self.inner.delete(key)
+        }
+        fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
+            self.inner.scan()
+        }
+        fn purge_expired(&self) -> GdprResult<usize> {
+            self.inner.purge_expired()
+        }
+        fn on_expiry(&self, listener: ExpiryListener) {
+            self.inner.on_expiry(listener)
+        }
+        fn space_report(&self) -> SpaceReport {
+            self.inner.space_report()
+        }
+        fn record_count(&self) -> usize {
+            self.inner.record_count()
+        }
+        fn features(&self) -> FeatureReport {
+            self.inner.features()
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// `n` counted stores on one clock, sharing `calls`.
+    fn counted(n: usize, calls: &Arc<Calls>) -> Vec<Counted> {
+        let clock = clock::wall();
+        (0..n)
+            .map(|_| Counted {
+                inner: RedisStore::over(
+                    KvStore::open_with_clock(kvstore::KvConfig::default(), clock.clone()).unwrap(),
+                    "redis-mi",
+                ),
+                calls: Arc::clone(calls),
+            })
+            .collect()
+    }
+
+    /// The engines under test — `redis-mi` and `redis-sharded` at the
+    /// `GDPR_SHARDS` count — each with its call counters.
+    fn engines() -> Vec<(String, Box<dyn GdprConnector>, Arc<Calls>)> {
+        let single = Arc::new(Calls::default());
+        let unsharded = counted(1, &single).pop().unwrap();
+        let unsharded = ComplianceEngine::with_metadata_index(unsharded).unwrap();
+        let shards = shard_count_from_env();
+        let fleet = Arc::new(Calls::default());
+        let sharded = ShardedEngine::with_metadata_index(counted(shards, &fleet)).unwrap();
+        vec![
+            ("redis-mi".into(), Box::new(unsharded), single),
+            (format!("redis-sharded x{shards}"), Box::new(sharded), fleet),
+        ]
+    }
+
+    /// The reference: an unindexed engine, which answers every predicate
+    /// by a full scan.
+    fn scan_oracle() -> ComplianceEngine<RedisStore> {
+        let store = KvStore::open(kvstore::KvConfig::default()).unwrap();
+        ComplianceEngine::new(RedisStore::over(store, "redis"))
+    }
+
+    /// Record `i` of the corpus: every record declares `core`, one in ten
+    /// also `ads`; one in seven objects to `ads`, one in nine opts out of
+    /// automated decisions, one in eleven is shared with `x-corp`.
+    fn record(i: usize) -> PersonalRecord {
+        let mut purposes = vec!["core".to_string()];
+        if i.is_multiple_of(10) {
+            purposes.push("ads".into());
+        }
+        let mut metadata =
+            Metadata::new(format!("u{}", i % 20), purposes, Duration::from_secs(3600));
+        if i.is_multiple_of(7) {
+            metadata.objections.push("ads".into());
+        }
+        if i.is_multiple_of(9) {
+            metadata.decisions.push(Metadata::DEC_OPT_OUT.into());
+        }
+        if i.is_multiple_of(11) {
+            metadata.sharing.push("x-corp".into());
+        }
+        PersonalRecord::new(format!("k{i:03}"), format!("d{i}"), metadata)
+    }
+
+    /// The answer with its pairs sorted: the paths read in different
+    /// orders.
+    fn sorted(response: GdprResponse) -> GdprResponse {
+        match response {
+            GdprResponse::Data(mut pairs) => {
+                pairs.sort();
+                GdprResponse::Data(pairs)
+            }
+            GdprResponse::Metadata(mut pairs) => {
+                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                GdprResponse::Metadata(pairs)
+            }
+            other => other,
+        }
+    }
+
+    fn load(conn: &dyn GdprConnector, session: &Session, records: impl Iterator<Item = usize>) {
+        for i in records {
+            let create = GdprQuery::CreateRecord(record(i));
+            conn.execute(session, &create).unwrap();
+        }
+    }
+
+    /// Broad predicates (at least half the records are candidates) walk
+    /// the store, narrow ones name their candidates — reads, erasures and
+    /// consent updates alike — and every answer, and the store left
+    /// behind, is the scan oracle's.
+    #[test]
+    fn walked_and_indexed_predicates_agree_with_the_scan_oracle() {
+        let controller = Session::controller();
+        let processor = Session::processor("core");
+        let ads = Session::processor("ads");
+        let regulator = Session::regulator();
+        let share = |party: &str| MetadataUpdate::Add(MetadataField::Sharing, party.into());
+        // (session, query, walks): the broad ones walk.
+        let steps: Vec<(&Session, GdprQuery, bool)> = vec![
+            (
+                &processor,
+                GdprQuery::ReadDataByPurpose("core".into()),
+                true,
+            ),
+            (
+                &processor,
+                GdprQuery::ReadDataNotObjecting("ads".into()),
+                true,
+            ),
+            (&processor, GdprQuery::ReadDataDecisionEligible, true),
+            (&ads, GdprQuery::ReadDataByPurpose("ads".into()), false),
+            (
+                &regulator,
+                GdprQuery::ReadMetadataByUser("u3".into()),
+                false,
+            ),
+            (
+                &regulator,
+                GdprQuery::ReadMetadataBySharedWith("x-corp".into()),
+                false,
+            ),
+            (
+                &controller,
+                GdprQuery::UpdateMetadataByPurpose {
+                    purpose: "core".into(),
+                    update: share("y-corp"),
+                },
+                true,
+            ),
+            (
+                &regulator,
+                GdprQuery::ReadMetadataBySharedWith("y-corp".into()),
+                true,
+            ),
+            (
+                &controller,
+                GdprQuery::UpdateMetadataByUser {
+                    user: "u4".into(),
+                    update: share("z-corp"),
+                },
+                false,
+            ),
+            (&controller, GdprQuery::DeleteByPurpose("ads".into()), false),
+            (&controller, GdprQuery::DeleteByUser("u5".into()), false),
+            (
+                &processor,
+                GdprQuery::ReadDataByPurpose("core".into()),
+                true,
+            ),
+            (&controller, GdprQuery::DeleteByPurpose("core".into()), true),
+            (
+                &processor,
+                GdprQuery::ReadDataByPurpose("core".into()),
+                true,
+            ),
+        ];
+        for (name, conn, calls) in engines() {
+            let oracle = scan_oracle();
+            load(conn.as_ref(), &controller, 0..200);
+            load(&oracle, &controller, 0..200);
+            calls.take();
+            for (step, (session, query, walks)) in steps.iter().enumerate() {
+                let got = conn.execute(session, query).map(sorted);
+                let want = oracle.execute(session, query).map(sorted);
+                assert_eq!(got, want, "{name} step {step}: {query:?}");
+                let (walked, batched) = calls.take();
+                assert_eq!(walked > 0, *walks, "{name} step {step}: {query:?} walked");
+                assert_eq!(batched > 0, !*walks, "{name} step {step}: {query:?} named");
+            }
+            assert_eq!(conn.record_count(), oracle.record_count(), "{name}");
+            assert_eq!(conn.record_count(), 0, "{name}: the last erasure was total");
+        }
+    }
+
+    fn for_tenant(session: Session, tenant: &str) -> Session {
+        session.with_tenant(TenantId::new(tenant).unwrap())
+    }
+
+    /// A named tenant with a handful of records in a large store: a read
+    /// that matches all of them still names them — the walk would read
+    /// the whole store for five records.
+    #[test]
+    fn a_small_tenant_in_a_large_store_takes_the_index_path() {
+        for (name, conn, calls) in engines() {
+            load(conn.as_ref(), &Session::controller(), 0..200);
+            let acme = for_tenant(Session::controller(), "acme");
+            load(conn.as_ref(), &acme, 0..5);
+            calls.take();
+            let read = GdprQuery::ReadDataNotObjecting("ads".into());
+            let got = conn.execute(&for_tenant(Session::processor("core"), "acme"), &read);
+            let mut keys: Vec<String> = (got.unwrap().as_data().unwrap().iter())
+                .map(|(key, _)| key.clone())
+                .collect();
+            keys.sort();
+            assert_eq!(
+                keys,
+                ["k001", "k002", "k003", "k004"],
+                "{name}: k000 objects"
+            );
+            let (walked, batched) = calls.take();
+            assert_eq!(walked, 0, "{name}");
+            assert!(batched > 0, "{name}");
+        }
+    }
+
+    /// A tenant holding most of the store walks it, and the walk shows it
+    /// every tenant's records: none but its own may come back.
+    #[test]
+    fn a_walk_never_returns_another_tenants_key() {
+        for (name, conn, calls) in engines() {
+            load(conn.as_ref(), &Session::controller(), 0..20);
+            load(
+                conn.as_ref(),
+                &for_tenant(Session::controller(), "zeta"),
+                0..20,
+            );
+            let acme = for_tenant(Session::controller(), "acme");
+            load(conn.as_ref(), &acme, 0..200);
+            calls.take();
+            let read = GdprQuery::ReadDataByPurpose("core".into());
+            let got = conn.execute(&for_tenant(Session::processor("core"), "acme"), &read);
+            let mut got: Vec<(String, String)> = got.unwrap().as_data().unwrap().to_vec();
+            got.sort();
+            let want: Vec<(String, String)> =
+                (0..200).map(record).map(|r| (r.key, r.data)).collect();
+            assert_eq!(got, want, "{name}");
+            assert!(calls.take().0 > 0, "{name}: acme's read walked");
+            // An erasure by walk stays inside the tenant too.
+            let erase = GdprQuery::DeleteByPurpose("core".into());
+            assert_eq!(
+                conn.execute(&acme, &erase).unwrap(),
+                GdprResponse::Deleted(200)
+            );
+            assert!(calls.take().0 > 0, "{name}: acme's erasure walked");
+            assert_eq!(conn.record_count(), 40, "{name}");
+        }
     }
 }

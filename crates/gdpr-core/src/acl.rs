@@ -14,8 +14,8 @@
 
 use crate::error::{GdprError, GdprResult};
 use crate::query::GdprQuery;
-use crate::record::PersonalRecord;
 use crate::role::{Role, Session};
+use crate::wire::RecordView;
 
 /// The outcome of a successful static authorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,15 +157,17 @@ pub fn authorize(session: &Session, query: &GdprQuery) -> GdprResult<AclDecision
     }
 }
 
-/// Per-record visibility: may `session` act on `record`?
-pub fn record_visible(session: &Session, record: &PersonalRecord) -> bool {
+/// Per-record visibility: may `session` act on `record`? One rule over the
+/// borrowed shape — a parsed record is checked through
+/// [`crate::record::PersonalRecord::view`].
+pub fn record_visible(session: &Session, record: &RecordView<'_>) -> bool {
     match session.role {
         Role::Controller | Role::Regulator => true,
-        Role::Customer => session.user.as_deref() == Some(record.metadata.user.as_str()),
+        Role::Customer => session.user.as_deref() == Some(record.user),
         Role::Processor => session
             .purpose
             .as_deref()
-            .is_some_and(|p| record.metadata.allows_purpose(p)),
+            .is_some_and(|p| record.purposes.contains(p) && !record.objections.contains(p)),
     }
 }
 
@@ -173,7 +175,7 @@ pub fn record_visible(session: &Session, record: &PersonalRecord) -> bool {
 mod tests {
     use super::*;
     use crate::query::{MetadataField, MetadataUpdate};
-    use crate::record::Metadata;
+    use crate::record::{Metadata, PersonalRecord};
     use std::time::Duration;
 
     fn record_for(user: &str, purposes: &[&str]) -> PersonalRecord {
@@ -293,6 +295,7 @@ mod tests {
     #[test]
     fn record_visibility() {
         let record = record_for("neo", &["ads"]);
+        let record = record.view();
         assert!(record_visible(&Session::controller(), &record));
         assert!(record_visible(&Session::regulator(), &record));
         assert!(record_visible(&Session::customer("neo"), &record));
@@ -305,6 +308,6 @@ mod tests {
     fn objection_blocks_processor_visibility() {
         let mut record = record_for("neo", &["ads"]);
         record.metadata.objections.push("ads".into());
-        assert!(!record_visible(&Session::processor("ads"), &record));
+        assert!(!record_visible(&Session::processor("ads"), &record.view()));
     }
 }

@@ -13,17 +13,30 @@
 //!    ([`RecordStore::select`]); the relational store routes this to its
 //!    own secondary indexes.
 //! 2. **Engine index** — an attached [`MetadataIndex`] answers by inverted
-//!    lookup in O(matches); the candidate keys go to the store in one
-//!    [`RecordStore::fetch_many`] call and every record it shows is
-//!    re-verified as a [`RecordView`] of the stored text, then projected
-//!    straight into the response element. This is what turns the key-value
-//!    backend's O(n) scans into O(matches) reads.
+//!    lookup in O(matches), and its candidate count
+//!    ([`MetadataIndex::count_for`], O(1)) picks how the store is read:
+//!    * **walk** — when the candidates are at least half the store's
+//!      records and the store can walk ([`RecordStore::scan_each`]), one
+//!      pass over the store shows every record; each is filtered by
+//!      tenant ownership and the predicate, as the scan does. A broad read
+//!      names no key and probes no dictionary per candidate;
+//!    * **candidates** — otherwise the candidate keys go to the store in
+//!      one [`RecordStore::fetch_many`] call.
+//!
+//!    Either way every record is tested as a [`RecordView`] of the stored
+//!    text and projected straight into the response element. This is what
+//!    turns the key-value backend's O(n) scans into O(matches) reads.
 //! 3. **Full scan** — [`RecordStore::scan`] filtered by
 //!    [`RecordPredicate::matches`], the reference semantics.
 //!
-//! All three levels return identical result sets (the property suite pins
-//! this), so index and pushdown are pure accelerations, never semantic
-//! forks.
+//! All levels return identical result sets (the property suite pins
+//! this), so index, walk and pushdown are pure accelerations, never
+//! semantic forks.
+//!
+//! Point reads that answer from the record's text — READ-DATA-BY-KEY,
+//! READ-METADATA-BY-KEY, DELETE-RECORD-BY-KEY's visibility check and
+//! VERIFY-DELETION — borrow it through [`RecordStore::fetch_view`] instead
+//! of building a [`PersonalRecord`].
 
 use crate::acl::{authorize, record_visible};
 use crate::audit::AuditTrail;
@@ -405,16 +418,6 @@ impl<S: RecordStore> ComplianceEngine<S> {
         Ok(tenant.storage_key(key))
     }
 
-    /// Strip the tenant prefix off a storage key for a response. The
-    /// default tenant's keys pass through untouched (no reallocation).
-    fn logical_key(tenant: &TenantId, key: String) -> String {
-        if tenant.is_default() {
-            key
-        } else {
-            tenant.logical(&key).to_string()
-        }
-    }
-
     /// Fetch a record that must exist, or `NotFound` under its logical key.
     fn fetch_required(&self, tenant: &TenantId, key: &str) -> GdprResult<PersonalRecord> {
         let storage_key = self.storage_key(tenant, key)?;
@@ -423,18 +426,40 @@ impl<S: RecordStore> ComplianceEngine<S> {
             .ok_or_else(|| GdprError::NotFound(key.to_string()))
     }
 
+    /// `read` of a record that must exist, lent by
+    /// [`RecordStore::fetch_view`] — possibly under the store's shared
+    /// lock, so `read` must not call back into the store — or `NotFound`
+    /// under its logical key.
+    fn view_required<T>(
+        &self,
+        tenant: &TenantId,
+        key: &str,
+        read: impl FnOnce(RecordView<'_>) -> GdprResult<T>,
+    ) -> GdprResult<T> {
+        let storage_key = self.storage_key(tenant, key)?;
+        let (mut read, mut out) = (Some(read), None);
+        self.store.fetch_view(&storage_key, &mut |record| {
+            out = read.take().map(|read| read(record));
+        })?;
+        out.unwrap_or_else(|| Err(GdprError::NotFound(key.to_string())))
+    }
+
     /// `project` of each of **this tenant's** records matching `pred`,
-    /// resolved pushdown → index partition → scan. Pushdown and scan
-    /// evaluate over the shared store, so their results are filtered by
-    /// storage-key ownership; the index partition is tenant-scoped by
-    /// construction.
+    /// resolved pushdown → index partition (walk or candidates, by count)
+    /// → scan. Pushdown, walk and scan evaluate over the shared store, so
+    /// their results are filtered by storage-key ownership; the index
+    /// partition is tenant-scoped by construction.
     ///
-    /// On the index path the candidate keys are read in one
-    /// [`RecordStore::fetch_many`] call — made with the index lock already
-    /// released: a store that reaps a lapsed candidate calls back into the
-    /// index under its own lock. A candidate can be stale (expired since
-    /// indexing, or mutated concurrently), so each view is re-verified
-    /// against the reference semantics before it is projected.
+    /// With an index, [`MetadataIndex::count_for`] decides how the store
+    /// is read. When the candidates are at least half of the store's
+    /// records, one [`RecordStore::scan_each`] walk reads them all (if the
+    /// store can walk): every record is tested, none is named. Otherwise
+    /// the candidate keys are read in one [`RecordStore::fetch_many`] call
+    /// — made with the index lock already released: a store that reaps a
+    /// lapsed candidate calls back into the index under its own lock. A
+    /// candidate can be stale (expired since indexing, or mutated
+    /// concurrently), so each view is re-verified against the reference
+    /// semantics before it is projected.
     fn read_matching<T>(
         &self,
         state: &TenantState,
@@ -447,14 +472,28 @@ impl<S: RecordStore> ComplianceEngine<S> {
             let owned = records.iter().filter(|r| tenant.owns(&r.key));
             return Ok(owned.map(|r| project(r.view())).collect());
         }
-        if let Some(keys) = state.index.as_ref().and_then(|index| index.keys_for(pred)) {
-            let mut out = Vec::with_capacity(keys.len());
-            self.store.fetch_many(&keys, &mut |record| {
-                if pred.matches_view(&record) {
-                    out.push(project(record));
+        if let Some(index) = &state.index {
+            let candidates = index.count_for(pred);
+            if 2 * candidates >= self.store.record_count() {
+                let mut out = Vec::with_capacity(candidates);
+                let walked = self.store.scan_each(&mut |record| {
+                    if tenant.owns(record.key) && pred.matches_view(&record) {
+                        out.push(project(record));
+                    }
+                });
+                if let Some(walked) = walked {
+                    return walked.map(|()| out);
                 }
-            })?;
-            return Ok(out);
+            }
+            if let Some(keys) = index.keys_for(pred) {
+                let mut out = Vec::with_capacity(keys.len());
+                self.store.fetch_many(&keys, &mut |record| {
+                    if pred.matches_view(&record) {
+                        out.push(project(record));
+                    }
+                })?;
+                return Ok(out);
+            }
         }
         let records = self.store.scan()?;
         let matching = records
@@ -711,7 +750,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
         use GdprQuery::*;
         let tenant = &session.tenant;
         let decision = authorize(session, query)?;
-        let guard = |record: &PersonalRecord| -> GdprResult<()> {
+        let guard = |record: &RecordView<'_>| -> GdprResult<()> {
             if decision.requires_record_check && !record_visible(session, record) {
                 Err(GdprError::AccessDenied {
                     role: session.role.name().to_string(),
@@ -760,10 +799,12 @@ impl<S: RecordStore> ComplianceEngine<S> {
             }
 
             DeleteByKey(key) => {
-                let record = self.fetch_required(tenant, key)?;
-                guard(&record)?;
-                self.store.delete(&record.key)?;
-                self.unindex(state, &record.key);
+                let storage_key = self.view_required(tenant, key, |record| {
+                    guard(&record)?;
+                    Ok(record.key.to_string())
+                })?;
+                self.store.delete(&storage_key)?;
+                self.unindex(state, &storage_key);
                 Ok(GdprResponse::Deleted(1))
             }
             DeleteByPurpose(purpose) => Ok(GdprResponse::Deleted(self.delete_matching(
@@ -779,12 +820,11 @@ impl<S: RecordStore> ComplianceEngine<S> {
             )?)),
 
             ReadDataByKey(key) => {
-                let record = self.fetch_required(tenant, key)?;
-                guard(&record)?;
-                Ok(GdprResponse::Data(vec![(
-                    Self::logical_key(tenant, record.key),
-                    record.data,
-                )]))
+                let pair = self.view_required(tenant, key, |record| {
+                    guard(&record)?;
+                    Ok((key_of(&record), record.data.to_string()))
+                })?;
+                Ok(GdprResponse::Data(vec![pair]))
             }
             // Canonical READ-DATA-BY-PUR semantics for every backend:
             // declared purpose AND no objection to it (G5.1b + G21).
@@ -794,12 +834,11 @@ impl<S: RecordStore> ComplianceEngine<S> {
             ReadDataDecisionEligible => data_of(RecordPredicate::DecisionEligible),
 
             ReadMetadataByKey(key) => {
-                let record = self.fetch_required(tenant, key)?;
-                guard(&record)?;
-                Ok(GdprResponse::Metadata(vec![(
-                    Self::logical_key(tenant, record.key),
-                    record.metadata,
-                )]))
+                let pair = self.view_required(tenant, key, |record| {
+                    guard(&record)?;
+                    Ok((key_of(&record), record.metadata()))
+                })?;
+                Ok(GdprResponse::Metadata(vec![pair]))
             }
             ReadMetadataByUser(user) => metadata_of(RecordPredicate::User(user.clone())),
             ReadMetadataBySharedWith(party) => {
@@ -808,14 +847,14 @@ impl<S: RecordStore> ComplianceEngine<S> {
 
             UpdateDataByKey { key, data } => {
                 let mut record = self.fetch_required(tenant, key)?;
-                guard(&record)?;
+                guard(&record.view())?;
                 record.data = data.clone();
                 self.store.rewrite(&record, false)?;
                 Ok(GdprResponse::Updated(1))
             }
             UpdateMetadataByKey { key, update } => {
                 let mut record = self.fetch_required(tenant, key)?;
-                guard(&record)?;
+                guard(&record.view())?;
                 if update.leaves_unchanged(&record.view()) {
                     return Ok(GdprResponse::Updated(1));
                 }
@@ -843,9 +882,8 @@ impl<S: RecordStore> ComplianceEngine<S> {
             GetSystemFeatures => Ok(GdprResponse::Features(self.store.features())),
             VerifyDeletion(key) => {
                 let storage_key = self.storage_key(tenant, key)?;
-                Ok(GdprResponse::DeletionVerified(
-                    self.store.fetch(&storage_key)?.is_none(),
-                ))
+                let found = self.store.fetch_view(&storage_key, &mut |_| {})?;
+                Ok(GdprResponse::DeletionVerified(!found))
             }
         }
     }

@@ -159,11 +159,15 @@ impl Posting {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    fn len(&self) -> usize {
         match self {
-            Posting::Sparse(slots) => slots.is_empty(),
-            Posting::Dense(bits) => bits.len == 0,
+            Posting::Sparse(slots) => slots.len(),
+            Posting::Dense(bits) => bits.len,
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     fn contains(&self, slot: Slot) -> bool {
@@ -943,6 +947,29 @@ impl MetadataIndex {
         })
     }
 
+    /// How many candidates [`Self::keys_for`] would hand out for `pred`,
+    /// in O(1) from the lengths of the postings and slot sets, without
+    /// listing them. Exact for every predicate but `AllowsPurpose`, where
+    /// it is the declared count — an upper bound (the objectors among
+    /// them are not subtracted). The engine compares it with the store's
+    /// record count to choose between naming the candidates and walking
+    /// the store.
+    pub fn count_for(&self, pred: &RecordPredicate) -> usize {
+        let inner = self.inner.read();
+        let posting = |map: &Postings, term: &str| map.get(term).map_or(0, Posting::len);
+        match pred {
+            RecordPredicate::User(u) => posting(&inner.by_user, u),
+            RecordPredicate::DeclaredPurpose(p) | RecordPredicate::AllowsPurpose(p) => {
+                posting(&inner.by_purpose, p)
+            }
+            RecordPredicate::SharedWith(s) => posting(&inner.by_sharing, s),
+            RecordPredicate::NotObjecting(usage) => {
+                inner.live.len - posting(&inner.by_objection, usage)
+            }
+            RecordPredicate::DecisionEligible => inner.decision_eligible.len,
+        }
+    }
+
     /// Keys whose deadline is at or before `now_ms`, in deadline order.
     pub fn expired_keys(&self, now_ms: u64) -> Vec<Key> {
         let inner = self.inner.read();
@@ -1371,9 +1398,10 @@ mod tests {
     }
 
     /// Every answer of `idx` against the model: each predicate's
-    /// candidates as a set and in ascending slot order, the expired keys
-    /// (in deadline order) at several instants, every pool key's deadline,
-    /// the size, the dump, and that a term no key carries is dropped.
+    /// candidates as a set and in ascending slot order and their count,
+    /// the expired keys (in deadline order) at several instants, every
+    /// pool key's deadline, the size, the dump, and that a term no key
+    /// carries is dropped.
     fn check(idx: &MetadataIndex, model: &Model, pool: &[String], ctx: &str) {
         let records: Vec<PersonalRecord> = (model.iter())
             .map(|(key, (m, _))| PersonalRecord::new(key.as_str(), "d", m.clone()))
@@ -1388,6 +1416,16 @@ mod tests {
                 slots.windows(2).all(|w| w[0] < w[1]),
                 "{ctx}: {pred:?} not in ascending slot order: {slots:?}"
             );
+            // The count is exact, but for `AllowsPurpose`: the declared
+            // count, an upper bound.
+            let counted = match &pred {
+                RecordPredicate::AllowsPurpose(p) => {
+                    let declared = RecordPredicate::DeclaredPurpose(p.clone());
+                    records.iter().filter(|r| declared.matches(r)).count()
+                }
+                _ => got.len(),
+            };
+            assert_eq!(idx.count_for(&pred), counted, "{ctx}: count of {pred:?}");
             let mut got: Vec<String> = got.iter().map(|key| key.to_string()).collect();
             got.sort();
             let want: Vec<String> = (records.iter())

@@ -16,6 +16,13 @@
 //! under the store's shared lock)
 //! and the paged disk backend (one descent per touched leaf); `apply` by the
 //! disk backend (one transaction).
+//!
+//! Two borrowed reads sit beside them. `fetch_view` is a point read that
+//! lends the record as a [`RecordView`] (default: through `fetch`);
+//! `scan_each` is an optional walk over every record, `None` unless the
+//! store can read its records front to back without naming them — the
+//! key-value backend walks its keyspace's slots, and the engine takes it
+//! for a predicate most records match.
 
 use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
@@ -186,6 +193,40 @@ pub trait RecordStore: Send + Sync {
             }
         }
         Ok(())
+    }
+
+    /// Point lookup that lends the record to `visit` — once, if the key
+    /// holds one — and reports whether it did. The default goes through
+    /// [`Self::fetch`]. A store that overrides it (the key-value store)
+    /// shows the stored text in place under its shared lock, so `visit`
+    /// must not call back into the store; expiry is as for `fetch`, and so
+    /// is logging (a logged read is still one `GET`).
+    fn fetch_view(&self, key: &str, visit: &mut dyn FnMut(RecordView<'_>)) -> GdprResult<bool> {
+        let Some(record) = self.fetch(key)? else {
+            return Ok(false);
+        };
+        visit(record.view());
+        Ok(true)
+    }
+
+    /// Walk every record once and show it to `visit`, in the store's own
+    /// order — the predicate-read pushdown for a predicate most records
+    /// match, where naming every candidate costs more than reading the
+    /// store front to back. `None` (the default) means the store cannot
+    /// walk (or cannot here: the key-value store declines where its reads
+    /// are logged or sealed), and the engine names the candidates instead.
+    ///
+    /// A store that walks lends `visit` views of its stored text under its
+    /// shared lock, a fixed chunk of records per hold: `visit` must not
+    /// call back into the store. While writers run between chunks, a
+    /// record present for the whole walk is visited exactly once, a record
+    /// created during it is not visited, and a record deleted and
+    /// re-created during it is visited at most once. A past-due record is
+    /// skipped and **not** reaped. The walk sees every tenant's records;
+    /// the caller filters. A record that cannot be read fails the walk.
+    fn scan_each(&self, visit: &mut dyn FnMut(RecordView<'_>)) -> Option<GdprResult<()>> {
+        let _ = visit;
+        None
     }
 
     /// Insert a fresh record, arming its TTL. Fails with

@@ -1,10 +1,21 @@
-//! The keyspace: one dictionary whose entry holds a key's value and, if the
-//! key carries a TTL, its deadline. Redis' `redisDb` keeps the deadlines in
-//! a second dictionary (`expires`); folding them into the entry makes a
-//! lookup one hash probe, which a predicate read pays once per candidate.
-//! Two dense key sets sit beside the dictionary: the keys with a deadline
-//! (sampled by the lazy cycle, walked by the strict one) and every key
-//! (SCAN's cursor positions).
+//! The keyspace: a slab of slots that never move, and one dictionary from
+//! each key to its slot. A slot holds the key, its value and, if the key
+//! carries a TTL, its deadline — Redis' `redisDb` keeps the deadlines in a
+//! second dictionary (`expires`); folding them into the slot makes a lookup
+//! one hash probe and one slot read, which a predicate read pays once per
+//! candidate.
+//!
+//! A key keeps its slot from creation to deletion; a freed slot goes on a
+//! LIFO free list and is refilled by the next key created. Slot positions
+//! are therefore stable cursors: SCAN's cursor is a slot position, and a
+//! walk over the slab ([`Db::walk`]) can stop between chunks and resume at
+//! the next position. Each fill stamps its slot with `born`, the number of
+//! fills before it ([`Db::births`]), so a walk can tell a slot filled after
+//! it started — a new key, or a deleted key re-created into a free slot —
+//! from one it was meant to visit.
+//!
+//! One dense key set sits beside the slab: the keys with a deadline, which
+//! the lazy expiration cycle samples and the strict one walks.
 //!
 //! Expiry is enforced in two complementary ways, as in Redis:
 //! lazily-on-access here (a lookup of a past-due key deletes it and reports
@@ -18,6 +29,7 @@ use crate::value::Value;
 use bytes::Bytes;
 use clock::{SharedClock, Timestamp};
 use std::collections::hash_map::{self, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Callback invoked with the key of every record the store expires itself
@@ -36,15 +48,20 @@ pub enum Peek<'a> {
     Due,
 }
 
-/// One dictionary slot's payload.
-struct Entry {
+/// One filled slot of the slab.
+struct Slot {
+    /// The dictionary's own key (one allocation, shared).
+    key: Bytes,
     value: Value,
     /// Absolute expiry; `Some` exactly when the key is in the expire-set.
     deadline: Option<Timestamp>,
+    /// [`Db::births`] when this key was created: a walk started at a
+    /// smaller count skips the slot.
+    born: u64,
 }
 
-impl Entry {
-    /// True if the entry's deadline has passed at `now`. The boundary is
+impl Slot {
+    /// True if the slot's deadline has passed at `now`. The boundary is
     /// **inclusive** (`now >= at`): a key whose deadline equals the current
     /// instant is already expired. The engine-side metadata index
     /// (`MetadataIndex::expired_keys`) and the relational sweep daemon use
@@ -58,12 +75,17 @@ impl Entry {
 
 /// The keyspace.
 pub struct Db {
-    dict: HashMap<Bytes, Entry>,
+    /// Key → slot position.
+    dict: HashMap<Bytes, u32>,
+    /// The slab; `None` is a free slot.
+    slots: Vec<Option<Slot>>,
+    /// Free slot positions, refilled last-freed first.
+    free: Vec<u32>,
+    /// Slot fills so far: the next key created is born at this count.
+    births: u64,
     /// Keys with a deadline, sampleable in O(1) — what the expiration
     /// cycles draw from.
     expire_set: SampleSet<Bytes>,
-    /// All keys, dense-indexed for SCAN cursors.
-    key_index: SampleSet<Bytes>,
     clock: SharedClock,
     /// Notified on every TTL-driven eviction (never on plain DEL).
     expiry_listener: Option<ExpiryListener>,
@@ -73,8 +95,10 @@ impl Db {
     pub fn new(clock: SharedClock) -> Self {
         Db {
             dict: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            births: 0,
             expire_set: SampleSet::new(),
-            key_index: SampleSet::new(),
             clock,
             expiry_listener: None,
         }
@@ -101,10 +125,33 @@ impl Db {
         self.dict.is_empty()
     }
 
+    /// Slot positions in the slab, filled or free: a walk or a SCAN is done
+    /// at this position.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Slot fills so far. A walk started now visits only slots born below
+    /// this count.
+    pub fn births(&self) -> u64 {
+        self.births
+    }
+
+    /// The slot holding `key`.
+    fn slot(&self, key: &[u8]) -> Option<&Slot> {
+        let &at = self.dict.get(key)?;
+        self.slots[at as usize].as_ref()
+    }
+
+    fn slot_mut(&mut self, key: &[u8]) -> Option<&mut Slot> {
+        let &at = self.dict.get(key)?;
+        self.slots[at as usize].as_mut()
+    }
+
     /// Expire-on-access: if `key` is past due at `now`, delete it, notify
     /// the expiry listener and report that it was reaped.
     fn reap_if_due(&mut self, key: &[u8], now: Timestamp) -> bool {
-        if !self.dict.get(key).is_some_and(|entry| entry.is_due(now)) {
+        if !self.slot(key).is_some_and(|slot| slot.is_due(now)) {
             return false;
         }
         self.remove(key);
@@ -115,15 +162,15 @@ impl Db {
     }
 
     /// The keyspace lookup, without side effects: what `key` holds at
-    /// `now`, in one probe. The caller reads the clock — once per command,
+    /// `now`, in one probe and one slot read. The caller reads the clock — once per command,
     /// however many keys the command names. This is all a GET needs unless
     /// the key is [`Peek::Due`], so it is what the store runs under its
     /// shared lock.
     pub fn peek(&self, key: &[u8], now: Timestamp) -> Peek<'_> {
-        match self.dict.get(key) {
+        match self.slot(key) {
             None => Peek::Absent,
-            Some(entry) if entry.is_due(now) => Peek::Due,
-            Some(entry) => Peek::Live(&entry.value),
+            Some(slot) if slot.is_due(now) => Peek::Due,
+            Some(slot) => Peek::Live(&slot.value),
         }
     }
 
@@ -132,7 +179,7 @@ impl Db {
         if self.reap_if_due(key, self.clock.now()) {
             return None;
         }
-        self.dict.get(key).map(|entry| &entry.value)
+        self.slot(key).map(|slot| &slot.value)
     }
 
     /// Write access to a live (non-expired) value.
@@ -140,7 +187,7 @@ impl Db {
         if self.reap_if_due(key, self.clock.now()) {
             return None;
         }
-        self.dict.get_mut(key).map(|entry| &mut entry.value)
+        self.slot_mut(key).map(|slot| &mut slot.value)
     }
 
     /// Write access to a live value, creating it with `make` when absent.
@@ -156,7 +203,7 @@ impl Db {
         if !self.dict.contains_key(key) {
             self.set(Bytes::copy_from_slice(key), make());
         }
-        let v = &mut self.dict.get_mut(key).expect("just inserted").value;
+        let v = &mut self.slot_mut(key).expect("just inserted").value;
         if check(v) {
             Ok(v)
         } else {
@@ -165,35 +212,48 @@ impl Db {
     }
 
     /// Insert or replace the value at `key`. Clears any existing expiry, as
-    /// `SET` does in Redis.
+    /// `SET` does in Redis. A replaced value stays in its slot; a new key
+    /// takes the last-freed slot, or a new one at the end of the slab.
     pub fn set(&mut self, key: Bytes, value: Value) {
         match self.dict.entry(key) {
-            hash_map::Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                entry.value = value;
-                if entry.deadline.take().is_some() {
-                    self.expire_set.remove(slot.key());
+            hash_map::Entry::Occupied(entry) => {
+                let slot = self.slots[*entry.get() as usize]
+                    .as_mut()
+                    .expect("a mapped slot is filled");
+                slot.value = value;
+                if slot.deadline.take().is_some() {
+                    self.expire_set.remove(&slot.key);
                 }
             }
-            hash_map::Entry::Vacant(slot) => {
-                self.key_index.insert(slot.key().clone());
-                slot.insert(Entry {
+            hash_map::Entry::Vacant(entry) => {
+                let at = self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(None);
+                    u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots")
+                });
+                self.slots[at as usize] = Some(Slot {
+                    key: entry.key().clone(),
                     value,
                     deadline: None,
+                    born: self.births,
                 });
+                self.births += 1;
+                entry.insert(at);
             }
         }
     }
 
     /// Remove a key entirely. Returns `true` if it existed.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        let Some((key, entry)) = self.dict.remove_entry(key) else {
+        let Some(at) = self.dict.remove(key) else {
             return false;
         };
-        if entry.deadline.is_some() {
-            self.expire_set.remove(&key);
+        let slot = self.slots[at as usize]
+            .take()
+            .expect("a mapped slot is filled");
+        if slot.deadline.is_some() {
+            self.expire_set.remove(&slot.key);
         }
-        self.key_index.remove(&key);
+        self.free.push(at);
         true
     }
 
@@ -207,19 +267,21 @@ impl Db {
         if self.reap_if_due(key, self.clock.now()) {
             return false;
         }
-        let Some(entry) = self.dict.get_mut(key) else {
+        let Some(&pos) = self.dict.get(key) else {
             return false;
         };
-        if entry.deadline.replace(at).is_none() {
-            let (key, _) = self.dict.get_key_value(key).expect("just found");
-            self.expire_set.insert(key.clone());
+        let slot = self.slots[pos as usize]
+            .as_mut()
+            .expect("a mapped slot is filled");
+        if slot.deadline.replace(at).is_none() {
+            self.expire_set.insert(slot.key.clone());
         }
         true
     }
 
     /// The absolute expiry time of `key`, if any.
     pub fn expiry_of(&self, key: &[u8]) -> Option<Timestamp> {
-        self.dict.get(key).and_then(|entry| entry.deadline)
+        self.slot(key).and_then(|slot| slot.deadline)
     }
 
     /// Number of keys carrying an expiry.
@@ -241,7 +303,7 @@ impl Db {
     pub fn due_expire_keys(&self, now: Timestamp) -> Vec<Bytes> {
         self.expire_set
             .iter()
-            .filter(|key| self.dict.get(*key).is_some_and(|entry| entry.is_due(now)))
+            .filter(|key| self.slot(key).is_some_and(|slot| slot.is_due(now)))
             .cloned()
             .collect()
     }
@@ -251,24 +313,63 @@ impl Db {
         self.reap_if_due(key, self.clock.now())
     }
 
-    /// Cursor-based iteration (the `SCAN` command). Returns matching keys in
-    /// the window plus the next cursor (0 when done). The guarantee matches
-    /// Redis': every key present for the whole scan is returned at least
-    /// once; no stability under concurrent mutation.
+    /// Cursor-based iteration (the `SCAN` command). The cursor is a slot
+    /// position: a call looks at `count` positions from `cursor` and
+    /// returns the matching keys it found there (fewer than `count` where
+    /// slots are free) plus the next cursor (0 when done). Redis'
+    /// guarantee holds: every key present for the whole scan is returned,
+    /// and exactly once, because a key never leaves its slot. A key
+    /// created or deleted during the scan may or may not be returned.
     pub fn scan(&self, cursor: usize, count: usize, pattern: Option<&[u8]>) -> (Vec<Bytes>, usize) {
-        let mut out = Vec::new();
-        let mut idx = cursor;
-        let end = (cursor + count).min(self.key_index.len());
-        while idx < end {
-            if let Some(key) = self.key_index.get_at(idx) {
-                if pattern.is_none_or(|p| glob_match(p, key)) {
-                    out.push(key.clone());
-                }
-            }
-            idx += 1;
-        }
-        let next = if idx >= self.key_index.len() { 0 } else { idx };
+        let end = cursor.saturating_add(count).min(self.slots.len());
+        let window = self.slots.get(cursor..end).unwrap_or_default();
+        let out = (window.iter().flatten())
+            .filter(|slot| pattern.is_none_or(|p| glob_match(p, &slot.key)))
+            .map(|slot| slot.key.clone())
+            .collect();
+        let next = if end >= self.slots.len() { 0 } else { end };
         (out, next)
+    }
+
+    /// One stretch of a keyspace walk: show `visit` the key and value of
+    /// every slot at the positions in `range` whose key starts with
+    /// `prefix`, that was born before `epoch` (the [`Self::births`] count
+    /// when the walk started) and that is not due at `now`. Past-due
+    /// entries are skipped, not reaped — the walk reads, it never writes.
+    /// A visited value that is not a string fails with `WrongType`.
+    ///
+    /// A walk is these calls over consecutive ranges from position 0 to
+    /// the slot count at its start. Whatever happens between two calls, a
+    /// key present for the whole walk is visited exactly once (it never
+    /// leaves its slot), a key created during the walk is not visited
+    /// (born too late), and a key deleted and re-created during the walk
+    /// is visited at most once (its new slot is born too late).
+    ///
+    /// The outer error is the keyspace's; the inner one is the first error
+    /// `visit` returned, which stops the walk.
+    pub fn walk<E>(
+        &self,
+        range: Range<usize>,
+        epoch: u64,
+        now: Timestamp,
+        prefix: &[u8],
+        mut visit: impl FnMut(&Bytes, &Bytes) -> Result<(), E>,
+    ) -> KvResult<Result<(), E>> {
+        let end = range.end.min(self.slots.len());
+        let window = self
+            .slots
+            .get(range.start.min(end)..end)
+            .unwrap_or_default();
+        for slot in window.iter().flatten() {
+            if slot.born >= epoch || !slot.key.starts_with(prefix) || slot.is_due(now) {
+                continue;
+            }
+            let visited = visit(&slot.key, slot.value.as_str()?);
+            if visited.is_err() {
+                return Ok(visited);
+            }
+        }
+        Ok(Ok(()))
     }
 
     /// Approximate memory footprint of all keys and values, for the
@@ -276,9 +377,8 @@ impl Db {
     /// key plus an `expires` entry per key with a deadline, whatever this
     /// keyspace's own layout.
     pub fn memory_usage(&self) -> usize {
-        self.dict
-            .iter()
-            .map(|(k, entry)| k.len() + 48 + entry.value.memory_usage())
+        (self.slots.iter().flatten())
+            .map(|slot| slot.key.len() + 48 + slot.value.memory_usage())
             .sum::<usize>()
             + self.expire_set.len() * 24
     }
@@ -443,6 +543,159 @@ mod tests {
         assert_eq!(keys.len(), 2);
     }
 
+    /// Redis' SCAN guarantee: a key present for the whole scan is
+    /// returned. Deleting a key the scan already returned must not move an
+    /// unvisited key behind the cursor.
+    #[test]
+    fn scan_returns_every_key_present_throughout_when_another_is_deleted() {
+        let (_c, mut db) = sim_db();
+        let keys: Vec<Bytes> = (0..10).map(|i| b(&format!("k{i}"))).collect();
+        for key in &keys {
+            db.set(key.clone(), Value::Str(b("v")));
+        }
+        let (mut seen, mut cursor) = db.scan(0, 5, None);
+        let deleted = seen[0].clone();
+        assert!(db.remove(&deleted));
+        while cursor != 0 {
+            let (page, next) = db.scan(cursor, 5, None);
+            seen.extend(page);
+            cursor = next;
+        }
+        for key in keys.iter().filter(|key| **key != deleted) {
+            assert_eq!(
+                seen.iter().filter(|k| *k == key).count(),
+                1,
+                "{key:?} returned once"
+            );
+        }
+    }
+
+    /// The keys one walk visits, cut after every `chunk` slot positions;
+    /// `between` runs on the keyspace at each cut.
+    fn walk_in_chunks(
+        db: &mut Db,
+        chunk: usize,
+        prefix: &[u8],
+        mut between: impl FnMut(&mut Db, usize),
+    ) -> KvResult<Vec<Bytes>> {
+        let (epoch, end) = (db.births(), db.slot_count());
+        let mut seen = Vec::new();
+        for (cut, start) in (0..end).step_by(chunk).enumerate() {
+            let now = db.clock().now();
+            let Ok(()) = db.walk(start..start + chunk, epoch, now, prefix, |key, _| {
+                seen.push(key.clone());
+                Ok::<_, std::convert::Infallible>(())
+            })?;
+            between(db, cut);
+        }
+        Ok(seen)
+    }
+
+    fn set_all(db: &mut Db, keys: &[&str]) {
+        for key in keys {
+            db.set(b(key), Value::Str(b(key)));
+        }
+    }
+
+    #[test]
+    fn a_walk_visits_each_key_present_throughout_exactly_once() {
+        let (_c, mut db) = sim_db();
+        let keys: Vec<String> = (0..20).map(|i| format!("k{i:02}")).collect();
+        for key in &keys {
+            db.set(b(key), Value::Str(b(key)));
+        }
+        // Between chunks: delete a key ahead of the cursor and one behind
+        // it, and rewrite a third in place.
+        let seen = walk_in_chunks(&mut db, 4, b"", |db, cut| {
+            if cut == 0 {
+                assert!(db.remove(b"k19"));
+                assert!(db.remove(b"k01"));
+                db.set(b("k10"), Value::Str(b("rewritten")));
+            }
+        })
+        .unwrap();
+        let mut want: Vec<Bytes> = keys.iter().filter(|k| *k != "k19").map(|k| b(k)).collect();
+        want.sort();
+        let mut got = seen.clone();
+        got.sort();
+        assert_eq!(got, want, "k01 went behind the cursor, k19 ahead of it");
+    }
+
+    #[test]
+    fn a_walk_skips_keys_created_after_it_started() {
+        let (_c, mut db) = sim_db();
+        set_all(&mut db, &["a", "b", "c", "d", "e", "f"]);
+        let seen = walk_in_chunks(&mut db, 2, b"", |db, cut| {
+            if cut == 0 {
+                // One key into a freed slot ahead of the cursor, one at
+                // the end of the slab.
+                assert!(db.remove(b"e"));
+                set_all(db, &["new-in-free-slot", "new-at-end"]);
+            }
+        })
+        .unwrap();
+        assert_eq!(seen, [b("a"), b("b"), b("c"), b("d"), b("f")]);
+    }
+
+    #[test]
+    fn a_key_deleted_and_recreated_ahead_of_the_walk_is_visited_at_most_once() {
+        let (_c, mut db) = sim_db();
+        set_all(&mut db, &["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"]);
+        let seen = walk_in_chunks(&mut db, 4, b"", |db, cut| {
+            if cut == 0 {
+                // k2 was visited; free slot 6 (ahead) last, so the LIFO
+                // free list re-creates k2 there, ahead of the cursor.
+                assert!(db.remove(b"k2"));
+                assert!(db.remove(b"k6"));
+                set_all(db, &["k2"]);
+                assert_eq!(db.dict[&b("k2")], 6);
+            }
+        })
+        .unwrap();
+        assert_eq!(seen.iter().filter(|k| **k == b("k2")).count(), 1);
+        assert_eq!(
+            seen,
+            [
+                b("k0"),
+                b("k1"),
+                b("k2"),
+                b("k3"),
+                b("k4"),
+                b("k5"),
+                b("k7")
+            ]
+        );
+    }
+
+    #[test]
+    fn a_walk_skips_past_due_keys_without_reaping_them() {
+        let (sim, mut db) = sim_db();
+        let reaped = Arc::new(std::sync::Mutex::new(0));
+        let sink = Arc::clone(&reaped);
+        db.set_expiry_listener(Arc::new(move |_| *sink.lock().unwrap() += 1));
+        set_all(&mut db, &["live", "due", "later"]);
+        db.set_expiry(b"due", Timestamp::from_secs(5));
+        db.set_expiry(b"later", Timestamp::from_secs(6));
+        sim.advance(Duration::from_secs(5)); // deadline == now is due
+        let seen = walk_in_chunks(&mut db, 2, b"", |_, _| {}).unwrap();
+        assert_eq!(seen, [b("live"), b("later")]);
+        assert_eq!(db.len(), 3, "the walk reaps nothing");
+        assert!(matches!(db.peek(b"due", sim.now()), Peek::Due));
+        assert_eq!(*reaped.lock().unwrap(), 0);
+    }
+
+    #[test]
+    fn a_walk_visits_only_its_prefix_and_fails_on_a_non_string_under_it() {
+        let (_c, mut db) = sim_db();
+        set_all(&mut db, &["rec:a", "idx:a", "rec:b"]);
+        db.set(b("idx:z"), Value::ZSet(Default::default()));
+        let seen = walk_in_chunks(&mut db, 2, b"rec:", |_, _| {}).unwrap();
+        assert_eq!(seen, [b("rec:a"), b("rec:b")]);
+        db.set(b("rec:z"), Value::ZSet(Default::default()));
+        let failed = walk_in_chunks(&mut db, 2, b"rec:", |_, _| {});
+        assert_eq!(failed, Err(KvError::WrongType));
+    }
+
     #[test]
     fn memory_usage_grows_with_data() {
         let (_c, mut db) = sim_db();
@@ -504,7 +757,9 @@ mod tests {
     /// with the model on every key's answer and deadline, on its sizes, on
     /// the space formula and on a full SCAN — and the expiry listener must
     /// have fired exactly once per key the keyspace reaped, never for a
-    /// DEL.
+    /// DEL. A second SCAN runs one page per step, interleaved with the
+    /// creates and removes: each time it finishes, every key present since
+    /// it started must have been returned exactly once.
     #[test]
     fn db_matches_a_btreemap_model() {
         for seed in 1..=8u64 {
@@ -519,6 +774,11 @@ mod tests {
             let mut rng = XorShift64::new(seed);
             let keys: Vec<Bytes> = (0..12).map(|i| b(&format!("key-{i}"))).collect();
             let mut strict = ExpirationCycle::new(ExpirationMode::Strict);
+            // A SCAN in progress across steps: its cursor, the keys it has
+            // returned, and the keys present since it started.
+            let mut scan_at = 0;
+            let mut returned: Vec<Bytes> = Vec::new();
+            let mut throughout: BTreeSet<Bytes> = BTreeSet::new();
             for step in 0..2_000 {
                 let now = sim.now();
                 let key = keys[rng.next_below(keys.len())].clone();
@@ -617,6 +877,21 @@ mod tests {
                     cursor = next;
                 }
                 assert!(scanned.iter().eq(model.keys()), "seed {seed} step {step}");
+
+                // One page of the interleaved SCAN; a finished one must have
+                // returned every key present throughout, and each once.
+                throughout.retain(|key| model.contains_key(key));
+                let (page, next) = db.scan(scan_at, 3, None);
+                returned.extend(page);
+                scan_at = next;
+                if scan_at == 0 {
+                    for key in &throughout {
+                        let times = returned.iter().filter(|k| *k == key).count();
+                        assert_eq!(times, 1, "seed {seed} step {step}: {key:?}");
+                    }
+                    returned.clear();
+                    throughout = model.keys().cloned().collect();
+                }
                 // A strict cycle reaps in the expire-set's order, so the
                 // listener's log is compared as a multiset.
                 let mut heard = fired.lock().unwrap().clone();

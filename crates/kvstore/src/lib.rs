@@ -7,17 +7,18 @@
 //! * **Single-threaded command execution.** Every command funnels through one
 //!   lock ([`server::KvStore`]), so writes and reads serialize exactly as in
 //!   Redis' event loop. This is what makes the GDPR security features so much
-//!   more expensive here than in the relational store. The one exception is
-//!   the reader [`KvStore::read_each`]: where a read has no side effect to
-//!   serialize (nothing to reap, log or seal) it looks keys up under the
-//!   lock's shared side and lends its caller the stored values — see
-//!   [`server`].
+//!   more expensive here than in the relational store. The exceptions are
+//!   the readers [`KvStore::read_each`] and [`KvStore::read_prefix`]: where
+//!   a read has no side effect to serialize (nothing to reap, log or seal)
+//!   they look keys up, or walk the keyspace's slots, under the lock's
+//!   shared side and lend their caller the stored values — see [`server`].
 //! * **No secondary indexes.** The keyspace is a hash table; any query that
 //!   is not a key lookup must SCAN, which is how the paper's metadata-based
 //!   GDPR queries end up O(n) (Figures 5a, 7b). A key's TTL deadline lives
-//!   in its dictionary entry ([`db`]), not in a second `expires` table as in
-//!   Redis, so a lookup is one hash probe even when every key carries a TTL,
-//!   as every GDPR record does.
+//!   in its slot ([`db`]), not in a second `expires` table as in Redis, so a
+//!   lookup is one hash probe and one slot read even when every key carries
+//!   a TTL, as every GDPR record does. Slots never move, so SCAN's cursor is
+//!   a slot position and a walk over the slots sees every key exactly once.
 //! * **Lazy probabilistic expiration.** The stock expiration cycle samples 20
 //!   random keys from the expire-set every 100 ms and only loops immediately
 //!   when ≥5 were expired ([`expire`]). The GDPR retrofit switches this to a
@@ -40,7 +41,7 @@
 //! | command | who issues it |
 //! |---|---|
 //! | `SET` | [`KvStore::set`] / [`KvStore::set_ex`]: the Redis connector's put / rewrite, YCSB insert and update |
-//! | `GET` | [`KvStore::get`] (the connector's fetch, YCSB read) where reads are logged or sealed; otherwise it reads on the shared side |
+//! | `GET` | [`KvStore::read_key`] / [`KvStore::get`] (the connector's point reads, YCSB read) where reads are logged or sealed; otherwise it reads on the shared side |
 //! | `MGET` | [`KvStore::read_each`] (the connector's `fetch_many` and scan) where reads are logged or sealed, one per chunk of keys |
 //! | `DEL` | [`KvStore::del`]: the connector's delete |
 //! | `EXISTS` | [`KvStore::exists`]: the connector's create-collision probe |

@@ -4,10 +4,10 @@
 //! Redis keeps the keys-with-expiry in a dict it can sample randomly
 //! (`dictGetRandomKey`). A plain `HashMap` cannot be sampled in O(1), so the
 //! store pairs a dense `Vec` of elements with a position map; removal
-//! swap-removes and patches the displaced element's index. The keyspace
-//! keeps two: the keys with a deadline, which the lazy expiration cycle
-//! samples and the strict one walks, and every key, whose dense positions
-//! are SCAN's cursors.
+//! swap-removes and patches the displaced element's index, so positions
+//! move and are no cursors. The keyspace keeps one: the keys with a
+//! deadline, which the lazy expiration cycle samples and the strict one
+//! walks.
 
 use crate::rng::XorShift64;
 use std::collections::HashMap;
@@ -75,12 +75,6 @@ impl<T: Eq + Hash + Clone> SampleSet<T> {
         } else {
             Some(&self.items[rng.next_below(self.items.len())])
         }
-    }
-
-    /// Element at a dense position (used for SCAN-style cursors). Positions
-    /// are only stable in the absence of removals.
-    pub fn get_at(&self, idx: usize) -> Option<&T> {
-        self.items.get(idx)
     }
 
     /// Iterate all elements in dense order.

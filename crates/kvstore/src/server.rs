@@ -8,26 +8,34 @@
 //! strict expiry bookkeeping) is paid inside the serial section.
 //!
 //! Every [`Command`] runs on that exclusive side, `GET` and `MGET`
-//! included. One reader runs on the **shared** side instead:
-//! [`KvStore::read_each`], which [`KvStore::get`] and the GDPR connector's
-//! point, batched and scan reads all go through. It looks keys up
-//! ([`crate::db::Db::peek`]) and shows its caller each stored value in
-//! place — no reply is built and no value is copied — so a batched
-//! predicate read does not take the store away from the point reads beside
-//! it, or from another batch. Answering takes the exclusive side only
-//! where it has a side effect:
+//! included. Two readers run on the **shared** side instead, and show
+//! their caller each stored value in place — no reply is built and no
+//! value is copied — so a batched predicate read does not take the store
+//! away from the point reads beside it, or from another batch:
+//!
+//! * [`KvStore::read_each`] looks named keys up ([`crate::db::Db::peek`]):
+//!   the GDPR connector's batched reads and its scan. [`KvStore::read_key`]
+//!   is its one-key case, which [`KvStore::get`] and the connector's point
+//!   reads go through;
+//! * [`KvStore::read_prefix`] walks the keyspace's slots front to back
+//!   ([`crate::db::Db::walk`]) — the connector's broad predicate reads,
+//!   which would otherwise name nearly every key.
+//!
+//! Answering takes the exclusive side only where it has a side effect:
 //!
 //! * a named key is past due — that one key is reaped through the
 //!   exclusive side, which fires the expiry listener; the keys after it
-//!   are read on the shared side again;
+//!   are read on the shared side again (the walk skips past-due keys
+//!   instead, and reaps nothing);
 //! * `log_reads` with an AOF attached — the read appends a frame, and the
 //!   log is one ordered stream;
 //! * `encrypt_transit` — both channel endpoints advance their nonce
 //!   counters per message, which is a write to shared state.
 //!
-//! In the last two cases the reader runs the commands it stands for
-//! through [`KvStore::execute`]: one `MGET` per chunk of
-//! [`READ_CHUNK`] keys, or one `GET` for a point read.
+//! In the last two cases `read_each` runs the commands it stands for
+//! through [`KvStore::execute`]: one `MGET` per chunk of [`READ_CHUNK`]
+//! keys, or one `GET` for a point read; the walk declines, and its caller
+//! names the keys instead.
 
 use crate::aof;
 use crate::commands::{Command, Reply};
@@ -45,9 +53,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Keys [`KvStore::read_each`] looks up per hold of the shared lock — and
-/// per `MGET` on a store whose reads have side effects: the longest the
-/// store is held for one batched read, whatever its size.
+/// Keys [`KvStore::read_each`] looks up, and slots [`KvStore::read_prefix`]
+/// walks, per hold of the shared lock — and keys per `MGET` on a store
+/// whose reads have side effects: the longest the store is held for one
+/// batched read, whatever its size.
 pub const READ_CHUNK: usize = 512;
 
 struct Inner {
@@ -234,6 +243,68 @@ impl KvStore {
         self.read(keys, storage_key, visit, false)
     }
 
+    /// [`Self::read_each`] of one key, whose side-effect path runs a `GET`
+    /// rather than an `MGET`: a point read that lends `visit` the stored
+    /// value (if the key holds a live one) instead of copying it out.
+    pub fn read_key<E>(
+        &self,
+        key: &[u8],
+        visit: impl FnMut(&Bytes) -> Result<(), E>,
+    ) -> KvResult<Result<(), E>> {
+        self.read(&[key], |key, buf| buf.extend_from_slice(key), visit, true)
+    }
+
+    /// Walk every live string under `prefix` and show `visit` its key and
+    /// value, borrowed in place — one pass over the keyspace's slots in
+    /// slot order, [`READ_CHUNK`] slots per hold of the shared lock, with
+    /// no key named and none looked up. `visit` runs under the lock: it
+    /// must not call back into this store.
+    ///
+    /// What a walk sees while writers run between its chunks is
+    /// [`Db::walk`]'s guarantee: a key present for the whole walk is
+    /// visited exactly once; a key created during the walk is not visited;
+    /// a key deleted and re-created during it is visited at most once.
+    /// A past-due key is skipped and **not** reaped. A non-string value
+    /// under the prefix fails the walk with `WrongType`.
+    ///
+    /// `None` where reads have side effects (`log_reads` with an AOF, or
+    /// `encrypt_transit`): the walk would read keys no logged or sealed
+    /// command names, so the caller must name them ([`Self::read_each`]).
+    /// The `commands` / `reads` counters tick once per chunk.
+    pub fn read_prefix<E>(
+        &self,
+        prefix: &[u8],
+        mut visit: impl FnMut(&Bytes, &Bytes) -> Result<(), E>,
+    ) -> Option<KvResult<Result<(), E>>> {
+        let (epoch, end) = {
+            let inner = self.inner.read();
+            if self.reads_have_side_effects(&inner) {
+                return None;
+            }
+            (inner.db.births(), inner.db.slot_count())
+        };
+        // Slots past `end` were all filled after the walk started.
+        for start in (0..end).step_by(READ_CHUNK) {
+            let inner = self.inner.read();
+            self.stats.commands.fetch_add(1, Ordering::Relaxed);
+            self.stats.reads.fetch_add(1, Ordering::Relaxed);
+            let range = start..(start + READ_CHUNK).min(end);
+            match inner
+                .db
+                .walk(range, epoch, self.clock.now(), prefix, &mut visit)
+            {
+                Ok(Ok(())) => {}
+                stopped => return Some(stopped),
+            }
+        }
+        Some(Ok(Ok(())))
+    }
+
+    /// Does a read append to the AOF or advance the transit channel?
+    fn reads_have_side_effects(&self, inner: &Inner) -> bool {
+        inner.transit.is_some() || (self.config.log_reads && inner.aof.is_some())
+    }
+
     /// [`Self::read_each`], whose side-effect path runs one `GET` for a
     /// `point` read (of one key) and one `MGET` per chunk otherwise.
     fn read<K, E>(
@@ -246,7 +317,7 @@ impl KvStore {
         let mut key = Vec::new();
         for chunk in keys.chunks(READ_CHUNK) {
             let mut inner = self.inner.read();
-            if inner.transit.is_some() || (self.config.log_reads && inner.aof.is_some()) {
+            if self.reads_have_side_effects(&inner) {
                 drop(inner);
                 let mut keys: Vec<Bytes> = chunk
                     .iter()
@@ -499,15 +570,14 @@ impl KvStore {
         .map(|_| ())
     }
 
-    /// A point read through [`Self::read_each`]'s path (a `GET` where
-    /// reads have side effects).
+    /// A point read through [`Self::read_key`] (a `GET` where reads have
+    /// side effects), the value copied out.
     pub fn get(&self, key: &[u8]) -> KvResult<Option<Bytes>> {
         let mut found = None;
-        let visit = |value: &Bytes| {
+        let Ok(()) = self.read_key(key, |value| {
             found = Some(value.clone());
             Ok::<(), std::convert::Infallible>(())
-        };
-        let Ok(()) = self.read(&[key], |key, buf| buf.extend_from_slice(key), visit, true)?;
+        })?;
         Ok(found)
     }
 
@@ -878,6 +948,100 @@ mod tests {
         store.set(b"b", b"2").unwrap();
         assert_eq!(read_all(&store, &["b", "ghost", "a"]).unwrap(), ["2", "1"]);
         assert_eq!(store.stats().reads.load(Ordering::Relaxed), 1);
+    }
+
+    /// Every key `read_prefix` shows, as owned strings, in visit order;
+    /// `None` where the store declines the walk.
+    fn walk_all(store: &KvStore, prefix: &str) -> Option<KvResult<Vec<String>>> {
+        let mut seen = Vec::new();
+        let walked = store.read_prefix(prefix.as_bytes(), |key, _| {
+            seen.push(String::from_utf8(key.to_vec()).unwrap());
+            Ok::<_, std::convert::Infallible>(())
+        })?;
+        Some(walked.map(|Ok(())| seen))
+    }
+
+    /// The walk visits every live key under the prefix once, across chunk
+    /// boundaries, ticks the counters once per chunk, and neither reaps a
+    /// past-due key nor logs anything.
+    #[test]
+    fn read_prefix_walks_every_live_key_under_the_prefix_once() {
+        let sim = clock::sim();
+        let config = KvConfig {
+            aof: Storage::Memory,
+            fsync: FsyncPolicy::Never,
+            ..Default::default()
+        };
+        let store = KvStore::open_with_clock(config, sim.clone()).unwrap();
+        let keys: Vec<String> = (0..READ_CHUNK + 10)
+            .map(|i| format!("rec:{i:04}"))
+            .collect();
+        for key in &keys {
+            store.set(key.as_bytes(), b"v").unwrap();
+            store.set(format!("other:{key}").as_bytes(), b"v").unwrap();
+        }
+        store
+            .set_ex(keys[7].as_bytes(), b"lapsing", Duration::from_secs(5))
+            .unwrap();
+        sim.advance(Duration::from_secs(5));
+        let frames = store.aof_memory_buffer().unwrap().lock().len();
+        let reads = store.stats().reads.load(Ordering::Relaxed);
+
+        let mut want = keys.clone();
+        want.remove(7);
+        assert_eq!(walk_all(&store, "rec:").unwrap().unwrap(), want);
+        let chunks = (2 * keys.len()).div_ceil(READ_CHUNK) as u64;
+        assert_eq!(store.stats().reads.load(Ordering::Relaxed), reads + chunks);
+        assert_eq!(store.dbsize(), 2 * keys.len(), "nothing reaped");
+        assert_eq!(store.aof_memory_buffer().unwrap().lock().len(), frames);
+    }
+
+    /// Where a read appends to the AOF or advances the transit channel the
+    /// walk declines: no command names the keys it would read.
+    #[test]
+    fn read_prefix_declines_where_reads_have_side_effects() {
+        let cases = [
+            (true, Storage::Memory, false, false),
+            (false, Storage::Disabled, true, false),
+            (true, Storage::Disabled, false, true),
+            (false, Storage::Memory, false, true),
+        ];
+        for (log_reads, aof, encrypt_transit, walks) in cases {
+            let config = KvConfig {
+                aof,
+                fsync: FsyncPolicy::Never,
+                log_reads,
+                encrypt_transit,
+                ..Default::default()
+            };
+            let store = KvStore::open(config).unwrap();
+            store.set(b"rec:a", b"1").unwrap();
+            let walked = walk_all(&store, "rec:");
+            assert_eq!(walked.is_some(), walks, "log_reads {log_reads}");
+            if let Some(walked) = walked {
+                assert_eq!(walked.unwrap(), ["rec:a"]);
+            }
+        }
+    }
+
+    /// The walk stops at the first error `visit` returns.
+    #[test]
+    fn read_prefix_stops_at_the_visitors_error() {
+        let store = KvStore::open(KvConfig::default()).unwrap();
+        for key in ["a", "b", "c"] {
+            store.set(key.as_bytes(), b"v").unwrap();
+        }
+        let mut visited = 0;
+        let walked = store.read_prefix(b"", |_, _| {
+            visited += 1;
+            if visited == 2 {
+                Err("stop")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(walked, Some(Ok(Err("stop"))));
+        assert_eq!(visited, 2);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Oracle {
         use GdprQuery::*;
         let decision = authorize(session, query)?;
         let visible = |r: &PersonalRecord| -> bool {
-            !decision.requires_record_check || record_visible(session, r)
+            !decision.requires_record_check || record_visible(session, &r.view())
         };
         let denied = |r: &PersonalRecord, q: &GdprQuery| -> GdprError {
             let _ = r;
@@ -156,7 +156,7 @@ impl Oracle {
                     .records
                     .get_mut(key)
                     .ok_or_else(|| GdprError::NotFound(key.clone()))?;
-                if decision.requires_record_check && !record_visible(session, record) {
+                if decision.requires_record_check && !record_visible(session, &record.view()) {
                     return Err(GdprError::AccessDenied {
                         role: session.role.name().to_string(),
                         query: query.name().to_string(),
@@ -171,7 +171,7 @@ impl Oracle {
                     .records
                     .get_mut(key)
                     .ok_or_else(|| GdprError::NotFound(key.clone()))?;
-                if decision.requires_record_check && !record_visible(session, record) {
+                if decision.requires_record_check && !record_visible(session, &record.view()) {
                     return Err(GdprError::AccessDenied {
                         role: session.role.name().to_string(),
                         query: query.name().to_string(),
