@@ -11,6 +11,7 @@
 
 use crate::report::ExperimentTable;
 use gdpr_core::{wire, GdprConnector, GdprQuery, MetadataIndex, PersonalRecord, Session};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::datagen;
@@ -236,10 +237,15 @@ pub const PRED_READ_RECORDS: usize = 20_000;
 ///
 /// * `index_churn_remove_ns` / `index_churn_create_ns` — one
 ///   `MetadataIndex::remove` of a random indexed key / the `upsert` that
-///   re-creates it.
+///   re-creates it;
+///
+/// and what it pays the key-value store, in commands and AOF frames (see
+/// [`write_costs`]): `kv_create_frames`, `kv_update_by_key_frames`,
+/// `kv_update_by_key_commands`.
 pub fn run_pred_reads() -> (ExperimentTable, Vec<(&'static str, f64)>) {
     let mut series = pred_reads(PRED_READ_RECORDS, 7, 30);
     series.extend(index_churn(CHURN_RECORDS, 7));
+    series.extend(write_costs());
     let mut table = ExperimentTable::new(
         format!("Broad predicate reads on redis-mi ({PRED_READ_RECORDS} records)"),
         &["metric", "value"],
@@ -410,6 +416,59 @@ fn read_each_ns_per_key(store: &kvstore::KvStore, keys: &[Arc<str>], rounds: usi
     })
 }
 
+/// What one point write through the engine costs a `redis-mi` store with
+/// an AOF attached, counted from its `KvStats` around the call, on a
+/// TTL-carrying record (as every corpus record is):
+///
+/// * `kv_create_frames` — the AOF frames one CREATE-RECORD appends;
+/// * `kv_update_by_key_frames` / `kv_update_by_key_commands` — the AOF
+///   frames and store commands of one UPDATE-DATA-BY-KEY: its point read
+///   and its rewrite.
+///
+/// A frame is counted twice, as a generation step (`mutations`) and as an
+/// appended frame (`aof_records`), and the two must agree.
+pub fn write_costs() -> Vec<(&'static str, f64)> {
+    let config = kvstore::KvConfig {
+        aof: kvstore::config::Storage::Memory,
+        fsync: kvstore::FsyncPolicy::Never,
+        ..Default::default()
+    };
+    let kv = kvstore::KvStore::open(config).expect("open kvstore");
+    let conn =
+        connectors::RedisConnector::with_metadata_index(Arc::clone(&kv)).expect("attach index");
+    let record = datagen::record_of(0, &stable_corpus(1));
+    assert!(
+        record.metadata.ttl.is_some(),
+        "a corpus record carries a TTL"
+    );
+    let user = Session::customer(record.metadata.user.clone());
+    let update = GdprQuery::UpdateDataByKey {
+        key: record.key.clone(),
+        data: "rectified".into(),
+    };
+    // (commands, frames) the store runs for `query`.
+    let cost = |session: &Session, query: &GdprQuery| {
+        let stats = kv.stats();
+        let counts = || {
+            let frames = stats.mutations.load(Ordering::Relaxed);
+            let appended = stats.aof_records.load(Ordering::Relaxed);
+            assert_eq!(frames, appended, "every generation step is one frame");
+            (stats.commands.load(Ordering::Relaxed), frames)
+        };
+        let before = counts();
+        conn.execute(session, query).expect("point write");
+        let after = counts();
+        ((after.0 - before.0) as f64, (after.1 - before.1) as f64)
+    };
+    let (_, create_frames) = cost(&Session::controller(), &GdprQuery::CreateRecord(record));
+    let (update_commands, update_frames) = cost(&user, &update);
+    vec![
+        ("kv_create_frames", create_frames),
+        ("kv_update_by_key_frames", update_frames),
+        ("kv_update_by_key_commands", update_commands),
+    ]
+}
+
 /// The corpus behind the `index_churn_*` rows: `customer-wire`'s.
 pub const CHURN_RECORDS: usize = 100_000;
 
@@ -484,6 +543,21 @@ mod tests {
         let series = pred_reads(2_000, 2, 3);
         assert_eq!(series.len(), 8);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
+    }
+
+    /// A TTL-carrying create is one `SET` frame; an update by key is a
+    /// point read and one `SET` frame.
+    #[test]
+    fn write_costs_are_one_frame_per_write() {
+        let series = write_costs();
+        assert_eq!(
+            series,
+            [
+                ("kv_create_frames", 1.0),
+                ("kv_update_by_key_frames", 1.0),
+                ("kv_update_by_key_commands", 2.0),
+            ]
+        );
     }
 
     #[test]

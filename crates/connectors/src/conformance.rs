@@ -125,6 +125,50 @@ fn create_then_duplicate_rejected() {
     }
 }
 
+/// Two controllers create one fresh key at the same instant: exactly one
+/// is acked and the other gets `AlreadyExists`, and the record stored is
+/// the winner's — a create is one atomic store write, never a check
+/// followed by a separate write.
+#[test]
+fn concurrent_creates_of_one_key_ack_exactly_one() {
+    const ROUNDS: usize = 500;
+    for conn in connectors() {
+        let conn = conn.as_ref();
+        let barrier = std::sync::Barrier::new(2);
+        let create = |side: &str| {
+            (0..ROUNDS)
+                .map(|round| {
+                    let data = format!("{side}-{round}");
+                    let r = record(&format!("race-{round}"), "neo", &["ads"], &data);
+                    barrier.wait();
+                    conn.execute(&Session::controller(), &GdprQuery::CreateRecord(r))
+                })
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| create("a"));
+            let b = s.spawn(|| create("b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (round, (a, b)) in a.into_iter().zip(b).enumerate() {
+            let key = format!("race-{round}");
+            let winner = match (a, b) {
+                (Ok(GdprResponse::Created), Err(GdprError::AlreadyExists(k))) if k == key => "a",
+                (Err(GdprError::AlreadyExists(k)), Ok(GdprResponse::Created)) if k == key => "b",
+                other => panic!("{} round {round}: {other:?}", conn.name()),
+            };
+            let read = GdprQuery::ReadDataByKey(key.clone());
+            assert_eq!(
+                conn.execute(&Session::processor("ads"), &read).unwrap(),
+                GdprResponse::Data(vec![(key, format!("{winner}-{round}"))]),
+                "{} round {round}",
+                conn.name()
+            );
+        }
+        assert_eq!(conn.record_count(), ROUNDS, "{}", conn.name());
+    }
+}
+
 #[test]
 fn customer_reads_own_data_only() {
     for conn in connectors() {
@@ -2051,9 +2095,10 @@ fn restart_equivalence_sharded_and_remote() {
 }
 
 /// Restart equivalence, unsharded `redis-mi` — once over the stock
-/// write-only AOF and once over a `log_reads` one, whose GET / MGET /
-/// EXISTS / SCAN frames (everything `RedisStore` issues) must replay to the
-/// identical generation, or the image's stamp would stop matching.
+/// write-only AOF and once over a `log_reads` one, whose GET / MGET / SCAN
+/// frames (everything `RedisStore` issues) must replay to the identical
+/// generation, or the image's stamp would stop matching. Every record
+/// write is one `SET` frame, TTL included.
 #[test]
 fn restart_equivalence_redis_mi() {
     for log_reads in [false, true] {
@@ -2079,12 +2124,9 @@ fn restart_equivalence_redis_mi() {
         logged.sort();
         logged.dedup();
         if log_reads {
-            assert_eq!(
-                logged,
-                ["DEL", "EXISTS", "EXPIREAT", "GET", "MGET", "SCAN", "SET"]
-            );
+            assert_eq!(logged, ["DEL", "GET", "MGET", "SCAN", "SET"]);
         } else {
-            assert_eq!(logged, ["DEL", "EXPIREAT", "SET"]);
+            assert_eq!(logged, ["DEL", "SET"]);
         }
         let replayed = kvstore::KvStore::replay(config, &aof, sim.clone()).unwrap();
         assert_eq!(

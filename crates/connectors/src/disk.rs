@@ -61,8 +61,8 @@ impl DiskStore {
 
     /// A rewrite's deadline: re-armed from the declared TTL when that
     /// changed, else the replaced entry's absolute deadline carried over
-    /// exactly (millisecond-preserving, like the kvstore's SET + EXPIREAT
-    /// pair) — read off the entry during the write's own descent.
+    /// exactly, as the kvstore's `SET … KEEPTTL` keeps it — read off the
+    /// entry during the write's own descent.
     fn rewrite_deadline(&self, record: &PersonalRecord, ttl_changed: bool) -> Deadline {
         if ttl_changed {
             Deadline::At(self.deadline_from_ttl(record))
@@ -107,7 +107,7 @@ impl RecordStore for DiskStore {
 
     /// Insert, arming the native per-entry deadline from the declared TTL.
     /// The page store's collision probe lazily reaps an expired occupant,
-    /// exactly like the kvstore EXISTS probe.
+    /// exactly like the kvstore's `SET NX`.
     fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
         let value = wire::serialize(record);
         let deadline = self.deadline_from_ttl(record);

@@ -1,11 +1,14 @@
 //! The Redis-shaped GDPR backend (§5.1 of the paper).
 //!
 //! Layout: one string key `rec:<key>` per record, holding the §4.2.1 wire
-//! form, with a native `EXPIRE` when the record carries a TTL. The store
-//! itself has no secondary structures, so the backend resolves every
-//! metadata predicate by SCANning the whole `rec:*` keyspace and parsing
-//! each record — precisely how the paper's Redis behaves and why its GDPR
-//! workloads run orders of magnitude slower than YCSB (Figures 5a, 7b).
+//! form, with a native deadline when the record carries a TTL. Every
+//! record write is one `SET` that carries its own condition and deadline
+//! (`NX`, `PX`, `PXAT`, `KEEPTTL`), so the store decides both atomically
+//! and logs the write as one AOF frame. The store itself has no secondary
+//! structures, so the backend resolves every metadata predicate by
+//! SCANning the whole `rec:*` keyspace and parsing each record — precisely
+//! how the paper's Redis behaves and why its GDPR workloads run orders of
+//! magnitude slower than YCSB (Figures 5a, 7b).
 //!
 //! With the index attached, a narrow predicate resolves to candidate keys
 //! and the engine reads them through [`RecordStore::fetch_many`]: one
@@ -44,7 +47,7 @@ use gdpr_core::record::PersonalRecord;
 use gdpr_core::store::{ExpiryListener, RecordStore};
 use gdpr_core::wire::{self, RecordView};
 use kvstore::expire::ExpirationMode;
-use kvstore::{Command, KvStore};
+use kvstore::{Command, KvStore, Reply, SetDeadline};
 use std::sync::Arc;
 
 const KEY_PREFIX: &str = "rec:";
@@ -54,8 +57,8 @@ const KEY_PREFIX: &str = "rec:";
 const SCAN_BATCH: usize = 512;
 
 /// [`RecordStore`] over [`kvstore::KvStore`]: wire-format strings under
-/// `rec:<key>`, TTL via native EXPIRE, full-keyspace SCAN as the only
-/// native predicate path.
+/// `rec:<key>`, TTL as the `SET`'s own deadline, full-keyspace SCAN as the
+/// only native predicate path.
 pub struct RedisStore {
     store: Arc<KvStore>,
     /// `redis` or `redis-mi`, fixed at connector construction.
@@ -96,6 +99,34 @@ impl RedisStore {
         std::str::from_utf8(storage_key)
             .ok()?
             .strip_prefix(KEY_PREFIX)
+    }
+
+    /// Every record write: one `SET` of the record's wire form under its
+    /// storage key. A nil reply is an `NX` that found a live occupant.
+    fn set(
+        &self,
+        record: &PersonalRecord,
+        only_if_absent: bool,
+        deadline: SetDeadline,
+    ) -> GdprResult<()> {
+        let set = Command::Set {
+            key: Self::storage_key(&record.key).into(),
+            value: wire::serialize(record).into(),
+            only_if_absent,
+            deadline,
+        };
+        match self.store.execute(set).map_err(Self::store_err)? {
+            Reply::Nil => Err(GdprError::AlreadyExists(record.key.clone())),
+            _ => Ok(()),
+        }
+    }
+
+    /// The deadline a record's declared TTL asks for.
+    fn ttl_deadline(record: &PersonalRecord) -> SetDeadline {
+        record
+            .metadata
+            .ttl
+            .map_or(SetDeadline::Clear, SetDeadline::In)
     }
 
     /// The one SCAN loop: every `rec:*` storage key, the cursor walked to
@@ -189,61 +220,21 @@ impl RecordStore for RedisStore {
             .map_err(Self::store_err)?
     }
 
-    /// Store a record, setting EXPIRE from its TTL. Collision detection is
-    /// an EXISTS probe (hash lookup, lazily reaping an expired occupant) —
-    /// much cheaper than a GET, which would decrypt and parse the record.
+    /// One `SET NX [PX ttl]`: the store refuses a live occupant (a past-due
+    /// one is reaped and replaced) and arms the TTL in the same command.
     fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
-        let key = Self::storage_key(&record.key);
-        if self.store.exists(key.as_ref()).map_err(Self::store_err)? {
-            return Err(GdprError::AlreadyExists(record.key.clone()));
-        }
-        let value = wire::serialize(record);
-        match record.metadata.ttl {
-            Some(ttl) => self
-                .store
-                .set_ex(key.as_ref(), value.as_bytes(), ttl)
-                .map_err(Self::store_err),
-            None => self
-                .store
-                .set(key.as_ref(), value.as_bytes())
-                .map_err(Self::store_err),
-        }
+        self.set(record, true, Self::ttl_deadline(record))
     }
 
-    /// Rewrite a record in place, preserving its remaining store-level TTL
-    /// unless the update changed the TTL itself.
+    /// One `SET KEEPTTL`, which keeps the record's exact deadline in place
+    /// — or, when the update changed the TTL, one `SET [PX ttl]`.
     fn rewrite(&self, record: &PersonalRecord, ttl_changed: bool) -> GdprResult<()> {
-        let key = Self::storage_key(&record.key);
-        let value = wire::serialize(record);
-        if ttl_changed {
-            return match record.metadata.ttl {
-                Some(ttl) => self
-                    .store
-                    .set_ex(key.as_ref(), value.as_bytes(), ttl)
-                    .map_err(Self::store_err),
-                None => self
-                    .store
-                    .set(key.as_ref(), value.as_bytes())
-                    .map_err(Self::store_err),
-            };
-        }
-        // Preserve the exact millisecond deadline: SET clears any expiry, so
-        // re-arm with EXPIREAT afterwards. Going through the seconds-granular
-        // TTL command instead would shave up to 1s per rewrite (and a
-        // sub-second remainder would truncate to an instant expiry).
-        let deadline = self.store.expiry_at(key.as_ref());
-        self.store
-            .set(key.as_ref(), value.as_bytes())
-            .map_err(Self::store_err)?;
-        if let Some(at) = deadline {
-            self.store
-                .execute(Command::ExpireAt {
-                    key: key.into(),
-                    at_ms: at.as_millis(),
-                })
-                .map_err(Self::store_err)?;
-        }
-        Ok(())
+        let deadline = if ttl_changed {
+            Self::ttl_deadline(record)
+        } else {
+            SetDeadline::Keep
+        };
+        self.set(record, false, deadline)
     }
 
     fn delete(&self, key: &str) -> GdprResult<bool> {
@@ -252,31 +243,16 @@ impl RecordStore for RedisStore {
             .map_err(Self::store_err)
     }
 
-    /// Insert under a known absolute deadline — the shard-rebalance path.
-    /// SET then EXPIREAT, so a migrated record keeps its exact remaining
-    /// lifetime instead of being re-armed with the full declared TTL.
+    /// One `SET NX [PXAT at]` — the shard-rebalance path: a migrated
+    /// record keeps its exact remaining lifetime instead of being re-armed
+    /// with the full declared TTL.
     fn put_with_deadline(
         &self,
         record: &PersonalRecord,
         deadline_ms: Option<u64>,
     ) -> GdprResult<()> {
-        let key = Self::storage_key(&record.key);
-        if self.store.exists(key.as_ref()).map_err(Self::store_err)? {
-            return Err(GdprError::AlreadyExists(record.key.clone()));
-        }
-        let value = wire::serialize(record);
-        self.store
-            .set(key.as_ref(), value.as_bytes())
-            .map_err(Self::store_err)?;
-        if let Some(at_ms) = deadline_ms {
-            self.store
-                .execute(Command::ExpireAt {
-                    key: key.into(),
-                    at_ms,
-                })
-                .map_err(Self::store_err)?;
-        }
-        Ok(())
+        let deadline = deadline_ms.map_or(SetDeadline::Clear, SetDeadline::At);
+        self.set(record, true, deadline)
     }
 
     /// Full keyspace walk: SCAN `rec:*` in batches, then read every record

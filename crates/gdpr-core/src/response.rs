@@ -2,7 +2,7 @@
 
 use crate::audit::Chunks;
 use crate::compliance::FeatureReport;
-use crate::record::{Metadata, PersonalRecord};
+use crate::record::Metadata;
 use std::borrow::Cow;
 
 /// One audit/system log line returned to a regulator.
@@ -94,8 +94,6 @@ pub enum GdprResponse {
     Created,
     /// Deletion removed this many records.
     Deleted(usize),
-    /// Full records (key + data + metadata).
-    Records(Vec<PersonalRecord>),
     /// Data-only pairs `(key, data)` — what processors see.
     Data(Vec<(String, String)>),
     /// Metadata-only pairs `(key, metadata)` — what regulators see.
@@ -116,7 +114,6 @@ impl GdprResponse {
         match self {
             GdprResponse::Created => 1,
             GdprResponse::Deleted(n) | GdprResponse::Updated(n) => *n,
-            GdprResponse::Records(v) => v.len(),
             GdprResponse::Data(v) => v.len(),
             GdprResponse::Metadata(v) => v.len(),
             GdprResponse::Logs(v) => v.len(),
@@ -128,13 +125,6 @@ impl GdprResponse {
     pub fn as_data(&self) -> Option<&[(String, String)]> {
         match self {
             GdprResponse::Data(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_records(&self) -> Option<&[PersonalRecord]> {
-        match self {
-            GdprResponse::Records(v) => Some(v),
             _ => None,
         }
     }
@@ -190,7 +180,6 @@ mod tests {
     fn accessors() {
         let r = GdprResponse::Data(vec![("k".into(), "v".into())]);
         assert!(r.as_data().is_some());
-        assert!(r.as_records().is_none());
         assert!(r.as_metadata().is_none());
     }
 }

@@ -486,10 +486,6 @@ fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
                 a.extend(b);
                 Metadata(a)
             }
-            (Records(mut a), Records(b)) => {
-                a.extend(b);
-                Records(a)
-            }
             (a, b) => {
                 return Err(GdprError::Store(format!(
                     "shard response shape mismatch: {a:?} vs {b:?}"
@@ -500,7 +496,6 @@ fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
     match &mut acc {
         Data(pairs) => pairs.sort(),
         Metadata(pairs) => pairs.sort_by(|x, y| x.0.cmp(&y.0)),
-        Records(records) => records.sort_by(|x, y| x.key.cmp(&y.key)),
         _ => {}
     }
     Ok(acc)

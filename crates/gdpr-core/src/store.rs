@@ -231,12 +231,16 @@ pub trait RecordStore: Send + Sync {
 
     /// Insert a fresh record, arming its TTL. Fails with
     /// [`crate::GdprError::AlreadyExists`] on key collision — collision
-    /// detection is the backend's job (the engine does not pre-fetch).
+    /// detection is the backend's job (the engine does not pre-fetch). One
+    /// atomic store write on every backend (a conditional `SET`, an
+    /// `INSERT`, a B-tree insert): of two concurrent creates of one key,
+    /// exactly one succeeds.
     fn put(&self, record: &PersonalRecord) -> GdprResult<()>;
 
-    /// Rewrite an existing record in place. When `ttl_changed` is false the
-    /// record's original expiry deadline is preserved; when true the
-    /// deadline is re-armed from `record.metadata.ttl`.
+    /// Rewrite an existing record in place, as one atomic store write.
+    /// When `ttl_changed` is false the record's original expiry deadline is
+    /// preserved; when true the deadline is re-armed from
+    /// `record.metadata.ttl`.
     fn rewrite(&self, record: &PersonalRecord, ttl_changed: bool) -> GdprResult<()>;
 
     /// Erase one record. Returns whether it existed.
@@ -313,7 +317,8 @@ pub trait RecordStore: Send + Sync {
     /// (which would retain personal data up to twice as long). Backends
     /// that track native deadlines should override; the default arms from
     /// the declared TTL, which is correct for stores with no native expiry
-    /// tracking (their engine index carries the deadline instead).
+    /// tracking (their engine index carries the deadline instead). Like
+    /// [`Self::put`], one atomic store write that refuses a collision.
     fn put_with_deadline(
         &self,
         record: &PersonalRecord,

@@ -87,6 +87,40 @@ mod tests {
         }
     }
 
+    /// Logs written before `SET` carried its own deadline hold a TTL'd
+    /// write as a `SET` + `EXPIREAT` pair. Such a log still replays to
+    /// the keyspace, deadlines and generation it always did — one step per
+    /// frame — and to the same keyspace and deadlines as today's single
+    /// `SET … PXAT` frame.
+    #[test]
+    fn the_set_expireat_pair_replays_like_one_set_pxat_frame() {
+        use crate::{KvConfig, KvStore};
+        let sim = clock::sim();
+        let replay = |commands: &[Vec<Bytes>]| {
+            let raw = logged(commands, None);
+            KvStore::replay(KvConfig::default(), &raw, sim.clone()).unwrap()
+        };
+        let [set, expireat, del] = golden_commands();
+        let pair = replay(&[set, expireat]);
+        let single = replay(&[vec![b("SET"), b("k"), b("v"), b("PXAT"), b("1000")]]);
+        for (store, generation) in [(&pair, 2), (&single, 1)] {
+            assert_eq!(store.dbsize(), 1);
+            assert_eq!(store.get(b"k").unwrap(), Some(b("v")));
+            assert_eq!(
+                store.expiry_at(b"k"),
+                Some(clock::Timestamp::from_millis(1000))
+            );
+            assert_eq!(store.expire_set_len(), 1);
+            assert_eq!(store.mutation_generation(), generation);
+        }
+        let golden = replay(&golden_commands());
+        assert_eq!(golden.dbsize(), 0);
+        assert_eq!(golden.mutation_generation(), 3);
+        let single_then_del = replay(&[vec![b("SET"), b("k"), b("v"), b("PXAT"), b("1000")], del]);
+        assert_eq!(single_then_del.dbsize(), 0);
+        assert_eq!(single_then_del.mutation_generation(), 2);
+    }
+
     #[test]
     fn strict_replay_refuses_a_torn_tail_and_trailing_bytes() {
         let raw = logged(&golden_commands(), None);

@@ -77,15 +77,34 @@ impl Reply {
     }
 }
 
-/// A typed store command — exactly the ten some caller issues (see the
-/// table in the crate docs). Anything else in a replayed log is a syntax
-/// error, never a skipped frame.
+/// What a `SET` does to its key's deadline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SetDeadline {
+    /// No option: the key carries no deadline afterwards.
+    Clear,
+    /// `KEEPTTL`: an existing key keeps its deadline, exactly and in
+    /// place; a new key gets none.
+    Keep,
+    /// `PX ms` (or `EX s`): the deadline is this far from now.
+    In(Duration),
+    /// `PXAT ms`: the deadline is this instant, in milliseconds on the
+    /// store's clock.
+    At(u64),
+}
+
+/// A typed store command — the ten some caller issues or some log holds
+/// (see the table in the crate docs). Anything else in a replayed log is a
+/// syntax error, never a skipped frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
+    /// `SET key value [NX] [PX ms | EX s | PXAT ms | KEEPTTL]`. With `NX`
+    /// (`only_if_absent`) a live occupant is left untouched and the reply
+    /// is nil; a past-due one is reaped first, so it counts as absent.
     Set {
         key: Bytes,
         value: Bytes,
-        expire: Option<Duration>,
+        only_if_absent: bool,
+        deadline: SetDeadline,
     },
     Get {
         key: Bytes,
@@ -161,12 +180,22 @@ impl Command {
         let s = |t: &str| Bytes::copy_from_slice(t.as_bytes());
         let mut parts = vec![s(self.name())];
         match self {
-            Set { key, value, expire } => {
+            Set {
+                key,
+                value,
+                only_if_absent,
+                deadline,
+            } => {
                 parts.push(key.clone());
                 parts.push(value.clone());
-                if let Some(d) = expire {
-                    parts.push(s("PX"));
-                    parts.push(s(&d.as_millis().to_string()));
+                if *only_if_absent {
+                    parts.push(s("NX"));
+                }
+                match deadline {
+                    SetDeadline::Clear => {}
+                    SetDeadline::Keep => parts.push(s("KEEPTTL")),
+                    SetDeadline::In(d) => parts.extend([s("PX"), s(&d.as_millis().to_string())]),
+                    SetDeadline::At(ms) => parts.extend([s("PXAT"), s(&ms.to_string())]),
                 }
             }
             Get { key } => {
@@ -253,21 +282,36 @@ impl Command {
         Ok(match name.as_str() {
             "SET" => {
                 at_least(2)?;
-                let expire = if args.len() >= 4 {
-                    let unit = std::str::from_utf8(&args[2]).unwrap_or("");
-                    let n = parse_u64(&args[3])?;
-                    match unit.to_ascii_uppercase().as_str() {
-                        "PX" => Some(Duration::from_millis(n)),
-                        "EX" => Some(Duration::from_secs(n)),
-                        other => return Err(KvError::Syntax(format!("bad SET option {other}"))),
+                // A log is input from outside the program: an option given
+                // twice, or two deadline options, is refused, not guessed.
+                let (mut only_if_absent, mut deadline) = (false, None);
+                let mut options = args[2..].iter();
+                while let Some(option) = options.next() {
+                    let option = String::from_utf8_lossy(option).to_ascii_uppercase();
+                    // A missing value parses as the empty string: refused.
+                    let mut number = || parse_u64(options.next().map_or(&[][..], |n| n));
+                    let given = match option.as_str() {
+                        "NX" if !only_if_absent => {
+                            only_if_absent = true;
+                            continue;
+                        }
+                        "PX" => Some(SetDeadline::In(Duration::from_millis(number()?))),
+                        "EX" => Some(SetDeadline::In(Duration::from_secs(number()?))),
+                        "PXAT" => Some(SetDeadline::At(number()?)),
+                        "KEEPTTL" => Some(SetDeadline::Keep),
+                        _ => None,
+                    };
+                    if given.is_none() || deadline.is_some() {
+                        let msg = format!("bad, repeated or conflicting SET option {option}");
+                        return Err(KvError::Syntax(msg));
                     }
-                } else {
-                    None
-                };
+                    deadline = given;
+                }
                 Set {
                     key: args[0].clone(),
                     value: args[1].clone(),
-                    expire,
+                    only_if_absent,
+                    deadline: deadline.unwrap_or(SetDeadline::Clear),
                 }
             }
             "GET" => {
@@ -382,12 +426,23 @@ impl Command {
     pub fn execute(&self, db: &mut Db) -> KvResult<Reply> {
         use Command::*;
         Ok(match self {
-            Set { key, value, expire } => {
-                db.set(key.clone(), Value::Str(value.clone()));
-                if let Some(d) = expire {
-                    let at = db.clock().now() + *d;
-                    db.set_expiry(key, at);
+            Set {
+                key,
+                value,
+                only_if_absent,
+                deadline,
+            } => {
+                // `exists` reaps a past-due occupant, which then is absent.
+                if *only_if_absent && db.exists(key) {
+                    return Ok(Reply::Nil);
                 }
+                let at = match deadline {
+                    SetDeadline::Clear => None,
+                    SetDeadline::Keep => db.expiry_of(key),
+                    SetDeadline::In(ttl) => Some(db.clock().now() + *ttl),
+                    SetDeadline::At(ms) => Some(Timestamp::from_millis(*ms)),
+                };
+                db.set(key.clone(), Value::Str(value.clone()), at);
                 Reply::Ok
             }
             Get { key } => bulk_or_nil(db.get(key))?,
@@ -526,7 +581,8 @@ mod tests {
                 Command::Set {
                     key: b("k"),
                     value: b("v"),
-                    expire: None
+                    only_if_absent: false,
+                    deadline: SetDeadline::Clear
                 }
             ),
             Reply::Ok
@@ -556,7 +612,8 @@ mod tests {
             Command::Set {
                 key: b("k"),
                 value: b("v"),
-                expire: Some(Duration::from_secs(10)),
+                only_if_absent: false,
+                deadline: SetDeadline::In(Duration::from_secs(10)),
             },
         );
         assert_eq!(db.expiry_of(b"k"), Some(Timestamp::from_secs(10)));
@@ -576,7 +633,8 @@ mod tests {
             Command::Set {
                 key: b("s"),
                 value: b("v"),
-                expire: None,
+                only_if_absent: false,
+                deadline: SetDeadline::Clear,
             },
         );
         run(
@@ -726,7 +784,8 @@ mod tests {
                 Command::Set {
                     key: b(&format!("k{i}")),
                     value: b("v"),
-                    expire: None,
+                    only_if_absent: false,
+                    deadline: SetDeadline::Clear,
                 },
             );
         }
@@ -750,12 +809,14 @@ mod tests {
             Command::Set {
                 key: b("k"),
                 value: b("v"),
-                expire: Some(Duration::from_millis(1500)),
+                only_if_absent: false,
+                deadline: SetDeadline::In(Duration::from_millis(1500)),
             },
             Command::Set {
                 key: b("k"),
                 value: b("v"),
-                expire: None,
+                only_if_absent: false,
+                deadline: SetDeadline::Clear,
             },
             Command::Get { key: b("k") },
             Command::MGet {
@@ -808,6 +869,58 @@ mod tests {
         }
     }
 
+    /// Every `SET` shape survives the wire; `EX` seconds parse as the
+    /// same relative deadline in milliseconds.
+    #[test]
+    fn wire_roundtrip_every_set_shape() {
+        let deadlines = [
+            SetDeadline::Clear,
+            SetDeadline::Keep,
+            SetDeadline::In(Duration::from_millis(1500)),
+            SetDeadline::At(1_700_000_000_123),
+        ];
+        for only_if_absent in [false, true] {
+            for deadline in deadlines {
+                let cmd = Command::Set {
+                    key: b("k"),
+                    value: b("v"),
+                    only_if_absent,
+                    deadline,
+                };
+                assert_eq!(Command::from_wire(&cmd.to_wire()).unwrap(), cmd);
+            }
+        }
+        let ex = Command::from_wire(&[b("set"), b("k"), b("v"), b("ex"), b("3"), b("nx")]);
+        let want = Command::Set {
+            key: b("k"),
+            value: b("v"),
+            only_if_absent: true,
+            deadline: SetDeadline::In(Duration::from_secs(3)),
+        };
+        assert_eq!(ex.unwrap(), want);
+    }
+
+    /// A log is outside input: a repeated or conflicting `SET` option, or
+    /// one missing its value, is a syntax error — never a guess.
+    #[test]
+    fn conflicting_or_incomplete_set_options_are_refused() {
+        let refused = [
+            &["PX", "5", "KEEPTTL"][..],
+            &["KEEPTTL", "PXAT", "5"],
+            &["PX", "5", "PX", "6"],
+            &["NX", "NX"],
+            &["PXAT"],
+            &["PX", "soon"],
+            &["XX"],
+        ];
+        for options in refused {
+            let mut parts = vec![b("SET"), b("k"), b("v")];
+            parts.extend(options.iter().map(|o| b(o)));
+            let parsed = Command::from_wire(&parts);
+            assert!(matches!(parsed, Err(KvError::Syntax(_))), "{options:?}");
+        }
+    }
+
     #[test]
     fn unknown_command_is_rejected() {
         assert!(Command::from_wire(&[b("BOGUS")]).is_err());
@@ -844,7 +957,8 @@ mod tests {
         assert!(Command::Set {
             key: b("k"),
             value: b("v"),
-            expire: None
+            only_if_absent: false,
+            deadline: SetDeadline::Clear
         }
         .is_write());
         assert!(Command::ZAdd {

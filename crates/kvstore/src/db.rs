@@ -201,7 +201,7 @@ impl Db {
     ) -> KvResult<&mut Value> {
         self.reap_if_due(key, self.clock.now());
         if !self.dict.contains_key(key) {
-            self.set(Bytes::copy_from_slice(key), make());
+            self.set(Bytes::copy_from_slice(key), make(), None);
         }
         let v = &mut self.slot_mut(key).expect("just inserted").value;
         if check(v) {
@@ -211,18 +211,24 @@ impl Db {
         }
     }
 
-    /// Insert or replace the value at `key`. Clears any existing expiry, as
-    /// `SET` does in Redis. A replaced value stays in its slot; a new key
-    /// takes the last-freed slot, or a new one at the end of the slab.
-    pub fn set(&mut self, key: Bytes, value: Value) {
+    /// Insert or replace the value at `key`, which then expires at
+    /// `deadline` — never, for `None`, as after a plain `SET` in Redis. A
+    /// replaced value stays in its slot; a new key takes the last-freed
+    /// slot, or a new one at the end of the slab. A key that keeps a
+    /// deadline keeps its place in the expire-set. A past-due occupant is
+    /// replaced, not reaped: a deadline already past leaves the key due.
+    pub fn set(&mut self, key: Bytes, value: Value, deadline: Option<Timestamp>) {
         match self.dict.entry(key) {
             hash_map::Entry::Occupied(entry) => {
                 let slot = self.slots[*entry.get() as usize]
                     .as_mut()
                     .expect("a mapped slot is filled");
                 slot.value = value;
-                if slot.deadline.take().is_some() {
+                let had = std::mem::replace(&mut slot.deadline, deadline).is_some();
+                if had && deadline.is_none() {
                     self.expire_set.remove(&slot.key);
+                } else if !had && deadline.is_some() {
+                    self.expire_set.insert(slot.key.clone());
                 }
             }
             hash_map::Entry::Vacant(entry) => {
@@ -230,10 +236,14 @@ impl Db {
                     self.slots.push(None);
                     u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots")
                 });
+                let key = entry.key().clone();
+                if deadline.is_some() {
+                    self.expire_set.insert(key.clone());
+                }
                 self.slots[at as usize] = Some(Slot {
-                    key: entry.key().clone(),
+                    key,
                     value,
-                    deadline: None,
+                    deadline,
                     born: self.births,
                 });
                 self.births += 1;
@@ -405,7 +415,7 @@ mod tests {
     #[test]
     fn set_get_remove() {
         let (_c, mut db) = sim_db();
-        db.set(b("k"), Value::Str(b("v")));
+        db.set(b("k"), Value::Str(b("v")), None);
         assert!(db.exists(b"k"));
         assert_eq!(db.get(b"k").unwrap().as_str().unwrap(), &b("v"));
         assert!(db.remove(b"k"));
@@ -416,7 +426,7 @@ mod tests {
     #[test]
     fn lazy_expiry_on_access() {
         let (sim, mut db) = sim_db();
-        db.set(b("k"), Value::Str(b("v")));
+        db.set(b("k"), Value::Str(b("v")), None);
         db.set_expiry(b"k", Timestamp::from_secs(10));
         assert!(db.exists(b"k"));
         sim.advance(Duration::from_secs(11));
@@ -435,7 +445,7 @@ mod tests {
         db.set_expiry_listener(Arc::new(move |key| {
             sink.lock().unwrap().push(key.to_vec());
         }));
-        db.set(b("k"), Value::Str(b("v")));
+        db.set(b("k"), Value::Str(b("v")), None);
         db.set_expiry(b"k", Timestamp::from_secs(10));
         sim.advance(Duration::from_secs(11));
         assert!(db.get(b"k").is_none());
@@ -450,8 +460,8 @@ mod tests {
         db.set_expiry_listener(Arc::new(move |key| {
             sink.lock().unwrap().push(key.to_vec());
         }));
-        db.set(b("gone"), Value::Str(b("v")));
-        db.set(b("expires"), Value::Str(b("v")));
+        db.set(b("gone"), Value::Str(b("v")), None);
+        db.set(b("expires"), Value::Str(b("v")), None);
         db.set_expiry(b"expires", Timestamp::from_secs(1));
         db.remove(b"gone");
         assert!(
@@ -466,13 +476,38 @@ mod tests {
     #[test]
     fn set_clears_previous_expiry() {
         let (sim, mut db) = sim_db();
-        db.set(b("k"), Value::Str(b("v1")));
+        db.set(b("k"), Value::Str(b("v1")), None);
         db.set_expiry(b"k", Timestamp::from_secs(10));
-        db.set(b("k"), Value::Str(b("v2"))); // plain SET removes the TTL
+        db.set(b("k"), Value::Str(b("v2")), None); // plain SET removes the TTL
         sim.advance(Duration::from_secs(11));
         assert!(db.exists(b"k"));
         assert_eq!(db.expiry_of(b"k"), None);
         assert_eq!(db.expire_set_len(), 0);
+    }
+
+    /// A `SET … KEEPTTL` over a key with a deadline leaves the deadline
+    /// and the key's place in the expire-set exactly as they were, where
+    /// clearing and re-adding would move it to the end.
+    #[test]
+    fn keepttl_keeps_the_deadline_and_the_expire_set_place() {
+        use crate::commands::{Command, SetDeadline};
+        let (_c, mut db) = sim_db();
+        for (i, key) in ["a", "b", "c"].into_iter().enumerate() {
+            let at = Timestamp::from_millis(1_000 + i as u64);
+            db.set(b(key), Value::Str(b("v")), Some(at));
+        }
+        let order = |db: &Db| db.expire_set.iter().cloned().collect::<Vec<_>>();
+        let before = order(&db);
+        let keep = Command::Set {
+            key: b("a"),
+            value: b("rewritten"),
+            only_if_absent: false,
+            deadline: SetDeadline::Keep,
+        };
+        keep.execute(&mut db).unwrap();
+        assert_eq!(order(&db), before);
+        assert_eq!(db.expiry_of(b"a"), Some(Timestamp::from_millis(1_000)));
+        assert_eq!(db.get(b"a").unwrap().as_str().unwrap(), &b("rewritten"));
     }
 
     #[test]
@@ -486,7 +521,7 @@ mod tests {
         let (_c, mut db) = sim_db();
         for i in 0..10 {
             let k = b(&format!("k{i}"));
-            db.set(k.clone(), Value::Str(b("v")));
+            db.set(k.clone(), Value::Str(b("v")), None);
             if i % 2 == 0 {
                 db.set_expiry(&k, Timestamp::from_secs(100));
             }
@@ -503,7 +538,7 @@ mod tests {
     #[test]
     fn expire_set_shares_the_dictionary_key() {
         let (_c, mut db) = sim_db();
-        db.set(b("k"), Value::Str(b("v")));
+        db.set(b("k"), Value::Str(b("v")), None);
         db.set_expiry(b"k", Timestamp::from_secs(10));
         db.set_expiry(b"k", Timestamp::from_secs(20));
         let (stored, _) = db.dict.get_key_value(&b"k"[..]).unwrap();
@@ -517,7 +552,7 @@ mod tests {
     fn scan_visits_all_keys() {
         let (_c, mut db) = sim_db();
         for i in 0..100 {
-            db.set(b(&format!("k{i:03}")), Value::Str(b("v")));
+            db.set(b(&format!("k{i:03}")), Value::Str(b("v")), None);
         }
         let mut cursor = 0;
         let mut seen = std::collections::HashSet::new();
@@ -535,9 +570,9 @@ mod tests {
     #[test]
     fn scan_with_pattern_filters() {
         let (_c, mut db) = sim_db();
-        db.set(b("rec:1"), Value::Str(b("v")));
-        db.set(b("idx:1"), Value::Str(b("v")));
-        db.set(b("rec:2"), Value::Str(b("v")));
+        db.set(b("rec:1"), Value::Str(b("v")), None);
+        db.set(b("idx:1"), Value::Str(b("v")), None);
+        db.set(b("rec:2"), Value::Str(b("v")), None);
         let (keys, next) = db.scan(0, 100, Some(b"rec:*"));
         assert_eq!(next, 0);
         assert_eq!(keys.len(), 2);
@@ -551,7 +586,7 @@ mod tests {
         let (_c, mut db) = sim_db();
         let keys: Vec<Bytes> = (0..10).map(|i| b(&format!("k{i}"))).collect();
         for key in &keys {
-            db.set(key.clone(), Value::Str(b("v")));
+            db.set(key.clone(), Value::Str(b("v")), None);
         }
         let (mut seen, mut cursor) = db.scan(0, 5, None);
         let deleted = seen[0].clone();
@@ -593,7 +628,7 @@ mod tests {
 
     fn set_all(db: &mut Db, keys: &[&str]) {
         for key in keys {
-            db.set(b(key), Value::Str(b(key)));
+            db.set(b(key), Value::Str(b(key)), None);
         }
     }
 
@@ -602,7 +637,7 @@ mod tests {
         let (_c, mut db) = sim_db();
         let keys: Vec<String> = (0..20).map(|i| format!("k{i:02}")).collect();
         for key in &keys {
-            db.set(b(key), Value::Str(b(key)));
+            db.set(b(key), Value::Str(b(key)), None);
         }
         // Between chunks: delete a key ahead of the cursor and one behind
         // it, and rewrite a third in place.
@@ -610,7 +645,7 @@ mod tests {
             if cut == 0 {
                 assert!(db.remove(b"k19"));
                 assert!(db.remove(b"k01"));
-                db.set(b("k10"), Value::Str(b("rewritten")));
+                db.set(b("k10"), Value::Str(b("rewritten")), None);
             }
         })
         .unwrap();
@@ -688,10 +723,10 @@ mod tests {
     fn a_walk_visits_only_its_prefix_and_fails_on_a_non_string_under_it() {
         let (_c, mut db) = sim_db();
         set_all(&mut db, &["rec:a", "idx:a", "rec:b"]);
-        db.set(b("idx:z"), Value::ZSet(Default::default()));
+        db.set(b("idx:z"), Value::ZSet(Default::default()), None);
         let seen = walk_in_chunks(&mut db, 2, b"rec:", |_, _| {}).unwrap();
         assert_eq!(seen, [b("rec:a"), b("rec:b")]);
-        db.set(b("rec:z"), Value::ZSet(Default::default()));
+        db.set(b("rec:z"), Value::ZSet(Default::default()), None);
         let failed = walk_in_chunks(&mut db, 2, b"rec:", |_, _| {});
         assert_eq!(failed, Err(KvError::WrongType));
     }
@@ -700,14 +735,14 @@ mod tests {
     fn memory_usage_grows_with_data() {
         let (_c, mut db) = sim_db();
         let before = db.memory_usage();
-        db.set(b("k"), Value::Str(Bytes::from(vec![0u8; 4096])));
+        db.set(b("k"), Value::Str(Bytes::from(vec![0u8; 4096])), None);
         assert!(db.memory_usage() >= before + 4096);
     }
 
     #[test]
     fn get_or_create_enforces_type() {
         let (_c, mut db) = sim_db();
-        db.set(b("s"), Value::Str(b("v")));
+        db.set(b("s"), Value::Str(b("v")), None);
         let err = db
             .get_or_create(
                 b"s",
@@ -790,11 +825,11 @@ mod tests {
                 );
                 match rng.next_below(9) {
                     0 | 1 => {
-                        db.set(key.clone(), Value::Str(value.clone()));
+                        db.set(key.clone(), Value::Str(value.clone()), None);
                         model.insert(key, (value, None));
                     }
                     2 => {
-                        db.set(key.clone(), Value::Str(value.clone()));
+                        db.set(key.clone(), Value::Str(value.clone()), None);
                         assert!(db.set_expiry(&key, at));
                         model.insert(key, (value, Some(at)));
                     }

@@ -148,7 +148,7 @@ mod tests {
         let due = (n as f64 * frac_due) as usize;
         for i in 0..n {
             let key = b(&format!("k{i:06}"));
-            db.set(key.clone(), Value::Str(b("v")));
+            db.set(key.clone(), Value::Str(b("v")), None);
             let at = if i < due {
                 Timestamp::from_secs(1) // will be past due after advancing
             } else {
@@ -252,7 +252,7 @@ mod tests {
         let sim = clock::sim();
         let mut db = Db::new(sim.clone());
         for (key, at) in [("now", 5_000_000_000), ("later", 5_000_000_001)] {
-            db.set(b(key), Value::Str(b("v")));
+            db.set(b(key), Value::Str(b("v")), None);
             db.set_expiry(key.as_bytes(), Timestamp::from_nanos(at));
         }
         sim.advance(std::time::Duration::from_secs(5));

@@ -35,18 +35,19 @@
 //!
 //! The paper's Redis client stub (§4.3) issues a fixed handful of commands,
 //! and so do this repo's callers. [`Command`] has exactly the variants some
-//! non-test caller builds; a log holding anything else fails replay with
-//! `KvError::Syntax("unknown command …")` rather than skipping the frame.
+//! non-test caller builds or some log this store wrote holds; a log holding
+//! anything else fails replay with `KvError::Syntax("unknown command …")`
+//! rather than skipping the frame.
 //!
 //! | command | who issues it |
 //! |---|---|
-//! | `SET` | [`KvStore::set`] / [`KvStore::set_ex`]: the Redis connector's put / rewrite, YCSB insert and update |
+//! | `SET key value [NX] [PX ms \| EX s \| PXAT ms \| KEEPTTL]` | the Redis connector's every record write, one command each: put (`NX [PX ttl]`), rewrite (`KEEPTTL`, or `[PX ttl]` when the TTL changed), shard migration (`NX [PXAT at]`); [`KvStore::set`] / [`KvStore::set_ex`]: YCSB insert and update. An effective `SET` is logged as `SET key value [PXAT at]`, the deadline it left; an `NX` that found a live key logs nothing |
 //! | `GET` | [`KvStore::read_key`] / [`KvStore::get`] (the connector's point reads, YCSB read) where reads are logged or sealed; otherwise it reads on the shared side |
 //! | `MGET` | [`KvStore::read_each`] (the connector's `fetch_many` and scan) where reads are logged or sealed, one per chunk of keys |
 //! | `DEL` | [`KvStore::del`]: the connector's delete |
-//! | `EXISTS` | [`KvStore::exists`]: the connector's create-collision probe |
+//! | `EXISTS` | no caller now; it replays from `log_reads` logs written when it was the connector's create-collision probe |
 //! | `EXPIRE` | [`KvStore::expire`]: the Figure 4 TTL experiment (`bench`) |
-//! | `EXPIREAT` | the connector re-arming an exact deadline after a rewrite or shard migration; the AOF form of every relative expiry |
+//! | `EXPIREAT` | `EXPIRE`'s AOF form; in older logs, also the deadline a TTL'd `SET` or a rewrite re-armed |
 //! | `SCAN` | the connector's keyspace walk (every non-indexed metadata query, `expired_keys`); `benches/kv_ops.rs` |
 //! | `ZADD` | YCSB's key index (`workload::ycsb`), fed on insert; a [`value::ZSet`] is a `BTreeSet` of `(score, member)` beside a member → score map; NaN scores are refused |
 //! | `ZRANGEBYSCORE` | YCSB workload E's range scan over that index |
@@ -73,7 +74,7 @@ pub mod server;
 pub mod value;
 
 pub use bytes::Bytes;
-pub use commands::{Command, Reply};
+pub use commands::{Command, Reply, SetDeadline};
 pub use config::{FsyncPolicy, KvConfig};
 pub use error::KvError;
 pub use expire::ExpirationMode;

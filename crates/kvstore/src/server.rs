@@ -38,7 +38,7 @@
 //! names the keys instead.
 
 use crate::aof;
-use crate::commands::{Command, Reply};
+use crate::commands::{Command, Reply, SetDeadline};
 use crate::config::{KvConfig, Storage};
 use crate::db::{Db, Peek};
 use crate::error::{KvError, KvResult};
@@ -49,6 +49,7 @@ use crypto::channel::{Direction, Loopback};
 use crypto::log::{Log, MemBuffer};
 use crypto::Volume;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,10 +75,10 @@ pub struct KvStats {
     pub reads: AtomicU64,
     pub aof_records: AtomicU64,
     pub expired_actively: AtomicU64,
-    /// The store's **persistence generation**: write frames in AOF form
-    /// (a `SET … EX` counts its rewritten `SET` + `EXPIREAT` pair), counted
-    /// whether or not an AOF is attached. Replaying an AOF reproduces the
-    /// exact value the live store had when the log was written — see
+    /// The store's **persistence generation**: write frames in AOF form —
+    /// one per write that changed the keyspace — counted whether or not an
+    /// AOF is attached. Replaying an AOF reproduces the exact value the
+    /// live store had when the log was written — see
     /// [`KvStore::mutation_generation`].
     pub mutations: AtomicU64,
 }
@@ -184,21 +185,21 @@ impl KvStore {
 
         let is_write = cmd.is_write();
         let reply = cmd.execute(&mut inner.db)?;
-        if is_write {
-            // Counted in AOF-frame units (after execution — the frame count
-            // of EXPIRE depends on whether a deadline now exists) so that
-            // replaying the log lands on the identical generation.
-            self.stats
-                .mutations
-                .fetch_add(Self::aof_frame_count(&cmd, &inner.db), Ordering::Relaxed);
-        }
-
-        if let Some(aof) = &mut inner.aof {
-            if is_write || self.config.log_reads {
+        // Built after execution: what a write logs depends on what it did.
+        let logged = if is_write {
+            Self::aof_form(&cmd, &reply, &inner.db)
+        } else {
+            self.config.log_reads.then_some(Cow::Borrowed(&cmd))
+        };
+        if let Some(logged) = logged {
+            // Counted in AOF-frame units so that replaying the log lands on
+            // the identical generation.
+            if is_write {
+                self.stats.mutations.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some(aof) = &mut inner.aof {
                 let now = self.clock.now().as_nanos();
-                for logged in Self::aof_form(&cmd, &inner.db) {
-                    aof.append(&crate::resp::encode_command(&logged.to_wire()), now)?;
-                }
+                aof.append(&crate::resp::encode_command(&logged.to_wire()), now)?;
                 self.stats
                     .aof_records
                     .store(aof.frames(), Ordering::Relaxed);
@@ -378,52 +379,31 @@ impl KvStore {
         Ok(Ok(()))
     }
 
-    /// Rewrite a command into its replay-safe AOF form. Relative expiries
-    /// become absolute deadlines (as Redis rewrites EXPIRE to PEXPIREAT), so
-    /// replay at a later time does not resurrect TTLs.
-    fn aof_form(cmd: &Command, db: &Db) -> Vec<Command> {
-        match cmd {
-            Command::Set {
-                key,
-                value,
-                expire: Some(_),
-            } => {
-                let at = db.expiry_of(key).expect("expiry was just set");
-                vec![
-                    Command::Set {
-                        key: key.clone(),
-                        value: value.clone(),
-                        expire: None,
-                    },
-                    Command::ExpireAt {
-                        key: key.clone(),
-                        at_ms: at.as_millis(),
-                    },
-                ]
-            }
-            Command::Expire { key, .. } => match db.expiry_of(key) {
-                Some(at) => vec![Command::ExpireAt {
-                    key: key.clone(),
-                    at_ms: at.as_millis(),
-                }],
-                // EXPIRE on a missing key mutates nothing; log nothing.
-                None => vec![],
+    /// The one replay-safe AOF frame a write that just ran with `reply`
+    /// logs, or `None` if it changed nothing: an `EXPIRE` of a missing key,
+    /// a `SET NX` that found a live occupant. A `SET` is logged as the
+    /// unconditional `SET … [PXAT at]` of the deadline its key now holds,
+    /// and an `EXPIRE` as `EXPIREAT` (as Redis rewrites relative expiries
+    /// to absolute ones), so a replay at a later time, or over a keyspace
+    /// its clock sees differently, does not resurrect TTLs.
+    fn aof_form<'c>(cmd: &'c Command, reply: &Reply, db: &Db) -> Option<Cow<'c, Command>> {
+        let logged = match cmd {
+            Command::Set { .. } if *reply == Reply::Nil => return None,
+            Command::Set { key, value, .. } => Command::Set {
+                key: key.clone(),
+                value: value.clone(),
+                only_if_absent: false,
+                deadline: db
+                    .expiry_of(key)
+                    .map_or(SetDeadline::Clear, |at| SetDeadline::At(at.as_millis())),
             },
-            other => vec![other.clone()],
-        }
-    }
-
-    /// How many AOF frames [`Self::aof_form`] would log for `cmd` —
-    /// without building them. Must be evaluated *after* the command
-    /// executed (EXPIRE's count depends on the deadline it left behind).
-    fn aof_frame_count(cmd: &Command, db: &Db) -> u64 {
-        match cmd {
-            Command::Set {
-                expire: Some(_), ..
-            } => 2, // rewritten as SET + EXPIREAT
-            Command::Expire { key, .. } => u64::from(db.expiry_of(key).is_some()),
-            _ => 1,
-        }
+            Command::Expire { key, .. } => Command::ExpireAt {
+                key: key.clone(),
+                at_ms: db.expiry_of(key)?.as_millis(),
+            },
+            other => return Some(Cow::Borrowed(other)),
+        };
+        Some(Cow::Owned(logged))
     }
 
     /// The persistence generation: total write commands applied, in
@@ -541,10 +521,10 @@ impl KvStore {
             // Read commands may appear in GDPR audit logs; applying them
             // is harmless but pointless, so skip.
             if cmd.is_write() {
-                cmd.execute(&mut inner.db)?;
-                self.stats
-                    .mutations
-                    .fetch_add(Self::aof_frame_count(&cmd, &inner.db), Ordering::Relaxed);
+                let reply = cmd.execute(&mut inner.db)?;
+                if Self::aof_form(&cmd, &reply, &inner.db).is_some() {
+                    self.stats.mutations.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         Ok(())
@@ -556,7 +536,8 @@ impl KvStore {
         self.execute(Command::Set {
             key: Bytes::copy_from_slice(key),
             value: Bytes::copy_from_slice(value),
-            expire: None,
+            only_if_absent: false,
+            deadline: SetDeadline::Clear,
         })
         .map(|_| ())
     }
@@ -565,7 +546,8 @@ impl KvStore {
         self.execute(Command::Set {
             key: Bytes::copy_from_slice(key),
             value: Bytes::copy_from_slice(value),
-            expire: Some(ttl),
+            only_if_absent: false,
+            deadline: SetDeadline::In(ttl),
         })
         .map(|_| ())
     }
@@ -584,16 +566,6 @@ impl KvStore {
     pub fn del(&self, key: &[u8]) -> KvResult<bool> {
         Ok(self
             .execute(Command::Del {
-                keys: vec![Bytes::copy_from_slice(key)],
-            })?
-            .as_int()
-            .unwrap_or(0)
-            > 0)
-    }
-
-    pub fn exists(&self, key: &[u8]) -> KvResult<bool> {
-        Ok(self
-            .execute(Command::Exists {
                 keys: vec![Bytes::copy_from_slice(key)],
             })?
             .as_int()
@@ -626,9 +598,8 @@ impl KvStore {
         self.inner.read().db.memory_usage()
     }
 
-    /// The absolute expiry deadline of `key`, if any — millisecond
-    /// precision, unlike the seconds-truncating `TTL` command. Connectors
-    /// use this to preserve a record's exact deadline across rewrites.
+    /// The absolute expiry deadline of `key`, if any, read without reaping
+    /// it — what the connector's due-key listing and index backfill ask.
     pub fn expiry_at(&self, key: &[u8]) -> Option<clock::Timestamp> {
         self.inner.read().db.expiry_of(key)
     }
@@ -1102,12 +1073,12 @@ mod tests {
         // Replay at t=5s: key still has ~5s to live.
         sim.advance(Duration::from_secs(5));
         let replayed = KvStore::replay(config.clone(), &raw, sim.clone()).unwrap();
-        assert!(replayed.exists(b"k").unwrap());
+        assert!(replayed.get(b"k").unwrap().is_some());
 
         // Replay at t=11s: the absolute deadline has passed.
         sim.advance(Duration::from_secs(6));
         let replayed = KvStore::replay(config, &raw, sim.clone()).unwrap();
-        assert!(!replayed.exists(b"k").unwrap());
+        assert_eq!(replayed.get(b"k").unwrap(), None);
     }
 
     #[test]
@@ -1160,7 +1131,7 @@ mod tests {
                 for i in 0..200 {
                     let key = format!("t{t}:k{i}");
                     store.set(key.as_bytes(), b"v").unwrap();
-                    assert!(store.exists(key.as_bytes()).unwrap());
+                    assert!(store.get(key.as_bytes()).unwrap().is_some());
                 }
             }));
         }
@@ -1172,9 +1143,9 @@ mod tests {
 
     /// The persistence generation is replay-stable: rebuilding from the
     /// AOF lands on the exact value the live store had — including the
-    /// SET-EX → SET+EXPIREAT rewrite (2 frames) and the EXPIRE-on-missing
-    /// no-op (0 frames); a torn tail reopening to a *smaller* value is
-    /// `open_resumes_the_file_and_truncates_torn_tails`.
+    /// SET-EX → SET-PXAT rewrite (1 frame), the EXPIRE-on-missing and
+    /// colliding SET-NX no-ops (0 frames); a torn tail reopening to a
+    /// *smaller* value is `open_resumes_the_file_and_truncates_torn_tails`.
     /// The log is a `log_reads` one holding every command the store
     /// speaks, so no frame a served store can write trips the replay.
     #[test]
@@ -1187,15 +1158,31 @@ mod tests {
         };
         let store = KvStore::open(config.clone()).unwrap();
         store.set(b"a", b"1").unwrap(); // 1 frame
-        store.set_ex(b"b", b"2", Duration::from_secs(60)).unwrap(); // 2 frames
+        store.set_ex(b"b", b"2", Duration::from_secs(60)).unwrap(); // 1 frame
         store.expire(b"ghost", Duration::from_secs(5)).unwrap(); // 0 frames
         store.expire(b"a", Duration::from_secs(5)).unwrap(); // 1 frame
+        let collide = Command::Set {
+            key: b("b"),
+            value: b("3"),
+            only_if_absent: true,
+            deadline: SetDeadline::At(9),
+        };
+        assert_eq!(store.execute(collide).unwrap(), Reply::Nil); // 0 frames
+        let keep = Command::Set {
+            key: b("b"),
+            value: b("4"),
+            only_if_absent: false,
+            deadline: SetDeadline::Keep,
+        };
+        store.execute(keep).unwrap(); // 1 frame
         store.get(b"a").unwrap(); // reads never count
         let mget = Command::MGet {
             keys: vec![b("a"), b("ghost")],
         };
         store.execute(mget).unwrap();
-        store.exists(b"a").unwrap();
+        store
+            .execute(Command::Exists { keys: vec![b("a")] })
+            .unwrap();
         let scan = Command::Scan {
             cursor: 0,
             count: 10,
@@ -1319,6 +1306,116 @@ mod tests {
         );
         assert_eq!(std::fs::read(&path).unwrap(), with_foreign);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The frames a memory-AOF store has logged, as wire parts.
+    fn frames(store: &KvStore) -> Vec<Vec<Bytes>> {
+        aof::decode_log(&store.aof_memory_buffer().unwrap().lock(), None).unwrap()
+    }
+
+    fn set(key: &str, value: &str, only_if_absent: bool, deadline: SetDeadline) -> Command {
+        Command::Set {
+            key: b(key),
+            value: b(value),
+            only_if_absent,
+            deadline,
+        }
+    }
+
+    /// A TTL-carrying `SET`, conditional or not, is one AOF frame: the
+    /// unconditional `SET … PXAT` of the deadline it set.
+    #[test]
+    fn a_ttl_carrying_set_is_one_pxat_frame() {
+        let sim = clock::sim();
+        let config = KvConfig {
+            aof: Storage::Memory,
+            fsync: FsyncPolicy::Never,
+            ..Default::default()
+        };
+        let store = KvStore::open_with_clock(config, sim.clone()).unwrap();
+        sim.advance(Duration::from_millis(1_234));
+        let ttl = SetDeadline::In(Duration::from_secs(60));
+        assert_eq!(store.execute(set("k", "v", true, ttl)).unwrap(), Reply::Ok);
+        assert_eq!(store.execute(set("j", "w", false, ttl)).unwrap(), Reply::Ok);
+        let pxat =
+            |key: &str, value: &str| [b("SET"), b(key), b(value), b("PXAT"), b("61234")].to_vec();
+        assert_eq!(frames(&store), [pxat("k", "v"), pxat("j", "w")]);
+        assert_eq!(store.mutation_generation(), 2);
+        assert_eq!(
+            store.expiry_at(b"k"),
+            Some(clock::Timestamp::from_millis(61_234))
+        );
+    }
+
+    /// `SET NX` over a live occupant answers nil and changes nothing: not
+    /// the value, not the deadline, not the log, not the generation.
+    #[test]
+    fn set_nx_leaves_a_live_occupant_alone() {
+        let config = KvConfig {
+            aof: Storage::Memory,
+            fsync: FsyncPolicy::Never,
+            ..Default::default()
+        };
+        let store = KvStore::open(config).unwrap();
+        store
+            .execute(set("k", "first", true, SetDeadline::At(u64::MAX / 4)))
+            .unwrap();
+        let (deadline, generation) = (store.expiry_at(b"k"), store.mutation_generation());
+        for deadline in [SetDeadline::Clear, SetDeadline::Keep, SetDeadline::At(5)] {
+            let reply = store.execute(set("k", "second", true, deadline)).unwrap();
+            assert_eq!(reply, Reply::Nil);
+        }
+        assert_eq!(store.get(b"k").unwrap(), Some(b("first")));
+        assert_eq!(store.expiry_at(b"k"), deadline);
+        assert_eq!(store.mutation_generation(), generation);
+        assert_eq!(frames(&store).len(), 1);
+        assert_eq!(store.stats().writes.load(Ordering::Relaxed), 4);
+    }
+
+    /// `SET NX` over a past-due occupant reaps it — the listener fires
+    /// once — and then sets the key.
+    #[test]
+    fn set_nx_reaps_a_due_occupant_then_sets() {
+        let sim = clock::sim();
+        let store = KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
+        let reaped = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&reaped);
+        store.set_expiry_listener(Arc::new(move |key| sink.lock().push(key.to_vec())));
+        store.set_ex(b"k", b"old", Duration::from_secs(5)).unwrap();
+        sim.advance(Duration::from_secs(5)); // deadline == now is due
+        let reply = store.execute(set("k", "new", true, SetDeadline::Clear));
+        assert_eq!(reply.unwrap(), Reply::Ok);
+        assert_eq!(*reaped.lock(), vec![b"k".to_vec()]);
+        assert_eq!(store.get(b"k").unwrap(), Some(b("new")));
+        assert_eq!(store.expiry_at(b"k"), None);
+        assert_eq!(reaped.lock().len(), 1, "reaped once");
+        assert_eq!(store.mutation_generation(), 2);
+    }
+
+    /// `KEEPTTL` keeps the exact millisecond deadline; on a missing key it
+    /// creates one with no deadline.
+    #[test]
+    fn keepttl_keeps_the_exact_deadline_and_creates_without_one() {
+        let store = KvStore::open_with_clock(KvConfig::default(), clock::sim()).unwrap();
+        store
+            .execute(set("k", "v1", false, SetDeadline::At(987_654)))
+            .unwrap();
+        store
+            .execute(set("k", "v2", false, SetDeadline::Keep))
+            .unwrap();
+        assert_eq!(store.get(b"k").unwrap(), Some(b("v2")));
+        assert_eq!(
+            store.expiry_at(b"k"),
+            Some(clock::Timestamp::from_millis(987_654))
+        );
+        assert_eq!(store.expire_set_len(), 1);
+
+        store
+            .execute(set("fresh", "v", false, SetDeadline::Keep))
+            .unwrap();
+        assert_eq!(store.get(b"fresh").unwrap(), Some(b("v")));
+        assert_eq!(store.expiry_at(b"fresh"), None);
+        assert_eq!(store.expire_set_len(), 1);
     }
 
     #[test]

@@ -426,7 +426,7 @@ impl PageStore {
 
     /// Insert a fresh record. Returns `false` when a *live* record already
     /// holds the key (the caller's AlreadyExists); an expired occupant is
-    /// lazily reaped first — exactly the kvstore's EXISTS-probe semantics.
+    /// lazily reaped first — exactly the kvstore's `SET NX` semantics.
     pub fn insert(&self, key: &str, value: &[u8], deadline_ms: Option<u64>) -> Result<bool> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();

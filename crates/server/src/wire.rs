@@ -912,13 +912,6 @@ pub fn encode_gdpr_response(w: &mut Writer, resp: &GdprResponse) {
             w.u8(1);
             w.u64(*n as u64);
         }
-        Records(records) => {
-            w.u8(2);
-            w.count(records.len());
-            for record in records {
-                encode_record(w, record);
-            }
-        }
         Data(pairs) => {
             w.u8(3);
             w.count(pairs.len());
@@ -962,14 +955,6 @@ pub fn decode_gdpr_response(r: &mut Reader<'_>) -> WireResult<GdprResponse> {
     Ok(match r.u8("response opcode")? {
         0 => Created,
         1 => Deleted(r.u64("deleted count")? as usize),
-        2 => {
-            let n = r.count(8, "records")?;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                records.push(decode_record(r)?);
-            }
-            Records(records)
-        }
         3 => {
             let n = r.count(8, "data pairs")?;
             let mut pairs = Vec::with_capacity(n);
@@ -1247,7 +1232,6 @@ mod tests {
     fn response_roundtrip_covers_every_status() {
         let bodies = vec![
             ResponseBody::Response(GdprResponse::Created),
-            ResponseBody::Response(GdprResponse::Records(vec![record()])),
             ResponseBody::Response(GdprResponse::Logs(
                 vec![LogLine {
                     timestamp_ms: 12,
@@ -1384,6 +1368,24 @@ mod tests {
         let mut encoded = encode_response(3, &ResponseBody::Count(1));
         encoded.push(0xAB);
         assert!(decode_response(&encoded).is_err());
+    }
+
+    /// Response opcode 2 once carried a list of full records that no
+    /// engine ever sent. It stays unassigned, so the other opcodes keep
+    /// their numbers, and a body that uses it is refused.
+    #[test]
+    fn response_opcode_2_is_unassigned() {
+        let mut w = Writer::new();
+        w.u8(PROTOCOL_VERSION);
+        w.u64(0);
+        w.u8(0x00); // a GDPR response
+        w.u8(2);
+        w.count(0);
+        let err = decode_response(&w.into_bytes()).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown response opcode 2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -253,13 +253,6 @@ pub fn responses_match(
                     a.sort();
                     e == a
                 }
-                (GdprResponse::Records(e), GdprResponse::Records(a)) => {
-                    let mut e = e.clone();
-                    let mut a = a.clone();
-                    e.sort_by(|x, y| x.key.cmp(&y.key));
-                    a.sort_by(|x, y| x.key.cmp(&y.key));
-                    e == a
-                }
                 (e, a) => e == a,
             },
         },

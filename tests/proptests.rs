@@ -698,15 +698,6 @@ mod server_wire {
         }
     }
 
-    fn arb_records(
-        rng: &mut SmallRng,
-        max: usize,
-    ) -> Vec<gdprbench_repro::gdpr_core::PersonalRecord> {
-        (0..rng.gen_range(0usize..max))
-            .map(|_| arb_record(rng))
-            .collect()
-    }
-
     fn arb_support(rng: &mut SmallRng) -> FeatureSupport {
         [
             FeatureSupport::Native,
@@ -729,11 +720,10 @@ mod server_wire {
     /// values, and audit-log payloads.
     fn arb_gdpr_response(rng: &mut SmallRng, variant: u32) -> GdprResponse {
         use GdprResponse::*;
-        match variant % 9 {
+        match variant % 8 {
             0 => Created,
             1 => Deleted(rng.gen::<u32>() as usize),
-            2 => Records(arb_records(rng, 6)),
-            3 => {
+            2 => {
                 let n = rng.gen_range(0usize..6);
                 // Large values: the codec must not care about payload size.
                 Data(
@@ -742,7 +732,7 @@ mod server_wire {
                         .collect(),
                 )
             }
-            4 => {
+            3 => {
                 let n = rng.gen_range(0usize..6);
                 Metadata(
                     (0..n)
@@ -750,8 +740,8 @@ mod server_wire {
                         .collect(),
                 )
             }
-            5 => Updated(rng.gen::<u32>() as usize),
-            6 => {
+            4 => Updated(rng.gen::<u32>() as usize),
+            5 => {
                 let n = rng.gen_range(0usize..6);
                 Logs(
                     (0..n)
@@ -765,7 +755,7 @@ mod server_wire {
                         .into(),
                 )
             }
-            7 => Features(arb_feature_report(rng)),
+            6 => Features(arb_feature_report(rng)),
             _ => DeletionVerified(rng.gen_bool(0.5)),
         }
     }

@@ -17,7 +17,7 @@ use gdprbench_repro::gdpr_core::store::RecordPredicate;
 use gdprbench_repro::gdpr_core::{
     wire, GdprConnector, GdprQuery, GdprResponse, IndexRecovery, Session, SnapshotInvalid,
 };
-use gdprbench_repro::kvstore::{FsyncPolicy, KvConfig, KvStore};
+use gdprbench_repro::kvstore::{aof, Bytes, Command, FsyncPolicy, KvConfig, KvStore};
 use gdprbench_repro::relstore::{Database, RelConfig, RelError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -343,20 +343,58 @@ fn aof_replay_past_or_short_of_the_stamp_forces_rebuild() {
     with_late.push(late);
     assert_index_matches_scan(&reopened, &with_late, "replay past the stamp");
 
-    // Torn tail: drop the log's final frame — here the last record's
-    // EXPIREAT, so the record survives but *without its TTL*. Even this
-    // single-frame divergence (no key added or lost!) moves the
-    // generation and must force a rebuild: the snapshot still carries a
-    // deadline the store no longer backs.
-    let (frames, _) = log::read(&at_stamp, None).unwrap();
-    let shorter = &at_stamp[..at_stamp.len() - 4 - frames.last().unwrap().len()];
-    let replayed = KvStore::replay(kv_config(), shorter, clock::wall()).unwrap();
-    let reopened = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
+    // Torn tail: drop the log's final frame — the last record's one
+    // `SET … PXAT`, so the record and its TTL tear away together. The
+    // snapshot still lists a record the store lost: rebuild.
+    let replayed = KvStore::replay(kv_config(), without_last_frame(&at_stamp), clock::wall());
+    let reopened = RedisConnector::with_metadata_index_snapshot(replayed.unwrap(), &path).unwrap();
     assert!(matches!(
         rebuilt_cause(&reopened),
         SnapshotInvalid::StaleGeneration { .. }
     ));
-    assert_index_matches_scan(&reopened, &records, "replay short of the stamp");
+    let without_k19 = &records[..records.len() - 1];
+    assert_eq!(without_k19.last().unwrap().key, "k18");
+    assert_index_matches_scan(&reopened, without_k19, "replay short of the stamp");
+
+    // Replay to exactly the stamp: trustworthy, restored.
+    let replayed = KvStore::replay(kv_config(), &at_stamp, clock::wall()).unwrap();
+    let reopened = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
+    assert!(reopened.index_recovery().unwrap().is_restored());
+    assert_index_matches_scan(&reopened, &records, "replay to the stamp");
+
+    // The same log in the form earlier versions wrote, a `SET` then an
+    // `EXPIREAT` per TTL'd record, with an image stamped over it: replayed
+    // whole, it lands on one generation step per write frame, as it always
+    // did, and restores.
+    let legacy = in_the_set_expireat_form(&at_stamp);
+    let frames = aof::decode_log(&legacy, None).unwrap();
+    let writes = (frames.iter())
+        .filter(|parts| parts[0].as_ref() != b"EXISTS")
+        .count();
+    assert!(writes < frames.len(), "the EXISTS probes are logged");
+    let legacy_path = scratch_dir("replay-legacy").join("metaindex.snap");
+    let replayed = KvStore::replay(kv_config(), &legacy, clock::wall()).unwrap();
+    assert_eq!(replayed.mutation_generation(), writes as u64);
+    let conn = RedisConnector::with_metadata_index_snapshot(replayed, &legacy_path).unwrap();
+    assert!(conn.write_index_snapshot().unwrap() > 0);
+    let replayed = KvStore::replay(kv_config(), &legacy, clock::wall()).unwrap();
+    let reopened = RedisConnector::with_metadata_index_snapshot(replayed, &legacy_path).unwrap();
+    assert!(reopened.index_recovery().unwrap().is_restored());
+    assert_index_matches_scan(&reopened, &records, "legacy log to the stamp");
+
+    // Torn short of its stamp by the final frame — the last record's
+    // EXPIREAT, so the record survives but *without its TTL*. Even this
+    // single-frame divergence (no key added or lost!) moves the
+    // generation and must force a rebuild: the image still carries a
+    // deadline the store no longer backs.
+    let replayed = KvStore::replay(kv_config(), without_last_frame(&legacy), clock::wall());
+    let reopened =
+        RedisConnector::with_metadata_index_snapshot(replayed.unwrap(), &legacy_path).unwrap();
+    assert!(matches!(
+        rebuilt_cause(&reopened),
+        SnapshotInvalid::StaleGeneration { .. }
+    ));
+    assert_index_matches_scan(&reopened, &records, "legacy log short of the stamp");
     // The rebuild re-arms k19's deadline from its *declared* TTL (the
     // store lost the native one with the torn frame; a TTL'd record must
     // not be retained forever just because its EXPIREAT tore away).
@@ -365,12 +403,40 @@ fn aof_replay_past_or_short_of_the_stamp_forces_rebuild() {
         .unwrap()
         .deadline_of("k19")
         .is_some());
+}
 
-    // Replay to exactly the stamp: trustworthy, restored.
-    let replayed = KvStore::replay(kv_config(), &at_stamp, clock::wall()).unwrap();
-    let reopened = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
-    assert!(reopened.index_recovery().unwrap().is_restored());
-    assert_index_matches_scan(&reopened, &records, "replay to the stamp");
+/// `raw` without its final frame.
+fn without_last_frame(raw: &[u8]) -> &[u8] {
+    let (frames, _) = log::read(raw, None).unwrap();
+    &raw[..raw.len() - 4 - frames.last().unwrap().len()]
+}
+
+/// `raw` in the form a `log_reads` store wrote before `SET` carried its
+/// own condition and deadline: each `SET` after an `EXISTS` probe, and each
+/// `SET key value PXAT at` frame as `SET key value` then `EXPIREAT key at`
+/// — logged by a store executing exactly those commands.
+fn in_the_set_expireat_form(raw: &[u8]) -> Vec<u8> {
+    let config = KvConfig {
+        log_reads: true,
+        ..kv_config()
+    };
+    let store = KvStore::open(config).unwrap();
+    for mut parts in aof::decode_log(raw, None).unwrap() {
+        if parts[0].as_ref() == b"SET" {
+            let keys = vec![parts[1].clone()];
+            store.execute(Command::Exists { keys }).unwrap();
+        }
+        if parts[0].as_ref() == b"SET" && parts.len() == 5 {
+            let at = parts.pop().unwrap();
+            assert_eq!(parts.pop().unwrap().as_ref(), b"PXAT");
+            let key = parts[1].clone();
+            store.execute(Command::from_wire(&parts).unwrap()).unwrap();
+            parts = vec![Bytes::from_static(b"EXPIREAT"), key, at];
+        }
+        store.execute(Command::from_wire(&parts).unwrap()).unwrap();
+    }
+    let legacy = store.aof_memory_buffer().unwrap().lock().clone();
+    legacy
 }
 
 /// A *renamed* stale image — an older generation's bytes copied over the
