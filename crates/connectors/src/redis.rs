@@ -22,8 +22,8 @@
 //! lending every `rec:*` value the same way and naming no key. The scan
 //! reads like `fetch_many` once its cursor walk has the keys, and a point
 //! read is the one-key case ([`KvStore::read_key`]), lent to
-//! [`RecordStore::fetch_view`] or parsed in place by
-//! [`RecordStore::fetch`].
+//! [`RecordStore::fetch_view`] or parsed in place by [`RecordStore::fetch`].
+//! Stores whose reads are logged or sealed read the same way.
 //!
 //! All GDPR policy (authorization, visibility, audit, dispatch) lives in
 //! [`gdpr_core::ComplianceEngine`]; this module is storage mechanism only.
@@ -176,8 +176,7 @@ impl RecordStore for RedisStore {
     }
 
     /// One [`KvStore::read_key`]: `visit` sees the stored text in place,
-    /// under the store's shared lock (a `GET` where reads are logged or
-    /// sealed).
+    /// under the store's shared lock.
     fn fetch_view(&self, key: &str, visit: &mut dyn FnMut(RecordView<'_>)) -> GdprResult<bool> {
         let mut found = false;
         self.store
@@ -192,12 +191,11 @@ impl RecordStore for RedisStore {
 
     /// One [`KvStore::read_prefix`] walk over the `rec:*` keys: `visit`
     /// sees each stored text in place, under the store's shared lock.
-    /// `None` where the store's reads are logged or sealed.
     fn scan_each(&self, visit: &mut dyn FnMut(RecordView<'_>)) -> Option<GdprResult<()>> {
         let walked = self.store.read_prefix(KEY_PREFIX.as_bytes(), |_, value| {
             visit(RecordView::from_bytes(value)?);
             Ok::<_, GdprError>(())
-        })?;
+        });
         Some(walked.map_err(Self::store_err).and_then(|visited| visited))
     }
 
@@ -512,13 +510,14 @@ mod tests {
         }
     }
 
-    /// `n` counted stores on one clock, sharing `calls`.
-    fn counted(n: usize, calls: &Arc<Calls>) -> Vec<Counted> {
+    /// `n` counted stores opened with `config` on one clock, sharing
+    /// `calls`.
+    fn counted(n: usize, config: &kvstore::KvConfig, calls: &Arc<Calls>) -> Vec<Counted> {
         let clock = clock::wall();
         (0..n)
             .map(|_| Counted {
                 inner: RedisStore::over(
-                    KvStore::open_with_clock(kvstore::KvConfig::default(), clock.clone()).unwrap(),
+                    KvStore::open_with_clock(config.clone(), clock.clone()).unwrap(),
                     "redis-mi",
                 ),
                 calls: Arc::clone(calls),
@@ -527,18 +526,26 @@ mod tests {
     }
 
     /// The engines under test — `redis-mi` and `redis-sharded` at the
-    /// `GDPR_SHARDS` count — each with its call counters.
+    /// `GDPR_SHARDS` count, over stock stores and over compliant ones
+    /// (reads logged and sealed) — each with its call counters.
     fn engines() -> Vec<(String, Box<dyn GdprConnector>, Arc<Calls>)> {
-        let single = Arc::new(Calls::default());
-        let unsharded = counted(1, &single).pop().unwrap();
-        let unsharded = ComplianceEngine::with_metadata_index(unsharded).unwrap();
         let shards = shard_count_from_env();
-        let fleet = Arc::new(Calls::default());
-        let sharded = ShardedEngine::with_metadata_index(counted(shards, &fleet)).unwrap();
-        vec![
-            ("redis-mi".into(), Box::new(unsharded), single),
-            (format!("redis-sharded x{shards}"), Box::new(sharded), fleet),
-        ]
+        let postures = [
+            ("stock", kvstore::KvConfig::default()),
+            ("compliant", kvstore::KvConfig::gdpr_compliant_in_memory()),
+        ];
+        let mut engines: Vec<(String, Box<dyn GdprConnector>, Arc<Calls>)> = Vec::new();
+        for (posture, config) in postures {
+            let single = Arc::new(Calls::default());
+            let unsharded = counted(1, &config, &single).pop().unwrap();
+            let unsharded = ComplianceEngine::with_metadata_index(unsharded).unwrap();
+            let fleet = Arc::new(Calls::default());
+            let sharded = ShardedEngine::with_metadata_index(counted(shards, &config, &fleet));
+            engines.push((format!("{posture} redis-mi"), Box::new(unsharded), single));
+            let name = format!("{posture} redis-sharded x{shards}");
+            engines.push((name, Box::new(sharded.unwrap()), fleet));
+        }
+        engines
     }
 
     /// The reference: an unindexed engine, which answers every predicate

@@ -213,8 +213,9 @@ pub trait RecordStore: Send + Sync {
     /// order — the predicate-read pushdown for a predicate most records
     /// match, where naming every candidate costs more than reading the
     /// store front to back. `None` (the default) means the store cannot
-    /// walk (or cannot here: the key-value store declines where its reads
-    /// are logged or sealed), and the engine names the candidates instead.
+    /// walk, and the engine names the candidates instead. The key-value
+    /// store walks in every configuration; where its reads are logged, a
+    /// walk logs the keys it read.
     ///
     /// A store that walks lends `visit` views of its stored text under its
     /// shared lock, a fixed chunk of records per hold: `visit` must not

@@ -355,29 +355,16 @@ impl Command {
             "SCAN" => {
                 at_least(1)?;
                 let cursor = parse_u64(&args[0])? as usize;
-                let mut count = 10usize;
-                let mut pattern = None;
-                let mut i = 1;
-                while i + 1 < args.len() + 1 && i < args.len() {
-                    let opt = std::str::from_utf8(&args[i])
-                        .unwrap_or("")
-                        .to_ascii_uppercase();
-                    match opt.as_str() {
-                        "COUNT" => {
-                            count =
-                                parse_u64(args.get(i + 1).ok_or_else(|| {
-                                    KvError::Syntax("COUNT missing value".into())
-                                })?)? as usize;
-                            i += 2;
-                        }
-                        "MATCH" => {
-                            pattern = Some(
-                                args.get(i + 1)
-                                    .ok_or_else(|| KvError::Syntax("MATCH missing value".into()))?
-                                    .clone(),
-                            );
-                            i += 2;
-                        }
+                let (mut count, mut pattern) = (10, None);
+                let mut options = args[1..].iter();
+                while let Some(option) = options.next() {
+                    let option = String::from_utf8_lossy(option).to_ascii_uppercase();
+                    let value = options
+                        .next()
+                        .ok_or_else(|| KvError::Syntax(format!("{option} missing value")));
+                    match option.as_str() {
+                        "COUNT" => count = parse_u64(value?)? as usize,
+                        "MATCH" => pattern = Some(value?.clone()),
                         other => return Err(KvError::Syntax(format!("bad SCAN option {other}"))),
                     }
                 }
@@ -451,24 +438,8 @@ impl Command {
                     .map(|key| bulk_or_nil(db.get(key)))
                     .collect::<KvResult<_>>()?,
             ),
-            Del { keys } => {
-                let mut n = 0;
-                for key in keys {
-                    if db.remove(key) {
-                        n += 1;
-                    }
-                }
-                Reply::Int(n)
-            }
-            Exists { keys } => {
-                let mut n = 0;
-                for key in keys {
-                    if db.exists(key) {
-                        n += 1;
-                    }
-                }
-                Reply::Int(n)
-            }
+            Del { keys } => Reply::Int(keys.iter().map(|key| i64::from(db.remove(key))).sum()),
+            Exists { keys } => Reply::Int(keys.iter().map(|key| i64::from(db.exists(key))).sum()),
             Expire { key, ttl } => {
                 let at = db.clock().now() + *ttl;
                 Reply::Int(db.set_expiry(key, at) as i64)

@@ -8,10 +8,10 @@
 //!   lock ([`server::KvStore`]), so writes and reads serialize exactly as in
 //!   Redis' event loop. This is what makes the GDPR security features so much
 //!   more expensive here than in the relational store. The exceptions are
-//!   the readers [`KvStore::read_each`] and [`KvStore::read_prefix`]: where
-//!   a read has no side effect to serialize (nothing to reap, log or seal)
-//!   they look keys up, or walk the keyspace's slots, under the lock's
-//!   shared side and lend their caller the stored values — see [`server`].
+//!   the readers [`KvStore::read_each`] and [`KvStore::read_prefix`]: in
+//!   every configuration they look keys up, or walk the keyspace's slots,
+//!   under the lock's shared side and lend their caller the stored values;
+//!   the AOF and the transit session have locks of their own ([`server`]).
 //! * **No secondary indexes.** The keyspace is a hash table; any query that
 //!   is not a key lookup must SCAN, which is how the paper's metadata-based
 //!   GDPR queries end up O(n) (Figures 5a, 7b). A key's TTL deadline lives
@@ -42,8 +42,8 @@
 //! | command | who issues it |
 //! |---|---|
 //! | `SET key value [NX] [PX ms \| EX s \| PXAT ms \| KEEPTTL]` | the Redis connector's every record write, one command each: put (`NX [PX ttl]`), rewrite (`KEEPTTL`, or `[PX ttl]` when the TTL changed), shard migration (`NX [PXAT at]`); [`KvStore::set`] / [`KvStore::set_ex`]: YCSB insert and update. An effective `SET` is logged as `SET key value [PXAT at]`, the deadline it left; an `NX` that found a live key logs nothing |
-//! | `GET` | [`KvStore::read_key`] / [`KvStore::get`] (the connector's point reads, YCSB read) where reads are logged or sealed; otherwise it reads on the shared side |
-//! | `MGET` | [`KvStore::read_each`] (the connector's `fetch_many` and scan) where reads are logged or sealed, one per chunk of keys |
+//! | `GET` | the log and seal form of [`KvStore::read_key`] / [`KvStore::get`] (the connector's point reads, YCSB read), which read on the shared side |
+//! | `MGET` | the log and seal form of each chunk of [`KvStore::read_each`] (the connector's `fetch_many` and scan: the chunk's keys) and of [`KvStore::read_prefix`] (the connector's walk: the keys the chunk returned), which read on the shared side |
 //! | `DEL` | [`KvStore::del`]: the connector's delete |
 //! | `EXISTS` | no caller now; it replays from `log_reads` logs written when it was the connector's create-collision probe |
 //! | `EXPIRE` | [`KvStore::expire`]: the Figure 4 TTL experiment (`bench`) |

@@ -2,40 +2,31 @@
 //! transit encryption, and the active-expiration driver.
 //!
 //! Like Redis, commands serialize through one execution context (here, the
-//! exclusive side of one readers-writer lock). Under GDPR retrofits this is
-//! the property that makes Redis' slowdown so much steeper than
-//! PostgreSQL's: every added per-operation cost (cipher, audit append,
-//! strict expiry bookkeeping) is paid inside the serial section.
+//! exclusive side of one readers-writer lock over the keyspace). Under GDPR
+//! retrofits this is the property that makes Redis' slowdown so much
+//! steeper than PostgreSQL's: every added per-write cost (audit append,
+//! at-rest seal, strict expiry bookkeeping) is paid inside the serial
+//! section.
 //!
 //! Every [`Command`] runs on that exclusive side, `GET` and `MGET`
-//! included. Two readers run on the **shared** side instead, and show
-//! their caller each stored value in place — no reply is built and no
-//! value is copied — so a batched predicate read does not take the store
-//! away from the point reads beside it, or from another batch:
+//! included. Three readers run on the **shared** side instead, in every
+//! configuration, and lend their caller each stored value in place, so a
+//! batched predicate read does not take the store away from the point
+//! reads beside it, or from another batch:
 //!
 //! * [`KvStore::read_each`] looks named keys up ([`crate::db::Db::peek`]):
-//!   the GDPR connector's batched reads and its scan. [`KvStore::read_key`]
-//!   is its one-key case, which [`KvStore::get`] and the connector's point
-//!   reads go through;
+//!   the GDPR connector's batched reads and its scan; [`KvStore::read_key`]
+//!   is its one-key case ([`KvStore::get`], the connector's point reads);
 //! * [`KvStore::read_prefix`] walks the keyspace's slots front to back
-//!   ([`crate::db::Db::walk`]) — the connector's broad predicate reads,
-//!   which would otherwise name nearly every key.
+//!   ([`crate::db::Db::walk`]) — the connector's broad predicate reads.
 //!
-//! Answering takes the exclusive side only where it has a side effect:
-//!
-//! * a named key is past due — that one key is reaped through the
-//!   exclusive side, which fires the expiry listener; the keys after it
-//!   are read on the shared side again (the walk skips past-due keys
-//!   instead, and reaps nothing);
-//! * `log_reads` with an AOF attached — the read appends a frame, and the
-//!   log is one ordered stream;
-//! * `encrypt_transit` — both channel endpoints advance their nonce
-//!   counters per message, which is a write to shared state.
-//!
-//! In the last two cases `read_each` runs the commands it stands for
-//! through [`KvStore::execute`]: one `MGET` per chunk of [`READ_CHUNK`]
-//! keys, or one `GET` for a point read; the walk declines, and its caller
-//! names the keys instead.
+//! Only a past-due named key takes the exclusive side, to be reaped (the
+//! expiry listener fires); the walk skips it and reaps nothing. Each chunk
+//! a reader holds the shared lock for stands for one command — `GET key`,
+//! `MGET` of the chunk's keys, or for the walk `MGET` of the keys it
+//! returned (none if it returned none). Under `log_reads` its frame is
+//! appended before the shared lock is released; under `encrypt_transit`
+//! the command and its reply are sealed after.
 
 use crate::aof;
 use crate::commands::{Command, Reply, SetDeadline};
@@ -43,28 +34,29 @@ use crate::config::{KvConfig, Storage};
 use crate::db::{Db, Peek};
 use crate::error::{KvError, KvResult};
 use crate::expire::{CycleStats, ExpirationCycle, CYCLE_PERIOD};
+use crate::resp;
+use crate::value::Value;
 use bytes::Bytes;
 use clock::SharedClock;
 use crypto::channel::{Direction, Loopback};
 use crypto::log::{Log, MemBuffer};
 use crypto::Volume;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Keys [`KvStore::read_each`] looks up, and slots [`KvStore::read_prefix`]
-/// walks, per hold of the shared lock — and keys per `MGET` on a store
-/// whose reads have side effects: the longest the store is held for one
-/// batched read, whatever its size.
+/// walks, per hold of the shared lock — and so keys per `MGET` a logged or
+/// sealed read stands for: the longest the store is held for one batched
+/// read, whatever its size.
 pub const READ_CHUNK: usize = 512;
 
+/// What the keyspace lock guards.
 struct Inner {
     db: Db,
     cycle: ExpirationCycle,
-    aof: Option<Log>,
-    transit: Option<Loopback>,
 }
 
 /// Operation counters, exposed for INFO-style reporting.
@@ -84,8 +76,17 @@ pub struct KvStats {
 }
 
 /// The key-value store.
+///
+/// Three locks: `inner` over the keyspace, and one mutex each over the AOF
+/// and the transit session. The lock order is keyspace → AOF; the transit
+/// mutex is never held together with the keyspace lock. The log keeps one
+/// invariant: **a read's frame follows the frame of every write it
+/// observed.** A write appends before it releases the exclusive side, and
+/// a read appends while it still holds the shared side.
 pub struct KvStore {
     inner: RwLock<Inner>,
+    aof: Option<Mutex<Log>>,
+    transit: Option<Mutex<Loopback>>,
     config: KvConfig,
     clock: SharedClock,
     stats: KvStats,
@@ -126,14 +127,14 @@ impl KvStore {
             .collect::<KvResult<Vec<_>>>()?;
         let transit = config
             .encrypt_transit
-            .then(|| Loopback::new(&config.cipher_seed));
+            .then(|| Mutex::new(Loopback::new(&config.cipher_seed)));
         let store = Arc::new(KvStore {
             inner: RwLock::new(Inner {
                 db: Db::new(clk.clone()),
                 cycle: ExpirationCycle::new(config.expiration),
-                aof,
-                transit,
             }),
+            aof: aof.map(Mutex::new),
+            transit,
             config,
             clock: clk,
             stats: KvStats::default(),
@@ -168,49 +169,34 @@ impl KvStore {
     /// Execute one command through the full pipeline: transit decryption,
     /// serial execution, AOF logging, transit encryption of the reply.
     pub fn execute(&self, cmd: Command) -> KvResult<Reply> {
-        let mut inner = self.inner.write();
-        let inner = &mut *inner;
-
         // In-transit boundary: the "client" seals the request, the "server"
         // opens it — then the reverse for the reply. The store executes the
         // typed command; the wire trip exists to pay the honest cipher cost
         // and to catch any tampering in tests.
-        let transit_error = |e| KvError::Corrupt(format!("transit: {e}"));
-        if let Some(transit) = &mut inner.transit {
-            let wire = crate::resp::encode_command(&cmd.to_wire());
-            transit
-                .round_trip(Direction::Request, &wire)
-                .map_err(transit_error)?;
-        }
+        self.seal(Direction::Request, || resp::encode_command(&cmd.to_wire()))?;
 
         let is_write = cmd.is_write();
-        let reply = cmd.execute(&mut inner.db)?;
-        // Built after execution: what a write logs depends on what it did.
-        let logged = if is_write {
-            Self::aof_form(&cmd, &reply, &inner.db)
-        } else {
-            self.config.log_reads.then_some(Cow::Borrowed(&cmd))
+        let reply = {
+            let mut inner = self.inner.write();
+            let reply = cmd.execute(&mut inner.db)?;
+            // Built after execution: what a write logs depends on what it did.
+            let logged = if is_write {
+                Self::aof_form(&cmd, &reply, &inner.db)
+            } else {
+                self.config.log_reads.then_some(Cow::Borrowed(&cmd))
+            };
+            if let Some(logged) = logged {
+                // Counted in AOF-frame units so that replaying the log lands
+                // on the identical generation.
+                if is_write {
+                    self.stats.mutations.fetch_add(1, Ordering::Relaxed);
+                }
+                self.append(&logged)?;
+            }
+            reply
         };
-        if let Some(logged) = logged {
-            // Counted in AOF-frame units so that replaying the log lands on
-            // the identical generation.
-            if is_write {
-                self.stats.mutations.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(aof) = &mut inner.aof {
-                let now = self.clock.now().as_nanos();
-                aof.append(&crate::resp::encode_command(&logged.to_wire()), now)?;
-                self.stats
-                    .aof_records
-                    .store(aof.frames(), Ordering::Relaxed);
-            }
-        }
 
-        if let Some(transit) = &mut inner.transit {
-            transit
-                .round_trip(Direction::Reply, &reply.encode())
-                .map_err(transit_error)?;
-        }
+        self.seal(Direction::Reply, || reply.encode())?;
 
         self.stats.commands.fetch_add(1, Ordering::Relaxed);
         if is_write {
@@ -221,6 +207,49 @@ impl KvStore {
         Ok(reply)
     }
 
+    /// Append `cmd`'s frame to the AOF, if one is attached.
+    fn append(&self, cmd: &Command) -> KvResult<()> {
+        if let Some(aof) = &self.aof {
+            let frame = resp::encode_command(&cmd.to_wire());
+            let mut aof = aof.lock();
+            aof.append(&frame, self.clock.now().as_nanos())?;
+            self.stats
+                .aof_records
+                .store(aof.frames(), Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Carry `message()` across the transit session in `direction`, if
+    /// transit encryption is on.
+    fn seal(&self, direction: Direction, message: impl FnOnce() -> Vec<u8>) -> KvResult<()> {
+        if let Some(transit) = &self.transit {
+            let message = message();
+            transit
+                .lock()
+                .round_trip(direction, &message)
+                .map_err(|e| KvError::Corrupt(format!("transit: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// One chunk of a shared-side read stands for `cmd`, answered `reply`:
+    /// log `cmd` (under `log_reads`) while `held` is still held, release
+    /// it, then seal `cmd` and `reply` (under `encrypt_transit`).
+    fn log_and_seal(
+        &self,
+        held: RwLockReadGuard<'_, Inner>,
+        cmd: Command,
+        reply: Reply,
+    ) -> KvResult<()> {
+        if self.config.log_reads {
+            self.append(&cmd)?;
+        }
+        drop(held);
+        self.seal(Direction::Request, || resp::encode_command(&cmd.to_wire()))?;
+        self.seal(Direction::Reply, || reply.encode())
+    }
+
     /// Look up `keys` and show `visit` every value found, **in `keys`
     /// order**, borrowed from the keyspace — the shared-side reader (see
     /// the module docs). Each storage key is written by `storage_key` into
@@ -229,9 +258,11 @@ impl KvStore {
     /// that is not a string fails the call with `WrongType`.
     ///
     /// Keys are looked up [`READ_CHUNK`] per hold of the shared lock, and
-    /// `visit` runs under it: it must not call back into this store. The
-    /// clock is read once per chunk, and the `commands` / `reads` counters
-    /// tick once per chunk, as for the `MGET` the chunk stands for.
+    /// `visit` runs under it: it must not call back into this store. Each
+    /// chunk stands for one `MGET` of its keys: the clock is read once per
+    /// chunk, the `commands` / `reads` counters tick once per chunk, and
+    /// the chunk is logged and sealed as that `MGET` (see the module docs)
+    /// — also the chunk whose `visit` stopped the read.
     ///
     /// The outer error is the store's; the inner one is the first error
     /// `visit` returned, which stops the read.
@@ -244,9 +275,9 @@ impl KvStore {
         self.read(keys, storage_key, visit, false)
     }
 
-    /// [`Self::read_each`] of one key, whose side-effect path runs a `GET`
-    /// rather than an `MGET`: a point read that lends `visit` the stored
-    /// value (if the key holds a live one) instead of copying it out.
+    /// [`Self::read_each`] of one key, which stands for a `GET` rather than
+    /// an `MGET`: a point read that lends `visit` the stored value (if the
+    /// key holds a live one) instead of copying it out.
     pub fn read_key<E>(
         &self,
         key: &[u8],
@@ -268,46 +299,54 @@ impl KvStore {
     /// A past-due key is skipped and **not** reaped. A non-string value
     /// under the prefix fails the walk with `WrongType`.
     ///
-    /// `None` where reads have side effects (`log_reads` with an AOF, or
-    /// `encrypt_transit`): the walk would read keys no logged or sealed
-    /// command names, so the caller must name them ([`Self::read_each`]).
-    /// The `commands` / `reads` counters tick once per chunk.
+    /// The `commands` / `reads` counters tick once per chunk. A chunk that
+    /// showed `visit` any key stands for one `MGET` of exactly those keys,
+    /// in visit order, and is logged and sealed as that `MGET` (see the
+    /// module docs) — what a read naming them would have logged.
     pub fn read_prefix<E>(
         &self,
         prefix: &[u8],
         mut visit: impl FnMut(&Bytes, &Bytes) -> Result<(), E>,
-    ) -> Option<KvResult<Result<(), E>>> {
+    ) -> KvResult<Result<(), E>> {
+        // A logged or sealed chunk keeps the keys (and, sealed, the values)
+        // its command names and answers.
+        let seals = self.transit.is_some();
+        let names = seals || self.config.log_reads;
         let (epoch, end) = {
             let inner = self.inner.read();
-            if self.reads_have_side_effects(&inner) {
-                return None;
-            }
             (inner.db.births(), inner.db.slot_count())
         };
         // Slots past `end` were all filled after the walk started.
         for start in (0..end).step_by(READ_CHUNK) {
+            let (mut named, mut values) = (Vec::new(), Vec::new());
             let inner = self.inner.read();
             self.stats.commands.fetch_add(1, Ordering::Relaxed);
             self.stats.reads.fetch_add(1, Ordering::Relaxed);
             let range = start..(start + READ_CHUNK).min(end);
-            match inner
+            let walked = inner
                 .db
-                .walk(range, epoch, self.clock.now(), prefix, &mut visit)
-            {
-                Ok(Ok(())) => {}
-                stopped => return Some(stopped),
+                .walk(range, epoch, self.clock.now(), prefix, |key, value| {
+                    if names {
+                        named.push(key.clone());
+                    }
+                    if seals {
+                        values.push(Reply::Bulk(value.clone()));
+                    }
+                    visit(key, value)
+                });
+            if !named.is_empty() {
+                let mget = Command::MGet { keys: named };
+                self.log_and_seal(inner, mget, Reply::Array(values))?;
+            }
+            if !matches!(walked, Ok(Ok(()))) {
+                return walked;
             }
         }
-        Some(Ok(Ok(())))
+        Ok(Ok(()))
     }
 
-    /// Does a read append to the AOF or advance the transit channel?
-    fn reads_have_side_effects(&self, inner: &Inner) -> bool {
-        inner.transit.is_some() || (self.config.log_reads && inner.aof.is_some())
-    }
-
-    /// [`Self::read_each`], whose side-effect path runs one `GET` for a
-    /// `point` read (of one key) and one `MGET` per chunk otherwise.
+    /// [`Self::read_each`], whose chunks stand for one `GET` for a `point`
+    /// read (of one key) and for one `MGET` each otherwise.
     fn read<K, E>(
         &self,
         keys: &[K],
@@ -315,65 +354,58 @@ impl KvStore {
         mut visit: impl FnMut(&Bytes) -> Result<(), E>,
         point: bool,
     ) -> KvResult<Result<(), E>> {
+        let seals = self.transit.is_some();
+        let names = seals || self.config.log_reads;
         let mut key = Vec::new();
         for chunk in keys.chunks(READ_CHUNK) {
-            let mut inner = self.inner.read();
-            if self.reads_have_side_effects(&inner) {
-                drop(inner);
-                let mut keys: Vec<Bytes> = chunk
-                    .iter()
-                    .map(|k| {
-                        key.clear();
-                        storage_key(k, &mut key);
-                        Bytes::copy_from_slice(&key)
-                    })
-                    .collect();
-                let cmd = if point {
-                    Command::Get {
-                        key: keys.swap_remove(0),
-                    }
-                } else {
-                    Command::MGet { keys }
-                };
-                let reply = self.execute(cmd)?;
-                let values = match &reply {
-                    Reply::Array(values) => values.as_slice(),
-                    value => std::slice::from_ref(value),
-                };
-                let visited = values
-                    .iter()
-                    .filter_map(Reply::as_bulk)
-                    .try_for_each(&mut visit);
-                if visited.is_err() {
-                    return Ok(visited);
+            let (mut named, mut values) = (Vec::new(), Vec::new());
+            let mut lend = |value: Option<&Value>| -> KvResult<Result<(), E>> {
+                let value = value.map(Value::as_str).transpose()?;
+                if seals {
+                    values.push(value.map_or(Reply::Nil, |v| Reply::Bulk(v.clone())));
                 }
-                continue;
-            }
+                Ok(value.map_or(Ok(()), &mut visit))
+            };
+            let mut read = Ok(Ok(()));
+            let mut inner = self.inner.read();
             self.stats.commands.fetch_add(1, Ordering::Relaxed);
             self.stats.reads.fetch_add(1, Ordering::Relaxed);
             let now = self.clock.now();
             for k in chunk {
                 key.clear();
                 storage_key(k, &mut key);
-                let visited = match inner.db.peek(&key, now) {
-                    Peek::Live(value) => visit(value.as_str()?),
-                    Peek::Absent => continue,
+                if names {
+                    named.push(Bytes::copy_from_slice(&key));
+                }
+                // After a stop the chunk's command still names every key.
+                if !matches!(read, Ok(Ok(()))) {
+                    continue;
+                }
+                read = match inner.db.peek(&key, now) {
+                    Peek::Live(value) => lend(Some(value)),
+                    Peek::Absent => lend(None),
                     // Reaping is a write: this key alone goes through the
                     // exclusive side, where `Db::get` reaps it (or finds
                     // the value a writer put there meanwhile).
                     Peek::Due => {
                         drop(inner);
-                        let visited = match self.inner.write().db.get(&key) {
-                            Some(value) => visit(value.as_str()?),
-                            None => Ok(()),
-                        };
+                        let read = lend(self.inner.write().db.get(&key));
                         inner = self.inner.read();
-                        visited
+                        read
                     }
                 };
-                if visited.is_err() {
-                    return Ok(visited);
-                }
+            }
+            if names {
+                let (cmd, reply) = if point {
+                    let key = named.swap_remove(0);
+                    (Command::Get { key }, values.pop().unwrap_or(Reply::Nil))
+                } else {
+                    (Command::MGet { keys: named }, Reply::Array(values))
+                };
+                self.log_and_seal(inner, cmd, reply)?;
+            }
+            if !matches!(read, Ok(Ok(()))) {
+                return read;
             }
         }
         Ok(Ok(()))
@@ -473,24 +505,20 @@ impl KvStore {
 
     /// Force an AOF flush/fsync.
     pub fn sync_aof(&self) -> KvResult<()> {
-        if let Some(aof) = &mut self.inner.write().aof {
-            aof.sync()?;
+        if let Some(aof) = &self.aof {
+            aof.lock().sync()?;
         }
         Ok(())
     }
 
     /// Bytes appended to the AOF so far.
     pub fn aof_bytes(&self) -> u64 {
-        self.inner.read().aof.as_ref().map_or(0, Log::bytes)
+        self.aof.as_ref().map_or(0, |aof| aof.lock().bytes())
     }
 
     /// Handle to the in-memory AOF buffer (memory-backed stores only).
     pub fn aof_memory_buffer(&self) -> Option<MemBuffer> {
-        self.inner
-            .read()
-            .aof
-            .as_ref()
-            .and_then(|a| a.memory_buffer())
+        self.aof.as_ref().and_then(|aof| aof.lock().memory_buffer())
     }
 
     /// Replay an AOF byte stream into a fresh store with this configuration.
@@ -552,8 +580,7 @@ impl KvStore {
         .map(|_| ())
     }
 
-    /// A point read through [`Self::read_key`] (a `GET` where reads have
-    /// side effects), the value copied out.
+    /// A point read through [`Self::read_key`], the value copied out.
     pub fn get(&self, key: &[u8]) -> KvResult<Option<Bytes>> {
         let mut found = None;
         let Ok(()) = self.read_key(key, |value| {
@@ -623,8 +650,8 @@ impl Drop for KvStore {
                 let _ = handle.join();
             }
         }
-        if let Some(aof) = &mut self.inner.get_mut().aof {
-            let _ = aof.sync();
+        if let Some(aof) = &mut self.aof {
+            let _ = aof.get_mut().sync();
         }
     }
 }
@@ -641,7 +668,7 @@ mod tests {
 
     /// One plaintext AOF frame holding `HSET k f v`.
     fn foreign_frame() -> Vec<u8> {
-        let payload = crate::resp::encode_command(&[b("HSET"), b("k"), b("f"), b("v")]);
+        let payload = resp::encode_command(&[b("HSET"), b("k"), b("f"), b("v")]);
         let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&payload);
         frame
@@ -906,10 +933,10 @@ mod tests {
         }
     }
 
-    /// With transit sealing on, a read is a sealed command round trip:
-    /// the values come back all the same.
+    /// With transit sealing on, a read still runs on the shared side and
+    /// seals the command it stands for: the values come back all the same.
     #[test]
-    fn read_each_under_transit_encryption_reads_through_commands() {
+    fn read_each_under_transit_encryption_reads_on_the_shared_side() {
         let config = KvConfig {
             encrypt_transit: true,
             ..Default::default()
@@ -921,15 +948,14 @@ mod tests {
         assert_eq!(store.stats().reads.load(Ordering::Relaxed), 1);
     }
 
-    /// Every key `read_prefix` shows, as owned strings, in visit order;
-    /// `None` where the store declines the walk.
-    fn walk_all(store: &KvStore, prefix: &str) -> Option<KvResult<Vec<String>>> {
+    /// Every key `read_prefix` shows, as owned strings, in visit order.
+    fn walk_all(store: &KvStore, prefix: &str) -> KvResult<Vec<String>> {
         let mut seen = Vec::new();
-        let walked = store.read_prefix(prefix.as_bytes(), |key, _| {
+        let Ok(()) = store.read_prefix(prefix.as_bytes(), |key, _| {
             seen.push(String::from_utf8(key.to_vec()).unwrap());
             Ok::<_, std::convert::Infallible>(())
         })?;
-        Some(walked.map(|Ok(())| seen))
+        Ok(seen)
     }
 
     /// The walk visits every live key under the prefix once, across chunk
@@ -960,39 +986,126 @@ mod tests {
 
         let mut want = keys.clone();
         want.remove(7);
-        assert_eq!(walk_all(&store, "rec:").unwrap().unwrap(), want);
+        assert_eq!(walk_all(&store, "rec:").unwrap(), want);
         let chunks = (2 * keys.len()).div_ceil(READ_CHUNK) as u64;
         assert_eq!(store.stats().reads.load(Ordering::Relaxed), reads + chunks);
         assert_eq!(store.dbsize(), 2 * keys.len(), "nothing reaped");
         assert_eq!(store.aof_memory_buffer().unwrap().lock().len(), frames);
     }
 
-    /// Where a read appends to the AOF or advances the transit channel the
-    /// walk declines: no command names the keys it would read.
+    /// Where reads are logged, sealed or both, the walk returns what the
+    /// stock store's walk returns, and logs one `MGET` per chunk that
+    /// returned any key, naming exactly the keys it returned, in order:
+    /// the first chunk holds no `rec:` key and logs nothing. The log
+    /// replays to the live generation.
     #[test]
-    fn read_prefix_declines_where_reads_have_side_effects() {
-        let cases = [
-            (true, Storage::Memory, false, false),
-            (false, Storage::Disabled, true, false),
-            (true, Storage::Disabled, false, true),
-            (false, Storage::Memory, false, true),
-        ];
-        for (log_reads, aof, encrypt_transit, walks) in cases {
+    fn read_prefix_walks_and_logs_where_reads_are_logged_or_sealed() {
+        let load = |config: KvConfig| {
+            let sim = clock::sim();
+            let store = KvStore::open_with_clock(config, sim.clone()).unwrap();
+            for i in 0..READ_CHUNK {
+                store.set(format!("other:{i}").as_bytes(), b"v").unwrap();
+            }
+            for i in 0..READ_CHUNK + 10 {
+                store.set(format!("rec:{i:04}").as_bytes(), b"v").unwrap();
+            }
+            store
+                .set_ex(b"rec:0007", b"lapsing", Duration::from_secs(5))
+                .unwrap();
+            sim.advance(Duration::from_secs(5));
+            store
+        };
+        let want = walk_all(&load(KvConfig::default()), "rec:").unwrap();
+        assert_eq!(want.len(), READ_CHUNK + 9);
+        // Slots fill in write order: the second chunk returns the first
+        // 512 `rec:` keys but the lapsed one, the third the last ten.
+        let mget = |keys: &[String]| {
+            let mut frame = vec![b("MGET")];
+            frame.extend(keys.iter().map(|k| b(k)));
+            frame
+        };
+        let logged_reads = [mget(&want[..READ_CHUNK - 1]), mget(&want[READ_CHUNK - 1..])];
+
+        for (log_reads, encrypt_transit) in [(true, false), (false, true), (true, true)] {
             let config = KvConfig {
-                aof,
+                aof: Storage::Memory,
                 fsync: FsyncPolicy::Never,
                 log_reads,
                 encrypt_transit,
                 ..Default::default()
             };
-            let store = KvStore::open(config).unwrap();
-            store.set(b"rec:a", b"1").unwrap();
-            let walked = walk_all(&store, "rec:");
-            assert_eq!(walked.is_some(), walks, "log_reads {log_reads}");
-            if let Some(walked) = walked {
-                assert_eq!(walked.unwrap(), ["rec:a"]);
+            let store = load(config.clone());
+            let writes = frames(&store).len();
+            assert_eq!(walk_all(&store, "rec:").unwrap(), want);
+            let frames = frames(&store);
+            let reads = &frames[writes..];
+            if log_reads {
+                assert_eq!(reads, logged_reads, "transit {encrypt_transit}");
+            } else {
+                assert!(reads.is_empty(), "reads are not logged");
+            }
+            let raw = store.aof_memory_buffer().unwrap().lock().clone();
+            let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
+            assert_eq!(replayed.mutation_generation(), store.mutation_generation());
+        }
+    }
+
+    /// A read's frame follows the frames of the writes it saw: a reader
+    /// races a writer that rewrites the same keys with rising values, and
+    /// replaying the log frame by frame, every `MGET` frame finds its
+    /// keys holding exactly the values that read returned.
+    #[test]
+    fn a_logged_read_frame_follows_the_writes_it_observed() {
+        let config = KvConfig {
+            aof: Storage::Memory,
+            fsync: FsyncPolicy::Never,
+            log_reads: true,
+            ..Default::default()
+        };
+        let store = KvStore::open(config).unwrap();
+        let keys = ["a", "b", "c", "d"];
+        for key in keys {
+            store.set(key.as_bytes(), b"0").unwrap();
+        }
+        let writer = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                for round in 1..=2_000 {
+                    for key in keys {
+                        store
+                            .set(key.as_bytes(), round.to_string().as_bytes())
+                            .unwrap();
+                    }
+                }
+            })
+        };
+        let mut returned = Vec::new();
+        while !writer.is_finished() {
+            returned.push(read_all(&store, &keys).unwrap());
+        }
+        writer.join().unwrap();
+        let seen: std::collections::HashSet<_> = returned.iter().collect();
+        assert!(seen.len() > 1, "the reads saw the writes move");
+
+        let mut model = std::collections::HashMap::new();
+        let mut reads = returned.iter();
+        for frame in frames(&store) {
+            match &frame[0][..] {
+                b"SET" => {
+                    model.insert(frame[1].clone(), frame[2].clone());
+                }
+                b"MGET" => {
+                    let read = reads.next().expect("one frame per read");
+                    let held: Vec<String> = frame[1..]
+                        .iter()
+                        .map(|key| String::from_utf8(model[key].to_vec()).unwrap())
+                        .collect();
+                    assert_eq!(&held, read);
+                }
+                other => panic!("unexpected frame {other:?}"),
             }
         }
+        assert!(reads.next().is_none(), "every read logged");
     }
 
     /// The walk stops at the first error `visit` returns.
@@ -1011,7 +1124,7 @@ mod tests {
                 Ok(())
             }
         });
-        assert_eq!(walked, Some(Ok(Err("stop"))));
+        assert_eq!(walked, Ok(Err("stop")));
         assert_eq!(visited, 2);
     }
 
@@ -1296,7 +1409,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(retained.len(), 4);
-        let hset = crate::resp::encode_command(&[b("HSET"), b("k"), b("f"), b("v")]);
+        let hset = resp::encode_command(&[b("HSET"), b("k"), b("f"), b("v")]);
         writer.unwrap().append(&hset, 0).unwrap();
         let with_foreign = std::fs::read(&path).unwrap();
         assert!(with_foreign.len() > before.len());

@@ -2005,73 +2005,84 @@ mod store_equivalence {
     /// live, absent and past-due keys — batched from one twin and key by
     /// key from the other. Both show the same values in the same order and
     /// reap exactly the candidates that were due, each reported once, in
-    /// the same order.
+    /// the same order. The cases run once over stock stores and once over
+    /// compliant ones (reads logged to the AOF and sealed in transit): the
+    /// one shared-side read path in both postures.
     #[test]
     fn read_each_is_the_per_key_get_loop() {
-        run_cases(8, |rng| {
-            let sim = clock::sim();
-            let twin = || {
-                let store = KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
-                let reaped = Arc::new(Mutex::new(Vec::new()));
-                let sink = Arc::clone(&reaped);
-                store.set_expiry_listener(Arc::new(move |key| {
-                    sink.lock()
-                        .unwrap()
-                        .push(String::from_utf8(key.to_vec()).unwrap())
-                }));
-                (store, reaped)
-            };
-            let ((batched, batched_reaped), (looped, looped_reaped)) = (twin(), twin());
-            let n = rng.gen_range(600usize..1200);
-            let key = |i: usize| format!("k{i:05}");
-            for i in 0..n {
-                let value = format!("v{i}-{}", rng.gen_range(0u32..1000));
-                let ttl = rng
-                    .gen_bool(0.3)
-                    .then(|| Duration::from_secs(rng.gen_range(1u64..60)));
-                for store in [&batched, &looped] {
-                    match ttl {
-                        Some(ttl) => store.set_ex(key(i).as_bytes(), value.as_bytes(), ttl),
-                        None => store.set(key(i).as_bytes(), value.as_bytes()),
+        let postures = [
+            ("stock", KvConfig::default()),
+            ("compliant", KvConfig::gdpr_compliant_in_memory()),
+        ];
+        for (posture, config) in postures {
+            run_cases(8, |rng| {
+                let sim = clock::sim();
+                let twin = || {
+                    let store = KvStore::open_with_clock(config.clone(), sim.clone()).unwrap();
+                    let reaped = Arc::new(Mutex::new(Vec::new()));
+                    let sink = Arc::clone(&reaped);
+                    store.set_expiry_listener(Arc::new(move |key| {
+                        sink.lock()
+                            .unwrap()
+                            .push(String::from_utf8(key.to_vec()).unwrap())
+                    }));
+                    (store, reaped)
+                };
+                let ((batched, batched_reaped), (looped, looped_reaped)) = (twin(), twin());
+                let n = rng.gen_range(600usize..1200);
+                let key = |i: usize| format!("k{i:05}");
+                for i in 0..n {
+                    let value = format!("v{i}-{}", rng.gen_range(0u32..1000));
+                    let ttl = rng
+                        .gen_bool(0.3)
+                        .then(|| Duration::from_secs(rng.gen_range(1u64..60)));
+                    for store in [&batched, &looped] {
+                        match ttl {
+                            Some(ttl) => store.set_ex(key(i).as_bytes(), value.as_bytes(), ttl),
+                            None => store.set(key(i).as_bytes(), value.as_bytes()),
+                        }
+                        .unwrap();
                     }
-                    .unwrap();
                 }
-            }
 
-            for round in 0..4 {
-                sim.advance(Duration::from_secs(rng.gen_range(0u64..20)));
-                let len = rng.gen_range(0usize..1500);
-                let candidates: Vec<String> =
-                    (0..len).map(|_| key(rng.gen_range(0..n + 200))).collect();
-                let now = sim.now();
-                let mut due: Vec<String> = candidates
-                    .iter()
-                    .filter(|k| batched.expiry_at(k.as_bytes()).is_some_and(|at| at <= now))
-                    .cloned()
-                    .collect();
-                let mut seen = std::collections::HashSet::new();
-                due.retain(|k| seen.insert(k.clone()));
+                for round in 0..4 {
+                    sim.advance(Duration::from_secs(rng.gen_range(0u64..20)));
+                    let len = rng.gen_range(0usize..1500);
+                    let candidates: Vec<String> =
+                        (0..len).map(|_| key(rng.gen_range(0..n + 200))).collect();
+                    let now = sim.now();
+                    let mut due: Vec<String> = candidates
+                        .iter()
+                        .filter(|k| batched.expiry_at(k.as_bytes()).is_some_and(|at| at <= now))
+                        .cloned()
+                        .collect();
+                    let mut seen = std::collections::HashSet::new();
+                    due.retain(|k| seen.insert(k.clone()));
 
-                let mut got = Vec::new();
-                let copy = |k: &String, buf: &mut Vec<u8>| buf.extend_from_slice(k.as_bytes());
-                let visited = batched.read_each(&candidates, copy, |value| {
-                    got.push(value.clone());
-                    Ok::<_, std::convert::Infallible>(())
-                });
-                assert!(matches!(visited, Ok(Ok(()))));
-                let want: Vec<_> = candidates
-                    .iter()
-                    .filter_map(|k| looped.get(k.as_bytes()).unwrap())
-                    .collect();
-                assert_eq!(got, want, "round {round}");
+                    let mut got = Vec::new();
+                    let copy = |k: &String, buf: &mut Vec<u8>| buf.extend_from_slice(k.as_bytes());
+                    let visited = batched.read_each(&candidates, copy, |value| {
+                        got.push(value.clone());
+                        Ok::<_, std::convert::Infallible>(())
+                    });
+                    assert!(matches!(visited, Ok(Ok(()))));
+                    let want: Vec<_> = candidates
+                        .iter()
+                        .filter_map(|k| looped.get(k.as_bytes()).unwrap())
+                        .collect();
+                    assert_eq!(got, want, "{posture} round {round}");
 
-                let batched_reaped = std::mem::take(&mut *batched_reaped.lock().unwrap());
-                let looped_reaped = std::mem::take(&mut *looped_reaped.lock().unwrap());
-                assert_eq!(batched_reaped, looped_reaped, "round {round}");
-                assert_eq!(batched_reaped, due, "round {round}: the due candidates");
-                assert_eq!(batched.dbsize(), looped.dbsize());
-            }
-        });
+                    let batched_reaped = std::mem::take(&mut *batched_reaped.lock().unwrap());
+                    let looped_reaped = std::mem::take(&mut *looped_reaped.lock().unwrap());
+                    assert_eq!(batched_reaped, looped_reaped, "{posture} round {round}");
+                    assert_eq!(
+                        batched_reaped, due,
+                        "{posture} round {round}: the due candidates"
+                    );
+                    assert_eq!(batched.dbsize(), looped.dbsize());
+                }
+            });
+        }
     }
 
     /// The in-memory kvstore engine and the disk-native pagestore engine
