@@ -10,7 +10,10 @@
 //! the same comparison at 100 K records.
 
 use crate::report::ExperimentTable;
-use gdpr_core::{wire, GdprConnector, GdprQuery, MetadataIndex, PersonalRecord, Session};
+use gdpr_core::response::DataRows;
+use gdpr_core::{
+    wire, GdprConnector, GdprQuery, GdprResponse, MetadataIndex, PersonalRecord, Session,
+};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -321,6 +324,10 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
             record_view_parse_ns(&stored, rounds),
         ),
         (
+            "data_response_ns_per_row",
+            data_response_ns_per_row(&records, rounds),
+        ),
+        (
             "kv_read_ns_per_key",
             read_each_ns_per_key(&stock.0, &stock.1, rounds * 10),
         ),
@@ -362,6 +369,19 @@ fn record_view_parse_ns(stored: &[(Arc<str>, String)], rounds: usize) -> f64 {
             let view = wire::RecordView::from_bytes(std::hint::black_box(text.as_bytes()));
             std::hint::black_box(view.expect("a stored text parses"));
         }
+    })
+}
+
+/// What a predicate read pays per matched row to hand its rows back:
+/// build a `Data` response from every record's `(key, data)`, sized for
+/// the rows as the engine sizes it, and drop it.
+fn data_response_ns_per_row(records: &[PersonalRecord], rounds: usize) -> f64 {
+    best_ns_per(records.len(), rounds, || {
+        let mut rows = DataRows::with_capacity(records.len(), 0);
+        for record in std::hint::black_box(records) {
+            rows.push(&record.key, &record.data);
+        }
+        drop(std::hint::black_box(GdprResponse::Data(rows)));
     })
 }
 
@@ -564,9 +584,9 @@ mod tests {
     /// The `bench_report` rows exist and are measurements; what they
     /// should read is the report's business, not a unit test's.
     #[test]
-    fn pred_reads_report_ten_rows() {
+    fn pred_reads_report_eleven_rows() {
         let series = pred_reads(2_000, 2, 3);
-        assert_eq!(series.len(), 10);
+        assert_eq!(series.len(), 11);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 

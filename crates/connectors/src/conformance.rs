@@ -160,7 +160,7 @@ fn concurrent_creates_of_one_key_ack_exactly_one() {
             let read = GdprQuery::ReadDataByKey(key.clone());
             assert_eq!(
                 conn.execute(&Session::processor("ads"), &read).unwrap(),
-                GdprResponse::Data(vec![(key, format!("{winner}-{round}"))]),
+                GdprResponse::Data(vec![(key, format!("{winner}-{round}"))].into()),
                 "{} round {round}",
                 conn.name()
             );
@@ -181,7 +181,7 @@ fn customer_reads_own_data_only() {
             .as_data()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect();
         keys.sort();
         assert_eq!(keys, vec!["ph-1", "ph-2"], "{}", conn.name());
@@ -210,7 +210,7 @@ fn processor_reads_by_purpose_with_objections_respected() {
             .as_data()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect();
         keys.sort();
         assert_eq!(keys, vec!["ph-1", "ph-3", "ph-5"], "{}", conn.name());
@@ -232,7 +232,7 @@ fn processor_reads_by_purpose_with_objections_respected() {
             .as_data()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect();
         keys.sort();
         assert_eq!(
@@ -386,7 +386,7 @@ fn decision_opt_out_excludes_from_eligible_set() {
             .as_data()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect();
         assert!(!keys.contains(&"ph-2".to_string()), "{}", conn.name());
         assert_eq!(keys.len(), 4);
@@ -505,7 +505,7 @@ fn log_read_mid_batch_sees_its_predecessors() {
         }
         assert_eq!(
             results[2],
-            Ok(GdprResponse::Data(vec![("b-1".into(), "v2".into())])),
+            Ok(GdprResponse::Data(vec![("b-1".into(), "v2".into())].into())),
             "{name}: the read must see both writes before it"
         );
         assert!(matches!(results[3], Err(GdprError::AlreadyExists(_))));
@@ -588,7 +588,7 @@ fn read_data_by_purpose_requires_declaration_and_no_objection() {
             .as_data()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect();
         assert_eq!(
             keys,
@@ -1738,7 +1738,7 @@ fn assert_tenant_isolation(conn: &dyn GdprConnector, acme_name: &str, zeta_name:
         .as_data()
         .unwrap()
         .iter()
-        .map(|(k, _)| k.clone())
+        .map(|(k, _)| k.to_string())
         .collect();
     keys.sort();
     assert_eq!(keys, vec!["ph-1", "ph-2"], "{name}: predicate read leaked");

@@ -705,7 +705,7 @@ mod tests {
             let read = GdprQuery::ReadDataNotObjecting("ads".into());
             let got = conn.execute(&for_tenant(Session::processor("core"), "acme"), &read);
             let mut keys: Vec<String> = (got.unwrap().as_data().unwrap().iter())
-                .map(|(key, _)| key.clone())
+                .map(|(key, _)| key.to_string())
                 .collect();
             keys.sort();
             assert_eq!(

@@ -24,8 +24,11 @@
 //!      one [`RecordStore::fetch_many`] call.
 //!
 //!    Either way every record is tested as a [`RecordView`] of the stored
-//!    text and projected straight into the response element. This is what
-//!    turns the key-value backend's O(n) scans into O(matches) reads.
+//!    text and handed to the caller's visitor, which writes it straight
+//!    into the response: a data read pushes the logical key and the data
+//!    into the one text of its [`DataRows`], with no string per row. This
+//!    is what turns the key-value backend's O(n) scans into O(matches)
+//!    reads.
 //! 3. **Full scan** — [`RecordStore::scan`] filtered by
 //!    [`RecordPredicate::matches`], the reference semantics.
 //!
@@ -46,7 +49,7 @@ use crate::error::{GdprError, GdprResult};
 use crate::metaindex::{IndexBatch, MetadataIndex};
 use crate::query::{GdprQuery, MetadataUpdate};
 use crate::record::PersonalRecord;
-use crate::response::GdprResponse;
+use crate::response::{DataRows, GdprResponse};
 use crate::role::Session;
 use crate::snapshot::{self, IndexRecovery, SnapshotStamp};
 use crate::store::{RecordPredicate, RecordStore, WriteOp};
@@ -444,11 +447,15 @@ impl<S: RecordStore> ComplianceEngine<S> {
         out.unwrap_or_else(|| Err(GdprError::NotFound(key.to_string())))
     }
 
-    /// `project` of each of **this tenant's** records matching `pred`,
-    /// resolved pushdown → index partition (walk or candidates, by count)
-    /// → scan. Pushdown, walk and scan evaluate over the shared store, so
-    /// their results are filtered by storage-key ownership; the index
-    /// partition is tenant-scoped by construction.
+    /// Fold each of **this tenant's** records matching `pred` into an
+    /// accumulator, resolved pushdown → index partition (walk or
+    /// candidates, by count) → scan. `start` makes the accumulator from
+    /// the number of records the chosen path expects to show (0 on the
+    /// scan path, which cannot tell), so a caller can size its output
+    /// once; `visit` adds one matching record's view to it. Pushdown, walk
+    /// and scan evaluate over the shared store, so their results are
+    /// filtered by storage-key ownership; the index partition is
+    /// tenant-scoped by construction.
     ///
     /// With an index, [`MetadataIndex::count_for`] decides how the store
     /// is read. When the candidates are at least half of the store's
@@ -459,7 +466,61 @@ impl<S: RecordStore> ComplianceEngine<S> {
     /// lapsed candidate calls back into the index under its own lock. A
     /// candidate can be stale (expired since indexing, or mutated
     /// concurrently), so each view is re-verified against the reference
-    /// semantics before it is projected.
+    /// semantics before it is visited.
+    fn visit_matching<A>(
+        &self,
+        state: &TenantState,
+        tenant: &TenantId,
+        pred: &RecordPredicate,
+        start: impl Fn(usize) -> A,
+        mut visit: impl FnMut(&mut A, RecordView<'_>),
+    ) -> GdprResult<A> {
+        if let Some(result) = self.store.select(pred) {
+            let records = result?;
+            let mut out = start(records.len());
+            for record in records.iter().filter(|r| tenant.owns(&r.key)) {
+                visit(&mut out, record.view());
+            }
+            return Ok(out);
+        }
+        if let Some(index) = &state.index {
+            let candidates = index.count_for(pred);
+            let mut out = start(candidates);
+            if 2 * candidates >= self.store.record_count() {
+                let walked = self.store.scan_each(&mut |record| {
+                    if tenant.owns(record.key) && pred.matches_view(&record) {
+                        visit(&mut out, record);
+                    }
+                });
+                // A store that cannot walk visited nothing: `out` is still
+                // empty for the candidate read.
+                if let Some(walked) = walked {
+                    return walked.map(|()| out);
+                }
+            }
+            if let Some(keys) = index.keys_for(pred) {
+                self.store.fetch_many(&keys, &mut |record| {
+                    if pred.matches_view(&record) {
+                        visit(&mut out, record);
+                    }
+                })?;
+                return Ok(out);
+            }
+        }
+        let records = self.store.scan()?;
+        let mut out = start(0);
+        for record in records
+            .iter()
+            .filter(|r| tenant.owns(&r.key) && pred.matches(r))
+        {
+            visit(&mut out, record.view());
+        }
+        Ok(out)
+    }
+
+    /// `project` of each of this tenant's records matching `pred`,
+    /// collected by [`Self::visit_matching`] into a vector sized for the
+    /// expected matches.
     fn read_matching<T>(
         &self,
         state: &TenantState,
@@ -467,39 +528,9 @@ impl<S: RecordStore> ComplianceEngine<S> {
         pred: &RecordPredicate,
         mut project: impl FnMut(RecordView<'_>) -> T,
     ) -> GdprResult<Vec<T>> {
-        if let Some(result) = self.store.select(pred) {
-            let records = result?;
-            let owned = records.iter().filter(|r| tenant.owns(&r.key));
-            return Ok(owned.map(|r| project(r.view())).collect());
-        }
-        if let Some(index) = &state.index {
-            let candidates = index.count_for(pred);
-            if 2 * candidates >= self.store.record_count() {
-                let mut out = Vec::with_capacity(candidates);
-                let walked = self.store.scan_each(&mut |record| {
-                    if tenant.owns(record.key) && pred.matches_view(&record) {
-                        out.push(project(record));
-                    }
-                });
-                if let Some(walked) = walked {
-                    return walked.map(|()| out);
-                }
-            }
-            if let Some(keys) = index.keys_for(pred) {
-                let mut out = Vec::with_capacity(keys.len());
-                self.store.fetch_many(&keys, &mut |record| {
-                    if pred.matches_view(&record) {
-                        out.push(project(record));
-                    }
-                })?;
-                return Ok(out);
-            }
-        }
-        let records = self.store.scan()?;
-        let matching = records
-            .iter()
-            .filter(|r| tenant.owns(&r.key) && pred.matches(r));
-        Ok(matching.map(|r| project(r.view())).collect())
+        self.visit_matching(state, tenant, pred, Vec::with_capacity, |out, record| {
+            out.push(project(record))
+        })
     }
 
     /// Erase all records matching `pred` as one [`RecordStore::apply`]
@@ -616,15 +647,12 @@ impl<S: RecordStore> ComplianceEngine<S> {
         update: &MetadataUpdate,
     ) -> GdprResult<()> {
         let state = self.tenant_state(tenant)?;
-        self.read_matching(&state, tenant, pred, |record| {
-            if update.leaves_unchanged(&record) {
-                Ok(())
-            } else {
-                update.apply(&mut record.metadata())
+        let first_failure = |_| Ok(());
+        self.visit_matching(&state, tenant, pred, first_failure, |verdict, record| {
+            if verdict.is_ok() && !update.leaves_unchanged(&record) {
+                *verdict = update.apply(&mut record.metadata());
             }
         })?
-        .into_iter()
-        .collect()
     }
 
     fn index_new(&self, state: &TenantState, record: &PersonalRecord) {
@@ -762,9 +790,12 @@ impl<S: RecordStore> ComplianceEngine<S> {
             }
         };
         let key_of = |record: &RecordView<'_>| tenant.logical(record.key).to_string();
+        // Each match's logical key and data go straight into the one text
+        // of the response; no row is a string of its own.
         let data_of = |pred: RecordPredicate| {
-            self.read_matching(state, tenant, &pred, |record| {
-                (key_of(&record), record.data.to_string())
+            let rows = |n| DataRows::with_capacity(n, 0);
+            self.visit_matching(state, tenant, &pred, rows, |rows, record| {
+                rows.push(tenant.logical(record.key), record.data)
             })
             .map(GdprResponse::Data)
         };
@@ -820,11 +851,13 @@ impl<S: RecordStore> ComplianceEngine<S> {
             )?)),
 
             ReadDataByKey(key) => {
-                let pair = self.view_required(tenant, key, |record| {
+                let rows = self.view_required(tenant, key, |record| {
                     guard(&record)?;
-                    Ok((key_of(&record), record.data.to_string()))
+                    let mut rows = DataRows::with_capacity(1, record.key.len() + record.data.len());
+                    rows.push(tenant.logical(record.key), record.data);
+                    Ok(rows)
                 })?;
-                Ok(GdprResponse::Data(vec![pair]))
+                Ok(GdprResponse::Data(rows))
             }
             // Canonical READ-DATA-BY-PUR semantics for every backend:
             // declared purpose AND no objection to it (G5.1b + G21).
@@ -968,7 +1001,7 @@ mod tests {
                 .as_data()
                 .unwrap()
                 .iter()
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| k.to_string())
                 .collect();
             keys.sort();
             assert_eq!(
@@ -1435,7 +1468,7 @@ mod tests {
                     .as_data()
                     .unwrap()
                     .iter()
-                    .map(|(k, _)| k.clone())
+                    .map(|(k, _)| k.to_string())
                     .collect();
                 keys.sort();
                 assert_eq!(
@@ -1501,7 +1534,11 @@ mod tests {
                 let resp = engine
                     .execute(s, &GdprQuery::ReadDataByKey("k".into()))
                     .unwrap();
-                assert_eq!(resp.as_data().unwrap()[0].0, "k", "indexed={indexed}");
+                assert_eq!(
+                    resp.as_data().unwrap().iter().next().unwrap().0,
+                    "k",
+                    "indexed={indexed}"
+                );
             }
             // Predicate reads never cross the boundary.
             let resp = engine
@@ -1590,6 +1627,6 @@ mod tests {
                 &GdprQuery::ReadDataByUser("neo".into()),
             )
             .unwrap();
-        assert_eq!(resp.as_data().unwrap()[0].0, "k1");
+        assert_eq!(resp.as_data().unwrap().iter().next().unwrap().0, "k1");
     }
 }

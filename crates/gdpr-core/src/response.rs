@@ -87,6 +87,134 @@ impl PartialEq for LogLines {
     }
 }
 
+/// The rows of a data response: every row's key and data back to back in
+/// one text, and per row a [`RowSpan`] of offsets into it. A row costs
+/// three offsets and its bytes, not two heap strings, so a predicate read
+/// that matches thousands of records makes a few allocations, not
+/// thousands. Sorting or merging rows moves spans, never text.
+#[derive(Clone, Default)]
+pub struct DataRows {
+    text: String,
+    spans: Vec<RowSpan>,
+}
+
+/// Where one row lies in [`DataRows`]' text: its key is
+/// `start..key_end`, its data `key_end..end`.
+#[derive(Clone, Copy)]
+struct RowSpan {
+    start: usize,
+    key_end: usize,
+    end: usize,
+}
+
+impl RowSpan {
+    fn of(self, text: &str) -> (&str, &str) {
+        (
+            &text[self.start..self.key_end],
+            &text[self.key_end..self.end],
+        )
+    }
+}
+
+impl DataRows {
+    /// Room for `rows` rows of `bytes` key and data bytes in total.
+    pub fn with_capacity(rows: usize, bytes: usize) -> Self {
+        DataRows {
+            text: String::with_capacity(bytes),
+            spans: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Append one `(key, data)` row.
+    pub fn push(&mut self, key: &str, data: &str) {
+        // One reservation for both halves: the first row into an empty
+        // text allocates once, not once and then again.
+        self.text.reserve(key.len() + data.len());
+        let start = self.text.len();
+        self.text.push_str(key);
+        let key_end = self.text.len();
+        self.text.push_str(data);
+        let end = self.text.len();
+        self.spans.push(RowSpan {
+            start,
+            key_end,
+            end,
+        });
+    }
+
+    /// Append every row of `other`, in its order.
+    pub fn append(&mut self, other: DataRows) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let base = self.text.len();
+        self.text.push_str(&other.text);
+        self.spans.extend(other.spans.iter().map(|span| RowSpan {
+            start: base + span.start,
+            key_end: base + span.key_end,
+            end: base + span.end,
+        }));
+    }
+
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&str, &str)> + ExactSizeIterator + '_ {
+        self.spans.iter().map(|span| span.of(&self.text))
+    }
+
+    /// Order the rows by `(key, data)`, in place: only the spans move.
+    pub fn sort(&mut self) {
+        let text = &self.text;
+        self.spans
+            .sort_unstable_by(|a, b| a.of(text).cmp(&b.of(text)));
+    }
+
+    pub fn to_vec(&self) -> Vec<(String, String)> {
+        let owned = self.iter().map(|(k, d)| (k.to_string(), d.to_string()));
+        owned.collect()
+    }
+}
+
+impl<K: AsRef<str>, D: AsRef<str>> FromIterator<(K, D)> for DataRows {
+    fn from_iter<I: IntoIterator<Item = (K, D)>>(rows: I) -> Self {
+        let rows = rows.into_iter();
+        let mut out = DataRows::with_capacity(rows.size_hint().0, 0);
+        for (key, data) in rows {
+            out.push(key.as_ref(), data.as_ref());
+        }
+        out
+    }
+}
+
+impl From<Vec<(String, String)>> for DataRows {
+    fn from(rows: Vec<(String, String)>) -> Self {
+        rows.into_iter().collect()
+    }
+}
+
+impl std::fmt::Debug for DataRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Row-by-row equality: where the rows lie in the text (as pushed, as
+/// appended, as sorted in place) is not observable.
+impl PartialEq for DataRows {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for DataRows {}
+
 /// The response to a [`crate::GdprQuery`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum GdprResponse {
@@ -94,8 +222,9 @@ pub enum GdprResponse {
     Created,
     /// Deletion removed this many records.
     Deleted(usize),
-    /// Data-only pairs `(key, data)` — what processors see.
-    Data(Vec<(String, String)>),
+    /// Data-only rows `(key, data)` — what processors see — in one
+    /// buffer ([`DataRows`]).
+    Data(DataRows),
     /// Metadata-only pairs `(key, metadata)` — what regulators see.
     Metadata(Vec<(String, Metadata)>),
     /// Update touched this many records.
@@ -122,7 +251,7 @@ impl GdprResponse {
         }
     }
 
-    pub fn as_data(&self) -> Option<&[(String, String)]> {
+    pub fn as_data(&self) -> Option<&DataRows> {
         match self {
             GdprResponse::Data(v) => Some(v),
             _ => None,
@@ -147,7 +276,7 @@ mod tests {
         assert_eq!(GdprResponse::Created.cardinality(), 1);
         assert_eq!(GdprResponse::Deleted(7).cardinality(), 7);
         assert_eq!(
-            GdprResponse::Data(vec![("k".into(), "v".into())]).cardinality(),
+            GdprResponse::Data(vec![("k".into(), "v".into())].into()).cardinality(),
             1
         );
         assert_eq!(GdprResponse::DeletionVerified(true).cardinality(), 1);
@@ -176,9 +305,70 @@ mod tests {
         }
     }
 
+    fn rows(pairs: &[(&str, &str)]) -> DataRows {
+        pairs.iter().copied().collect()
+    }
+
+    #[test]
+    fn empty_rows() {
+        for empty in [DataRows::default(), DataRows::from(Vec::new()), rows(&[])] {
+            assert_eq!(empty.len(), 0);
+            assert!(empty.is_empty());
+            assert_eq!(empty.iter().next(), None);
+            assert_eq!(empty.to_vec(), Vec::new());
+            assert_eq!(format!("{empty:?}"), "[]");
+            assert_eq!(GdprResponse::Data(empty).cardinality(), 0);
+        }
+    }
+
+    #[test]
+    fn one_row() {
+        let one = rows(&[("ph-1", "123-456")]);
+        assert_eq!(one.len(), 1);
+        assert!(!one.is_empty());
+        assert!(one.iter().eq([("ph-1", "123-456")]));
+        assert_eq!(one.to_vec(), [("ph-1".to_string(), "123-456".to_string())]);
+        assert_eq!(format!("{one:?}"), r#"[("ph-1", "123-456")]"#);
+    }
+
+    /// A row's bounds are its own: an empty key or data string is a row,
+    /// and moving a boundary changes the row even when the text does not.
+    #[test]
+    fn empty_strings_are_rows_and_boundaries_count() {
+        let edges = rows(&[("", "d"), ("k", ""), ("", "")]);
+        assert_eq!(edges.len(), 3);
+        let want = [("", "d"), ("k", ""), ("", "")];
+        assert!(edges.iter().eq(want));
+        assert_ne!(rows(&[("a", "b")]), rows(&[("ab", "")]));
+        assert_ne!(
+            rows(&[("a", "b"), ("c", "d")]),
+            rows(&[("a", "bc"), ("", "d")])
+        );
+    }
+
+    /// Ties on the key order by data; a sorted copy equals the rows built
+    /// in sorted order, whatever its text's capacity or history.
+    #[test]
+    fn sort_breaks_key_ties_on_data() {
+        let mut mixed = rows(&[("k2", "b"), ("k1", "z"), ("k2", "a"), ("k1", "")]);
+        mixed.append(rows(&[("k0", "x")]));
+        mixed.sort();
+        let sorted = rows(&[
+            ("k0", "x"),
+            ("k1", ""),
+            ("k1", "z"),
+            ("k2", "a"),
+            ("k2", "b"),
+        ]);
+        assert_eq!(mixed, sorted);
+        let mut again = sorted.clone();
+        again.sort();
+        assert_eq!(again, sorted);
+    }
+
     #[test]
     fn accessors() {
-        let r = GdprResponse::Data(vec![("k".into(), "v".into())]);
+        let r = GdprResponse::Data(vec![("k".into(), "v".into())].into());
         assert!(r.as_data().is_some());
         assert!(r.as_metadata().is_none());
     }

@@ -466,8 +466,9 @@ fn group_update_of(query: &GdprQuery) -> Option<(RecordPredicate, &MetadataUpdat
 }
 
 /// Merge per-shard responses of one query class into the canonical form:
-/// counts sum, result sets concatenate and sort by key, so the merged
-/// response is independent of shard count and order.
+/// counts sum, result sets concatenate and sort by key (data rows by
+/// `(key, data)`), so the merged response is independent of shard count
+/// and order.
 fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
     use GdprResponse::*;
     let mut iter = results.into_iter();
@@ -479,7 +480,7 @@ fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
             (Deleted(a), Deleted(b)) => Deleted(a + b),
             (Updated(a), Updated(b)) => Updated(a + b),
             (Data(mut a), Data(b)) => {
-                a.extend(b);
+                a.append(b);
                 Data(a)
             }
             (Metadata(mut a), Metadata(b)) => {
@@ -627,7 +628,7 @@ mod tests {
                 .as_data()
                 .unwrap()
                 .iter()
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| k.to_string())
                 .collect();
             assert_eq!(keys, vec!["a", "b"], "n={n}");
             // Group delete sums per-shard counts.

@@ -261,17 +261,20 @@ pub fn parse_ttl(value: &str) -> GdprResult<Option<Duration>> {
     let n: u64 = digits
         .parse()
         .map_err(|_| GdprError::InvalidRecord(format!("bad TTL count {digits:?}")))?;
-    let secs = match unit {
-        "days" | "day" => n * 86_400,
-        "hours" | "hour" => n * 3_600,
-        "mins" | "min" => n * 60,
-        "secs" | "sec" => n,
+    let unit_secs: u64 = match unit {
+        "days" | "day" => 86_400,
+        "hours" | "hour" => 3_600,
+        "mins" | "min" => 60,
+        "secs" | "sec" => 1,
         other => {
             return Err(GdprError::InvalidRecord(format!(
                 "unknown TTL unit {other:?}"
             )));
         }
     };
+    let secs = n
+        .checked_mul(unit_secs)
+        .ok_or_else(|| GdprError::InvalidRecord(format!("TTL {value:?} overflows u64 seconds")))?;
     Ok(Some(Duration::from_secs(secs)))
 }
 
@@ -343,6 +346,22 @@ mod tests {
         assert!(parse_ttl("12").is_err());
         assert!(parse_ttl("12years").is_err());
         assert_eq!(parse_ttl("∅").unwrap(), None);
+    }
+
+    /// A count whose seconds do not fit a `u64` is refused, never wrapped
+    /// into a short TTL.
+    #[test]
+    fn ttl_counts_past_u64_seconds_are_refused() {
+        assert_eq!(
+            parse_ttl("213503982334601days").unwrap(),
+            Some(Duration::from_secs(213_503_982_334_601 * 86_400))
+        );
+        for s in ["213503982334602days", "5124095576030432hours"] {
+            assert!(
+                matches!(parse_ttl(s), Err(GdprError::InvalidRecord(_))),
+                "{s}"
+            );
+        }
     }
 
     #[test]

@@ -168,10 +168,15 @@ impl<'a> Reader<'a> {
         self.take(len, what)
     }
 
-    pub fn string(&mut self, what: &str) -> WireResult<String> {
+    /// A length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn str(&mut self, what: &str) -> WireResult<&'a str> {
         let at = self.pos;
         let raw = self.bytes(what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::new(at, format!("non-UTF-8 {what}")))
+        std::str::from_utf8(raw).map_err(|_| WireError::new(at, format!("non-UTF-8 {what}")))
+    }
+
+    pub fn string(&mut self, what: &str) -> WireResult<String> {
+        self.str(what).map(str::to_string)
     }
 
     /// Read a list count, bounded by the bytes that could possibly back it

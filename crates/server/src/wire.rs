@@ -46,7 +46,7 @@ use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::query::{MetadataField, MetadataUpdate};
 use gdpr_core::record::{Metadata, PersonalRecord};
-use gdpr_core::response::LogLine;
+use gdpr_core::response::{DataRows, LogLine};
 use gdpr_core::role::{Role, Session};
 use gdpr_core::telemetry::{self, HistogramSnapshot, OpSnapshot};
 use gdpr_core::tenant::TenantId;
@@ -912,10 +912,10 @@ pub fn encode_gdpr_response(w: &mut Writer, resp: &GdprResponse) {
             w.u8(1);
             w.u64(*n as u64);
         }
-        Data(pairs) => {
+        Data(rows) => {
             w.u8(3);
-            w.count(pairs.len());
-            for (key, data) in pairs {
+            w.count(rows.len());
+            for (key, data) in rows.iter() {
                 w.string(key);
                 w.string(data);
             }
@@ -956,12 +956,14 @@ pub fn decode_gdpr_response(r: &mut Reader<'_>) -> WireResult<GdprResponse> {
         0 => Created,
         1 => Deleted(r.u64("deleted count")? as usize),
         3 => {
+            // Every row costs its two 4-byte length prefixes, so the rows'
+            // text is at most what the rest of the payload holds.
             let n = r.count(8, "data pairs")?;
-            let mut pairs = Vec::with_capacity(n);
+            let mut rows = DataRows::with_capacity(n, r.remaining() - 8 * n);
             for _ in 0..n {
-                pairs.push((r.string("data key")?, r.string("data value")?));
+                rows.push(r.str("data key")?, r.str("data value")?);
             }
-            Data(pairs)
+            Data(rows)
         }
         4 => {
             let n = r.count(8, "metadata pairs")?;
@@ -1271,6 +1273,36 @@ mod tests {
             let (got_seq, got) = decode_response(&encoded).unwrap();
             assert_eq!(got_seq, seq as u64);
             assert_eq!(got, body);
+        }
+    }
+
+    /// `Data` goes on the wire as it did when each row was two strings of
+    /// its own: opcode 3, the row count, then key and data per row, each a
+    /// `u32` length and its bytes. The literals are those frames' bytes.
+    #[test]
+    fn data_rows_encode_to_the_golden_bytes() {
+        type Row = (&'static str, &'static str);
+        let golden: [(&[Row], &[u8]); 3] = [
+            (&[], b"\x03\x00\x00\x00\x00"),
+            (
+                &[("ph-1", "123-456")],
+                b"\x03\x00\x00\x00\x01\x00\x00\x00\x04ph-1\x00\x00\x00\x07123-456",
+            ),
+            (
+                &[("a", "x"), ("bb", ""), ("c", "zz")],
+                b"\x03\x00\x00\x00\x03\x00\x00\x00\x01a\x00\x00\x00\x01x\
+                  \x00\x00\x00\x02bb\x00\x00\x00\x00\
+                  \x00\x00\x00\x01c\x00\x00\x00\x02zz",
+            ),
+        ];
+        for (rows, bytes) in golden {
+            let resp = GdprResponse::Data(rows.iter().copied().collect());
+            let mut w = Writer::new();
+            encode_gdpr_response(&mut w, &resp);
+            assert_eq!(w.into_bytes(), bytes, "{rows:?}");
+            let mut r = Reader::new(bytes);
+            assert_eq!(decode_gdpr_response(&mut r).unwrap(), resp);
+            r.finish().unwrap();
         }
     }
 

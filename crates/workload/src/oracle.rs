@@ -97,34 +97,34 @@ impl Oracle {
                 if !visible(record) {
                     return Err(denied(record, query));
                 }
-                GdprResponse::Data(vec![(record.key.clone(), record.data.clone())])
+                GdprResponse::Data([(&record.key, &record.data)].into_iter().collect())
             }
             ReadDataByPurpose(purpose) => GdprResponse::Data(
                 self.records
                     .values()
                     .filter(|r| r.metadata.allows_purpose(purpose))
-                    .map(|r| (r.key.clone(), r.data.clone()))
+                    .map(|r| (&r.key, &r.data))
                     .collect(),
             ),
             ReadDataByUser(user) => GdprResponse::Data(
                 self.records
                     .values()
                     .filter(|r| r.metadata.user == *user)
-                    .map(|r| (r.key.clone(), r.data.clone()))
+                    .map(|r| (&r.key, &r.data))
                     .collect(),
             ),
             ReadDataNotObjecting(usage) => GdprResponse::Data(
                 self.records
                     .values()
                     .filter(|r| !r.metadata.objections.iter().any(|o| o == usage))
-                    .map(|r| (r.key.clone(), r.data.clone()))
+                    .map(|r| (&r.key, &r.data))
                     .collect(),
             ),
             ReadDataDecisionEligible => GdprResponse::Data(
                 self.records
                     .values()
                     .filter(|r| r.metadata.allows_automated_decisions())
-                    .map(|r| (r.key.clone(), r.data.clone()))
+                    .map(|r| (&r.key, &r.data))
                     .collect(),
             ),
             ReadMetadataByKey(key) => {
@@ -234,10 +234,10 @@ pub fn responses_match(
             GetSystemFeatures => matches!(a, GdprResponse::Features(_)),
             _ => match (e, a) {
                 (GdprResponse::Data(e), GdprResponse::Data(a)) => {
-                    let mut e = e.clone();
-                    let mut a = a.clone();
-                    e.sort();
-                    a.sort();
+                    let mut e: Vec<(&str, &str)> = e.iter().collect();
+                    let mut a: Vec<(&str, &str)> = a.iter().collect();
+                    e.sort_unstable();
+                    a.sort_unstable();
                     e == a
                 }
                 (GdprResponse::Metadata(e), GdprResponse::Metadata(a)) => {
@@ -264,6 +264,7 @@ pub fn responses_match(
 mod tests {
     use super::*;
     use crate::datagen::{record_of, CorpusConfig};
+    use gdpr_core::response::DataRows;
 
     fn oracle_with(n: usize) -> (Oracle, CorpusConfig) {
         let config = CorpusConfig {
@@ -361,18 +362,17 @@ mod tests {
     #[test]
     fn mismatches_are_detected() {
         let q = GdprQuery::ReadDataByUser("u".into());
-        let a: GdprResult<GdprResponse> = Ok(GdprResponse::Data(vec![("k1".into(), "d1".into())]));
-        let b: GdprResult<GdprResponse> = Ok(GdprResponse::Data(vec![]));
+        let a: GdprResult<GdprResponse> =
+            Ok(GdprResponse::Data([("k1", "d1")].into_iter().collect()));
+        let b: GdprResult<GdprResponse> = Ok(GdprResponse::Data(DataRows::default()));
         assert!(!responses_match(&q, &a, &b));
         // Order-insensitive equality.
-        let c: GdprResult<GdprResponse> = Ok(GdprResponse::Data(vec![
-            ("k1".into(), "d1".into()),
-            ("k2".into(), "d2".into()),
-        ]));
-        let d: GdprResult<GdprResponse> = Ok(GdprResponse::Data(vec![
-            ("k2".into(), "d2".into()),
-            ("k1".into(), "d1".into()),
-        ]));
+        let c: GdprResult<GdprResponse> = Ok(GdprResponse::Data(
+            [("k1", "d1"), ("k2", "d2")].into_iter().collect(),
+        ));
+        let d: GdprResult<GdprResponse> = Ok(GdprResponse::Data(
+            [("k2", "d2"), ("k1", "d1")].into_iter().collect(),
+        ));
         assert!(responses_match(&q, &c, &d));
         // Same error kind matches.
         let e: GdprResult<GdprResponse> = Err(GdprError::NotFound("x".into()));

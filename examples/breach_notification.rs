@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         if let Ok(resp) = conn.execute(&attacker, &query) {
             if let Some(data) = resp.as_data() {
-                touched_keys.extend(data.iter().map(|(k, _)| k.clone()));
+                touched_keys.extend(data.iter().map(|(k, _)| k.to_string()));
             }
         }
     }

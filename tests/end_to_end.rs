@@ -96,7 +96,8 @@ fn full_personal_data_lifecycle() {
         assert!(data
             .as_data()
             .unwrap()
-            .contains(&("r2".to_string(), "corrected".to_string())));
+            .iter()
+            .any(|row| row == ("r2", "corrected")));
         let meta = conn
             .execute(&neo, &GdprQuery::ReadMetadataByUser("neo".into()))
             .unwrap();

@@ -330,6 +330,53 @@ fn leaves_unchanged_implies_apply_is_an_ok_no_op() {
     assert!(no_ops.get() > 512, "the property must meet no-ops");
 }
 
+/// `DataRows` behaves as the `Vec<(String, String)>` it replaced: rows
+/// come back as built, `sort` orders as `Vec::sort`, `append` as `extend`,
+/// and `len` / `cardinality` count rows. Strings are short and drawn from
+/// few letters (multi-byte ones included), so keys tie and strings are
+/// often empty.
+#[test]
+fn data_rows_match_a_vec_model() {
+    use gdprbench_repro::gdpr_core::response::DataRows;
+    use gdprbench_repro::gdpr_core::GdprResponse;
+    fn text(rng: &mut SmallRng) -> String {
+        const CHARS: [char; 4] = ['a', 'b', 'é', '∅'];
+        let len = rng.gen_range(0usize..4);
+        (0..len).map(|_| CHARS[rng.gen_range(0usize..4)]).collect()
+    }
+    fn model(rng: &mut SmallRng) -> Vec<(String, String)> {
+        let n = rng.gen_range(0usize..12);
+        (0..n).map(|_| (text(rng), text(rng))).collect()
+    }
+    run_cases(512, |rng| {
+        let (a, b) = (model(rng), model(rng));
+        let rows = DataRows::from(a.clone());
+        assert_eq!(rows.to_vec(), a);
+        assert!(rows
+            .iter()
+            .eq(a.iter().map(|(k, d)| (k.as_str(), d.as_str()))));
+        assert_eq!(rows, a.iter().map(|(k, d)| (k, d)).collect());
+
+        let mut sorted = rows.clone();
+        sorted.sort();
+        let mut sorted_model = a.clone();
+        sorted_model.sort();
+        assert_eq!(sorted.to_vec(), sorted_model);
+        assert_eq!(sorted, DataRows::from(sorted_model));
+
+        let mut joined = rows.clone();
+        joined.append(DataRows::from(b.clone()));
+        let mut joined_model = a.clone();
+        joined_model.extend(b);
+        assert_eq!(joined.to_vec(), joined_model);
+
+        assert_eq!(joined.len(), joined_model.len());
+        assert_eq!(joined.is_empty(), joined_model.is_empty());
+        let resp = GdprResponse::Data(joined);
+        assert_eq!(resp.cardinality(), joined_model.len());
+    });
+}
+
 /// RESP command encoding roundtrips arbitrary binary parts.
 #[test]
 fn resp_roundtrip() {

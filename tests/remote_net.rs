@@ -99,7 +99,9 @@ fn external_server_round_trips_the_full_lifecycle() {
         .collect();
     for (i, result) in client.pipeline(&reads).unwrap().into_iter().enumerate() {
         match result.unwrap() {
-            GdprResponse::Data(pairs) => assert_eq!(pairs[0].1, format!("data-{i}")),
+            GdprResponse::Data(pairs) => {
+                assert_eq!(pairs.iter().next().unwrap().1, format!("data-{i}"))
+            }
             other => panic!("expected data, got {other:?}"),
         }
     }

@@ -114,9 +114,10 @@ fn pipelined_multi_client_responses_never_reorder_or_cross() {
                         match result {
                             Ok(GdprResponse::Data(pairs)) => {
                                 assert_eq!(pairs.len(), 1);
-                                assert_eq!(pairs[0].0, key, "reordered response on t{t}");
+                                let (got_key, got_data) = pairs.iter().next().unwrap();
+                                assert_eq!(got_key, key, "reordered response on t{t}");
                                 assert_eq!(
-                                    pairs[0].1,
+                                    got_data,
                                     format!("payload:{key}"),
                                     "cross-connection payload on t{t}"
                                 );
@@ -189,7 +190,9 @@ fn deep_pipeline_split_into_batches_stays_ordered() {
         .collect();
     for (i, result) in client.pipeline(&reads).unwrap().into_iter().enumerate() {
         match result.unwrap() {
-            GdprResponse::Data(pairs) => assert_eq!(pairs[0].1, format!("d{i}")),
+            GdprResponse::Data(pairs) => {
+                assert_eq!(pairs.iter().next().unwrap().1, format!("d{i}"))
+            }
             other => panic!("expected data, got {other:?}"),
         }
     }

@@ -142,7 +142,7 @@ fn concurrent_mixed_workload_preserves_compliance_invariants() {
                         .execute(&customer, &GdprQuery::ReadDataByUser(user_of(t)))
                         .unwrap();
                     ops += 1;
-                    for (key, _) in resp.as_data().unwrap() {
+                    for (key, _) in resp.as_data().unwrap().iter() {
                         assert!(
                             key.starts_with(&prefix),
                             "cross-user leak: {key} surfaced for {}",
@@ -154,7 +154,7 @@ fn concurrent_mixed_workload_preserves_compliance_invariants() {
                         .execute(&processor, &GdprQuery::ReadDataByPurpose(purpose_of(t)))
                         .unwrap();
                     ops += 1;
-                    for (key, _) in resp.as_data().unwrap() {
+                    for (key, _) in resp.as_data().unwrap().iter() {
                         assert!(
                             key.starts_with(&prefix),
                             "purpose leak: {key} surfaced for {}",
@@ -342,10 +342,10 @@ fn predicate_reads_race_rewrites_erasures_and_expiry() {
                     }
                     let q = turn % 2;
                     let resp = conn.execute(&processor, &queries[q]).unwrap();
-                    for (key, data) in resp.as_data().unwrap() {
+                    for (key, data) in resp.as_data().unwrap().iter() {
                         let i: usize = key[1..].parse().unwrap();
                         assert!(ever[q](i), "{key} never satisfied {:?}", queries[q]);
-                        assert_eq!(*data, format!("data-{i}"));
+                        assert_eq!(data, format!("data-{i}"));
                     }
                     reads[r].fetch_add(1, Ordering::SeqCst);
                 }
@@ -417,7 +417,7 @@ fn predicate_reads_race_rewrites_erasures_and_expiry() {
                 .as_data()
                 .unwrap()
                 .iter()
-                .map(|p| p.0.clone())
+                .map(|p| p.0.to_string())
                 .collect();
             got.sort();
             let want: Vec<String> = (0..RECORDS).filter(|&i| finally[q](i)).map(key).collect();

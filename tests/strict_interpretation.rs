@@ -151,7 +151,7 @@ fn purpose_and_objection_gating_is_exact() {
             .as_data()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect();
         got.sort();
         expected.sort();
