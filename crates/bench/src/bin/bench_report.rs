@@ -193,10 +193,10 @@ fn main() {
 
     // Suite 7: the disk-native pagestore backend — both restart axes
     // (WAL-tail replay vs checkpointed reopen, snapshot restore vs scan
-    // rebuild), the indexed-vs-scan query ladder, and what one group
-    // write costs the WAL. Context metrics: none are throughput floors,
-    // so the gate never fails on them, but drift shows up in the report
-    // diff.
+    // rebuild), the indexed-vs-scan query ladder, what one group write
+    // costs the WAL, and what one page read costs. Context metrics: none
+    // are throughput floors, so the gate never fails on them, but drift
+    // shows up in the report diff.
     let (disk_rec_table, disk_rec) = bench::experiments::recovery::run_disk(params.records);
     println!("{}", disk_rec_table.render());
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
@@ -236,6 +236,13 @@ fn main() {
     let (group_table, group_series) = bench::experiments::groupwrite::run();
     println!("{}", group_table.render());
     for (metric, value) in &group_series {
+        report.record("pagestore", metric, *value);
+    }
+    // ...and what reading a committed page costs: its checksum, its cell
+    // walk, and a cold sorted read of every record.
+    let (read_table, read_series) = bench::experiments::pageread::run();
+    println!("{}", read_table.render());
+    for (metric, value) in &read_series {
         report.record("pagestore", metric, *value);
     }
 

@@ -11,6 +11,7 @@ pub mod fig7_8;
 pub mod groupwrite;
 pub mod metaindex;
 pub mod negpred;
+pub mod pageread;
 pub mod recovery;
 pub mod remote;
 pub mod sharding;

@@ -84,11 +84,14 @@ impl RecordStore for DiskStore {
             .transpose()
     }
 
-    /// One [`PageStore::get_many`]: one hold of the store mutex and one
+    /// One [`PageStore::get_each`]: one hold of the store mutex and one
     /// descent per touched leaf for the whole candidate list. The index
     /// hands candidates out in slot order, so they are sorted first (unless
     /// already ascending) for a descent to serve a whole leaf; records are
-    /// visited in key order.
+    /// visited in key order, each viewed straight out of the bytes the
+    /// page store lends — so `visit` runs under the page-store mutex. A
+    /// record that cannot be read fails the call; no record after it is
+    /// visited.
     fn fetch_many(
         &self,
         keys: &[Arc<str>],
@@ -98,11 +101,15 @@ impl RecordStore for DiskStore {
         if !keys.is_sorted() {
             keys.to_mut().sort_unstable();
         }
-        let values = self.store.get_many(&keys).map_err(Self::store_err)?;
-        for bytes in values.iter().flatten() {
-            visit(RecordView::from_bytes(bytes)?);
-        }
-        Ok(())
+        let mut unreadable = Ok(());
+        self.store
+            .get_each(&keys, |_, bytes| {
+                if unreadable.is_ok() {
+                    unreadable = RecordView::from_bytes(bytes).map(&mut *visit);
+                }
+            })
+            .map_err(Self::store_err)?;
+        unreadable
     }
 
     /// Insert, arming the native per-entry deadline from the declared TTL.

@@ -29,45 +29,93 @@ impl SipHash24 {
 
     /// Hash a byte slice to a 64-bit value.
     pub fn hash(&self, data: &[u8]) -> u64 {
-        let mut v0 = 0x736f_6d65_7073_6575_u64 ^ self.k0;
-        let mut v1 = 0x646f_7261_6e64_6f6d_u64 ^ self.k1;
-        let mut v2 = 0x6c79_6765_6e65_7261_u64 ^ self.k0;
-        let mut v3 = 0x7465_6462_7974_6573_u64 ^ self.k1;
+        let mut state = self.start();
+        state.write(data);
+        state.finish()
+    }
 
-        let len = data.len();
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            let m = u64::from_le_bytes(chunk.try_into().unwrap());
-            v3 ^= m;
-            for _ in 0..2 {
-                sip_round(&mut v0, &mut v1, &mut v2, &mut v3);
-            }
-            v0 ^= m;
+    /// A streaming hash under this key: [`SipState::write`] the message in
+    /// as many pieces as it comes in, then [`SipState::finish`]. The digest
+    /// is [`Self::hash`] of the pieces concatenated.
+    pub fn start(&self) -> SipState {
+        SipState {
+            v: [
+                0x736f_6d65_7073_6575_u64 ^ self.k0,
+                0x646f_7261_6e64_6f6d_u64 ^ self.k1,
+                0x6c79_6765_6e65_7261_u64 ^ self.k0,
+                0x7465_6462_7974_6573_u64 ^ self.k1,
+            ],
+            tail: 0,
+            ntail: 0,
+            length: 0,
         }
-
-        // Final block: remaining bytes plus the length in the top byte.
-        let rem = chunks.remainder();
-        let mut last = (len as u64 & 0xff) << 56;
-        for (i, &b) in rem.iter().enumerate() {
-            last |= (b as u64) << (8 * i);
-        }
-        v3 ^= last;
-        for _ in 0..2 {
-            sip_round(&mut v0, &mut v1, &mut v2, &mut v3);
-        }
-        v0 ^= last;
-
-        v2 ^= 0xff;
-        for _ in 0..4 {
-            sip_round(&mut v0, &mut v1, &mut v2, &mut v3);
-        }
-        v0 ^ v1 ^ v2 ^ v3
     }
 
     /// Hash a u64 (little-endian encoding). Used by the scrambled-zipfian
     /// generator to spread popular ranks across the key space.
     pub fn hash_u64(&self, x: u64) -> u64 {
         self.hash(&x.to_le_bytes())
+    }
+}
+
+/// A SipHash-2-4 computation in progress (see [`SipHash24::start`]).
+#[derive(Clone, Copy, Debug)]
+pub struct SipState {
+    v: [u64; 4],
+    /// Message bytes not yet compressed (fewer than 8), little-endian.
+    tail: u64,
+    ntail: usize,
+    length: usize,
+}
+
+impl SipState {
+    fn compress(&mut self, m: u64) {
+        let [v0, v1, v2, v3] = &mut self.v;
+        *v3 ^= m;
+        for _ in 0..2 {
+            sip_round(v0, v1, v2, v3);
+        }
+        *v0 ^= m;
+    }
+
+    /// Feed the next piece of the message.
+    pub fn write(&mut self, mut data: &[u8]) {
+        self.length += data.len();
+        if self.ntail > 0 {
+            let fill = (8 - self.ntail).min(data.len());
+            for (i, &b) in data[..fill].iter().enumerate() {
+                self.tail |= (b as u64) << (8 * (self.ntail + i));
+            }
+            self.ntail += fill;
+            data = &data[fill..];
+            if self.ntail < 8 {
+                return;
+            }
+            self.compress(self.tail);
+            self.tail = 0;
+            self.ntail = 0;
+        }
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            self.compress(u64::from_le_bytes(word.try_into().unwrap()));
+        }
+        for (i, &b) in words.remainder().iter().enumerate() {
+            self.tail |= (b as u64) << (8 * i);
+        }
+        self.ntail = words.remainder().len();
+    }
+
+    /// The digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        let mut state = *self;
+        // Final block: remaining bytes plus the length in the top byte.
+        state.compress(((self.length as u64 & 0xff) << 56) | self.tail);
+        let [v0, v1, v2, v3] = &mut state.v;
+        *v2 ^= 0xff;
+        for _ in 0..4 {
+            sip_round(v0, v1, v2, v3);
+        }
+        *v0 ^ *v1 ^ *v2 ^ *v3
     }
 }
 
@@ -120,6 +168,31 @@ mod tests {
                 "vector mismatch at message length {len}"
             );
         }
+    }
+
+    /// A message streamed in two pieces hashes as it does whole, at every
+    /// split point: short messages and one page.
+    #[test]
+    fn streamed_pieces_hash_as_the_whole() {
+        let hasher = SipHash24::new(0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908);
+        let page: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
+        let mut messages: Vec<&[u8]> = (0..=24).map(|len| &page[..len]).collect();
+        messages.push(&page);
+        for msg in messages {
+            let whole = hasher.hash(msg);
+            for split in 0..=msg.len() {
+                let mut state = hasher.start();
+                state.write(&msg[..split]);
+                state.write(&msg[split..]);
+                assert_eq!(state.finish(), whole, "len {} split {split}", msg.len());
+            }
+        }
+        // Byte by byte, too.
+        let mut state = hasher.start();
+        for b in &page[..23] {
+            state.write(std::slice::from_ref(b));
+        }
+        assert_eq!(state.finish(), hasher.hash(&page[..23]));
     }
 
     #[test]

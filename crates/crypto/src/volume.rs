@@ -54,6 +54,16 @@ impl Volume {
 
     /// Decrypt a blob produced by [`Volume::seal`], verifying its tag.
     pub fn open(&self, sealed: &[u8]) -> Result<(u64, Vec<u8>), CryptoError> {
+        let mut plaintext = Vec::new();
+        let block_no = self.open_into(sealed, &mut plaintext)?;
+        Ok((block_no, plaintext))
+    }
+
+    /// [`Volume::open`] into a caller's buffer: on success `out` holds the
+    /// plaintext (and nothing else) and the block number is returned; on
+    /// failure `out` is left as it was. A reader opening many blocks
+    /// reuses one buffer.
+    pub fn open_into(&self, sealed: &[u8], out: &mut Vec<u8>) -> Result<u64, CryptoError> {
         if sealed.len() < HEADER_LEN {
             return Err(CryptoError::Truncated);
         }
@@ -63,17 +73,18 @@ impl Volume {
         if self.tag(block_no, ct) != tag {
             return Err(CryptoError::TagMismatch);
         }
-        let mut pt = ct.to_vec();
-        self.cipher.apply(&block_nonce(block_no), 0, &mut pt);
-        Ok((block_no, pt))
+        out.clear();
+        out.extend_from_slice(ct);
+        self.cipher.apply(&block_nonce(block_no), 0, out);
+        Ok(block_no)
     }
 
     fn tag(&self, block_no: u64, ciphertext: &[u8]) -> u64 {
         // Bind the tag to the block number so blocks cannot be transplanted.
-        let mut material = Vec::with_capacity(8 + ciphertext.len());
-        material.extend_from_slice(&block_no.to_le_bytes());
-        material.extend_from_slice(ciphertext);
-        self.mac.hash(&material)
+        let mut mac = self.mac.start();
+        mac.write(&block_no.to_le_bytes());
+        mac.write(ciphertext);
+        mac.finish()
     }
 }
 
@@ -140,6 +151,43 @@ mod tests {
         let a = v.seal(1, b"same plaintext");
         let b = v.seal(2, b"same plaintext");
         assert_ne!(a[HEADER_LEN..], b[HEADER_LEN..]);
+    }
+
+    /// `open_into` answers as `open` does — the plaintext, `TagMismatch`,
+    /// `Truncated` — and leaves the buffer alone when it refuses.
+    #[test]
+    fn open_into_matches_open() {
+        let v = Volume::new(b"disk-key");
+        let good = v.seal(5, b"ph-1x4b;123-456-7890;PUR=ads");
+        let mut flipped = good.clone();
+        flipped[HEADER_LEN] ^= 0x20;
+        let blobs: [&[u8]; 5] = [
+            &good,
+            &flipped,
+            &good[..HEADER_LEN - 1],
+            &[],
+            &v.seal(0, b""),
+        ];
+        let mut buf = b"stale".to_vec();
+        for blob in blobs {
+            let before = buf.clone();
+            let into = v.open_into(blob, &mut buf);
+            match v.open(blob) {
+                Ok((block_no, plaintext)) => {
+                    assert_eq!(into, Ok(block_no));
+                    assert_eq!(buf, plaintext);
+                }
+                Err(e) => {
+                    assert_eq!(into, Err(e));
+                    assert_eq!(buf, before, "a refused blob leaves the buffer");
+                }
+            }
+        }
+        assert_eq!(
+            v.open_into(&flipped, &mut buf),
+            Err(CryptoError::TagMismatch)
+        );
+        assert_eq!(v.open_into(&[1, 2], &mut buf), Err(CryptoError::Truncated));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! path the relational store has. `fetch_many` is overridden by the
 //! key-value backend (the stored values lent in place, chunk by chunk,
 //! under the store's shared lock)
-//! and the paged disk backend (one descent per touched leaf); `apply` by the
-//! disk backend (one transaction).
+//! and the paged disk backend (one descent per touched leaf, each value
+//! lent out of its page image or opened into one reused buffer, under the
+//! page-store mutex); `apply` by the disk backend (one transaction).
 //!
 //! Two borrowed reads sit beside them. `fetch_view` is a point read that
 //! lends the record as a [`RecordView`] (default: through `fetch`);
@@ -178,10 +179,12 @@ pub trait RecordStore: Send + Sync {
     /// The default is the per-key [`Self::fetch`] loop. A store overrides
     /// it to take its lock once per batch (or per fixed chunk of one) and
     /// to hand out views of the stored text without materialising records.
-    /// `visit` may then run under the store's shared lock — the key-value
-    /// store lends it the stored bytes in place — so it must not call back
-    /// into the store, and a chunk's lock hold includes whatever `visit`
-    /// does (the engine's re-verification and projection).
+    /// `visit` may then run under the store's lock — the key-value store
+    /// lends it the stored bytes in place under its shared lock, the disk
+    /// store lends it page bytes or a reused plaintext buffer under its
+    /// mutex — so it must not call back into the store, and a chunk's lock
+    /// hold includes whatever `visit` does (the engine's re-verification
+    /// and projection).
     fn fetch_many(
         &self,
         keys: &[Arc<str>],

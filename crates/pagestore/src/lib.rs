@@ -14,9 +14,10 @@
 //!   page (tree root, freelist head, allocation high-water mark, logical
 //!   generation, record count); other pages are B+tree internal nodes,
 //!   leaves, overflow-chain pages for large values, or freelist links. The
-//!   last 8 bytes of every page are a SipHash-2-4 checksum over the page
-//!   id and payload, so bit rot and misdirected writes are detected at
-//!   read time. See [`page`] for the exact byte spec.
+//!   last 8 bytes of every page are an XXH64 checksum of the payload,
+//!   seeded by the page id, so bit rot and misdirected writes are detected
+//!   at read time; every page read from disk is verified. See [`page`] for
+//!   the exact byte spec.
 //! * `wal.log` — checksummed page-image frames (see [`wal`]). A commit
 //!   appends every page the transaction dirtied — the meta page always
 //!   among them — with the COMMIT flag on the final frame. A transaction
@@ -24,6 +25,12 @@
 //!   one-element batch. The data file is only touched at checkpoint:
 //!   flush the newest image of every WAL-resident page, `fsync` the data
 //!   file, then truncate the WAL.
+//!
+//! This is on-disk format 2. Format 1 differed only in its checksums
+//! (SipHash-2-4); `open` refuses a directory whose meta page says format
+//! 1 with [`Error::Format`] before it reads or truncates the WAL, whose
+//! frames it could not check. Files are read and written positionally
+//! (`pread` / `pwrite`), never through a seek.
 //!
 //! Recovery scans the WAL, truncates the first torn or corrupt frame and
 //! everything after it, discards any trailing frames past the last COMMIT,
@@ -40,6 +47,15 @@
 //! image, not once per lookup, and a decode goes with its image when the
 //! image is refreshed by a commit or evicted. Pages a transaction dirtied
 //! are decoded from the transaction's own bytes.
+//!
+//! A read does not decode leaves. Its descent ends at the leaf's committed
+//! image, [`page::leaf_cells`] locates the cells in place, and the values
+//! are lent: an inline value straight from the image, a sealed one opened
+//! into a buffer the call reuses ([`PageStore::get_each`]). Expiry walks
+//! ([`PageStore::expired_keys`], [`PageStore::purge_expired`]) read only
+//! keys and deadlines, and [`PageStore::scan`] copies only the values it
+//! returns. Only the write path (`apply`) decodes a leaf into owned
+//! entries, edits them and serializes the leaf again.
 //!
 //! # Semantics
 //!
@@ -69,9 +85,10 @@ pub mod pool;
 pub mod wal;
 
 use page::{
-    internal_size, leaf_size, page_type, parse_free, parse_internal, parse_leaf, parse_overflow,
-    serialize_free, serialize_internal, serialize_leaf, serialize_overflow, verify_page, Internal,
-    Leaf, LeafEntry, Meta, ValueRef, INLINE_VALUE_MAX, OVERFLOW_DATA, T_INTERNAL, T_LEAF,
+    internal_size, leaf_cells, leaf_size, page_type, parse_free, parse_internal, parse_leaf,
+    parse_overflow, serialize_free, serialize_internal, serialize_leaf, serialize_overflow,
+    verify_page, CellRef, CellValue, Internal, Leaf, LeafEntry, Meta, ValueRef, INLINE_VALUE_MAX,
+    OVERFLOW_DATA, T_INTERNAL, T_LEAF,
 };
 pub use page::{KEY_MAX, PAGE_SIZE};
 pub use pool::PoolStats;
@@ -80,10 +97,12 @@ use clock::SharedClock;
 use crypto::Volume;
 use parking_lot::Mutex;
 use pool::{PageImage, Pool};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -96,6 +115,9 @@ pub enum Error {
     Corrupt(String),
     /// Key longer than [`KEY_MAX`] bytes (tenant prefix included).
     KeyTooLong(usize),
+    /// The directory is in an on-disk format this build does not read
+    /// (the version its meta page declares). Nothing was changed.
+    Format(u32),
 }
 
 impl Error {
@@ -110,6 +132,11 @@ impl fmt::Display for Error {
             Error::Io(e) => write!(f, "pagestore io: {e}"),
             Error::Corrupt(msg) => write!(f, "pagestore corrupt: {msg}"),
             Error::KeyTooLong(n) => write!(f, "pagestore key too long: {n} > {KEY_MAX}"),
+            Error::Format(v) => write!(
+                f,
+                "pagestore format version {v}: this build reads version {} only",
+                page::META_VERSION
+            ),
         }
     }
 }
@@ -265,12 +292,20 @@ impl PageStore {
     ) -> Result<Arc<PageStore>> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut data = OpenOptions::new()
+        let data = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(dir.join("pages.db"))?;
+        // An older format is refused before recovery reads — and would
+        // truncate — a WAL whose frames this build cannot check.
+        let mut header = [0u8; 8];
+        if data.read_exact_at(&mut header, 0).is_ok() {
+            if let Some(old @ 1) = page::declared_version(&header) {
+                return Err(Error::Format(old));
+            }
+        }
         let mut wal = OpenOptions::new()
             .read(true)
             .write(true)
@@ -285,8 +320,7 @@ impl PageStore {
         let wal_len = if scan.valid_len < wal::WAL_HEADER as u64 {
             // Missing or unusable header: start the log over.
             wal.set_len(0)?;
-            wal.seek(SeekFrom::Start(0))?;
-            wal.write_all(&wal::header_bytes())?;
+            wal.write_all_at(&wal::header_bytes(), 0)?;
             wal::WAL_HEADER as u64
         } else {
             // Physically drop the torn / uncommitted tail so appends never
@@ -303,15 +337,13 @@ impl PageStore {
             let data_len = data.metadata()?.len();
             if data_len >= PAGE_SIZE as u64 {
                 let mut image = vec![0u8; PAGE_SIZE];
-                data.seek(SeekFrom::Start(0))?;
-                data.read_exact(&mut image)?;
+                data.read_exact_at(&mut image, 0)?;
                 Meta::parse(&image)?
             } else {
                 // Fresh store: write the initial meta page directly (the
                 // only non-WAL data-file write; nothing precedes it).
                 let meta = Meta::fresh();
-                data.seek(SeekFrom::Start(0))?;
-                data.write_all(&meta.serialize())?;
+                data.write_all_at(&meta.serialize(), 0)?;
                 data.sync_all()?;
                 meta
             }
@@ -378,50 +410,60 @@ impl PageStore {
 
     /// Point lookup with kvstore-style lazy reaping: an expired record is
     /// destroyed (a real committed transaction), the expiry listener
-    /// fires, and the read reports absence. A one-element
-    /// [`Self::get_many`].
+    /// fires, and the read reports absence. A one-key [`Self::get_each`].
     pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self.get_many(&[key])?.pop().flatten())
+        let mut value = None;
+        self.get_each(&[key], |_, bytes| value = Some(bytes.to_vec()))?;
+        Ok(value)
     }
 
-    /// [`Self::get`] for each of `keys`, in order, under one hold of the
-    /// store mutex and with **one root-to-leaf descent per touched leaf**
-    /// when `keys` is sorted: a descent serves the run of keys that falls
-    /// inside its leaf's key range. Expired entries met on the way are
-    /// collected, reaped in one transaction after the walk, and reported
-    /// to the expiry listener — as [`Self::scan`] does.
-    pub fn get_many<K: AsRef<str>>(&self, keys: &[K]) -> Result<Vec<Option<Vec<u8>>>> {
+    /// Show `visit` the value of each of `keys` that holds a live record,
+    /// with its index in `keys`, under one hold of the store mutex and with
+    /// **one root-to-leaf descent per touched leaf** when `keys` is sorted:
+    /// a descent serves the run of keys that falls inside its leaf's key
+    /// range. The value is lent: an inline value straight out of the page
+    /// image, a sealed one opened into a buffer the call reuses. `visit`
+    /// runs under the store mutex, so it must not call back into the
+    /// store. Expired entries met on the way are collected, reaped in one
+    /// transaction after the walk, and reported to the expiry listener —
+    /// as [`Self::scan`] does.
+    pub fn get_each<K: AsRef<str>>(
+        &self,
+        keys: &[K],
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
-        let mut values = Vec::with_capacity(keys.len());
         let mut expired = Vec::new();
-        while values.len() < keys.len() {
-            let first = keys[values.len()].as_ref().as_bytes();
-            let Some(at) = inner.descend(None, first)? else {
-                values.resize(keys.len(), None); // empty tree
-                break;
+        let mut cells = Vec::new();
+        let mut plain = Vec::new();
+        let mut next = 0;
+        while next < keys.len() {
+            let first = keys[next].as_ref().as_bytes();
+            let Some(leaf) = inner.descend_leaf(first, &mut cells)? else {
+                break; // empty tree
             };
-            while let Some(key) = keys.get(values.len()).map(AsRef::as_ref) {
-                if key.as_bytes() < first || !below_fence(&at.upper, key.as_bytes()) {
+            while let Some(key) = keys.get(next).map(AsRef::as_ref) {
+                if key.as_bytes() < first || !below_fence(&leaf.upper, key.as_bytes()) {
                     break;
                 }
-                values.push(match at.entry(key.as_bytes()) {
-                    None => None,
-                    Some(entry) if is_expired(entry.deadline_ms, now) => {
+                let found =
+                    cells.binary_search_by(|cell| cell.key(&leaf.bytes).cmp(key.as_bytes()));
+                if let Ok(at) = found {
+                    let cell = &cells[at];
+                    if is_expired(cell.deadline_ms, now) {
                         expired.push(key.to_string());
-                        None
+                    } else {
+                        visit(next, inner.open_value(&leaf.bytes, cell, &mut plain)?);
                     }
-                    Some(entry) => {
-                        let stored = inner.load_value(None, &entry.value)?;
-                        inner.unseal(&stored)?
-                    }
-                });
+                }
+                next += 1;
             }
         }
         inner.reap(&expired)?;
         drop(inner);
         self.notify_expired(&expired);
-        Ok(values)
+        Ok(())
     }
 
     /// Insert a fresh record. Returns `false` when a *live* record already
@@ -431,7 +473,7 @@ impl PageStore {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
         let occupant = inner.lookup(key.as_bytes())?;
-        let reaped = match &occupant {
+        let reaped = match occupant {
             Some(e) if !is_expired(e.deadline_ms, now) => return Ok(false),
             Some(_) => true,
             None => false,
@@ -481,7 +523,9 @@ impl PageStore {
     /// like the kvstore's pure `expiry_at` probe.
     pub fn deadline_ms(&self, key: &str) -> Result<Option<u64>> {
         let mut inner = self.inner.lock();
-        Ok(inner.lookup(key.as_bytes())?.and_then(|e| e.deadline_ms))
+        Ok(inner
+            .lookup(key.as_bytes())?
+            .and_then(|cell| cell.deadline_ms))
     }
 
     /// Every live record in key order. Expired records encountered are
@@ -491,19 +535,21 @@ impl PageStore {
     pub fn scan(&self) -> Result<Vec<(String, Vec<u8>)>> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
-        let entries = inner.walk_leaves()?;
         let mut expired = Vec::new();
         let mut live = Vec::new();
-        for entry in entries {
-            if is_expired(entry.deadline_ms, now) {
-                expired.push(utf8_key(&entry.key)?);
-            } else {
-                let key = utf8_key(&entry.key)?;
-                let value = inner.load_value(None, &entry.value)?;
-                let value = inner.unseal(&value)?.expect("sealed value present");
-                live.push((key, value));
+        let mut plain = Vec::new();
+        inner.walk_leaves(|inner, image, cells| {
+            for cell in cells {
+                let key = utf8_key(cell.key(image))?;
+                if is_expired(cell.deadline_ms, now) {
+                    expired.push(key);
+                } else {
+                    let value = inner.open_value(image, cell, &mut plain)?;
+                    live.push((key, value.to_vec()));
+                }
             }
-        }
+            Ok(())
+        })?;
         inner.reap(&expired)?;
         drop(inner);
         self.notify_expired(&expired);
@@ -607,7 +653,7 @@ fn utf8_key(key: &[u8]) -> Result<String> {
     String::from_utf8(key.to_vec()).map_err(|_| Error::corrupt("non-utf8 key bytes"))
 }
 
-/// Where a root-to-leaf descent ended.
+/// Where a write's root-to-leaf descent ended.
 struct Descent {
     /// The leaf's page id and parsed contents.
     pid: u32,
@@ -620,31 +666,30 @@ struct Descent {
     upper: Option<Vec<u8>>,
 }
 
-impl Descent {
-    fn entry(&self, key: &[u8]) -> Option<&LeafEntry> {
-        let slot = self
-            .leaf
-            .entries
-            .binary_search_by(|e| e.key.as_slice().cmp(key));
-        slot.ok().map(|i| &self.leaf.entries[i])
-    }
+/// A tree page's bytes as a descent meets them.
+enum PageBytes<'t> {
+    /// A page the transaction dirtied: its own, uncommitted image.
+    Dirty(&'t [u8]),
+    /// A committed image, shared with the pool slot that holds it.
+    Pooled(PageImage),
 }
 
-/// A B+tree page as a descent meets it.
-enum TreePage {
-    /// Shared with the pool slot that holds the page's committed image.
-    Internal(Arc<Internal>),
-    Leaf(Leaf),
-}
-
-impl TreePage {
-    fn parse(pid: u32, image: &[u8]) -> Result<TreePage> {
-        match page_type(pid, image)? {
-            T_INTERNAL => Ok(TreePage::Internal(Arc::new(parse_internal(pid, image)?))),
-            T_LEAF => Ok(TreePage::Leaf(parse_leaf(pid, image)?)),
-            t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
+impl std::ops::Deref for PageBytes<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            PageBytes::Dirty(image) => image,
+            PageBytes::Pooled(image) => image,
         }
     }
+}
+
+/// The leaf a descent reached: its page id, bytes and [`Descent::upper`]
+/// fence.
+struct Reached<'t> {
+    pid: u32,
+    bytes: PageBytes<'t>,
+    upper: Option<Vec<u8>>,
 }
 
 /// Is `key` — not below the key a descent was made for — still inside the
@@ -668,15 +713,13 @@ impl Inner {
         }
         let mut buf = vec![0u8; PAGE_SIZE];
         if let Some(&off) = self.wal_index.get(&pid) {
-            self.wal.seek(SeekFrom::Start(off))?;
-            self.wal.read_exact(&mut buf)?;
+            self.wal.read_exact_at(&mut buf, off)?;
         } else {
             if pid >= self.meta.page_count {
                 return Err(Error::corrupt(format!("page {pid} beyond allocation")));
             }
-            self.data
-                .seek(SeekFrom::Start(pid as u64 * PAGE_SIZE as u64))?;
-            self.data.read_exact(&mut buf).map_err(|e| {
+            let off = pid as u64 * PAGE_SIZE as u64;
+            self.data.read_exact_at(&mut buf, off).map_err(|e| {
                 if e.kind() == std::io::ErrorKind::UnexpectedEof {
                     Error::corrupt(format!("page {pid} beyond data file"))
                 } else {
@@ -699,16 +742,11 @@ impl Inner {
         pid: u32,
         f: impl FnOnce(&[u8]) -> Result<T>,
     ) -> Result<T> {
-        if let Some(tx) = tx {
-            if let Some(image) = tx.dirty.get(&pid) {
-                return f(image);
-            }
+        if let Some(image) = tx.and_then(|tx| tx.dirty.get(&pid)) {
+            return f(image);
         }
         let image = self.read_page(pid)?;
-        self.pool.pin(pid);
-        let out = f(&image);
-        self.pool.unpin(pid);
-        out
+        self.parse_pinned(pid, &image, |_, image| f(image))
     }
 
     fn tx_alloc(&mut self, tx: &mut TxState) -> Result<u32> {
@@ -772,7 +810,7 @@ impl Inner {
     /// [`WAL_CHUNK_FRAMES`] frames per `write`. `wal_len` and `wal_index`
     /// are the caller's to advance, once every byte is down.
     fn append_frames(&mut self, pids: &[u32], tx: &TxState) -> Result<()> {
-        self.wal.seek(SeekFrom::Start(self.wal_len))?;
+        let mut at = self.wal_len;
         let mut left = pids.len();
         for chunk in pids.chunks(WAL_CHUNK_FRAMES) {
             self.wal_buf.clear();
@@ -781,7 +819,8 @@ impl Inner {
                 let image = &tx.dirty[&pid];
                 wal::encode_frame(&mut self.wal_buf, pid, left == 0, tx.meta.generation, image);
             }
-            self.wal.write_all(&self.wal_buf)?;
+            self.wal.write_all_at(&self.wal_buf, at)?;
+            at += self.wal_buf.len() as u64;
         }
         if self.config.fsync_wal {
             self.wal.sync_data()?;
@@ -796,11 +835,9 @@ impl Inner {
         let mut image = vec![0u8; PAGE_SIZE];
         let entries: Vec<(u32, u64)> = self.wal_index.iter().map(|(&p, &o)| (p, o)).collect();
         for (pid, off) in entries {
-            self.wal.seek(SeekFrom::Start(off))?;
-            self.wal.read_exact(&mut image)?;
+            self.wal.read_exact_at(&mut image, off)?;
             self.data
-                .seek(SeekFrom::Start(pid as u64 * PAGE_SIZE as u64))?;
-            self.data.write_all(&image)?;
+                .write_all_at(&image, pid as u64 * PAGE_SIZE as u64)?;
         }
         // Order matters: the WAL may only shrink after the data file is
         // durable, so a crash between the two replays the same images.
@@ -814,13 +851,33 @@ impl Inner {
 
     // ---- value storage -------------------------------------------------
 
-    fn unseal(&self, stored: &[u8]) -> Result<Option<Vec<u8>>> {
-        match &self.volume {
-            Some(volume) => match volume.open(stored) {
-                Ok((_, plaintext)) => Ok(Some(plaintext)),
-                Err(e) => Err(Error::corrupt(format!("sealed value: {e:?}"))),
-            },
-            None => Ok(Some(stored.to_vec())),
+    /// The value of `cell`, a cell of the committed leaf `image`, lent: an
+    /// unsealed inline value in place, anything else through `buf` (an
+    /// overflow chain gathered, a sealed value opened).
+    fn open_value<'a>(
+        &mut self,
+        image: &'a [u8],
+        cell: &CellRef,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8]> {
+        let stored = match cell.value {
+            CellValue::Inline { start, end } => Cow::Borrowed(&image[start as usize..end as usize]),
+            CellValue::Overflow { total_len, head } => {
+                Cow::Owned(self.load_overflow(total_len, head)?)
+            }
+        };
+        match (&self.volume, stored) {
+            (None, Cow::Borrowed(value)) => Ok(value),
+            (None, Cow::Owned(value)) => {
+                *buf = value;
+                Ok(buf)
+            }
+            (Some(volume), stored) => {
+                volume
+                    .open_into(&stored, buf)
+                    .map_err(|e| Error::corrupt(format!("sealed value: {e:?}")))?;
+                Ok(buf)
+            }
         }
     }
 
@@ -865,36 +922,27 @@ impl Inner {
         })
     }
 
-    fn load_value(&mut self, tx: Option<&TxState>, value: &ValueRef) -> Result<Vec<u8>> {
-        match value {
-            ValueRef::Inline(v) => Ok(v.clone()),
-            ValueRef::Overflow { total_len, head } => {
-                let mut out = Vec::with_capacity(*total_len as usize);
-                let mut pid = *head;
-                let mut hops = 0u32;
-                while pid != 0 {
-                    hops += 1;
-                    if hops
-                        > self
-                            .meta
-                            .page_count
-                            .max(tx.map_or(0, |t| t.meta.page_count))
-                    {
-                        return Err(Error::corrupt("overflow chain cycle"));
-                    }
-                    let (next, chunk) = self.with_image(tx, pid, |img| parse_overflow(pid, img))?;
-                    out.extend_from_slice(&chunk);
-                    pid = next;
-                }
-                if out.len() != *total_len as usize {
-                    return Err(Error::corrupt(format!(
-                        "overflow length {} != {total_len}",
-                        out.len()
-                    )));
-                }
-                Ok(out)
+    /// The `total_len` bytes of the overflow chain starting at `head`.
+    fn load_overflow(&mut self, total_len: u32, head: u32) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(total_len as usize);
+        let mut pid = head;
+        let mut hops = 0u32;
+        while pid != 0 {
+            hops += 1;
+            if hops > self.meta.page_count {
+                return Err(Error::corrupt("overflow chain cycle"));
             }
+            let (next, chunk) = self.with_image(None, pid, |img| parse_overflow(pid, img))?;
+            out.extend_from_slice(&chunk);
+            pid = next;
         }
+        if out.len() != total_len as usize {
+            return Err(Error::corrupt(format!(
+                "overflow length {} != {total_len}",
+                out.len()
+            )));
+        }
+        Ok(out)
     }
 
     fn free_value(&mut self, tx: &mut TxState, value: &ValueRef) -> Result<()> {
@@ -920,61 +968,102 @@ impl Inner {
 
     // ---- B+tree --------------------------------------------------------
 
-    /// The one root-to-leaf descent: the leaf whose key range covers `key`
-    /// (`None` while the tree is empty), side-effect-free.
-    fn descend(&mut self, tx: Option<&TxState>, key: &[u8]) -> Result<Option<Descent>> {
+    /// The one root-to-leaf walk: the leaf whose key range covers `key`
+    /// (`None` while the tree is empty), side-effect-free, with the
+    /// internal pages it passed pushed on `path`, root first. Each page is
+    /// read once: a page `tx` dirtied from the transaction's bytes, any
+    /// other through the pool, which keeps an internal page's decode
+    /// beside its committed image ([`Pool::internal`]) so descents through
+    /// it parse it once.
+    fn seek_leaf<'t>(
+        &mut self,
+        tx: Option<&'t TxState>,
+        key: &[u8],
+        path: &mut Vec<u32>,
+    ) -> Result<Option<Reached<'t>>> {
         let mut pid = tx.map_or(self.meta.root, |t| t.meta.root);
         if pid == 0 {
             return Ok(None);
         }
-        let mut path = Vec::new();
         let mut upper: Option<Vec<u8>> = None;
-        loop {
-            if path.len() > MAX_TREE_DEPTH {
-                return Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"));
-            }
-            match self.tree_page(tx, pid)? {
-                TreePage::Internal(node) => {
+        for _ in 0..=MAX_TREE_DEPTH {
+            let bytes = match tx.and_then(|tx| tx.dirty.get(&pid)) {
+                Some(image) => PageBytes::Dirty(image),
+                None => PageBytes::Pooled(self.read_page(pid)?),
+            };
+            match page_type(pid, &bytes)? {
+                T_INTERNAL => {
+                    let node = match &bytes {
+                        PageBytes::Dirty(image) => Arc::new(parse_internal(pid, image)?),
+                        PageBytes::Pooled(image) => self.pool.internal(pid, image)?,
+                    };
                     let (child, bound) = descend_child(&node, key, pid)?;
                     path.push(pid);
                     upper = bound.map(<[u8]>::to_vec).or(upper);
                     pid = child;
                 }
-                TreePage::Leaf(leaf) => {
-                    return Ok(Some(Descent {
-                        pid,
-                        leaf,
-                        path,
-                        upper,
-                    }))
-                }
+                T_LEAF => return Ok(Some(Reached { pid, bytes, upper })),
+                t => return Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
             }
         }
+        Err(Error::corrupt("tree deeper than MAX_TREE_DEPTH (cycle?)"))
     }
 
-    /// Tree page `pid`, decoded. A page `tx` dirtied is parsed from the
-    /// transaction's bytes; any other is read through the pool, which
-    /// keeps an internal page's decode beside its committed image
-    /// ([`Pool::internal`]) so descents through it parse it once.
-    fn tree_page(&mut self, tx: Option<&TxState>, pid: u32) -> Result<TreePage> {
-        if let Some(image) = tx.and_then(|tx| tx.dirty.get(&pid)) {
-            return TreePage::parse(pid, image);
-        }
-        let image = self.read_page(pid)?;
-        if page_type(pid, &image)? == T_INTERNAL {
-            return self.pool.internal(pid, &image).map(TreePage::Internal);
-        }
+    /// A write's descent through `tx` to the leaf covering `key`, decoded.
+    fn descend(&mut self, tx: &TxState, key: &[u8]) -> Result<Descent> {
+        let mut path = Vec::new();
+        let reached = self
+            .seek_leaf(Some(tx), key, &mut path)?
+            .expect("the tree has a root");
+        let leaf = match &reached.bytes {
+            PageBytes::Dirty(image) => parse_leaf(reached.pid, image)?,
+            PageBytes::Pooled(image) => self.parse_pinned(reached.pid, image, parse_leaf)?,
+        };
+        Ok(Descent {
+            pid: reached.pid,
+            leaf,
+            path,
+            upper: reached.upper,
+        })
+    }
+
+    /// A read's descent to the committed leaf covering `key` (`None` while
+    /// the tree is empty), its cells located into `cells`.
+    fn descend_leaf(
+        &mut self,
+        key: &[u8],
+        cells: &mut Vec<CellRef>,
+    ) -> Result<Option<Reached<'static>>> {
+        let Some(reached) = self.seek_leaf(None, key, &mut Vec::new())? else {
+            return Ok(None);
+        };
+        self.parse_pinned(reached.pid, &reached.bytes, |pid, image| {
+            leaf_cells(pid, image, cells)
+        })?;
+        Ok(Some(reached))
+    }
+
+    /// `parse` over a committed image with its pool slot pinned.
+    fn parse_pinned<T>(
+        &mut self,
+        pid: u32,
+        image: &[u8],
+        parse: impl FnOnce(u32, &[u8]) -> Result<T>,
+    ) -> Result<T> {
         self.pool.pin(pid);
-        let page = TreePage::parse(pid, &image);
+        let parsed = parse(pid, image);
         self.pool.unpin(pid);
-        page
+        parsed
     }
 
-    /// The committed entry for `key`, side-effect-free.
-    fn lookup(&mut self, key: &[u8]) -> Result<Option<LeafEntry>> {
-        Ok(self
-            .descend(None, key)?
-            .and_then(|at| at.entry(key).cloned()))
+    /// The committed cell for `key`, side-effect-free.
+    fn lookup(&mut self, key: &[u8]) -> Result<Option<CellRef>> {
+        let mut cells = Vec::new();
+        let Some(leaf) = self.descend_leaf(key, &mut cells)? else {
+            return Ok(None);
+        };
+        let found = cells.binary_search_by(|cell| cell.key(&leaf.bytes).cmp(key));
+        Ok(found.ok().map(|at| cells[at]))
     }
 
     /// Run `ops` as one transaction — the store's only write path. Ops
@@ -1035,9 +1124,7 @@ impl Inner {
             mut leaf,
             mut path,
             upper,
-        } = self
-            .descend(Some(tx), ops[0].key())?
-            .expect("the tree has a root");
+        } = self.descend(tx, ops[0].key())?;
 
         let mut used = 0;
         let mut changed = false;
@@ -1202,58 +1289,45 @@ impl Inner {
     fn due_keys(&mut self, now: u64) -> Result<(Vec<String>, u64)> {
         let mut due = Vec::new();
         let mut later = u64::MAX;
-        for entry in self.walk_leaves()? {
-            if is_expired(entry.deadline_ms, now) {
-                due.push(utf8_key(&entry.key)?);
-            } else if let Some(at) = entry.deadline_ms {
-                later = later.min(at);
+        self.walk_leaves(|_, image, cells| {
+            for cell in cells {
+                if is_expired(cell.deadline_ms, now) {
+                    due.push(utf8_key(cell.key(image))?);
+                } else if let Some(at) = cell.deadline_ms {
+                    later = later.min(at);
+                }
             }
-        }
+            Ok(())
+        })?;
         Ok((due, later))
     }
 
-    /// All entries in key order via the leftmost-leaf chain walk.
-    fn walk_leaves(&mut self) -> Result<Vec<LeafEntry>> {
-        if self.meta.root == 0 {
-            return Ok(Vec::new());
-        }
-        // Descend to the leftmost leaf.
-        let mut pid = self.meta.root;
-        for _ in 0..MAX_TREE_DEPTH {
-            enum Step {
-                Down(u32),
-                AtLeaf,
-            }
-            let step = self.with_image(None, pid, |img| match page_type(pid, img)? {
-                T_INTERNAL => {
-                    let node = parse_internal(pid, img)?;
-                    let child = *node
-                        .children
-                        .first()
-                        .ok_or_else(|| Error::corrupt(format!("page {pid}: no children")))?;
-                    Ok(Step::Down(child))
-                }
-                T_LEAF => Ok(Step::AtLeaf),
-                t => Err(Error::corrupt(format!("page {pid}: type {t} in tree path"))),
-            })?;
-            match step {
-                Step::Down(child) => pid = child,
-                Step::AtLeaf => break,
-            }
-        }
+    /// Show `visit` every committed leaf in key order — its image and its
+    /// cells, located in place — by a descent to the leftmost leaf and a
+    /// walk of the leaf chain.
+    fn walk_leaves(
+        &mut self,
+        mut visit: impl FnMut(&mut Inner, &[u8], &[CellRef]) -> Result<()>,
+    ) -> Result<()> {
+        let Some(leftmost) = self.seek_leaf(None, &[], &mut Vec::new())? else {
+            return Ok(());
+        };
         // Follow the leaf chain, guarding against cycles in corrupt files.
-        let mut out = Vec::new();
+        let mut pid = leftmost.pid;
+        let mut cells = Vec::new();
         let mut hops = 0u32;
         while pid != 0 {
             hops += 1;
             if hops > self.meta.page_count {
                 return Err(Error::corrupt("leaf chain cycle"));
             }
-            let leaf = self.with_image(None, pid, |img| parse_leaf(pid, img))?;
-            out.extend(leaf.entries);
-            pid = leaf.next;
+            let image = self.read_page(pid)?;
+            let next =
+                self.parse_pinned(pid, &image, |pid, image| leaf_cells(pid, image, &mut cells))?;
+            visit(self, &image, &cells)?;
+            pid = next;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -1640,7 +1714,10 @@ mod tests {
                 6 => assert_eq!(store.remove(&key).unwrap(), model.remove(&key).is_some()),
                 7 => {
                     let window: Vec<&String> = model.range(key..).take(5).map(|(k, _)| k).collect();
-                    let got = store.get_many(&window).unwrap();
+                    let mut got = vec![None; window.len()];
+                    store
+                        .get_each(&window, |i, value| got[i] = Some(value.to_vec()))
+                        .unwrap();
                     assert!(got
                         .iter()
                         .zip(&window)
@@ -1659,6 +1736,83 @@ mod tests {
         let store = open(&dir, 2);
         assert_matches_model(&store, &model);
         assert_pool_sound(&store);
+    }
+
+    /// A cold `get_each` of every key, sorted, descends once per leaf and
+    /// reads each page on a descent's path through the pool exactly once:
+    /// the pool is asked leaves × height times, and no more.
+    #[test]
+    fn a_cold_sorted_get_each_looks_each_path_page_up_once() {
+        let dir = scratch("get-each-cold");
+        let store = open(&dir, 4);
+        let keys: Vec<String> = (0..400).map(long_key).collect();
+        for key in &keys {
+            store.insert(key, &[5u8; 200], None).unwrap();
+        }
+        store.checkpoint().unwrap();
+        let root = store.inner.lock().meta.root;
+        drop(store);
+        let pages = std::fs::read(dir.join("pages.db")).unwrap();
+        let page = |pid: u32| &pages[pid as usize * PAGE_SIZE..][..PAGE_SIZE];
+        let mut height = 1;
+        let mut pid = root;
+        while page(pid)[0] == T_INTERNAL {
+            pid = parse_internal(pid, page(pid)).unwrap().children[0];
+            height += 1;
+        }
+        let leaves = pages.chunks(PAGE_SIZE).filter(|p| p[0] == T_LEAF).count() as u64;
+        assert!(
+            height >= 3 && leaves > 20,
+            "height {height}, {leaves} leaves"
+        );
+
+        let store = open(&dir, 4);
+        let mut seen = Vec::new();
+        store
+            .get_each(&keys, |i, value| {
+                assert_eq!(value, [5u8; 200]);
+                seen.push(i);
+            })
+            .unwrap();
+        assert!(
+            seen.iter().copied().eq(0..keys.len()),
+            "every key, in order"
+        );
+        let stats = store.pool_stats();
+        assert_eq!(stats.hits + stats.misses, leaves * height);
+        assert_pool_sound(&store);
+    }
+
+    /// A format-1 directory — its meta page says version 1, its WAL
+    /// carries the format-1 magic and commits no checkpoint took — is
+    /// refused before recovery reads or truncates the WAL: both files stay
+    /// byte for byte as they were.
+    #[test]
+    fn a_format_1_directory_is_refused_before_its_wal_is_touched() {
+        let dir = scratch("format-1");
+        {
+            let store = open(&dir, 8);
+            store.insert("checkpointed", b"v", None).unwrap();
+            store.checkpoint().unwrap();
+            for i in 0..20 {
+                store.insert(&format!("k{i}"), b"v", None).unwrap();
+            }
+            assert!(store.inner.lock().wal_len > wal::WAL_HEADER as u64);
+        }
+        let (pages, wal_log) = (dir.join("pages.db"), dir.join("wal.log"));
+        let mut data = std::fs::read(&pages).unwrap();
+        data[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&pages, &data).unwrap();
+        let mut log = std::fs::read(&wal_log).unwrap();
+        log[..8].copy_from_slice(b"GPgWAL01");
+        std::fs::write(&wal_log, &log).unwrap();
+
+        let config = PageStoreConfig::default();
+        let refused = PageStore::open(&dir, config, clock::wall());
+        assert!(matches!(refused, Err(Error::Format(1))));
+        assert!(refused.err().unwrap().to_string().contains("version 1"));
+        assert_eq!(std::fs::read(&pages).unwrap(), data);
+        assert_eq!(std::fs::read(&wal_log).unwrap(), log);
     }
 
     /// Once the pool holds the tree's internal pages, lookups decode each

@@ -3,12 +3,17 @@
 //! Layout:
 //!
 //! ```text
-//! header (16 B): magic "GPgWAL01" | page_size u32 | reserved u32
+//! header (16 B): magic "GPgWAL02" | page_size u32 | reserved u32
 //! frame (24 B + PAGE_SIZE):
 //!     page_id u32 | flags u32 (bit0 = COMMIT) | generation u64
-//!     | checksum u64 (SipHash-2-4 over page_id, flags, generation, image)
+//!     | checksum u64 (XXH64, seed FRAME_SEED, over page_id, flags,
+//!                     generation, image)
 //!     | page image (PAGE_SIZE bytes)
 //! ```
+//!
+//! Format 1 (`GPgWAL01`) checksummed frames with SipHash-2-4; its header
+//! is unusable to this build, which starts such a log over — after `open`
+//! has refused the directory whose meta page says format 1.
 //!
 //! A transaction appends one frame per dirty page; the last frame carries
 //! the COMMIT flag and the store's logical generation. Recovery scans from
@@ -23,8 +28,7 @@
 //! shorter successor that overwrote only its head. Replaying it would
 //! resurrect a write the caller saw fail.
 
-use crate::page::PAGE_SIZE;
-use crypto::SipHash24;
+use crate::page::{Xxh64, PAGE_SIZE};
 use std::collections::HashMap;
 
 pub const WAL_HEADER: usize = 16;
@@ -32,11 +36,10 @@ pub const FRAME_HEADER: usize = 24;
 pub const FRAME_SIZE: usize = FRAME_HEADER + PAGE_SIZE;
 pub const FLAG_COMMIT: u32 = 1;
 
-const WAL_MAGIC: &[u8; 8] = b"GPgWAL01";
+const WAL_MAGIC: &[u8; 8] = b"GPgWAL02";
 
-fn frame_hasher() -> SipHash24 {
-    SipHash24::new(0x7761_6c5f_6672_616d, 0x655f_6368_6563_6b21)
-}
+/// Seeds every frame checksum.
+const FRAME_SEED: u64 = 0x7761_6c5f_6672_616d;
 
 pub fn header_bytes() -> [u8; WAL_HEADER] {
     let mut h = [0u8; WAL_HEADER];
@@ -46,12 +49,12 @@ pub fn header_bytes() -> [u8; WAL_HEADER] {
 }
 
 fn frame_checksum(pid: u32, flags: u32, generation: u64, image: &[u8]) -> u64 {
-    let mut data = Vec::with_capacity(16 + image.len());
-    data.extend_from_slice(&pid.to_le_bytes());
-    data.extend_from_slice(&flags.to_le_bytes());
-    data.extend_from_slice(&generation.to_le_bytes());
-    data.extend_from_slice(image);
-    frame_hasher().hash(&data)
+    let mut hasher = Xxh64::new(FRAME_SEED);
+    hasher.write(&pid.to_le_bytes());
+    hasher.write(&flags.to_le_bytes());
+    hasher.write(&generation.to_le_bytes());
+    hasher.write(image);
+    hasher.finish()
 }
 
 /// Append one encoded frame to `out`.
