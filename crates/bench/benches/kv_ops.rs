@@ -56,29 +56,18 @@ fn bench_set_get(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scan(c: &mut Criterion) {
-    let scratch = ScratchDir::new("kvbench-scan");
+fn bench_walk(c: &mut Criterion) {
+    let scratch = ScratchDir::new("kvbench-walk");
     let store = store_with(Feature::Baseline, &scratch, 10_000);
-    c.bench_function("kvstore/scan_full_10k", |b| {
+    c.bench_function("kvstore/walk_full_10k", |b| {
         b.iter(|| {
-            let mut cursor = 0usize;
             let mut seen = 0usize;
-            loop {
-                let reply = store
-                    .execute(kvstore::Command::Scan {
-                        cursor,
-                        count: 512,
-                        pattern: None,
-                    })
-                    .unwrap();
-                let parts = reply.as_array().unwrap();
-                seen += parts[1].as_array().unwrap().len();
-                let next = parts[0].as_int().unwrap() as usize;
-                if next == 0 {
-                    break;
-                }
-                cursor = next;
-            }
+            let Ok(()) = store
+                .read_prefix(b"", |_, _| {
+                    seen += 1;
+                    Ok::<_, std::convert::Infallible>(())
+                })
+                .unwrap();
             seen
         });
     });
@@ -87,6 +76,6 @@ fn bench_scan(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_set_get, bench_scan
+    targets = bench_set_get, bench_walk
 }
 criterion_main!(benches);

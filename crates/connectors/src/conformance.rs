@@ -328,6 +328,27 @@ fn portability_includes_metadata() {
     }
 }
 
+/// A TTL keeps its milliseconds: a record created with 1 500 ms or
+/// 60 400 ms reads back exactly that on every variant, in-process and
+/// served. Both are long enough not to lapse mid-test.
+#[test]
+fn a_ttl_keeps_its_milliseconds() {
+    let ttls = [Duration::from_millis(1_500), Duration::from_millis(60_400)];
+    for conn in connectors() {
+        for (i, ttl) in ttls.into_iter().enumerate() {
+            let key = format!("ms-{i}");
+            let mut r = record(&key, "neo", &["ads"], "d");
+            r.metadata.ttl = Some(ttl);
+            conn.execute(&Session::controller(), &GdprQuery::CreateRecord(r))
+                .unwrap();
+            let read = GdprQuery::ReadMetadataByKey(key);
+            let resp = conn.execute(&Session::customer("neo"), &read).unwrap();
+            let (_, metadata) = &resp.as_metadata().unwrap()[0];
+            assert_eq!(metadata.ttl, Some(ttl), "{}", conn.name());
+        }
+    }
+}
+
 #[test]
 fn purpose_completion_deletes_group() {
     for conn in connectors() {
@@ -705,11 +726,8 @@ fn read_after_an_hour_at_the_last_deadline<S: gdpr_core::RecordStore>(
     assert_eq!(engine.store().deadline_ms(&key), Some(last), "{name}");
 }
 
-/// A lazy expiration during a keyspace scan must not hide live records:
-/// reaping swap-removes keys in the key index, so a scan that interleaves
-/// GETs with cursor batches would move an unvisited tail key into an
-/// already-visited slot and skip it. The scan collects the full cursor
-/// walk before fetching.
+/// A past-due record in a keyspace scan must not hide the live records
+/// after it, in its chunk or the next: the walk skips it without reaping.
 #[test]
 fn scan_survives_lazy_expiry_mid_walk() {
     let sim = clock::sim();
@@ -717,14 +735,13 @@ fn scan_survives_lazy_expiry_mid_walk() {
         kvstore::KvStore::open_with_clock(kvstore::KvConfig::default(), sim.clone()).unwrap();
     let redis = RedisConnector::new(store);
     let controller = Session::controller();
-    // First-inserted key expires; it sits in the first SCAN batch, and its
-    // lazy reap relocates the last key of the keyspace into its slot.
+    // First-inserted key expires; it sits in the walk's first chunk.
     let mut doomed = record("doomed", "neo", &["ads"], "d");
     doomed.metadata.ttl = Some(Duration::from_secs(5));
     redis
         .execute(&controller, &GdprQuery::CreateRecord(doomed))
         .unwrap();
-    let live = 600; // > one SCAN batch (512), so the tail is beyond batch 1
+    let live = 600; // > one walk chunk (512), so the tail is beyond chunk 1
     for i in 0..live {
         redis
             .execute(
@@ -2095,8 +2112,8 @@ fn restart_equivalence_sharded_and_remote() {
 }
 
 /// Restart equivalence, unsharded `redis-mi` — once over the stock
-/// write-only AOF and once over a `log_reads` one, whose GET / MGET / SCAN
-/// frames (everything `RedisStore` issues) must replay to the identical
+/// write-only AOF and once over a `log_reads` one, whose GET / MGET
+/// frames (every read `RedisStore` logs) must replay to the identical
 /// generation, or the image's stamp would stop matching. Every record
 /// write is one `SET` frame, TTL included.
 #[test]
@@ -2124,7 +2141,7 @@ fn restart_equivalence_redis_mi() {
         logged.sort();
         logged.dedup();
         if log_reads {
-            assert_eq!(logged, ["DEL", "GET", "MGET", "SCAN", "SET"]);
+            assert_eq!(logged, ["DEL", "GET", "MGET", "SET"]);
         } else {
             assert_eq!(logged, ["DEL", "SET"]);
         }

@@ -10,8 +10,8 @@
 //! * [`redis::RedisStore`] — records live as wire-format strings under
 //!   `rec:<key>` with native `EXPIRE` for TTL. The store has **no secondary
 //!   indexes**: the baseline [`redis::RedisConnector::new`] resolves every
-//!   metadata predicate by SCAN+filter (the O(n) behaviour behind Figures
-//!   5a and 7b), while [`redis::RedisConnector::with_metadata_index`]
+//!   metadata predicate by a keyspace walk and a filter (the O(n) behaviour
+//!   behind Figures 5a and 7b), while [`redis::RedisConnector::with_metadata_index`]
 //!   attaches the engine's [`gdpr_core::MetadataIndex`] for O(matches)
 //!   lookups, with store-side expirations invalidating index entries.
 //! * [`sharded::ShardedRedisConnector`] — N independent key-value stores

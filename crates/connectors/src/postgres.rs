@@ -3,7 +3,7 @@
 //! One `personal_data` table holds everything: the key, the data payload,
 //! and one column per metadata attribute (`text[]` for the multi-valued
 //! ones). TTL is materialized twice, as the paper's retrofit does: the
-//! declared duration (`ttl_secs`, reported back to customers per G13.2a)
+//! declared duration (`ttl_ms`, reported back to customers per G13.2a)
 //! and the absolute `expiry` timestamp the 1-second sweep daemon deletes by.
 //!
 //! All GDPR policy (authorization, visibility, audit, dispatch) lives in
@@ -63,7 +63,7 @@ impl PostgresStore {
                 ("key".into(), ColumnType::Text),
                 ("data".into(), ColumnType::Text),
                 ("pur".into(), ColumnType::TextArray),
-                ("ttl_secs".into(), ColumnType::Int),
+                ("ttl_ms".into(), ColumnType::Int),
                 ("expiry".into(), ColumnType::Timestamp),
                 ("usr".into(), ColumnType::Text),
                 ("obj".into(), ColumnType::TextArray),
@@ -104,11 +104,17 @@ impl PostgresStore {
         Ok(())
     }
 
+    /// The declared TTL in whole milliseconds, as every store's deadline
+    /// keeps it; saturating where an `i64` cannot hold it.
+    fn ttl_ms(ttl: Duration) -> Datum {
+        Datum::Int(i64::try_from(ttl.as_millis()).unwrap_or(i64::MAX))
+    }
+
     fn to_row(&self, record: &PersonalRecord) -> Vec<Datum> {
         let m = &record.metadata;
-        let (ttl_secs, expiry) = match m.ttl {
+        let (ttl_ms, expiry) = match m.ttl {
             Some(ttl) => (
-                Datum::Int(ttl.as_secs() as i64),
+                Self::ttl_ms(ttl),
                 Datum::Timestamp(clock::deadline_ms(self.now_ms(), ttl)),
             ),
             None => (Datum::Null, Datum::Null),
@@ -117,7 +123,7 @@ impl PostgresStore {
             Datum::Text(record.key.clone()),
             Datum::Text(record.data.clone()),
             Datum::TextArray(m.purposes.clone()),
-            ttl_secs,
+            ttl_ms,
             expiry,
             Datum::Text(m.user.clone()),
             Datum::TextArray(m.objections.clone()),
@@ -143,7 +149,7 @@ impl PostgresStore {
         let ttl = row
             .get(3)
             .and_then(Datum::as_int)
-            .map(|secs| Duration::from_secs(secs.max(0) as u64));
+            .map(|ms| Duration::from_millis(ms.max(0) as u64));
         Ok(PersonalRecord {
             key: text(0),
             data: text(1),
@@ -237,14 +243,14 @@ impl RecordStore for PostgresStore {
         if ttl_changed {
             match m.ttl {
                 Some(ttl) => {
-                    assignments.push(("ttl_secs".into(), Datum::Int(ttl.as_secs() as i64)));
+                    assignments.push(("ttl_ms".into(), Self::ttl_ms(ttl)));
                     assignments.push((
                         "expiry".into(),
                         Datum::Timestamp(clock::deadline_ms(self.now_ms(), ttl)),
                     ));
                 }
                 None => {
-                    assignments.push(("ttl_secs".into(), Datum::Null));
+                    assignments.push(("ttl_ms".into(), Datum::Null));
                     assignments.push(("expiry".into(), Datum::Null));
                 }
             }

@@ -5,10 +5,10 @@
 //! record write is one `SET` that carries its own condition and deadline
 //! (`NX`, `PX`, `PXAT`, `KEEPTTL`), so the store decides both atomically
 //! and logs the write as one AOF frame. The store itself has no secondary
-//! structures, so the backend resolves every metadata predicate by
-//! SCANning the whole `rec:*` keyspace and parsing each record — precisely
-//! how the paper's Redis behaves and why its GDPR workloads run orders of
-//! magnitude slower than YCSB (Figures 5a, 7b).
+//! structures, so the backend resolves every metadata predicate by walking
+//! the whole `rec:*` keyspace and parsing each record — precisely how the
+//! paper's Redis behaves and why its GDPR workloads run orders of magnitude
+//! slower than YCSB (Figures 5a, 7b).
 //!
 //! With the index attached, a narrow predicate resolves to candidate keys
 //! and the engine reads them through [`RecordStore::fetch_many`]: one
@@ -19,9 +19,12 @@
 //! materialising a record. A broad one (at least half the records are
 //! candidates) is one [`RecordStore::scan_each`]: a
 //! [`KvStore::read_prefix`] walk over the keyspace's slots, 512 per hold,
-//! lending every `rec:*` value the same way and naming no key. The scan
-//! reads like `fetch_many` once its cursor walk has the keys, and a point
-//! read is the one-key case ([`KvStore::read_key`]), lent to
+//! lending every `rec:*` value the same way and naming no key. The
+//! whole-store reads take the same walk: [`RecordStore::scan`] builds a
+//! record from each view, and [`RecordStore::space_report`] sums each
+//! view's data length. [`RecordStore::expired_keys`] reads the store's
+//! expire-set ([`KvStore::due_keys`]), not the records. A point read is
+//! the one-key case ([`KvStore::read_key`]), lent to
 //! [`RecordStore::fetch_view`] or parsed in place by [`RecordStore::fetch`].
 //! Stores whose reads are logged or sealed read the same way.
 //!
@@ -38,7 +41,6 @@
 //!   advertises reaped personal data.
 
 use crate::Connector;
-use bytes::Bytes;
 use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::engine::ComplianceEngine;
@@ -51,14 +53,10 @@ use kvstore::{Command, KvStore, Reply, SetDeadline};
 use std::sync::Arc;
 
 const KEY_PREFIX: &str = "rec:";
-/// Keys per SCAN step: the longest the store's lock is held on behalf of
-/// one keyspace walk, whatever its size. (Reads are chunked by the store
-/// itself, [`kvstore::server::READ_CHUNK`] keys per hold.)
-const SCAN_BATCH: usize = 512;
 
 /// [`RecordStore`] over [`kvstore::KvStore`]: wire-format strings under
-/// `rec:<key>`, TTL as the `SET`'s own deadline, full-keyspace SCAN as the
-/// only native predicate path.
+/// `rec:<key>`, TTL as the `SET`'s own deadline, the full-keyspace walk as
+/// the only native predicate path.
 pub struct RedisStore {
     store: Arc<KvStore>,
     /// `redis` or `redis-mi`, fixed at connector construction.
@@ -129,36 +127,15 @@ impl RedisStore {
             .map_or(SetDeadline::Clear, SetDeadline::In)
     }
 
-    /// The one SCAN loop: every `rec:*` storage key, the cursor walked to
-    /// the end before the caller reads anything (see [`Self::scan`]).
-    fn scan_keys(&self) -> GdprResult<Vec<Bytes>> {
-        let mut keys = Vec::new();
-        let mut cursor = 0usize;
-        loop {
-            let reply = self
-                .store
-                .execute(Command::Scan {
-                    cursor,
-                    count: SCAN_BATCH,
-                    pattern: Some(Bytes::from_static(b"rec:*")),
-                })
-                .map_err(Self::store_err)?;
-            let parts = reply
-                .as_array()
-                .ok_or_else(|| GdprError::Store("SCAN reply shape".into()))?;
-            let next = parts[0].as_int().unwrap_or(0) as usize;
-            keys.extend(
-                parts[1]
-                    .as_array()
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(|r| r.as_bulk().cloned()),
-            );
-            if next == 0 {
-                return Ok(keys);
-            }
-            cursor = next;
-        }
+    /// One [`KvStore::read_prefix`] walk over the `rec:*` keys: `visit`
+    /// sees each stored text in place, under the store's shared lock. A
+    /// record that cannot be read fails the walk.
+    fn walk(&self, mut visit: impl FnMut(RecordView<'_>)) -> GdprResult<()> {
+        let walked = self.store.read_prefix(KEY_PREFIX.as_bytes(), |_, value| {
+            visit(RecordView::from_bytes(value)?);
+            Ok::<_, GdprError>(())
+        });
+        walked.map_err(Self::store_err)?
     }
 }
 
@@ -189,14 +166,9 @@ impl RecordStore for RedisStore {
         Ok(found)
     }
 
-    /// One [`KvStore::read_prefix`] walk over the `rec:*` keys: `visit`
-    /// sees each stored text in place, under the store's shared lock.
+    /// One walk over the `rec:*` keys ([`Self::walk`]).
     fn scan_each(&self, visit: &mut dyn FnMut(RecordView<'_>)) -> Option<GdprResult<()>> {
-        let walked = self.store.read_prefix(KEY_PREFIX.as_bytes(), |_, value| {
-            visit(RecordView::from_bytes(value)?);
-            Ok::<_, GdprError>(())
-        });
-        Some(walked.map_err(Self::store_err).and_then(|visited| visited))
+        Some(self.walk(visit))
     }
 
     /// One [`KvStore::read_each`]: `visit` sees each stored text in place,
@@ -253,28 +225,16 @@ impl RecordStore for RedisStore {
         self.set(record, true, deadline)
     }
 
-    /// Full keyspace walk: SCAN `rec:*` in batches, then read every record
-    /// the way [`Self::fetch_many`] does — the O(n) path every metadata
-    /// query takes without an engine index. A record that cannot be read
-    /// fails the scan: skipping it would hide personal data from
-    /// erase-by-user, the index backfill and the space report while
-    /// `record_count` still counted it.
-    ///
-    /// The cursor walk completes *before* any read, so a scan is a `SCAN`
-    /// followed by `MGET`s, the commands a logged store records.
+    /// Full keyspace walk ([`Self::walk`]), one record built from each
+    /// view — the O(n) path every metadata query takes without an engine
+    /// index. A record that cannot be read fails the scan: skipping it
+    /// would hide personal data from erase-by-user, the index backfill and
+    /// the space report while `record_count` still counted it. A past-due
+    /// record is skipped, not reaped; a logged store records one `MGET` per
+    /// chunk, naming the keys that chunk returned.
     fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
-        let keys = self.scan_keys()?;
-        let mut records = Vec::with_capacity(keys.len());
-        self.store
-            .read_each(
-                &keys,
-                |key, buf| buf.extend_from_slice(key),
-                |value| {
-                    records.push(RecordView::from_bytes(value)?.to_record());
-                    Ok::<_, GdprError>(())
-                },
-            )
-            .map_err(Self::store_err)??;
+        let mut records = Vec::new();
+        self.walk(|record| records.push(record.to_record()))?;
         Ok(records)
     }
 
@@ -285,18 +245,15 @@ impl RecordStore for RedisStore {
     }
 
     /// Past-due keys *without* reaping. The default scan-derived
-    /// enumeration is wrong here: a GET lazily destroys an expired record
-    /// and its deadline, so the cursor walk must stay key-only and the
-    /// deadline check must go through the pure `expiry_at` read.
+    /// enumeration is wrong here: the walk skips a past-due record, so the
+    /// due `rec:*` keys are listed from the store's expire-set instead
+    /// ([`KvStore::due_keys`], at the metadata index's millisecond
+    /// boundary). The listing reads deadlines, not records, and logs
+    /// nothing.
     fn expired_keys(&self) -> GdprResult<Vec<String>> {
-        let now_ms = self.store.clock().now().as_millis();
-        let keys = self.scan_keys()?;
-        let due = keys.iter().filter(|storage_key| {
-            self.store
-                .expiry_at(storage_key)
-                .is_some_and(|at| at.as_millis() <= now_ms)
-        });
+        let due = self.store.due_keys(KEY_PREFIX.as_bytes());
         Ok(due
+            .iter()
             .filter_map(|storage_key| Self::logical_key(storage_key))
             .map(str::to_string)
             .collect())
@@ -332,11 +289,12 @@ impl RecordStore for RedisStore {
             }));
     }
 
+    /// One walk summing each record's data length, no record built. A walk
+    /// that an unreadable record fails reports no personal data.
     fn space_report(&self) -> SpaceReport {
-        let personal: usize = self
-            .scan()
-            .map(|records| records.iter().map(PersonalRecord::data_bytes).sum())
-            .unwrap_or(0);
+        let mut personal = 0;
+        let walked = self.walk(|record| personal += record.data.len());
+        let personal = walked.map_or(0, |()| personal);
         // Total = what the datastore holds (keyspace + AOF). The GDPR-layer
         // audit trail and metadata index live client-side in the engine and
         // are not part of the paper's "total DB size".
@@ -365,7 +323,7 @@ impl RecordStore for RedisStore {
                 FeatureSupport::Unsupported
             },
             // No secondary indexes exist in the store; metadata-based
-            // access is retrofitted client-side — as SCAN+filter in the
+            // access is retrofitted client-side — as walk+filter in the
             // baseline, as the engine's MetadataIndex in the `-mi` variant.
             metadata_indexing: FeatureSupport::Retrofitted,
             encryption: if config.encrypt_at_rest && config.encrypt_transit {

@@ -734,10 +734,9 @@ impl<S: RecordStore> ComplianceEngine<S> {
             // an ownership-filtered sweep of store-side deadlines — the
             // index stays an accelerator, never the sole source of truth.
             // The sweep uses `expired_keys` (a side-effect-free key
-            // enumeration), NOT `scan`: on the key-value store a scan's
-            // GETs lazily reap every tenant's past-due records, which both
-            // crosses tenant boundaries and destroys the very records this
-            // tenant is entitled to count in its own purge.
+            // enumeration), NOT `scan`: on the key-value store a scan
+            // skips every past-due record, the very records this tenant
+            // is entitled to count in its own purge.
             let now_ms = self.now_ms();
             let mut victims: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
             if let Some(index) = &state.index {

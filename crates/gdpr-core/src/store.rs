@@ -285,10 +285,10 @@ pub trait RecordStore: Send + Sync {
     /// and erase one tenant's expired records itself. The default derives
     /// the set from [`Self::scan`] + [`Self::deadline_ms`], which is
     /// correct for backends that serve past-due rows until their own sweep
-    /// runs (the relational store). Backends whose reads lazily reap (the
-    /// key-value store: a GET destroys the record *and* its deadline, so a
+    /// runs (the relational store). Backends whose scan never shows a
+    /// past-due record (the key-value store's walk skips it, so a
     /// scan-derived set silently loses every expired key) must override
-    /// with a genuinely side-effect-free enumeration.
+    /// with a genuinely side-effect-free enumeration of their deadlines.
     fn expired_keys(&self) -> GdprResult<Vec<String>> {
         let now_ms = self.clock().now().as_millis();
         Ok(self

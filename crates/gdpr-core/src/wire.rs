@@ -232,8 +232,13 @@ fn validate_ascii(s: &str) -> GdprResult<()> {
 }
 
 /// Format a TTL like the paper's examples: `365days`, falling through to
-/// hours/mins/secs for sub-day durations.
+/// hours/mins/secs for sub-day durations, and to `ms` for a TTL that is
+/// not a whole number of seconds. Every store's deadline is in whole
+/// milliseconds, so a sub-millisecond remainder is dropped.
 pub fn format_ttl(ttl: Duration) -> String {
+    if ttl.subsec_millis() != 0 {
+        return format!("{}ms", ttl.as_millis());
+    }
     let secs = ttl.as_secs();
     if secs == 0 {
         return "0secs".to_string();
@@ -249,7 +254,8 @@ pub fn format_ttl(ttl: Duration) -> String {
     }
 }
 
-/// Parse a TTL value (`365days`, `12hours`, `30mins`, `45secs`, or `∅`).
+/// Parse a TTL value (`365days`, `12hours`, `30mins`, `45secs`, `1500ms`,
+/// or `∅`).
 pub fn parse_ttl(value: &str) -> GdprResult<Option<Duration>> {
     if value == EMPTY || value.is_empty() {
         return Ok(None);
@@ -261,21 +267,26 @@ pub fn parse_ttl(value: &str) -> GdprResult<Option<Duration>> {
     let n: u64 = digits
         .parse()
         .map_err(|_| GdprError::InvalidRecord(format!("bad TTL count {digits:?}")))?;
-    let unit_secs: u64 = match unit {
-        "days" | "day" => 86_400,
-        "hours" | "hour" => 3_600,
-        "mins" | "min" => 60,
-        "secs" | "sec" => 1,
+    let (per_unit, millis) = match unit {
+        "days" | "day" => (86_400, false),
+        "hours" | "hour" => (3_600, false),
+        "mins" | "min" => (60, false),
+        "secs" | "sec" => (1, false),
+        "ms" => (1, true),
         other => {
             return Err(GdprError::InvalidRecord(format!(
                 "unknown TTL unit {other:?}"
             )));
         }
     };
-    let secs = n
-        .checked_mul(unit_secs)
+    let count = n
+        .checked_mul(per_unit)
         .ok_or_else(|| GdprError::InvalidRecord(format!("TTL {value:?} overflows u64 seconds")))?;
-    Ok(Some(Duration::from_secs(secs)))
+    Ok(Some(if millis {
+        Duration::from_millis(count)
+    } else {
+        Duration::from_secs(count)
+    }))
 }
 
 #[cfg(test)]
@@ -338,6 +349,26 @@ mod tests {
             let d = parse_ttl(s).unwrap().unwrap();
             assert_eq!(format_ttl(d), s, "roundtrip {s}");
         }
+    }
+
+    /// A TTL that is not a whole number of seconds keeps its milliseconds;
+    /// a sub-millisecond remainder is dropped, as every store's deadline
+    /// drops it.
+    #[test]
+    fn sub_second_ttls_round_trip_in_milliseconds() {
+        for (ms, text) in [(400, "400ms"), (1_500, "1500ms"), (60_400, "60400ms")] {
+            let ttl = Duration::from_millis(ms);
+            assert_eq!(format_ttl(ttl), text);
+            assert_eq!(parse_ttl(text).unwrap(), Some(ttl), "roundtrip {text}");
+        }
+        assert_eq!(format_ttl(Duration::from_micros(1_500_700)), "1500ms");
+        assert_eq!(format_ttl(Duration::from_micros(2_000_300)), "2secs");
+        assert_eq!(parse_ttl("3000ms").unwrap(), Some(Duration::from_secs(3)));
+        assert!(parse_ttl("ms").is_err());
+        assert_eq!(
+            parse_ttl(&format!("{}ms", u64::MAX)).unwrap(),
+            Some(Duration::from_millis(u64::MAX))
+        );
     }
 
     #[test]

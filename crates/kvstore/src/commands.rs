@@ -4,7 +4,11 @@
 //! This mirrors Redis' dispatch table: each command knows its name, whether
 //! it mutates the keyspace (and therefore must be AOF-logged), its RESP
 //! encoding (for the AOF and the encrypted transit boundary), and how to
-//! apply itself to a [`Db`].
+//! apply itself to a [`Db`]. The key reads `GET`, `MGET`, `EXISTS` and
+//! `SCAN` are log forms only: they parse and encode, and
+//! [`Command::execute`] refuses them — the store's readers
+//! ([`crate::KvStore::read_key`], [`crate::KvStore::read_each`],
+//! [`crate::KvStore::read_prefix`]) are the one way to read a key.
 
 use crate::db::Db;
 use crate::error::{KvError, KvResult};
@@ -94,7 +98,9 @@ pub enum SetDeadline {
 
 /// A typed store command — the ten some caller issues or some log holds
 /// (see the table in the crate docs). Anything else in a replayed log is a
-/// syntax error, never a skipped frame.
+/// syntax error, never a skipped frame. `Get`, `MGet`, `Exists` and `Scan`
+/// are what a logged or sealed read stands for, or what an older log
+/// holds; they are never executed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `SET key value [NX] [PX ms | EX s | PXAT ms | KEEPTTL]`. With `NX`
@@ -409,7 +415,8 @@ impl Command {
         })
     }
 
-    /// Execute against a keyspace.
+    /// Execute against a keyspace: a write, or `ZRANGEBYSCORE`. A key read
+    /// is refused with a syntax error naming the reader that serves it.
     pub fn execute(&self, db: &mut Db) -> KvResult<Reply> {
         use Command::*;
         Ok(match self {
@@ -432,31 +439,16 @@ impl Command {
                 db.set(key.clone(), Value::Str(value.clone()), at);
                 Reply::Ok
             }
-            Get { key } => bulk_or_nil(db.get(key))?,
-            MGet { keys } => Reply::Array(
-                keys.iter()
-                    .map(|key| bulk_or_nil(db.get(key)))
-                    .collect::<KvResult<_>>()?,
-            ),
+            Get { .. } => return Err(self.log_form_only("read_key")),
+            MGet { .. } | Exists { .. } => return Err(self.log_form_only("read_each")),
+            Scan { .. } => return Err(self.log_form_only("read_prefix")),
             Del { keys } => Reply::Int(keys.iter().map(|key| i64::from(db.remove(key))).sum()),
-            Exists { keys } => Reply::Int(keys.iter().map(|key| i64::from(db.exists(key))).sum()),
             Expire { key, ttl } => {
                 let at = db.clock().now() + *ttl;
                 Reply::Int(db.set_expiry(key, at) as i64)
             }
             ExpireAt { key, at_ms } => {
                 Reply::Int(db.set_expiry(key, Timestamp::from_millis(*at_ms)) as i64)
-            }
-            Scan {
-                cursor,
-                count,
-                pattern,
-            } => {
-                let (keys, next) = db.scan(*cursor, *count, pattern.as_deref());
-                Reply::Array(vec![
-                    Reply::Int(next as i64),
-                    Reply::Array(keys.into_iter().map(Reply::Bulk).collect()),
-                ])
             }
             ZAdd { key, entries } => {
                 for (score, _) in entries {
@@ -497,14 +489,14 @@ impl Command {
             }
         })
     }
-}
 
-/// A GET's reply for what the keyspace holds (a non-string is WRONGTYPE).
-fn bulk_or_nil(value: Option<&Value>) -> KvResult<Reply> {
-    Ok(match value {
-        Some(v) => Reply::Bulk(v.as_str()?.clone()),
-        None => Reply::Nil,
-    })
+    /// The refusal of a key read, naming the reader that serves it.
+    fn log_form_only(&self, reader: &str) -> KvError {
+        let name = self.name();
+        KvError::Syntax(format!(
+            "{name} is a log form: read through KvStore::{reader}"
+        ))
+    }
 }
 
 fn parse_u64(b: &[u8]) -> KvResult<u64> {
@@ -558,10 +550,7 @@ mod tests {
             ),
             Reply::Ok
         );
-        assert_eq!(
-            run(&mut db, Command::Get { key: b("k") }),
-            Reply::Bulk(b("v"))
-        );
+        assert_eq!(db.get(b"k").unwrap().as_str().unwrap(), &b("v"));
         assert_eq!(
             run(
                 &mut db,
@@ -571,7 +560,7 @@ mod tests {
             ),
             Reply::Int(1)
         );
-        assert_eq!(run(&mut db, Command::Get { key: b("k") }), Reply::Nil);
+        assert!(db.get(b"k").is_none());
     }
 
     #[test]
@@ -589,11 +578,7 @@ mod tests {
         );
         assert_eq!(db.expiry_of(b"k"), Some(Timestamp::from_secs(10)));
         sim.advance(Duration::from_secs(11));
-        assert_eq!(run(&mut db, Command::Get { key: b("k") }), Reply::Nil);
-        assert_eq!(
-            run(&mut db, Command::Exists { keys: vec![b("k")] }),
-            Reply::Int(0)
-        );
+        assert!(!db.exists(b"k"));
     }
 
     #[test]
@@ -633,10 +618,6 @@ mod tests {
             }
             .execute(&mut db)
             .unwrap_err(),
-            KvError::WrongType
-        );
-        assert_eq!(
-            Command::Get { key: b("z") }.execute(&mut db).unwrap_err(),
             KvError::WrongType
         );
     }
@@ -744,34 +725,6 @@ mod tests {
                 Reply::Bulk(b("b"))
             ])
         );
-    }
-
-    #[test]
-    fn scan_pages_through_the_keyspace() {
-        let mut db = Db::new(clock::sim());
-        for i in 0..25 {
-            run(
-                &mut db,
-                Command::Set {
-                    key: b(&format!("k{i}")),
-                    value: b("v"),
-                    only_if_absent: false,
-                    deadline: SetDeadline::Clear,
-                },
-            );
-        }
-        assert_eq!(db.len(), 25);
-        let reply = run(
-            &mut db,
-            Command::Scan {
-                cursor: 0,
-                count: 10,
-                pattern: None,
-            },
-        );
-        let parts = reply.as_array().unwrap();
-        assert_eq!(parts[0], Reply::Int(10));
-        assert_eq!(parts[1].as_array().unwrap().len(), 10);
     }
 
     #[test]

@@ -7,22 +7,22 @@
 //!
 //! A key keeps its slot from creation to deletion; a freed slot goes on a
 //! LIFO free list and is refilled by the next key created. Slot positions
-//! are therefore stable cursors: SCAN's cursor is a slot position, and a
-//! walk over the slab ([`Db::walk`]) can stop between chunks and resume at
-//! the next position. Each fill stamps its slot with `born`, the number of
-//! fills before it ([`Db::births`]), so a walk can tell a slot filled after
-//! it started — a new key, or a deleted key re-created into a free slot —
-//! from one it was meant to visit.
+//! are therefore stable cursors: a walk over the slab ([`Db::walk`]) can
+//! stop between chunks and resume at the next position. Each fill stamps
+//! its slot with `born`, the number of fills before it ([`Db::births`]),
+//! so a walk can tell a slot filled after it started — a new key, or a
+//! deleted key re-created into a free slot — from one it was meant to
+//! visit.
 //!
 //! One dense key set sits beside the slab: the keys with a deadline, which
-//! the lazy expiration cycle samples and the strict one walks.
+//! the lazy expiration cycle samples, the strict one walks and the due-key
+//! listing reads ([`Db::deadlines`]).
 //!
 //! Expiry is enforced in two complementary ways, as in Redis:
 //! lazily-on-access here (a lookup of a past-due key deletes it and reports
 //! a miss), and actively by the expiration cycle in [`crate::expire`].
 
 use crate::error::{KvError, KvResult};
-use crate::glob::glob_match;
 use crate::rng::XorShift64;
 use crate::sampleset::SampleSet;
 use crate::value::Value;
@@ -125,8 +125,8 @@ impl Db {
         self.dict.is_empty()
     }
 
-    /// Slot positions in the slab, filled or free: a walk or a SCAN is done
-    /// at this position.
+    /// Slot positions in the slab, filled or free: a walk is done at this
+    /// position.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
@@ -318,27 +318,15 @@ impl Db {
             .collect()
     }
 
+    /// Every key with a deadline, and that deadline, in the expire-set's
+    /// order — read in place, reaping nothing.
+    pub fn deadlines(&self) -> impl Iterator<Item = (&Bytes, Timestamp)> {
+        (self.expire_set.iter()).filter_map(|key| Some((key, self.slot(key)?.deadline?)))
+    }
+
     /// Delete `key` if past due. Returns `true` if deleted.
     pub fn evict_if_due(&mut self, key: &[u8]) -> bool {
         self.reap_if_due(key, self.clock.now())
-    }
-
-    /// Cursor-based iteration (the `SCAN` command). The cursor is a slot
-    /// position: a call looks at `count` positions from `cursor` and
-    /// returns the matching keys it found there (fewer than `count` where
-    /// slots are free) plus the next cursor (0 when done). Redis'
-    /// guarantee holds: every key present for the whole scan is returned,
-    /// and exactly once, because a key never leaves its slot. A key
-    /// created or deleted during the scan may or may not be returned.
-    pub fn scan(&self, cursor: usize, count: usize, pattern: Option<&[u8]>) -> (Vec<Bytes>, usize) {
-        let end = cursor.saturating_add(count).min(self.slots.len());
-        let window = self.slots.get(cursor..end).unwrap_or_default();
-        let out = (window.iter().flatten())
-            .filter(|slot| pattern.is_none_or(|p| glob_match(p, &slot.key)))
-            .map(|slot| slot.key.clone())
-            .collect();
-        let next = if end >= self.slots.len() { 0 } else { end };
-        (out, next)
     }
 
     /// One stretch of a keyspace walk: show `visit` the key and value of
@@ -548,63 +536,6 @@ mod tests {
         assert_eq!(db.expiry_of(b"k"), Some(Timestamp::from_secs(20)));
     }
 
-    #[test]
-    fn scan_visits_all_keys() {
-        let (_c, mut db) = sim_db();
-        for i in 0..100 {
-            db.set(b(&format!("k{i:03}")), Value::Str(b("v")), None);
-        }
-        let mut cursor = 0;
-        let mut seen = std::collections::HashSet::new();
-        loop {
-            let (keys, next) = db.scan(cursor, 7, None);
-            seen.extend(keys);
-            if next == 0 {
-                break;
-            }
-            cursor = next;
-        }
-        assert_eq!(seen.len(), 100);
-    }
-
-    #[test]
-    fn scan_with_pattern_filters() {
-        let (_c, mut db) = sim_db();
-        db.set(b("rec:1"), Value::Str(b("v")), None);
-        db.set(b("idx:1"), Value::Str(b("v")), None);
-        db.set(b("rec:2"), Value::Str(b("v")), None);
-        let (keys, next) = db.scan(0, 100, Some(b"rec:*"));
-        assert_eq!(next, 0);
-        assert_eq!(keys.len(), 2);
-    }
-
-    /// Redis' SCAN guarantee: a key present for the whole scan is
-    /// returned. Deleting a key the scan already returned must not move an
-    /// unvisited key behind the cursor.
-    #[test]
-    fn scan_returns_every_key_present_throughout_when_another_is_deleted() {
-        let (_c, mut db) = sim_db();
-        let keys: Vec<Bytes> = (0..10).map(|i| b(&format!("k{i}"))).collect();
-        for key in &keys {
-            db.set(key.clone(), Value::Str(b("v")), None);
-        }
-        let (mut seen, mut cursor) = db.scan(0, 5, None);
-        let deleted = seen[0].clone();
-        assert!(db.remove(&deleted));
-        while cursor != 0 {
-            let (page, next) = db.scan(cursor, 5, None);
-            seen.extend(page);
-            cursor = next;
-        }
-        for key in keys.iter().filter(|key| **key != deleted) {
-            assert_eq!(
-                seen.iter().filter(|k| *k == key).count(),
-                1,
-                "{key:?} returned once"
-            );
-        }
-    }
-
     /// The keys one walk visits, cut after every `chunk` slot positions;
     /// `between` runs on the keyspace at each cut.
     fn walk_in_chunks(
@@ -790,11 +721,12 @@ mod tests {
     /// `peek`, strict cycles and clock advances against a `BTreeMap` of
     /// `key → (value, deadline)`. After every step the keyspace must agree
     /// with the model on every key's answer and deadline, on its sizes, on
-    /// the space formula and on a full SCAN — and the expiry listener must
-    /// have fired exactly once per key the keyspace reaped, never for a
-    /// DEL. A second SCAN runs one page per step, interleaved with the
-    /// creates and removes: each time it finishes, every key present since
-    /// it started must have been returned exactly once.
+    /// the space formula, on the deadlines it lists and on a full walk —
+    /// and the expiry listener must have fired exactly once per key the
+    /// keyspace reaped, never for a DEL. A second walk runs one chunk per
+    /// step, interleaved with the creates and removes: each time it
+    /// finishes, every key present and live since it started must have
+    /// been returned exactly once.
     #[test]
     fn db_matches_a_btreemap_model() {
         for seed in 1..=8u64 {
@@ -809,9 +741,10 @@ mod tests {
             let mut rng = XorShift64::new(seed);
             let keys: Vec<Bytes> = (0..12).map(|i| b(&format!("key-{i}"))).collect();
             let mut strict = ExpirationCycle::new(ExpirationMode::Strict);
-            // A SCAN in progress across steps: its cursor, the keys it has
-            // returned, and the keys present since it started.
-            let mut scan_at = 0;
+            // A walk in progress across steps: its epoch, its end and its
+            // next position, the keys it has returned, and the keys present
+            // and live since it started.
+            let (mut epoch, mut end, mut walk_at) = (db.births(), db.slot_count(), 0);
             let mut returned: Vec<Bytes> = Vec::new();
             let mut throughout: BTreeSet<Bytes> = BTreeSet::new();
             for step in 0..2_000 {
@@ -901,31 +834,41 @@ mod tests {
                     .map(|(key, (value, _))| key.len() + 48 + value.len())
                     .sum();
                 assert_eq!(db.memory_usage(), bytes + with_deadline * 24);
-                let mut scanned = BTreeSet::new();
-                let mut cursor = 0;
-                loop {
-                    let (keys, next) = db.scan(cursor, 5, None);
-                    scanned.extend(keys);
-                    if next == 0 {
-                        break;
-                    }
-                    cursor = next;
-                }
-                assert!(scanned.iter().eq(model.keys()), "seed {seed} step {step}");
+                let live: Vec<&Bytes> = (model.keys())
+                    .filter(|key| matches!(model_holds(&model, key, now), Held::Live(_)))
+                    .collect();
+                let mut walked = walk_in_chunks(&mut db, 5, b"", |_, _| {}).unwrap();
+                walked.sort();
+                assert!(
+                    walked.iter().eq(live.iter().copied()),
+                    "seed {seed} step {step}"
+                );
+                let mut listed: Vec<(Bytes, Timestamp)> =
+                    db.deadlines().map(|(key, at)| (key.clone(), at)).collect();
+                listed.sort();
+                let deadlines =
+                    (model.iter()).filter_map(|(key, (_, at))| Some((key.clone(), (*at)?)));
+                assert!(listed.into_iter().eq(deadlines), "seed {seed} step {step}");
 
-                // One page of the interleaved SCAN; a finished one must have
-                // returned every key present throughout, and each once.
-                throughout.retain(|key| model.contains_key(key));
-                let (page, next) = db.scan(scan_at, 3, None);
-                returned.extend(page);
-                scan_at = next;
-                if scan_at == 0 {
+                // One chunk of the interleaved walk; a finished one must have
+                // returned every key present and live throughout, and each
+                // once.
+                throughout.retain(|key| matches!(model_holds(&model, key, now), Held::Live(_)));
+                let Ok(()) = db
+                    .walk(walk_at..walk_at + 3, epoch, now, b"", |key, _| {
+                        returned.push(key.clone());
+                        Ok::<_, std::convert::Infallible>(())
+                    })
+                    .unwrap();
+                walk_at += 3;
+                if walk_at >= end {
                     for key in &throughout {
                         let times = returned.iter().filter(|k| *k == key).count();
                         assert_eq!(times, 1, "seed {seed} step {step}: {key:?}");
                     }
                     returned.clear();
-                    throughout = model.keys().cloned().collect();
+                    throughout = live.into_iter().cloned().collect();
+                    (epoch, end, walk_at) = (db.births(), db.slot_count(), 0);
                 }
                 // A strict cycle reaps in the expire-set's order, so the
                 // listener's log is compared as a multiset.

@@ -8,17 +8,20 @@
 //! at-rest seal, strict expiry bookkeeping) is paid inside the serial
 //! section.
 //!
-//! Every [`Command`] runs on that exclusive side, `GET` and `MGET`
-//! included. Three readers run on the **shared** side instead, in every
-//! configuration, and lend their caller each stored value in place, so a
-//! batched predicate read does not take the store away from the point
-//! reads beside it, or from another batch:
+//! Every [`Command`] that executes runs on that exclusive side: the writes,
+//! and `ZRANGEBYSCORE`. A key read never runs as a command — `GET`, `MGET`,
+//! `EXISTS` and `SCAN` are log forms the executor refuses. Three readers
+//! run on the **shared** side instead, in every configuration, and lend
+//! their caller each stored value in place, so a batched predicate read
+//! does not take the store away from the point reads beside it, or from
+//! another batch:
 //!
 //! * [`KvStore::read_each`] looks named keys up ([`crate::db::Db::peek`]):
-//!   the GDPR connector's batched reads and its scan; [`KvStore::read_key`]
-//!   is its one-key case ([`KvStore::get`], the connector's point reads);
+//!   the GDPR connector's batched reads; [`KvStore::read_key`] is its
+//!   one-key case ([`KvStore::get`], the connector's point reads);
 //! * [`KvStore::read_prefix`] walks the keyspace's slots front to back
-//!   ([`crate::db::Db::walk`]) — the connector's broad predicate reads.
+//!   ([`crate::db::Db::walk`]) — the connector's broad predicate reads and
+//!   its whole-store reads (scan, space report).
 //!
 //! Only a past-due named key takes the exclusive side, to be reaped (the
 //! expiry listener fires); the walk skips it and reaps nothing. Each chunk
@@ -26,7 +29,9 @@
 //! `MGET` of the chunk's keys, or for the walk `MGET` of the keys it
 //! returned (none if it returned none). Under `log_reads` its frame is
 //! appended before the shared lock is released; under `encrypt_transit`
-//! the command and its reply are sealed after.
+//! the command and its reply are sealed after. [`KvStore::due_keys`] also
+//! reads on the shared side, in one hold: it lists deadlines, not values,
+//! and logs and seals nothing.
 
 use crate::aof;
 use crate::commands::{Command, Reply, SetDeadline};
@@ -167,7 +172,9 @@ impl KvStore {
     }
 
     /// Execute one command through the full pipeline: transit decryption,
-    /// serial execution, AOF logging, transit encryption of the reply.
+    /// serial execution, AOF logging, transit encryption of the reply. A
+    /// key read is refused ([`Command::execute`]): read through the
+    /// readers.
     pub fn execute(&self, cmd: Command) -> KvResult<Reply> {
         // In-transit boundary: the "client" seals the request, the "server"
         // opens it — then the reverse for the reply. The store executes the
@@ -626,9 +633,22 @@ impl KvStore {
     }
 
     /// The absolute expiry deadline of `key`, if any, read without reaping
-    /// it — what the connector's due-key listing and index backfill ask.
+    /// it — what the connector's index backfill asks.
     pub fn expiry_at(&self, key: &[u8]) -> Option<clock::Timestamp> {
         self.inner.read().db.expiry_of(key)
+    }
+
+    /// The keys under `prefix` whose deadline has passed, in whole
+    /// milliseconds (`deadline_ms <= now_ms`, the metadata index's
+    /// boundary), listed from the expire-set under one hold of the shared
+    /// lock. Nothing is reaped, logged or sealed.
+    pub fn due_keys(&self, prefix: &[u8]) -> Vec<Bytes> {
+        let now_ms = self.clock.now().as_millis();
+        let inner = self.inner.read();
+        (inner.db.deadlines())
+            .filter(|(key, at)| key.starts_with(prefix) && at.as_millis() <= now_ms)
+            .map(|(key, _)| key.clone())
+            .collect()
     }
 
     /// Register the TTL-eviction callback (see [`crate::db::ExpiryListener`]):
@@ -736,74 +756,6 @@ mod tests {
         let buf = store.aof_memory_buffer().unwrap();
         let commands = aof::decode_log(&buf.lock(), None).unwrap();
         assert_eq!(commands.len(), 3, "GDPR audit must log reads and misses");
-    }
-
-    /// An MGET is one command: one reply element per key in order, one
-    /// `commands` / `reads` tick — and, under `log_reads`, one AOF frame
-    /// naming every key read.
-    #[test]
-    fn mget_is_one_command_one_frame() {
-        for log_reads in [false, true] {
-            let config = KvConfig {
-                aof: Storage::Memory,
-                fsync: FsyncPolicy::Never,
-                log_reads,
-                ..Default::default()
-            };
-            let store = KvStore::open(config.clone()).unwrap();
-            store.set(b"a", b"1").unwrap();
-            store.set(b"c", b"3").unwrap();
-            let keys = vec![b("a"), b("b"), b("c")];
-            let reply = store.execute(Command::MGet { keys: keys.clone() }).unwrap();
-            assert_eq!(
-                reply,
-                Reply::Array(vec![Reply::Bulk(b("1")), Reply::Nil, Reply::Bulk(b("3"))])
-            );
-            assert_eq!(store.stats().reads.load(Ordering::Relaxed), 1);
-            assert_eq!(store.stats().commands.load(Ordering::Relaxed), 3);
-            assert_eq!(store.mutation_generation(), 2, "a read is no mutation");
-
-            let raw = store.aof_memory_buffer().unwrap().lock().clone();
-            let frames = aof::decode_log(&raw, None).unwrap();
-            if log_reads {
-                let mut logged = vec![b("MGET")];
-                logged.extend(keys);
-                assert_eq!(frames.len(), 3);
-                assert_eq!(frames[2], logged, "one frame names every key read");
-            } else {
-                assert_eq!(frames.len(), 2, "reads are not logged by default");
-            }
-            let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
-            assert_eq!(replayed.mutation_generation(), 2);
-        }
-    }
-
-    /// A past-due key inside an MGET is reaped — the listener fires for it
-    /// once — and reads as nil; its neighbours are answered as usual.
-    #[test]
-    fn mget_reaps_the_past_due_keys_it_names() {
-        let sim = clock::sim();
-        let store = KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
-        let reaped = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&reaped);
-        store.set_expiry_listener(Arc::new(move |key| sink.lock().push(key.to_vec())));
-        store.set(b"live", b"1").unwrap();
-        store
-            .set_ex(b"doomed", b"2", Duration::from_secs(5))
-            .unwrap();
-        let mget = Command::MGet {
-            keys: vec![b("live"), b("doomed")],
-        };
-        let both = Reply::Array(vec![Reply::Bulk(b("1")), Reply::Bulk(b("2"))]);
-        assert_eq!(store.execute(mget.clone()).unwrap(), both);
-
-        sim.advance(Duration::from_secs(5)); // deadline == now is due
-        let live_only = Reply::Array(vec![Reply::Bulk(b("1")), Reply::Nil]);
-        assert_eq!(store.execute(mget.clone()).unwrap(), live_only);
-        assert_eq!(store.dbsize(), 1, "the read destroyed the lapsed key");
-        assert_eq!(store.execute(mget).unwrap(), live_only);
-        assert_eq!(*reaped.lock(), vec![b"doomed".to_vec()], "reaped once");
-        assert_eq!(store.stats().reads.load(Ordering::Relaxed), 3);
     }
 
     /// Every value `read_each` shows, as owned strings, in visit order.
@@ -1259,8 +1211,8 @@ mod tests {
     /// SET-EX → SET-PXAT rewrite (1 frame), the EXPIRE-on-missing and
     /// colliding SET-NX no-ops (0 frames); a torn tail reopening to a
     /// *smaller* value is `open_resumes_the_file_and_truncates_torn_tails`.
-    /// The log is a `log_reads` one holding every command the store
-    /// speaks, so no frame a served store can write trips the replay.
+    /// The log is a `log_reads` one holding every frame a store can write
+    /// now, so none trips the replay.
     #[test]
     fn mutation_generation_matches_across_replay() {
         let config = KvConfig {
@@ -1289,19 +1241,8 @@ mod tests {
         };
         store.execute(keep).unwrap(); // 1 frame
         store.get(b"a").unwrap(); // reads never count
-        let mget = Command::MGet {
-            keys: vec![b("a"), b("ghost")],
-        };
-        store.execute(mget).unwrap();
-        store
-            .execute(Command::Exists { keys: vec![b("a")] })
-            .unwrap();
-        let scan = Command::Scan {
-            cursor: 0,
-            count: 10,
-            pattern: Some(b("*")),
-        };
-        store.execute(scan).unwrap();
+        assert_eq!(read_all(&store, &["a", "ghost"]).unwrap(), ["1"]);
+        assert_eq!(walk_all(&store, "").unwrap(), ["a", "b"]);
         let zadd = Command::ZAdd {
             key: b("z"),
             entries: vec![(1.0, b("m"))],
@@ -1328,7 +1269,7 @@ mod tests {
         // EXPIRE itself never reaches the log: it is written as EXPIREAT.
         assert_eq!(
             logged.join(" "),
-            "DEL EXISTS EXPIREAT GET MGET SCAN SET ZADD ZRANGEBYSCORE"
+            "DEL EXPIREAT GET MGET SET ZADD ZRANGEBYSCORE"
         );
         let replayed = KvStore::replay(config, &raw, clock::wall()).unwrap();
         assert_eq!(
@@ -1342,6 +1283,97 @@ mod tests {
         let plain = KvStore::open(KvConfig::default()).unwrap();
         plain.set(b"x", b"y").unwrap();
         assert_eq!(plain.mutation_generation(), 1);
+    }
+
+    /// `GET`, `MGET`, `EXISTS` and `SCAN` are log forms: `execute` refuses
+    /// each, naming the reader to use, and leaves the keyspace — a past-due
+    /// key is not reaped —, the counters, the generation and the AOF as
+    /// they were.
+    #[test]
+    fn execute_refuses_every_read_form() {
+        let sim = clock::sim();
+        let config = KvConfig {
+            aof: Storage::Memory,
+            fsync: FsyncPolicy::Never,
+            log_reads: true,
+            ..Default::default()
+        };
+        let store = KvStore::open_with_clock(config, sim.clone()).unwrap();
+        store.set(b"a", b"1").unwrap();
+        store.set_ex(b"due", b"2", Duration::from_secs(5)).unwrap();
+        sim.advance(Duration::from_secs(5));
+        let aof = store.aof_memory_buffer().unwrap().lock().clone();
+        let commands = store.stats().commands.load(Ordering::Relaxed);
+        let reads = [
+            (Command::Get { key: b("due") }, "read_key"),
+            (
+                Command::MGet {
+                    keys: vec![b("a"), b("due")],
+                },
+                "read_each",
+            ),
+            (
+                Command::Exists {
+                    keys: vec![b("due")],
+                },
+                "read_each",
+            ),
+            (
+                Command::Scan {
+                    cursor: 0,
+                    count: 10,
+                    pattern: Some(b("*")),
+                },
+                "read_prefix",
+            ),
+        ];
+        for (read, reader) in reads {
+            let name = read.name();
+            match store.execute(read) {
+                Err(KvError::Syntax(msg)) => assert!(msg.contains(reader), "{name}: {msg}"),
+                other => panic!("{name} executed: {other:?}"),
+            }
+        }
+        assert_eq!(store.dbsize(), 2, "the past-due key is not reaped");
+        assert_eq!(store.stats().commands.load(Ordering::Relaxed), commands);
+        assert_eq!(store.mutation_generation(), 2);
+        assert_eq!(*store.aof_memory_buffer().unwrap().lock(), aof);
+        assert_eq!(store.get(b"a").unwrap(), Some(b("1")));
+    }
+
+    /// The due-key listing reads the expire-set at the millisecond
+    /// boundary, keeps to its prefix, and reaps and logs nothing.
+    #[test]
+    fn due_keys_lists_the_due_keys_under_a_prefix_without_reaping() {
+        let sim = clock::sim();
+        let config = KvConfig {
+            aof: Storage::Memory,
+            fsync: FsyncPolicy::Never,
+            log_reads: true,
+            ..Default::default()
+        };
+        let store = KvStore::open_with_clock(config, sim.clone()).unwrap();
+        sim.advance(Duration::from_micros(400));
+        let at = SetDeadline::At;
+        for (key, deadline) in [
+            ("rec:early", at(4_000)),
+            ("rec:edge", SetDeadline::In(Duration::from_secs(5))),
+            ("rec:late", at(5_001)),
+            ("rec:none", SetDeadline::Clear),
+            ("other:early", at(4_000)),
+        ] {
+            store.execute(set(key, "v", false, deadline)).unwrap();
+        }
+        // At 5 000 ms, `rec:edge` (deadline 5 000.4 ms) is due in whole
+        // milliseconds, as the metadata index counts it.
+        sim.advance(Duration::from_micros(4_999_600));
+        let frames_before = frames(&store).len();
+        let mut due = store.due_keys(b"rec:");
+        due.sort();
+        assert_eq!(due, [b("rec:early"), b("rec:edge")]);
+        assert_eq!(store.due_keys(b"").len(), 3);
+        assert_eq!(store.dbsize(), 5, "nothing reaped");
+        assert_eq!(frames(&store).len(), frames_before, "nothing logged");
     }
 
     #[test]

@@ -425,38 +425,6 @@ fn datum_roundtrip() {
     });
 }
 
-/// The glob matcher agrees with a naive reference on star-and-literal
-/// patterns and never panics on anything.
-#[test]
-fn glob_star_semantics() {
-    use gdprbench_repro::kvstore::glob::glob_match;
-    let lower = |rng: &mut SmallRng, max: usize| -> String {
-        let len = rng.gen_range(0usize..max + 1);
-        (0..len)
-            .map(|_| rng.gen_range(b'a' as u32..b'z' as u32 + 1) as u8 as char)
-            .collect()
-    };
-    run_cases(1024, |rng| {
-        let prefix = lower(rng, 6);
-        let middle = lower(rng, 6);
-        let suffix = lower(rng, 6);
-        let text = lower(rng, 18);
-        let pattern = format!("{prefix}*{middle}*{suffix}");
-        let matched = glob_match(pattern.as_bytes(), text.as_bytes());
-        // Reference: text must start with prefix, end with suffix, and
-        // contain middle in between (in order).
-        let reference = text
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(&suffix))
-            .map(|mid| mid.contains(&middle) || middle.is_empty())
-            .unwrap_or(false)
-            // Overlap subtlety: strip_prefix/suffix can overlap; accept
-            // either verdict when prefix+suffix exceed the text.
-            || (prefix.len() + suffix.len() > text.len() && matched);
-        assert_eq!(matched, reference, "pattern={pattern} text={text}");
-    });
-}
-
 /// relstore's secondary index agrees with a posting-list model: per key,
 /// the rows in insertion order, a removal moving the last row into the
 /// freed slot, a duplicate `(key, row)` ignored and an emptied key gone.
@@ -2031,8 +1999,14 @@ mod store_equivalence {
             assert_eq!(looped.store().record_count(), before - lapsed.len());
         }
 
-        // A scan reaps whatever else lapsed; index and store then agree.
+        // A scan skips whatever else lapsed and reaps nothing; a TTL purge
+        // reaps it, and index and store then agree.
+        let live = batched.store().scan().unwrap();
+        let purge = batched.execute(&controller, &GdprQuery::DeleteExpired);
+        assert!(purge.is_ok(), "{purge:?}");
         let records = batched.store().scan().unwrap();
+        assert_eq!(records, live, "the scan showed no lapsed record");
+        assert_eq!(batched.store().record_count(), records.len());
         assert_eq!(index.len(), records.len());
         for pred in &shapes {
             let mut want: Vec<Arc<str>> = records

@@ -3,11 +3,12 @@
 //! crash would be an Article 17 violation) and must never leak plaintext
 //! personal data on disk when encryption at rest is on (Article 32).
 
+use gdprbench_repro::clock;
 use gdprbench_repro::connectors::{PostgresConnector, RedisConnector, ShardedRedisConnector};
-use gdprbench_repro::crypto::log::Storage;
+use gdprbench_repro::crypto::log::{self, Storage};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprError, GdprQuery, GdprResponse, Session};
-use gdprbench_repro::kvstore::{KvConfig, KvStore};
+use gdprbench_repro::kvstore::{resp, Bytes, FsyncPolicy, KvConfig, KvError, KvStore};
 use gdprbench_repro::relstore::{Database, RelConfig};
 use std::time::Duration;
 
@@ -293,4 +294,80 @@ fn recovery_rejects_tampered_logs() {
         KvStore::replay(config, &aof, gdprbench_repro::clock::wall()).is_err(),
         "tampered AOF must fail authentication"
     );
+}
+
+/// An AOF built frame by frame: one RESP command per frame, unsealed.
+fn aof_of(frames: &[Vec<Bytes>]) -> Vec<u8> {
+    let (aof, _) = log::Log::open(&Storage::Memory, FsyncPolicy::Never, None, 0).unwrap();
+    let mut aof = aof.unwrap();
+    for parts in frames {
+        aof.append(&resp::encode_command(parts), 0).unwrap();
+    }
+    let raw = aof.memory_buffer().unwrap().lock().clone();
+    raw
+}
+
+fn frame(parts: &[&str]) -> Vec<Bytes> {
+    parts
+        .iter()
+        .map(|part| Bytes::copy_from_slice(part.as_bytes()))
+        .collect()
+}
+
+/// A `log_reads` AOF as earlier versions wrote it — `GET`, `MGET`,
+/// `EXISTS` and `SCAN … MATCH rec:*` frames between the writes — still
+/// replays: it lands on the keyspace and the generation of its writes
+/// alone. A malformed read frame still fails the replay.
+#[test]
+fn a_log_holding_the_read_frames_of_earlier_versions_replays() {
+    let writes = [
+        frame(&["SET", "rec:a", "1"]),
+        frame(&["SET", "rec:b", "2", "PXAT", "9000000"]),
+        frame(&["EXPIREAT", "rec:a", "8000000"]),
+        frame(&["SET", "rec:c", "3"]),
+        frame(&["DEL", "rec:c"]),
+    ];
+    let reads = [
+        frame(&["EXISTS", "rec:a"]),
+        frame(&["GET", "rec:a"]),
+        frame(&["MGET", "rec:a", "rec:b", "rec:ghost"]),
+        frame(&["SCAN", "0", "COUNT", "512", "MATCH", "rec:*"]),
+    ];
+    let mut with_reads = Vec::new();
+    for (write, read) in writes.iter().zip(reads.iter().cycle()) {
+        with_reads.extend([read.clone(), write.clone()]);
+    }
+    with_reads.extend(reads.iter().cloned());
+
+    let config = KvConfig::default();
+    let sim = clock::sim();
+    let replay =
+        |frames: &[Vec<Bytes>]| KvStore::replay(config.clone(), &aof_of(frames), sim.clone());
+    let (bare, logged) = (replay(&writes).unwrap(), replay(&with_reads).unwrap());
+    assert_eq!(logged.mutation_generation(), writes.len() as u64);
+    assert_eq!(logged.mutation_generation(), bare.mutation_generation());
+    assert_eq!(logged.dbsize(), 2);
+    assert_eq!(logged.dbsize(), bare.dbsize());
+    for key in ["rec:a", "rec:b", "rec:c", "rec:ghost"] {
+        let key = key.as_bytes();
+        assert_eq!(logged.get(key).unwrap(), bare.get(key).unwrap());
+        assert_eq!(logged.expiry_at(key), bare.expiry_at(key));
+    }
+    assert_eq!(logged.get(b"rec:a").unwrap().unwrap().as_ref(), b"1");
+    let at = logged.expiry_at(b"rec:a").unwrap();
+    assert_eq!(at.as_millis(), 8_000_000);
+
+    // A GET naming two keys, a SCAN whose MATCH has no value: refused.
+    for malformed in [
+        frame(&["GET", "rec:a", "rec:b"]),
+        frame(&["SCAN", "0", "MATCH"]),
+    ] {
+        let mut frames = writes.to_vec();
+        frames.push(malformed.clone());
+        let replayed = replay(&frames);
+        assert!(
+            matches!(replayed, Err(KvError::Syntax(_))),
+            "{malformed:?} replayed"
+        );
+    }
 }

@@ -17,7 +17,7 @@ use gdprbench_repro::gdpr_core::store::RecordPredicate;
 use gdprbench_repro::gdpr_core::{
     wire, GdprConnector, GdprQuery, GdprResponse, IndexRecovery, Session, SnapshotInvalid,
 };
-use gdprbench_repro::kvstore::{aof, Bytes, Command, FsyncPolicy, KvConfig, KvStore};
+use gdprbench_repro::kvstore::{aof, resp, Bytes, FsyncPolicy, KvConfig, KvStore};
 use gdprbench_repro::relstore::{Database, RelConfig, RelError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -414,29 +414,26 @@ fn without_last_frame(raw: &[u8]) -> &[u8] {
 /// `raw` in the form a `log_reads` store wrote before `SET` carried its
 /// own condition and deadline: each `SET` after an `EXISTS` probe, and each
 /// `SET key value PXAT at` frame as `SET key value` then `EXPIREAT key at`
-/// — logged by a store executing exactly those commands.
+/// — written into the log frame by frame, as such a store logged them.
 fn in_the_set_expireat_form(raw: &[u8]) -> Vec<u8> {
-    let config = KvConfig {
-        log_reads: true,
-        ..kv_config()
-    };
-    let store = KvStore::open(config).unwrap();
+    let (legacy, _) = log::Log::open(&Storage::Memory, FsyncPolicy::Never, None, 0).unwrap();
+    let mut legacy = legacy.unwrap();
+    let mut append = |parts: &[Bytes]| legacy.append(&resp::encode_command(parts), 0).unwrap();
     for mut parts in aof::decode_log(raw, None).unwrap() {
         if parts[0].as_ref() == b"SET" {
-            let keys = vec![parts[1].clone()];
-            store.execute(Command::Exists { keys }).unwrap();
+            append(&[Bytes::from_static(b"EXISTS"), parts[1].clone()]);
         }
         if parts[0].as_ref() == b"SET" && parts.len() == 5 {
             let at = parts.pop().unwrap();
             assert_eq!(parts.pop().unwrap().as_ref(), b"PXAT");
             let key = parts[1].clone();
-            store.execute(Command::from_wire(&parts).unwrap()).unwrap();
+            append(&parts);
             parts = vec![Bytes::from_static(b"EXPIREAT"), key, at];
         }
-        store.execute(Command::from_wire(&parts).unwrap()).unwrap();
+        append(&parts);
     }
-    let legacy = store.aof_memory_buffer().unwrap().lock().clone();
-    legacy
+    let raw = legacy.memory_buffer().unwrap().lock().clone();
+    raw
 }
 
 /// A *renamed* stale image — an older generation's bytes copied over the

@@ -262,7 +262,8 @@ fn concurrent_mixed_workload_preserves_compliance_invariants() {
 ///   the run (metadata only ever moves *toward* objecting / opted out, so
 ///   that is: in its initial state) and carries its own payload;
 /// * nothing deadlocks — the run finishes inside a wall-clock bound;
-/// * at quiescence the reads return exactly the surviving matches and
+/// * at quiescence the reads return exactly the surviving matches, a
+///   scan of each shard shows no lapsed record, and after a TTL purge
 ///   every shard's index equals a scan of its store.
 #[test]
 fn predicate_reads_race_rewrites_erasures_and_expiry() {
@@ -429,9 +430,17 @@ fn predicate_reads_race_rewrites_erasures_and_expiry() {
             RecordPredicate::NotObjecting("ads".into()),
             RecordPredicate::DecisionEligible,
         ];
+        // A scan skips a lapsed record and reaps none; a TTL purge reaps
+        // them, and each shard's index then equals its scan.
+        let scanned: Vec<Vec<PersonalRecord>> = (conn.shards().iter())
+            .map(|shard| shard.store().scan().unwrap())
+            .collect();
+        let purge = conn.execute(&Session::controller(), &GdprQuery::DeleteExpired);
+        assert!(purge.is_ok(), "{purge:?}");
         let mut live = 0;
-        for shard in conn.shards() {
+        for (shard, before) in conn.shards().iter().zip(scanned) {
             let records = shard.store().scan().unwrap();
+            assert_eq!(records, before, "the scan showed no lapsed record");
             let index = shard.metadata_index().unwrap();
             assert_eq!(index.len(), records.len());
             live += records.len();
