@@ -222,7 +222,11 @@ pub const PRED_READ_RECORDS: usize = 20_000;
 /// passes, smaller is better:
 ///
 /// * `record_view_parse_ns` — one `RecordView::from_bytes` over a stored
-///   text of the corpus;
+///   text of the corpus, whose only non-ASCII bytes are its `∅` markers,
+///   so the reader proves it UTF-8 without `str::from_utf8`;
+/// * `record_view_parse_nonascii_ns` — the same over the corpus with a
+///   non-ASCII user in every record (`USR=user000123é`): the texts the
+///   markers cannot prove, which pay the full `str::from_utf8`;
 /// * `kv_read_ns_per_key` — one key of a `KvStore::read_each` over 512
 ///   present `rec:` keys stored without a TTL, storage keys built and
 ///   values borrowed as `RedisStore::fetch_many` does, with no parse;
@@ -278,6 +282,14 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
         .iter()
         .map(|record| (record.key.as_str().into(), wire::serialize(record)))
         .collect();
+    let accented: Vec<(Arc<str>, String)> = records
+        .iter()
+        .map(|record| {
+            let mut record = record.clone();
+            record.metadata.user.push('é');
+            (record.key.as_str().into(), wire::serialize(&record))
+        })
+        .collect();
     let purpose = datagen::PURPOSES[0];
     let session = Session::processor(purpose);
     let by_obj = GdprQuery::ReadDataNotObjecting(purpose.into());
@@ -322,6 +334,10 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
         (
             "record_view_parse_ns",
             record_view_parse_ns(&stored, rounds),
+        ),
+        (
+            "record_view_parse_nonascii_ns",
+            record_view_parse_ns(&accented, rounds),
         ),
         (
             "data_response_ns_per_row",
@@ -584,9 +600,9 @@ mod tests {
     /// The `bench_report` rows exist and are measurements; what they
     /// should read is the report's business, not a unit test's.
     #[test]
-    fn pred_reads_report_eleven_rows() {
+    fn pred_reads_report_twelve_rows() {
         let series = pred_reads(2_000, 2, 3);
-        assert_eq!(series.len(), 11);
+        assert_eq!(series.len(), 12);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 

@@ -278,6 +278,83 @@ fn right_to_be_forgotten_erases_and_verifies() {
     }
 }
 
+/// A write whose record would not read back is refused with
+/// `InvalidRecord` and stores nothing: a `;` in a create's data, purpose,
+/// user or key, a lone `∅` as data, a `;` in a data update, and a `;` or
+/// `,` in an update's value. Acked, each would leave a record that fails
+/// every read and erase of the store with "expected 9 fields, got 10" —
+/// one client could block erasure (Art. 17) — or that reads back as two
+/// sharing parties. Every read and erase still works after them, on every
+/// variant, in-process and served.
+#[test]
+fn a_write_that_would_not_read_back_is_refused() {
+    let bad_creates = [
+        record("bad-1", "neo", &["ads"], "a;b"),
+        record("bad-2", "neo", &["x;y"], "d"),
+        record("bad-3", "n;eo", &["ads"], "d"),
+        record("k;1", "neo", &["ads"], "d"),
+        record("bad-4", "neo", &["ads"], "∅"),
+    ];
+    let key = || "ph-1".to_string();
+    let bad_updates = [
+        GdprQuery::UpdateDataByKey {
+            key: key(),
+            data: "x;y".into(),
+        },
+        GdprQuery::UpdateMetadataByKey {
+            key: key(),
+            update: MetadataUpdate::Add(MetadataField::Sharing, "x;y".into()),
+        },
+        GdprQuery::UpdateMetadataByKey {
+            key: key(),
+            update: MetadataUpdate::SetScalar(MetadataField::Source, "s;t".into()),
+        },
+        GdprQuery::UpdateMetadataByKey {
+            key: key(),
+            update: MetadataUpdate::Add(MetadataField::Sharing, "x,y".into()),
+        },
+        GdprQuery::UpdateMetadataByPurpose {
+            purpose: "ads".into(),
+            update: MetadataUpdate::Remove(MetadataField::Objections, "o;p".into()),
+        },
+        GdprQuery::UpdateMetadataByUser {
+            user: "neo".into(),
+            update: MetadataUpdate::SetScalar(MetadataField::User, "∅".into()),
+        },
+    ];
+    let controller = Session::controller();
+    for conn in connectors() {
+        let name = conn.name();
+        seed(conn.as_ref());
+        let before = conn
+            .execute(&controller, &GdprQuery::ReadMetadataByKey(key()))
+            .unwrap();
+        let creates = bad_creates.iter().cloned().map(GdprQuery::CreateRecord);
+        for query in creates.chain(bad_updates.iter().cloned()) {
+            let refused = conn.execute(&controller, &query);
+            assert!(
+                matches!(refused, Err(GdprError::InvalidRecord(_))),
+                "{name}: {query:?} gave {refused:?}"
+            );
+        }
+        assert_eq!(conn.record_count(), 5, "{name}");
+        let after = conn.execute(&controller, &GdprQuery::ReadMetadataByKey(key()));
+        assert_eq!(after.unwrap(), before, "{name}");
+        let reads = [
+            (GdprQuery::ReadDataDecisionEligible, 5),
+            (GdprQuery::ReadDataByPurpose("ads".into()), 3),
+        ];
+        for (read, rows) in reads {
+            let resp = conn.execute(&Session::processor("ads"), &read).unwrap();
+            assert_eq!(resp.as_data().unwrap().len(), rows, "{name}: {read:?}");
+        }
+        let erased = conn.execute(&controller, &GdprQuery::DeleteByKey(key()));
+        assert_eq!(erased.unwrap(), GdprResponse::Deleted(1), "{name}");
+        let erased = conn.execute(&controller, &GdprQuery::DeleteByUser("trinity".into()));
+        assert_eq!(erased.unwrap(), GdprResponse::Deleted(2), "{name}");
+    }
+}
+
 #[test]
 fn rectification_updates_data() {
     for conn in connectors() {

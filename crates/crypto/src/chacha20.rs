@@ -87,13 +87,6 @@ impl ChaCha20 {
             ctr = ctr.wrapping_add(1);
         }
     }
-
-    /// Convenience: encrypt a copy of `data`.
-    pub fn apply_copy(&self, nonce: &[u8; NONCE_LEN], counter: u32, data: &[u8]) -> Vec<u8> {
-        let mut out = data.to_vec();
-        self.apply(nonce, counter, &mut out);
-        out
-    }
 }
 
 #[inline(always)]
@@ -147,7 +140,8 @@ mod tests {
         ];
         let plaintext: &[u8] = b"Ladies and Gentlemen of the class of '99: \
 If I could offer you only one tip for the future, sunscreen would be it.";
-        let ct = cipher.apply_copy(&nonce, 1, plaintext);
+        let mut ct = plaintext.to_vec();
+        cipher.apply(&nonce, 1, &mut ct);
         let expected_prefix: [u8; 16] = [
             0x6e, 0x2e, 0x35, 0x9a, 0x25, 0x68, 0xf9, 0x80, 0x41, 0xba, 0x07, 0x28, 0xdd, 0x0d,
             0x69, 0x81,
@@ -183,8 +177,8 @@ If I could offer you only one tip for the future, sunscreen would be it.";
         let cipher = ChaCha20::new(&rfc_key());
         let nonce = [3u8; NONCE_LEN];
         // Encrypting 100 bytes at counter 0 must equal block0 || block1 prefix.
-        let data = vec![0u8; 100];
-        let ct = cipher.apply_copy(&nonce, 0, &data);
+        let mut ct = vec![0u8; 100];
+        cipher.apply(&nonce, 0, &mut ct);
         let b0 = cipher.block(&nonce, 0);
         let b1 = cipher.block(&nonce, 1);
         assert_eq!(&ct[..64], &b0[..]);

@@ -163,7 +163,10 @@ pub fn authorize(session: &Session, query: &GdprQuery) -> GdprResult<AclDecision
 pub fn record_visible(session: &Session, record: &RecordView<'_>) -> bool {
     match session.role {
         Role::Controller | Role::Regulator => true,
-        Role::Customer => session.user.as_deref() == Some(record.user),
+        Role::Customer => session
+            .user
+            .as_deref()
+            .is_some_and(|user| record.user == user),
         Role::Processor => session
             .purpose
             .as_deref()

@@ -635,7 +635,8 @@ impl<S: RecordStore> ComplianceEngine<S> {
 
     /// Dry-run a group update: `update.apply` on (a copy of) every record
     /// matching `pred` that it would change — the ones it leaves as they
-    /// are cannot fail — committing nothing.
+    /// are cannot fail — committing nothing. A value no record could
+    /// store ([`MetadataUpdate::check_value`]) fails it before any read.
     /// [`crate::sharded::ShardedEngine`] runs this on *every* shard before
     /// dispatching the update to *any* shard, so a validation failure
     /// leaves all shards untouched — exactly what the unsharded engine's
@@ -647,6 +648,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
         update: &MetadataUpdate,
     ) -> GdprResult<()> {
         let state = self.tenant_state(tenant)?;
+        update.check_value()?;
         let first_failure = |_| Ok(());
         self.visit_matching(&state, tenant, pred, first_failure, |verdict, record| {
             if verdict.is_ok() && !update.leaves_unchanged(&record) {
@@ -777,6 +779,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
         use GdprQuery::*;
         let tenant = &session.tenant;
         let decision = authorize(session, query)?;
+        query.check_storable()?;
         let guard = |record: &RecordView<'_>| -> GdprResult<()> {
             if decision.requires_record_check && !record_visible(session, record) {
                 Err(GdprError::AccessDenied {

@@ -3,7 +3,7 @@
 
 use crate::error::{GdprError, GdprResult};
 use crate::record::{Metadata, PersonalRecord};
-use crate::wire::{ListView, RecordView};
+use crate::wire::{self, ListView, RecordView};
 use std::time::Duration;
 
 /// A metadata attribute that can be targeted by an update.
@@ -109,6 +109,22 @@ impl MetadataUpdate {
         }
     }
 
+    /// Refuse a value no record could store and read back: an `Add` or
+    /// `Remove` item that [`wire::check_item`] refuses, a `SetScalar` value
+    /// [`wire::check_scalar`] refuses, a TTL [`wire::check_ttl`] refuses.
+    /// The verdict depends on the update alone, so every record of a
+    /// group — on every shard — gets the same one, and
+    /// [`Self::validation_is_data_dependent`] need not count it.
+    pub(crate) fn check_value(&self) -> GdprResult<()> {
+        match self {
+            MetadataUpdate::Add(field, value) | MetadataUpdate::Remove(field, value) => {
+                wire::check_item(field.name(), value)
+            }
+            MetadataUpdate::SetScalar(field, value) => wire::check_scalar(field.name(), value),
+            MetadataUpdate::SetTtl(ttl) => wire::check_ttl(Some(*ttl)),
+        }
+    }
+
     /// Would [`Self::apply`] succeed on the record `view` shows and leave
     /// it exactly as it is? True only for an `Add` of an item the list
     /// already holds, a `Remove` of an item it does not hold, and a
@@ -133,8 +149,8 @@ impl MetadataUpdate {
                 list_view(view, *field).is_some_and(|list| !list.contains(value))
             }
             MetadataUpdate::SetScalar(field, value) => match field {
-                MetadataField::User => view.user == value,
-                MetadataField::Source => view.source == value,
+                MetadataField::User => view.user == value.as_str(),
+                MetadataField::Source => view.source == value.as_str(),
                 MetadataField::Purposes
                 | MetadataField::Objections
                 | MetadataField::Decisions
@@ -322,21 +338,20 @@ impl GdprQuery {
         )
     }
 
-    /// Is this a metadata-conditioned operation (rather than a plain key
-    /// lookup)? The paper's observation is that GDPR workloads are heavily
-    /// skewed toward these.
-    pub fn is_metadata_based(&self) -> bool {
+    /// Refuse a write whose record would not read back as written
+    /// ([`wire::check_storable`]): a created record, a data update's data,
+    /// or an update's value. It depends on the query alone, so the engine
+    /// checks it after authorization and before any store call.
+    pub(crate) fn check_storable(&self) -> GdprResult<()> {
         use GdprQuery::*;
-        !matches!(
-            self,
-            CreateRecord(_)
-                | DeleteByKey(_)
-                | ReadDataByKey(_)
-                | UpdateDataByKey { .. }
-                | GetSystemLogs { .. }
-                | GetSystemFeatures
-                | VerifyDeletion(_)
-        )
+        match self {
+            CreateRecord(record) => wire::check_storable(record),
+            UpdateDataByKey { data, .. } => wire::check_data(data),
+            UpdateMetadataByKey { update, .. }
+            | UpdateMetadataByPurpose { update, .. }
+            | UpdateMetadataByUser { update, .. } => update.check_value(),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -457,12 +472,8 @@ mod tests {
     }
 
     #[test]
-    fn write_and_metadata_classification() {
+    fn write_classification() {
         assert!(GdprQuery::DeleteByUser("u".into()).is_write());
         assert!(!GdprQuery::ReadDataByKey("k".into()).is_write());
-        assert!(GdprQuery::ReadDataByPurpose("p".into()).is_metadata_based());
-        assert!(!GdprQuery::ReadDataByKey("k".into()).is_metadata_based());
-        assert!(GdprQuery::DeleteExpired.is_metadata_based());
-        assert!(!GdprQuery::VerifyDeletion("k".into()).is_metadata_based());
     }
 }

@@ -13,7 +13,7 @@
 //! | SHR  | G13, G14  | third parties it has been shared with |
 //! | SRC  | G13, G14  | how it was originally procured |
 
-use crate::wire::{ListView, RecordView};
+use crate::wire::{ListView, RecordView, Text};
 use std::time::Duration;
 
 /// The seven-attribute GDPR metadata block.
@@ -106,8 +106,8 @@ impl PersonalRecord {
         }
     }
 
-    /// The record as the borrowed shape [`RecordView::parse`] reads off the
-    /// wire text, so one predicate body serves both.
+    /// The record as the borrowed shape [`RecordView::from_bytes`] reads
+    /// off the stored bytes, so one predicate body serves both.
     pub fn view(&self) -> RecordView<'_> {
         let m = &self.metadata;
         RecordView {
@@ -115,11 +115,11 @@ impl PersonalRecord {
             data: &self.data,
             purposes: ListView::Items(&m.purposes),
             ttl: m.ttl,
-            user: &m.user,
+            user: Text::from(m.user.as_str()),
             objections: ListView::Items(&m.objections),
             decisions: ListView::Items(&m.decisions),
             sharing: ListView::Items(&m.sharing),
-            source: &m.source,
+            source: Text::from(m.source.as_str()),
         }
     }
 

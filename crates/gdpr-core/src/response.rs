@@ -117,7 +117,16 @@ impl RowSpan {
 }
 
 impl DataRows {
-    /// Room for `rows` rows of `bytes` key and data bytes in total.
+    /// The most the first push reserves beyond its own row on the strength
+    /// of the expected count alone: enough for 20 000 rows of 50 bytes (the
+    /// corpus's rows are about 20), so a read of the whole corpus still
+    /// sizes its text once.
+    const FIRST_RESERVE_MAX: usize = 1 << 20;
+
+    /// Room for `rows` rows of `bytes` key and data bytes in total. With
+    /// `bytes` 0 the text is sized at the first push instead: that row's
+    /// length times `rows`, but never more than `FIRST_RESERVE_MAX`
+    /// (1 MiB) beyond the row.
     pub fn with_capacity(rows: usize, bytes: usize) -> Self {
         DataRows {
             text: String::with_capacity(bytes),
@@ -127,9 +136,20 @@ impl DataRows {
 
     /// Append one `(key, data)` row.
     pub fn push(&mut self, key: &str, data: &str) {
-        // One reservation for both halves: the first row into an empty
-        // text allocates once, not once and then again.
-        self.text.reserve(key.len() + data.len());
+        // One reservation for both halves. The first row into a text with
+        // no room sizes it for every row the caller expects — the spans'
+        // capacity — so a read of like-sized rows allocates its text once
+        // instead of doubling up from one row. The expected count is an
+        // estimate and a row can be large, so that guess is capped; past
+        // it the text grows by doubling, as from any row.
+        let row = key.len() + data.len();
+        let guess = if self.text.capacity() == 0 {
+            let rest = self.spans.capacity().saturating_sub(1);
+            row.saturating_mul(rest).min(Self::FIRST_RESERVE_MAX)
+        } else {
+            0
+        };
+        self.text.reserve(row + guess);
         let start = self.text.len();
         self.text.push_str(key);
         let key_end = self.text.len();
@@ -182,6 +202,8 @@ impl DataRows {
     }
 }
 
+/// Sized like `with_capacity(n, 0)`, `n` the iterator's lower size hint:
+/// the text from the first row.
 impl<K: AsRef<str>, D: AsRef<str>> FromIterator<(K, D)> for DataRows {
     fn from_iter<I: IntoIterator<Item = (K, D)>>(rows: I) -> Self {
         let rows = rows.into_iter();
@@ -364,6 +386,30 @@ mod tests {
         let mut again = sorted.clone();
         again.sort();
         assert_eq!(again, sorted);
+    }
+
+    /// The first push sizes the text for the rows expected, but an
+    /// expectation cannot make it reserve more than the cap past the row:
+    /// a 1 MiB row expected 20 000 times reserves ~2 MiB, not ~20 GB.
+    #[test]
+    fn the_first_push_reserves_a_bounded_guess() {
+        let mut rows = DataRows::with_capacity(100, 0);
+        rows.push("k1", "0123456789");
+        let sized = rows.text.capacity();
+        assert!(sized >= 100 * 12);
+        rows.push("k2", "0123456789");
+        assert_eq!(rows.text.capacity(), sized);
+
+        let big = "x".repeat(1 << 20);
+        let mut rows = DataRows::with_capacity(20_000, 0);
+        rows.push("k", &big);
+        let bound = big.len() + 1 + DataRows::FIRST_RESERVE_MAX;
+        assert!(rows.text.capacity() <= bound, "{}", rows.text.capacity());
+        assert!(rows.iter().eq([("k", big.as_str())]));
+
+        let mut none = DataRows::with_capacity(0, 0);
+        none.push("k", "v");
+        assert!(none.text.capacity() < 64);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl RecordPredicate {
     /// cannot disagree.
     pub fn matches_view(&self, record: &RecordView<'_>) -> bool {
         match self {
-            RecordPredicate::User(user) => record.user == user,
+            RecordPredicate::User(user) => record.user == user.as_str(),
             RecordPredicate::DeclaredPurpose(p) => record.purposes.contains(p),
             RecordPredicate::AllowsPurpose(p) => {
                 record.purposes.contains(p) && !record.objections.contains(p)

@@ -5,13 +5,22 @@
 //! ```
 //!
 //! Fields are `;`-separated, list values `,`-separated, `∅` denotes an empty
-//! attribute, and all fields are ASCII except the separators themselves.
+//! attribute. Key and data are ASCII; an attribute value may hold any text
+//! but the separators.
 //!
 //! [`RecordView`] is the format's one reader: the nine fields borrowed from
-//! the stored text, validated, with nothing allocated. [`parse`] is the
-//! view made owned; the predicate reads never get that far — they test the
-//! view ([`crate::store::RecordPredicate::matches_view`]) and copy out only
-//! the fields the response carries.
+//! the stored bytes, validated in one pass, with nothing allocated. The
+//! pass proves the bytes UTF-8 from what it already counts: when every
+//! byte ≥ 0x80 belongs to a `∅` value, the text is ASCII plus whole `∅`s,
+//! and only a record with other non-ASCII bytes pays `str::from_utf8`.
+//! Metadata fields are lent as those proven bytes ([`Text`],
+//! [`ListView`]), made `&str` only on demand. [`parse`] is the view made
+//! owned; the predicate reads never get that far — they test the view
+//! ([`crate::store::RecordPredicate::matches_view`]) and copy out only the
+//! fields the response carries.
+//!
+//! `check_storable` is the writer's side: the engine refuses a record
+//! whose wire form would not read back as the same record.
 
 use crate::error::{GdprError, GdprResult};
 use crate::record::{Metadata, PersonalRecord};
@@ -21,37 +30,85 @@ use std::time::Duration;
 /// one non-ASCII codepoint in the format.)
 pub const EMPTY: &str = "∅";
 
-/// The attribute names of fields 2..9, in wire order.
-const ATTRIBUTES: [&str; 7] = ["PUR", "TTL", "USR", "OBJ", "DEC", "SHR", "SRC"];
+/// The attribute tags that open fields 2..9, in wire order. Arrays, so a
+/// tag test is one 4-byte compare.
+const TAGS: [[u8; 4]; 7] = [
+    *b"PUR=", *b"TTL=", *b"USR=", *b"OBJ=", *b"DEC=", *b"SHR=", *b"SRC=",
+];
+
+/// [`EMPTY`]'s bytes, to match a value against.
+const EMPTY_BYTES: [u8; 3] = [0xe2, 0x88, 0x85];
+
+/// A scalar attribute (USR, SRC) of a [`RecordView`], or a list
+/// attribute's wire value: bytes known to be UTF-8 — the reader proved
+/// them, or they came from a `&str` — compared as bytes and made `&str`
+/// only on demand.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Text<'a>(&'a [u8]);
+
+impl<'a> Text<'a> {
+    pub fn as_bytes(self) -> &'a [u8] {
+        self.0
+    }
+
+    pub fn as_str(self) -> &'a str {
+        std::str::from_utf8(self.0).expect("a Text is UTF-8 by construction")
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl<'a> From<&'a str> for Text<'a> {
+    fn from(text: &'a str) -> Self {
+        Text(text.as_bytes())
+    }
+}
+
+impl PartialEq<&str> for Text<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == other.as_bytes()
+    }
+}
+
+impl std::fmt::Debug for Text<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// A list attribute of a [`RecordView`]: the `,`-separated wire text, or
 /// the items of an already parsed record.
 #[derive(Debug, Clone, Copy)]
 pub enum ListView<'a> {
-    /// The attribute's wire value; `""` is the empty list.
-    Wire(&'a str),
+    /// The attribute's wire value; empty is the empty list.
+    Wire(Text<'a>),
     Items(&'a [String]),
 }
 
 impl ListView<'_> {
     pub fn contains(self, item: &str) -> bool {
         match self {
-            ListView::Wire(text) => !text.is_empty() && text.split(',').any(|x| x == item),
+            ListView::Wire(text) => {
+                let mut items = text.as_bytes().split(|&b| b == b',');
+                !text.is_empty() && items.any(|x| x == item.as_bytes())
+            }
             ListView::Items(items) => items.iter().any(|x| x == item),
         }
     }
 
     fn to_vec(self) -> Vec<String> {
         match self {
-            ListView::Wire("") => Vec::new(),
-            ListView::Wire(text) => text.split(',').map(str::to_string).collect(),
+            ListView::Wire(text) if text.is_empty() => Vec::new(),
+            ListView::Wire(text) => text.as_str().split(',').map(str::to_string).collect(),
             ListView::Items(items) => items.to_vec(),
         }
     }
 }
 
-/// One record's nine wire fields, borrowed — from the stored text
-/// ([`RecordView::parse`]) or from a parsed record
+/// One record's nine wire fields, borrowed — from the stored bytes
+/// ([`RecordView::from_bytes`]) or from a parsed record
 /// ([`PersonalRecord::view`]). `∅` reads as the empty string / empty list.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordView<'a> {
@@ -59,49 +116,60 @@ pub struct RecordView<'a> {
     pub data: &'a str,
     pub purposes: ListView<'a>,
     pub ttl: Option<Duration>,
-    pub user: &'a str,
+    pub user: Text<'a>,
     pub objections: ListView<'a>,
     pub decisions: ListView<'a>,
     pub sharing: ListView<'a>,
-    pub source: &'a str,
+    pub source: Text<'a>,
 }
 
 impl<'a> RecordView<'a> {
-    /// Split and validate a wire-form record without allocating. The
-    /// split is one pass over the bytes ([`separators`]): `;` is ASCII, so
-    /// every cut is a char boundary.
+    /// [`Self::from_bytes`] over text already known to be UTF-8.
     pub fn parse(s: &'a str) -> GdprResult<RecordView<'a>> {
-        let s = s.strip_suffix(';').unwrap_or(s);
-        let cuts = separators(s.as_bytes()).ok_or_else(|| field_count(s))?;
-        let mut slots = [""; 9];
-        let mut start = 0;
-        for (slot, end) in slots.iter_mut().zip(cuts.into_iter().chain([s.len()])) {
-            *slot = &s[start..end];
-            start = end + 1;
+        RecordView::read(s.as_bytes(), true)
+    }
+
+    /// Split and validate a stored record without allocating — what every
+    /// store's read path hands the engine.
+    pub fn from_bytes(bytes: &'a [u8]) -> GdprResult<RecordView<'a>> {
+        RecordView::read(bytes, false)
+    }
+
+    /// The format's one reader. Its refusals come in a fixed order:
+    /// invalid UTF-8 first, then the first field at fault. [`Self::fields`]
+    /// checks the fields on bytes; bytes it could not prove UTF-8 — a
+    /// refusal, or a byte ≥ 0x80 outside a `∅` value — get the full
+    /// `str::from_utf8` check, whose error comes before the field's.
+    fn read(bytes: &'a [u8], utf8: bool) -> GdprResult<RecordView<'a>> {
+        let read = RecordView::fields(bytes);
+        if !utf8 && !matches!(read, Ok((_, true))) {
+            std::str::from_utf8(bytes).map_err(invalid_utf8)?;
         }
-        let [key, data, mut values @ ..] = slots;
+        read.map(|(view, _)| view)
+    }
+
+    /// The view of `bytes`, and whether its bytes ≥ 0x80 are exactly its
+    /// `∅` values' — three each, so the text is UTF-8 by construction. The
+    /// one pass over the bytes is [`separators`]; the rest reads at the
+    /// cuts. The attributes are read before key and data are checked, so
+    /// that count can vouch for the two being ASCII; an attribute's refusal
+    /// waits for theirs.
+    fn fields(bytes: &'a [u8]) -> GdprResult<(RecordView<'a>, bool)> {
+        let body = bytes.strip_suffix(b";").unwrap_or(bytes);
+        let (cuts, high) = separators(body).ok_or_else(|| field_count(body))?;
+        let key_data = std::str::from_utf8(&body[..cuts[1]]).map_err(invalid_utf8)?;
+        let (key, data) = (&key_data[..cuts[0]], &key_data[cuts[0] + 1..]);
         if key.is_empty() {
             return Err(GdprError::InvalidRecord("empty key".into()));
         }
-        validate_ascii(key)?;
-        validate_ascii(data)?;
-        let mut ttl = None;
-        for (i, (value, expected)) in values.iter_mut().zip(ATTRIBUTES).enumerate() {
-            *value = value
-                .strip_prefix(expected)
-                .and_then(|rest| rest.strip_prefix('='))
-                .ok_or_else(|| {
-                    GdprError::InvalidRecord(format!("field {} must be {expected}=...", 2 + i))
-                })?;
-            if *value == EMPTY {
-                *value = "";
-            }
-            if expected == "TTL" {
-                ttl = parse_ttl(value)?;
-            }
+        let attributes = attributes(body, &cuts);
+        let utf8 = matches!(attributes, Ok((_, _, empty)) if high == EMPTY_BYTES.len() * empty);
+        if !utf8 || key_data.as_bytes().contains(&b',') {
+            check_data(key)?;
+            check_data(data)?;
         }
-        let [purposes, _, user, objections, decisions, sharing, source] = values;
-        Ok(RecordView {
+        let ([purposes, _, user, objections, decisions, sharing, source], ttl, _) = attributes?;
+        let view = RecordView {
             key,
             data,
             purposes: ListView::Wire(purposes),
@@ -111,15 +179,8 @@ impl<'a> RecordView<'a> {
             decisions: ListView::Wire(decisions),
             sharing: ListView::Wire(sharing),
             source,
-        })
-    }
-
-    /// [`Self::parse`] over stored bytes — what every store's read path
-    /// hands the engine.
-    pub fn from_bytes(bytes: &'a [u8]) -> GdprResult<RecordView<'a>> {
-        let text =
-            std::str::from_utf8(bytes).map_err(|e| GdprError::InvalidRecord(e.to_string()))?;
-        RecordView::parse(text)
+        };
+        Ok((view, utf8))
     }
 
     /// The seven metadata attributes, owned.
@@ -127,11 +188,11 @@ impl<'a> RecordView<'a> {
         Metadata {
             purposes: self.purposes.to_vec(),
             ttl: self.ttl,
-            user: self.user.to_string(),
+            user: self.user.as_str().to_string(),
             objections: self.objections.to_vec(),
             decisions: self.decisions.to_vec(),
             sharing: self.sharing.to_vec(),
-            source: self.source.to_string(),
+            source: self.source.as_str().to_string(),
         }
     }
 
@@ -140,18 +201,58 @@ impl<'a> RecordView<'a> {
     }
 }
 
+/// The seven attribute values of a record `cuts` cut (`∅` read as
+/// empty), its TTL, and how many values were `∅`.
+fn attributes<'a>(
+    body: &'a [u8],
+    cuts: &[usize; 8],
+) -> GdprResult<([Text<'a>; 7], Option<Duration>, usize)> {
+    let mut values = [Text(b""); 7];
+    let (mut ttl, mut empty, mut start) = (None, 0, cuts[1] + 1);
+    for (i, (value, tag)) in values.iter_mut().zip(&TAGS).enumerate() {
+        let end = cuts.get(i + 2).copied().unwrap_or(body.len());
+        let field = &body[start..end];
+        start = end + 1;
+        let mut rest = match field.split_first_chunk() {
+            Some((head, rest)) if head == tag => rest,
+            _ => {
+                let name = String::from_utf8_lossy(&tag[..3]);
+                let message = format!("field {} must be {name}=...", 2 + i);
+                return Err(GdprError::InvalidRecord(message));
+            }
+        };
+        if rest == EMPTY_BYTES {
+            rest = b"";
+            empty += 1;
+        }
+        if i == 1 {
+            ttl = parse_ttl(rest)?;
+        }
+        *value = Text(rest);
+    }
+    Ok((values, ttl, empty))
+}
+
+fn invalid_utf8(e: std::str::Utf8Error) -> GdprError {
+    GdprError::InvalidRecord(e.to_string())
+}
+
 /// The offsets of the eight `;` bytes that cut a record into its nine
-/// fields, or `None` when there are more or fewer. One pass, eight bytes
-/// at a time: XOR with `;;;;;;;;` makes each `;` a zero byte, and the
-/// exact zero-byte test — no borrow crosses a byte — sets the high bit of
-/// those bytes only. The split runs on every candidate of a predicate
-/// read; on the corpus's ~124-byte records this takes ≈ 45 ns where a
-/// byte loop takes ≈ 70 and `str::split` ≈ 115 (2-core x86-64 box).
-fn separators(bytes: &[u8]) -> Option<[usize; 8]> {
+/// fields, and the number of its bytes ≥ 0x80 — or `None` when more or
+/// fewer `;` cut it. One pass, eight bytes at a time:
+/// - XOR with `;;;;;;;;` makes each `;` a zero byte, and the exact
+///   zero-byte test — no borrow crosses a byte — sets the high bit of
+///   those bytes only;
+/// - each byte's high bit, shifted to its low bit, is summed into the top
+///   byte by one multiply (the baseline x86-64 target has no `popcnt`).
+///
+/// It runs on every record a predicate read tests; on the corpus's
+/// ~124-byte records it takes ≈ 30 ns (2-core x86-64 box).
+fn separators(bytes: &[u8]) -> Option<([usize; 8], usize)> {
     const SEMICOLONS: u64 = u64::from_le_bytes([b';'; 8]);
     const LOW7: u64 = u64::from_le_bytes([0x7f; 8]);
-    let mut cuts = [0; 8];
-    let mut found = 0;
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let (mut cuts, mut found, mut high) = ([0; 8], 0, 0);
     let mut cut = |at: usize| {
         *cuts.get_mut(found)? = at;
         found += 1;
@@ -159,7 +260,9 @@ fn separators(bytes: &[u8]) -> Option<[usize; 8]> {
     };
     let mut words = bytes.chunks_exact(8);
     for (i, word) in words.by_ref().enumerate() {
-        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ SEMICOLONS;
+        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        high += (((word >> 7) & ONES).wrapping_mul(ONES) >> 56) as usize;
+        let x = word ^ SEMICOLONS;
         let mut hits = !(((x & LOW7) + LOW7) | x | LOW7);
         while hits != 0 {
             cut(i * 8 + hits.trailing_zeros() as usize / 8)?;
@@ -168,15 +271,17 @@ fn separators(bytes: &[u8]) -> Option<[usize; 8]> {
     }
     let tail = bytes.len() - words.remainder().len();
     for (i, &b) in words.remainder().iter().enumerate() {
+        high += usize::from(b >= 0x80);
         if b == b';' {
             cut(tail + i)?;
         }
     }
-    (found == 8).then_some(cuts)
+    (found == 8).then_some((cuts, high))
 }
 
-fn field_count(s: &str) -> GdprError {
-    GdprError::InvalidRecord(format!("expected 9 fields, got {}", s.split(';').count()))
+fn field_count(body: &[u8]) -> GdprError {
+    let fields = body.split(|&b| b == b';').count();
+    GdprError::InvalidRecord(format!("expected 9 fields, got {fields}"))
 }
 
 /// Serialize a record to its wire form.
@@ -217,18 +322,97 @@ fn nonempty(s: &str) -> &str {
     }
 }
 
-fn validate_ascii(s: &str) -> GdprResult<()> {
-    // `;` cannot occur: the field walker split on it.
-    if s.is_ascii() && !s.as_bytes().contains(&b',') {
+/// The refusal naming the first character of `value` that `bad` holds
+/// for.
+fn illegal_in(value: &str, bad: impl Fn(char) -> bool) -> GdprError {
+    let c = value
+        .chars()
+        .find(|&c| bad(c))
+        .expect("the caller found one");
+    GdprError::InvalidRecord(format!("illegal character {c:?} in field {value:?}"))
+}
+
+/// Refuse a record whose wire form would not read back as the same
+/// record — one that, once stored, nothing could read or erase, or that
+/// would read back changed:
+/// - an empty key, or a key or data that is not ASCII or holds a `;` or
+///   a `,`;
+/// - a list item that is empty, `∅`, or holds a `;` or a `,`
+///   ([`check_item`]);
+/// - a USR or SRC value that is `∅` or holds a `;` ([`check_scalar`]);
+/// - a TTL whose text would not parse ([`check_ttl`]).
+///
+/// The engine calls it before any store call. A TTL is stored in whole
+/// milliseconds, as every store keeps its deadlines; the sub-millisecond
+/// remainder [`format_ttl`] drops is not refused.
+pub(crate) fn check_storable(record: &PersonalRecord) -> GdprResult<()> {
+    if record.key.is_empty() {
+        return Err(GdprError::InvalidRecord("empty key".into()));
+    }
+    check_data(&record.key)?;
+    check_data(&record.data)?;
+    let m = &record.metadata;
+    for (name, list) in [
+        ("PUR", &m.purposes),
+        ("OBJ", &m.objections),
+        ("DEC", &m.decisions),
+        ("SHR", &m.sharing),
+    ] {
+        list.iter().try_for_each(|item| check_item(name, item))?;
+    }
+    check_scalar("USR", &m.user)?;
+    check_scalar("SRC", &m.source)?;
+    check_ttl(m.ttl)
+}
+
+/// A key or data value the format can carry: ASCII, without `;` or `,`.
+/// The writer checks a record's with it, the reader a stored one's.
+pub(crate) fn check_data(value: &str) -> GdprResult<()> {
+    if value
+        .bytes()
+        .all(|b| b.is_ascii() && !matches!(b, b';' | b','))
+    {
         return Ok(());
     }
-    let bad = s
-        .chars()
-        .find(|c| !c.is_ascii() || *c == ',')
-        .expect("the byte check found one");
-    Err(GdprError::InvalidRecord(format!(
-        "illegal character {bad:?} in field {s:?}"
-    )))
+    Err(illegal_in(value, |c| !c.is_ascii() || c == ';' || c == ','))
+}
+
+/// A list item that reads back as itself: not empty, not `∅` (either
+/// would read back as no item when alone), without `;` or `,`.
+pub(crate) fn check_item(attribute: &str, item: &str) -> GdprResult<()> {
+    if item.is_empty() || item == EMPTY {
+        return Err(GdprError::InvalidRecord(format!(
+            "{attribute} item {item:?} would read back as no item"
+        )));
+    }
+    if item.bytes().any(|b| matches!(b, b';' | b',')) {
+        return Err(illegal_in(item, |c| c == ';' || c == ','));
+    }
+    Ok(())
+}
+
+/// A USR or SRC value that reads back as itself: not `∅`, without `;`.
+pub(crate) fn check_scalar(attribute: &str, value: &str) -> GdprResult<()> {
+    if value == EMPTY {
+        return Err(GdprError::InvalidRecord(format!(
+            "{attribute} value {value:?} would read back as empty"
+        )));
+    }
+    if value.as_bytes().contains(&b';') {
+        return Err(illegal_in(value, |c| c == ';'));
+    }
+    Ok(())
+}
+
+/// A TTL whose [`format_ttl`] text parses: one written in milliseconds
+/// must fit a `u64` of them.
+pub(crate) fn check_ttl(ttl: Option<Duration>) -> GdprResult<()> {
+    match ttl {
+        Some(ttl) if ttl.subsec_millis() != 0 && u64::try_from(ttl.as_millis()).is_err() => Err(
+            GdprError::InvalidRecord(format!("TTL {ttl:?} does not fit u64 milliseconds")),
+        ),
+        _ => Ok(()),
+    }
 }
 
 /// Format a TTL like the paper's examples: `365days`, falling through to
@@ -255,33 +439,38 @@ pub fn format_ttl(ttl: Duration) -> String {
 }
 
 /// Parse a TTL value (`365days`, `12hours`, `30mins`, `45secs`, `1500ms`,
-/// or `∅`).
-pub fn parse_ttl(value: &str) -> GdprResult<Option<Duration>> {
-    if value == EMPTY || value.is_empty() {
+/// or `∅`) as the reader finds it, in bytes. Its messages show the bytes
+/// as text: the reader reports them only for a record it has checked as
+/// UTF-8.
+pub fn parse_ttl(value: &[u8]) -> GdprResult<Option<Duration>> {
+    if value.is_empty() || value == EMPTY_BYTES {
         return Ok(None);
     }
+    let text = String::from_utf8_lossy;
+    let invalid = |message: String| GdprError::InvalidRecord(message);
     let split_at = value
-        .find(|c: char| !c.is_ascii_digit())
-        .ok_or_else(|| GdprError::InvalidRecord(format!("TTL {value:?} missing unit")))?;
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .ok_or_else(|| invalid(format!("TTL {:?} missing unit", text(value))))?;
     let (digits, unit) = value.split_at(split_at);
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| GdprError::InvalidRecord(format!("bad TTL count {digits:?}")))?;
+    let n = digits
+        .iter()
+        .try_fold(0u64, |n, d| {
+            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })
+        .filter(|_| !digits.is_empty())
+        .ok_or_else(|| invalid(format!("bad TTL count {:?}", text(digits))))?;
     let (per_unit, millis) = match unit {
-        "days" | "day" => (86_400, false),
-        "hours" | "hour" => (3_600, false),
-        "mins" | "min" => (60, false),
-        "secs" | "sec" => (1, false),
-        "ms" => (1, true),
-        other => {
-            return Err(GdprError::InvalidRecord(format!(
-                "unknown TTL unit {other:?}"
-            )));
-        }
+        b"days" | b"day" => (86_400, false),
+        b"hours" | b"hour" => (3_600, false),
+        b"mins" | b"min" => (60, false),
+        b"secs" | b"sec" => (1, false),
+        b"ms" => (1, true),
+        other => return Err(invalid(format!("unknown TTL unit {:?}", text(other)))),
     };
     let count = n
         .checked_mul(per_unit)
-        .ok_or_else(|| GdprError::InvalidRecord(format!("TTL {value:?} overflows u64 seconds")))?;
+        .ok_or_else(|| invalid(format!("TTL {:?} overflows u64 seconds", text(value))))?;
     Ok(Some(if millis {
         Duration::from_millis(count)
     } else {
@@ -346,7 +535,7 @@ mod tests {
         assert_eq!(format_ttl(Duration::from_secs(300)), "5mins");
         assert_eq!(format_ttl(Duration::from_secs(61)), "61secs");
         for s in ["365days", "2hours", "5mins", "61secs"] {
-            let d = parse_ttl(s).unwrap().unwrap();
+            let d = parse_ttl(s.as_bytes()).unwrap().unwrap();
             assert_eq!(format_ttl(d), s, "roundtrip {s}");
         }
     }
@@ -359,24 +548,28 @@ mod tests {
         for (ms, text) in [(400, "400ms"), (1_500, "1500ms"), (60_400, "60400ms")] {
             let ttl = Duration::from_millis(ms);
             assert_eq!(format_ttl(ttl), text);
-            assert_eq!(parse_ttl(text).unwrap(), Some(ttl), "roundtrip {text}");
+            assert_eq!(
+                parse_ttl(text.as_bytes()).unwrap(),
+                Some(ttl),
+                "roundtrip {text}"
+            );
         }
         assert_eq!(format_ttl(Duration::from_micros(1_500_700)), "1500ms");
         assert_eq!(format_ttl(Duration::from_micros(2_000_300)), "2secs");
-        assert_eq!(parse_ttl("3000ms").unwrap(), Some(Duration::from_secs(3)));
-        assert!(parse_ttl("ms").is_err());
+        assert_eq!(parse_ttl(b"3000ms").unwrap(), Some(Duration::from_secs(3)));
+        assert!(parse_ttl(b"ms").is_err());
         assert_eq!(
-            parse_ttl(&format!("{}ms", u64::MAX)).unwrap(),
+            parse_ttl(format!("{}ms", u64::MAX).as_bytes()).unwrap(),
             Some(Duration::from_millis(u64::MAX))
         );
     }
 
     #[test]
     fn ttl_parse_errors() {
-        assert!(parse_ttl("days").is_err());
-        assert!(parse_ttl("12").is_err());
-        assert!(parse_ttl("12years").is_err());
-        assert_eq!(parse_ttl("∅").unwrap(), None);
+        assert!(parse_ttl(b"days").is_err());
+        assert!(parse_ttl(b"12").is_err());
+        assert!(parse_ttl(b"12years").is_err());
+        assert_eq!(parse_ttl("∅".as_bytes()).unwrap(), None);
     }
 
     /// A count whose seconds do not fit a `u64` is refused, never wrapped
@@ -384,12 +577,12 @@ mod tests {
     #[test]
     fn ttl_counts_past_u64_seconds_are_refused() {
         assert_eq!(
-            parse_ttl("213503982334601days").unwrap(),
+            parse_ttl(b"213503982334601days").unwrap(),
             Some(Duration::from_secs(213_503_982_334_601 * 86_400))
         );
         for s in ["213503982334602days", "5124095576030432hours"] {
             assert!(
-                matches!(parse_ttl(s), Err(GdprError::InvalidRecord(_))),
+                matches!(parse_ttl(s.as_bytes()), Err(GdprError::InvalidRecord(_))),
                 "{s}"
             );
         }
@@ -419,10 +612,12 @@ mod tests {
     /// The word-at-a-time split finds exactly the `;` bytes a byte loop
     /// finds — at every offset within a word, at word edges and in the
     /// tail, and beside the bytes that differ from `;` in one bit (`:`,
-    /// `{`, `»`'s `0xbb`), where a borrowing zero-byte test would misfire.
+    /// `{`, `»`'s `0xbb`), where a borrowing zero-byte test would misfire
+    /// — and counts exactly the bytes ≥ 0x80 it counts, `0x80`, `0xff`
+    /// and `0x7f` included.
     #[test]
     fn separators_match_a_byte_loop() {
-        let alphabet = [b';', b':', b'{', 0xbb, b'a', b';'];
+        let alphabet = [b';', b':', b'{', 0xbb, b'a', b';', 0x80, 0xff, 0x7f, 0xe2];
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for len in 0..40 {
             for _ in 0..500 {
@@ -435,15 +630,89 @@ mod tests {
                     })
                     .collect();
                 let naive: Vec<usize> = (0..len).filter(|&i| bytes[i] == b';').collect();
-                let want = (naive.len() == 8).then(|| <[usize; 8]>::try_from(naive).unwrap());
+                let high = bytes.iter().filter(|&&b| b >= 0x80).count();
+                let want = (naive.len() == 8).then(|| (naive.try_into().unwrap(), high));
                 assert_eq!(separators(&bytes), want, "{bytes:?}");
             }
         }
-        assert_eq!(separators(b";;;;;;;;"), Some([0, 1, 2, 3, 4, 5, 6, 7]));
+        assert_eq!(separators(b";;;;;;;;"), Some(([0, 1, 2, 3, 4, 5, 6, 7], 0)));
         assert_eq!(
             separators(b";:;:;:;:;:;:;:;:"),
-            Some([0, 2, 4, 6, 8, 10, 12, 14])
+            Some(([0, 2, 4, 6, 8, 10, 12, 14], 0))
         );
+        let all_high = [[0xffu8; 8].as_slice(), b";;;;;;;;", &[0x80; 11]].concat();
+        assert_eq!(separators(&all_high).map(|(_, high)| high), Some(19));
+    }
+
+    /// The reader takes the text as UTF-8 unchecked only where its high
+    /// bytes are exactly its `∅` values'. Everything else is checked in
+    /// full, and invalid UTF-8 is refused before any field error.
+    #[test]
+    fn utf8_is_proved_by_the_markers_or_checked() {
+        let unproven = |bytes: &[u8]| !matches!(RecordView::fields(bytes), Ok((_, true)));
+        assert!(!unproven(PAPER_EXAMPLE.as_bytes()));
+        let accented = PAPER_EXAMPLE.replace("USR=neo", "USR=néo");
+        assert!(unproven(accented.as_bytes()));
+        assert_eq!(
+            RecordView::from_bytes(accented.as_bytes()).unwrap().user,
+            "néo"
+        );
+        // Two halves of a marker where one stood: the count no longer
+        // matches, so the text is checked, and refused as UTF-8.
+        let mut torn_bytes = PAPER_EXAMPLE.as_bytes().to_vec();
+        let at = PAPER_EXAMPLE.find("OBJ=∅").unwrap() + 4;
+        torn_bytes[at + 2] = b'x';
+        assert!(unproven(&torn_bytes));
+        let err = RecordView::from_bytes(&torn_bytes).unwrap_err().to_string();
+        assert!(err.contains("invalid utf-8"), "{err}");
+        // Invalid UTF-8 outranks a missing field.
+        let err = RecordView::from_bytes(b"k;\xe2;").unwrap_err().to_string();
+        assert!(err.contains("invalid utf-8"), "{err}");
+        assert!(RecordView::parse("k;d")
+            .unwrap_err()
+            .to_string()
+            .contains("expected 9 fields"));
+    }
+
+    /// What the engine refuses before a write is exactly what would not
+    /// read back: every refused shape, made into a record anyway, reads
+    /// back changed or not at all.
+    #[test]
+    fn unstorable_records_are_refused_and_would_not_read_back() {
+        let base = parse(PAPER_EXAMPLE).unwrap();
+        check_storable(&base).unwrap();
+        let mut damaged: Vec<PersonalRecord> = Vec::new();
+        for bad in ["a;b", "a,b", "∅", "é"] {
+            let mut r = base.clone();
+            r.data = bad.into();
+            damaged.push(r);
+            let mut r = base.clone();
+            r.key = bad.into();
+            damaged.push(r);
+        }
+        for bad in ["x;y", "x,y", "", "∅"] {
+            let mut r = base.clone();
+            r.metadata.sharing = vec![bad.into()];
+            damaged.push(r);
+        }
+        for bad in ["n;eo", "∅"] {
+            let mut r = base.clone();
+            r.metadata.user = bad.into();
+            damaged.push(r);
+        }
+        let mut r = base.clone();
+        r.metadata.ttl = Some(Duration::new(u64::MAX, 1_000_000));
+        damaged.push(r);
+        for r in damaged {
+            assert!(check_storable(&r).is_err(), "{r:?}");
+            assert_ne!(parse(&serialize(&r)).ok(), Some(r.clone()), "{r:?}");
+        }
+        // A comma is a scalar's own character; `""` reads back as itself.
+        let mut r = base.clone();
+        r.metadata.user = "a,b".into();
+        r.metadata.source = String::new();
+        check_storable(&r).unwrap();
+        assert_eq!(parse(&serialize(&r)).unwrap(), r);
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn reference_parse(s: &str) -> Result<PersonalRecord, GdprError> {
         };
         match *expected {
             "PUR" => metadata.purposes = list(value),
-            "TTL" => metadata.ttl = wire::parse_ttl(value)?,
+            "TTL" => metadata.ttl = wire::parse_ttl(value.as_bytes())?,
             "USR" => metadata.user = scalar(value),
             "OBJ" => metadata.objections = list(value),
             "DEC" => metadata.decisions = list(value),
@@ -230,6 +230,151 @@ fn record_view_parse_matches_the_reference_parser() {
         );
         assert_eq!(wire::parse(&damaged), reference_parse(&damaged));
     });
+}
+
+/// [`reference_parse`] over stored bytes: invalid UTF-8 is refused first,
+/// with `str::from_utf8`'s message.
+fn reference_parse_bytes(bytes: &[u8]) -> Result<PersonalRecord, GdprError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| GdprError::InvalidRecord(e.to_string()))?;
+    reference_parse(text)
+}
+
+/// The pieces [`byte_damaged_record`] splices into a record: the marker,
+/// its truncations and its bytes alone, the separators, non-ASCII text.
+const BYTE_PIECES: [&[u8]; 12] = [
+    "∅".as_bytes(),
+    b"\xe2",
+    b"\xe2\x88",
+    b"\x88\x85",
+    b"\x85",
+    b"\x80",
+    b"\xff",
+    b";",
+    b",",
+    "é".as_bytes(),
+    "ü∅".as_bytes(),
+    b"=",
+];
+
+/// A stored record's bytes, often non-ASCII where the format allows it
+/// (USR, SRC and list values take the reader's `str::from_utf8` path),
+/// then, most of the time, damaged: a piece of [`BYTE_PIECES`] put in or
+/// over any byte, a byte dropped, or a `∅` cut short.
+fn byte_damaged_record(rng: &mut SmallRng) -> Vec<u8> {
+    let mut record = sparse_record(rng);
+    let m = &mut record.metadata;
+    match rng.gen_range(0u32..6) {
+        0 => m.user.push('é'),
+        1 => m.source = format!("ü{}", m.source),
+        2 => m.sharing.push("∅x".into()),
+        3 => m.purposes.push("naïve".into()),
+        _ => {}
+    }
+    let mut bytes = wire::serialize(&record).into_bytes();
+    for _ in 0..rng.gen_range(0u32..3) {
+        let at = rng.gen_range(0usize..bytes.len());
+        let piece = BYTE_PIECES[rng.gen_range(0usize..BYTE_PIECES.len())];
+        match rng.gen_range(0u32..4) {
+            0 => {
+                bytes.splice(at..at, piece.iter().copied());
+            }
+            1 => {
+                bytes.remove(at);
+            }
+            2 => {
+                let end = (at + piece.len()).min(bytes.len());
+                bytes.splice(at..end, piece.iter().copied());
+            }
+            _ => {
+                // Cut a marker short: keep one or two of its three bytes.
+                let marker = "∅".as_bytes();
+                if let Some(i) = bytes.windows(3).position(|w| w == marker) {
+                    bytes.drain(i + rng.gen_range(1usize..3)..i + 3);
+                }
+            }
+        }
+    }
+    bytes
+}
+
+/// `RecordView::from_bytes` is the reader every store hands its bytes to:
+/// on arbitrary bytes — invalid UTF-8, truncated markers, `∅` inside key,
+/// data or list items, non-ASCII attribute values — it returns exactly
+/// what the reference parser returns on the bytes made text: the same
+/// record, or the same error with the same message.
+#[test]
+fn record_view_from_bytes_matches_the_reference_parser_on_bytes() {
+    run_cases(4096, |rng| {
+        let bytes = byte_damaged_record(rng);
+        let read = RecordView::from_bytes(&bytes).map(|view| view.to_record());
+        assert_eq!(read, reference_parse_bytes(&bytes), "{bytes:?}");
+        if let Ok(text) = std::str::from_utf8(&bytes) {
+            assert_eq!(wire::parse(text), read, "{text:?}");
+        }
+    });
+}
+
+/// A record the format may not carry: [`sparse_record`] with, often, a
+/// separator, a lone `∅`, an empty item or a non-ASCII character put into
+/// one of its fields, or a TTL whose milliseconds overflow a `u64`.
+fn hostile_record(rng: &mut SmallRng) -> PersonalRecord {
+    const BAD: [&str; 8] = [";", ",", "∅", "", "é", "a;b", "a,b", "x∅"];
+    let mut record = sparse_record(rng);
+    let bad = BAD[rng.gen_range(0usize..BAD.len())];
+    let spliced = |text: &str| format!("{text}{bad}");
+    let m = &mut record.metadata;
+    match rng.gen_range(0u32..10) {
+        0 => record.key = spliced(&record.key),
+        1 => record.data = bad.into(),
+        2 => m.user = bad.into(),
+        3 => m.source = spliced(&m.source),
+        4 => m.purposes.push(bad.into()),
+        5 => m.sharing = vec![bad.into()],
+        6 => m.objections.insert(0, spliced("obj")),
+        7 => m.ttl = Some(Duration::new(u64::MAX - rng.gen_range(0u64..4), 1_000_000)),
+        _ => {}
+    }
+    record
+}
+
+/// The engine acks only a create that reads back: for any record, the
+/// create is refused as `InvalidRecord` with nothing stored, or the
+/// record's wire form parses back to the record and reads back through
+/// the engine.
+#[test]
+fn a_create_is_refused_or_reads_back_equal() {
+    use gdprbench_repro::connectors::RedisConnector;
+    use gdprbench_repro::gdpr_core::{GdprConnector, GdprQuery, Session};
+    use gdprbench_repro::kvstore::{KvConfig, KvStore};
+    let conn =
+        RedisConnector::with_metadata_index(KvStore::open(KvConfig::default()).unwrap()).unwrap();
+    let (refused, acked) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    run_cases(1024, |rng| {
+        let record = hostile_record(rng);
+        let key = record.key.clone();
+        let controller = Session::controller();
+        let read = GdprQuery::ReadMetadataByKey(key.clone());
+        match conn.execute(&controller, &GdprQuery::CreateRecord(record.clone())) {
+            Err(GdprError::InvalidRecord(_)) => {
+                refused.set(refused.get() + 1);
+                let after = conn.execute(&controller, &read);
+                assert!(matches!(after, Err(GdprError::NotFound(_))), "{after:?}");
+            }
+            created => {
+                created.unwrap();
+                acked.set(acked.get() + 1);
+                assert_eq!(wire::parse(&wire::serialize(&record)), Ok(record.clone()));
+                let resp = conn.execute(&controller, &read).unwrap();
+                assert_eq!(resp.as_metadata().unwrap()[0].1, record.metadata, "{key}");
+                conn.execute(&controller, &GdprQuery::DeleteByKey(key))
+                    .unwrap();
+            }
+        }
+    });
+    assert!(
+        refused.get() > 100 && acked.get() > 100,
+        "{refused:?} {acked:?}"
+    );
 }
 
 /// One predicate body: evaluated over the stored text and over the parsed
