@@ -1,22 +1,52 @@
 //! Figure 4: performance overhead of each GDPR security feature on the
 //! traditional YCSB workloads.
 //!
-//! For each store and each feature setting (encrypt / TTL / log / combined)
-//! every YCSB workload A–F runs against a freshly loaded store; throughput
-//! is reported normalized to the no-security baseline. The paper measures
-//! Redis sinking to ~20% (5×) and PostgreSQL to ~50% (2×) with everything
-//! enabled.
+//! For each store and each of the [`COLUMNS`] (the stock baseline, each
+//! feature of the compliant posture alone, all of them combined) every YCSB
+//! workload A–F runs against a freshly loaded store; throughput is reported
+//! normalized to the baseline. The paper measures Redis sinking to ~20%
+//! (5×) and PostgreSQL to ~50% (2×) with everything enabled. A column's
+//! store configs come from `connectors::registry`'s posture map; a kept AOF
+//! or WAL lives in the cell's scratch dir.
 
-use super::configs::{feature_runs_ttl, kv_config, rel_config, Feature, ScratchDir};
 use crate::report::{fmt_ops, fmt_pct, ExperimentTable};
+use connectors::registry::{self, Posture, ScratchDir};
+use kvstore::config::Storage;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use workload::ycsb::{ycsb_key, KvInterface, KvStoreYcsb, RelStoreYcsb, YcsbConfig};
 use workload::{datagen, run_ycsb_workload};
 
-/// Measured throughputs: `[workload][feature] -> ops/sec`.
+/// Measured throughputs: `[workload][column] -> ops/sec`.
 pub type Matrix = HashMap<&'static str, HashMap<&'static str, f64>>;
+
+/// Figure 4's columns, named as the paper's legend names them.
+pub const COLUMNS: [(&str, Posture); 5] = [
+    ("baseline", Posture::STOCK),
+    ("encrypt", Posture::ENCRYPT),
+    ("ttl", Posture::TTL),
+    ("log", Posture::LOG),
+    ("combined", Posture::COMPLIANT),
+];
+
+/// The kvstore of `posture`, its AOF (if it keeps one) in `scratch`.
+pub fn kv_store(posture: Posture, scratch: &ScratchDir) -> Arc<kvstore::KvStore> {
+    let mut config = registry::kv_config(posture);
+    if config.aof != Storage::Disabled {
+        config.aof = Storage::File(scratch.join("redis.aof"));
+    }
+    kvstore::KvStore::open(config).expect("open kv")
+}
+
+/// The relstore of `posture`, its WAL (if it keeps one) in `scratch`.
+pub fn rel_db(posture: Posture, scratch: &ScratchDir) -> Arc<relstore::Database> {
+    let mut config = registry::rel_config(posture);
+    if config.wal != Storage::Disabled {
+        config.wal = Storage::File(scratch.join("postgres.wal"));
+    }
+    relstore::Database::open(config).expect("open rel")
+}
 
 fn load(adapter: &dyn KvInterface, records: u64, value_len: usize) {
     for i in 0..records {
@@ -26,10 +56,10 @@ fn load(adapter: &dyn KvInterface, records: u64, value_len: usize) {
     }
 }
 
-/// Run one (store, feature, workload) cell and return throughput.
+/// Run one (store, posture, workload) cell and return throughput.
 fn run_cell(
     db: &str,
-    feature: Feature,
+    posture: Posture,
     config: YcsbConfig,
     records: u64,
     ops: u64,
@@ -38,10 +68,10 @@ fn run_cell(
     let scratch = ScratchDir::new("fig4");
     match db {
         "redis" => {
-            let store = kvstore::KvStore::open(kv_config(feature, &scratch)).expect("open kv");
+            let store = kv_store(posture, &scratch);
             let adapter = KvStoreYcsb::new(Arc::clone(&store));
             load(&adapter, records, config.value_len);
-            if feature_runs_ttl(feature) {
+            if posture.contains(Posture::TTL) {
                 // Give every record an expiry so the strict sweep has a full
                 // expire-set to walk, then run the background driver — the
                 // configuration whose cost the paper measures. Loading goes
@@ -59,8 +89,8 @@ fn run_cell(
             report.throughput_ops_per_sec()
         }
         "postgres" => {
-            let db = relstore::Database::open(rel_config(feature, &scratch)).expect("open rel");
-            let run_ttl = feature_runs_ttl(feature);
+            let db = rel_db(posture, &scratch);
+            let run_ttl = posture.contains(Posture::TTL);
             let adapter = if run_ttl {
                 // Rows carry the paper's expiry column (set far in the
                 // future so the 1-second sweep daemon scans but reaps
@@ -97,9 +127,9 @@ pub fn run(db: &str, records: u64, ops: u64, threads: usize) -> (ExperimentTable
     let mut matrix: Matrix = HashMap::new();
     for config in YcsbConfig::all() {
         let row = matrix.entry(config.name).or_default();
-        for feature in Feature::ALL {
-            let tput = run_cell(db, feature, config.clone(), records, ops, threads);
-            row.insert(feature.name(), tput);
+        for (name, posture) in COLUMNS {
+            let tput = run_cell(db, posture, config.clone(), records, ops, threads);
+            row.insert(name, tput);
         }
     }
 
@@ -142,7 +172,7 @@ mod tests {
     fn combined_features_cost_throughput_on_redis() {
         let baseline = run_cell(
             "redis",
-            Feature::Baseline,
+            Posture::STOCK,
             YcsbConfig::workload('A'),
             500,
             3000,
@@ -150,7 +180,7 @@ mod tests {
         );
         let combined = run_cell(
             "redis",
-            Feature::Combined,
+            Posture::COMPLIANT,
             YcsbConfig::workload('A'),
             500,
             3000,
@@ -165,9 +195,9 @@ mod tests {
 
     #[test]
     fn postgres_cells_run_with_all_features() {
-        for feature in Feature::ALL {
-            let tput = run_cell("postgres", feature, YcsbConfig::workload('B'), 300, 600, 2);
-            assert!(tput > 0.0, "{} produced no throughput", feature.name());
+        for (name, posture) in COLUMNS {
+            let tput = run_cell("postgres", posture, YcsbConfig::workload('B'), 300, 600, 2);
+            assert!(tput > 0.0, "{name} produced no throughput");
         }
     }
 }

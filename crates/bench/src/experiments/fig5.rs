@@ -7,9 +7,8 @@
 //! PostgreSQL beats Redis by about an order of magnitude; metadata indices
 //! improve every workload further.
 
-use super::configs::ScratchDir;
 use crate::report::{fmt_duration, ExperimentTable};
-use connectors::registry;
+use connectors::registry::{self, ScratchDir};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,7 +30,7 @@ pub fn run_one(db: &str, records: usize, ops: u64, threads: usize) -> (Experimen
     for kind in GdprWorkloadKind::ALL {
         // Fresh store per workload, as the paper does per run.
         let scratch = ScratchDir::new("fig5");
-        let handle = registry::build(db, &scratch.compliant()).expect("open");
+        let handle = registry::build(db, &super::compliant_in(&scratch)).expect("open");
         let corpus = stable_corpus(records);
         load_corpus(handle.as_ref(), &corpus).expect("load corpus");
         let report = run_gdpr_workload(Arc::clone(&handle), kind, corpus, ops, threads, false);

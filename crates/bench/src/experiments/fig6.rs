@@ -6,9 +6,9 @@
 //! "representative" means: YCSB workload A throughput, versus the mean
 //! GDPRbench throughput across the four entity workloads.
 
-use super::configs::ScratchDir;
+use super::fig4::{kv_store, rel_db};
 use crate::report::{fmt_ops, ExperimentTable};
-use connectors::registry;
+use connectors::registry::{self, Posture, ScratchDir};
 use std::sync::Arc;
 use workload::gdpr::{load_corpus, stable_corpus, GdprWorkloadKind};
 use workload::ycsb::{ycsb_key, KvInterface, KvStoreYcsb, RelStoreYcsb, YcsbConfig};
@@ -17,17 +17,13 @@ use workload::{datagen, run_gdpr_workload, run_ycsb_workload};
 /// Measured (label, ops/sec) bars.
 pub type Bars = Vec<(String, f64)>;
 
-/// YCSB-A throughput on a store carrying the same compliant configuration
-/// (combined features) the GDPR connector uses.
+/// YCSB-A throughput on a store carrying the same compliant posture the
+/// GDPR connector uses (Fig 4's combined column).
 fn ycsb_throughput(db: &str, records: u64, ops: u64, threads: usize) -> f64 {
     let scratch = ScratchDir::new("fig6");
     match db {
         "redis" => {
-            let store = kvstore::KvStore::open(super::configs::kv_config(
-                super::configs::Feature::Combined,
-                &scratch,
-            ))
-            .expect("open");
+            let store = kv_store(Posture::COMPLIANT, &scratch);
             let adapter = KvStoreYcsb::new(Arc::clone(&store));
             for i in 0..records {
                 adapter
@@ -46,11 +42,7 @@ fn ycsb_throughput(db: &str, records: u64, ops: u64, threads: usize) -> f64 {
             report.throughput_ops_per_sec()
         }
         _ => {
-            let db_arc = relstore::Database::open(super::configs::rel_config(
-                super::configs::Feature::Combined,
-                &scratch,
-            ))
-            .expect("open");
+            let db_arc = rel_db(Posture::COMPLIANT, &scratch);
             let adapter = RelStoreYcsb::new(Arc::clone(&db_arc)).expect("usertable");
             for i in 0..records {
                 adapter
@@ -74,7 +66,7 @@ fn gdpr_throughput(db: &str, records: usize, ops: u64, threads: usize) -> f64 {
     let mut total = 0.0;
     for kind in GdprWorkloadKind::ALL {
         let scratch = ScratchDir::new("fig6");
-        let handle = registry::build(db, &scratch.compliant()).expect("open");
+        let handle = registry::build(db, &super::compliant_in(&scratch)).expect("open");
         let corpus = stable_corpus(records);
         load_corpus(handle.as_ref(), &corpus).expect("load");
         let report = run_gdpr_workload(Arc::clone(&handle), kind, corpus, ops, threads, false);

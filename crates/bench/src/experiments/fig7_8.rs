@@ -9,9 +9,8 @@
 //! linearly — its metadata queries scan the keyspace — while PostgreSQL
 //! with metadata indices (Figure 8b) degrades only moderately.
 
-use super::configs::ScratchDir;
 use crate::report::{fmt_duration, ExperimentTable};
-use connectors::registry;
+use connectors::registry::{self, ScratchDir};
 use std::sync::Arc;
 use std::time::Duration;
 use workload::gdpr::{load_corpus, stable_corpus, GdprWorkloadKind};
@@ -99,7 +98,7 @@ pub fn run_part_b(
     let mut series = ScaleSeries::new();
     for &records in scales {
         let scratch = ScratchDir::new("fig7b");
-        let handle = registry::build(db, &scratch.compliant()).expect("open");
+        let handle = registry::build(db, &super::compliant_in(&scratch)).expect("open");
         let corpus = stable_corpus(records);
         load_corpus(handle.as_ref(), &corpus).expect("load");
         let report = run_gdpr_workload(

@@ -37,14 +37,13 @@
 //! smaller-is-better.
 
 use crate::report::ExperimentTable;
+use connectors::registry::ScratchDir;
 use connectors::DiskConnector;
 use gdpr_core::{GdprConnector, GdprQuery, GdprResponse, MetadataField, MetadataUpdate, Session};
 use pagestore::page::T_INTERNAL;
 use pagestore::{PageStore, PageStoreConfig, PAGE_SIZE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use workload::datagen::{self, THIRD_PARTIES};
@@ -62,20 +61,15 @@ const ROUNDS: usize = 3;
 /// [`ERASED`] records of a seeded shuffle — checkpointed, so its WAL is
 /// empty and its data file holds the whole tree.
 struct Loaded {
-    dir: PathBuf,
     store: Arc<PageStore>,
     conn: DiskConnector,
+    /// Declared last, so it is removed after the store has dropped.
+    dir: ScratchDir,
 }
 
 impl Loaded {
     fn new() -> Loaded {
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "gdpr-group-write-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("group-write");
         let config = PageStoreConfig {
             pool_pages: POOL_PAGES,
             checkpoint_frames: usize::MAX,
@@ -132,12 +126,6 @@ impl Loaded {
             .execute(&Session::controller(), query)
             .expect("group write");
         (response, started.elapsed().as_secs_f64() * 1e3)
-    }
-}
-
-impl Drop for Loaded {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 

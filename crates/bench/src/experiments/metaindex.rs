@@ -10,6 +10,7 @@
 //! the same comparison at 100 K records.
 
 use crate::report::ExperimentTable;
+use connectors::registry::{self, Posture, ScratchDir};
 use gdpr_core::response::DataRows;
 use gdpr_core::{
     wire, GdprConnector, GdprQuery, GdprResponse, MetadataIndex, PersonalRecord, Session,
@@ -62,21 +63,19 @@ pub fn build_pair(
 /// walks B-tree leaves, unseals and parses every record per query
 /// (through a buffer pool it may well overflow); the indexed path is the
 /// same inverted lookup as on the kvstore. Both over one scratch
-/// directory each, default pool (256 pages).
+/// directory, which outlives neither, default pool (256 pages).
 pub fn build_disk_pair(
     records: usize,
 ) -> (
+    ScratchDir,
     Arc<connectors::DiskConnector>,
     Arc<connectors::DiskConnector>,
 ) {
     use pagestore::{PageStore, PageStoreConfig};
+    let dir = ScratchDir::new("metaindex");
     let open = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!(
-            "gdpr-metaindex-{tag}-{}-{records}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        PageStore::open(&dir, PageStoreConfig::default(), clock::wall()).expect("open pagestore")
+        PageStore::open(dir.join(tag), PageStoreConfig::default(), clock::wall())
+            .expect("open pagestore")
     };
     let corpus = stable_corpus(records);
     let scan = Arc::new(connectors::DiskConnector::new(open("scan")));
@@ -85,7 +84,7 @@ pub fn build_disk_pair(
         connectors::DiskConnector::with_metadata_index(open("indexed")).expect("attach index"),
     );
     load_corpus(indexed.as_ref(), &corpus).expect("load indexed corpus");
-    (scan, indexed)
+    (dir, scan, indexed)
 }
 
 fn mean_latency(
@@ -118,7 +117,7 @@ pub fn run(records: usize, samples: usize) -> (ExperimentTable, Vec<IndexedVsSca
 
 /// The same comparison on the disk-native pagestore backend.
 pub fn run_disk(records: usize, samples: usize) -> (ExperimentTable, Vec<IndexedVsScan>) {
-    let (scan_conn, index_conn) = build_disk_pair(records);
+    let (_dir, scan_conn, index_conn) = build_disk_pair(records);
     measure(
         scan_conn.as_ref(),
         index_conn.as_ref(),
@@ -239,9 +238,9 @@ pub const PRED_READ_RECORDS: usize = 20_000;
 ///   `RedisStore::scan_each` does, with no parse: what a broad read pays
 ///   the store instead;
 /// * `kv_read_compliant_ns_per_key` / `kv_walk_compliant_ns_per_record` —
-///   `kv_read_ns_per_key`'s read, and a walk, over the same 512 keys in a
-///   `KvConfig::gdpr_compliant_in_memory` store: each chunk of the read
-///   also appends its `MGET` frame to the at-rest-sealed AOF and seals
+///   `kv_read_ns_per_key`'s read, and a walk, over the same 512 keys in
+///   a compliant store (`registry::kv_config(Posture::COMPLIANT)`): each
+///   chunk of the read also appends its `MGET` frame to the at-rest-sealed AOF and seals
 ///   the `MGET` and its reply in transit.
 ///
 /// and what a point write pays the index, on one shard's index of the
@@ -322,7 +321,7 @@ fn pred_reads(records: usize, rounds: usize, reads_per_client: usize) -> Vec<(&'
     };
     let (cold, cold_keys) = ttl_store(&records);
     let stock = chunk_store(&stored, kvstore::KvConfig::default());
-    let compliant = chunk_store(&stored, kvstore::KvConfig::gdpr_compliant_in_memory());
+    let compliant = chunk_store(&stored, registry::kv_config(Posture::COMPLIANT));
     vec![
         ("pred_read_obj_20k_us", best_us(&by_obj)),
         ("pred_read_dec_20k_us", best_us(&by_dec)),
@@ -693,7 +692,7 @@ mod tests {
     #[test]
     fn disk_paths_agree_on_the_corpus() {
         let records = 2_000;
-        let (scan_conn, index_conn) = build_disk_pair(records);
+        let (_dir, scan_conn, index_conn) = build_disk_pair(records);
         let corpus = stable_corpus(records);
         let probe = datagen::record_of(17, &corpus);
         let user = probe.metadata.user.clone();

@@ -16,11 +16,10 @@
 //! read the best of five reopens.
 
 use crate::report::ExperimentTable;
+use connectors::registry::ScratchDir;
 use pagestore::page::{self, CellRef, Leaf, LeafEntry, ValueRef, PAGE_SIZE, PAYLOAD};
 use pagestore::{PageStore, PageStoreConfig};
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use workload::datagen;
 use workload::gdpr::stable_corpus;
@@ -78,14 +77,8 @@ fn leaf_cells_ns() -> f64 {
 
 /// A checkpointed store of the corpus's wire texts, sealed at rest, in a
 /// fresh directory; returns the directory and the keys, sorted.
-fn load() -> (PathBuf, Vec<String>) {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "gdpr-page-read-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+fn load() -> (ScratchDir, Vec<String>) {
+    let dir = ScratchDir::new("page-read");
     let store = open(&dir);
     let corpus = stable_corpus(RECORDS);
     let mut keys = Vec::with_capacity(RECORDS);
@@ -136,7 +129,7 @@ pub fn run() -> (ExperimentTable, Vec<(&'static str, f64)>) {
             ns
         })
         .fold(f64::INFINITY, f64::min);
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
     let rows = [
         ("page_checksum_ns", checksum_ns(), "ns"),
         ("leaf_cells_ns", leaf_cells_ns(), "ns"),
@@ -181,7 +174,6 @@ mod tests {
     fn a_cold_read_returns_every_record() {
         let (dir, keys) = load();
         let (ns, found, bytes) = cold_get_once(&dir, &keys);
-        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(found, RECORDS);
         assert!(ns > 0.0 && bytes > 16 * RECORDS);
         assert!(checksum_ns() > 0.0 && leaf_cells_ns() > 0.0);

@@ -15,9 +15,10 @@
 //! faster than rebuild.
 
 use crate::report::{fmt_duration, ExperimentTable};
+use connectors::registry::{self, Posture, ScratchDir};
 use connectors::RedisConnector;
 use gdpr_core::wire;
-use kvstore::{KvConfig, KvStore};
+use kvstore::KvStore;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::datagen;
@@ -49,20 +50,15 @@ impl RecoveryPoint {
 /// Populate a store with `records` corpus records (sealed at rest) and
 /// measure the two open paths against it.
 pub fn run_micro(records: usize) -> RecoveryPoint {
-    let dir = std::env::temp_dir().join(format!(
-        "gdpr-recovery-bench-{}-{records}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
+    let dir = ScratchDir::new("recovery-bench");
     let path = dir.join("metaindex.snap");
-    let _ = std::fs::remove_file(&path);
 
     // The paper's fully compliant store: encryption at rest AND in
     // transit, plus audit logging of reads — the deployment the indexed
     // variants exist in. A restart rebuild pays all of it 100 K times
     // over (every scanned record is a logged, transit-sealed, at-rest
     // decrypted GET); the snapshot restore touches none of it.
-    let store = KvStore::open(KvConfig::gdpr_compliant_in_memory()).expect("open kvstore");
+    let store = KvStore::open(registry::kv_config(Posture::COMPLIANT)).expect("open kvstore");
     // GDPRbench-shaped records (1 KB payloads): the rebuild decrypts and
     // parses every byte of them; the snapshot holds keys and metadata
     // terms only, so its size — and the restore time — is independent of
@@ -177,8 +173,6 @@ pub fn run_micro(records: usize) -> RecoveryPoint {
         "the rebuild must pick up the smuggled record"
     );
 
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
     RecoveryPoint {
         records,
         index_entries,
@@ -270,12 +264,7 @@ pub fn run_disk_micro(records: usize) -> DiskRecoveryPoint {
     use connectors::DiskConnector;
     use pagestore::{PageStore, PageStoreConfig};
 
-    let dir = std::env::temp_dir().join(format!(
-        "gdpr-recovery-disk-{}-{records}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
+    let dir = ScratchDir::new("recovery-disk");
     let path = dir.join("metaindex.snap");
 
     let config = PageStoreConfig::default();
@@ -393,7 +382,6 @@ pub fn run_disk_micro(records: usize) -> DiskRecoveryPoint {
     assert_eq!(store.record_count(), records);
 
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
     DiskRecoveryPoint {
         records,
         index_entries,
@@ -490,8 +478,7 @@ mod tests {
     fn disk_snapshot_goes_stale_on_any_commit() {
         use connectors::DiskConnector;
         use pagestore::{PageStore, PageStoreConfig};
-        let dir = std::env::temp_dir().join(format!("gdpr-recovery-stale-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("recovery-stale");
         let store = PageStore::open(&dir, PageStoreConfig::default(), clock::wall()).unwrap();
         let corpus = stable_corpus(300);
         let path = dir.join("metaindex.snap");
@@ -528,8 +515,5 @@ mod tests {
             ))
             .unwrap()
             .contains(&smuggled.key.as_str().into()));
-        drop(stale);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,8 @@
 //! Table 1: the GDPR article → database attribute/action map, plus a live
 //! compliance assessment of both connectors against it.
 
-use super::configs::ScratchDir;
 use crate::report::ExperimentTable;
-use connectors::registry;
+use connectors::registry::{self, ScratchDir};
 use gdpr_core::articles::{articles_satisfied_by, ARTICLE_MAP};
 use gdpr_core::GdprConnector;
 
@@ -40,8 +39,9 @@ pub fn article_map_table() -> ExperimentTable {
 /// Assess the compliant connectors against the article map.
 pub fn compliance_table() -> ExperimentTable {
     let scratch = ScratchDir::new("table1");
-    let redis = registry::build("redis", &scratch.compliant()).expect("open");
-    let pg = registry::build("postgres-mi", &scratch.compliant()).expect("open");
+    let compliant = super::compliant_in(&scratch);
+    let redis = registry::build("redis", &compliant).expect("open");
+    let pg = registry::build("postgres-mi", &compliant).expect("open");
 
     let mut table = ExperimentTable::new(
         "Compliance coverage (articles satisfied out of Table 1's 12 rows)",

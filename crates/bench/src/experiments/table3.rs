@@ -6,9 +6,8 @@
 //! personal-data-size: 3.5× for both stores in default configuration,
 //! rising to 5.95× once PostgreSQL indexes every metadata column.
 
-use super::configs::ScratchDir;
 use crate::report::ExperimentTable;
-use connectors::registry;
+use connectors::registry::{self, ScratchDir};
 use workload::gdpr::{load_corpus, stable_corpus};
 
 /// One measured row.
@@ -30,7 +29,7 @@ pub fn run(records: usize) -> (ExperimentTable, Vec<SpaceRow>) {
     let mut rows = Vec::new();
     for db in ["redis", "postgres", "postgres-mi"] {
         let scratch = ScratchDir::new("table3");
-        let handle = registry::build(db, &scratch.compliant()).expect("open");
+        let handle = registry::build(db, &super::compliant_in(&scratch)).expect("open");
         let corpus = stable_corpus(records);
         load_corpus(handle.as_ref(), &corpus).expect("load");
         let space = handle.space_report();

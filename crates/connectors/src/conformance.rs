@@ -9,6 +9,7 @@
 //! (`gdpr-server` + `RemoteConnector`), so a transport-dependent semantic
 //! cannot land either.
 
+use crate::registry::ScratchDir;
 use crate::{PostgresConnector, RedisConnector, RemoteConnector, ShardedRedisConnector};
 use gdpr_core::query::{GdprQuery, MetadataField, MetadataUpdate};
 use gdpr_core::record::{Metadata, PersonalRecord};
@@ -769,14 +770,12 @@ fn a_ttl_past_the_clocks_range_saturates_on_redis_mi_and_disk() {
     let sim = clock::sim();
     let kv = kvstore::KvStore::open_with_clock(kvstore::KvConfig::default(), sim.clone()).unwrap();
     let redis = RedisConnector::with_metadata_index(kv).unwrap();
-    let dir = snapshot_scratch_dir("disk-saturating-ttl");
+    let dir = ScratchDir::new("disk-saturating-ttl");
     let pages = pagestore::PageStore::open(&dir, Default::default(), sim.clone()).unwrap();
     let disk = crate::DiskConnector::with_metadata_index(pages).unwrap();
     sim.advance(Duration::from_millis(1_500));
     read_after_an_hour_at_the_last_deadline(&redis, &sim, "redis-mi");
     read_after_an_hour_at_the_last_deadline(&disk, &sim, "disk");
-    drop(disk);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 fn read_after_an_hour_at_the_last_deadline<S: gdpr_core::RecordStore>(
@@ -851,7 +850,7 @@ fn unreadable_record_fails_every_read_path() {
     use gdpr_core::RecordStore;
     let kv = open_kv();
     let redis = RedisConnector::new(Arc::clone(&kv));
-    let dir = snapshot_scratch_dir("disk-garbage");
+    let dir = ScratchDir::new("disk-garbage");
     let pages = pagestore::PageStore::open(&dir, Default::default(), clock::wall()).unwrap();
     let disk = crate::DiskConnector::new(Arc::clone(&pages));
     seed(&redis);
@@ -2010,19 +2009,6 @@ fn tenants_are_fully_isolated_over_the_encrypted_transport() {
 
 // ---- restart equivalence (index snapshot recovery) ----
 
-/// A unique scratch directory per call (tests run concurrently).
-fn snapshot_scratch_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "gdpr-conformance-snap-{}-{tag}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn aof_kv_config() -> kvstore::KvConfig {
     kvstore::KvConfig {
         aof: kvstore::config::Storage::Memory,
@@ -2149,7 +2135,7 @@ fn assert_restart_equivalent(
 #[test]
 fn restart_equivalence_sharded_and_remote() {
     let shards = gdpr_core::shard_count_from_env();
-    let dir = snapshot_scratch_dir("sharded");
+    let dir = ScratchDir::new("sharded");
     let sim = clock::sim();
     let fleet: Vec<Arc<kvstore::KvStore>> = (0..shards)
         .map(|_| kvstore::KvStore::open_with_clock(aof_kv_config(), sim.clone()).unwrap())
@@ -2200,7 +2186,7 @@ fn restart_equivalence_redis_mi() {
             log_reads,
             ..aof_kv_config()
         };
-        let dir = snapshot_scratch_dir("mi");
+        let dir = ScratchDir::new("mi");
         let path = dir.join("metaindex.snap");
         let sim = clock::sim();
         let store = kvstore::KvStore::open_with_clock(config.clone(), sim.clone()).unwrap();
@@ -2260,7 +2246,7 @@ fn disk_restart_config() -> pagestore::PageStoreConfig {
 /// never-restarted engine, in-process and over loopback TCP.
 #[test]
 fn restart_equivalence_disk_wal_recovery() {
-    let dir = snapshot_scratch_dir("disk-wal");
+    let dir = ScratchDir::new("disk-wal");
     let sim = clock::sim();
     let store =
         pagestore::PageStore::open(dir.join("store"), disk_restart_config(), sim.clone()).unwrap();
@@ -2296,7 +2282,7 @@ fn restart_equivalence_disk_wal_recovery() {
 #[test]
 fn restart_equivalence_disk_sharded_wal_and_snapshots() {
     let shards = gdpr_core::shard_count_from_env();
-    let dir = snapshot_scratch_dir("disk-sharded");
+    let dir = ScratchDir::new("disk-sharded");
     let snaps = dir.join("snaps");
     std::fs::create_dir_all(&snaps).unwrap();
     let sim = clock::sim();
@@ -2363,7 +2349,7 @@ fn restart_equivalence_disk_sharded_wal_and_snapshots() {
 /// would wedge eviction fleet-wide), and every read must still be exact.
 #[test]
 fn disk_conformance_under_eviction_pressure() {
-    let dir = snapshot_scratch_dir("disk-evict");
+    let dir = ScratchDir::new("disk-evict");
     let config = pagestore::PageStoreConfig {
         pool_pages: 2,
         ..Default::default()

@@ -488,9 +488,10 @@ mod tests {
     /// (reads logged and sealed) — each with its call counters.
     fn engines() -> Vec<(String, Box<dyn GdprConnector>, Arc<Calls>)> {
         let shards = shard_count_from_env();
+        use crate::registry::{kv_config, Posture};
         let postures = [
-            ("stock", kvstore::KvConfig::default()),
-            ("compliant", kvstore::KvConfig::gdpr_compliant_in_memory()),
+            ("stock", kv_config(Posture::STOCK)),
+            ("compliant", kv_config(Posture::COMPLIANT)),
         ];
         let mut engines: Vec<(String, Box<dyn GdprConnector>, Arc<Calls>)> = Vec::new();
         for (posture, config) in postures {

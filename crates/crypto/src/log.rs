@@ -291,9 +291,7 @@ mod tests {
     }
 
     fn scratch_file(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cryptolog-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+        let path = std::env::temp_dir().join(format!("cryptolog-{}-{name}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         path
     }

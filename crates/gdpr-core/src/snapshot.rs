@@ -910,9 +910,8 @@ mod tests {
             read(&forged, &stamp),
             Err(SnapshotInvalid::Malformed(_))
         ));
-        let dir = std::env::temp_dir().join(format!("gidx-forged-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("forged.snap");
+        let path =
+            std::env::temp_dir().join(format!("gidx-forged-{}-forged.snap", std::process::id()));
         std::fs::write(&path, &forged).unwrap();
         let fresh = Arc::new(MetadataIndex::new());
         assert!(matches!(
@@ -953,9 +952,7 @@ mod tests {
 
     #[test]
     fn atomic_write_and_restore_or_rebuild() {
-        let dir = std::env::temp_dir().join(format!("gidx-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("unit.snap");
+        let path = std::env::temp_dir().join(format!("gidx-{}-unit.snap", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let idx = sample_index();
         let stamp = SnapshotStamp::unsharded(Some(5));
@@ -1024,9 +1021,7 @@ mod tests {
         assert_eq!(decoded[1].1[0].key, "acme\u{1d}k1");
 
         // The tenant-aware recovery routes each section to its partition.
-        let dir = std::env::temp_dir().join(format!("gidx-mt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("multi.snap");
+        let path = std::env::temp_dir().join(format!("gidx-mt-{}-multi.snap", std::process::id()));
         write_snapshot(&path, &sections, &stamp).unwrap();
         let mut restored: Vec<(String, Arc<MetadataIndex>)> = Vec::new();
         let outcome: Result<IndexRecovery, GdprError> = restore_or_rebuild_tenants(

@@ -6,14 +6,9 @@ pub use crypto::log::{FsyncPolicy, Storage};
 /// Full store configuration.
 ///
 /// The default configuration is "stock Redis with no security" — the
-/// baseline of Figure 4a. Each GDPR feature from §5.1 is one toggle:
-///
-/// | paper feature    | knob |
-/// |------------------|------|
-/// | Encrypt (LUKS+TLS) | [`encrypt_at_rest`](Self::encrypt_at_rest) + [`encrypt_transit`](Self::encrypt_transit) |
-/// | TTL (timely deletion) | [`expiration`](Self::expiration) = [`ExpirationMode::Strict`] |
-/// | Log (audit via AOF)   | [`aof`](Self::aof) enabled + [`log_reads`](Self::log_reads) |
-#[derive(Debug, Clone)]
+/// baseline of Figure 4a. Which knobs each GDPR feature of §5.1 turns is
+/// written once, in `connectors::registry::kv_config`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvConfig {
     /// Active-expiration algorithm.
     pub expiration: ExpirationMode,
@@ -48,23 +43,6 @@ impl Default for KvConfig {
     }
 }
 
-impl KvConfig {
-    /// The paper's fully GDPR-compliant Redis: strict TTL, full audit
-    /// logging (reads included) to an in-memory AOF, encryption at rest and
-    /// in transit.
-    pub fn gdpr_compliant_in_memory() -> Self {
-        KvConfig {
-            expiration: ExpirationMode::Strict,
-            aof: Storage::Memory,
-            fsync: FsyncPolicy::EverySec,
-            log_reads: true,
-            encrypt_at_rest: true,
-            encrypt_transit: true,
-            ..Default::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,13 +53,5 @@ mod tests {
         assert_eq!(c.expiration, ExpirationMode::Lazy);
         assert_eq!(c.aof, Storage::Disabled);
         assert!(!c.log_reads && !c.encrypt_at_rest && !c.encrypt_transit);
-    }
-
-    #[test]
-    fn compliant_config_enables_all_features() {
-        let c = KvConfig::gdpr_compliant_in_memory();
-        assert_eq!(c.expiration, ExpirationMode::Strict);
-        assert_eq!(c.aof, Storage::Memory);
-        assert!(c.log_reads && c.encrypt_at_rest && c.encrypt_transit);
     }
 }

@@ -1378,9 +1378,7 @@ mod tests {
 
     #[test]
     fn open_resumes_the_file_and_truncates_torn_tails() {
-        let dir = std::env::temp_dir().join(format!("kvpersist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.aof");
+        let path = std::env::temp_dir().join(format!("kvpersist-{}-store.aof", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let config = KvConfig {
             aof: Storage::File(path.clone()),

@@ -157,7 +157,7 @@ pub type ExpiryListener = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// Tuning knobs. The defaults suit the conformance/benchmark scale; the
 /// eviction-pressure suite runs with `pool_pages` at ~1% of the dataset.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageStoreConfig {
     /// Buffer-pool capacity in pages (min 2). 256 pages = 1 MiB resident.
     pub pool_pages: usize,
@@ -1347,7 +1347,30 @@ mod tests {
     use clock::Clock;
     use std::collections::BTreeMap;
 
-    fn scratch(tag: &str) -> PathBuf {
+    /// A fresh dir under the temp dir, removed with its files on drop.
+    struct Scratch(PathBuf);
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for Scratch {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -1358,7 +1381,7 @@ mod tests {
             seq
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        Scratch(dir)
     }
 
     fn open(dir: &Path, pool: usize) -> Arc<PageStore> {

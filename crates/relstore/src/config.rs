@@ -5,15 +5,11 @@ use std::time::Duration;
 
 /// Full engine configuration.
 ///
-/// Defaults are the Figure 4b baseline: no security features. The paper's
-/// GDPR retrofit corresponds to:
-///
-/// | paper feature | knob |
-/// |---------------|------|
-/// | Encrypt (LUKS + SSL) | [`encrypt_at_rest`](Self::encrypt_at_rest) + [`encrypt_transit`](Self::encrypt_transit) |
-/// | TTL (expiry column + 1 s daemon) | [`ttl_sweep_interval`](Self::ttl_sweep_interval) + [`crate::ttl::TtlDaemon`] |
-/// | Log (csvlog + row-level response logging) | [`log_statements`](Self::log_statements) + [`log_reads`](Self::log_reads) |
-#[derive(Debug, Clone)]
+/// Defaults are the Figure 4b baseline: no security features. Which knobs
+/// each GDPR feature of §5.2 turns — and when the
+/// [`TtlDaemon`](crate::ttl::TtlDaemon) runs — is written once, in
+/// `connectors::registry::rel_config`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelConfig {
     pub wal: Storage,
     pub fsync: FsyncPolicy,
@@ -47,22 +43,6 @@ impl Default for RelConfig {
     }
 }
 
-impl RelConfig {
-    /// The paper's fully GDPR-compliant PostgreSQL: an in-memory WAL,
-    /// encryption at rest and in transit, full statement logging including
-    /// reads.
-    pub fn gdpr_compliant_in_memory() -> Self {
-        RelConfig {
-            wal: Storage::Memory,
-            encrypt_at_rest: true,
-            encrypt_transit: true,
-            log_statements: true,
-            log_reads: true,
-            ..Default::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,12 +54,5 @@ mod tests {
         assert!(!c.encrypt_at_rest && !c.encrypt_transit);
         assert!(!c.log_statements && !c.log_reads);
         assert_eq!(c.ttl_sweep_interval, Duration::from_secs(1));
-    }
-
-    #[test]
-    fn compliant_enables_everything() {
-        let c = RelConfig::gdpr_compliant_in_memory();
-        assert_eq!(c.wal, Storage::Memory);
-        assert!(c.encrypt_at_rest && c.encrypt_transit && c.log_statements && c.log_reads);
     }
 }

@@ -463,9 +463,7 @@ mod tests {
     /// instead of appending frame 0 after frame N.
     #[test]
     fn open_refuses_a_wal_file_that_holds_frames() {
-        let dir = std::env::temp_dir().join(format!("relwal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("held.wal");
+        let path = std::env::temp_dir().join(format!("relwal-{}-held.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let config = RelConfig {
             wal: Storage::File(path.clone()),

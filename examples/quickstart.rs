@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use gdprbench_repro::connectors::registry::{self, Deployment};
+use gdprbench_repro::connectors::registry::{self, Deployment, Posture};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprQuery, Session};
 use std::time::Duration;
@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // logging of every operation (reads included), encryption at rest and
     // in transit.
     let compliant = Deployment {
-        compliant: true,
+        posture: Posture::COMPLIANT,
         ..Deployment::default()
     };
     let store = registry::build("redis", &compliant)?;

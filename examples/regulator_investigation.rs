@@ -7,6 +7,7 @@
 //! cargo run --example regulator_investigation
 //! ```
 
+use gdprbench_repro::connectors::registry::{self, Posture};
 use gdprbench_repro::connectors::PostgresConnector;
 use gdprbench_repro::gdpr_core::{
     GdprConnector, GdprQuery, GdprResponse, MetadataField, MetadataUpdate, Session,
@@ -15,9 +16,7 @@ use gdprbench_repro::workload::datagen::{record_of, CorpusConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A metadata-indexed compliant store with a realistic corpus on it.
-    let db = gdprbench_repro::relstore::Database::open(
-        gdprbench_repro::relstore::RelConfig::gdpr_compliant_in_memory(),
-    )?;
+    let db = gdprbench_repro::relstore::Database::open(registry::rel_config(Posture::COMPLIANT))?;
     let store = PostgresConnector::with_metadata_indices(std::sync::Arc::clone(&db))?;
     let corpus = CorpusConfig {
         records: 500,

@@ -23,6 +23,7 @@
 //! still works, at the price of an O(n) index rebuild on the next start).
 //! Without one the process serves until killed.
 
+use gdprbench_repro::connectors::registry::Posture;
 use gdprbench_repro::drivers::{build_connector, ConnectorSpec};
 use gdprbench_repro::gdpr_core::GdprConnector;
 use gdprbench_repro::gdpr_server::{GdprServer, ServerConfig};
@@ -116,7 +117,7 @@ fn parse_args() -> Result<ServeArgs, String> {
                         .map_err(|e| format!("--workers: {e}"))?,
                 );
             }
-            "--compliant" => spec.deployment.compliant = true,
+            "--compliant" => spec.deployment.posture = Posture::COMPLIANT,
             "--tenants" => {
                 spec.tenants = take("tenants")?
                     .parse()

@@ -11,6 +11,7 @@
 //! gdprbench features --db redis
 //! ```
 
+use gdprbench_repro::connectors::registry::Posture;
 use gdprbench_repro::drivers::{build_connector, tenant_ids, ConnectorSpec};
 use gdprbench_repro::gdpr_core::tenant::TenantId;
 use gdprbench_repro::gdpr_core::GdprConnector;
@@ -126,7 +127,9 @@ impl Args {
 /// The connector spec the common flags describe.
 fn spec_from_args(args: &Args, threads: usize) -> Result<ConnectorSpec, String> {
     let mut spec = ConnectorSpec::new(args.get("db", "redis"));
-    spec.deployment.compliant = args.has("compliant");
+    if args.has("compliant") {
+        spec.deployment.posture = Posture::COMPLIANT;
+    }
     spec.deployment.shards = args.get_num("shards", spec.deployment.shards)?;
     spec.addr = args.flags.get("addr").cloned();
     // One pooled connection per client thread unless pinned explicitly.
@@ -373,20 +376,20 @@ fn cmd_features(args: &Args) -> Result<(), String> {
     let db = args.get("db", "redis");
     // A remote server's posture is whatever it was started with; probe it
     // once rather than rebuilding per config.
-    let configs: &[bool] = if db == "remote" {
-        &[false]
+    let postures: &[Posture] = if db == "remote" {
+        &[Posture::STOCK]
     } else {
-        &[false, true]
+        &[Posture::STOCK, Posture::COMPLIANT]
     };
-    for &compliant in configs {
+    for &posture in postures {
         let mut spec = spec_from_args(args, 1)?;
-        spec.deployment.compliant = compliant;
+        spec.deployment.posture = posture;
         let connector = build_connector(&spec)?;
         let report = connector.features();
         println!(
             "{} ({}): fully compliant = {}",
             db,
-            if compliant {
+            if posture == Posture::COMPLIANT {
                 "compliant config"
             } else {
                 "default config"

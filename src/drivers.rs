@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn changed_shard_count_over_a_data_dir_is_refused() {
         for db in ["redis-sharded", "disk-sharded"] {
-            let dir = registry::scratch_dir("shard-change");
+            let dir = registry::ScratchDir::new("shard-change");
             let conn = build_connector(&durable(db, 2, &dir)).unwrap();
             for i in 0..20 {
                 let ttl = std::time::Duration::from_secs(3600);
@@ -263,7 +263,7 @@ mod tests {
                 "{db}"
             );
         }
-        let dir = registry::scratch_dir("shard-change-mi");
+        let dir = registry::ScratchDir::new("shard-change-mi");
         let conn = build_connector(&durable("redis-sharded", 2, &dir)).unwrap();
         conn.close().unwrap();
         drop(conn);
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn ttl_daemon_runs_for_compliant_postgres() {
         let mut spec = ConnectorSpec::new("postgres");
-        spec.deployment.compliant = true;
+        spec.deployment.posture = registry::Posture::COMPLIANT;
         let conn = build_connector(&spec).unwrap();
         let ttl = std::time::Duration::from_secs(1);
         conn.execute(&Session::controller(), &record("k", "neo", ttl))

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full personal-data lifecycle through the
 //! public API, on every connector variant.
 
-use gdprbench_repro::connectors::registry::{self, Deployed, Deployment};
+use gdprbench_repro::connectors::registry::{self, Deployed, Deployment, Posture};
 use gdprbench_repro::connectors::RedisConnector;
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{
@@ -12,7 +12,7 @@ use std::time::Duration;
 /// The compliant deployments of each backend family.
 fn all_connectors() -> Vec<Deployed> {
     let compliant = Deployment {
-        compliant: true,
+        posture: Posture::COMPLIANT,
         ..Deployment::default()
     };
     ["redis", "postgres", "postgres-mi"]

@@ -14,27 +14,15 @@
 //! a cut anywhere inside its frames recovers to all of it or none of it.
 
 use gdprbench_repro::clock;
+use gdprbench_repro::connectors::registry::ScratchDir;
 use gdprbench_repro::connectors::DiskConnector;
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::store::RecordPredicate;
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprQuery, Session};
 use gdprbench_repro::pagestore::{PageStore, PageStoreConfig};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A unique scratch directory per call (tests run concurrently).
-fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "gdpr-pagestore-faults-{}-{tag}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Small pool (recovery pages through eviction) and manual checkpoints
 /// only — the tests control exactly what sits in which file.
@@ -137,8 +125,8 @@ fn assert_state_is_prefix(store: &Arc<PageStore>, records: &[PersonalRecord], ct
 
 /// Seed a fresh store with the corpus (one commit per create, no
 /// checkpoint: the WAL carries the whole history). Returns the dir.
-fn seeded_dir(tag: &str) -> (PathBuf, Vec<PersonalRecord>) {
-    let dir = scratch_dir(tag);
+fn seeded_dir(tag: &str) -> (ScratchDir, Vec<PersonalRecord>) {
+    let dir = ScratchDir::new(tag);
     let store = open(&dir);
     let conn = DiskConnector::with_metadata_index(Arc::clone(&store)).unwrap();
     let controller = Session::controller();
@@ -182,7 +170,7 @@ fn wal_truncation_at_every_prefix_recovers_a_committed_prefix() {
     cuts.sort_unstable();
     cuts.dedup();
 
-    let reopen_dir = scratch_dir("truncate-reopen");
+    let reopen_dir = ScratchDir::new("truncate-reopen");
     for (i, &cut) in cuts.iter().enumerate() {
         std::fs::copy(dir.join("pages.db"), reopen_dir.join("pages.db")).unwrap();
         std::fs::write(reopen_dir.join("wal.log"), &wal[..cut]).unwrap();
@@ -213,7 +201,7 @@ fn group_writes_are_all_or_none_at_every_wal_cut() {
     let frame = gdprbench_repro::pagestore::wal::FRAME_SIZE;
     let header = gdprbench_repro::pagestore::wal::WAL_HEADER;
 
-    let dir = scratch_dir("group");
+    let dir = ScratchDir::new("group");
     let store = open(&dir);
     let conn = DiskConnector::with_metadata_index(Arc::clone(&store)).unwrap();
     let controller = Session::controller();
@@ -303,7 +291,7 @@ fn group_writes_are_all_or_none_at_every_wal_cut() {
     }
     cuts.retain(|&cut| cut <= wal.len());
 
-    let reopen_dir = scratch_dir("group-reopen");
+    let reopen_dir = ScratchDir::new("group-reopen");
     std::fs::copy(dir.join("pages.db"), reopen_dir.join("pages.db")).unwrap();
     for (i, &cut) in cuts.iter().enumerate() {
         std::fs::write(reopen_dir.join("wal.log"), &wal[..cut]).unwrap();
@@ -361,7 +349,7 @@ fn bit_flips_in_wal_frames_roll_back_to_an_intact_commit() {
         (wal.len() - frame, 0x02),
     ]);
 
-    let reopen_dir = scratch_dir("wal-flip-reopen");
+    let reopen_dir = ScratchDir::new("wal-flip-reopen");
     for (i, (pos, mask)) in flips.into_iter().enumerate() {
         let mut bad = wal.clone();
         bad[pos] ^= mask;
@@ -410,7 +398,7 @@ fn bit_flips_in_page_file_are_detected_never_served() {
         })
         .collect();
 
-    let reopen_dir = scratch_dir("page-flip-reopen");
+    let reopen_dir = ScratchDir::new("page-flip-reopen");
     let mut detected = 0;
     for (pos, mask) in flips {
         let mut bad = pages.clone();
@@ -456,7 +444,7 @@ fn bit_flips_in_page_file_are_detected_never_served() {
 /// (never-synced) WAL must fall back to exactly the checkpoint state.
 #[test]
 fn crash_points_between_wal_append_and_page_write_recover_consistently() {
-    let dir = scratch_dir("crash");
+    let dir = ScratchDir::new("crash");
     let store = open(&dir);
     let conn = DiskConnector::with_metadata_index(Arc::clone(&store)).unwrap();
     let controller = Session::controller();
@@ -467,7 +455,7 @@ fn crash_points_between_wal_append_and_page_write_recover_consistently() {
     }
     store.checkpoint().unwrap();
     let checkpoint_gen = store.generation();
-    let at_checkpoint = scratch_dir("crash-at-checkpoint");
+    let at_checkpoint = ScratchDir::new("crash-at-checkpoint");
     copy_state(&dir, &at_checkpoint);
 
     // Move history past the checkpoint: rewrites, a delete, an add — the
@@ -507,19 +495,19 @@ fn crash_points_between_wal_append_and_page_write_recover_consistently() {
 
     // Crash point A — WAL appended, data file never rewritten (the copy
     // holds the *checkpoint-time* pages with the *final* WAL).
-    let point_a = scratch_dir("crash-a");
+    let point_a = ScratchDir::new("crash-a");
     std::fs::copy(at_checkpoint.join("pages.db"), point_a.join("pages.db")).unwrap();
     std::fs::copy(dir.join("wal.log"), point_a.join("wal.log")).unwrap();
 
     // Crash point B — mid-checkpoint: data file flushed with the final
     // images but the WAL not yet truncated (replay is idempotent).
     store.checkpoint().unwrap();
-    let point_b = scratch_dir("crash-b");
+    let point_b = ScratchDir::new("crash-b");
     std::fs::copy(dir.join("pages.db"), point_b.join("pages.db")).unwrap();
     std::fs::copy(point_a.join("wal.log"), point_b.join("wal.log")).unwrap();
 
     // Crash point C — checkpoint completed (clean files, empty WAL).
-    let point_c = scratch_dir("crash-c");
+    let point_c = ScratchDir::new("crash-c");
     copy_state(&dir, &point_c);
 
     let mut sorted_after = after.clone();
@@ -578,7 +566,7 @@ fn crash_points_between_wal_append_and_page_write_recover_consistently() {
     // Crash point D — the post-checkpoint WAL never reached disk at all:
     // stale pages, stale (empty) WAL. Recovery lands on exactly the
     // checkpoint state — older, but a consistent committed prefix.
-    let point_d = scratch_dir("crash-d");
+    let point_d = ScratchDir::new("crash-d");
     copy_state(&at_checkpoint, &point_d);
     let store = open(&point_d);
     assert_eq!(
@@ -601,7 +589,7 @@ fn crash_points_between_wal_append_and_page_write_recover_consistently() {
 /// the recovered tree.
 #[test]
 fn recovered_deadlines_fire_at_the_inclusive_boundary() {
-    let dir = scratch_dir("ttl");
+    let dir = ScratchDir::new("ttl");
     let sim = clock::sim();
     let store = PageStore::open(&dir, config(), sim.clone()).unwrap();
     let conn = DiskConnector::with_metadata_index(Arc::clone(&store)).unwrap();
@@ -616,7 +604,7 @@ fn recovered_deadlines_fire_at_the_inclusive_boundary() {
         .unwrap();
     drop((conn, store)); // crash without checkpoint
 
-    let crashed = scratch_dir("ttl-reopen");
+    let crashed = ScratchDir::new("ttl-reopen");
     copy_state(&dir, &crashed);
     let store = PageStore::open(&crashed, config(), sim.clone()).unwrap();
     assert!(
@@ -644,7 +632,7 @@ fn recovered_deadlines_fire_at_the_inclusive_boundary() {
 #[test]
 fn tenant_prefixed_keys_survive_recovery_with_isolation_intact() {
     use gdprbench_repro::gdpr_core::tenant::TenantId;
-    let dir = scratch_dir("tenants");
+    let dir = ScratchDir::new("tenants");
     let store = open(&dir);
     let conn = DiskConnector::with_metadata_index(Arc::clone(&store)).unwrap();
     let t0 = TenantId::new("t0").unwrap();
@@ -658,7 +646,7 @@ fn tenant_prefixed_keys_survive_recovery_with_isolation_intact() {
     }
     drop((conn, store));
 
-    let crashed = scratch_dir("tenants-reopen");
+    let crashed = ScratchDir::new("tenants-reopen");
     copy_state(&dir, &crashed);
     let store = open(&crashed);
     assert!(store.recovery().wal_frames > 0);

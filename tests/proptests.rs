@@ -1624,7 +1624,8 @@ mod sharded_invariance {
     use super::gdpr_gen::*;
     use super::*;
     use gdprbench_repro::connectors::{
-        registry, DiskConnector, RedisConnector, ShardedDiskConnector, ShardedRedisConnector,
+        registry::ScratchDir, DiskConnector, RedisConnector, ShardedDiskConnector,
+        ShardedRedisConnector,
     };
     use gdprbench_repro::gdpr_core::{
         GdprConnector, GdprError, GdprQuery, GdprResponse, MetadataField, MetadataUpdate,
@@ -1647,21 +1648,24 @@ mod sharded_invariance {
     /// A labelled fleet: the unsharded engine (scan and indexed variants),
     /// an indexed `ShardedEngine` per shard count, the disk-native
     /// pagestore engine (unsharded plus a sharded fleet per shard count,
-    /// on a pool far smaller than the corpus so eviction rides along), and
+    /// under `dir`, on a pool far smaller than the corpus so eviction
+    /// rides along), and
     /// a sharded engine served over loopback TCP — all on one clock. The
     /// remote entry runs the entire response-equality harness through the
     /// wire codec: any lossiness or transport-dependent semantic diverges
     /// here; the disk entries make every seeded op stream a cross-backend
     /// store-equivalence property.
-    fn fleet(sim: &clock::SharedClock) -> Vec<(String, Box<dyn GdprConnector>)> {
+    fn fleet(sim: &clock::SharedClock, dir: &ScratchDir) -> Vec<(String, Box<dyn GdprConnector>)> {
         let open = || KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
-        let open_disk = |tag: &str| {
+        let disks = std::sync::atomic::AtomicUsize::new(0);
+        let open_disk = || {
             // A pool far smaller than the corpus, so eviction rides along.
             let config = PageStoreConfig {
                 pool_pages: 16,
                 ..PageStoreConfig::default()
             };
-            PageStore::open(registry::scratch_dir(tag), config, sim.clone()).unwrap()
+            let n = disks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            PageStore::open(dir.join(format!("store-{n}")), config, sim.clone()).unwrap()
         };
         let mut conns: Vec<(String, Box<dyn GdprConnector>)> = vec![
             (
@@ -1674,7 +1678,7 @@ mod sharded_invariance {
             ),
             (
                 "disk".to_string(),
-                Box::new(DiskConnector::with_metadata_index(open_disk("prop-disk")).unwrap()),
+                Box::new(DiskConnector::with_metadata_index(open_disk()).unwrap()),
             ),
         ];
         for n in shard_counts() {
@@ -1689,7 +1693,7 @@ mod sharded_invariance {
                 format!("disk-sharded-{n}"),
                 Box::new(
                     ShardedDiskConnector::with_metadata_index(
-                        (0..n).map(|_| open_disk("prop-disk-sharded")).collect(),
+                        (0..n).map(|_| open_disk()).collect(),
                     )
                     .unwrap(),
                 ),
@@ -1729,7 +1733,8 @@ mod sharded_invariance {
     fn op_sequences_are_shard_count_invariant() {
         run_cases(16, |rng| {
             let sim = clock::sim();
-            let conns = fleet(&(sim.clone() as clock::SharedClock));
+            let dir = ScratchDir::new("prop-disk");
+            let conns = fleet(&(sim.clone() as clock::SharedClock), &dir);
             let controller = Session::controller();
 
             // Mirror one op stream into every connector, asserting
@@ -1880,7 +1885,8 @@ mod sharded_invariance {
     fn group_updates_applied_twice_match_the_oracle() {
         use gdprbench_repro::workload::oracle::{responses_match, Oracle};
         run_cases(12, |rng| {
-            let conns = fleet(&(clock::sim() as clock::SharedClock));
+            let dir = ScratchDir::new("prop-disk");
+            let conns = fleet(&(clock::sim() as clock::SharedClock), &dir);
             let mut oracle = Oracle::new();
             let check = |oracle: &mut Oracle, session: &Session, query: &GdprQuery| {
                 let expected = oracle.apply(session, query);
@@ -2034,7 +2040,8 @@ mod store_equivalence {
     use super::gdpr_gen::*;
     use super::*;
     use clock::Clock;
-    use gdprbench_repro::connectors::{registry, DiskConnector, RedisConnector};
+    use gdprbench_repro::connectors::registry::{self, Posture, ScratchDir};
+    use gdprbench_repro::connectors::{DiskConnector, RedisConnector};
     use gdprbench_repro::gdpr_core::tenant::TenantId;
     use gdprbench_repro::gdpr_core::{
         ComplianceEngine, GdprConnector, GdprQuery, MetadataField, MetadataUpdate, RecordStore,
@@ -2069,15 +2076,16 @@ mod store_equivalence {
                 let store = KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
                 RedisConnector::with_metadata_index(store).unwrap()
             };
-            let disk = || {
-                let dir = registry::scratch_dir("prop-fetch-many");
-                let store = PageStore::open(&dir, disk_config(), sim.clone()).unwrap();
+            let dir = ScratchDir::new("prop-fetch-many");
+            let disk = |tag: &str| {
+                let store = PageStore::open(dir.join(tag), disk_config(), sim.clone()).unwrap();
                 DiskConnector::with_metadata_index(store).unwrap()
             };
             let seed = rng.gen_range(0u64..u64::MAX);
             let twin_rng = || SmallRng::seed_from_u64(seed);
             fetch_many_matches_loop(&mut twin_rng(), &sim, kv().engine(), kv().engine());
-            fetch_many_matches_loop(&mut twin_rng(), &sim, disk().engine(), disk().engine());
+            let (batched, looped) = (disk("batched"), disk("looped"));
+            fetch_many_matches_loop(&mut twin_rng(), &sim, batched.engine(), looped.engine());
         });
     }
 
@@ -2178,7 +2186,7 @@ mod store_equivalence {
     fn read_each_is_the_per_key_get_loop() {
         let postures = [
             ("stock", KvConfig::default()),
-            ("compliant", KvConfig::gdpr_compliant_in_memory()),
+            ("compliant", registry::kv_config(Posture::COMPLIANT)),
         ];
         for (posture, config) in postures {
             run_cases(8, |rng| {
@@ -2279,7 +2287,7 @@ mod store_equivalence {
             KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap(),
         )
         .unwrap();
-        let dir = registry::scratch_dir("prop-equiv");
+        let dir = ScratchDir::new("prop-equiv");
         let disk = DiskConnector::with_metadata_index(
             PageStore::open(&dir, disk_config(), sim.clone()).unwrap(),
         )

@@ -10,6 +10,7 @@
 //! the taxonomy identically to the reference scan semantics.
 
 use gdprbench_repro::clock;
+use gdprbench_repro::connectors::registry::ScratchDir;
 use gdprbench_repro::connectors::{PostgresConnector, RedisConnector, ShardedRedisConnector};
 use gdprbench_repro::crypto::log::{self, Storage};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
@@ -20,21 +21,8 @@ use gdprbench_repro::gdpr_core::{
 use gdprbench_repro::kvstore::{aof, resp, Bytes, FsyncPolicy, KvConfig, KvStore};
 use gdprbench_repro::relstore::{Database, RelConfig, RelError};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A unique scratch directory per call (tests run concurrently).
-fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "gdpr-recovery-faults-{}-{tag}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn kv_config() -> KvConfig {
     KvConfig {
@@ -121,9 +109,10 @@ fn rebuilt_cause(conn: &RedisConnector) -> &SnapshotInvalid {
     }
 }
 
-/// Seed a store + snapshot file; returns (store, snapshot path, corpus).
-fn seeded_snapshot(tag: &str) -> (Arc<KvStore>, PathBuf, Vec<PersonalRecord>) {
-    let dir = scratch_dir(tag);
+/// Seed a store + snapshot file; returns (the snapshot's dir, store,
+/// snapshot path, corpus).
+fn seeded_snapshot(tag: &str) -> (ScratchDir, Arc<KvStore>, PathBuf, Vec<PersonalRecord>) {
+    let dir = ScratchDir::new(tag);
     let path = dir.join("metaindex.snap");
     let store = KvStore::open(kv_config()).unwrap();
     let conn = RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
@@ -141,12 +130,12 @@ fn seeded_snapshot(tag: &str) -> (Arc<KvStore>, PathBuf, Vec<PersonalRecord>) {
             .unwrap();
     }
     assert!(conn.write_index_snapshot().unwrap() > 0);
-    (store, path, records)
+    (dir, store, path, records)
 }
 
 #[test]
 fn intact_snapshot_restores_and_matches_scan() {
-    let (store, path, records) = seeded_snapshot("intact");
+    let (_dir, store, path, records) = seeded_snapshot("intact");
     let reopened = RedisConnector::with_metadata_index_snapshot(store, &path).unwrap();
     assert!(
         reopened.index_recovery().unwrap().is_restored(),
@@ -160,7 +149,7 @@ fn intact_snapshot_restores_and_matches_scan() {
 /// leave a correct index.
 #[test]
 fn truncation_at_every_byte_prefix_rebuilds_correctly() {
-    let (store, path, records) = seeded_snapshot("truncate");
+    let (_dir, store, path, records) = seeded_snapshot("truncate");
     let intact = std::fs::read(&path).unwrap();
     // The full predicate battery on every prefix would be O(len²); run it
     // on a spread of prefixes and the cheap cardinality check on all.
@@ -192,7 +181,7 @@ fn truncation_at_every_byte_prefix_rebuilds_correctly() {
 /// index.
 #[test]
 fn byte_flips_anywhere_rebuild_correctly() {
-    let (store, path, records) = seeded_snapshot("flip");
+    let (_dir, store, path, records) = seeded_snapshot("flip");
     let intact = std::fs::read(&path).unwrap();
     // A seeded xorshift picks flip positions and masks; every offset class
     // (magic, header, entries, checksum) is also hit explicitly.
@@ -241,7 +230,7 @@ fn byte_flips_anywhere_rebuild_correctly() {
 /// Duplicated and garbage-appended images are malformed, not trusted.
 #[test]
 fn duplicated_or_padded_images_rebuild_correctly() {
-    let (store, path, records) = seeded_snapshot("dup");
+    let (_dir, store, path, records) = seeded_snapshot("dup");
     let intact = std::fs::read(&path).unwrap();
     let mut doubled = intact.clone();
     doubled.extend_from_slice(&intact);
@@ -273,7 +262,7 @@ fn duplicated_or_padded_images_rebuild_correctly() {
 /// predicate (and from the negative predicates' universe).
 #[test]
 fn write_behind_the_engine_after_snapshot_forces_rebuild() {
-    let (store, path, mut records) = seeded_snapshot("behind");
+    let (_dir, store, path, mut records) = seeded_snapshot("behind");
     let mut smuggled = PersonalRecord::new(
         "k-behind",
         "d",
@@ -315,7 +304,7 @@ fn write_behind_the_engine_after_snapshot_forces_rebuild() {
 /// replaying to exactly the stamp restores.
 #[test]
 fn aof_replay_past_or_short_of_the_stamp_forces_rebuild() {
-    let (store, path, records) = seeded_snapshot("replay");
+    let (_dir, store, path, records) = seeded_snapshot("replay");
     let at_stamp = store.aof_memory_buffer().unwrap().lock().clone();
 
     // Writes after the snapshot: replaying the full log overshoots the
@@ -372,7 +361,8 @@ fn aof_replay_past_or_short_of_the_stamp_forces_rebuild() {
         .filter(|parts| parts[0].as_ref() != b"EXISTS")
         .count();
     assert!(writes < frames.len(), "the EXISTS probes are logged");
-    let legacy_path = scratch_dir("replay-legacy").join("metaindex.snap");
+    let legacy_dir = ScratchDir::new("replay-legacy");
+    let legacy_path = legacy_dir.join("metaindex.snap");
     let replayed = KvStore::replay(kv_config(), &legacy, clock::wall()).unwrap();
     assert_eq!(replayed.mutation_generation(), writes as u64);
     let conn = RedisConnector::with_metadata_index_snapshot(replayed, &legacy_path).unwrap();
@@ -442,7 +432,7 @@ fn in_the_set_expireat_form(raw: &[u8]) -> Vec<u8> {
 /// rejected by the generation stamp alone.
 #[test]
 fn renamed_stale_generation_is_rejected_by_the_stamp() {
-    let (store, path, records) = seeded_snapshot("rename");
+    let (_dir, store, path, records) = seeded_snapshot("rename");
     let old_image = std::fs::read(&path).unwrap();
 
     // Move the store forward and snapshot again (the current image).
@@ -483,7 +473,7 @@ fn renamed_stale_generation_is_rejected_by_the_stamp() {
 /// restores every shard.
 #[test]
 fn shard_count_mismatch_rebuilds_while_same_count_restores() {
-    let dir = scratch_dir("topology");
+    let dir = ScratchDir::new("topology");
     let clk = clock::wall();
     let stores: Vec<_> = (0..2)
         .map(|_| KvStore::open_with_clock(kv_config(), clk.clone()).unwrap())
@@ -596,7 +586,7 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
 
     // --- kvstore path ---
     let sim = clock::sim();
-    let dir = scratch_dir("ttl-kv");
+    let dir = ScratchDir::new("ttl-kv");
     let path = dir.join("metaindex.snap");
     let config = KvConfig {
         expiration: gdprbench_repro::kvstore::ExpirationMode::Strict,
@@ -640,7 +630,7 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
 
     // --- relstore path (engine index over the WAL-backed store) ---
     let sim = clock::sim();
-    let dir = scratch_dir("ttl-rel");
+    let dir = ScratchDir::new("ttl-rel");
     let path = dir.join("metaindex.snap");
     let config = RelConfig {
         wal: Storage::Memory,
@@ -685,7 +675,7 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
     // One millisecond earlier nothing would have fired: pin the boundary
     // from the other side on a fresh kvstore run.
     let sim = clock::sim();
-    let dir = scratch_dir("ttl-kv-early");
+    let dir = ScratchDir::new("ttl-kv-early");
     let path = dir.join("metaindex.snap");
     let store = KvStore::open_with_clock(kv_config(), sim.clone()).unwrap();
     let conn = RedisConnector::with_metadata_index_snapshot(store, &path).unwrap();

@@ -3,7 +3,7 @@
 //! objection checks gate every processing read. These tests pin those
 //! semantics so a future "optimization" cannot quietly relax them.
 
-use gdprbench_repro::connectors::registry::{self, Deployed, Deployment};
+use gdprbench_repro::connectors::registry::{self, Deployed, Deployment, Posture};
 use gdprbench_repro::connectors::{PostgresConnector, RedisConnector};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprQuery, GdprResponse, Session};
@@ -11,7 +11,7 @@ use std::time::Duration;
 
 fn connectors() -> Vec<Deployed> {
     let compliant = Deployment {
-        compliant: true,
+        posture: Posture::COMPLIANT,
         ..Deployment::default()
     };
     ["redis", "postgres"]
