@@ -14,16 +14,21 @@
 //! bench measures the same batch at N = 1 vs 8.
 //!
 //! [`run_fanout_reads`] measures the other routing class, a predicate
-//! read fanned out over four shards, at both ends of its size range.
+//! read fanned out over four shards, at both ends of its size range, and
+//! what a metadata read's rows cost to hand back.
 
 use crate::report::{fmt_duration, fmt_ops, ExperimentTable};
 use connectors::registry::{self, Deployment};
 use gdpr_core::record::{Metadata, PersonalRecord};
-use gdpr_core::{EngineHandle, GdprConnector, GdprQuery, Session};
+use gdpr_core::response::MetadataRows;
+use gdpr_core::wire::{self, RecordView};
+use gdpr_core::{EngineHandle, GdprConnector, GdprQuery, GdprResponse, Session};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use workload::datagen;
+use workload::gdpr::stable_corpus;
 
 /// The default shard ladder.
 pub const DEFAULT_LADDER: [usize; 4] = [1, 2, 4, 8];
@@ -173,8 +178,12 @@ fn fanout_record(i: usize) -> PersonalRecord {
 ///   client and the other cores idle. The router visits the shards one
 ///   after another on the caller's thread, so this row is the number a
 ///   parallel fan-out has to beat.
+/// * `metadata_response_ns_per_row` — what the rows of a metadata read
+///   cost per row to hand back: every record of a `stable_corpus` of the
+///   same size, read from its stored text, pushed into one `Metadata`
+///   response sized as the engine sizes it, and dropped; best of seven.
 ///
-/// Smaller is better on both.
+/// Smaller is better on all three.
 pub fn run_fanout_reads() -> (ExperimentTable, Vec<(&'static str, f64)>) {
     let series = fanout_reads(FANOUT_READ_RECORDS, 7);
     let mut table = ExperimentTable::new(
@@ -219,7 +228,35 @@ fn fanout_reads(records: usize, rounds: usize) -> Vec<(&'static str, f64)> {
             "fanout_read_pur_ms",
             best_secs(&Session::processor("ads"), &by_purpose) * 1e3,
         ),
+        (
+            "metadata_response_ns_per_row",
+            metadata_response_ns_per_row(records, rounds),
+        ),
     ]
+}
+
+/// Build a `Metadata` response of `records` corpus rows from their stored
+/// texts' views, as a metadata read does, and drop it: the best of
+/// `rounds` passes, per row.
+fn metadata_response_ns_per_row(records: usize, rounds: usize) -> f64 {
+    let corpus = stable_corpus(records);
+    let stored: Vec<String> = (0..records)
+        .map(|i| wire::serialize(&datagen::record_of(i, &corpus)))
+        .collect();
+    let views: Vec<RecordView<'_>> = (stored.iter())
+        .map(|text| RecordView::from_bytes(text.as_bytes()).expect("a stored text parses"))
+        .collect();
+    let pass = || {
+        let started = Instant::now();
+        let mut rows = MetadataRows::with_capacity(views.len(), 0);
+        for view in std::hint::black_box(&views) {
+            rows.push_view(view.key, view);
+        }
+        drop(std::hint::black_box(GdprResponse::Metadata(rows)));
+        started.elapsed().as_nanos() as f64 / records.max(1) as f64
+    };
+    pass(); // warm-up
+    (0..rounds).map(|_| pass()).fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -266,9 +303,9 @@ mod tests {
     /// The `bench_report` rows exist and are measurements; what they
     /// should read is the report's business, not a unit test's.
     #[test]
-    fn fanout_reads_report_two_rows() {
+    fn fanout_reads_report_three_rows() {
         let series = fanout_reads(2_000, 2);
-        assert_eq!(series.len(), 2);
+        assert_eq!(series.len(), 3);
         assert!(series.iter().all(|(_, v)| v.is_finite() && *v > 0.0));
     }
 }

@@ -398,11 +398,11 @@ fn portability_includes_metadata() {
             .unwrap();
         let metadata = resp.as_metadata().unwrap();
         assert_eq!(metadata.len(), 2, "{}", conn.name());
-        let ph1 = metadata.iter().find(|(k, _)| k == "ph-1").unwrap();
-        assert_eq!(ph1.1.user, "neo");
-        assert_eq!(ph1.1.purposes, vec!["ads", "2fa"]);
-        assert_eq!(ph1.1.ttl, Some(Duration::from_secs(3600)));
-        assert_eq!(ph1.1.source, "first-party");
+        let ph1 = metadata.iter().find(|row| row.key() == "ph-1").unwrap();
+        assert_eq!(ph1.user(), "neo");
+        assert!(ph1.purposes().eq(["ads", "2fa"]));
+        assert_eq!(ph1.ttl(), Some(Duration::from_secs(3600)));
+        assert_eq!(ph1.source(), "first-party");
     }
 }
 
@@ -421,8 +421,8 @@ fn a_ttl_keeps_its_milliseconds() {
                 .unwrap();
             let read = GdprQuery::ReadMetadataByKey(key);
             let resp = conn.execute(&Session::customer("neo"), &read).unwrap();
-            let (_, metadata) = &resp.as_metadata().unwrap()[0];
-            assert_eq!(metadata.ttl, Some(ttl), "{}", conn.name());
+            let row = resp.as_metadata().unwrap().iter().next().unwrap();
+            assert_eq!(row.ttl(), Some(ttl), "{}", conn.name());
         }
     }
 }
@@ -1035,8 +1035,8 @@ fn redis_index_and_scan_agree_on_all_predicates() {
             if let GdprResponse::Data(pairs) = resp {
                 pairs.sort();
             }
-            if let GdprResponse::Metadata(pairs) = resp {
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            if let GdprResponse::Metadata(rows) = resp {
+                rows.sort();
             }
         }
         assert_eq!(scan, indexed, "divergence on {query:?}");
@@ -1513,8 +1513,8 @@ fn sharded_index_and_scan_agree_on_all_predicates() {
             if let GdprResponse::Data(pairs) = resp {
                 pairs.sort();
             }
-            if let GdprResponse::Metadata(pairs) = resp {
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            if let GdprResponse::Metadata(rows) = resp {
+                rows.sort();
             }
         }
         assert_eq!(responses[0], responses[1], "scan vs indexed on {query:?}");

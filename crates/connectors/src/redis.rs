@@ -544,9 +544,9 @@ mod tests {
                 pairs.sort();
                 GdprResponse::Data(pairs)
             }
-            GdprResponse::Metadata(mut pairs) => {
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                GdprResponse::Metadata(pairs)
+            GdprResponse::Metadata(mut rows) => {
+                rows.sort();
+                GdprResponse::Metadata(rows)
             }
             other => other,
         }
@@ -561,8 +561,8 @@ mod tests {
 
     /// Broad predicates (at least half the records are candidates) walk
     /// the store, narrow ones name their candidates — reads, erasures and
-    /// consent updates alike — and every answer, and the store left
-    /// behind, is the scan oracle's.
+    /// consent updates alike — one with no candidate makes no store call,
+    /// and every answer, and the store left behind, is the scan oracle's.
     #[test]
     fn walked_and_indexed_predicates_agree_with_the_scan_oracle() {
         let controller = Session::controller();
@@ -570,29 +570,30 @@ mod tests {
         let ads = Session::processor("ads");
         let regulator = Session::regulator();
         let share = |party: &str| MetadataUpdate::Add(MetadataField::Sharing, party.into());
-        // (session, query, walks): the broad ones walk.
-        let steps: Vec<(&Session, GdprQuery, bool)> = vec![
+        // (session, query, read): the broad ones walk; `None`, no read.
+        let (walk, named) = (Some(true), Some(false));
+        let steps: Vec<(&Session, GdprQuery, Option<bool>)> = vec![
             (
                 &processor,
                 GdprQuery::ReadDataByPurpose("core".into()),
-                true,
+                walk,
             ),
             (
                 &processor,
                 GdprQuery::ReadDataNotObjecting("ads".into()),
-                true,
+                walk,
             ),
-            (&processor, GdprQuery::ReadDataDecisionEligible, true),
-            (&ads, GdprQuery::ReadDataByPurpose("ads".into()), false),
+            (&processor, GdprQuery::ReadDataDecisionEligible, walk),
+            (&ads, GdprQuery::ReadDataByPurpose("ads".into()), named),
             (
                 &regulator,
                 GdprQuery::ReadMetadataByUser("u3".into()),
-                false,
+                named,
             ),
             (
                 &regulator,
                 GdprQuery::ReadMetadataBySharedWith("x-corp".into()),
-                false,
+                named,
             ),
             (
                 &controller,
@@ -600,12 +601,12 @@ mod tests {
                     purpose: "core".into(),
                     update: share("y-corp"),
                 },
-                true,
+                walk,
             ),
             (
                 &regulator,
                 GdprQuery::ReadMetadataBySharedWith("y-corp".into()),
-                true,
+                walk,
             ),
             (
                 &controller,
@@ -613,20 +614,21 @@ mod tests {
                     user: "u4".into(),
                     update: share("z-corp"),
                 },
-                false,
+                named,
             ),
-            (&controller, GdprQuery::DeleteByPurpose("ads".into()), false),
-            (&controller, GdprQuery::DeleteByUser("u5".into()), false),
+            (&controller, GdprQuery::DeleteByPurpose("ads".into()), named),
+            (&controller, GdprQuery::DeleteByUser("u5".into()), named),
             (
                 &processor,
                 GdprQuery::ReadDataByPurpose("core".into()),
-                true,
+                walk,
             ),
-            (&controller, GdprQuery::DeleteByPurpose("core".into()), true),
+            (&controller, GdprQuery::DeleteByPurpose("core".into()), walk),
+            // Nothing is left: no candidate, no store call.
             (
                 &processor,
                 GdprQuery::ReadDataByPurpose("core".into()),
-                true,
+                None,
             ),
         ];
         for (name, conn, calls) in engines() {
@@ -634,13 +636,15 @@ mod tests {
             load(conn.as_ref(), &controller, 0..200);
             load(&oracle, &controller, 0..200);
             calls.take();
-            for (step, (session, query, walks)) in steps.iter().enumerate() {
+            for (step, (session, query, read)) in steps.iter().enumerate() {
                 let got = conn.execute(session, query).map(sorted);
                 let want = oracle.execute(session, query).map(sorted);
                 assert_eq!(got, want, "{name} step {step}: {query:?}");
                 let (walked, batched) = calls.take();
-                assert_eq!(walked > 0, *walks, "{name} step {step}: {query:?} walked");
-                assert_eq!(batched > 0, !*walks, "{name} step {step}: {query:?} named");
+                let walks = *read == Some(true);
+                let names = *read == Some(false);
+                assert_eq!(walked > 0, walks, "{name} step {step}: {query:?} walked");
+                assert_eq!(batched > 0, names, "{name} step {step}: {query:?} named");
             }
             assert_eq!(conn.record_count(), oracle.record_count(), "{name}");
             assert_eq!(conn.record_count(), 0, "{name}: the last erasure was total");

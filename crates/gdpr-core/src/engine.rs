@@ -13,22 +13,24 @@
 //!    ([`RecordStore::select`]); the relational store routes this to its
 //!    own secondary indexes.
 //! 2. **Engine index** — an attached [`MetadataIndex`] answers by inverted
-//!    lookup in O(matches), and its candidate count
-//!    ([`MetadataIndex::count_for`], O(1)) picks how the store is read:
+//!    lookup in O(matches). One [`MetadataIndex::lookup`] — one read lock,
+//!    one posting lookup — picks how the store is read from the candidate
+//!    count and hands out what that read needs:
 //!    * **walk** — when the candidates are at least half the store's
 //!      records and the store can walk ([`RecordStore::scan_each`]), one
 //!      pass over the store shows every record; each is filtered by
 //!      tenant ownership and the predicate, as the scan does. A broad read
 //!      names no key and probes no dictionary per candidate;
 //!    * **candidates** — otherwise the candidate keys go to the store in
-//!      one [`RecordStore::fetch_many`] call.
+//!      one [`RecordStore::fetch_many`] call; no candidate, no store call.
 //!
 //!    Either way every record is tested as a [`RecordView`] of the stored
 //!    text and handed to the caller's visitor, which writes it straight
 //!    into the response: a data read pushes the logical key and the data
-//!    into the one text of its [`DataRows`], with no string per row. This
-//!    is what turns the key-value backend's O(n) scans into O(matches)
-//!    reads.
+//!    into the one text of its [`DataRows`], a metadata read the key and
+//!    the six text fields into [`MetadataRows`] — as the reader proved
+//!    them, with no string per row or field. This is what turns the
+//!    key-value backend's O(n) scans into O(matches) reads.
 //! 3. **Full scan** — [`RecordStore::scan`] filtered by
 //!    [`RecordPredicate::matches`], the reference semantics.
 //!
@@ -46,10 +48,10 @@ use crate::audit::AuditTrail;
 use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
 use crate::error::{GdprError, GdprResult};
-use crate::metaindex::{IndexBatch, MetadataIndex};
+use crate::metaindex::{IndexBatch, Lookup, MetadataIndex};
 use crate::query::{GdprQuery, MetadataUpdate};
 use crate::record::PersonalRecord;
-use crate::response::{DataRows, GdprResponse};
+use crate::response::{DataRows, GdprResponse, MetadataRows, Rows};
 use crate::role::Session;
 use crate::snapshot::{self, IndexRecovery, SnapshotStamp};
 use crate::store::{RecordPredicate, RecordStore, WriteOp};
@@ -447,23 +449,23 @@ impl<S: RecordStore> ComplianceEngine<S> {
         out.unwrap_or_else(|| Err(GdprError::NotFound(key.to_string())))
     }
 
-    /// Fold each of **this tenant's** records matching `pred` into an
-    /// accumulator, resolved pushdown → index partition (walk or
-    /// candidates, by count) → scan. `start` makes the accumulator from
-    /// the number of records the chosen path expects to show (0 on the
-    /// scan path, which cannot tell), so a caller can size its output
-    /// once; `visit` adds one matching record's view to it. Pushdown, walk
-    /// and scan evaluate over the shared store, so their results are
-    /// filtered by storage-key ownership; the index partition is
-    /// tenant-scoped by construction.
+    /// Fold each of **this tenant's** records matching `pred` into `out`,
+    /// resolved pushdown → index partition (walk or candidates) → scan.
+    /// `expect` gets the number of records the chosen path expects to show
+    /// (0 on the scan path, which cannot tell), so a caller can size its
+    /// output once; `visit` adds one matching record's view to `out`.
+    /// Pushdown, walk and scan evaluate over the shared store, so their
+    /// results are filtered by storage-key ownership; the index partition
+    /// is tenant-scoped by construction.
     ///
-    /// With an index, [`MetadataIndex::count_for`] decides how the store
-    /// is read. When the candidates are at least half of the store's
-    /// records, one [`RecordStore::scan_each`] walk reads them all (if the
-    /// store can walk): every record is tested, none is named. Otherwise
-    /// the candidate keys are read in one [`RecordStore::fetch_many`] call
-    /// — made with the index lock already released: a store that reaps a
-    /// lapsed candidate calls back into the index under its own lock. A
+    /// With an index, one [`MetadataIndex::lookup`] decides how the store
+    /// is read and hands out the candidates. When they are at least half of
+    /// the store's records, one [`RecordStore::scan_each`] walk reads them
+    /// all (if the store can walk): every record is tested, none is named.
+    /// Otherwise the candidate keys are read in one
+    /// [`RecordStore::fetch_many`] call — made with the index lock already
+    /// released: a store that reaps a lapsed candidate calls back into the
+    /// index under its own lock — and no candidate means no store call. A
     /// candidate can be stale (expired since indexing, or mutated
     /// concurrently), so each view is re-verified against the reference
     /// semantics before it is visited.
@@ -472,50 +474,57 @@ impl<S: RecordStore> ComplianceEngine<S> {
         state: &TenantState,
         tenant: &TenantId,
         pred: &RecordPredicate,
-        start: impl Fn(usize) -> A,
+        out: &mut A,
+        expect: impl FnOnce(&mut A, usize),
         mut visit: impl FnMut(&mut A, RecordView<'_>),
-    ) -> GdprResult<A> {
+    ) -> GdprResult<()> {
         if let Some(result) = self.store.select(pred) {
             let records = result?;
-            let mut out = start(records.len());
+            expect(out, records.len());
             for record in records.iter().filter(|r| tenant.owns(&r.key)) {
-                visit(&mut out, record.view());
+                visit(out, record.view());
             }
-            return Ok(out);
+            return Ok(());
         }
         if let Some(index) = &state.index {
-            let candidates = index.count_for(pred);
-            let mut out = start(candidates);
-            if 2 * candidates >= self.store.record_count() {
-                let walked = self.store.scan_each(&mut |record| {
-                    if tenant.owns(record.key) && pred.matches_view(&record) {
-                        visit(&mut out, record);
+            let keys = match index.lookup(pred, self.store.record_count()) {
+                Lookup::Walk(candidates) => {
+                    expect(out, candidates);
+                    let walked = self.store.scan_each(&mut |record| {
+                        if tenant.owns(record.key) && pred.matches_view(&record) {
+                            visit(out, record);
+                        }
+                    });
+                    match walked {
+                        Some(walked) => return walked,
+                        // A store that cannot walk visited nothing: name
+                        // the candidates instead.
+                        None => index.keys_for(pred).unwrap_or_default(),
                     }
-                });
-                // A store that cannot walk visited nothing: `out` is still
-                // empty for the candidate read.
-                if let Some(walked) = walked {
-                    return walked.map(|()| out);
                 }
-            }
-            if let Some(keys) = index.keys_for(pred) {
+                Lookup::Keys(keys) => {
+                    expect(out, keys.len());
+                    keys
+                }
+            };
+            if !keys.is_empty() {
                 self.store.fetch_many(&keys, &mut |record| {
                     if pred.matches_view(&record) {
-                        visit(&mut out, record);
+                        visit(out, record);
                     }
                 })?;
-                return Ok(out);
             }
+            return Ok(());
         }
         let records = self.store.scan()?;
-        let mut out = start(0);
+        expect(out, 0);
         for record in records
             .iter()
             .filter(|r| tenant.owns(&r.key) && pred.matches(r))
         {
-            visit(&mut out, record.view());
+            visit(out, record.view());
         }
-        Ok(out)
+        Ok(())
     }
 
     /// `project` of each of this tenant's records matching `pred`,
@@ -528,8 +537,41 @@ impl<S: RecordStore> ComplianceEngine<S> {
         pred: &RecordPredicate,
         mut project: impl FnMut(RecordView<'_>) -> T,
     ) -> GdprResult<Vec<T>> {
-        self.visit_matching(state, tenant, pred, Vec::with_capacity, |out, record| {
-            out.push(project(record))
+        let mut out = Vec::new();
+        self.visit_matching(
+            state,
+            tenant,
+            pred,
+            &mut out,
+            Vec::reserve,
+            |out, record| out.push(project(record)),
+        )?;
+        Ok(out)
+    }
+
+    /// Push each of this tenant's records matching `pred` into `rows`
+    /// under its logical key: one shard's part of a predicate read
+    /// ([`predicate_read`]), which the sharded router fills shard after
+    /// shard into one accumulator.
+    pub(crate) fn read_rows(
+        &self,
+        tenant: &TenantId,
+        pred: &RecordPredicate,
+        rows: &mut Rows,
+    ) -> GdprResult<()> {
+        let state = self.tenant_state(tenant)?;
+        self.read_rows_in(&state, tenant, pred, rows)
+    }
+
+    fn read_rows_in(
+        &self,
+        state: &TenantState,
+        tenant: &TenantId,
+        pred: &RecordPredicate,
+        rows: &mut Rows,
+    ) -> GdprResult<()> {
+        self.visit_matching(state, tenant, pred, rows, Rows::expect, |rows, record| {
+            rows.push_match(tenant.logical(record.key), &record)
         })
     }
 
@@ -649,12 +691,20 @@ impl<S: RecordStore> ComplianceEngine<S> {
     ) -> GdprResult<()> {
         let state = self.tenant_state(tenant)?;
         update.check_value()?;
-        let first_failure = |_| Ok(());
-        self.visit_matching(&state, tenant, pred, first_failure, |verdict, record| {
-            if verdict.is_ok() && !update.leaves_unchanged(&record) {
-                *verdict = update.apply(&mut record.metadata());
-            }
-        })?
+        let mut verdict = Ok(());
+        self.visit_matching(
+            &state,
+            tenant,
+            pred,
+            &mut verdict,
+            |_, _| {},
+            |verdict, record| {
+                if verdict.is_ok() && !update.leaves_unchanged(&record) {
+                    *verdict = update.apply(&mut record.metadata());
+                }
+            },
+        )?;
+        verdict
     }
 
     fn index_new(&self, state: &TenantState, record: &PersonalRecord) {
@@ -791,23 +841,6 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 Ok(())
             }
         };
-        let key_of = |record: &RecordView<'_>| tenant.logical(record.key).to_string();
-        // Each match's logical key and data go straight into the one text
-        // of the response; no row is a string of its own.
-        let data_of = |pred: RecordPredicate| {
-            let rows = |n| DataRows::with_capacity(n, 0);
-            self.visit_matching(state, tenant, &pred, rows, |rows, record| {
-                rows.push(tenant.logical(record.key), record.data)
-            })
-            .map(GdprResponse::Data)
-        };
-        let metadata_of = |pred: RecordPredicate| {
-            self.read_matching(state, tenant, &pred, |record| {
-                (key_of(&record), record.metadata())
-            })
-            .map(GdprResponse::Metadata)
-        };
-
         match query {
             CreateRecord(record) => {
                 // Collision detection is the store's contract (`put` fails
@@ -861,23 +894,26 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 })?;
                 Ok(GdprResponse::Data(rows))
             }
-            // Canonical READ-DATA-BY-PUR semantics for every backend:
-            // declared purpose AND no objection to it (G5.1b + G21).
-            ReadDataByPurpose(purpose) => data_of(RecordPredicate::AllowsPurpose(purpose.clone())),
-            ReadDataByUser(user) => data_of(RecordPredicate::User(user.clone())),
-            ReadDataNotObjecting(usage) => data_of(RecordPredicate::NotObjecting(usage.clone())),
-            ReadDataDecisionEligible => data_of(RecordPredicate::DecisionEligible),
-
             ReadMetadataByKey(key) => {
-                let pair = self.view_required(tenant, key, |record| {
+                let rows = self.view_required(tenant, key, |record| {
                     guard(&record)?;
-                    Ok((key_of(&record), record.metadata()))
+                    let mut rows = MetadataRows::with_capacity(1, 0);
+                    rows.push_view(tenant.logical(record.key), &record);
+                    Ok(rows)
                 })?;
-                Ok(GdprResponse::Metadata(vec![pair]))
+                Ok(GdprResponse::Metadata(rows))
             }
-            ReadMetadataByUser(user) => metadata_of(RecordPredicate::User(user.clone())),
-            ReadMetadataBySharedWith(party) => {
-                metadata_of(RecordPredicate::SharedWith(party.clone()))
+            // Each match's logical key and fields go straight into the one
+            // text of the response; no row is a string of its own.
+            ReadDataByPurpose(_)
+            | ReadDataByUser(_)
+            | ReadDataNotObjecting(_)
+            | ReadDataDecisionEligible
+            | ReadMetadataByUser(_)
+            | ReadMetadataBySharedWith(_) => {
+                let (pred, mut rows) = predicate_read(query).expect("a predicate read");
+                self.read_rows_in(state, tenant, &pred, &mut rows)?;
+                Ok(rows.into_response(false))
             }
 
             UpdateDataByKey { key, data } => {
@@ -921,6 +957,29 @@ impl<S: RecordStore> ComplianceEngine<S> {
                 Ok(GdprResponse::DeletionVerified(!found))
             }
         }
+    }
+}
+
+/// A predicate read — READ-DATA-BY-PUR / USR / OBJ / DEC and
+/// READ-METADATA-BY-USR / SHR — as the predicate it reads and the empty
+/// rows it answers with; `None` for any other query. The engine fills the
+/// rows from its store; the sharded router, having authorized the query
+/// once, fills them from every shard in turn.
+pub(crate) fn predicate_read(query: &GdprQuery) -> Option<(RecordPredicate, Rows)> {
+    use GdprQuery::*;
+    use RecordPredicate as P;
+    let data = |pred| Some((pred, Rows::Data(DataRows::default())));
+    let metadata = |pred| Some((pred, Rows::Metadata(MetadataRows::default())));
+    match query {
+        // Canonical READ-DATA-BY-PUR semantics for every backend: declared
+        // purpose AND no objection to it (G5.1b + G21).
+        ReadDataByPurpose(purpose) => data(P::AllowsPurpose(purpose.clone())),
+        ReadDataByUser(user) => data(P::User(user.clone())),
+        ReadDataNotObjecting(usage) => data(P::NotObjecting(usage.clone())),
+        ReadDataDecisionEligible => data(P::DecisionEligible),
+        ReadMetadataByUser(user) => metadata(P::User(user.clone())),
+        ReadMetadataBySharedWith(party) => metadata(P::SharedWith(party.clone())),
+        _ => None,
     }
 }
 

@@ -327,9 +327,14 @@ impl Inner {
         slots.map(|slot| self.key(slot)).collect()
     }
 
-    /// The keys at `slots` that do not object to `usage`.
-    fn keys_not_objecting(&self, slots: impl Iterator<Item = Slot>, usage: &str) -> Vec<Key> {
-        match self.by_objection.get(usage) {
+    /// The keys at `slots` that are not in `objecting`, the posting of
+    /// the keys objecting to a usage.
+    fn keys_not_objecting(
+        &self,
+        slots: impl Iterator<Item = Slot>,
+        objecting: Option<&Posting>,
+    ) -> Vec<Key> {
+        match objecting {
             None => self.keys(slots),
             Some(objecting) => self.keys(slots.filter(|&slot| !objecting.contains(slot))),
         }
@@ -726,6 +731,16 @@ pub struct IndexEntry {
     pub deadline_ms: Option<u64>,
 }
 
+/// How [`MetadataIndex::lookup`] answers a predicate read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lookup {
+    /// At least half the store's records are candidates (this many): one
+    /// walk over the store reads them all and names none.
+    Walk(usize),
+    /// Fewer: the candidate keys, distinct, in ascending slot order.
+    Keys(Vec<Key>),
+}
+
 /// The four inverted metadata indexes, the all-keys and
 /// decision-eligibility sets, and the TTL expiry set.
 #[derive(Default)]
@@ -924,49 +939,59 @@ impl MetadataIndex {
     /// engine is non-transactional by design and makes no linearizability
     /// promise across concurrent writes.
     pub fn keys_for(&self, pred: &RecordPredicate) -> Option<Vec<Key>> {
+        // No candidate count reaches half of `usize::MAX` records, so the
+        // lookup always names the candidates.
+        match self.lookup(pred, usize::MAX) {
+            Lookup::Keys(keys) => Some(keys),
+            Lookup::Walk(_) => None,
+        }
+    }
+
+    /// How to read `pred`'s matches from a store of `records` records,
+    /// decided and answered under one read lock with one posting lookup:
+    /// [`Lookup::Walk`] when the candidates are at least half the records
+    /// (`2 × count ≥ records`), else the candidate keys as [`Self::keys_for`]
+    /// hands them out — none at all when no key is a candidate, so the
+    /// engine makes no store call. The count is exact for every predicate
+    /// but `AllowsPurpose`, where it is the declared count, an upper bound
+    /// (the objectors among them are not subtracted).
+    pub fn lookup(&self, pred: &RecordPredicate, records: usize) -> Lookup {
         let inner = self.inner.read();
-        let posting = |map: &Postings, term: &str| {
-            map.get(term)
-                .map_or_else(Vec::new, |posting| inner.keys(posting.iter()))
+        let walk = |count: usize| count > 0 && 2 * count >= records;
+        let decide = |count: usize, keys: &dyn Fn() -> Vec<Key>| {
+            if walk(count) {
+                Lookup::Walk(count)
+            } else {
+                Lookup::Keys(if count == 0 { Vec::new() } else { keys() })
+            }
         };
-        Some(match pred {
+        let posting = |map: &Postings, term: &str| match map.get(term) {
+            None => Lookup::Keys(Vec::new()),
+            Some(posting) => decide(posting.len(), &|| inner.keys(posting.iter())),
+        };
+        match pred {
             RecordPredicate::User(u) => posting(&inner.by_user, u),
             RecordPredicate::DeclaredPurpose(p) => posting(&inner.by_purpose, p),
-            RecordPredicate::AllowsPurpose(p) => match inner.by_purpose.get(p.as_str()) {
-                None => Vec::new(),
-                Some(declared) => inner.keys_not_objecting(declared.iter(), p),
-            },
             RecordPredicate::SharedWith(s) => posting(&inner.by_sharing, s),
+            RecordPredicate::AllowsPurpose(p) => match inner.by_purpose.get(p.as_str()) {
+                None => Lookup::Keys(Vec::new()),
+                Some(declared) => decide(declared.len(), &|| {
+                    inner.keys_not_objecting(declared.iter(), inner.by_objection.get(p.as_str()))
+                }),
+            },
             // Negative predicates filter the live slots: the walk is
             // O(live keys) bit tests, but the caller then reads only the
             // matches.
             RecordPredicate::NotObjecting(usage) => {
-                inner.keys_not_objecting(inner.live.iter(), usage)
+                let objecting = inner.by_objection.get(usage.as_str());
+                let count = inner.live.len - objecting.map_or(0, Posting::len);
+                decide(count, &|| {
+                    inner.keys_not_objecting(inner.live.iter(), objecting)
+                })
             }
-            RecordPredicate::DecisionEligible => inner.keys(inner.decision_eligible.iter()),
-        })
-    }
-
-    /// How many candidates [`Self::keys_for`] would hand out for `pred`,
-    /// in O(1) from the lengths of the postings and slot sets, without
-    /// listing them. Exact for every predicate but `AllowsPurpose`, where
-    /// it is the declared count — an upper bound (the objectors among
-    /// them are not subtracted). The engine compares it with the store's
-    /// record count to choose between naming the candidates and walking
-    /// the store.
-    pub fn count_for(&self, pred: &RecordPredicate) -> usize {
-        let inner = self.inner.read();
-        let posting = |map: &Postings, term: &str| map.get(term).map_or(0, Posting::len);
-        match pred {
-            RecordPredicate::User(u) => posting(&inner.by_user, u),
-            RecordPredicate::DeclaredPurpose(p) | RecordPredicate::AllowsPurpose(p) => {
-                posting(&inner.by_purpose, p)
-            }
-            RecordPredicate::SharedWith(s) => posting(&inner.by_sharing, s),
-            RecordPredicate::NotObjecting(usage) => {
-                inner.live.len - posting(&inner.by_objection, usage)
-            }
-            RecordPredicate::DecisionEligible => inner.decision_eligible.len,
+            RecordPredicate::DecisionEligible => decide(inner.decision_eligible.len, &|| {
+                inner.keys(inner.decision_eligible.iter())
+            }),
         }
     }
 
@@ -1398,7 +1423,8 @@ mod tests {
     }
 
     /// Every answer of `idx` against the model: each predicate's
-    /// candidates as a set and in ascending slot order and their count,
+    /// candidates as a set and in ascending slot order, and the lookup's
+    /// walk-or-name verdict and count at and around the walk threshold,
     /// the expired keys (in deadline order) at several instants, every
     /// pool key's deadline, the size, the dump, and that a term no key
     /// carries is dropped.
@@ -1425,7 +1451,26 @@ mod tests {
                 }
                 _ => got.len(),
             };
-            assert_eq!(idx.count_for(&pred), counted, "{ctx}: count of {pred:?}");
+            let indexed = idx.len();
+            for (n, want) in [
+                (usize::MAX, Lookup::Keys(got.clone())),
+                (2 * counted, Lookup::Walk(counted)),
+                (2 * counted + 1, Lookup::Keys(got.clone())),
+            ] {
+                // No candidate at all is never a walk.
+                let want = if counted == 0 {
+                    Lookup::Keys(Vec::new())
+                } else {
+                    want
+                };
+                assert_eq!(idx.lookup(&pred, n), want, "{ctx}: {pred:?} over {n}");
+            }
+            let walks = counted > 0 && 2 * counted >= indexed;
+            assert_eq!(
+                matches!(idx.lookup(&pred, indexed), Lookup::Walk(_)),
+                walks,
+                "{ctx}: {pred:?} over the index's own {indexed} keys"
+            );
             let mut got: Vec<String> = got.iter().map(|key| key.to_string()).collect();
             got.sort();
             let want: Vec<String> = (records.iter())

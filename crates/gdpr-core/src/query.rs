@@ -4,6 +4,7 @@
 use crate::error::{GdprError, GdprResult};
 use crate::record::{Metadata, PersonalRecord};
 use crate::wire::{self, ListView, RecordView};
+use std::fmt::Write;
 use std::time::Duration;
 
 /// A metadata attribute that can be targeted by an update.
@@ -299,25 +300,38 @@ impl GdprQuery {
         }
     }
 
-    /// The audit-trail scope detail for this query (key, user, purpose...).
+    /// The audit-trail scope detail for this query (key, user, purpose...),
+    /// allocated once with room for the outcome the trail appends to it
+    /// (` [ok] n=3`).
     pub fn detail(&self) -> String {
         use GdprQuery::*;
+        let scoped = |tag: &str, value: &str| {
+            let mut detail = String::with_capacity(tag.len() + value.len() + 24);
+            detail.push_str(tag);
+            detail.push_str(value);
+            detail
+        };
         match self {
-            CreateRecord(r) => format!("key={}", r.key),
+            CreateRecord(r) => scoped("key=", &r.key),
             DeleteByKey(k) | ReadDataByKey(k) | ReadMetadataByKey(k) | VerifyDeletion(k) => {
-                format!("key={k}")
+                scoped("key=", k)
             }
-            DeleteByPurpose(p) | ReadDataByPurpose(p) => format!("pur={p}"),
-            DeleteExpired => "ttl".into(),
-            DeleteByUser(u) | ReadDataByUser(u) | ReadMetadataByUser(u) => format!("usr={u}"),
-            ReadDataNotObjecting(o) => format!("obj={o}"),
-            ReadDataDecisionEligible => "dec".into(),
-            ReadMetadataBySharedWith(s) => format!("shr={s}"),
-            UpdateDataByKey { key, .. } | UpdateMetadataByKey { key, .. } => format!("key={key}"),
-            UpdateMetadataByPurpose { purpose, .. } => format!("pur={purpose}"),
-            UpdateMetadataByUser { user, .. } => format!("usr={user}"),
-            GetSystemLogs { from_ms, to_ms } => format!("range={from_ms}..{to_ms}"),
-            GetSystemFeatures => "features".into(),
+            DeleteByPurpose(p) | ReadDataByPurpose(p) => scoped("pur=", p),
+            DeleteExpired => scoped("ttl", ""),
+            DeleteByUser(u) | ReadDataByUser(u) | ReadMetadataByUser(u) => scoped("usr=", u),
+            ReadDataNotObjecting(o) => scoped("obj=", o),
+            ReadDataDecisionEligible => scoped("dec", ""),
+            ReadMetadataBySharedWith(s) => scoped("shr=", s),
+            UpdateDataByKey { key, .. } | UpdateMetadataByKey { key, .. } => scoped("key=", key),
+            UpdateMetadataByPurpose { purpose, .. } => scoped("pur=", purpose),
+            UpdateMetadataByUser { user, .. } => scoped("usr=", user),
+            GetSystemLogs { from_ms, to_ms } => {
+                // Two `u64`s of up to 20 digits and the outcome.
+                let mut detail = String::with_capacity(72);
+                let _ = write!(detail, "range={from_ms}..{to_ms}");
+                detail
+            }
+            GetSystemFeatures => scoped("features", ""),
         }
     }
 

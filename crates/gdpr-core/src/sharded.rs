@@ -12,9 +12,13 @@
 //!   disjoint keys proceed in parallel instead of serializing through one
 //!   global engine lock.
 //! * **Predicate ops** (`*-BY-USR/PUR/OBJ/DEC/SHR`, `DELETE-RECORD-BY-TTL`)
-//!   fan out to every shard and merge: counts sum, result sets concatenate
-//!   and sort by key, so the response is deterministic whatever the shard
-//!   topology. The fan-out runs on the calling thread, one shard after
+//!   fan out to every shard. A read is authorized and its predicate built
+//!   once, at the router; each shard then takes one index lookup and
+//!   pushes its matches into the one response's rows, which are sorted once
+//!   at the end (data rows by `(key, data)`, metadata rows by key), so the
+//!   response is deterministic whatever the shard topology and no shard
+//!   builds a response of its own. A write runs on each shard and the
+//!   counts sum. The fan-out runs on the calling thread, one shard after
 //!   another in index order, for reads and writes alike: the by-user reads
 //!   that dominate the regulator and customer mixes touch ≈ 3 records, far
 //!   less work than a hand-off per shard costs, and requests already run
@@ -41,7 +45,7 @@
 use crate::audit::AuditTrail;
 use crate::compliance::FeatureReport;
 use crate::connector::SpaceReport;
-use crate::engine::ComplianceEngine;
+use crate::engine::{predicate_read, ComplianceEngine};
 use crate::error::{GdprError, GdprResult};
 use crate::metaindex::IndexBatch;
 use crate::query::{GdprQuery, MetadataUpdate};
@@ -314,6 +318,12 @@ impl<S: RecordStore> ShardedEngine<S> {
 
     /// Run a predicate query on every shard and merge deterministically.
     ///
+    /// A read ([`predicate_read`]) is authorized and its predicate built
+    /// once, here; each shard then pushes its matches into the one
+    /// response's rows ([`ComplianceEngine::read_rows`]), which are sorted
+    /// once at the end. A write runs each shard's dispatch, and the counts
+    /// sum.
+    ///
     /// The shards are visited on the calling thread in index order and the
     /// walk stops at the first failing shard, whose error is the query's:
     /// the response and the merge order depend on nothing but the shard
@@ -361,6 +371,14 @@ impl<S: RecordStore> ShardedEngine<S> {
                     }
                 }
             }
+        }
+        if let Some((pred, mut rows)) = predicate_read(query) {
+            crate::acl::authorize(session, query)?;
+            query.check_storable()?;
+            for shard in &self.shards {
+                shard.read_rows(&session.tenant, &pred, &mut rows)?;
+            }
+            return Ok(rows.into_response(true));
         }
         let mut responses = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
@@ -465,10 +483,7 @@ fn group_update_of(query: &GdprQuery) -> Option<(RecordPredicate, &MetadataUpdat
     }
 }
 
-/// Merge per-shard responses of one query class into the canonical form:
-/// counts sum, result sets concatenate and sort by key (data rows by
-/// `(key, data)`), so the merged response is independent of shard count
-/// and order.
+/// Merge per-shard responses of one group write: the counts sum.
 fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
     use GdprResponse::*;
     let mut iter = results.into_iter();
@@ -479,25 +494,12 @@ fn merge_responses(results: Vec<GdprResponse>) -> GdprResult<GdprResponse> {
         acc = match (acc, resp) {
             (Deleted(a), Deleted(b)) => Deleted(a + b),
             (Updated(a), Updated(b)) => Updated(a + b),
-            (Data(mut a), Data(b)) => {
-                a.append(b);
-                Data(a)
-            }
-            (Metadata(mut a), Metadata(b)) => {
-                a.extend(b);
-                Metadata(a)
-            }
             (a, b) => {
                 return Err(GdprError::Store(format!(
                     "shard response shape mismatch: {a:?} vs {b:?}"
                 )))
             }
         };
-    }
-    match &mut acc {
-        Data(pairs) => pairs.sort(),
-        Metadata(pairs) => pairs.sort_by(|x, y| x.0.cmp(&y.0)),
-        _ => {}
     }
     Ok(acc)
 }

@@ -363,7 +363,9 @@ impl KvStore {
     ) -> KvResult<Result<(), E>> {
         let seals = self.transit.is_some();
         let names = seals || self.config.log_reads;
-        let mut key = Vec::new();
+        // Room for any usual storage key at once, not regrown per prefix
+        // and key.
+        let mut key = Vec::with_capacity(64);
         for chunk in keys.chunks(READ_CHUNK) {
             let (mut named, mut values) = (Vec::new(), Vec::new());
             let mut lend = |value: Option<&Value>| -> KvResult<Result<(), E>> {

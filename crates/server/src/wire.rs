@@ -46,7 +46,7 @@ use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::query::{MetadataField, MetadataUpdate};
 use gdpr_core::record::{Metadata, PersonalRecord};
-use gdpr_core::response::{DataRows, LogLine};
+use gdpr_core::response::{DataRows, Items, LogLine, MetadataRow, MetadataRows, RowWriter};
 use gdpr_core::role::{Role, Session};
 use gdpr_core::telemetry::{self, HistogramSnapshot, OpSnapshot};
 use gdpr_core::tenant::TenantId;
@@ -596,15 +596,27 @@ fn decode_duration(r: &mut Reader<'_>) -> WireResult<Duration> {
     Ok(Duration::new(secs, nanos))
 }
 
-pub fn encode_metadata(w: &mut Writer, m: &Metadata) {
-    w.string_list(&m.purposes);
-    match m.ttl {
+fn encode_ttl(w: &mut Writer, ttl: Option<Duration>) {
+    match ttl {
         Some(ttl) => {
             w.bool(true);
             encode_duration(w, ttl);
         }
         None => w.bool(false),
     }
+}
+
+fn decode_ttl(r: &mut Reader<'_>) -> WireResult<Option<Duration>> {
+    Ok(if r.bool("ttl present")? {
+        Some(decode_duration(r)?)
+    } else {
+        None
+    })
+}
+
+pub fn encode_metadata(w: &mut Writer, m: &Metadata) {
+    w.string_list(&m.purposes);
+    encode_ttl(w, m.ttl);
     w.string(&m.user);
     w.string_list(&m.objections);
     w.string_list(&m.decisions);
@@ -612,14 +624,36 @@ pub fn encode_metadata(w: &mut Writer, m: &Metadata) {
     w.string(&m.source);
 }
 
+/// A lent metadata row, in [`encode_metadata`]'s layout: the same bytes as
+/// the row's [`MetadataRow::to_metadata`] would encode to.
+fn encode_metadata_row(w: &mut Writer, row: &MetadataRow<'_>) {
+    let list = |w: &mut Writer, items: Items<'_>| {
+        w.count(items.len());
+        items.for_each(|item| w.string(item));
+    };
+    list(w, row.purposes());
+    encode_ttl(w, row.ttl());
+    w.string(row.user());
+    list(w, row.objections());
+    list(w, row.decisions());
+    list(w, row.sharing());
+    w.string(row.source());
+}
+
+/// A string list, its items pushed into the row being decoded.
+fn decode_items(r: &mut Reader<'_>, what: &str, row: &mut RowWriter<'_>) -> WireResult<()> {
+    let n = r.count(4, what)?;
+    for _ in 0..n {
+        row.item(r.str(what)?);
+    }
+    row.end_list();
+    Ok(())
+}
+
 pub fn decode_metadata(r: &mut Reader<'_>) -> WireResult<Metadata> {
     Ok(Metadata {
         purposes: r.string_list("purposes")?,
-        ttl: if r.bool("ttl present")? {
-            Some(decode_duration(r)?)
-        } else {
-            None
-        },
+        ttl: decode_ttl(r)?,
         user: r.string("user")?,
         objections: r.string_list("objections")?,
         decisions: r.string_list("decisions")?,
@@ -920,12 +954,12 @@ pub fn encode_gdpr_response(w: &mut Writer, resp: &GdprResponse) {
                 w.string(data);
             }
         }
-        Metadata(pairs) => {
+        Metadata(rows) => {
             w.u8(4);
-            w.count(pairs.len());
-            for (key, metadata) in pairs {
-                w.string(key);
-                encode_metadata(w, metadata);
+            w.count(rows.len());
+            for row in rows.iter() {
+                w.string(row.key());
+                encode_metadata_row(w, &row);
             }
         }
         Updated(n) => {
@@ -966,12 +1000,23 @@ pub fn decode_gdpr_response(r: &mut Reader<'_>) -> WireResult<GdprResponse> {
             Data(rows)
         }
         4 => {
+            // A row's key and six text fields cost 28 bytes of length
+            // prefixes and counts and its TTL a presence byte, so the rows'
+            // text is at most what the rest of the payload holds past them.
             let n = r.count(8, "metadata pairs")?;
-            let mut pairs = Vec::with_capacity(n);
+            let mut rows = MetadataRows::with_capacity(n, r.remaining().saturating_sub(29 * n));
             for _ in 0..n {
-                pairs.push((r.string("metadata key")?, decode_metadata(r)?));
+                let mut row = rows.row(r.str("metadata key")?);
+                decode_items(r, "purposes", &mut row)?;
+                let ttl = decode_ttl(r)?;
+                row.scalar(r.str("user")?);
+                decode_items(r, "objections", &mut row)?;
+                decode_items(r, "decisions", &mut row)?;
+                decode_items(r, "sharing", &mut row)?;
+                row.scalar(r.str("source")?);
+                row.finish(ttl);
             }
-            Metadata(pairs)
+            Metadata(rows)
         }
         5 => Updated(r.u64("updated count")? as usize),
         6 => {
@@ -1301,6 +1346,94 @@ mod tests {
             encode_gdpr_response(&mut w, &resp);
             assert_eq!(w.into_bytes(), bytes, "{rows:?}");
             let mut r = Reader::new(bytes);
+            assert_eq!(decode_gdpr_response(&mut r).unwrap(), resp);
+            r.finish().unwrap();
+        }
+    }
+
+    /// `Metadata` goes on the wire as it did when each row was a key string
+    /// and an owned `Metadata`: opcode 4, the row count, then per row the
+    /// key and the seven attributes in `encode_metadata`'s order (lists as a
+    /// count and their items, the TTL as a presence byte, `u64` seconds and
+    /// `u32` nanos). The literals are those frames' bytes; the rows hold
+    /// empty lists, a missing TTL, a sub-second TTL, non-ASCII USR and SRC,
+    /// and multi-item lists with an empty item and an item holding `,`.
+    #[test]
+    fn metadata_rows_encode_to_the_golden_bytes() {
+        let list =
+            |items: &[&str]| -> Vec<String> { items.iter().map(|s| s.to_string()).collect() };
+        let rows = [
+            (
+                "k1",
+                Metadata {
+                    purposes: list(&["ads", "2fa"]),
+                    ttl: Some(Duration::from_secs(365 * 86_400)),
+                    user: "néo".into(),
+                    objections: vec![],
+                    decisions: vec![],
+                    sharing: list(&["a-corp", "b-corp"]),
+                    source: "first-party".into(),
+                },
+            ),
+            (
+                "k2",
+                Metadata {
+                    purposes: vec![],
+                    ttl: None,
+                    user: String::new(),
+                    objections: list(&["ads"]),
+                    decisions: list(&["opt-out"]),
+                    sharing: list(&["", "x,y"]),
+                    source: "ß".into(),
+                },
+            ),
+            (
+                "k3",
+                Metadata {
+                    ttl: Some(Duration::from_millis(1_500)),
+                    user: "u".into(),
+                    ..Metadata::default()
+                },
+            ),
+        ];
+        let k1: &[u8] = b"\x00\x00\x00\x02k1\
+            \x00\x00\x00\x02\x00\x00\x00\x03ads\x00\x00\x00\x032fa\
+            \x01\x00\x00\x00\x00\x01\xe1\x33\x80\x00\x00\x00\x00\
+            \x00\x00\x00\x04n\xc3\xa9o\
+            \x00\x00\x00\x00\
+            \x00\x00\x00\x00\
+            \x00\x00\x00\x02\x00\x00\x00\x06a-corp\x00\x00\x00\x06b-corp\
+            \x00\x00\x00\x0bfirst-party";
+        let k2: &[u8] = b"\x00\x00\x00\x02k2\
+            \x00\x00\x00\x00\
+            \x00\
+            \x00\x00\x00\x00\
+            \x00\x00\x00\x01\x00\x00\x00\x03ads\
+            \x00\x00\x00\x01\x00\x00\x00\x07opt-out\
+            \x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03x,y\
+            \x00\x00\x00\x02\xc3\x9f";
+        let k3: &[u8] = b"\x00\x00\x00\x02k3\
+            \x00\x00\x00\x00\
+            \x01\x00\x00\x00\x00\x00\x00\x00\x01\x1d\xcd\x65\x00\
+            \x00\x00\x00\x01u\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00";
+        let golden: [(usize, Vec<u8>); 3] = [
+            (0, b"\x04\x00\x00\x00\x00".to_vec()),
+            (1, [b"\x04\x00\x00\x00\x01", k1].concat()),
+            (3, [b"\x04\x00\x00\x00\x03", k1, k2, k3].concat()),
+        ];
+        for (n, bytes) in golden {
+            let resp = GdprResponse::Metadata(
+                rows[..n]
+                    .iter()
+                    .map(|(key, m)| (key.to_string(), m.clone()))
+                    .collect(),
+            );
+            let mut w = Writer::new();
+            encode_gdpr_response(&mut w, &resp);
+            assert_eq!(w.into_bytes(), bytes, "{n} rows");
+            let mut r = Reader::new(&bytes);
             assert_eq!(decode_gdpr_response(&mut r).unwrap(), resp);
             r.finish().unwrap();
         }

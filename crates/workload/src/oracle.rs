@@ -11,7 +11,7 @@ use gdpr_core::acl::{authorize, record_visible};
 use gdpr_core::error::{GdprError, GdprResult};
 use gdpr_core::query::{GdprQuery, MetadataUpdate};
 use gdpr_core::record::PersonalRecord;
-use gdpr_core::response::GdprResponse;
+use gdpr_core::response::{GdprResponse, MetadataRow};
 use gdpr_core::role::Session;
 use std::collections::BTreeMap;
 
@@ -135,20 +135,20 @@ impl Oracle {
                 if !visible(record) {
                     return Err(denied(record, query));
                 }
-                GdprResponse::Metadata(vec![(record.key.clone(), record.metadata.clone())])
+                GdprResponse::Metadata([(&record.key, &record.metadata)].into_iter().collect())
             }
             ReadMetadataByUser(user) => GdprResponse::Metadata(
                 self.records
                     .values()
                     .filter(|r| r.metadata.user == *user)
-                    .map(|r| (r.key.clone(), r.metadata.clone()))
+                    .map(|r| (&r.key, &r.metadata))
                     .collect(),
             ),
             ReadMetadataBySharedWith(party) => GdprResponse::Metadata(
                 self.records
                     .values()
                     .filter(|r| r.metadata.sharing.iter().any(|s| s == party))
-                    .map(|r| (r.key.clone(), r.metadata.clone()))
+                    .map(|r| (&r.key, &r.metadata))
                     .collect(),
             ),
             UpdateDataByKey { key, data } => {
@@ -241,16 +241,10 @@ pub fn responses_match(
                     e == a
                 }
                 (GdprResponse::Metadata(e), GdprResponse::Metadata(a)) => {
-                    let mut e: Vec<_> = e
-                        .iter()
-                        .map(|(k, m)| (k.clone(), format!("{m:?}")))
-                        .collect();
-                    let mut a: Vec<_> = a
-                        .iter()
-                        .map(|(k, m)| (k.clone(), format!("{m:?}")))
-                        .collect();
-                    e.sort();
-                    a.sort();
+                    let mut e: Vec<MetadataRow<'_>> = e.iter().collect();
+                    let mut a: Vec<MetadataRow<'_>> = a.iter().collect();
+                    e.sort_unstable();
+                    a.sort_unstable();
                     e == a
                 }
                 (e, a) => e == a,

@@ -52,10 +52,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     if let GdprResponse::Metadata(items) = &response {
         println!("records concerning {complainant}: {}", items.len());
-        for (key, m) in items.iter().take(3) {
+        // The rows are lent from the response: the lists iterate their
+        // items, no `Metadata` is built.
+        for row in items.iter().take(3) {
+            let purposes: Vec<&str> = row.purposes().collect();
+            let shared_with: Vec<&str> = row.sharing().collect();
             println!(
-                "  {key}: purposes={:?} ttl={:?} shared-with={:?} source={}",
-                m.purposes, m.ttl, m.sharing, m.source
+                "  {}: purposes={purposes:?} ttl={:?} shared-with={shared_with:?} source={}",
+                row.key(),
+                row.ttl(),
+                row.source()
             );
         }
         if items.len() > 3 {

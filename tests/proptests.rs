@@ -365,7 +365,11 @@ fn a_create_is_refused_or_reads_back_equal() {
                 acked.set(acked.get() + 1);
                 assert_eq!(wire::parse(&wire::serialize(&record)), Ok(record.clone()));
                 let resp = conn.execute(&controller, &read).unwrap();
-                assert_eq!(resp.as_metadata().unwrap()[0].1, record.metadata, "{key}");
+                assert_eq!(
+                    resp.as_metadata().unwrap().to_vec()[0].1,
+                    record.metadata,
+                    "{key}"
+                );
                 conn.execute(&controller, &GdprQuery::DeleteByKey(key))
                     .unwrap();
             }
@@ -475,11 +479,47 @@ fn leaves_unchanged_implies_apply_is_an_ok_no_op() {
     assert!(no_ops.get() > 512, "the property must meet no-ops");
 }
 
+/// A metadata row pushed from a stored record's bytes, as a predicate read
+/// pushes it, is the row of the parsed record's owned metadata — and so is
+/// one pushed from the parsed record's view, whose lists are items.
+#[test]
+fn metadata_rows_from_views_match_the_parsed_metadata() {
+    use gdprbench_repro::gdpr_core::response::MetadataRows;
+    use gdprbench_repro::gdpr_core::wire::RecordView;
+    run_cases(512, |rng| {
+        let records: Vec<PersonalRecord> = (0..rng.gen_range(0usize..6))
+            .map(|_| {
+                let mut record = arb_record(rng);
+                if rng.gen_bool(0.3) {
+                    record.metadata.user.push('é');
+                }
+                record
+            })
+            .collect();
+        let mut viewed = MetadataRows::with_capacity(records.len(), 0);
+        let mut items = MetadataRows::default();
+        let mut owned = Vec::new();
+        for record in &records {
+            let text = wire::serialize(record);
+            let parsed = wire::parse(&text).unwrap();
+            viewed.push_view(
+                &parsed.key,
+                &RecordView::from_bytes(text.as_bytes()).unwrap(),
+            );
+            items.push_view(&parsed.key, &parsed.view());
+            owned.push((parsed.key.clone(), parsed.metadata));
+        }
+        assert_eq!(viewed.to_vec(), owned);
+        assert_eq!(items, viewed);
+        assert_eq!(MetadataRows::from(owned), viewed);
+    });
+}
+
 /// `DataRows` behaves as the `Vec<(String, String)>` it replaced: rows
-/// come back as built, `sort` orders as `Vec::sort`, `append` as `extend`,
-/// and `len` / `cardinality` count rows. Strings are short and drawn from
-/// few letters (multi-byte ones included), so keys tie and strings are
-/// often empty.
+/// come back as built, `sort` orders as `Vec::sort`, rows pushed onto
+/// built rows land where `Vec::extend` puts them, and `len` /
+/// `cardinality` count rows. Strings are short and drawn from few letters
+/// (multi-byte ones included), so keys tie and strings are often empty.
 #[test]
 fn data_rows_match_a_vec_model() {
     use gdprbench_repro::gdpr_core::response::DataRows;
@@ -510,7 +550,7 @@ fn data_rows_match_a_vec_model() {
         assert_eq!(sorted, DataRows::from(sorted_model));
 
         let mut joined = rows.clone();
-        joined.append(DataRows::from(b.clone()));
+        b.iter().for_each(|(k, d)| joined.push(k, d));
         let mut joined_model = a.clone();
         joined_model.extend(b);
         assert_eq!(joined.to_vec(), joined_model);
@@ -1035,6 +1075,71 @@ mod server_wire {
         });
     }
 
+    /// Any text a wire string can carry: empty, or drawn from an alphabet
+    /// of the record format's separators, its `∅` marker and non-ASCII
+    /// letters as well as plain ones.
+    fn any_text(rng: &mut SmallRng) -> String {
+        const CHARS: [char; 8] = ['a', 'b', ',', ';', '∅', 'é', 'ß', ' '];
+        let len = rng.gen_range(0usize..6);
+        (0..len)
+            .map(|_| CHARS[rng.gen_range(0usize..CHARS.len())])
+            .collect()
+    }
+
+    fn any_list(rng: &mut SmallRng) -> Vec<String> {
+        (0..rng.gen_range(0usize..4))
+            .map(|_| any_text(rng))
+            .collect()
+    }
+
+    /// A `Metadata` response of any metadata the codec carries — empty
+    /// lists and items, items holding `,`, `∅` or non-ASCII text, missing
+    /// and sub-second TTLs — decodes into `MetadataRows` that encode back
+    /// to the very bytes the owned `encode_metadata` wrote, and hold the
+    /// metadata that was written.
+    #[test]
+    fn metadata_rows_reencode_to_the_decoded_bytes() {
+        use gdprbench_repro::gdpr_core::Metadata;
+        use gdprbench_repro::gdpr_server::codec::{Reader, Writer};
+        use gdprbench_repro::gdpr_server::wire::{
+            decode_gdpr_response, encode_gdpr_response, encode_metadata,
+        };
+        run_cases(1_024, |rng| {
+            let pairs: Vec<(String, Metadata)> = (0..rng.gen_range(0usize..5))
+                .map(|_| {
+                    let metadata = Metadata {
+                        purposes: any_list(rng),
+                        ttl: rng.gen_bool(0.7).then(|| arb_duration(rng)),
+                        user: any_text(rng),
+                        objections: any_list(rng),
+                        decisions: any_list(rng),
+                        sharing: any_list(rng),
+                        source: any_text(rng),
+                    };
+                    (any_text(rng), metadata)
+                })
+                .collect();
+            let mut w = Writer::new();
+            w.u8(4);
+            w.count(pairs.len());
+            for (key, metadata) in &pairs {
+                w.string(key);
+                encode_metadata(&mut w, metadata);
+            }
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let decoded = decode_gdpr_response(&mut r).unwrap();
+            r.finish().unwrap();
+            let GdprResponse::Metadata(rows) = &decoded else {
+                panic!("decoded {decoded:?}")
+            };
+            assert_eq!(rows.to_vec(), pairs);
+            let mut again = Writer::new();
+            encode_gdpr_response(&mut again, &decoded);
+            assert_eq!(again.into_bytes(), bytes, "{pairs:?}");
+        });
+    }
+
     /// Every strict prefix of a valid payload is rejected as truncated —
     /// with an error, never a panic, and never a bogus success.
     #[test]
@@ -1259,9 +1364,9 @@ mod gdpr_gen {
                 pairs.sort();
                 GdprResponse::Data(pairs)
             }
-            GdprResponse::Metadata(mut pairs) => {
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                GdprResponse::Metadata(pairs)
+            GdprResponse::Metadata(mut rows) => {
+                rows.sort();
+                GdprResponse::Metadata(rows)
             }
             other => other,
         }
